@@ -1,6 +1,6 @@
 //! Flow- and field-sensitive points-to × typestate product analysis.
 //!
-//! This is preanalysis **v2**: where the `hetsep-baseline` pre-pass couples a
+//! This is preanalysis **v2**: where the `hetsep-baseline` comparator couples a
 //! *flow-insensitive* Andersen-style points-to closure with a flow-sensitive
 //! typestate pass (the ESP configuration the paper compares against), this
 //! module runs one product analysis on the [`crate::dataflow`] framework

@@ -19,12 +19,10 @@
 //!   pre-packing per-value FNV (one mix per truth value via accessors).
 //! * **equality** — derived plane-vector `==` vs a per-value accessor
 //!   comparison loop.
-//! * **join-rows / closure-union** — the wide-lane block kernels against
-//!   the one-word-at-a-time loops they replaced: a Kleene information-order
-//!   join over a whole binary-plane slab, and the Warshall inner union of
-//!   `bool_closure`. Here the "scalar" column is the per-word loop (the
-//!   pre-block path), not a per-node one. Built with `--features simd`
-//!   these rows exercise the AVX2 dispatch on supporting hosts.
+//! * **closure-union** — the wide-lane block kernel `bits::or_into`
+//!   against the one-word-at-a-time loop it replaced, as the Warshall inner
+//!   union of `bool_closure`. Here the "scalar" column is the per-word loop
+//!   (the pre-block path), not a per-node one.
 //!
 //! Timing uses `std::time::Instant`, best-of-`REPS` (the in-tree harness;
 //! Criterion is intentionally not a dependency). Run with
@@ -237,43 +235,16 @@ fn main() {
         });
         row("equality", n, scalar, word);
 
-        // Wide-lane block kernels on binary-plane-slab geometry (n rows of
-        // `words_for(n)` words). Baseline: the per-word loop the block
-        // kernels replaced.
+        // closure-union on binary-plane-slab geometry (n rows of
+        // `words_for(n)` words, padding bits zero).
         let stride = bits::words_for(n);
         let words = n * stride;
         let mut rng = Lcg(0xb10c ^ n as u64);
-        let mut word64 = || rng.next() << 33 ^ rng.next();
-        let mut planes = |mask_rows: bool| {
-            let mut t = vec![0u64; words];
-            let mut h = vec![0u64; words];
-            for w in 0..words {
-                let valid = if mask_rows { bits::word_mask(n, w % stride) } else { !0 };
-                t[w] = word64() & valid;
-                h[w] = word64() & valid & !t[w];
-            }
-            (t, h)
-        };
-        let (t1, h1) = planes(true);
-        let (t2, h2) = planes(true);
-        let (mut to, mut ho) = (vec![0u64; words], vec![0u64; words]);
-        let scalar = best_ns(|| {
-            for w in 0..words {
-                let (t, h) = bits::join_word(t1[w], h1[w], t2[w], h2[w]);
-                to[w] = t;
-                ho[w] = h;
-            }
-            black_box((&to, &ho));
-        });
-        let word = best_ns(|| {
-            bits::join_rows(&t1, &h1, &t2, &h2, &mut to, &mut ho);
-            black_box((&to, &ho));
-        });
-        row("join-rows", n, scalar, word);
-
-        // closure-union: in-place boolean Warshall over an n×n adjacency,
-        // per-word inner union vs `bits::or_into` (the `bool_closure` body).
-        let (adj0, _) = planes(true);
+        let adj0: Vec<u64> = (0..words)
+            .map(|w| (rng.next() << 33 ^ rng.next()) & bits::word_mask(n, w % stride))
+            .collect();
+        // In-place boolean Warshall over the n×n adjacency, per-word inner
+        // union vs `bits::or_into` (the `bool_closure` body).
         let mut krow = vec![0u64; stride];
         let mut warshall = |block: bool| {
             let mut adj = adj0.clone();

@@ -137,7 +137,7 @@ pub struct EngineConfig {
     /// application. Observation-only either way — exploration order and
     /// results never depend on this flag.
     pub phase_timings: bool,
-    /// Run the coarse baseline (points-to + typestate) analysis before
+    /// Run the flow-sensitive points-to × typestate preanalysis before
     /// fanning out non-simultaneous separation subproblems, and skip the
     /// allocation sites it proves safe (recorded as
     /// [`AnalysisOutcome::Pruned`]). Sound: pruning never changes the
@@ -161,16 +161,9 @@ pub struct EngineConfig {
     /// fills, the old generation is discarded (counted in
     /// [`Counter::TransferCacheEvictions`]) and the young one ages into its
     /// place. Probes that hit the old generation promote the entry back into
-    /// the young one, so the warm working set survives rotation — unlike the
-    /// previous flush-all policy, which dumped every entry exactly when the
-    /// cache was most valuable. Eviction is sound either way (the cache is
-    /// exact, so losing entries only costs time).
+    /// the young one, so the warm working set survives rotation. Eviction is
+    /// sound (the cache is exact, so losing entries only costs time).
     pub transfer_cache_capacity: usize,
-    /// Revert to the pre-two-generation flush-all eviction policy (clear the
-    /// entire cache when `transfer_cache_capacity` is reached). Kept as an
-    /// A/B baseline so tests can prove the two-generation policy evicts
-    /// strictly less at identical verdicts; never faster, off by default.
-    pub transfer_cache_flush_all: bool,
     /// Memoize per-procedure summaries: the engine always evaluates a
     /// spliced call region as a nested subproblem of its entry structure
     /// (see the region drain in [`run_shared`]); with this flag on, the
@@ -200,7 +193,6 @@ impl Default for EngineConfig {
             preanalysis: false,
             transfer_cache: true,
             transfer_cache_capacity: 1 << 20,
-            transfer_cache_flush_all: false,
             summaries: true,
         }
     }
@@ -215,7 +207,7 @@ pub enum AnalysisOutcome {
     /// (sound for errors found, inconclusive for verification).
     BudgetExceeded,
     /// The subproblem never ran: the static pre-analysis proved its site's
-    /// checks safe under the coarse baseline abstraction (see
+    /// checks safe under the flow-sensitive preanalysis (see
     /// [`EngineConfig::preanalysis`]). Equivalent to `Complete` with zero
     /// errors for verdict purposes.
     Pruned,
@@ -308,13 +300,10 @@ type TransferKey = (u32, StructureId);
 /// old. A probe that hits the old generation promotes the entry back into
 /// the young one, so anything re-referenced within one generation's worth of
 /// inserts is never evicted: the warm working set survives rotation instead
-/// of being dumped wholesale. The optional `flush_all` mode reproduces the
-/// historical clear-everything policy as an A/B baseline.
+/// of being dumped wholesale.
 struct TransferCache {
-    /// Entry budget per generation (flush-all: for the whole cache).
+    /// Entry budget per generation.
     cap: usize,
-    /// Use the historical flush-all policy instead of two generations.
-    flush_all: bool,
     /// The young generation: receives inserts and promotions.
     young: HashMap<TransferKey, TransferEntry>,
     /// The old generation: read-only until discarded by the next rotation.
@@ -322,15 +311,9 @@ struct TransferCache {
 }
 
 impl TransferCache {
-    fn new(capacity: usize, flush_all: bool) -> TransferCache {
-        let cap = if flush_all {
-            capacity.max(1)
-        } else {
-            (capacity / 2).max(1)
-        };
+    fn new(capacity: usize) -> TransferCache {
         TransferCache {
-            cap,
-            flush_all,
+            cap: (capacity / 2).max(1),
             young: HashMap::new(),
             old: HashMap::new(),
         }
@@ -360,25 +343,17 @@ impl TransferCache {
         self.young.insert(key, entry);
     }
 
-    /// Evicts when the young generation is at capacity: flush-all clears
-    /// everything; two-generation discards only the old generation and ages
-    /// the young one. Either way [`Counter::TransferCacheEvictions`] counts
-    /// the entries actually discarded.
+    /// Evicts when the young generation is at capacity: discards the old
+    /// generation (counted in [`Counter::TransferCacheEvictions`]) and ages
+    /// the young one into its place.
     fn rotate_if_full(&mut self, metrics: &mut RunMetrics) {
         if self.young.len() < self.cap {
             return;
         }
-        if self.flush_all {
-            metrics
-                .counters
-                .add(Counter::TransferCacheEvictions, self.young.len() as u64);
-            self.young.clear();
-        } else {
-            metrics
-                .counters
-                .add(Counter::TransferCacheEvictions, self.old.len() as u64);
-            self.old = std::mem::take(&mut self.young);
-        }
+        metrics
+            .counters
+            .add(Counter::TransferCacheEvictions, self.old.len() as u64);
+        self.old = std::mem::take(&mut self.young);
     }
 }
 
@@ -804,10 +779,7 @@ pub fn run_shared<'s>(
         pred_of_site.insert(site, pred.index() as u32);
     }
 
-    let cache = TransferCache::new(
-        config.transfer_cache_capacity,
-        config.transfer_cache_flush_all,
-    );
+    let cache = TransferCache::new(config.transfer_cache_capacity);
     // The shared layers sit strictly behind the per-run memos: they are only
     // consulted (and populated) when those miss, so the added cost is
     // bounded by one content probe per distinct key per run.

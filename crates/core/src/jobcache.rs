@@ -42,7 +42,6 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::sync::Mutex;
 
 use hetsep_tvl::intern::{PoolId, WordPool};
@@ -315,22 +314,11 @@ impl TransferStore {
         }
         Ok(store)
     }
-
-    /// Writes the store to a file.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads a store from a file.
-    pub fn load(path: &Path) -> Result<TransferStore, String> {
-        let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        TransferStore::from_bytes(&bytes)
-    }
 }
 
-/// Magic prefix of a standalone transfer-store file (also the legacy format
-/// accepted by [`crate::summary::CacheFile::from_bytes`]).
-pub(crate) const MAGIC: &[u8] = b"HSEPTC01";
+/// Magic prefix of a serialized transfer store (the transfer section of a
+/// [`crate::summary::CacheFile`]).
+const MAGIC: &[u8] = b"HSEPTC01";
 
 pub(crate) fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());

@@ -12,15 +12,16 @@
 //! Non-simultaneous separation subproblems are independent engine runs, so
 //! they are fanned out across a scoped worker pool (see
 //! [`crate::engine::ParallelConfig`]). Each worker owns its engine state and
-//! interner; results are merged in allocation-site order, so reports are
-//! identical to a serial run whenever every subproblem stays within budget.
+//! interner; results are merged in allocation-site order, and budget
+//! exhaustion cancels only later sites (see `run_sites`), so reports are
+//! identical to a serial run.
 //! Incremental stages stay sequential by design: each stage's site set
 //! depends on the previous stage's failing sites.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use hetsep_easl::ast::Spec;
@@ -226,10 +227,10 @@ impl fmt::Display for Mode {
 }
 
 /// What the pruning pre-pass concluded about one non-simultaneous
-/// separation family (see [`EngineConfig::preanalysis`]): how many
-/// subproblems each preanalysis generation proved safe, the may-share
-/// partition size, and the predicted structure cost — the static
-/// cost-model surface ROADMAP item 5's auto-strategy planner builds on.
+/// separation family (see [`EngineConfig::preanalysis`]): the may-share
+/// partition size and the predicted structure cost — the static
+/// cost-model surface an auto-strategy planner would build on. How many
+/// sites it pruned is the family's `subproblems_pruned` counter.
 ///
 /// Per-site figures are carried by the `Preanalysis*` counters in each
 /// subproblem's [`RunStats::metrics`]; this summary is their
@@ -238,13 +239,6 @@ impl fmt::Display for Mode {
 pub struct PreanalysisSummary {
     /// May-share heap components found by the flow-sensitive analysis.
     pub components: u64,
-    /// Sites pruned that the v1 baseline (flow-insensitive points-to)
-    /// proved safe.
-    pub pruned_baseline: u64,
-    /// Sites pruned that the v2 flow-sensitive product analysis proved
-    /// safe. Always ≥ `pruned_baseline`-exclusive wins by construction:
-    /// the pass prunes the union of both safe sets.
-    pub pruned_flow: u64,
     /// Sum over the family's sites of the structure-count upper bound of
     /// each site's may-share component (saturating).
     pub estimated_structures: u64,
@@ -335,21 +329,11 @@ impl VerificationReport {
     /// Records a subproblem the pre-analysis proved safe without running
     /// it: zero work, zero errors, and — crucially — no effect on
     /// `complete`, since the pre-pass proof stands in for the fixpoint.
-    /// Which generation(s) proved it, plus the family-wide component count
-    /// and the site's cost estimate, land in the row's own counters so
-    /// sinks and reports agree.
+    /// The family-wide component count and the site's cost estimate land in
+    /// the row's own counters so sinks and reports agree.
     fn absorb_pruned(&mut self, site: SiteId, pre: &Preanalysis) {
         let mut stats = RunStats::default();
         stats.metrics.counters.add(Counter::SubproblemsPruned, 1);
-        if pre.safe_v1.contains(&site) {
-            stats
-                .metrics
-                .counters
-                .add(Counter::PreanalysisPrunedBaseline, 1);
-        }
-        if pre.safe_v2.contains(&site) {
-            stats.metrics.counters.add(Counter::PreanalysisPrunedFlow, 1);
-        }
         pre.stamp_row(site, &mut stats.metrics);
         self.metrics.merge(&stats.metrics);
         self.subproblems.push(SubproblemStats {
@@ -382,33 +366,26 @@ impl VerificationReport {
     }
 }
 
-/// Combined result of the two-generation pruning pre-pass over one site
-/// family. Each generation is sound on its own (a site in its safe set
-/// provably cannot fail), so pruning the union is sound, and the set of
-/// pruned sites under v2 is a superset of v1's by construction.
+/// Result of the pruning pre-pass over one site family: the sites the
+/// flow-sensitive points-to × typestate product analysis proved safe (each
+/// outside every may-share component that contains a suspect), plus its
+/// cost model.
 struct Preanalysis {
-    /// Sites the v1 baseline (flow-insensitive points-to × typestate)
-    /// proved safe.
-    safe_v1: HashSet<SiteId>,
-    /// Sites the v2 flow-sensitive product analysis proved safe: outside
-    /// every may-share component that contains a suspect.
-    safe_v2: HashSet<SiteId>,
-    /// May-share components over the whole program (0 when v2 declined).
+    /// Sites proved safe; pruning them is sound.
+    safe: HashSet<SiteId>,
+    /// May-share components over the whole program (0 when the analysis
+    /// declined).
     components: u64,
     /// Structure-count upper bound of each site's may-share component.
     estimates: HashMap<SiteId, u64>,
 }
 
 impl Preanalysis {
-    /// Runs both generations. Either may decline (`Err` internally — e.g.
-    /// an unmodelled library member) and then contributes an empty safe
-    /// set; the run loop covers whatever is left.
+    /// Runs the analysis once. It may decline (e.g. an unmodelled library
+    /// member) and then proves nothing safe; the run loop covers every
+    /// site.
     fn run(program: &Program, spec: &Spec, sites: &[SiteId]) -> Preanalysis {
-        let safe_v1: HashSet<SiteId> = match hetsep_baseline::verify_with_suspects(program, spec) {
-            Ok(v) => sites.iter().copied().filter(|&s| v.proved_safe(s)).collect(),
-            Err(_) => HashSet::new(),
-        };
-        let mut safe_v2 = HashSet::new();
+        let mut safe = HashSet::new();
         let mut components = 0;
         let mut estimates = HashMap::new();
         let verdicts = hetsep_ir::Cfg::build(program, "main")
@@ -424,21 +401,15 @@ impl Preanalysis {
                 // Guard on component membership: a site the flow analysis
                 // never discovered must not be presumed safe.
                 if summary.component_of(s).is_some() && !summary.suspects_closed().contains(&s) {
-                    safe_v2.insert(s);
+                    safe.insert(s);
                 }
             }
         }
         Preanalysis {
-            safe_v1,
-            safe_v2,
+            safe,
             components,
             estimates,
         }
-    }
-
-    /// Sites safe to prune: the union of both generations' proofs.
-    fn safe(&self) -> HashSet<SiteId> {
-        self.safe_v1.union(&self.safe_v2).copied().collect()
     }
 
     /// Stamps the family-wide component count and the site's structure
@@ -458,8 +429,6 @@ impl Preanalysis {
     fn summary(&self) -> PreanalysisSummary {
         PreanalysisSummary {
             components: self.components,
-            pruned_baseline: self.safe_v1.len() as u64,
-            pruned_flow: self.safe_v2.len() as u64,
             estimated_structures: self
                 .estimates
                 .values()
@@ -479,11 +448,13 @@ fn site_options(base: &TranslateOptions, choice_ix: usize, site: SiteId) -> Tran
 /// more than one thread is configured.
 ///
 /// Results come back in `sites` order regardless of completion order, so
-/// downstream merging is deterministic. A subproblem that exhausts its
-/// budget raises a shared cancellation flag: no new subproblems are started
-/// (on any path, including single-threaded), and in-flight runs abort at
-/// their next poll — the verification is inconclusive at that point either
-/// way, so the remaining work only refines an already-incomplete report.
+/// downstream merging is deterministic. Cancellation is deterministic too:
+/// a cancellation *watermark* holds the lowest slot index whose subproblem
+/// exhausted its budget or failed to translate. Only slots after the
+/// watermark are cancelled — they are not started, in-flight ones abort at
+/// their next poll — and their results and metrics are dropped. Slots
+/// before it run to completion. The surviving prefix is exactly what a
+/// serial run produces, whatever the thread count or timing.
 #[allow(clippy::too_many_arguments)]
 fn run_sites(
     program: &Program,
@@ -496,23 +467,42 @@ fn run_sites(
     summaries: Option<&SharedSummarySession<'_>>,
 ) -> Result<Vec<(SiteId, RunResult)>, VerifyError> {
     let threads = config.parallel.effective_threads().clamp(1, sites.len().max(1));
-    let cancel = AtomicBool::new(false);
-    let slots = crate::parallel::map_ordered(sites, threads, &cancel, |_, &site, flag| {
+    // Relaxed throughout: the watermark and flags publish no data (results
+    // are read after the pool joins), and a stale read only lets a slot
+    // past the watermark start a run whose result is dropped anyway.
+    let watermark = AtomicUsize::new(usize::MAX);
+    // One flag per slot, raised once the watermark drops below the slot.
+    let cancelled: Vec<AtomicBool> = sites.iter().map(|_| AtomicBool::new(false)).collect();
+    let lower_watermark = |ix: usize| {
+        if watermark.fetch_min(ix, Ordering::Relaxed) > ix {
+            for flag in &cancelled[ix + 1..] {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
+    };
+    // `map_ordered`'s own flag stops claims; it stays down so that every
+    // slot below the watermark is claimed, and later slots return `None`
+    // without starting.
+    let never = AtomicBool::new(false);
+    let slots = crate::parallel::map_ordered(sites, threads, &never, |ix, &site, _| {
+        if watermark.load(Ordering::Relaxed) < ix {
+            return None;
+        }
         let result = translate(program, spec, &site_options(base, choice_ix, site))
-            .map(|inst| run_shared(&inst, config, Some(flag), shared, summaries));
-        if result.is_err() {
-            flag.store(true, Ordering::Relaxed);
+            .map(|inst| run_shared(&inst, config, Some(&cancelled[ix]), shared, summaries));
+        match &result {
+            Ok(r) if r.outcome != AnalysisOutcome::BudgetExceeded => {}
+            _ => lower_watermark(ix),
         }
-        result
+        Some(result)
     });
+    let last = watermark.into_inner();
     let mut out = Vec::with_capacity(sites.len());
-    for (ix, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(result)) => out.push((sites[ix], result)),
-            Some(Err(e)) => return Err(e),
-            // Never started: a sibling run raised the cancellation flag.
-            None => {}
-        }
+    for (ix, slot) in slots.into_iter().enumerate().take(last.saturating_add(1)) {
+        let result = slot
+            .flatten()
+            .expect("every slot up to the watermark runs")?;
+        out.push((sites[ix], result));
     }
     Ok(out)
 }
@@ -602,16 +592,13 @@ impl<'a> Verifier<'a> {
 
     /// Enables the static pruning pre-pass (see
     /// [`EngineConfig::preanalysis`]): before fanning out non-simultaneous
-    /// separation subproblems, two preanalysis generations each run once —
-    /// the coarse flow-insensitive baseline (v1) and the flow-sensitive
-    /// points-to × typestate product analysis with may-share closure (v2)
-    /// — and allocation sites either proves safe are skipped, recorded as
-    /// [`AnalysisOutcome::Pruned`] with `subproblems_pruned` /
-    /// `preanalysis_pruned_*` counters; the aggregate lands in
-    /// [`VerificationReport::preanalysis`]. Each generation's proof is
-    /// sound on its own, so pruning the union is sound — verdicts and
-    /// reported errors are identical with pruning on or off. Off by
-    /// default.
+    /// separation subproblems, the flow-sensitive points-to × typestate
+    /// product analysis with may-share closure runs once, and allocation
+    /// sites it proves safe are skipped, recorded as
+    /// [`AnalysisOutcome::Pruned`] with the `subproblems_pruned` counter;
+    /// the aggregate lands in [`VerificationReport::preanalysis`]. The
+    /// proof is sound, so verdicts and reported errors are identical with
+    /// pruning on or off. Off by default.
     pub fn with_preanalysis(mut self, on: bool) -> Verifier<'a> {
         self.config.preanalysis = on;
         self
@@ -868,22 +855,19 @@ pub(crate) fn verify_inner(
                         // single (cheap) run covers the empty family.
                         report.absorb(None, run_shared(&probe, config, None, shared, summaries));
                     }
-                    // Pruning pre-pass: both preanalysis generations run
-                    // once and every site either proves safe is skipped
-                    // (the union of two sound proofs is sound). A failed
-                    // generation contributes nothing and the run loop
-                    // covers the rest.
+                    // Pruning pre-pass: the preanalysis runs once and every
+                    // site it proves safe is skipped. If it declines, the
+                    // run loop covers every site.
                     let pre = if config.preanalysis {
                         Some(Preanalysis::run(program, spec, &sites))
                     } else {
                         None
                     };
-                    let safe: HashSet<SiteId> =
-                        pre.as_ref().map(Preanalysis::safe).unwrap_or_default();
+                    let pruned = |s: &SiteId| pre.as_ref().is_some_and(|p| p.safe.contains(s));
                     let to_run: Vec<SiteId> = sites
                         .iter()
                         .copied()
-                        .filter(|s| !safe.contains(s))
+                        .filter(|s| !pruned(s))
                         .collect();
                     let mut results =
                         run_sites(program, spec, &base, choice_ix, &to_run, config, shared, summaries)?
@@ -892,8 +876,8 @@ pub(crate) fn verify_inner(
                     // Merge in original site order so reports are identical
                     // to an unpruned run (pruned entries interleave).
                     for &site in &sites {
-                        if safe.contains(&site) {
-                            report.absorb_pruned(site, pre.as_ref().expect("safe implies pre"));
+                        if pruned(&site) {
+                            report.absorb_pruned(site, pre.as_ref().expect("pruned implies pre"));
                         } else if results.peek().is_some_and(|&(s, _)| s == site) {
                             let (_, mut result) = results.next().expect("peeked");
                             if let Some(pre) = &pre {
@@ -901,9 +885,9 @@ pub(crate) fn verify_inner(
                             }
                             report.absorb(Some(site), result);
                         }
-                        // else: never started — a sibling raised the
-                        // cancellation flag; the report is already
-                        // incomplete.
+                        // else: past the cancellation watermark — an
+                        // earlier site exhausted its budget, so the report
+                        // is already incomplete.
                     }
                     if let Some(pre) = pre {
                         report.preanalysis = Some(pre.summary());

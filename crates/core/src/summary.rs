@@ -34,8 +34,8 @@
 //! ([`SummaryStore::absorb`], first write wins).
 //!
 //! [`CacheFile`] bundles this store with the transfer store in one on-disk
-//! container (`HSEPWS02`: two length-prefixed sections) and still loads bare
-//! `HSEPTC01` transfer-store files as a legacy cold-summary cache.
+//! container (`HSEPWS02`: two length-prefixed sections), the one on-disk
+//! cache format.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -341,11 +341,6 @@ const MAGIC: &[u8] = b"HSEPSM01";
 
 /// The combined on-disk cache container: the transfer store and the summary
 /// store as two length-prefixed sections under one magic (`HSEPWS02`).
-///
-/// [`CacheFile::from_bytes`] also accepts a bare `HSEPTC01` transfer-store
-/// file — the format every pre-summary cache on disk has — and treats it as
-/// a container with an empty summary section, so existing caches warm the
-/// transfer layer and simply start the summary layer cold.
 #[derive(Debug, Default, Clone)]
 pub struct CacheFile {
     /// Cross-job transfer memoization (see [`crate::jobcache`]).
@@ -375,14 +370,9 @@ impl CacheFile {
         out
     }
 
-    /// Deserializes a container, or a legacy bare transfer store.
+    /// Deserializes a container. Anything else, a bare transfer store
+    /// included, is a bad-magic error.
     pub fn from_bytes(bytes: &[u8]) -> Result<CacheFile, String> {
-        if bytes.starts_with(crate::jobcache::MAGIC) {
-            return Ok(CacheFile {
-                transfers: TransferStore::from_bytes(bytes)?,
-                summaries: SummaryStore::new(),
-            });
-        }
         let mut r = Reader { bytes, at: 0 };
         if r.take(WS_MAGIC.len())? != WS_MAGIC {
             return Err("not a hetsep cache file (bad magic)".into());
@@ -405,7 +395,7 @@ impl CacheFile {
         std::fs::write(path, self.to_bytes())
     }
 
-    /// Reads a container (or legacy transfer store) from a file.
+    /// Reads a container from a file.
     pub fn load(path: &Path) -> Result<CacheFile, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
         CacheFile::from_bytes(&bytes)
@@ -663,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_file_roundtrips_and_reads_legacy_transfer_stores() {
+    fn cache_file_roundtrips_and_rejects_legacy_transfer_stores() {
         let file = CacheFile {
             transfers: TransferStore::new(),
             summaries: sample_store(),
@@ -673,11 +663,12 @@ mod tests {
         assert_eq!(back.summaries.entry_count(), 2);
         assert!(back.transfers.is_empty());
 
-        // A bare transfer store loads as a container with cold summaries.
+        // A bare transfer store is a section, not a cache file.
         let legacy = TransferStore::new().to_bytes();
-        let back = CacheFile::from_bytes(&legacy).unwrap();
-        assert!(back.transfers.is_empty());
-        assert!(back.summaries.is_empty());
+        assert_eq!(
+            CacheFile::from_bytes(&legacy).unwrap_err(),
+            "not a hetsep cache file (bad magic)"
+        );
 
         assert!(CacheFile::from_bytes(b"garbage").is_err());
     }

@@ -336,13 +336,13 @@ impl Workspace {
         self.strategies.len()
     }
 
-    /// The mounted cross-request transfer store (e.g. to persist with
-    /// [`TransferStore::save`]).
+    /// The mounted cross-request transfer store (e.g. to persist as the
+    /// transfer section of a [`crate::CacheFile`]).
     pub fn store(&self) -> &TransferStore {
         &self.store
     }
 
-    /// Mounts a transfer store (e.g. loaded with [`TransferStore::load`]),
+    /// Mounts a transfer store (e.g. loaded with [`crate::CacheFile::load`]),
     /// replacing the current one. Verdicts never depend on the mounted
     /// store — only the shared-cache counters and wall-clock do.
     pub fn mount_store(&mut self, store: TransferStore) {

@@ -6,11 +6,22 @@
 //! flag are byte-identical with pruning on and off. The only permitted
 //! differences are which subproblems actually ran (`AnalysisOutcome::Pruned`
 //! rows with zero stats) and, consequently, the effort totals.
+//!
+//! The pre-pass runs the flow-sensitive preanalysis alone. The ESP-style
+//! baseline (`hetsep-baseline`) used to be pruned alongside it; the
+//! containment tests below pin that dropping it loses nothing — every site
+//! the baseline proves safe is still pruned.
 
+use hetsep_core::vocab::SiteId;
 use hetsep_core::{
-    AnalysisOutcome, Counter, EngineConfig, Mode, VerificationReport, Verifier, VerifyError,
+    translate, AnalysisOutcome, Counter, EngineConfig, Mode, TranslateOptions, VerificationReport,
+    Verifier, VerifyError,
 };
+use hetsep_easl::ast::Spec;
+use hetsep_ir::Program;
+use hetsep_strategy::ast::ChoiceMode;
 use hetsep_strategy::parse_strategy;
+use hetsep_suite::corpus::{generate, CorpusConfig};
 use hetsep_suite::{Benchmark, TableMode};
 
 /// The Table 3 budget (mirrors `hetsep::harness::table3_config`, which the
@@ -81,31 +92,11 @@ fn assert_equivalent(name: &str, mode_label: &str, off: &VerificationReport, on:
         pruned_count(on),
         "{name}/{mode_label}: subproblems_pruned counter out of sync"
     );
-    // The preanalysis summary surfaces only on the pruned run, agrees with
-    // the per-generation counters, and the pruned rows are exactly the
-    // union of the two generations' safe sets (`|v1 ∪ v2|`).
+    // The preanalysis summary surfaces only on the pruned run.
     assert!(
         off.preanalysis.is_none(),
         "{name}/{mode_label}: summary leaked into the unpruned run"
     );
-    if let Some(p) = on.preanalysis {
-        assert_eq!(
-            on.metrics.counters.get(Counter::PreanalysisPrunedBaseline),
-            p.pruned_baseline,
-            "{name}/{mode_label}: baseline-generation counter out of sync"
-        );
-        assert_eq!(
-            on.metrics.counters.get(Counter::PreanalysisPrunedFlow),
-            p.pruned_flow,
-            "{name}/{mode_label}: flow-generation counter out of sync"
-        );
-        let pruned = pruned_count(on) as u64;
-        assert!(
-            pruned >= p.pruned_baseline.max(p.pruned_flow)
-                && pruned <= p.pruned_baseline + p.pruned_flow,
-            "{name}/{mode_label}: pruned rows are not the union of the generations ({p:?})"
-        );
-    }
     // Unpruned subproblems keep identical stats, in the same positions.
     for (o, n) in off.subproblems.iter().zip(&on.subproblems) {
         assert_eq!(o.site, n.site, "{name}/{mode_label}: site order changed");
@@ -120,6 +111,139 @@ fn assert_equivalent(name: &str, mode_label: &str, off: &VerificationReport, on:
             assert_eq!(o.errors, n.errors, "{name}/{mode_label}: per-site errors changed");
         }
     }
+}
+
+/// The allocation sites a non-simultaneous separation mode fans out over:
+/// those of its first stage's first `choose some` class (empty for every
+/// other mode).
+fn family(program: &Program, spec: &Spec, mode: &Mode) -> Vec<SiteId> {
+    let Mode::Separation {
+        strategy,
+        simultaneous: false,
+        heterogeneous,
+    } = mode
+    else {
+        return Vec::new();
+    };
+    let stage = &strategy.stages[0];
+    let Some(choice) = stage.choices.iter().find(|c| c.mode == ChoiceMode::Some) else {
+        return Vec::new();
+    };
+    let options = TranslateOptions {
+        stage: Some(stage.clone()),
+        heterogeneous: *heterogeneous,
+        ..TranslateOptions::default()
+    };
+    translate(program, spec, &options)
+        .unwrap()
+        .sites_of(&choice.class)
+        .to_vec()
+}
+
+/// Asserts that every site of `mode`'s family that the ESP-style baseline
+/// proves safe is a `Pruned` subproblem of the preanalysis run, and returns
+/// `(baseline-safe sites, pruned subproblems)`.
+///
+/// Pruning is decided before any subproblem runs and pruned rows are
+/// recorded whatever the runs do, so a one-visit budget keeps the check
+/// cheap without changing which sites are pruned.
+fn baseline_safe_sites_are_pruned(
+    name: &str,
+    program: &Program,
+    spec: &Spec,
+    mode: &Mode,
+) -> (usize, usize) {
+    let Ok(baseline) = hetsep_baseline::verify_with_suspects(program, spec) else {
+        return (0, 0);
+    };
+    let report = Verifier::new(program, spec)
+        .mode(mode.clone())
+        .config(EngineConfig {
+            max_visits: 1,
+            ..budget()
+        })
+        .with_preanalysis(true)
+        .run()
+        .unwrap();
+    let mut safe = 0;
+    for site in family(program, spec, mode) {
+        if !baseline.proved_safe(site) {
+            continue;
+        }
+        safe += 1;
+        assert!(
+            report
+                .subproblems
+                .iter()
+                .any(|s| s.site == Some(site) && s.outcome == AnalysisOutcome::Pruned),
+            "{name}: the baseline proves site {site} safe but the preanalysis kept it"
+        );
+    }
+    (safe, pruned_count(&report))
+}
+
+/// Runs the containment check over the first `jobs` seed-42 corpus jobs
+/// (every job with a strategy, as non-simultaneous separation over it) and
+/// returns the summed `(baseline-safe, pruned)` counts.
+fn corpus_containment(jobs: usize) -> (usize, usize) {
+    let mut totals = (0, 0);
+    for job in generate(&CorpusConfig { jobs, seed: 42 }) {
+        let Some(strategy) = job.strategy else {
+            continue;
+        };
+        let program = hetsep_ir::parse_program(&job.program).unwrap();
+        let spec = hetsep_easl::builtin::by_name(&program.uses).unwrap();
+        let mode = Mode::separation(parse_strategy(strategy).unwrap());
+        let (safe, pruned) = baseline_safe_sites_are_pruned(&job.name, &program, &spec, &mode);
+        totals.0 += safe;
+        totals.1 += pruned;
+    }
+    totals
+}
+
+/// Every site the ESP-style baseline proves safe is also pruned by the
+/// flow-sensitive preanalysis, on the suite's separation rows and a corpus
+/// sample — so pruning with the preanalysis alone loses nothing.
+#[test]
+fn baseline_safe_sites_are_pruned_on_suite_and_corpus_sample() {
+    let (mut safe, mut pruned) = (0, 0);
+    for bench in hetsep_suite::all() {
+        let program = bench.program();
+        let spec = bench.spec();
+        for &table_mode in &bench.modes {
+            if !matches!(table_mode, TableMode::Single | TableMode::Multi) {
+                continue;
+            }
+            let mode = core_mode(&bench, table_mode).unwrap();
+            let name = format!("{}/{}", bench.name, table_mode.label());
+            let (s, p) = baseline_safe_sites_are_pruned(&name, &program, &spec, &mode);
+            safe += s;
+            pruned += p;
+        }
+    }
+    let (s, p) = corpus_containment(50);
+    assert!(
+        s > 0,
+        "the corpus sample should exercise baseline-safe sites"
+    );
+    safe += s;
+    pruned += p;
+    assert!(
+        pruned > safe,
+        "the preanalysis ({pruned}) should out-prune the baseline ({safe})"
+    );
+}
+
+/// The containment check over the whole 2000-job seed-42 corpus pool.
+/// Release builds only.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn baseline_safe_sites_are_pruned_on_the_corpus_pool() {
+    let (safe, pruned) = corpus_containment(2000);
+    assert!(
+        safe > 0 && pruned > safe,
+        "baseline {safe}, preanalysis {pruned}"
+    );
 }
 
 /// Small hand-written programs covering the interesting pruning shapes:
@@ -219,11 +343,11 @@ fn pruning_is_observation_equivalent_on_scenarios() {
     assert!(on.verified());
 }
 
-/// The second generation is strictly stronger than the first: the
-/// reassigned handle's two allocation sites defeat the flow-insensitive
-/// baseline (both flow into `f`, so a check on either implicates both) but
-/// not the flow-sensitive analysis, which keeps the lifetimes apart and
-/// prunes both subproblems.
+/// The preanalysis prunes what the ESP-style baseline cannot: the
+/// reassigned handle's two allocation sites both flow into `f`, which
+/// defeats the flow-insensitive baseline on one of them, but not the
+/// flow-sensitive analysis, which keeps the lifetimes apart and prunes both
+/// subproblems.
 #[test]
 fn flow_generation_prunes_what_the_baseline_cannot() {
     let bench = Benchmark {
@@ -245,13 +369,14 @@ fn flow_generation_prunes_what_the_baseline_cannot() {
         expected_reported: vec![None],
     };
     let mode = core_mode(&bench, TableMode::Single).unwrap();
+    let (program, spec) = (bench.program(), bench.spec());
+    let (baseline_safe, _) = baseline_safe_sites_are_pruned(bench.name, &program, &spec, &mode);
     let on = run(&bench, &mode, true);
-    let p = on.preanalysis.expect("preanalysis ran");
+    assert_eq!(pruned_count(&on), 2, "both sites pruned");
     assert!(
-        p.pruned_flow > p.pruned_baseline,
-        "flow generation should win here: {p:?}"
+        baseline_safe < 2,
+        "the baseline should keep a suspect ({baseline_safe} safe)"
     );
-    assert_eq!(pruned_count(&on), 2, "both sites pruned: {p:?}");
     assert!(on.verified());
 }
 
@@ -261,7 +386,6 @@ fn flow_generation_prunes_what_the_baseline_cannot() {
 #[cfg_attr(debug_assertions, ignore)]
 fn pruning_is_observation_equivalent_on_the_suite() {
     let mut total_pruned = 0usize;
-    let (mut baseline_total, mut flow_total) = (0u64, 0u64);
     for bench in hetsep_suite::all() {
         for &table_mode in &bench.modes {
             let mode = core_mode(&bench, table_mode).unwrap();
@@ -269,20 +393,10 @@ fn pruning_is_observation_equivalent_on_the_suite() {
             let on = run(&bench, &mode, true);
             assert_equivalent(bench.name, table_mode.label(), &off, &on);
             total_pruned += pruned_count(&on);
-            if let Some(p) = on.preanalysis {
-                baseline_total += p.pruned_baseline;
-                flow_total += p.pruned_flow;
-            }
         }
     }
     assert!(
         total_pruned > 0,
         "the pre-pass should prune at least one subproblem somewhere in the suite"
-    );
-    // The v2 generation must earn its keep: across the suite it prunes
-    // strictly more subproblems than the v1 baseline generation alone.
-    assert!(
-        flow_total > baseline_total,
-        "flow generation ({flow_total}) should out-prune the baseline ({baseline_total})"
     );
 }

@@ -16,7 +16,7 @@
 //!
 //! `--cache <path>` persists the transfer store and summary store across
 //! daemon restarts, sharing the on-disk container format with
-//! `hetsep corpus --cache` (legacy bare transfer-store files still load).
+//! `hetsep corpus --cache`.
 
 use std::io::{self, BufRead, Write};
 

@@ -9,7 +9,7 @@
 //! | `InputStream5`   | streams in holders at arbitrary heap depth | static source (vanilla false-alarms, separation verifies) |
 //! | `InputStream5b`  | erroneous variant                         | static source (1 real error) |
 //! | `InputStream6`   | variation defeating even separation       | static source (persistent false alarm) |
-//! | `HandleReuse`    | reused stream handles, discriminates the preanalysis generations | static source |
+//! | `HandleReuse`    | reused stream handles, discriminates baseline from flow-sensitive pruning | static source |
 //! | `JDBCExample`    | extended Fig. 1 example, 7 overlapping connections | generated |
 //! | `JDBCExampleFixed` | corrected variant                       | generated |
 //! | `db`             | SpecJVM98 `db` (memory-resident database) | generated analog: stream-driven table scans |

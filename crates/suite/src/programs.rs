@@ -177,10 +177,10 @@ void main() {
 
 /// `HandleReuse`: a correct program that reuses one stream variable for
 /// several back-to-back lifetimes. Every mode verifies it, but the
-/// benchmark discriminates the *preanalysis generations*: an ESP-style
-/// flow-insensitive points-to conflates all the allocation sites flowing
-/// through the reused variable (so the baseline generation prunes
-/// nothing), while the flow-sensitive generation keeps the lifetimes
+/// benchmark discriminates the ESP-style baseline from the flow-sensitive
+/// preanalysis: flow-insensitive points-to conflates all the allocation
+/// sites flowing through the reused variable (so the baseline proves
+/// nothing safe), while the flow-sensitive analysis keeps the lifetimes
 /// apart and prunes every subproblem.
 pub fn handle_reuse() -> Benchmark {
     let source = r#"program HandleReuse uses IOStreams;

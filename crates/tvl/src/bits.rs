@@ -11,26 +11,18 @@
 //! | `True`    | 1   | 0   |
 //!
 //! with the invariant `t & h == 0` (a lane is never both). Under this
-//! encoding every Kleene connective becomes a constant number of boolean
-//! word operations applied to 64 lanes at once:
-//!
-//! | op            | `t'`                | `h'`                              |
-//! |---------------|---------------------|-----------------------------------|
-//! | `a ∧ b`       | `t1 & t2`           | `(t1\|h1) & (t2\|h2) & !(t1&t2)`  |
-//! | `a ∨ b`       | `t1 \| t2`          | `(h1\|h2) & !(t1\|t2)`            |
-//! | `¬a`          | `valid & !(t\|h)`   | `h`                               |
-//! | `a ⊔ b` (join)| `t1 & t2`           | `(t1^t2) \| h1 \| h2`             |
-//!
-//! These identities are proven exhaustively against the scalar
-//! [`Kleene`] operations — for all 3×3 input pairs in all 64
-//! lanes — by the property tests in `tests/properties.rs` and the unit tests
-//! below.
+//! encoding a Kleene test becomes a constant number of boolean word
+//! operations applied to 64 lanes at once: for example `a ⊑ b` fails on
+//! exactly the lanes of `!(eq | hb)` ([`le_info_violations`]), and weakening
+//! `True → Unknown` is `h |= t; t = 0` ([`weaken_rows`]). The word identities
+//! are checked exhaustively against the scalar [`Kleene`] operations — for
+//! all 3×3 input pairs in all 64 lanes — by the property tests in
+//! `tests/properties.rs` and the unit tests below.
 //!
 //! Rows longer than 64 lanes span multiple words ([`words_for`]); the bits of
 //! the last word past the logical length are *padding* and must always be
 //! zero (the stride/padding invariant). Producers that could set padding
-//! bits (notably negation, whose `valid` mask exists exactly for this) mask
-//! with [`tail_mask`].
+//! bits mask with [`tail_mask`] / [`word_mask`].
 
 use crate::kleene::Kleene;
 
@@ -98,33 +90,6 @@ pub fn set_lane(t: &mut [u64], h: &mut [u64], ix: usize, v: Kleene) {
     }
 }
 
-/// 64-lane Kleene conjunction.
-#[inline]
-pub fn and_word(t1: u64, h1: u64, t2: u64, h2: u64) -> (u64, u64) {
-    let t = t1 & t2;
-    (t, (t1 | h1) & (t2 | h2) & !t)
-}
-
-/// 64-lane Kleene disjunction.
-#[inline]
-pub fn or_word(t1: u64, h1: u64, t2: u64, h2: u64) -> (u64, u64) {
-    let t = t1 | t2;
-    (t, (h1 | h2) & !t)
-}
-
-/// 64-lane Kleene negation. `valid` masks the lanes that exist; padding
-/// lanes stay zero.
-#[inline]
-pub fn not_word(t: u64, h: u64, valid: u64) -> (u64, u64) {
-    (valid & !(t | h), h)
-}
-
-/// 64-lane information-order join (`x ⊔ x = x`, distinct values → `Unknown`).
-#[inline]
-pub fn join_word(t1: u64, h1: u64, t2: u64, h2: u64) -> (u64, u64) {
-    (t1 & t2, (t1 ^ t2) | h1 | h2)
-}
-
 /// Lanes of `valid` where `a ⊑ b` does **not** hold (`b` is neither equal to
 /// `a` nor `Unknown`). A zero result on every word of a row means the whole
 /// row is information-ordered.
@@ -173,39 +138,21 @@ pub fn for_each_set(words: &[u64], mut f: impl FnMut(usize)) {
 // ---------------------------------------------------------------------------
 // Wide-lane block kernels.
 //
-// The per-word primitives above process 64 lanes per operation; the kernels
-// below process whole *rows* (multi-word slices) in manually unrolled
-// 4×`u64` blocks — 256 lanes per loop iteration — with a scalar remainder
-// loop for the last `len % 4` words. Unrolling gives the optimizer four
-// independent dependency chains per iteration, which is what lets it keep
-// the ALU ports (or, with the `simd` feature on an AVX2 host, the 256-bit
-// vector units) busy. Semantics are defined by the per-word identities: each
-// block kernel must be lane-for-lane equal to mapping its `*_word` primitive
-// over the row, which the property tests in `tests/properties.rs` check
-// exhaustively for every operand pair in every lane, on both the unrolled
-// and the SIMD paths.
+// The row kernels below process whole *rows* (multi-word slices) in manually
+// unrolled 4×`u64` blocks — 256 lanes per loop iteration — with a scalar
+// remainder loop for the last `len % 4` words. Unrolling gives the optimizer
+// four independent dependency chains per iteration. The property tests in
+// `tests/properties.rs` check each kernel word for word against its scalar
+// definition, including the stride-padding contract.
 
 /// Words per unrolled block (4 × 64 = 256 lanes per iteration).
 pub const BLOCK_WORDS: usize = 4;
-
-/// Minimum row length (words) for the AVX2 dispatch. Below this the
-/// per-call feature probe and the non-inlinable `#[target_feature]` call
-/// cost more than the vector ops save, so short rows always take the
-/// unrolled path.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-const SIMD_MIN_WORDS: usize = 2 * BLOCK_WORDS;
 
 /// Bitwise OR of `src` into `dst` (the Warshall closure inner union), block
 /// at a time.
 #[inline]
 pub fn or_into(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if dst.len() >= SIMD_MIN_WORDS && is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 availability checked at runtime.
-        unsafe { simd::or_into_avx2(dst, src) };
-        return;
-    }
     let mut d = dst.chunks_exact_mut(BLOCK_WORDS);
     let mut s = src.chunks_exact(BLOCK_WORDS);
     for (db, sb) in d.by_ref().zip(s.by_ref()) {
@@ -216,124 +163,6 @@ pub fn or_into(dst: &mut [u64], src: &[u64]) {
     }
     for (dw, &sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *dw |= sw;
-    }
-}
-
-/// Asserts the five-slice row-kernel length contract.
-#[inline]
-fn check_rows(t1: &[u64], h1: &[u64], t2: &[u64], h2: &[u64], to: &[u64], ho: &[u64]) {
-    let len = to.len();
-    assert!(
-        t1.len() == len
-            && h1.len() == len
-            && t2.len() == len
-            && h2.len() == len
-            && ho.len() == len,
-        "row kernels require equal-length plane slices"
-    );
-}
-
-macro_rules! binary_row_kernel {
-    ($(#[$doc:meta])* $name:ident, $word:ident, $avx2:ident) => {
-        $(#[$doc])*
-        #[inline]
-        pub fn $name(
-            t1: &[u64],
-            h1: &[u64],
-            t2: &[u64],
-            h2: &[u64],
-            to: &mut [u64],
-            ho: &mut [u64],
-        ) {
-            check_rows(t1, h1, t2, h2, to, ho);
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if to.len() >= SIMD_MIN_WORDS && is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 availability checked at runtime.
-                unsafe { simd::$avx2(t1, h1, t2, h2, to, ho) };
-                return;
-            }
-            let mut tob = to.chunks_exact_mut(BLOCK_WORDS);
-            let mut hob = ho.chunks_exact_mut(BLOCK_WORDS);
-            let mut t1b = t1.chunks_exact(BLOCK_WORDS);
-            let mut h1b = h1.chunks_exact(BLOCK_WORDS);
-            let mut t2b = t2.chunks_exact(BLOCK_WORDS);
-            let mut h2b = h2.chunks_exact(BLOCK_WORDS);
-            for (tw, hw) in tob.by_ref().zip(hob.by_ref()) {
-                let (a, b, c, d) = (
-                    t1b.next().unwrap(),
-                    h1b.next().unwrap(),
-                    t2b.next().unwrap(),
-                    h2b.next().unwrap(),
-                );
-                for i in 0..BLOCK_WORDS {
-                    let (x, y) = $word(a[i], b[i], c[i], d[i]);
-                    tw[i] = x;
-                    hw[i] = y;
-                }
-            }
-            let (tr, hr) = (tob.into_remainder(), hob.into_remainder());
-            let (a, b, c, d) =
-                (t1b.remainder(), h1b.remainder(), t2b.remainder(), h2b.remainder());
-            for i in 0..tr.len() {
-                let (x, y) = $word(a[i], b[i], c[i], d[i]);
-                tr[i] = x;
-                hr[i] = y;
-            }
-        }
-    };
-}
-
-binary_row_kernel!(
-    /// Row-wide Kleene conjunction: [`and_word`] over every word of the row.
-    and_rows,
-    and_word,
-    and_rows_avx2
-);
-binary_row_kernel!(
-    /// Row-wide Kleene disjunction: [`or_word`] over every word of the row.
-    or_rows,
-    or_word,
-    or_rows_avx2
-);
-binary_row_kernel!(
-    /// Row-wide information-order join: [`join_word`] over every word.
-    join_rows,
-    join_word,
-    join_rows_avx2
-);
-
-/// Row-wide Kleene negation of an `n`-lane row ([`not_word`] per word, with
-/// the per-word valid mask keeping padding bits zero).
-#[inline]
-pub fn not_rows(t: &[u64], h: &[u64], n: usize, to: &mut [u64], ho: &mut [u64]) {
-    let len = to.len();
-    assert!(t.len() == len && h.len() == len && ho.len() == len);
-    let full = if len > 0 && tail_mask(n) == !0 { len } else { len.saturating_sub(1) };
-    {
-        let mut tob = to[..full].chunks_exact_mut(BLOCK_WORDS);
-        let mut hob = ho[..full].chunks_exact_mut(BLOCK_WORDS);
-        let mut tb = t[..full].chunks_exact(BLOCK_WORDS);
-        let mut hb = h[..full].chunks_exact(BLOCK_WORDS);
-        for (tw, hw) in tob.by_ref().zip(hob.by_ref()) {
-            let (a, b) = (tb.next().unwrap(), hb.next().unwrap());
-            for i in 0..BLOCK_WORDS {
-                let (x, y) = not_word(a[i], b[i], !0);
-                tw[i] = x;
-                hw[i] = y;
-            }
-        }
-        let (tr, hr) = (tob.into_remainder(), hob.into_remainder());
-        let (a, b) = (tb.remainder(), hb.remainder());
-        for i in 0..tr.len() {
-            let (x, y) = not_word(a[i], b[i], !0);
-            tr[i] = x;
-            hr[i] = y;
-        }
-    }
-    for w in full..len {
-        let (a, b) = not_word(t[w], h[w], word_mask(n, w));
-        to[w] = a;
-        ho[w] = b;
     }
 }
 
@@ -471,97 +300,6 @@ pub fn overlap_any(t1: &[u64], h1: &[u64], t2: &[u64], h2: &[u64]) -> bool {
     false
 }
 
-/// AVX2 realizations of the row kernels (the `simd` feature on x86-64
-/// hosts). Each function is lane-for-lane identical to its unrolled
-/// counterpart — the property tests run on whichever path the host
-/// dispatches to, and CI runs them with the feature both on and off.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd {
-    use std::arch::x86_64::{
-        __m256i, _mm256_and_si256, _mm256_andnot_si256, _mm256_loadu_si256, _mm256_or_si256,
-        _mm256_storeu_si256, _mm256_xor_si256,
-    };
-
-    #[inline]
-    unsafe fn load(s: &[u64], w: usize) -> __m256i {
-        _mm256_loadu_si256(s.as_ptr().add(w) as *const __m256i)
-    }
-
-    #[inline]
-    unsafe fn store(s: &mut [u64], w: usize, v: __m256i) {
-        _mm256_storeu_si256(s.as_mut_ptr().add(w) as *mut __m256i, v)
-    }
-
-    macro_rules! avx2_binary_kernel {
-        ($name:ident, $word:ident, |$t1:ident, $h1:ident, $t2:ident, $h2:ident| ($te:expr, $he:expr)) => {
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name(
-                t1: &[u64],
-                h1: &[u64],
-                t2: &[u64],
-                h2: &[u64],
-                to: &mut [u64],
-                ho: &mut [u64],
-            ) {
-                let len = to.len();
-                let blocks = len - len % super::BLOCK_WORDS;
-                let mut w = 0;
-                while w < blocks {
-                    let $t1 = load(t1, w);
-                    let $h1 = load(h1, w);
-                    let $t2 = load(t2, w);
-                    let $h2 = load(h2, w);
-                    store(to, w, $te);
-                    store(ho, w, $he);
-                    w += super::BLOCK_WORDS;
-                }
-                while w < len {
-                    let (a, b) = super::$word(t1[w], h1[w], t2[w], h2[w]);
-                    to[w] = a;
-                    ho[w] = b;
-                    w += 1;
-                }
-            }
-        };
-    }
-
-    // t' = t1 & t2; h' = (t1|h1) & (t2|h2) & !t'
-    avx2_binary_kernel!(and_rows_avx2, and_word, |at, ah, bt, bh| (
-        _mm256_and_si256(at, bt),
-        _mm256_andnot_si256(
-            _mm256_and_si256(at, bt),
-            _mm256_and_si256(_mm256_or_si256(at, ah), _mm256_or_si256(bt, bh))
-        )
-    ));
-    // t' = t1 | t2; h' = (h1|h2) & !t'
-    avx2_binary_kernel!(or_rows_avx2, or_word, |at, ah, bt, bh| (
-        _mm256_or_si256(at, bt),
-        _mm256_andnot_si256(_mm256_or_si256(at, bt), _mm256_or_si256(ah, bh))
-    ));
-    // t' = t1 & t2; h' = (t1^t2) | h1 | h2
-    avx2_binary_kernel!(join_rows_avx2, join_word, |at, ah, bt, bh| (
-        _mm256_and_si256(at, bt),
-        _mm256_or_si256(_mm256_xor_si256(at, bt), _mm256_or_si256(ah, bh))
-    ));
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn or_into_avx2(dst: &mut [u64], src: &[u64]) {
-        let len = dst.len();
-        let blocks = len - len % super::BLOCK_WORDS;
-        let mut w = 0;
-        while w < blocks {
-            let d = load(dst, w);
-            let s = load(src, w);
-            store(dst, w, _mm256_or_si256(d, s));
-            w += super::BLOCK_WORDS;
-        }
-        while w < len {
-            dst[w] |= src[w];
-            w += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,34 +308,6 @@ mod tests {
     fn lane_planes(v: Kleene, b: u32) -> (u64, u64) {
         let (t, h) = v.to_bits();
         ((t as u64) << b, (h as u64) << b)
-    }
-
-    fn read_lane(t: u64, h: u64, b: u32) -> Kleene {
-        Kleene::from_bits((t >> b) & 1 != 0, (h >> b) & 1 != 0)
-    }
-
-    #[test]
-    fn word_ops_match_scalar_in_every_lane() {
-        for b in 0..64u32 {
-            for a in Kleene::ALL {
-                for c in Kleene::ALL {
-                    let (t1, h1) = lane_planes(a, b);
-                    let (t2, h2) = lane_planes(c, b);
-                    let (t, h) = and_word(t1, h1, t2, h2);
-                    assert_eq!(read_lane(t, h, b), a & c, "and lane {b}: {a} {c}");
-                    assert_eq!(t & h, 0, "and: t/h invariant");
-                    let (t, h) = or_word(t1, h1, t2, h2);
-                    assert_eq!(read_lane(t, h, b), a | c, "or lane {b}: {a} {c}");
-                    assert_eq!(t & h, 0, "or: t/h invariant");
-                    let (t, h) = join_word(t1, h1, t2, h2);
-                    assert_eq!(read_lane(t, h, b), a.join(c), "join lane {b}: {a} {c}");
-                    assert_eq!(t & h, 0, "join: t/h invariant");
-                }
-                let (t1, h1) = lane_planes(a, b);
-                let (t, h) = not_word(t1, h1, !0);
-                assert_eq!(read_lane(t, h, b), !a, "not lane {b}: {a}");
-            }
-        }
     }
 
     #[test]
@@ -617,16 +327,6 @@ mod tests {
                     assert_eq!(bad & !(1 << b), 0);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn negation_respects_valid_mask() {
-        // All-False planes negate to all-True, but only on valid lanes.
-        for n in [1usize, 3, 63, 64] {
-            let (t, h) = not_word(0, 0, tail_mask(n));
-            assert_eq!(t, tail_mask(n));
-            assert_eq!(h, 0);
         }
     }
 

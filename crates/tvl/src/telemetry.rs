@@ -69,14 +69,9 @@ impl Phase {
         }
     }
 
+    /// Position in [`Phase::ALL`] (the declaration order).
     fn index(self) -> usize {
-        match self {
-            Phase::Focus => 0,
-            Phase::Coerce => 1,
-            Phase::Update => 2,
-            Phase::Canon => 3,
-            Phase::Merge => 4,
-        }
+        self as usize
     }
 }
 
@@ -108,10 +103,13 @@ pub enum Counter {
     MergeJoins,
     /// Runs that exhausted their own visit/structure budget.
     BudgetExhausted,
-    /// Runs aborted by a sibling subproblem's cancellation flag.
+    /// Runs aborted by a cancellation flag raised outside the run. A
+    /// separation subproblem cancelled because an earlier site exhausted its
+    /// budget is dropped from the report with its metrics (see the
+    /// cancellation watermark in `hetsep-core`).
     Cancelled,
     /// Subproblems skipped entirely because the static pre-analysis proved
-    /// their requires-checks safe under the coarse baseline abstraction.
+    /// their requires-checks safe.
     SubproblemsPruned,
     /// Action applications answered from the exact transfer cache (the full
     /// focus → coerce → update → canon pipeline was skipped).
@@ -136,13 +134,6 @@ pub enum Counter {
     /// (a verification-wide figure stamped on every separation subproblem,
     /// so it merges by `max`, not `+`).
     PreanalysisComponents,
-    /// Subproblems pruned that the v1 baseline pre-pass (flow-insensitive
-    /// points-to) proved safe.
-    PreanalysisPrunedBaseline,
-    /// Subproblems pruned that the v2 flow-sensitive product analysis
-    /// proved safe (overlaps with the baseline count; a strictly-flow win
-    /// is `flow − baseline∩flow`).
-    PreanalysisPrunedFlow,
     /// Structure-count upper bound predicted for the subproblem's may-share
     /// component (sums across rows to the predicted cost of the family).
     PreanalysisEstimatedStructures,
@@ -176,7 +167,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in fixed reporting order.
-    pub const ALL: [Counter; 26] = [
+    pub const ALL: [Counter; 24] = [
         Counter::InternHits,
         Counter::InternMisses,
         Counter::WorklistPushes,
@@ -194,8 +185,6 @@ impl Counter {
         Counter::SharedCacheHits,
         Counter::SharedCacheMisses,
         Counter::PreanalysisComponents,
-        Counter::PreanalysisPrunedBaseline,
-        Counter::PreanalysisPrunedFlow,
         Counter::PreanalysisEstimatedStructures,
         Counter::IntraBatches,
         Counter::IntraBatchItems,
@@ -225,8 +214,6 @@ impl Counter {
             Counter::SharedCacheHits => "shared_cache_hits",
             Counter::SharedCacheMisses => "shared_cache_misses",
             Counter::PreanalysisComponents => "preanalysis_components",
-            Counter::PreanalysisPrunedBaseline => "preanalysis_pruned_baseline",
-            Counter::PreanalysisPrunedFlow => "preanalysis_pruned_flow",
             Counter::PreanalysisEstimatedStructures => "preanalysis_estimated_structures",
             Counter::IntraBatches => "intra_batches",
             Counter::IntraBatchItems => "intra_batch_items",
@@ -246,35 +233,10 @@ impl Counter {
         )
     }
 
+    /// Position in [`Counter::ALL`]: the variants are declared in that
+    /// order, so the discriminant is the index.
     fn index(self) -> usize {
-        match self {
-            Counter::InternHits => 0,
-            Counter::InternMisses => 1,
-            Counter::WorklistPushes => 2,
-            Counter::WorklistPeakDepth => 3,
-            Counter::FocusVariants => 4,
-            Counter::CoerceInfeasible => 5,
-            Counter::PostStructures => 6,
-            Counter::MergeJoins => 7,
-            Counter::BudgetExhausted => 8,
-            Counter::Cancelled => 9,
-            Counter::SubproblemsPruned => 10,
-            Counter::TransferCacheHits => 11,
-            Counter::TransferCacheMisses => 12,
-            Counter::TransferCacheEvictions => 13,
-            Counter::SharedCacheHits => 14,
-            Counter::SharedCacheMisses => 15,
-            Counter::PreanalysisComponents => 16,
-            Counter::PreanalysisPrunedBaseline => 17,
-            Counter::PreanalysisPrunedFlow => 18,
-            Counter::PreanalysisEstimatedStructures => 19,
-            Counter::IntraBatches => 20,
-            Counter::IntraBatchItems => 21,
-            Counter::CallEvaluations => 22,
-            Counter::SummaryHits => 23,
-            Counter::SummaryMisses => 24,
-            Counter::SharedSummaryHits => 25,
-        }
+        self as usize
     }
 }
 
@@ -900,6 +862,16 @@ mod tests {
                 .label()
                 .chars()
                 .all(|ch| ch.is_ascii_lowercase() || ch == '_'));
+        }
+    }
+
+    #[test]
+    fn registry_order_is_the_index() {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c}");
+        }
+        for (i, p) in Phase::ALL.into_iter().enumerate() {
+            assert_eq!(p.index(), i, "{p}");
         }
     }
 }

@@ -50,16 +50,6 @@ fn fixed_events() -> Vec<Event> {
         },
         Event::CounterSample {
             index: 0,
-            counter: Counter::PreanalysisPrunedBaseline,
-            value: 1,
-        },
-        Event::CounterSample {
-            index: 0,
-            counter: Counter::PreanalysisPrunedFlow,
-            value: 3,
-        },
-        Event::CounterSample {
-            index: 0,
             counter: Counter::PreanalysisEstimatedStructures,
             value: 96,
         },
