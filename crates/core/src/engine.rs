@@ -38,8 +38,10 @@ use hetsep_tvl::pred::{Arity, PredTable};
 use hetsep_tvl::structure::Structure;
 use hetsep_tvl::telemetry::{Counter, Phase, RunMetrics};
 
+use crate::jobcache::{action_content, RunScope, SharedTransferSession, TransferMemo};
 use crate::parallel::map_ordered;
 use crate::report::{dedup_reports, ErrorReport};
+use crate::summary::{region_content, SharedSummarySession, SummaryMemo};
 use crate::translate::AnalysisInstance;
 use crate::vocab::SiteId;
 
@@ -582,8 +584,8 @@ struct EngineSt<'s> {
     metrics: RunMetrics,
     interner: StructureInterner,
     cache: TransferCache,
-    shared_scope: Option<crate::jobcache::RunScope<'s>>,
-    summary_scope: Option<crate::summary::SummaryRunScope<'s>>,
+    shared_scope: Option<RunScope<'s, TransferMemo>>,
+    summary_scope: Option<RunScope<'s, SummaryMemo>>,
     /// Precomputed speculative transfers (phase 2 of the global drain).
     speculative: HashMap<TransferKey, ComputedTransfer>,
     /// In-run summary memo: `(region content id, input id)` → summary.
@@ -715,8 +717,8 @@ pub fn run_shared<'s>(
     instance: &AnalysisInstance,
     config: &EngineConfig,
     cancel: Option<&AtomicBool>,
-    shared: Option<&'s crate::jobcache::SharedTransferSession<'s>>,
-    summaries: Option<&'s crate::summary::SharedSummarySession<'s>>,
+    shared: Option<&'s SharedTransferSession<'s>>,
+    summaries: Option<&'s SharedSummarySession<'s>>,
 ) -> RunResult {
     let start = Instant::now();
     let table = &instance.vocab.table;
@@ -762,7 +764,7 @@ pub fn run_shared<'s>(
         let mut content_ix: HashMap<String, u32> = HashMap::new();
         for (ix, region) in cfg.regions().iter().enumerate() {
             region_by_entry.insert(region.entry.index(), ix);
-            let content = crate::summary::region_content(region, cfg, &instance.actions);
+            let content = region_content(region, cfg, &instance.actions);
             let id = *content_ix.entry(content.clone()).or_insert_with(|| {
                 distinct_contents.push(content);
                 (distinct_contents.len() - 1) as u32
@@ -783,12 +785,13 @@ pub fn run_shared<'s>(
     // The shared layers sit strictly behind the per-run memos: they are only
     // consulted (and populated) when those miss, so the added cost is
     // bounded by one content probe per distinct key per run.
-    let shared_scope = shared
-        .filter(|_| config.transfer_cache)
-        .map(|s| s.run_scope(table, config.focus_limit, &uniq_actions));
+    let shared_scope = shared.filter(|_| config.transfer_cache).map(|s| {
+        let contents = uniq_actions.iter().map(|a| action_content(a)).collect();
+        s.run_scope(table, config.focus_limit, contents)
+    });
     let summary_scope = summaries
         .filter(|_| summaries_active)
-        .map(|s| s.run_scope(table, config.focus_limit, &distinct_contents));
+        .map(|s| s.run_scope(table, config.focus_limit, distinct_contents));
 
     let ctx = EngineCtx {
         instance,
@@ -1179,15 +1182,12 @@ fn drain(
                             let probe = match st.shared_scope.as_ref() {
                                 Some(scope) => {
                                     let words = s.to_words();
-                                    match scope.probe(cache_key.0, &words, table) {
-                                        Some(hit) => Some(Ok(hit)),
-                                        None => Some(Err(words)),
-                                    }
+                                    Some(scope.probe(cache_key.0, &words, table).ok_or(words))
                                 }
                                 None => None,
                             };
                             match probe {
-                                Some(Ok(hit)) => {
+                                Some(Ok((hit_posts, hit))) => {
                                     // A shared hit replaces — not joins — the
                                     // local miss: the pipeline is skipped, so
                                     // only `SharedCacheHits` advances and a
@@ -1200,13 +1200,13 @@ fn drain(
                                         }
                                         st.note_failing_structure(instance, &s);
                                     }
-                                    st.raise_peak_nodes(hit.peak_post_nodes);
+                                    let peak_post_nodes = hit.peak_post_nodes as usize;
+                                    st.raise_peak_nodes(peak_post_nodes);
                                     // Stored posts are the exact canonical
                                     // blur outputs of the original compute,
                                     // so interning them replays the cold
                                     // run's id assignment.
-                                    let posts: Vec<StructureId> = hit
-                                        .posts
+                                    let posts: Vec<StructureId> = hit_posts
                                         .into_iter()
                                         .map(|p| st.interner.intern(p))
                                         .collect();
@@ -1217,7 +1217,7 @@ fn drain(
                                             TransferEntry {
                                                 posts: posts.clone(),
                                                 violations: hit.violations,
-                                                peak_post_nodes: hit.peak_post_nodes,
+                                                peak_post_nodes,
                                             },
                                             metrics,
                                         );
@@ -1290,8 +1290,11 @@ fn drain(
                                         cache_key.0,
                                         input,
                                         post_words,
-                                        violations.clone(),
-                                        peak_post_nodes,
+                                        TransferMemo {
+                                            violations: violations.clone(),
+                                            peak_post_nodes: u32::try_from(peak_post_nodes)
+                                                .unwrap_or(u32::MAX),
+                                        },
                                     );
                                 }
                             }
@@ -1430,13 +1433,13 @@ fn eval_region(
             }
             None => None,
         };
-        if let Some(hit) = hit {
+        if let Some((hit_exits, hit)) = hit {
             st.metrics.counters.add(Counter::SharedSummaryHits, 1);
             // Stored exits are the exact canonical structures of the
             // original nested drain, so interning them replays the cold
             // run's id assignment.
-            let mut exits = Vec::with_capacity(hit.exits.len());
-            for x in hit.exits {
+            let mut exits = Vec::with_capacity(hit_exits.len());
+            for x in hit_exits {
                 exits.push(st.interner.intern(x));
             }
             let mut failing: Vec<SiteId> = hit
@@ -1450,8 +1453,8 @@ fn eval_region(
                 violations: hit.violations,
                 failing,
                 visits: hit.visits,
-                peak_extra: hit.peak_extra,
-                peak_nodes: hit.peak_nodes,
+                peak_extra: hit.peak_extra as usize,
+                peak_nodes: hit.peak_nodes as usize,
             });
             st.memo.insert(key, summary.clone());
             memoized = Some(summary);
@@ -1561,11 +1564,13 @@ fn compute_region(
                 ctx.region_contents[region_ix],
                 input_words,
                 exit_words,
-                summary.violations.clone(),
-                failing_preds,
-                summary.visits,
-                summary.peak_extra,
-                summary.peak_nodes,
+                SummaryMemo {
+                    violations: summary.violations.clone(),
+                    failing_preds,
+                    visits: summary.visits,
+                    peak_extra: u32::try_from(summary.peak_extra).unwrap_or(u32::MAX),
+                    peak_nodes: u32::try_from(summary.peak_nodes).unwrap_or(u32::MAX),
+                },
             );
             st.summary_scope = Some(scope);
         }

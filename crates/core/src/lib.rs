@@ -7,19 +7,19 @@
 //! abstraction* — relevant objects abstracted precisely, irrelevant objects
 //! collapsed.
 //!
-//! Two entry points, one engine:
+//! One front door, one engine:
 //!
-//! * **One-shot**: the [`Verifier`] builder (the [`verify`] free function is
-//!   a backward-compatible thin wrapper over it) borrows a parsed program
-//!   and spec for a single run.
-//! * **Owned sessions**: a [`Workspace`] owns artifacts registered from
-//!   source text — content-fingerprinted, parsed and stored once per
-//!   distinct content — plus a mounted cross-request transfer store, so
-//!   repeat [`Workspace::verify`] calls replay memoized transfers instead
-//!   of recomputing them. [`Session`] layers the `hetsep serve` wire
-//!   protocol's name bindings on top. Both surfaces funnel into the same
-//!   engine entry point, so their verdicts are byte-identical by
-//!   construction.
+//! * **The [`Verifier`] builder** borrows a parsed program and spec for a
+//!   single run (the [`verify`] free function is a thin wrapper over it).
+//! * **Owned sessions** are built on it: a [`Workspace`] owns artifacts
+//!   registered from source text — content-fingerprinted, parsed and stored
+//!   once per distinct content — plus the mounted cross-request stores of
+//!   [`jobcache`], and each [`Workspace::verify`] is a short-lived
+//!   [`Verifier`] with those stores attached, so repeat calls replay
+//!   memoized transfers and procedure summaries instead of recomputing
+//!   them. [`Session`] layers the `hetsep serve` wire protocol's name
+//!   bindings on top. Every surface runs a [`Verifier`], so their verdicts
+//!   are byte-identical by construction.
 //!
 //! Verification runs under a [`Mode`] (its strategy-free family is
 //! [`ModeKind`]):
@@ -67,16 +67,15 @@ pub mod vocab;
 pub mod workspace;
 
 pub use engine::{AnalysisOutcome, EngineConfig, ParallelConfig, RunStats};
-pub use jobcache::{SharedTransferSession, TransferStore};
-pub use summary::{CacheFile, SharedSummarySession, SummaryStore};
+pub use jobcache::{CacheFile, SharedTransferSession, TransferStore};
+pub use summary::{SharedSummarySession, SummaryStore};
 pub use parallel::map_ordered;
 pub use hetsep_tvl::telemetry::{
     Counter, Counters, Event, EventSink, MetricsSink, NullSink, Phase, PhaseStats, PhaseTimings,
     RunMetrics, TraceWriter,
 };
 pub use modes::{
-    verify, verify_with_sink, Mode, ModeKind, PreanalysisSummary, SubproblemStats,
-    VerificationReport, Verifier,
+    verify, Mode, ModeKind, PreanalysisSummary, SubproblemStats, VerificationReport, Verifier,
 };
 pub use report::{ErrorReport, VerifyError};
 pub use session::Session;

@@ -300,6 +300,19 @@ impl VerificationReport {
         self.errors.is_empty() && self.complete
     }
 
+    /// The one-word verdict every surface reports: `errors` when any error
+    /// was reported, else `verified` when every run completed within
+    /// budget, else `incomplete`.
+    pub fn verdict(&self) -> &'static str {
+        if !self.errors.is_empty() {
+            "errors"
+        } else if self.complete {
+            "verified"
+        } else {
+            "incomplete"
+        }
+    }
+
     /// Average visits per subproblem (the paper's on-demand argument: this
     /// is much smaller than a vanilla run even when the total is not).
     pub fn avg_visits_per_subproblem(&self) -> f64 {
@@ -707,31 +720,6 @@ pub fn verify(
         .run()
 }
 
-/// [`verify`] with an observability sink: after the subproblems complete,
-/// the merged per-subproblem metrics are replayed into `sink` as typed
-/// [`Event`]s in deterministic site order (see
-/// [`hetsep_tvl::telemetry`]). Skipped entirely when `sink.enabled()` is
-/// `false`, so a [`NullSink`] costs nothing.
-///
-/// # Errors
-///
-/// See [`verify`].
-pub fn verify_with_sink(
-    program: &Program,
-    spec: &Spec,
-    mode: &Mode,
-    config: &EngineConfig,
-    sink: &mut dyn EventSink,
-) -> Result<VerificationReport, VerifyError> {
-    let start = Instant::now();
-    let mut report = verify_inner(program, spec, mode, config, None, None)?;
-    report.elapsed_wall = start.elapsed();
-    if sink.enabled() {
-        emit_report(&report, sink);
-    }
-    Ok(report)
-}
-
 /// Replays a finished report's per-subproblem metrics as events, in the
 /// deterministic order the subproblems were merged.
 fn emit_report(report: &VerificationReport, sink: &mut dyn EventSink) {
@@ -794,11 +782,10 @@ fn emit_report(report: &VerificationReport, sink: &mut dyn EventSink) {
     }
 }
 
-/// The one engine entry point behind every public verification surface:
-/// [`Verifier::run`], the [`verify`]/[`verify_with_sink`] wrappers, and the
-/// owned [`crate::workspace::Workspace`] API all funnel through this
-/// function, which is what makes the one-shot and daemon paths
-/// byte-identical by construction.
+/// The one engine entry point behind every public verification surface. Its
+/// only caller is [`Verifier::run`]; the [`verify`] wrapper and the owned
+/// [`crate::workspace::Workspace`] API both run a [`Verifier`], which is
+/// what makes the one-shot and daemon paths byte-identical by construction.
 pub(crate) fn verify_inner(
     program: &Program,
     spec: &Spec,
@@ -1159,14 +1146,11 @@ void main() {
         // A MetricsSink replaying the same report reproduces the report's
         // merged totals.
         let mut sink = MetricsSink::new();
-        let report2 = verify_with_sink(
-            &program,
-            &spec,
-            &mode,
-            &EngineConfig::default(),
-            &mut sink,
-        )
-        .unwrap();
+        let report2 = Verifier::new(&program, &spec)
+            .mode(mode)
+            .sink(&mut sink)
+            .run()
+            .unwrap();
         assert_eq!(sink.subproblems(), report2.subproblems.len());
         assert_eq!(sink.total_visits(), report2.total_visits);
         assert_eq!(sink.phases(), &report2.metrics.phases);

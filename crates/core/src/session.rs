@@ -236,17 +236,10 @@ impl Session {
             Ok(out) => {
                 let r = &out.report;
                 let c = |counter| r.metrics.counters.get(counter);
-                let verdict = if !r.errors.is_empty() {
-                    "errors"
-                } else if r.complete {
-                    "verified"
-                } else {
-                    "incomplete"
-                };
                 Response::Verify(VerifyOutcome {
                     program: program.to_owned(),
                     mode: out.kind.as_str().to_owned(),
-                    verdict: verdict.to_owned(),
+                    verdict: r.verdict().to_owned(),
                     complete: r.complete,
                     visits: r.total_visits,
                     space: r.max_space as u64,

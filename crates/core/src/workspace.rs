@@ -14,25 +14,22 @@
 //!   fingerprint match before reusing the stored artifact. Re-registering
 //!   identical content is a lookup, not a re-parse; a fingerprint collision
 //!   costs one string comparison, never a wrong artifact.
-//! * **The transfer store is workspace-mounted.** Every
-//!   [`Workspace::verify`] probes a [`SharedTransferSession`] snapshot of
-//!   the store and absorbs the run's computed transfers back afterwards, so
-//!   an unchanged (program, spec, strategy, mode) quadruple replays its
-//!   transfers from earlier requests instead of recomputing them —
-//!   observation-equivalent by the jobcache contract (verdicts, errors and
-//!   visit counts identical; only the shared-cache counters and wall-clock
-//!   change).
-//! * **Verification is the same code path as the one-shot API.** Both
-//!   [`Workspace::verify`] and [`Verifier::run`] funnel through the one
-//!   private engine entry point (`verify_inner`), which is what makes the
-//!   daemon and the CLI byte-identical on verdicts by construction, not by
-//!   testing alone.
-//!
-//! [`Verifier`]: crate::Verifier
-//! [`Verifier::run`]: crate::Verifier::run
+//! * **The cross-run stores are workspace-mounted.** Every
+//!   [`Workspace::verify`] probes [`SharedTransferSession`] and
+//!   [`SharedSummarySession`] snapshots of the transfer and summary stores
+//!   and absorbs the run's computed entries back afterwards, so an
+//!   unchanged (program, spec, strategy, mode) quadruple replays its
+//!   transfers and procedure summaries from earlier requests instead of
+//!   recomputing them — observation-equivalent by the [`crate::jobcache`]
+//!   contract (verdicts, errors and visit counts identical; only the
+//!   shared-cache counters and wall-clock change).
+//! * **Verification is the one-shot API.** [`Workspace::verify`] is a
+//!   short-lived [`Verifier`] over the registered artifacts with the
+//!   mounted stores attached, so the daemon and the CLI share one front
+//!   door and one engine entry point: their verdicts are byte-identical by
+//!   construction, not by testing alone.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use hetsep_easl::ast::Spec;
 use hetsep_ir::diag::Diagnostic;
@@ -41,7 +38,7 @@ use hetsep_strategy::ast::Strategy;
 
 use crate::engine::EngineConfig;
 use crate::jobcache::{SharedTransferSession, TransferStore};
-use crate::modes::{verify_inner, Mode, ModeKind, VerificationReport};
+use crate::modes::{Mode, ModeKind, VerificationReport, Verifier};
 use crate::summary::{SharedSummarySession, SummaryStore};
 use crate::report::VerifyError;
 
@@ -168,7 +165,8 @@ pub struct VerifyOutput {
 }
 
 /// An owned, long-lived verification workspace: content-addressed artifact
-/// registries plus a mounted cross-request [`TransferStore`].
+/// registries plus mounted cross-request [`TransferStore`] and
+/// [`SummaryStore`].
 ///
 /// ```
 /// use hetsep_core::{ModeKind, VerifyRequest, Workspace};
@@ -397,12 +395,12 @@ impl Workspace {
 
     /// Verifies a registered program.
     ///
-    /// Runs the same engine entry point as the one-shot [`crate::Verifier`]
-    /// — reports are byte-identical to a fresh one-shot run of the same
-    /// artifacts — with the workspace store mounted: the run probes a
-    /// read-only snapshot and its computed transfers are absorbed back
-    /// afterwards, so repeat and overlapping requests replay instead of
-    /// recomputing (visible as `shared_cache_hits` in the report metrics).
+    /// Runs a one-shot [`Verifier`] — reports are byte-identical to a fresh
+    /// one-shot run of the same artifacts — with the workspace stores
+    /// mounted: the run probes read-only snapshots and its computed
+    /// transfers and summaries are absorbed back afterwards, so repeat and
+    /// overlapping requests replay instead of recomputing (visible as
+    /// `shared_cache_hits` and `shared_summary_hits` in the report metrics).
     ///
     /// # Errors
     ///
@@ -414,22 +412,16 @@ impl Workspace {
         let kind = mode.kind();
         let program = self.program(request.program);
         let spec = self.spec(request.spec);
-        let start = Instant::now();
         let session = SharedTransferSession::new(&self.store);
         let summary_session = SharedSummarySession::new(&self.summaries);
-        let mut report = verify_inner(
-            program,
-            spec,
-            &mode,
-            &self.config,
-            Some(&session),
-            Some(&summary_session),
-        )?;
-        report.elapsed_wall = start.elapsed();
-        let deltas = session.into_deltas();
-        self.store.absorb(deltas);
-        let summary_deltas = summary_session.into_deltas();
-        self.summaries.absorb(summary_deltas);
+        let report = Verifier::new(program, spec)
+            .mode(mode)
+            .config(self.config.clone())
+            .shared_cache(&session)
+            .shared_summaries(&summary_session)
+            .run()?;
+        self.store.absorb(session.into_deltas());
+        self.summaries.absorb(summary_session.into_deltas());
         Ok(VerifyOutput { report, kind })
     }
 }

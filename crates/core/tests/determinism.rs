@@ -11,8 +11,8 @@
 //! completes within budget, so full equality is asserted.
 
 use hetsep_core::{
-    verify, verify_with_sink, Counter, EngineConfig, MetricsSink, Mode, ParallelConfig,
-    TraceWriter, VerificationReport,
+    verify, Counter, EngineConfig, MetricsSink, Mode, ParallelConfig, TraceWriter,
+    VerificationReport, Verifier,
 };
 use hetsep_strategy::builtin as strategies;
 use hetsep_strategy::parse_strategy;
@@ -286,7 +286,11 @@ fn sink_state_is_schedule_independent() {
     let spec = hetsep_easl::builtin::by_name(&program.uses).unwrap();
     let sink_for = |threads: usize| {
         let mut sink = MetricsSink::new();
-        verify_with_sink(&program, &spec, &mode, &config_with_threads(threads), &mut sink)
+        Verifier::new(&program, &spec)
+            .mode(mode.clone())
+            .config(config_with_threads(threads))
+            .sink(&mut sink)
+            .run()
             .unwrap();
         sink
     };
@@ -334,8 +338,12 @@ fn intra_worker_matrix_is_byte_identical() {
         for intra in [1usize, 2, 8] {
             let config = config_with_workers(1, intra);
             let mut writer = TraceWriter::new(Vec::new());
-            let report =
-                verify_with_sink(&program, &spec, &mode, &config, &mut writer).unwrap();
+            let report = Verifier::new(&program, &spec)
+                .mode(mode.clone())
+                .config(config)
+                .sink(&mut writer)
+                .run()
+                .unwrap();
             let trace = writer.finish().expect("in-memory writes cannot fail");
             match &baseline {
                 None => {

@@ -363,12 +363,7 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
         Some(path) if std::path::Path::new(path).exists() => {
             let cache = CacheFile::load(std::path::Path::new(path))?;
             if !o.quiet {
-                eprintln!(
-                    "cache loaded from {path}: {} transfer(s), {} structure(s), {} summar(ies)",
-                    cache.transfers.entry_count(),
-                    cache.transfers.structure_count(),
-                    cache.summaries.entry_count()
-                );
+                eprintln!("cache loaded from {path}: {}", cache.sizes());
             }
             cache
         }
@@ -399,12 +394,7 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
             .save(std::path::Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?;
         if !o.quiet {
-            eprintln!(
-                "cache saved to {path}: {} transfer(s), {} structure(s), {} summar(ies)",
-                cache.transfers.entry_count(),
-                cache.transfers.structure_count(),
-                cache.summaries.entry_count()
-            );
+            eprintln!("cache saved to {path}: {}", cache.sizes());
         }
     }
     // The schedule-independent verdict summary: the CI smoke gate diffs

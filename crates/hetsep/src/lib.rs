@@ -50,8 +50,10 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The [`verify`] free function remains as a thin wrapper over the builder
-//! for callers that predate the observability layer.
+//! The builder is the one front door: the [`verify`] free function is a
+//! thin wrapper over it, and each [`Workspace::verify`] (the daemon's path,
+//! through [`Session`]) runs a short-lived [`Verifier`] with the
+//! workspace's cross-run stores attached.
 
 pub use hetsep_analysis as analysis;
 pub use hetsep_baseline as baseline;
@@ -64,7 +66,7 @@ pub use hetsep_suite as suite;
 pub use hetsep_tvl as tvl;
 
 pub use hetsep_core::{
-    verify, verify_with_sink, Counter, Counters, EngineConfig, Event, EventSink, MetricsSink,
+    verify, Counter, Counters, EngineConfig, Event, EventSink, MetricsSink,
     Mode, ModeKind, NullSink, Phase, PhaseStats, PhaseTimings, RunMetrics, Session,
     SubproblemStats, TraceWriter, VerificationReport, Verifier, VerifyError, Workspace,
 };

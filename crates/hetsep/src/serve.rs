@@ -76,12 +76,7 @@ fn build_session(o: &Options) -> Result<Session, String> {
         if std::path::Path::new(path).exists() {
             let cache = CacheFile::load(std::path::Path::new(path))?;
             if !o.quiet {
-                eprintln!(
-                    "cache loaded from {path}: {} transfer(s), {} structure(s), {} summar(ies)",
-                    cache.transfers.entry_count(),
-                    cache.transfers.structure_count(),
-                    cache.summaries.entry_count()
-                );
+                eprintln!("cache loaded from {path}: {}", cache.sizes());
             }
             workspace.mount_store(cache.transfers);
             workspace.mount_summary_store(cache.summaries);
@@ -102,12 +97,7 @@ fn save_cache(o: &Options, session: &Session) -> Result<(), String> {
             .save(std::path::Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?;
         if !o.quiet {
-            eprintln!(
-                "cache saved to {path}: {} transfer(s), {} structure(s), {} summar(ies)",
-                cache.transfers.entry_count(),
-                cache.transfers.structure_count(),
-                cache.summaries.entry_count()
-            );
+            eprintln!("cache saved to {path}: {}", cache.sizes());
         }
     }
     Ok(())

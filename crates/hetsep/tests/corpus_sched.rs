@@ -91,3 +91,26 @@ fn persisted_cache_is_observation_equivalent() {
     assert!(warm.total(|o| o.cache_misses) < cold.total(|o| o.cache_misses));
     assert_eq!(reloaded.transfers.entry_count(), entries, "no new entries on repeat");
 }
+
+/// FNV-1a, 64-bit: a dependency-free fingerprint for pinning bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn cache_file_bytes_are_pinned() {
+    // The on-disk format is part of the contract: a fixed seed-42 slice
+    // run at one worker must serialize to exactly these bytes. The slice
+    // exercises both sections: its generated clients call helper
+    // procedures, so call regions are summarized.
+    let jobs = corpus(12);
+    let mut cache = CacheFile::new();
+    batch(&jobs, 1, &mut cache);
+    assert!(cache.transfers.entry_count() > 0);
+    assert!(cache.summaries.entry_count() > 0);
+    let bytes = cache.to_bytes();
+    assert_eq!(bytes.len(), 1_490_010);
+    assert_eq!(fnv1a64(&bytes), 0x9b49_3cd7_d7b8_4f98);
+}

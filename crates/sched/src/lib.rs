@@ -11,37 +11,35 @@
 //! ([`hetsep_core::map_ordered`]) and the same discipline: results land in
 //! job order regardless of worker count or completion order.
 //!
-//! Two things persist across jobs (see [`hetsep_core::jobcache`]):
-//!
-//! * a shared structure pool — every canonical structure a transfer
-//!   produced is stored once, word-encoded and hash-consed in a sharded
-//!   interner;
-//! * a cross-job transfer cache keyed by *content fingerprint* of the
-//!   (vocabulary, action, input structure) triple, so a repeat corpus —
-//!   or a corpus of near-duplicate clients — replays transfers instead of
-//!   recomputing them.
+//! Two memos persist across jobs, in the one cross-run store of
+//! [`hetsep_core::jobcache`]: single transfers ([`TransferStore`]) and
+//! whole call-region drains ([`SummaryStore`]). Both are keyed by *content*
+//! — the vocabulary, the action or region rendering, and the word-encoded
+//! input structure — with every structure stored once in a hash-consed
+//! pool, so a repeat corpus — or a corpus of near-duplicate clients —
+//! replays instead of recomputing.
 //!
 //! # Determinism contract
 //!
-//! [`run_batch`] freezes the [`TransferStore`] before the batch: every job
-//! probes that immutable snapshot and records its own computed transfers
-//! into a private delta; deltas are merged back **in job order** after the
+//! [`run_batch`] freezes both stores before the batch: every job probes
+//! those immutable snapshots and records what it computed into private
+//! deltas; deltas are merged back **in job order** after the
 //! batch. Consequently each job's outcome (verdict, errors, visits, every
 //! cache counter) is a pure function of (job, engine config, snapshot) —
 //! not of the worker count, the schedule, or sibling jobs — and
 //! [`JobOutcome::stable_json`] is byte-identical across schedules. Jobs run
 //! with one engine thread each (the outer pool is the parallelism), which
-//! also makes the post-batch store — and hence its serialized bytes —
+//! also makes the post-batch stores — and hence their serialized bytes —
 //! schedule-independent.
 
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
-use hetsep_core::jobcache::{RunDelta, SharedTransferSession};
-use hetsep_core::summary::{SharedSummarySession, SummaryDelta};
+use hetsep_core::jobcache::{Delta, TransferMemo};
+use hetsep_core::summary::SummaryMemo;
 use hetsep_core::{
-    map_ordered, Counter, EngineConfig, Mode, ModeKind, ParallelConfig, SummaryStore,
-    TransferStore, Verifier,
+    map_ordered, Counter, EngineConfig, Mode, ModeKind, ParallelConfig, SharedSummarySession,
+    SharedTransferSession, SummaryStore, TransferStore, Verifier,
 };
 // The workspace's one string-escaping rule, shared with diagnostics and the
 // serve protocol.
@@ -235,7 +233,7 @@ fn run_job(
     engine: &EngineConfig,
     snapshot: &TransferStore,
     summaries: &SummaryStore,
-) -> (JobOutcome, Vec<RunDelta>, Vec<SummaryDelta>) {
+) -> (JobOutcome, Vec<Delta<TransferMemo>>, Vec<Delta<SummaryMemo>>) {
     let start = Instant::now();
     let fail = |msg: String, start: Instant| JobOutcome {
         name: job.name.clone(),
@@ -305,17 +303,10 @@ fn run_job(
     match report {
         Ok(report) => {
             let c = |counter| report.metrics.counters.get(counter);
-            let verdict = if !report.errors.is_empty() {
-                "errors"
-            } else if report.complete {
-                "verified"
-            } else {
-                "incomplete"
-            };
             let outcome = JobOutcome {
                 name: job.name.clone(),
                 mode: mode_label,
-                verdict,
+                verdict: report.verdict(),
                 reported: report.errors.len(),
                 complete: report.complete,
                 visits: report.total_visits,

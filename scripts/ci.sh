@@ -103,6 +103,25 @@ cargo run -q -p hetsep --bin hetsep --release -- \
     | diff -u scripts/corpus_quick.golden -
 rm -f "$corpus_cache"
 
+# Hostile cache input: a 44-byte container whose transfer section declares
+# one structure of u32::MAX words must be rejected with the CLI's error
+# diagnostic (exit 2), not abort the process reserving 32 GiB. Layout:
+# container magic, section length 28, section magic, 0 contexts, 0 keys,
+# 1 structure: id 0, u32::MAX words.
+{
+    printf 'HSEPWS02\034\000\000\000\000\000\000\000HSEPTC01'
+    printf '\000\000\000\000\000\000\000\000\001\000\000\000'
+    printf '\000\000\000\000\377\377\377\377'
+} > "$corpus_cache"
+[ "$(wc -c < "$corpus_cache")" -eq 44 ]
+corpus_status=0
+cargo run -q -p hetsep --bin hetsep --release -- \
+    corpus --jobs 1 --cache "$corpus_cache" --quiet > /dev/null 2> "$corpus_cache.err" \
+    || corpus_status=$?
+[ "$corpus_status" -eq 2 ]
+grep -q '^error: ' "$corpus_cache.err"
+rm -f "$corpus_cache" "$corpus_cache.err"
+
 # Verification-daemon smoke gate: a canned NDJSON session (load a buggy
 # program, verify cold, re-verify warm, load the edited fix, re-verify,
 # lint twice, an unknown-name error, status, shutdown) must reproduce the
