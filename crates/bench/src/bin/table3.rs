@@ -35,7 +35,7 @@ use std::io::Write as _;
 
 use hetsep::core::ParallelConfig;
 use hetsep::harness::{
-    format_metrics, format_rows, rows_to_json, run_benchmark_with_sink, table3_config, ModeRow,
+    format_metrics, format_rows, rows_to_json, run_benchmark, table3_config, ModeRow,
 };
 use hetsep::suite;
 use hetsep::{EventSink, NullSink, RunMetrics, TraceWriter};
@@ -107,7 +107,7 @@ fn main() {
             Some(t) => t,
             None => &mut null,
         };
-        match run_benchmark_with_sink(bench, &config, sink) {
+        match run_benchmark(bench, &config, sink) {
             Ok(rows) => {
                 print!("{}", format_rows(&rows, bench.line_count()));
                 all_rows.extend(rows);

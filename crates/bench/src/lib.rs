@@ -1,6 +1,6 @@
 //! # hetsep-bench
 //!
-//! Binaries and Criterion benches regenerating the paper's evaluation:
+//! Binaries regenerating the paper's evaluation:
 //!
 //! * `table3` — every benchmark × mode row of Table 3,
 //! * `fig2` — the separated/heterogeneous abstract states of Fig. 2

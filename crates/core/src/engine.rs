@@ -22,6 +22,7 @@
 //! values at a time.
 
 use std::cmp::Reverse;
+use std::borrow::Borrow;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,7 +39,7 @@ use hetsep_tvl::pred::{Arity, PredTable};
 use hetsep_tvl::structure::Structure;
 use hetsep_tvl::telemetry::{Counter, Phase, RunMetrics};
 
-use crate::jobcache::{action_content, RunScope, SharedTransferSession, TransferMemo};
+use crate::jobcache::{action_content, Memo, RunScope, SharedTransferSession, TransferMemo};
 use crate::parallel::map_ordered;
 use crate::report::{dedup_reports, ErrorReport};
 use crate::summary::{region_content, SharedSummarySession, SummaryMemo};
@@ -273,25 +274,27 @@ enum MergeKey {
     Relevant(StructureId),
 }
 
-/// One memoized transfer-function application (see
-/// [`EngineConfig::transfer_cache`]): everything the worklist loop needs to
-/// replay an action application without recomputing the
-/// focus → coerce → update → canon pipeline.
-struct TransferEntry {
-    /// Interned canonical (blurred, keyed) post-structure ids, in pipeline
-    /// emission order.
-    posts: Vec<StructureId>,
-    /// Check violations of the application as `(label, definite?)` pairs;
-    /// the error map is keyed on the edge's line, which the call site knows.
-    violations: Vec<(String, bool)>,
-    /// Largest universe size among the (unblurred) post-structures, so
-    /// `peak_nodes` accounting stays exact on hits.
-    peak_post_nodes: usize,
-}
+/// Key of one memoized evaluation at either memo level: (content-deduped
+/// action or call-region id, interned input structure id).
+type MemoKey = (u32, StructureId);
 
-/// Key of one memoized transfer application: (content-deduped action id,
-/// interned pre-structure id).
-type TransferKey = (u32, StructureId);
+/// One memoized evaluation, at either level: the interned canonical output
+/// ids (transfer posts in pipeline emission order, or region exits in
+/// first-arrival order) and the shared store's own payload for the level
+/// ([`TransferMemo`] or [`SummaryMemo`]). In-run memos hold exactly what the
+/// cross-run store persists, so a store hit, an in-run hit and a fresh
+/// computation are applied by the same code.
+type Memoized<M> = (Vec<StructureId>, M);
+
+/// The in-run side of one memo level (see [`MemoLevel`]).
+trait InRunMemo<M> {
+    /// What a hit hands to the apply step.
+    type Entry: Borrow<Memoized<M>>;
+    /// Probes the memo for `key`.
+    fn hit(&mut self, key: &MemoKey, metrics: &mut RunMetrics) -> Option<Self::Entry>;
+    /// Stores a shared hit or a fresh computation under `key`.
+    fn seed(&mut self, key: MemoKey, entry: Self::Entry, metrics: &mut RunMetrics);
+}
 
 /// The per-run transfer cache with generational eviction.
 ///
@@ -307,42 +310,16 @@ struct TransferCache {
     /// Entry budget per generation.
     cap: usize,
     /// The young generation: receives inserts and promotions.
-    young: HashMap<TransferKey, TransferEntry>,
+    young: HashMap<MemoKey, Memoized<TransferMemo>>,
     /// The old generation: read-only until discarded by the next rotation.
-    old: HashMap<TransferKey, TransferEntry>,
+    old: HashMap<MemoKey, Memoized<TransferMemo>>,
 }
 
 impl TransferCache {
-    fn new(capacity: usize) -> TransferCache {
-        TransferCache {
-            cap: (capacity / 2).max(1),
-            young: HashMap::new(),
-            old: HashMap::new(),
-        }
-    }
-
     /// Read-only membership probe (no promotion) — used by the speculative
     /// classification pass, which must not perturb eviction order.
-    fn contains(&self, key: &TransferKey) -> bool {
+    fn contains(&self, key: &MemoKey) -> bool {
         self.young.contains_key(key) || self.old.contains_key(key)
-    }
-
-    /// Probes the cache; an old-generation hit is promoted into the young
-    /// generation (rotating first if it is full).
-    fn get(&mut self, key: &TransferKey, metrics: &mut RunMetrics) -> Option<&TransferEntry> {
-        if self.young.contains_key(key) {
-            return self.young.get(key);
-        }
-        let entry = self.old.remove(key)?;
-        self.rotate_if_full(metrics);
-        Some(self.young.entry(*key).or_insert(entry))
-    }
-
-    /// Inserts a freshly computed entry, evicting first if the receiving
-    /// generation is full.
-    fn insert(&mut self, key: TransferKey, entry: TransferEntry, metrics: &mut RunMetrics) {
-        self.rotate_if_full(metrics);
-        self.young.insert(key, entry);
     }
 
     /// Evicts when the young generation is at capacity: discards the old
@@ -359,15 +336,124 @@ impl TransferCache {
     }
 }
 
+impl InRunMemo<TransferMemo> for TransferCache {
+    type Entry = Memoized<TransferMemo>;
+
+    /// An old-generation hit is promoted into the young generation (rotating
+    /// first if it is full). Hits are cloned out: applying one needs the run
+    /// state mutably.
+    fn hit(&mut self, key: &MemoKey, metrics: &mut RunMetrics) -> Option<Self::Entry> {
+        if let Some(entry) = self.young.get(key) {
+            return Some(entry.clone());
+        }
+        let entry = self.old.remove(key)?;
+        self.rotate_if_full(metrics);
+        Some(self.young.entry(*key).or_insert(entry).clone())
+    }
+
+    fn seed(&mut self, key: MemoKey, entry: Self::Entry, metrics: &mut RunMetrics) {
+        self.rotate_if_full(metrics);
+        self.young.insert(key, entry);
+    }
+}
+
+/// The in-run summary memo: entries are shared, so a replay is a pointer
+/// copy.
+impl<M> InRunMemo<M> for HashMap<MemoKey, Rc<Memoized<M>>> {
+    type Entry = Rc<Memoized<M>>;
+
+    fn hit(&mut self, key: &MemoKey, _: &mut RunMetrics) -> Option<Self::Entry> {
+        self.get(key).cloned()
+    }
+
+    fn seed(&mut self, key: MemoKey, entry: Self::Entry, _: &mut RunMetrics) {
+        self.insert(key, entry);
+    }
+}
+
+/// What one [`MemoLevel::lookup`] found.
+enum Lookup<E, M> {
+    /// An in-run memo hit.
+    Memo(E),
+    /// A shared-store hit, outputs interned; the caller seeds the in-run memo
+    /// with it through [`MemoLevel::remember`] once it is applied.
+    Shared(Memoized<M>),
+    /// A miss at both layers, carrying the encoded input when a shared store
+    /// was probed, so [`MemoLevel::remember`] records without re-encoding.
+    Miss(Option<Vec<u64>>),
+}
+
+/// One memo level: the in-run memo in front of the run's scope of the
+/// cross-run store (see [`crate::jobcache`]). Transfers and call regions
+/// are two instances of it, with one lookup and one remember step; each
+/// level maps the [`Lookup`] outcome onto its own counters.
+///
+/// The shared layer sits strictly behind the in-run memo: it is only
+/// consulted (and populated) when that misses, so the added cost is bounded
+/// by one content probe per distinct key per run.
+struct MemoLevel<'s, C, M> {
+    memo: C,
+    scope: Option<RunScope<'s, M>>,
+}
+
+impl<C: InRunMemo<M>, M: Memo> MemoLevel<'_, C, M> {
+    /// Probes the in-run memo, then the shared store. Stored outputs are the
+    /// exact canonical structures of the original computation, so interning
+    /// them replays the cold run's id assignment.
+    fn lookup(
+        &mut self,
+        key: MemoKey,
+        interner: &mut StructureInterner,
+        table: &PredTable,
+        metrics: &mut RunMetrics,
+    ) -> Lookup<C::Entry, M> {
+        if let Some(entry) = self.memo.hit(&key, metrics) {
+            return Lookup::Memo(entry);
+        }
+        let Some(scope) = &self.scope else {
+            return Lookup::Miss(None);
+        };
+        let input = interner.resolve(key.1).to_words();
+        match scope.probe(key.0, &input, table) {
+            Some((outputs, memo)) => {
+                let outputs = outputs.into_iter().map(|s| interner.intern(s)).collect();
+                Lookup::Shared((outputs, memo))
+            }
+            None => Lookup::Miss(Some(input)),
+        }
+    }
+
+    /// Seeds the in-run memo with a shared hit or a fresh computation, and
+    /// records the latter (`input` is its [`Lookup::Miss`] payload) into the
+    /// shared store for future runs.
+    fn remember(
+        &mut self,
+        key: MemoKey,
+        entry: C::Entry,
+        input: Option<Vec<u64>>,
+        interner: &StructureInterner,
+        metrics: &mut RunMetrics,
+    ) {
+        if let (Some(scope), Some(input)) = (self.scope.as_mut(), input) {
+            let (outputs, memo) = entry.borrow();
+            let outputs = outputs
+                .iter()
+                .map(|&id| interner.resolve(id).to_words())
+                .collect();
+            scope.record(key.0, input, outputs, memo.clone());
+        }
+        self.memo.seed(key, entry, metrics);
+    }
+}
+
 /// One precomputed transfer application, produced by the intra-subproblem
 /// fan-out (phase 2 of the batched worklist loop): blurred canonical posts —
-/// *not* yet interned, id assignment stays serial — converted violations,
-/// the peak unblurred post universe, and the metrics of exactly the work
-/// done, merged into the run's metrics only if the result is consumed.
+/// *not* yet interned, id assignment stays serial — the memo payload, and
+/// the metrics of exactly the work done, merged into the run's metrics only
+/// if the result is consumed.
 struct ComputedTransfer {
     posts: Vec<Structure>,
-    violations: Vec<(String, bool)>,
-    peak_post_nodes: usize,
+    memo: TransferMemo,
     metrics: RunMetrics,
 }
 
@@ -381,8 +467,9 @@ const INTRA_FANOUT_MIN: usize = 4;
 /// post-structure. Pure in `(action, s)` given the fixed table/plan/limit —
 /// the worklist loop and the speculative fan-out both funnel through this
 /// function, so a precomputed result is bit-for-bit what the inline path
-/// would have produced. Returns blurred posts in emission order, `(label,
-/// definite?)` violation pairs, and the largest unblurred post universe.
+/// would have produced. Returns blurred posts in emission order and the memo
+/// payload: `(label, definite?)` violation pairs and the largest unblurred
+/// post universe.
 fn compute_transfer(
     action: &hetsep_tvl::action::Action,
     s: &Structure,
@@ -390,7 +477,7 @@ fn compute_transfer(
     plan: &CoercePlan,
     focus_limit: usize,
     metrics: &mut RunMetrics,
-) -> (Vec<Structure>, Vec<(String, bool)>, usize) {
+) -> (Vec<Structure>, TransferMemo) {
     let out = apply_planned(action, s, table, plan, focus_limit, metrics);
     let violations = out
         .violations
@@ -403,7 +490,8 @@ fn compute_transfer(
         peak_post_nodes = peak_post_nodes.max(post.node_count());
         posts.push(metrics.time(Phase::Canon, || blur(&post, table)));
     }
-    (posts, violations, peak_post_nodes)
+    let peak_post_nodes = u32::try_from(peak_post_nodes).unwrap_or(u32::MAX);
+    (posts, TransferMemo { violations, peak_post_nodes })
 }
 
 /// Computes the merge key of the (already interned) structure `id`.
@@ -470,22 +558,7 @@ fn rpo_ranks(cfg: &Cfg) -> Vec<u32> {
 
 /// Runs the worklist analysis on a translated instance.
 pub fn run(instance: &AnalysisInstance, config: &EngineConfig) -> RunResult {
-    run_cancellable(instance, config, None)
-}
-
-/// Runs the worklist analysis with an optional cross-run cancellation flag.
-///
-/// Used by the parallel subproblem scheduler: a run that exhausts its own
-/// budget *sets* the flag (once one subproblem is inconclusive the whole
-/// verification is, so sibling runs can stop early), and every run polls the
-/// flag periodically and aborts with [`AnalysisOutcome::BudgetExceeded`]
-/// when it is raised.
-pub fn run_cancellable(
-    instance: &AnalysisInstance,
-    config: &EngineConfig,
-    cancel: Option<&AtomicBool>,
-) -> RunResult {
-    run_shared(instance, config, cancel, None, None)
+    run_shared(instance, config, None, Sessions::default())
 }
 
 /// A structural stop signal: the visit/structure budget was exhausted or the
@@ -494,42 +567,24 @@ pub fn run_cancellable(
 /// [`EngineSt`] at the raise site.
 struct Stop;
 
-/// One evaluated call region: everything needed to replay the nested drain
-/// of a spliced callee body for one boundary structure (see
-/// [`EngineConfig::summaries`]).
-struct RegionSummary {
-    /// Interned canonical structures that reached the region exit, in
-    /// first-arrival order of the nested drain.
-    exits: Vec<StructureId>,
-    /// Violations raised inside the region as `(line, label, definite?)`,
-    /// sorted; lines are callee declaration lines, identical across splices
-    /// of one procedure, so replayed reports attribute like computed ones.
-    violations: Vec<(u32, String, bool)>,
-    /// Failing allocation sites recorded inside the region, sorted.
-    failing: Vec<SiteId>,
-    /// Action applications the nested drain performed.
-    visits: u64,
-    /// Peak region-local live structures above the caller's count at entry.
-    peak_extra: usize,
-    /// Largest universe size among structures visited inside the region.
-    peak_nodes: usize,
-}
-
 /// Mirror of one in-flight region evaluation: while its nested drain runs,
 /// every violation, failing site, live-count high-water mark and peak
 /// universe raised anywhere below it — including replayed inner summaries —
-/// is recorded here as well as on the run totals, so the finished summary
-/// replays nested effects exactly. Recorders stack: an inner region's
-/// contribution flows into every enclosing recorder.
+/// is recorded here as well as on the run totals, in the shape of the
+/// [`SummaryMemo`] the finished evaluation becomes, so the summary replays
+/// nested effects exactly. Recorders stack: an inner region's contribution
+/// flows into every enclosing recorder.
+#[derive(Default)]
 struct Recorder {
     /// The run's live structure count when the region was entered;
     /// `peak_extra` is measured above this base.
     live_base: usize,
-    peak_extra: usize,
-    peak_nodes: usize,
+    peak_extra: u32,
+    peak_nodes: u32,
     /// `(line, label)` → definite?, OR-joined like the run's error map.
     violations: HashMap<(u32, String), bool>,
-    failing: HashSet<SiteId>,
+    /// Table predicate ids of the failing allocation sites.
+    failing_preds: HashSet<u32>,
 }
 
 /// Exit collector of one nested region drain: arrivals at the region's exit
@@ -537,11 +592,44 @@ struct Recorder {
 /// a location set, so the caller commits them — once, against the caller's
 /// own state for the exit node — whether the summary was computed or
 /// replayed.
-struct RegionSink<'a> {
+struct RegionSink {
+    /// Global node index of the region's entry: batches there are drained
+    /// edge by edge, not intercepted as a nested evaluation.
+    entry: usize,
     /// Global node index of the region's exit.
     exit: usize,
-    exits: &'a mut Vec<StructureId>,
+    exits: Vec<StructureId>,
     seen: HashSet<StructureId>,
+}
+
+/// The worklist state of one drain — the global run's, or one nested region
+/// evaluation's.
+struct Frontier {
+    /// Merge-keyed location sets, indexed by `node - base`: the global run
+    /// holds every node (`base` 0), a region evaluation its own node range.
+    states: Vec<HashMap<MergeKey, StructureId>>,
+    /// Min-heap on (rpo rank, insertion sequence, node, structure): lower-
+    /// ranked locations first, FIFO among equal ranks — a deterministic
+    /// priority worklist.
+    worklist: BinaryHeap<Reverse<(u32, u64, usize, StructureId)>>,
+    /// Next insertion sequence number.
+    seq: u64,
+    base: usize,
+    /// The region being drained; `None` for the global drain.
+    sink: Option<RegionSink>,
+}
+
+impl Frontier {
+    /// Queues `id` at `node` with the next sequence number, counting the push
+    /// and the worklist depth.
+    fn push(&mut self, rank: u32, node: usize, id: StructureId, metrics: &mut RunMetrics) {
+        self.worklist.push(Reverse((rank, self.seq, node, id)));
+        self.seq += 1;
+        metrics.counters.add(Counter::WorklistPushes, 1);
+        metrics
+            .counters
+            .raise(Counter::WorklistPeakDepth, self.worklist.len() as u64);
+    }
 }
 
 /// The immutable context of one engine run, shared by the global drain and
@@ -567,35 +655,31 @@ struct EngineCtx<'a> {
     /// list, so splices of one procedure with identical instrumentation
     /// share summaries.
     region_contents: Vec<u32>,
-    /// Whether region evaluations are memoized (see
-    /// [`EngineConfig::summaries`]).
-    summaries_active: bool,
-    /// Table predicate id → allocation site, for decoding persisted failing
-    /// sites.
+    /// Table predicate id → allocation site, for replaying the failing
+    /// sites of a summary.
     site_of_pred: HashMap<u32, SiteId>,
-    /// Allocation site → table predicate id, for encoding them.
-    pred_of_site: HashMap<SiteId, u32>,
 }
 
 /// The mutable state of one engine run, threaded through the global drain
-/// and every nested region drain (which share the interner, both transfer
-/// cache layers and all counters with their caller).
+/// and every nested region drain (which share the interner, both memo
+/// levels and all counters with their caller).
 struct EngineSt<'s> {
     metrics: RunMetrics,
     interner: StructureInterner,
-    cache: TransferCache,
-    shared_scope: Option<RunScope<'s, TransferMemo>>,
-    summary_scope: Option<RunScope<'s, SummaryMemo>>,
+    /// Transfer level: the per-run transfer cache in front of the shared
+    /// transfer store.
+    transfers: MemoLevel<'s, TransferCache, TransferMemo>,
+    /// Call-region level: the in-run summary memo in front of the shared
+    /// summary store.
+    regions: MemoLevel<'s, HashMap<MemoKey, Rc<Memoized<SummaryMemo>>>, SummaryMemo>,
     /// Precomputed speculative transfers (phase 2 of the global drain).
-    speculative: HashMap<TransferKey, ComputedTransfer>,
-    /// In-run summary memo: `(region content id, input id)` → summary.
-    memo: HashMap<(u32, StructureId), Rc<RegionSummary>>,
+    speculative: HashMap<MemoKey, ComputedTransfer>,
     visits: u64,
     /// Structures currently stored across all live location sets (the
     /// global ones plus any in-flight nested drains').
     live: usize,
     peak_structures: usize,
-    peak_nodes: usize,
+    peak_nodes: u32,
     /// `(line, label)` → definite?
     errors: HashMap<(u32, String), bool>,
     failing_sites: HashSet<SiteId>,
@@ -605,17 +689,27 @@ struct EngineSt<'s> {
 }
 
 impl EngineSt<'_> {
-    /// Counts a newly stored structure against the live total and every
-    /// enclosing region recorder.
-    fn bump_live(&mut self) {
-        self.live += 1;
-        self.peak_structures = self.peak_structures.max(self.live);
+    /// Stops the run if the cross-run cancellation flag is raised.
+    fn poll_cancel(&mut self, cancel: Option<&AtomicBool>) -> Result<(), Stop> {
+        if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            self.outcome = AnalysisOutcome::BudgetExceeded;
+            self.metrics.counters.add(Counter::Cancelled, 1);
+            return Err(Stop);
+        }
+        Ok(())
+    }
+
+    /// Raises the live-structure high-water marks of the run and of every
+    /// enclosing region recorder to `live`.
+    fn raise_live_peak(&mut self, live: usize) {
+        self.peak_structures = self.peak_structures.max(live);
         for r in &mut self.recorders {
-            r.peak_extra = r.peak_extra.max(self.live - r.live_base);
+            let extra = u32::try_from(live - r.live_base).unwrap_or(u32::MAX);
+            r.peak_extra = r.peak_extra.max(extra);
         }
     }
 
-    fn raise_peak_nodes(&mut self, n: usize) {
+    fn raise_peak_nodes(&mut self, n: u32) {
         self.peak_nodes = self.peak_nodes.max(n);
         for r in &mut self.recorders {
             r.peak_nodes = r.peak_nodes.max(n);
@@ -623,22 +717,18 @@ impl EngineSt<'_> {
     }
 
     fn note_violation(&mut self, line: u32, label: &str, definite: bool) {
-        self.errors
-            .entry((line, label.to_string()))
-            .and_modify(|d| *d |= definite)
-            .or_insert(definite);
-        for r in &mut self.recorders {
-            r.violations
-                .entry((line, label.to_string()))
+        let recorded = self.recorders.iter_mut().map(|r| &mut r.violations);
+        for map in std::iter::once(&mut self.errors).chain(recorded) {
+            map.entry((line, label.to_string()))
                 .and_modify(|d| *d |= definite)
                 .or_insert(definite);
         }
     }
 
-    fn note_failing_site(&mut self, site: SiteId) {
+    fn note_failing_site(&mut self, site: SiteId, pred: u32) {
         self.failing_sites.insert(site);
         for r in &mut self.recorders {
-            r.failing.insert(site);
+            r.failing_preds.insert(pred);
         }
     }
 
@@ -657,7 +747,7 @@ impl EngineSt<'_> {
         };
         for (&site, &pred) in &instance.vocab.site_preds {
             if s.maybe_overlap(table, chosen, pred) {
-                self.note_failing_site(site);
+                self.note_failing_site(site, pred.index() as u32);
             }
         }
     }
@@ -667,9 +757,9 @@ impl EngineSt<'_> {
     /// full visit count and peak live footprint stay within budget. On a
     /// refusal the region is recomputed inline, which aborts at exactly the
     /// application where the recorded drain would have.
-    fn replay_fits(&self, summary: &RegionSummary, config: &EngineConfig) -> bool {
+    fn replay_fits(&self, summary: &SummaryMemo, config: &EngineConfig) -> bool {
         self.visits + summary.visits <= config.max_visits
-            && self.live + summary.peak_extra <= config.max_structures
+            && self.live + summary.peak_extra as usize <= config.max_structures
     }
 
     /// Replays a memoized region evaluation: visits, peaks, violations and
@@ -677,48 +767,59 @@ impl EngineSt<'_> {
     /// them. Replayed applications count as transfer-cache hits — re-draining
     /// the region would find every one of its transfers in the per-run cache
     /// — keeping `hits + misses == visits` intact.
-    fn replay(&mut self, ctx: &EngineCtx<'_>, summary: &RegionSummary) {
+    fn replay(&mut self, ctx: &EngineCtx<'_>, summary: &SummaryMemo) {
         self.visits += summary.visits;
         if ctx.config.transfer_cache {
             self.metrics
                 .counters
                 .add(Counter::TransferCacheHits, summary.visits);
         }
-        self.peak_structures = self.peak_structures.max(self.live + summary.peak_extra);
-        for r in &mut self.recorders {
-            r.peak_extra = r.peak_extra.max(self.live + summary.peak_extra - r.live_base);
-        }
+        self.raise_live_peak(self.live + summary.peak_extra as usize);
         self.raise_peak_nodes(summary.peak_nodes);
         for (line, label, definite) in &summary.violations {
             self.note_violation(*line, label, *definite);
         }
-        for &site in &summary.failing {
-            self.note_failing_site(site);
+        for &pred in &summary.failing_preds {
+            if let Some(&site) = ctx.site_of_pred.get(&pred) {
+                self.note_failing_site(site, pred);
+            }
         }
     }
 }
 
-/// Runs the worklist analysis with optional cross-job shared transfer and
-/// summary sessions (see [`crate::jobcache`] and [`crate::summary`]).
+/// The cross-run shared sessions one engine run probes and records into
+/// (see [`crate::jobcache`]). The default is none: a self-contained run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sessions<'s> {
+    /// Shared transfer store session.
+    pub transfers: Option<&'s SharedTransferSession<'s>>,
+    /// Shared call-region summary store session.
+    pub summaries: Option<&'s SharedSummarySession<'s>>,
+}
+
+/// Runs the worklist analysis with an optional cross-run cancellation flag
+/// and optional cross-job shared transfer and summary sessions.
 ///
-/// When a transfer session is given (and `config.transfer_cache` is on — the
-/// shared layer sits strictly behind the per-run cache), a per-run-cache
-/// miss first probes the session's store snapshot by *content* key; a shared
-/// hit replays the memoized posts/violations/peak exactly and counts
-/// [`Counter::SharedCacheHits`] instead of a transfer-cache miss, while a
-/// shared miss computes the pipeline as usual and records the result into
-/// the session's delta for future jobs. A summary session does the same one
+/// Used by the parallel subproblem scheduler: every run polls `cancel`
+/// periodically and aborts with [`AnalysisOutcome::BudgetExceeded`] when it
+/// is raised, and a run that exhausts its own budget raises it.
+///
+/// Both memo levels resolve an evaluation the same way: the in-run memo,
+/// then the session's store snapshot by *content* key, else a computation
+/// that is recorded into the session's delta for future jobs. The transfer
+/// session is used only when
+/// `config.transfer_cache` is on; a shared transfer hit replays the memoized
+/// posts/violations/peak exactly and counts [`Counter::SharedCacheHits`]
+/// instead of a transfer-cache miss. The summary session does the same one
 /// level up, for whole call-region evaluations (see
-/// [`EngineConfig::summaries`]): a shared summary hit seeds the in-run memo
-/// and counts [`Counter::SharedSummaryHits`]. Results are
-/// observation-equivalent with and without sessions; only cache counters and
-/// wall-clock differ.
-pub fn run_shared<'s>(
+/// [`EngineConfig::summaries`]), counting [`Counter::SharedSummaryHits`].
+/// Results are observation-equivalent with and without sessions; only cache
+/// counters and wall-clock differ.
+pub fn run_shared(
     instance: &AnalysisInstance,
     config: &EngineConfig,
     cancel: Option<&AtomicBool>,
-    shared: Option<&'s SharedTransferSession<'s>>,
-    summaries: Option<&'s SharedSummarySession<'s>>,
+    sessions: Sessions<'_>,
 ) -> RunResult {
     let start = Instant::now();
     let table = &instance.vocab.table;
@@ -772,26 +873,25 @@ pub fn run_shared<'s>(
             region_contents.push(id);
         }
     }
-    let summaries_active = use_regions && config.summaries;
-    // Site ↔ table-predicate maps, for persisting failing sites by content.
-    let mut site_of_pred: HashMap<u32, SiteId> = HashMap::new();
-    let mut pred_of_site: HashMap<SiteId, u32> = HashMap::new();
-    for (&site, &pred) in &instance.vocab.site_preds {
-        site_of_pred.insert(pred.index() as u32, site);
-        pred_of_site.insert(site, pred.index() as u32);
-    }
 
-    let cache = TransferCache::new(config.transfer_cache_capacity);
-    // The shared layers sit strictly behind the per-run memos: they are only
-    // consulted (and populated) when those miss, so the added cost is
-    // bounded by one content probe per distinct key per run.
-    let shared_scope = shared.filter(|_| config.transfer_cache).map(|s| {
-        let contents = uniq_actions.iter().map(|a| action_content(a)).collect();
-        s.run_scope(table, config.focus_limit, contents)
-    });
-    let summary_scope = summaries
-        .filter(|_| summaries_active)
-        .map(|s| s.run_scope(table, config.focus_limit, distinct_contents));
+    let transfers = MemoLevel {
+        memo: TransferCache {
+            cap: (config.transfer_cache_capacity / 2).max(1),
+            young: HashMap::new(),
+            old: HashMap::new(),
+        },
+        scope: sessions.transfers.filter(|_| config.transfer_cache).map(|s| {
+            let contents = uniq_actions.iter().map(|a| action_content(a)).collect();
+            s.run_scope(table, config.focus_limit, contents)
+        }),
+    };
+    let regions = MemoLevel {
+        memo: HashMap::new(),
+        scope: sessions
+            .summaries
+            .filter(|_| use_regions && config.summaries)
+            .map(|s| s.run_scope(table, config.focus_limit, distinct_contents)),
+    };
 
     let ctx = EngineCtx {
         instance,
@@ -806,9 +906,12 @@ pub fn run_shared<'s>(
         local_cancel: AtomicBool::new(false),
         region_by_entry,
         region_contents,
-        summaries_active,
-        site_of_pred,
-        pred_of_site,
+        site_of_pred: instance
+            .vocab
+            .site_preds
+            .iter()
+            .map(|(&site, &pred)| (pred.index() as u32, site))
+            .collect(),
     };
 
     // `blur` output is already canonical — nodes are emitted in ascending
@@ -820,27 +923,22 @@ pub fn run_shared<'s>(
     let init_key = metrics.time(Phase::Merge, || {
         merge_key(&mut interner, init_id, instance, config.merge)
     });
-    let mut states: Vec<HashMap<MergeKey, StructureId>> = vec![HashMap::new(); n_nodes];
-    // Min-heap on (rpo rank, insertion sequence): lower-ranked locations
-    // first, FIFO among equal ranks — a deterministic priority worklist.
-    let mut worklist: BinaryHeap<Reverse<(u32, u64, usize, StructureId)>> = BinaryHeap::new();
-    let mut seq: u64 = 0;
-    states[cfg.entry()].insert(init_key, init_id);
-    worklist.push(Reverse((ctx.rpo[cfg.entry()], seq, cfg.entry(), init_id)));
-    seq += 1;
-    metrics.counters.add(Counter::WorklistPushes, 1);
-    metrics
-        .counters
-        .raise(Counter::WorklistPeakDepth, worklist.len() as u64);
+    let mut fr = Frontier {
+        states: vec![HashMap::new(); n_nodes],
+        worklist: BinaryHeap::new(),
+        seq: 0,
+        base: 0,
+        sink: None,
+    };
+    fr.states[cfg.entry()].insert(init_key, init_id);
+    fr.push(ctx.rpo[cfg.entry()], cfg.entry(), init_id, &mut metrics);
 
     let mut st = EngineSt {
         metrics,
         interner,
-        cache,
-        shared_scope,
-        summary_scope,
+        transfers,
+        regions,
         speculative: HashMap::new(),
-        memo: HashMap::new(),
         visits: 0,
         live: 1,
         peak_structures: 1,
@@ -852,22 +950,12 @@ pub fn run_shared<'s>(
     };
 
     // A `Stop` already recorded its outcome and counter on `st`.
-    let _ = drain(
-        &ctx,
-        &mut st,
-        &mut states,
-        &mut worklist,
-        &mut seq,
-        0,
-        None,
-        None,
-        true,
-    );
+    let _ = drain(&ctx, &mut st, &mut fr);
 
-    if let Some(scope) = st.shared_scope.take() {
+    if let Some(scope) = st.transfers.scope.take() {
         scope.finish();
     }
-    if let Some(scope) = st.summary_scope.take() {
+    if let Some(scope) = st.regions.scope.take() {
         scope.finish();
     }
 
@@ -885,7 +973,8 @@ pub fn run_shared<'s>(
     st.metrics
         .counters
         .add(Counter::InternMisses, st.interner.misses());
-    st.metrics.per_location = states
+    st.metrics.per_location = fr
+        .states
         .iter()
         .map(|m| u32::try_from(m.len()).unwrap_or(u32::MAX))
         .collect();
@@ -897,7 +986,7 @@ pub fn run_shared<'s>(
             visits: st.visits,
             structures: st.peak_structures,
             distinct_structures: st.interner.len(),
-            peak_nodes: st.peak_nodes,
+            peak_nodes: st.peak_nodes as usize,
             wall: start.elapsed(),
             locations: n_nodes,
             metrics: st.metrics,
@@ -906,34 +995,21 @@ pub fn run_shared<'s>(
     }
 }
 
-/// Drains one worklist to fixpoint — the batched core loop shared by the
+/// Drains one frontier to fixpoint — the batched core loop shared by the
 /// global run and every nested region evaluation.
 ///
-/// `states` and `worklist` belong to the caller: the global run passes the
-/// full per-node vector (`base` 0), a region evaluation a region-local
-/// slice indexed by `node - base`. When `sink` is given, arrivals at its
-/// exit node are collected instead of committed. When `own_entry` is
-/// `Some`, batches at that node are processed normally (it is the region
-/// being drained); any *other* node with a region entry is intercepted and
-/// evaluated as a nested subproblem via [`eval_region`]. `speculate`
-/// enables the intra-subproblem fan-out (phases 1–2) in the global drain
-/// only — nested drains are short and stay serial.
-#[allow(clippy::too_many_arguments)]
-fn drain(
-    ctx: &EngineCtx<'_>,
-    st: &mut EngineSt<'_>,
-    states: &mut [HashMap<MergeKey, StructureId>],
-    worklist: &mut BinaryHeap<Reverse<(u32, u64, usize, StructureId)>>,
-    seq: &mut u64,
-    base: usize,
-    own_entry: Option<usize>,
-    mut sink: Option<RegionSink<'_>>,
-    speculate: bool,
-) -> Result<(), Stop> {
+/// A region evaluation's frontier carries a [`RegionSink`]: arrivals at its
+/// exit node are collected instead of committed, and batches at its own
+/// entry are processed normally. A batch at any *other* region entry is
+/// intercepted and evaluated as a nested subproblem via [`eval_region`].
+/// The intra-subproblem fan-out (phases 1–2) runs in the global drain only —
+/// nested drains are short and stay serial.
+fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Result<(), Stop> {
     let instance = ctx.instance;
     let config = ctx.config;
     let cfg = &instance.cfg;
     let table = &instance.vocab.table;
+    let own_entry = fr.sink.as_ref().map(|sink| sink.entry);
     // Each iteration drains one *batch*: every queued entry of the
     // highest-priority (rank, node) pair. Entries of one node sit
     // contiguously at the top of the heap — reachable nodes have unique
@@ -943,13 +1019,13 @@ fn drain(
     // member can outrank the remaining members, in which case phase 3
     // requeues them (original sequence and all) so the commit order replays
     // the serial pop order exactly.
-    'outer: while let Some(&Reverse((rank, _, node, _))) = worklist.peek() {
+    'outer: while let Some(&Reverse((rank, _, node, _))) = fr.worklist.peek() {
         let mut batch: Vec<(u64, StructureId)> = Vec::new();
-        while let Some(&Reverse((r, s, n, sid))) = worklist.peek() {
+        while let Some(&Reverse((r, s, n, sid))) = fr.worklist.peek() {
             if r != rank || n != node {
                 break;
             }
-            worklist.pop();
+            fr.worklist.pop();
             batch.push((s, sid));
         }
         // Poll the cross-run flag at the top of every batch (the batched
@@ -957,13 +1033,7 @@ fn drain(
         // focus/coerce expansion must not delay a budget-triggered cancel by
         // a whole batch. Further polls run every `CANCEL_CHECK_INTERVAL`
         // applications below.
-        if let Some(flag) = ctx.cancel {
-            if flag.load(Ordering::Relaxed) {
-                st.outcome = AnalysisOutcome::BudgetExceeded;
-                st.metrics.counters.add(Counter::Cancelled, 1);
-                return Err(Stop);
-            }
-        }
+        st.poll_cancel(ctx.cancel)?;
         // A batch at another region's entry is not applied edge by edge:
         // each arrival is evaluated as a nested subproblem of that region
         // (computed or replayed — see `eval_region`) and its exit structures
@@ -975,8 +1045,8 @@ fn drain(
                 let exit = cfg.regions()[region_ix].exit.index();
                 for &(_, sid) in &batch {
                     let summary = eval_region(ctx, st, region_ix, sid)?;
-                    for &xid in &summary.exits {
-                        commit_post(ctx, st, states, worklist, seq, base, exit, xid, &mut sink);
+                    for &xid in &summary.0 {
+                        commit_post(ctx, st, fr, exit, xid);
                     }
                 }
                 continue 'outer;
@@ -1022,7 +1092,7 @@ fn drain(
             .iter()
             .map(|&e| instance.actions[e].len())
             .sum();
-        if speculate
+        if fr.sink.is_none()
             && ctx.intra_workers > 1
             && st.live <= config.max_structures
             && batch.len() * apps_per_structure >= INTRA_FANOUT_MIN
@@ -1030,40 +1100,31 @@ fn drain(
             // (action, action id, pre-structure id) of every predicted miss.
             // Structures are cloned only after the threshold check below —
             // classification itself never allocates per application.
-            let mut job_metas: Vec<(&hetsep_tvl::action::Action, TransferKey)> = Vec::new();
-            let mut pending: HashSet<TransferKey> = HashSet::new();
+            let mut job_metas: Vec<(&hetsep_tvl::action::Action, MemoKey)> = Vec::new();
+            let mut pending: HashSet<MemoKey> = HashSet::new();
             let mut spec_visits = st.visits;
-            {
-                let EngineSt {
-                    interner,
-                    cache,
-                    shared_scope,
-                    speculative,
-                    ..
-                } = &*st;
-                'classify: for &(_, sid) in &batch {
-                    let mut words: Option<Vec<u64>> = None;
-                    for &edge_ix in cfg.out_edges(node) {
-                        for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
-                            spec_visits += 1;
-                            if spec_visits > config.max_visits {
-                                break 'classify;
-                            }
-                            let key = (ctx.action_ids[edge_ix][action_ix], sid);
-                            let predicted_hit = speculative.contains_key(&key)
-                                || pending.contains(&key)
-                                || (config.transfer_cache
-                                    && (cache.contains(&key)
-                                        || shared_scope.as_ref().is_some_and(|scope| {
-                                            let w = words.get_or_insert_with(|| {
-                                                interner.resolve(sid).to_words()
-                                            });
-                                            scope.contains(key.0, w)
-                                        })));
-                            if !predicted_hit {
-                                pending.insert(key);
-                                job_metas.push((action, key));
-                            }
+            'classify: for &(_, sid) in &batch {
+                let mut words: Option<Vec<u64>> = None;
+                for &edge_ix in cfg.out_edges(node) {
+                    for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
+                        spec_visits += 1;
+                        if spec_visits > config.max_visits {
+                            break 'classify;
+                        }
+                        let key = (ctx.action_ids[edge_ix][action_ix], sid);
+                        let predicted_hit = st.speculative.contains_key(&key)
+                            || pending.contains(&key)
+                            || (config.transfer_cache
+                                && (st.transfers.memo.contains(&key)
+                                    || st.transfers.scope.as_ref().is_some_and(|scope| {
+                                        let w = words.get_or_insert_with(|| {
+                                            st.interner.resolve(sid).to_words()
+                                        });
+                                        scope.contains(key.0, w)
+                                    })));
+                        if !predicted_hit {
+                            pending.insert(key);
+                            job_metas.push((action, key));
                         }
                     }
                 }
@@ -1078,12 +1139,11 @@ fn drain(
                 let plan = &ctx.plan;
                 let computed = map_ordered(&jobs, ctx.intra_workers, flag, |_, job, _| {
                     let mut local = RunMetrics::new(timed);
-                    let (posts, violations, peak_post_nodes) =
+                    let (posts, memo) =
                         compute_transfer(job.0, &job.1, table, plan, config.focus_limit, &mut local);
                     ComputedTransfer {
                         posts,
-                        violations,
-                        peak_post_nodes,
+                        memo,
                         metrics: local,
                     }
                 });
@@ -1107,10 +1167,10 @@ fn drain(
             // requeued members stay in the `speculative` memo and are
             // reclaimed on the next drain.
             if batch_ix > 0 {
-                if let Some(&Reverse((r, sq, _, _))) = worklist.peek() {
+                if let Some(&Reverse((r, sq, _, _))) = fr.worklist.peek() {
                     if (r, sq) < (rank, entry_seq) {
                         for &(q, d) in &batch[batch_ix..] {
-                            worklist.push(Reverse((rank, q, node, d)));
+                            fr.worklist.push(Reverse((rank, q, node, d)));
                         }
                         continue 'outer;
                     }
@@ -1130,111 +1190,47 @@ fn drain(
                         return Err(Stop);
                     }
                     if st.visits.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                        if let Some(flag) = ctx.cancel {
-                            if flag.load(Ordering::Relaxed) {
-                                st.outcome = AnalysisOutcome::BudgetExceeded;
-                                st.metrics.counters.add(Counter::Cancelled, 1);
-                                return Err(Stop);
-                            }
-                        }
+                        st.poll_cancel(ctx.cancel)?;
                     }
                     // The transfer function is a pure function of the
                     // (interned) pre-structure and the action, so its output
                     // — canonical post ids, violations, peak universe size —
-                    // can be replayed exactly from the cache. Everything
-                    // downstream (merge keys, state-set insertion, worklist
-                    // pushes, structure counting) runs through `commit_post`
-                    // either way.
-                    let cache_key = (ctx.action_ids[edge_ix][action_ix], sid);
+                    // replays exactly from either memo layer. Resolve one
+                    // entry, then apply it once, whichever layer produced it.
+                    let key = (ctx.action_ids[edge_ix][action_ix], sid);
                     // Claim any precomputed transfer for this application up
                     // front: if the caches hit after all (a misprediction),
                     // the speculative result is simply dropped, exactly like
                     // the inline computation it replaced would never have
                     // run.
-                    let precomp = st.speculative.remove(&cache_key);
-                    let mut replay: Option<Vec<StructureId>> = None;
-                    // Encoded pre-structure of a shared-store probe that
-                    // missed, kept so the compute path records the result
-                    // without re-encoding.
-                    let mut shared_input: Option<Vec<u64>> = None;
-                    if config.transfer_cache {
-                        let local_hit = {
-                            let EngineSt { cache, metrics, .. } = &mut *st;
-                            cache.get(&cache_key, metrics).map(|entry| {
-                                (
-                                    entry.posts.clone(),
-                                    entry.violations.clone(),
-                                    entry.peak_post_nodes,
-                                )
-                            })
-                        };
-                        if let Some((posts, violations, peak_post_nodes)) = local_hit {
+                    let precomp = st.speculative.remove(&key);
+                    let found = if config.transfer_cache {
+                        st.transfers
+                            .lookup(key, &mut st.interner, table, &mut st.metrics)
+                    } else {
+                        Lookup::Miss(None)
+                    };
+                    // `fresh` is `Some(input)` when the entry is not yet in
+                    // the per-run cache: `remember` seeds it after the apply
+                    // step, recording computed ones into the shared store.
+                    let (entry, fresh) = match found {
+                        Lookup::Memo(entry) => {
                             st.metrics.counters.add(Counter::TransferCacheHits, 1);
-                            if !violations.is_empty() {
-                                for (label, definite) in &violations {
-                                    st.note_violation(edge.line, label, *definite);
-                                }
-                                st.note_failing_structure(instance, &s);
-                            }
-                            st.raise_peak_nodes(peak_post_nodes);
-                            replay = Some(posts);
-                        } else {
-                            let probe = match st.shared_scope.as_ref() {
-                                Some(scope) => {
-                                    let words = s.to_words();
-                                    Some(scope.probe(cache_key.0, &words, table).ok_or(words))
-                                }
-                                None => None,
-                            };
-                            match probe {
-                                Some(Ok((hit_posts, hit))) => {
-                                    // A shared hit replaces — not joins — the
-                                    // local miss: the pipeline is skipped, so
-                                    // only `SharedCacheHits` advances and a
-                                    // warm corpus run reports strictly fewer
-                                    // transfer-cache misses than a cold one.
-                                    st.metrics.counters.add(Counter::SharedCacheHits, 1);
-                                    if !hit.violations.is_empty() {
-                                        for (label, definite) in &hit.violations {
-                                            st.note_violation(edge.line, label, *definite);
-                                        }
-                                        st.note_failing_structure(instance, &s);
-                                    }
-                                    let peak_post_nodes = hit.peak_post_nodes as usize;
-                                    st.raise_peak_nodes(peak_post_nodes);
-                                    // Stored posts are the exact canonical
-                                    // blur outputs of the original compute,
-                                    // so interning them replays the cold
-                                    // run's id assignment.
-                                    let posts: Vec<StructureId> = hit_posts
-                                        .into_iter()
-                                        .map(|p| st.interner.intern(p))
-                                        .collect();
-                                    {
-                                        let EngineSt { cache, metrics, .. } = &mut *st;
-                                        cache.insert(
-                                            cache_key,
-                                            TransferEntry {
-                                                posts: posts.clone(),
-                                                violations: hit.violations,
-                                                peak_post_nodes,
-                                            },
-                                            metrics,
-                                        );
-                                    }
-                                    replay = Some(posts);
-                                }
-                                Some(Err(words)) => {
-                                    st.metrics.counters.add(Counter::SharedCacheMisses, 1);
-                                    shared_input = Some(words);
-                                }
-                                None => {}
-                            }
+                            (entry, None)
                         }
-                    }
-                    let post_ids = match replay {
-                        Some(posts) => posts,
-                        None => {
+                        // A shared hit replaces — not joins — the local
+                        // miss: the pipeline is skipped, so only
+                        // `SharedCacheHits` advances and a warm corpus run
+                        // reports strictly fewer transfer-cache misses than
+                        // a cold one.
+                        Lookup::Shared(entry) => {
+                            st.metrics.counters.add(Counter::SharedCacheHits, 1);
+                            (entry, Some(None))
+                        }
+                        Lookup::Miss(input) => {
+                            if input.is_some() {
+                                st.metrics.counters.add(Counter::SharedCacheMisses, 1);
+                            }
                             if config.transfer_cache {
                                 st.metrics.counters.add(Counter::TransferCacheMisses, 1);
                             }
@@ -1245,78 +1241,39 @@ fn drain(
                             // sides are `compute_transfer` on identical
                             // inputs, so the merged-in metrics and the
                             // results are byte-identical either way.
-                            let (blurred, violations, peak_post_nodes) = match precomp {
+                            let (blurred, memo) = match precomp {
                                 Some(c) => {
                                     st.metrics.merge(&c.metrics);
-                                    (c.posts, c.violations, c.peak_post_nodes)
+                                    (c.posts, c.memo)
                                 }
-                                None => {
-                                    let EngineSt { metrics, .. } = &mut *st;
-                                    compute_transfer(
-                                        action,
-                                        &s,
-                                        table,
-                                        &ctx.plan,
-                                        config.focus_limit,
-                                        metrics,
-                                    )
-                                }
+                                None => compute_transfer(
+                                    action,
+                                    &s,
+                                    table,
+                                    &ctx.plan,
+                                    config.focus_limit,
+                                    &mut st.metrics,
+                                ),
                             };
-                            if !violations.is_empty() {
-                                for (label, definite) in &violations {
-                                    st.note_violation(edge.line, label, *definite);
-                                }
-                                st.note_failing_structure(instance, &s);
-                            }
-                            let mut posts = Vec::with_capacity(blurred.len());
-                            for keyed in blurred {
-                                posts.push(st.interner.intern(keyed));
-                            }
-                            st.raise_peak_nodes(peak_post_nodes);
-                            if shared_input.is_some() {
-                                let EngineSt {
-                                    interner,
-                                    shared_scope,
-                                    ..
-                                } = &mut *st;
-                                if let (Some(scope), Some(input)) =
-                                    (shared_scope.as_mut(), shared_input.take())
-                                {
-                                    let post_words = posts
-                                        .iter()
-                                        .map(|&id| interner.resolve(id).to_words())
-                                        .collect();
-                                    scope.record(
-                                        cache_key.0,
-                                        input,
-                                        post_words,
-                                        TransferMemo {
-                                            violations: violations.clone(),
-                                            peak_post_nodes: u32::try_from(peak_post_nodes)
-                                                .unwrap_or(u32::MAX),
-                                        },
-                                    );
-                                }
-                            }
-                            if config.transfer_cache {
-                                let EngineSt { cache, metrics, .. } = &mut *st;
-                                cache.insert(
-                                    cache_key,
-                                    TransferEntry {
-                                        posts: posts.clone(),
-                                        violations,
-                                        peak_post_nodes,
-                                    },
-                                    metrics,
-                                );
-                            }
-                            posts
+                            let posts =
+                                blurred.into_iter().map(|p| st.interner.intern(p)).collect();
+                            ((posts, memo), config.transfer_cache.then_some(input))
                         }
                     };
-                    for keyed_id in post_ids {
-                        commit_post(
-                            ctx, st, states, worklist, seq, base, edge.to, keyed_id, &mut sink,
-                        );
+                    let (posts, memo) = &entry;
+                    if !memo.violations.is_empty() {
+                        for (label, definite) in &memo.violations {
+                            st.note_violation(edge.line, label, *definite);
+                        }
+                        st.note_failing_structure(instance, &s);
+                    }
+                    st.raise_peak_nodes(memo.peak_post_nodes);
+                    for &keyed_id in posts {
+                        commit_post(ctx, st, fr, edge.to, keyed_id);
+                    }
+                    if let Some(input) = fresh {
+                        st.transfers
+                            .remember(key, entry, input, &st.interner, &mut st.metrics);
                     }
                 }
             }
@@ -1325,30 +1282,23 @@ fn drain(
     Ok(())
 }
 
-/// Commits one post-structure at node `to` of the caller's state slice:
-/// merge-keys it, joins or inserts per the merge policy, and pushes changed
-/// representatives onto the caller's worklist. Arrivals at a region sink's
-/// exit node are collected instead (deduplicated, arrival order) — the
-/// region's caller commits them against its own states.
-#[allow(clippy::too_many_arguments)]
+/// Commits one post-structure at node `to` of the frontier: merge-keys it,
+/// joins or inserts per the merge policy, and pushes changed representatives
+/// onto the worklist. Arrivals at a region sink's exit node are collected
+/// instead (deduplicated, arrival order) — the region's caller commits them
+/// against its own states.
 fn commit_post(
     ctx: &EngineCtx<'_>,
     st: &mut EngineSt<'_>,
-    states: &mut [HashMap<MergeKey, StructureId>],
-    worklist: &mut BinaryHeap<Reverse<(u32, u64, usize, StructureId)>>,
-    seq: &mut u64,
-    base: usize,
+    fr: &mut Frontier,
     to: usize,
     keyed_id: StructureId,
-    sink: &mut Option<RegionSink<'_>>,
 ) {
-    if let Some(sink) = sink.as_mut() {
-        if to == sink.exit {
-            if sink.seen.insert(keyed_id) {
-                sink.exits.push(keyed_id);
-            }
-            return;
+    if let Some(sink) = fr.sink.as_mut().filter(|sink| sink.exit == to) {
+        if sink.seen.insert(keyed_id) {
+            sink.exits.push(keyed_id);
         }
+        return;
     }
     let key = {
         let EngineSt {
@@ -1358,16 +1308,13 @@ fn commit_post(
             merge_key(interner, keyed_id, ctx.instance, ctx.config.merge)
         })
     };
-    match states[to - base].get(&key) {
+    let slot = to - fr.base;
+    match fr.states[slot].get(&key) {
         None => {
-            st.bump_live();
-            states[to - base].insert(key, keyed_id);
-            worklist.push(Reverse((ctx.rpo[to], *seq, to, keyed_id)));
-            *seq += 1;
-            st.metrics.counters.add(Counter::WorklistPushes, 1);
-            st.metrics
-                .counters
-                .raise(Counter::WorklistPeakDepth, worklist.len() as u64);
+            st.live += 1;
+            st.raise_live_peak(st.live);
+            fr.states[slot].insert(key, keyed_id);
+            fr.push(ctx.rpo[to], to, keyed_id, &mut st.metrics);
         }
         Some(&existing) if existing == keyed_id => {}
         Some(&existing) => {
@@ -1392,21 +1339,17 @@ fn commit_post(
             };
             let merged_id = st.interner.intern(merged);
             if merged_id != existing {
-                states[to - base].insert(key, merged_id);
-                worklist.push(Reverse((ctx.rpo[to], *seq, to, merged_id)));
-                *seq += 1;
-                st.metrics.counters.add(Counter::WorklistPushes, 1);
-                st.metrics
-                    .counters
-                    .raise(Counter::WorklistPeakDepth, worklist.len() as u64);
+                fr.states[slot].insert(key, merged_id);
+                fr.push(ctx.rpo[to], to, merged_id, &mut st.metrics);
             }
         }
     }
 }
 
-/// Evaluates a call region for one entry structure: the memoized layer over
-/// [`compute_region`]. With summaries off the region is recomputed every
-/// time — same nested drain, no memo — so results cannot depend on the flag.
+/// Evaluates a call region for one entry structure: the region memo level
+/// over [`compute_region`]. With summaries off the region is recomputed
+/// every time — same nested drain, no memo — so results cannot depend on
+/// the flag.
 ///
 /// Counter discipline: every evaluation counts [`Counter::CallEvaluations`]
 /// and exactly one of [`Counter::SummaryHits`] (replayed) or
@@ -1418,59 +1361,37 @@ fn eval_region(
     st: &mut EngineSt<'_>,
     region_ix: usize,
     input: StructureId,
-) -> Result<Rc<RegionSummary>, Stop> {
-    if !ctx.summaries_active {
-        return compute_region(ctx, st, region_ix, input, false);
+) -> Result<Rc<Memoized<SummaryMemo>>, Stop> {
+    if !ctx.config.summaries {
+        return compute_region(ctx, st, region_ix, input).map(Rc::new);
     }
     st.metrics.counters.add(Counter::CallEvaluations, 1);
     let key = (ctx.region_contents[region_ix], input);
-    let mut memoized = st.memo.get(&key).cloned();
-    if memoized.is_none() {
-        let hit = match st.summary_scope.as_ref() {
-            Some(scope) => {
-                let words = st.interner.resolve(input).to_words();
-                scope.probe(key.0, &words, &ctx.instance.vocab.table)
-            }
-            None => None,
-        };
-        if let Some((hit_exits, hit)) = hit {
+    let table = &ctx.instance.vocab.table;
+    let summary = match st.regions.lookup(key, &mut st.interner, table, &mut st.metrics) {
+        Lookup::Memo(summary) => summary,
+        Lookup::Shared(summary) => {
             st.metrics.counters.add(Counter::SharedSummaryHits, 1);
-            // Stored exits are the exact canonical structures of the
-            // original nested drain, so interning them replays the cold
-            // run's id assignment.
-            let mut exits = Vec::with_capacity(hit_exits.len());
-            for x in hit_exits {
-                exits.push(st.interner.intern(x));
-            }
-            let mut failing: Vec<SiteId> = hit
-                .failing_preds
-                .iter()
-                .filter_map(|p| ctx.site_of_pred.get(p).copied())
-                .collect();
-            failing.sort_unstable();
-            let summary = Rc::new(RegionSummary {
-                exits,
-                violations: hit.violations,
-                failing,
-                visits: hit.visits,
-                peak_extra: hit.peak_extra as usize,
-                peak_nodes: hit.peak_nodes as usize,
-            });
-            st.memo.insert(key, summary.clone());
-            memoized = Some(summary);
+            let summary = Rc::new(summary);
+            st.regions
+                .remember(key, summary.clone(), None, &st.interner, &mut st.metrics);
+            summary
         }
-    }
-    if let Some(summary) = memoized {
-        if st.replay_fits(&summary, ctx.config) {
-            st.metrics.counters.add(Counter::SummaryHits, 1);
-            st.replay(ctx, &summary);
+        Lookup::Miss(input_words) => {
+            st.metrics.counters.add(Counter::SummaryMisses, 1);
+            let summary = Rc::new(compute_region(ctx, st, region_ix, input)?);
+            st.regions
+                .remember(key, summary.clone(), input_words, &st.interner, &mut st.metrics);
             return Ok(summary);
         }
-        st.metrics.counters.add(Counter::SummaryMisses, 1);
-        return compute_region(ctx, st, region_ix, input, false);
+    };
+    if st.replay_fits(&summary.1, ctx.config) {
+        st.metrics.counters.add(Counter::SummaryHits, 1);
+        st.replay(ctx, &summary.1);
+        return Ok(summary);
     }
     st.metrics.counters.add(Counter::SummaryMisses, 1);
-    compute_region(ctx, st, region_ix, input, true)
+    compute_region(ctx, st, region_ix, input).map(Rc::new)
 }
 
 /// Runs a call region as a nested subproblem of one entry structure:
@@ -1484,8 +1405,7 @@ fn compute_region(
     st: &mut EngineSt<'_>,
     region_ix: usize,
     input: StructureId,
-    record: bool,
-) -> Result<Rc<RegionSummary>, Stop> {
+) -> Result<Memoized<SummaryMemo>, Stop> {
     let region = &ctx.instance.cfg.regions()[region_ix];
     let entry = region.entry.index();
     let base = region.nodes().start;
@@ -1493,39 +1413,27 @@ fn compute_region(
     let visits_base = st.visits;
     st.recorders.push(Recorder {
         live_base,
-        peak_extra: 0,
-        peak_nodes: 0,
-        violations: HashMap::new(),
-        failing: HashSet::new(),
+        ..Recorder::default()
     });
-    let mut states: Vec<HashMap<MergeKey, StructureId>> =
-        vec![HashMap::new(); region.nodes().len()];
-    let mut worklist: BinaryHeap<Reverse<(u32, u64, usize, StructureId)>> = BinaryHeap::new();
-    let mut exits: Vec<StructureId> = Vec::new();
     // Region drains only run under the powerset policy, so the entry seed's
-    // merge key is its own id — no timed merge-key pass, and the input is
-    // not re-counted against the live total (it is already stored at the
-    // caller's entry-node state).
+    // merge key is its own id — no timed merge-key pass — and the seed is
+    // neither counted against the live total (it is already stored at the
+    // caller's entry-node state) nor as a worklist push.
+    let mut states = vec![HashMap::new(); region.nodes().len()];
     states[entry - base].insert(MergeKey::Whole(input), input);
-    let mut seq: u64 = 0;
-    worklist.push(Reverse((ctx.rpo[entry], seq, entry, input)));
-    seq += 1;
-    let sink = RegionSink {
-        exit: region.exit.index(),
-        exits: &mut exits,
-        seen: HashSet::new(),
-    };
-    drain(
-        ctx,
-        st,
-        &mut states,
-        &mut worklist,
-        &mut seq,
+    let mut fr = Frontier {
+        states,
+        worklist: BinaryHeap::from([Reverse((ctx.rpo[entry], 0, entry, input))]),
+        seq: 1,
         base,
-        Some(entry),
-        Some(sink),
-        false,
-    )?;
+        sink: Some(RegionSink {
+            entry,
+            exit: region.exit.index(),
+            exits: Vec::new(),
+            seen: HashSet::new(),
+        }),
+    };
+    drain(ctx, st, &mut fr)?;
     let rec = st.recorders.pop().expect("recorder pushed above");
     st.live = live_base;
     let mut violations: Vec<(u32, String, bool)> = rec
@@ -1534,48 +1442,18 @@ fn compute_region(
         .map(|((line, label), definite)| (line, label, definite))
         .collect();
     violations.sort();
-    let mut failing: Vec<SiteId> = rec.failing.into_iter().collect();
-    failing.sort_unstable();
-    let summary = Rc::new(RegionSummary {
-        exits,
-        violations,
-        failing,
-        visits: st.visits - visits_base,
-        peak_extra: rec.peak_extra,
-        peak_nodes: rec.peak_nodes,
-    });
-    if record {
-        st.memo
-            .insert((ctx.region_contents[region_ix], input), summary.clone());
-        if let Some(mut scope) = st.summary_scope.take() {
-            let input_words = st.interner.resolve(input).to_words();
-            let exit_words: Vec<Vec<u64>> = summary
-                .exits
-                .iter()
-                .map(|&x| st.interner.resolve(x).to_words())
-                .collect();
-            let mut failing_preds: Vec<u32> = summary
-                .failing
-                .iter()
-                .filter_map(|s| ctx.pred_of_site.get(s).copied())
-                .collect();
-            failing_preds.sort_unstable();
-            scope.record(
-                ctx.region_contents[region_ix],
-                input_words,
-                exit_words,
-                SummaryMemo {
-                    violations: summary.violations.clone(),
-                    failing_preds,
-                    visits: summary.visits,
-                    peak_extra: u32::try_from(summary.peak_extra).unwrap_or(u32::MAX),
-                    peak_nodes: u32::try_from(summary.peak_nodes).unwrap_or(u32::MAX),
-                },
-            );
-            st.summary_scope = Some(scope);
-        }
-    }
-    Ok(summary)
+    let mut failing_preds: Vec<u32> = rec.failing_preds.into_iter().collect();
+    failing_preds.sort_unstable();
+    Ok((
+        fr.sink.expect("region frontier has a sink").exits,
+        SummaryMemo {
+            violations,
+            failing_preds,
+            visits: st.visits - visits_base,
+            peak_extra: rec.peak_extra,
+            peak_nodes: rec.peak_nodes,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -1795,7 +1673,7 @@ mod tests {
         let spec = hetsep_easl::builtin::iostreams();
         let inst = translate(&program, &spec, &TranslateOptions::default()).unwrap();
         let flag = AtomicBool::new(true);
-        let r = run_cancellable(&inst, &EngineConfig::default(), Some(&flag));
+        let r = run_shared(&inst, &EngineConfig::default(), Some(&flag), Sessions::default());
         assert_eq!(r.outcome, AnalysisOutcome::BudgetExceeded);
         assert_eq!(r.stats.visits, 0, "no action may be applied");
         use hetsep_tvl::telemetry::Counter;

@@ -29,7 +29,7 @@ use hetsep_ir::Program;
 use hetsep_strategy::ast::{ChoiceMode, Strategy};
 use hetsep_tvl::telemetry::{Counter, Event, EventSink, NullSink, Phase, RunMetrics};
 
-use crate::engine::{run_shared, AnalysisOutcome, EngineConfig, RunResult, RunStats};
+use crate::engine::{run_shared, AnalysisOutcome, EngineConfig, RunResult, RunStats, Sessions};
 use crate::jobcache::SharedTransferSession;
 use crate::summary::SharedSummarySession;
 use crate::report::{dedup_reports, ErrorReport, VerifyError};
@@ -239,8 +239,9 @@ impl fmt::Display for Mode {
 pub struct PreanalysisSummary {
     /// May-share heap components found by the flow-sensitive analysis.
     pub components: u64,
-    /// Sum over the family's sites of the structure-count upper bound of
-    /// each site's may-share component (saturating).
+    /// Sum over the family's sites of the structure-count estimate of each
+    /// site's may-share component (saturating). An estimate, not a bound:
+    /// measured peaks exceed it (see `DESIGN.md` §15.2).
     pub estimated_structures: u64,
 }
 
@@ -389,7 +390,7 @@ struct Preanalysis {
     /// May-share components over the whole program (0 when the analysis
     /// declined).
     components: u64,
-    /// Structure-count upper bound of each site's may-share component.
+    /// Structure-count estimate of each site's may-share component.
     estimates: HashMap<SiteId, u64>,
 }
 
@@ -468,7 +469,6 @@ fn site_options(base: &TranslateOptions, choice_ix: usize, site: SiteId) -> Tran
 /// their next poll — and their results and metrics are dropped. Slots
 /// before it run to completion. The surviving prefix is exactly what a
 /// serial run produces, whatever the thread count or timing.
-#[allow(clippy::too_many_arguments)]
 fn run_sites(
     program: &Program,
     spec: &Spec,
@@ -476,8 +476,7 @@ fn run_sites(
     choice_ix: usize,
     sites: &[SiteId],
     config: &EngineConfig,
-    shared: Option<&SharedTransferSession<'_>>,
-    summaries: Option<&SharedSummarySession<'_>>,
+    sessions: Sessions<'_>,
 ) -> Result<Vec<(SiteId, RunResult)>, VerifyError> {
     let threads = config.parallel.effective_threads().clamp(1, sites.len().max(1));
     // Relaxed throughout: the watermark and flags publish no data (results
@@ -502,7 +501,7 @@ fn run_sites(
             return None;
         }
         let result = translate(program, spec, &site_options(base, choice_ix, site))
-            .map(|inst| run_shared(&inst, config, Some(&cancelled[ix]), shared, summaries));
+            .map(|inst| run_shared(&inst, config, Some(&cancelled[ix]), sessions));
         match &result {
             Ok(r) if r.outcome != AnalysisOutcome::BudgetExceeded => {}
             _ => lower_watermark(ix),
@@ -557,8 +556,7 @@ pub struct Verifier<'a> {
     mode: Mode,
     config: EngineConfig,
     sink: Option<&'a mut dyn EventSink>,
-    shared: Option<&'a SharedTransferSession<'a>>,
-    summaries: Option<&'a SharedSummarySession<'a>>,
+    sessions: Sessions<'a>,
 }
 
 impl<'a> Verifier<'a> {
@@ -571,8 +569,7 @@ impl<'a> Verifier<'a> {
             mode: Mode::Vanilla,
             config: EngineConfig::default(),
             sink: None,
-            shared: None,
-            summaries: None,
+            sessions: Sessions::default(),
         }
     }
 
@@ -637,7 +634,7 @@ impl<'a> Verifier<'a> {
     /// change. Requires the transfer cache (on by default) to have any
     /// effect.
     pub fn shared_cache(mut self, session: &'a SharedTransferSession<'a>) -> Verifier<'a> {
-        self.shared = Some(session);
+        self.sessions.transfers = Some(session);
         self
     }
 
@@ -659,7 +656,7 @@ impl<'a> Verifier<'a> {
     /// [`Verifier::shared_cache`] one level up. Requires summaries (on by
     /// default) to have any effect.
     pub fn shared_summaries(mut self, session: &'a SharedSummarySession<'a>) -> Verifier<'a> {
-        self.summaries = Some(session);
+        self.sessions.summaries = Some(session);
         self
     }
 
@@ -676,8 +673,7 @@ impl<'a> Verifier<'a> {
             mode,
             config,
             sink,
-            shared,
-            summaries,
+            sessions,
         } = self;
         let mut null = NullSink;
         let sink: &mut dyn EventSink = match sink {
@@ -685,7 +681,7 @@ impl<'a> Verifier<'a> {
             None => &mut null,
         };
         let start = Instant::now();
-        let mut report = verify_inner(program, spec, &mode, &config, shared, summaries)?;
+        let mut report = verify_inner(program, spec, &mode, &config, sessions)?;
         report.elapsed_wall = start.elapsed();
         if sink.enabled() {
             emit_report(&report, sink);
@@ -791,15 +787,14 @@ pub(crate) fn verify_inner(
     spec: &Spec,
     mode: &Mode,
     config: &EngineConfig,
-    shared: Option<&SharedTransferSession<'_>>,
-    summaries: Option<&SharedSummarySession<'_>>,
+    sessions: Sessions<'_>,
 ) -> Result<VerificationReport, VerifyError> {
     match mode {
         Mode::Vanilla => {
             let inst = translate(program, spec, &TranslateOptions::default())?;
             let mut report = VerificationReport::empty();
             report.stages_run = 1;
-            report.absorb(None, run_shared(&inst, config, None, shared, summaries));
+            report.absorb(None, run_shared(&inst, config, None, sessions));
             Ok(report.finish())
         }
         Mode::Separation {
@@ -820,7 +815,7 @@ pub(crate) fn verify_inner(
             report.stages_run = 1;
             if *simultaneous {
                 let inst = translate(program, spec, &base)?;
-                report.absorb(None, run_shared(&inst, config, None, shared, summaries));
+                report.absorb(None, run_shared(&inst, config, None, sessions));
                 return Ok(report.finish());
             }
             // Non-simultaneous: one run per allocation site of the first
@@ -832,7 +827,7 @@ pub(crate) fn verify_inner(
                 .position(|c| c.mode == ChoiceMode::Some);
             match first_some {
                 None => {
-                    report.absorb(None, run_shared(&probe, config, None, shared, summaries));
+                    report.absorb(None, run_shared(&probe, config, None, sessions));
                 }
                 Some(choice_ix) => {
                     let class = &stage.choices[choice_ix].class;
@@ -840,7 +835,7 @@ pub(crate) fn verify_inner(
                     if sites.is_empty() {
                         // Nothing of the chosen class is ever allocated: a
                         // single (cheap) run covers the empty family.
-                        report.absorb(None, run_shared(&probe, config, None, shared, summaries));
+                        report.absorb(None, run_shared(&probe, config, None, sessions));
                     }
                     // Pruning pre-pass: the preanalysis runs once and every
                     // site it proves safe is skipped. If it declines, the
@@ -857,7 +852,7 @@ pub(crate) fn verify_inner(
                         .filter(|s| !pruned(s))
                         .collect();
                     let mut results =
-                        run_sites(program, spec, &base, choice_ix, &to_run, config, shared, summaries)?
+                        run_sites(program, spec, &base, choice_ix, &to_run, config, sessions)?
                             .into_iter()
                             .peekable();
                     // Merge in original site order so reports are identical
@@ -899,7 +894,7 @@ pub(crate) fn verify_inner(
                     ..TranslateOptions::default()
                 };
                 let inst = translate(program, spec, &options)?;
-                let result = run_shared(&inst, config, None, shared, summaries);
+                let result = run_shared(&inst, config, None, sessions);
                 report.stages_run = ix + 1;
                 let stage_errors = result.errors.clone();
                 last_stage_complete = result.outcome == AnalysisOutcome::Complete;

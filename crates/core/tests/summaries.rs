@@ -179,15 +179,34 @@ fn summaries_are_observation_equivalent_on_the_suite() {
 
 /// Cross-run persistence: a warm run over a *serialized and reloaded*
 /// summary store replays regions from the store (strictly fewer misses,
-/// shared hits observed) with byte-identical observable results.
+/// shared hits observed) with byte-identical observable results. The
+/// inputs cover the error-free `SharedLib` and the erroneous
+/// `SharedLibLoop` in vanilla and both separation modes, where regions
+/// record violations and failing allocation sites that the warm replay
+/// must reproduce.
 #[test]
 fn persisted_summary_store_is_observation_equivalent() {
-    let bench = hetsep_suite::by_name("SharedLib").unwrap();
+    for (name, table_mode) in [
+        ("SharedLib", TableMode::Vanilla),
+        ("SharedLibLoop", TableMode::Vanilla),
+        ("SharedLibLoop", TableMode::Single),
+        ("SharedLibLoop", TableMode::Sim),
+    ] {
+        let bench = hetsep_suite::by_name(name).unwrap();
+        let mode = core_mode(&bench, table_mode).unwrap();
+        let label = format!("{}-warm", table_mode.label());
+        assert_warm_replay_is_equivalent(&bench, &mode, &label);
+    }
+}
+
+fn assert_warm_replay_is_equivalent(bench: &Benchmark, mode: &Mode, label: &str) {
+    let name = bench.name;
     let program = bench.program();
     let spec = bench.spec();
     let run_with = |store: &SummaryStore| {
         let session = SharedSummarySession::new(store);
         let report = Verifier::new(&program, &spec)
+            .mode(mode.clone())
             .config(budget())
             .shared_summaries(&session)
             .run()
@@ -198,7 +217,7 @@ fn persisted_summary_store_is_observation_equivalent() {
     let mut store = SummaryStore::new();
     let (cold, deltas) = run_with(&store);
     store.absorb(deltas);
-    assert!(store.entry_count() > 0, "cold run must populate the store");
+    assert!(store.entry_count() > 0, "{name}/{label}: cold run must populate the store");
 
     let bytes = store.to_bytes();
     let reloaded = SummaryStore::from_bytes(&bytes).expect("round-trip");
@@ -206,28 +225,25 @@ fn persisted_summary_store_is_observation_equivalent() {
     assert_eq!(reloaded.to_bytes(), bytes, "serialization is deterministic");
 
     let (warm, warm_deltas) = run_with(&reloaded);
-    assert_equivalent("SharedLib", "vanilla-warm", &{
-        // The cold run *did* use summaries, so compare on the semantic
-        // fields only by reusing the invariant-checking half through a
-        // direct field comparison instead.
-        let mut off = cold.clone();
-        off.metrics = Default::default();
-        off
-    }, &warm);
+    // The cold run *did* use summaries; clearing its metrics lets the
+    // invariant-checking comparison treat it as the reference side.
+    let mut reference = cold.clone();
+    reference.metrics = Default::default();
+    assert_equivalent(name, label, &reference, &warm);
 
     let cold_misses = cold.metrics.counters.get(Counter::SummaryMisses);
     let warm_misses = warm.metrics.counters.get(Counter::SummaryMisses);
     assert!(
         warm_misses < cold_misses,
-        "warm run must miss less: {warm_misses} vs {cold_misses}"
+        "{name}/{label}: warm run must miss less: {warm_misses} vs {cold_misses}"
     );
     assert!(
         warm.metrics.counters.get(Counter::SharedSummaryHits) > 0,
-        "warm run must replay from the shared store"
+        "{name}/{label}: warm run must replay from the shared store"
     );
     // The repeat run is a fixed point of the store: nothing new to record.
     assert!(
         warm_deltas.is_empty(),
-        "a fully warmed run should record no new summaries"
+        "{name}/{label}: a fully warmed run should record no new summaries"
     );
 }

@@ -5,14 +5,14 @@
 //! structures of a single run), time (wall clock and the deterministic
 //! visit-count proxy), reported errors, and whether the run finished within
 //! budget (`-` rows). Per-subproblem measurements are the engine's own
-//! [`SubproblemStats`] (metrics included); [`run_mode_with_sink`] addition-
-//! ally streams observability events (see [`hetsep_core::EventSink`]) for
+//! [`SubproblemStats`] (metrics included), and the run's observability
+//! events stream into the caller's [`hetsep_core::EventSink`] for
 //! `--trace`-style consumers.
 
 use std::time::Duration;
 
 use hetsep_core::{
-    AnalysisOutcome, Counter, EngineConfig, EventSink, Mode, NullSink, Phase, RunMetrics,
+    AnalysisOutcome, Counter, EngineConfig, EventSink, Mode, Phase, RunMetrics,
     SubproblemStats, Verifier, VerifyError,
 };
 use hetsep_strategy::parse_strategy;
@@ -48,8 +48,8 @@ pub struct ModeRow {
     /// May-share heap components the pre-analysis found (0 when it did not
     /// run — preanalysis off, or a mode without a site fan-out).
     pub components: u64,
-    /// Pre-analysis structure-count upper bound summed over the site
-    /// family (0 when the pre-pass did not run).
+    /// Pre-analysis structure-count estimate (not a bound) summed over the
+    /// site family (0 when the pre-pass did not run).
     pub estimated_structures: u64,
     /// Average visits per subproblem.
     pub avg_visits_per_subproblem: f64,
@@ -125,26 +125,14 @@ pub fn core_mode(bench: &Benchmark, mode: TableMode) -> Result<Mode, VerifyError
     })
 }
 
-/// Runs one benchmark under one mode.
+/// Runs one benchmark under one mode, streaming the run's observability
+/// events into `sink` (pass [`hetsep_core::NullSink`] to discard them).
 ///
 /// # Errors
 ///
 /// Propagates translation/strategy failures; budget exhaustion is reported
 /// in the row (`reported = None`), not as an error.
 pub fn run_mode(
-    bench: &Benchmark,
-    mode: TableMode,
-    config: &EngineConfig,
-) -> Result<ModeRow, VerifyError> {
-    run_mode_with_sink(bench, mode, config, &mut NullSink)
-}
-
-/// [`run_mode`] with an observability sink receiving the run's events.
-///
-/// # Errors
-///
-/// See [`run_mode`].
-pub fn run_mode_with_sink(
     bench: &Benchmark,
     mode: TableMode,
     config: &EngineConfig,
@@ -187,7 +175,7 @@ pub fn run_mode_with_sink(
     })
 }
 
-/// Runs every mode of one benchmark.
+/// Runs every mode of one benchmark, with one sink shared across the modes.
 ///
 /// # Errors
 ///
@@ -195,24 +183,12 @@ pub fn run_mode_with_sink(
 pub fn run_benchmark(
     bench: &Benchmark,
     config: &EngineConfig,
-) -> Result<Vec<ModeRow>, VerifyError> {
-    run_benchmark_with_sink(bench, config, &mut NullSink)
-}
-
-/// [`run_benchmark`] with an observability sink shared across the modes.
-///
-/// # Errors
-///
-/// See [`run_mode`].
-pub fn run_benchmark_with_sink(
-    bench: &Benchmark,
-    config: &EngineConfig,
     sink: &mut dyn EventSink,
 ) -> Result<Vec<ModeRow>, VerifyError> {
     bench
         .modes
         .iter()
-        .map(|&m| run_mode_with_sink(bench, m, config, sink))
+        .map(|&m| run_mode(bench, m, config, sink))
         .collect()
 }
 

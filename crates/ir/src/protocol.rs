@@ -273,8 +273,8 @@ pub struct VerifyOutcome {
     /// May-share heap components the preanalysis found (0 when the
     /// pre-pass did not run).
     pub components: u64,
-    /// Preanalysis structure-count upper bound, summed over the site
-    /// family (0 when the pre-pass did not run).
+    /// Preanalysis structure-count estimate (not a bound), summed over the
+    /// site family (0 when the pre-pass did not run).
     pub estimated_structures: u64,
     /// Per-run transfer-cache hits.
     pub cache_hits: u64,

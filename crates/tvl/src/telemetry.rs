@@ -134,8 +134,9 @@ pub enum Counter {
     /// (a verification-wide figure stamped on every separation subproblem,
     /// so it merges by `max`, not `+`).
     PreanalysisComponents,
-    /// Structure-count upper bound predicted for the subproblem's may-share
-    /// component (sums across rows to the predicted cost of the family).
+    /// Structure-count estimate for the subproblem's may-share component
+    /// (sums across rows to the predicted cost of the family). An estimate,
+    /// not a bound: measured peaks exceed it (see `DESIGN.md` §15.2).
     PreanalysisEstimatedStructures,
     /// Worklist batches (all queued structures of one CFG location at equal
     /// priority, drained together) holding two or more structures — the

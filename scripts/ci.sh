@@ -36,7 +36,7 @@ for t in 1 2; do
             cancellation_mid_partition_is_schedule_independent > /dev/null
     done
 done
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo run -q -p hetsep --example quickstart --release > /dev/null
 
