@@ -13,9 +13,10 @@
 //!
 //! `--metrics` enables per-phase wall-clock sampling, adds a per-phase
 //! `phases`/`counters` breakdown to every JSON row and subproblem, and
-//! prints a suite-wide breakdown to stderr. `--trace PATH` streams every
-//! run's typed events as NDJSON to `PATH`. Both are observation-only: the
-//! `visits`/`reported` columns are byte-identical with and without them.
+//! prints a suite-wide breakdown to stderr. `--trace PATH` writes every
+//! row's per-subproblem metrics as NDJSON to `PATH`, in row order. Both
+//! are observation-only: the `visits`/`reported` columns are byte-identical
+//! with and without them.
 //!
 //! `--no-preanalysis` disables the static pruning pre-pass that
 //! `table3_config` turns on. Pruning is observation-equivalent, so only the
@@ -31,14 +32,12 @@
 //! whole region drain, so, as with the transfer cache, every semantic
 //! column is byte-identical on or off.
 
-use std::io::Write as _;
-
 use hetsep::core::ParallelConfig;
 use hetsep::harness::{
     format_metrics, format_rows, rows_to_json, run_benchmark, table3_config, ModeRow,
 };
 use hetsep::suite;
-use hetsep::{EventSink, NullSink, RunMetrics, TraceWriter};
+use hetsep::{write_trace, RunMetrics};
 
 fn main() {
     let mut threads: usize = 0;
@@ -95,19 +94,14 @@ fn main() {
     if no_summaries {
         config.summaries = false;
     }
-    let mut null = NullSink;
     let mut trace = trace_path.as_ref().map(|path| {
         let file = std::fs::File::create(path)
             .unwrap_or_else(|e| panic!("could not create {path}: {e}"));
-        TraceWriter::new(std::io::BufWriter::new(file))
+        std::io::BufWriter::new(file)
     });
     let mut all_rows: Vec<ModeRow> = Vec::new();
     for bench in &benches {
-        let sink: &mut dyn EventSink = match &mut trace {
-            Some(t) => t,
-            None => &mut null,
-        };
-        match run_benchmark(bench, &config, sink) {
+        match run_benchmark(bench, &config) {
             Ok(rows) => {
                 print!("{}", format_rows(&rows, bench.line_count()));
                 all_rows.extend(rows);
@@ -116,8 +110,11 @@ fn main() {
         }
         println!();
     }
-    if let (Some(t), Some(path)) = (trace, &trace_path) {
-        match t.finish().and_then(|mut w| w.flush()) {
+    if let (Some(out), Some(path)) = (&mut trace, &trace_path) {
+        match all_rows
+            .iter()
+            .try_for_each(|r| write_trace(&r.subproblem_rows, out))
+        {
             Ok(()) => println!("trace written to {path}"),
             Err(e) => eprintln!("could not write {path}: {e}"),
         }

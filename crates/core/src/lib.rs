@@ -71,11 +71,11 @@ pub use jobcache::{CacheFile, SharedTransferSession, TransferStore};
 pub use summary::{SharedSummarySession, SummaryStore};
 pub use parallel::map_ordered;
 pub use hetsep_tvl::telemetry::{
-    Counter, Counters, Event, EventSink, MetricsSink, NullSink, Phase, PhaseStats, PhaseTimings,
-    RunMetrics, TraceWriter,
+    Counter, Counters, Event, Phase, PhaseStats, PhaseTimings, RunMetrics,
 };
 pub use modes::{
-    verify, Mode, ModeKind, PreanalysisSummary, SubproblemStats, VerificationReport, Verifier,
+    verify, write_trace, Mode, ModeKind, PreanalysisSummary, SubproblemStats, VerificationReport,
+    Verifier,
 };
 pub use report::{ErrorReport, VerifyError};
 pub use session::Session;

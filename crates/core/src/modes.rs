@@ -20,6 +20,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::io::{self, Write};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -27,7 +28,7 @@ use std::time::{Duration, Instant};
 use hetsep_easl::ast::Spec;
 use hetsep_ir::Program;
 use hetsep_strategy::ast::{ChoiceMode, Strategy};
-use hetsep_tvl::telemetry::{Counter, Event, EventSink, NullSink, Phase, RunMetrics};
+use hetsep_tvl::telemetry::{event_to_json, Counter, Event, Phase, RunMetrics};
 
 use crate::engine::{run_shared, AnalysisOutcome, EngineConfig, RunResult, RunStats, Sessions};
 use crate::jobcache::SharedTransferSession;
@@ -344,7 +345,7 @@ impl VerificationReport {
     /// it: zero work, zero errors, and — crucially — no effect on
     /// `complete`, since the pre-pass proof stands in for the fixpoint.
     /// The family-wide component count and the site's cost estimate land in
-    /// the row's own counters so sinks and reports agree.
+    /// the row's own counters, which the report and its trace both read.
     fn absorb_pruned(&mut self, site: SiteId, pre: &Preanalysis) {
         let mut stats = RunStats::default();
         stats.metrics.counters.add(Counter::SubproblemsPruned, 1);
@@ -521,12 +522,13 @@ fn run_sites(
 
 /// Builder-style front door of the verification engine.
 ///
-/// Collects the program, specification, [`Mode`], [`EngineConfig`], and an
-/// optional observability [`EventSink`], then [`Verifier::run`]s:
+/// Collects the program, specification, [`Mode`] and [`EngineConfig`], then
+/// [`Verifier::run`]s. The report carries the observability data: merged
+/// [`VerificationReport::metrics`] and one [`SubproblemStats`] row per
+/// subproblem, which [`write_trace`] renders as NDJSON:
 ///
 /// ```
-/// use hetsep_core::{Verifier, Mode, EngineConfig};
-/// use hetsep_tvl::telemetry::MetricsSink;
+/// use hetsep_core::{write_trace, Verifier, Mode, EngineConfig};
 ///
 /// let program = hetsep_ir::parse_program(
 ///     "program P uses IOStreams; void main() {\n\
@@ -537,38 +539,37 @@ fn run_sites(
 /// )
 /// .unwrap();
 /// let spec = hetsep_easl::builtin::iostreams();
-/// let mut sink = MetricsSink::new();
 /// let report = Verifier::new(&program, &spec)
 ///     .mode(Mode::Vanilla)
 ///     .config(EngineConfig::default())
-///     .sink(&mut sink)
 ///     .run()
 ///     .unwrap();
 /// assert!(report.verified());
-/// assert_eq!(sink.subproblems(), 1);
+/// assert_eq!(report.subproblems.len(), 1);
+/// let mut trace = Vec::new();
+/// write_trace(&report.subproblems, &mut trace).unwrap();
+/// assert!(trace.starts_with(b"{\"event\":\"subproblem_start\",\"subproblem\":0,"));
 /// ```
 ///
-/// Defaults: [`Mode::Vanilla`], `EngineConfig::default()`, no sink.
+/// Defaults: [`Mode::Vanilla`], `EngineConfig::default()`.
 #[must_use = "a Verifier does nothing until .run()"]
 pub struct Verifier<'a> {
     program: &'a Program,
     spec: &'a Spec,
     mode: Mode,
     config: EngineConfig,
-    sink: Option<&'a mut dyn EventSink>,
     sessions: Sessions<'a>,
 }
 
 impl<'a> Verifier<'a> {
     /// Starts a verification of `program` against `spec` (vanilla mode,
-    /// default engine configuration, no sink).
+    /// default engine configuration).
     pub fn new(program: &'a Program, spec: &'a Spec) -> Verifier<'a> {
         Verifier {
             program,
             spec,
             mode: Mode::Vanilla,
             config: EngineConfig::default(),
-            sink: None,
             sessions: Sessions::default(),
         }
     }
@@ -582,14 +583,6 @@ impl<'a> Verifier<'a> {
     /// Sets the [`EngineConfig`].
     pub fn config(mut self, config: EngineConfig) -> Verifier<'a> {
         self.config = config;
-        self
-    }
-
-    /// Attaches an observability sink. Events are delivered after the
-    /// verification completes, in deterministic subproblem (site) order;
-    /// a sink whose `enabled()` is `false` receives nothing.
-    pub fn sink(mut self, sink: &'a mut dyn EventSink) -> Verifier<'a> {
-        self.sink = Some(sink);
         self
     }
 
@@ -672,20 +665,11 @@ impl<'a> Verifier<'a> {
             spec,
             mode,
             config,
-            sink,
             sessions,
         } = self;
-        let mut null = NullSink;
-        let sink: &mut dyn EventSink = match sink {
-            Some(s) => s,
-            None => &mut null,
-        };
         let start = Instant::now();
         let mut report = verify_inner(program, spec, &mode, &config, sessions)?;
         report.elapsed_wall = start.elapsed();
-        if sink.enabled() {
-            emit_report(&report, sink);
-        }
         Ok(report)
     }
 }
@@ -693,11 +677,10 @@ impl<'a> Verifier<'a> {
 /// Verifies `program` against `spec` under `mode`.
 ///
 /// A thin wrapper over [`Verifier`] kept for backward compatibility; new
-/// code should prefer the builder, which also carries the observability
-/// sink:
+/// code should prefer the builder, which also attaches cross-run stores:
 ///
 /// ```ignore
-/// Verifier::new(&program, &spec).mode(mode).config(cfg).sink(&mut sink).run()
+/// Verifier::new(&program, &spec).mode(mode).config(cfg).run()
 /// ```
 ///
 /// # Errors
@@ -716,66 +699,80 @@ pub fn verify(
         .run()
 }
 
-/// Replays a finished report's per-subproblem metrics as events, in the
-/// deterministic order the subproblems were merged.
-fn emit_report(report: &VerificationReport, sink: &mut dyn EventSink) {
-    for (index, sub) in report.subproblems.iter().enumerate() {
+/// Renders per-subproblem rows (a report's [`VerificationReport::subproblems`]
+/// or a Table 3 row's) as the NDJSON trace and flushes `out`.
+///
+/// Each subproblem yields, in slice order: its start, one line per phase
+/// applied and per non-zero counter, one per CFG location holding
+/// structures, a budget-exhausted and/or cancelled line when those counters
+/// are set, and its finish. Every line is an [`Event`] rendered by
+/// [`event_to_json`]. Subproblem indices count from 0 in each call. The rows
+/// are merged in site order whatever the thread counts, so with phase
+/// timings off the bytes are schedule-independent.
+///
+/// # Errors
+///
+/// Propagates the first write or flush error of `out`.
+pub fn write_trace(subproblems: &[SubproblemStats], out: &mut impl Write) -> io::Result<()> {
+    let mut line = |event: Event| writeln!(out, "{}", event_to_json(&event));
+    for (index, sub) in subproblems.iter().enumerate() {
         let m = &sub.stats.metrics;
-        sink.record(&Event::SubproblemStart {
+        line(Event::SubproblemStart {
             index,
             site: sub.site,
-        });
+        })?;
         for phase in Phase::ALL {
             let s = m.phases.get(phase);
             if s.count > 0 || s.nanos > 0 {
-                sink.record(&Event::PhaseSample {
+                line(Event::PhaseSample {
                     index,
                     phase,
                     count: s.count,
                     nanos: s.nanos,
-                });
+                })?;
             }
         }
         for counter in Counter::ALL {
             let value = m.counters.get(counter);
             if value > 0 {
-                sink.record(&Event::CounterSample {
+                line(Event::CounterSample {
                     index,
                     counter,
                     value,
-                });
+                })?;
             }
         }
         for (location, &structures) in m.per_location.iter().enumerate() {
             if structures > 0 {
-                sink.record(&Event::LocationStructures {
+                line(Event::LocationStructures {
                     index,
                     location,
                     structures: structures as usize,
-                });
+                })?;
             }
         }
         if m.counters.get(Counter::BudgetExhausted) > 0 {
-            sink.record(&Event::BudgetExhausted {
+            line(Event::BudgetExhausted {
                 index,
                 visits: sub.stats.visits,
-            });
+            })?;
         }
         if m.counters.get(Counter::Cancelled) > 0 {
-            sink.record(&Event::Cancelled {
+            line(Event::Cancelled {
                 index,
                 visits: sub.stats.visits,
-            });
+            })?;
         }
-        sink.record(&Event::SubproblemFinish {
+        line(Event::SubproblemFinish {
             index,
             site: sub.site,
             visits: sub.stats.visits,
             structures: sub.stats.structures,
             errors: sub.errors,
             complete: sub.outcome != AnalysisOutcome::BudgetExceeded,
-        });
+        })?;
     }
+    out.flush()
 }
 
 /// The one engine entry point behind every public verification surface. Its
@@ -1084,13 +1081,13 @@ void main() {
 
     #[test]
     fn sink_receives_per_subproblem_events_in_site_order() {
-        use hetsep_tvl::telemetry::MetricsSink;
-
-        struct Recorder(Vec<Event>);
-        impl EventSink for Recorder {
-            fn record(&mut self, event: &Event) {
-                self.0.push(event.clone());
-            }
+        /// The unsigned integer after `"key":` in one flat trace line.
+        fn field(line: &str, key: &str) -> Option<u64> {
+            let rest = &line[line.find(&format!("\"{key}\":"))? + key.len() + 3..];
+            let end = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..end].parse().ok()
         }
 
         let src = "program P uses IOStreams; void main() {\n\
@@ -1101,55 +1098,70 @@ void main() {
                    b.close();\n}";
         let program = program(src);
         let spec = hetsep_easl::builtin::iostreams();
-        let mode = Mode::separation(parse_builtin(
-            hetsep_strategy::builtin::IOSTREAM_SINGLE,
-        ));
-        let mut rec = Recorder(Vec::new());
-        let report = Verifier::new(&program, &spec)
-            .mode(mode.clone())
-            .sink(&mut rec)
-            .run()
-            .unwrap();
+        let mode = Mode::separation(parse_builtin(IOSTREAM_SINGLE));
+        let report = Verifier::new(&program, &spec).mode(mode).run().unwrap();
         assert_eq!(report.subproblems.len(), 2);
+        let mut bytes = Vec::new();
+        write_trace(&report.subproblems, &mut bytes).unwrap();
+        let trace = String::from_utf8(bytes).unwrap();
+        let lines: Vec<&str> = trace.lines().collect();
 
         // Starts and finishes pair up per subproblem, sites in merge order.
-        let starts: Vec<(usize, Option<usize>)> = rec
-            .0
+        let kind = |line: &str, event: &str| line.starts_with(&format!("{{\"event\":\"{event}\""));
+        let starts: Vec<&str> = lines
             .iter()
-            .filter_map(|e| match e {
-                Event::SubproblemStart { index, site } => Some((*index, *site)),
-                _ => None,
-            })
+            .copied()
+            .filter(|l| kind(l, "subproblem_start"))
             .collect();
-        let expected: Vec<(usize, Option<usize>)> = report
+        let expected: Vec<String> = report
             .subproblems
             .iter()
             .enumerate()
-            .map(|(ix, s)| (ix, s.site))
+            .map(|(ix, s)| {
+                format!(
+                    "{{\"event\":\"subproblem_start\",\"subproblem\":{ix},\"site\":{}}}",
+                    s.site.expect("separation rows carry a site")
+                )
+            })
             .collect();
         assert_eq!(starts, expected);
-        assert!(rec.0.iter().any(|e| matches!(e, Event::PhaseSample { .. })));
-        assert!(rec
-            .0
-            .iter()
-            .any(|e| matches!(e, Event::CounterSample { .. })));
-        assert!(rec
-            .0
-            .iter()
-            .any(|e| matches!(e, Event::LocationStructures { .. })));
+        assert!(kind(lines[0], "subproblem_start"));
+        assert!(kind(lines[lines.len() - 1], "subproblem_finish"));
+        for event in ["phase", "counter", "location_structures"] {
+            assert!(lines.iter().any(|l| kind(l, event)), "no {event} line");
+        }
 
-        // A MetricsSink replaying the same report reproduces the report's
+        // The trace's per-subproblem lines add back up to the report's
         // merged totals.
-        let mut sink = MetricsSink::new();
-        let report2 = Verifier::new(&program, &spec)
-            .mode(mode)
-            .sink(&mut sink)
-            .run()
-            .unwrap();
-        assert_eq!(sink.subproblems(), report2.subproblems.len());
-        assert_eq!(sink.total_visits(), report2.total_visits);
-        assert_eq!(sink.phases(), &report2.metrics.phases);
-        assert_eq!(sink.counters(), &report2.metrics.counters);
+        let mut totals = RunMetrics::default();
+        for line in &lines {
+            if kind(line, "phase") {
+                let phase = Phase::ALL
+                    .into_iter()
+                    .find(|p| line.contains(&format!("\"phase\":\"{}\"", p.label())))
+                    .unwrap();
+                let count = field(line, "count").unwrap();
+                totals
+                    .phases
+                    .add(phase, count, field(line, "nanos").unwrap());
+            } else if kind(line, "counter") {
+                let counter = Counter::ALL
+                    .into_iter()
+                    .find(|c| line.contains(&format!("\"counter\":\"{}\"", c.label())))
+                    .unwrap();
+                let mut one = crate::Counters::default();
+                one.add(counter, field(line, "value").unwrap());
+                totals.counters.merge(&one);
+            }
+        }
+        assert_eq!(totals.phases, report.metrics.phases);
+        assert_eq!(totals.counters, report.metrics.counters);
+        let visits: u64 = lines
+            .iter()
+            .filter(|l| kind(l, "subproblem_finish"))
+            .map(|l| field(l, "visits").unwrap())
+            .sum();
+        assert_eq!(visits, report.total_visits);
     }
 
     #[test]

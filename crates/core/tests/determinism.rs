@@ -11,8 +11,7 @@
 //! completes within budget, so full equality is asserted.
 
 use hetsep_core::{
-    verify, Counter, EngineConfig, MetricsSink, Mode, ParallelConfig, TraceWriter,
-    VerificationReport, Verifier,
+    verify, write_trace, Counter, EngineConfig, Mode, ParallelConfig, VerificationReport, Verifier,
 };
 use hetsep_strategy::builtin as strategies;
 use hetsep_strategy::parse_strategy;
@@ -267,10 +266,10 @@ fn generated_workloads_are_schedule_independent() {
     }
 }
 
-/// The replayed event stream is schedule-independent too: a sink attached
-/// to a serial run and one attached to a parallel run end up in identical
-/// states (events are delivered post-hoc in site order, never live from the
-/// workers).
+/// The trace is schedule-independent too: a serial and a parallel run
+/// render byte-identical NDJSON and merge identical report metrics (the
+/// trace is rendered from the report, whose rows are merged in site order,
+/// never live from the workers).
 #[test]
 fn sink_state_is_schedule_independent() {
     let src = "program P uses IOStreams; void main() {\n\
@@ -284,20 +283,27 @@ fn sink_state_is_schedule_independent() {
     let mode = sep(strategies::IOSTREAM_SINGLE);
     let program = hetsep_ir::parse_program(src).unwrap();
     let spec = hetsep_easl::builtin::by_name(&program.uses).unwrap();
-    let sink_for = |threads: usize| {
-        let mut sink = MetricsSink::new();
-        Verifier::new(&program, &spec)
+    let trace_for = |threads: usize| {
+        let report = Verifier::new(&program, &spec)
             .mode(mode.clone())
             .config(config_with_threads(threads))
-            .sink(&mut sink)
             .run()
             .unwrap();
-        sink
+        let mut trace = Vec::new();
+        write_trace(&report.subproblems, &mut trace).expect("in-memory writes cannot fail");
+        (report, trace)
     };
-    let serial = sink_for(1);
-    let parallel = sink_for(4);
-    assert!(serial.subproblems() > 1, "workload should split");
-    assert_eq!(serial, parallel, "sink states differ between schedules");
+    let (serial, serial_trace) = trace_for(1);
+    let (parallel, parallel_trace) = trace_for(4);
+    assert!(serial.subproblems.len() > 1, "workload should split");
+    assert_eq!(
+        serial.metrics, parallel.metrics,
+        "metrics differ between schedules"
+    );
+    assert_eq!(
+        serial_trace, parallel_trace,
+        "traces differ between schedules"
+    );
 }
 
 /// `threads = 0` (auto) must agree with an explicit serial run too — this is
@@ -324,7 +330,7 @@ fn auto_thread_count_is_schedule_independent() {
 
 /// The intra-subproblem transfer fan-out must be invisible: runs with 1, 2,
 /// and 8 partition workers agree byte-for-byte on verdicts, visit counts,
-/// merged telemetry, and the replayed NDJSON trace stream. Speculative
+/// merged telemetry, and the rendered NDJSON trace. Speculative
 /// classification only predicts cache hits — the commit loop performs the
 /// exact serial cache-op sequence — so even the hit/miss/eviction counters
 /// must match.
@@ -337,14 +343,13 @@ fn intra_worker_matrix_is_byte_identical() {
         let mut baseline: Option<(VerificationReport, Vec<u8>)> = None;
         for intra in [1usize, 2, 8] {
             let config = config_with_workers(1, intra);
-            let mut writer = TraceWriter::new(Vec::new());
             let report = Verifier::new(&program, &spec)
                 .mode(mode.clone())
                 .config(config)
-                .sink(&mut writer)
                 .run()
                 .unwrap();
-            let trace = writer.finish().expect("in-memory writes cannot fail");
+            let mut trace = Vec::new();
+            write_trace(&report.subproblems, &mut trace).expect("in-memory writes cannot fail");
             match &baseline {
                 None => {
                     saw_batches |=

@@ -45,19 +45,19 @@
 //! store across restarts, sharing the format with `corpus --cache`.
 //!
 //! Observability: `--metrics` enables per-phase wall-clock sampling and
-//! prints a phase/counter breakdown to stderr; `--trace <path>` streams the
-//! run's typed events as NDJSON (one JSON object per line) to `<path>`.
+//! prints a phase/counter breakdown to stderr; `--trace <path>` writes the
+//! report's per-subproblem metrics as NDJSON (one JSON object per line) to
+//! `<path>`.
 //! Both are observation-only — verification results are unchanged, as is
 //! `--preanalysis` (the sound subproblem pruning pre-pass).
 //!
 //! Exit code: 0 verified/clean, 1 errors reported (or warnings under
 //! `--deny warnings`), 2 usage or translation failure.
 
-use std::io::Write as _;
 use std::process::ExitCode;
 
 use hetsep::core::engine::EngineConfig;
-use hetsep::core::{Mode, ModeKind, NullSink, TraceWriter, Verifier};
+use hetsep::core::{write_trace, Mode, ModeKind, Verifier};
 use hetsep::harness::format_metrics;
 use hetsep::options::{self, Options, Parsed};
 
@@ -170,28 +170,22 @@ fn cmd_verify(o: &Options) -> Result<ExitCode, String> {
         summaries: o.summaries,
         ..EngineConfig::default()
     };
-    // The trace sink outlives the builder; NullSink when --trace is absent.
-    let mut null = NullSink;
-    let mut trace = match &o.trace_path {
+    // The trace file is created before the run, so an unwritable path fails
+    // fast; the trace itself is rendered from the finished report.
+    let trace = match &o.trace_path {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(TraceWriter::new(std::io::BufWriter::new(file)))
+            Some((path, std::io::BufWriter::new(file)))
         }
         None => None,
-    };
-    let sink: &mut dyn hetsep::core::EventSink = match &mut trace {
-        Some(t) => t,
-        None => &mut null,
     };
     let report = Verifier::new(&program, &spec)
         .mode(mode.clone())
         .config(config)
-        .sink(sink)
         .run()
         .map_err(|e| e.to_string())?;
-    if let (Some(t), Some(path)) = (trace, &o.trace_path) {
-        let mut w = t.finish().map_err(|e| format!("{path}: {e}"))?;
-        w.flush().map_err(|e| format!("{path}: {e}"))?;
+    if let Some((path, mut out)) = trace {
+        write_trace(&report.subproblems, &mut out).map_err(|e| format!("{path}: {e}"))?;
         if !o.quiet {
             eprintln!("trace written to {path}");
         }

@@ -5,15 +5,14 @@
 //! structures of a single run), time (wall clock and the deterministic
 //! visit-count proxy), reported errors, and whether the run finished within
 //! budget (`-` rows). Per-subproblem measurements are the engine's own
-//! [`SubproblemStats`] (metrics included), and the run's observability
-//! events stream into the caller's [`hetsep_core::EventSink`] for
-//! `--trace`-style consumers.
+//! [`SubproblemStats`] (metrics included); `--trace`-style consumers render
+//! them with [`hetsep_core::write_trace`].
 
 use std::time::Duration;
 
 use hetsep_core::{
-    AnalysisOutcome, Counter, EngineConfig, EventSink, Mode, Phase, RunMetrics,
-    SubproblemStats, Verifier, VerifyError,
+    AnalysisOutcome, Counter, EngineConfig, Mode, Phase, RunMetrics, SubproblemStats, Verifier,
+    VerifyError,
 };
 use hetsep_strategy::parse_strategy;
 use hetsep_suite::{Benchmark, TableMode};
@@ -125,8 +124,7 @@ pub fn core_mode(bench: &Benchmark, mode: TableMode) -> Result<Mode, VerifyError
     })
 }
 
-/// Runs one benchmark under one mode, streaming the run's observability
-/// events into `sink` (pass [`hetsep_core::NullSink`] to discard them).
+/// Runs one benchmark under one mode.
 ///
 /// # Errors
 ///
@@ -136,7 +134,6 @@ pub fn run_mode(
     bench: &Benchmark,
     mode: TableMode,
     config: &EngineConfig,
-    sink: &mut dyn EventSink,
 ) -> Result<ModeRow, VerifyError> {
     let program = bench.program();
     let spec = bench.spec();
@@ -145,7 +142,6 @@ pub fn run_mode(
     let report = Verifier::new(&program, &spec)
         .mode(core)
         .config(config.clone())
-        .sink(sink)
         .run()?;
     // `complete` is mode-aware: for incremental verification the deciding
     // stage's completeness is what matters.
@@ -175,7 +171,7 @@ pub fn run_mode(
     })
 }
 
-/// Runs every mode of one benchmark, with one sink shared across the modes.
+/// Runs every mode of one benchmark.
 ///
 /// # Errors
 ///
@@ -183,12 +179,11 @@ pub fn run_mode(
 pub fn run_benchmark(
     bench: &Benchmark,
     config: &EngineConfig,
-    sink: &mut dyn EventSink,
 ) -> Result<Vec<ModeRow>, VerifyError> {
     bench
         .modes
         .iter()
-        .map(|&m| run_mode(bench, m, config, sink))
+        .map(|&m| run_mode(bench, m, config))
         .collect()
 }
 

@@ -26,11 +26,13 @@
 //!
 //! # Quickstart
 //!
-//! The front door is the [`Verifier`] builder; attach a [`MetricsSink`] (or
-//! an NDJSON [`TraceWriter`]) to see where the engine spends its effort:
+//! The front door is the [`Verifier`] builder. Its report says where the
+//! engine spent its effort: merged [`RunMetrics`] plus one
+//! [`SubproblemStats`] row per subproblem, which [`write_trace`] renders as
+//! NDJSON:
 //!
 //! ```
-//! use hetsep::{Verifier, Mode, MetricsSink};
+//! use hetsep::{write_trace, Counter, Mode, Verifier};
 //!
 //! let program = hetsep::ir::parse_program(
 //!     "program Quick uses IOStreams; void main() {\n\
@@ -40,13 +42,15 @@
 //!      }",
 //! )?;
 //! let spec = hetsep::easl::builtin::iostreams();
-//! let mut sink = MetricsSink::new();
-//! let report = Verifier::new(&program, &spec)
-//!     .mode(Mode::Vanilla)
-//!     .sink(&mut sink)
-//!     .run()?;
+//! let report = Verifier::new(&program, &spec).mode(Mode::Vanilla).run()?;
 //! assert!(report.verified());
-//! assert!(sink.total_visits() > 0);
+//! assert!(report.total_visits > 0);
+//! assert!(report.metrics.counters.get(Counter::InternMisses) > 0);
+//! let mut trace = Vec::new();
+//! write_trace(&report.subproblems, &mut trace)?;
+//! let trace = String::from_utf8(trace)?;
+//! assert!(trace.starts_with("{\"event\":\"subproblem_start\",\"subproblem\":0,"));
+//! assert!(trace.ends_with("\"complete\":true}\n"));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
@@ -66,9 +70,9 @@ pub use hetsep_suite as suite;
 pub use hetsep_tvl as tvl;
 
 pub use hetsep_core::{
-    verify, Counter, Counters, EngineConfig, Event, EventSink, MetricsSink,
-    Mode, ModeKind, NullSink, Phase, PhaseStats, PhaseTimings, RunMetrics, Session,
-    SubproblemStats, TraceWriter, VerificationReport, Verifier, VerifyError, Workspace,
+    verify, write_trace, Counter, Counters, EngineConfig, Event, Mode, ModeKind, Phase,
+    PhaseStats, PhaseTimings, RunMetrics, Session, SubproblemStats, VerificationReport, Verifier,
+    VerifyError, Workspace,
 };
 
 pub mod corpus;

@@ -112,7 +112,7 @@ const FLAG_SPECS: &[FlagSpec] = &[
     FlagSpec { name: "--metrics", value: None, help: "print per-phase timings and counters to stderr" },
     FlagSpec { name: "--no-transfer-cache", value: None, help: "disable the exact transfer-function cache" },
     FlagSpec { name: "--no-summaries", value: None, help: "disable call-region summary memoization (A/B baseline)" },
-    FlagSpec { name: "--trace", value: Some("<path>"), help: "stream typed run events as NDJSON to <path>" },
+    FlagSpec { name: "--trace", value: Some("<path>"), help: "write the per-subproblem NDJSON trace to <path>" },
     FlagSpec { name: "--quiet", value: None, help: "suppress the stderr summary (-q)" },
     FlagSpec { name: "--format", value: Some("text|json"), help: "diagnostic output format (default text)" },
     FlagSpec { name: "--deny", value: Some("warnings"), help: "exit non-zero when warnings are reported" },

@@ -20,8 +20,7 @@
 //!   a first-order transition system),
 //! * [`display`] — text/DOT rendering of structures (paper Figures 2, 5, 7),
 //! * [`telemetry`] — the observability layer: per-phase timings and counters
-//!   ([`RunMetrics`]), typed [`Event`]s, and the [`EventSink`] contract with
-//!   [`NullSink`] / [`MetricsSink`] / [`TraceWriter`] implementations.
+//!   ([`RunMetrics`]) and the typed [`Event`] lines of the NDJSON trace.
 //!
 //! # Example
 //!
@@ -67,7 +66,4 @@ pub use kleene::Kleene;
 pub use merge::{merge_all, MergePolicy};
 pub use pred::{Arity, PredFlags, PredId, PredTable};
 pub use structure::{NodeId, Structure};
-pub use telemetry::{
-    Counter, Counters, Event, EventSink, MetricsSink, NullSink, Phase, PhaseStats, PhaseTimings,
-    RunMetrics, TraceWriter,
-};
+pub use telemetry::{Counter, Counters, Event, Phase, PhaseStats, PhaseTimings, RunMetrics};

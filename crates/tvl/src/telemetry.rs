@@ -2,7 +2,7 @@
 //!
 //! The verification engine reports *what* it concluded through
 //! `RunResult`/`VerificationReport`; this module is the seam through which it
-//! reports *where the effort went*. Three layers:
+//! reports *where the effort went*. Two layers:
 //!
 //! 1. **[`RunMetrics`]** — a per-run accumulator of per-phase invocation
 //!    counts and (optionally) wall-clock nanoseconds, plus scalar
@@ -10,25 +10,20 @@
 //!    therefore each worker thread of the parallel subproblem scheduler)
 //!    owns its accumulator exclusively, so collection is lock-free; the mode
 //!    drivers merge accumulators deterministically in allocation-site order.
-//! 2. **[`Event`]** — the typed event vocabulary derived from merged
-//!    metrics: subproblem start/finish with site ids, per-phase samples,
-//!    counter samples, per-location structure counts, budget exhaustion and
-//!    cancellation.
-//! 3. **[`EventSink`]** — the consumer contract. [`NullSink`] discards
-//!    everything and reports itself disabled (callers skip event
-//!    construction entirely, so an unobserved run pays nothing for this
-//!    layer); [`MetricsSink`] aggregates events back into totals;
-//!    [`TraceWriter`] serializes each event as one NDJSON line.
+//! 2. **[`Event`]** — the NDJSON trace line vocabulary: subproblem
+//!    start/finish with site ids, per-phase samples, counter samples,
+//!    per-location structure counts, budget exhaustion and cancellation.
+//!    [`event_to_json`] renders one line; `hetsep-core`'s `write_trace`
+//!    renders a finished report's per-subproblem metrics as a whole trace.
 //!
-//! Instrumentation is **observation-only**: no sink and no metrics level may
-//! change which structures the engine explores, in which order, or what it
+//! Instrumentation is **observation-only**: no metrics level may change
+//! which structures the engine explores, in which order, or what it
 //! reports. Phase *counts* are always collected (plain integer increments);
 //! phase *durations* are only sampled when a run is created with
 //! `RunMetrics::new(true)` (two `Instant` reads per phase application), so
 //! the default configuration never touches the clock in the hot loop.
 
 use std::fmt;
-use std::io::{self, Write};
 use std::time::{Duration, Instant};
 
 /// The engine phases broken out by the observability layer (the cost
@@ -394,12 +389,11 @@ impl RunMetrics {
     }
 }
 
-/// A typed observability event.
+/// One line of the NDJSON trace.
 ///
-/// Events are derived from merged per-run metrics *after* subproblems
-/// complete and are delivered in deterministic site order, so an event
-/// stream is a reproducible record of a verification, not a live wire
-/// format (wall-clock nanoseconds excepted).
+/// Events are rendered from a finished report's per-subproblem metrics, in
+/// deterministic site order, so a trace is a reproducible record of a
+/// verification, not a live wire format (wall-clock nanoseconds excepted).
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
@@ -471,170 +465,12 @@ pub enum Event {
     },
 }
 
-/// A consumer of observability [`Event`]s.
+/// Renders one event as its NDJSON line (without the trailing newline).
 ///
-/// The contract: `record` must not panic on any event (including variants
-/// added after `#[non_exhaustive]` growth), must tolerate events in any
-/// order, and must not assume it sees a complete stream (a disabled sink
-/// sees nothing). Implementations receive events after the verification's
-/// subproblems complete, in deterministic site order.
-pub trait EventSink {
-    /// Whether the producer should construct and deliver events at all.
-    /// `false` lets instrumented code skip event construction entirely.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Consumes one event.
-    fn record(&mut self, event: &Event);
-}
-
-/// The disabled sink: reports `enabled() == false` and discards everything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: &Event) {}
-}
-
-/// A sink that aggregates events back into verification-wide totals.
-///
-/// Aggregation is order-independent (sums and maxima), so serial and
-/// parallel verifications that merge subproblems in site order produce
-/// byte-identical `MetricsSink` states whenever timing is disabled.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MetricsSink {
-    phases: PhaseTimings,
-    counters: Counters,
-    subproblems: usize,
-    finished: usize,
-    total_visits: u64,
-    total_errors: usize,
-    budget_exhausted: usize,
-    cancelled: usize,
-}
-
-impl MetricsSink {
-    /// Creates an empty aggregator.
-    pub fn new() -> MetricsSink {
-        MetricsSink::default()
-    }
-
-    /// Aggregated per-phase counts/durations across all subproblems.
-    pub fn phases(&self) -> &PhaseTimings {
-        &self.phases
-    }
-
-    /// Aggregated counters across all subproblems.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Subproblems started.
-    pub fn subproblems(&self) -> usize {
-        self.subproblems
-    }
-
-    /// Subproblems finished.
-    pub fn finished(&self) -> usize {
-        self.finished
-    }
-
-    /// Total action applications across finished subproblems.
-    pub fn total_visits(&self) -> u64 {
-        self.total_visits
-    }
-
-    /// Total per-line errors across finished subproblems.
-    pub fn total_errors(&self) -> usize {
-        self.total_errors
-    }
-
-    /// Subproblems that exhausted their own budget.
-    pub fn budget_exhausted(&self) -> usize {
-        self.budget_exhausted
-    }
-
-    /// Subproblems aborted by a sibling's cancellation.
-    pub fn cancelled(&self) -> usize {
-        self.cancelled
-    }
-}
-
-impl EventSink for MetricsSink {
-    fn record(&mut self, event: &Event) {
-        match event {
-            Event::SubproblemStart { .. } => self.subproblems += 1,
-            Event::PhaseSample {
-                phase, count, nanos, ..
-            } => self.phases.add(*phase, *count, *nanos),
-            Event::CounterSample { counter, value, .. } => {
-                if counter.merges_by_max() {
-                    self.counters.raise(*counter, *value);
-                } else {
-                    self.counters.add(*counter, *value);
-                }
-            }
-            Event::LocationStructures { .. } => {}
-            Event::BudgetExhausted { .. } => self.budget_exhausted += 1,
-            Event::Cancelled { .. } => self.cancelled += 1,
-            Event::SubproblemFinish { visits, errors, .. } => {
-                self.finished += 1;
-                self.total_visits += visits;
-                self.total_errors += errors;
-            }
-            // Forward compatibility: tolerate unknown events.
-            #[allow(unreachable_patterns)]
-            _ => {}
-        }
-    }
-}
-
-/// A sink that serializes every event as one NDJSON line.
-///
-/// The schema is covered by a golden-file test
+/// The schema is pinned by a golden-file test
 /// (`crates/tvl/tests/trace_schema.rs`); extend it additively — downstream
 /// tooling greps these lines. All emitted strings are fixed identifiers
 /// ([`Phase::label`], [`Counter::label`]), so no JSON escaping is needed.
-/// I/O errors are sticky: the first one stops further writes and is
-/// surfaced by [`TraceWriter::finish`].
-#[derive(Debug)]
-pub struct TraceWriter<W: Write> {
-    out: W,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> TraceWriter<W> {
-    /// Wraps a writer (pass a `BufWriter` for file targets).
-    pub fn new(out: W) -> TraceWriter<W> {
-        TraceWriter { out, error: None }
-    }
-
-    /// Flushes and returns the underlying writer, surfacing the first I/O
-    /// error encountered while recording.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Err(e) = self.out.write_all(line.as_bytes()) {
-            self.error = Some(e);
-        }
-    }
-}
-
-/// Renders one event as its NDJSON line (without the trailing newline).
 pub fn event_to_json(event: &Event) -> String {
     fn opt(site: Option<usize>) -> String {
         site.map_or_else(|| "null".to_owned(), |s| s.to_string())
@@ -694,14 +530,6 @@ pub fn event_to_json(event: &Event) -> String {
         // instead of breaking the stream.
         #[allow(unreachable_patterns)]
         _ => "{\"event\":\"unknown\"}".to_owned(),
-    }
-}
-
-impl<W: Write> EventSink for TraceWriter<W> {
-    fn record(&mut self, event: &Event) {
-        let mut line = event_to_json(event);
-        line.push('\n');
-        self.write_line(&line);
     }
 }
 
@@ -777,80 +605,6 @@ mod tests {
         assert_eq!(left.counters.get(Counter::InternHits), 111);
         assert_eq!(left.counters.get(Counter::WorklistPeakDepth), 9);
         assert_eq!(left.phases.get(Phase::Focus).count, 10);
-    }
-
-    #[test]
-    fn metrics_sink_aggregates_events() {
-        let mut sink = MetricsSink::new();
-        assert!(sink.enabled());
-        for (ix, site) in [(0, Some(3)), (1, Some(5))] {
-            sink.record(&Event::SubproblemStart { index: ix, site });
-            sink.record(&Event::PhaseSample {
-                index: ix,
-                phase: Phase::Coerce,
-                count: 4,
-                nanos: 40,
-            });
-            sink.record(&Event::CounterSample {
-                index: ix,
-                counter: Counter::WorklistPeakDepth,
-                value: 10 + ix as u64,
-            });
-            sink.record(&Event::CounterSample {
-                index: ix,
-                counter: Counter::InternMisses,
-                value: 2,
-            });
-            sink.record(&Event::SubproblemFinish {
-                index: ix,
-                site,
-                visits: 100,
-                structures: 7,
-                errors: ix,
-                complete: true,
-            });
-        }
-        sink.record(&Event::BudgetExhausted { index: 1, visits: 100 });
-        assert_eq!(sink.subproblems(), 2);
-        assert_eq!(sink.finished(), 2);
-        assert_eq!(sink.total_visits(), 200);
-        assert_eq!(sink.total_errors(), 1);
-        assert_eq!(sink.budget_exhausted(), 1);
-        assert_eq!(sink.cancelled(), 0);
-        assert_eq!(sink.phases().get(Phase::Coerce), PhaseStats { count: 8, nanos: 80 });
-        assert_eq!(sink.counters().get(Counter::WorklistPeakDepth), 11, "peak is max");
-        assert_eq!(sink.counters().get(Counter::InternMisses), 4, "misses sum");
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let mut sink = NullSink;
-        assert!(!sink.enabled());
-        sink.record(&Event::SubproblemStart { index: 0, site: None });
-    }
-
-    #[test]
-    fn trace_writer_emits_one_line_per_event() {
-        let mut w = TraceWriter::new(Vec::new());
-        w.record(&Event::SubproblemStart { index: 0, site: None });
-        w.record(&Event::SubproblemFinish {
-            index: 0,
-            site: None,
-            visits: 12,
-            structures: 3,
-            errors: 0,
-            complete: true,
-        });
-        let bytes = w.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            lines[0],
-            "{\"event\":\"subproblem_start\",\"subproblem\":0,\"site\":null}"
-        );
-        assert!(lines[1].starts_with("{\"event\":\"subproblem_finish\""));
-        assert!(lines[1].ends_with("\"complete\":true}"));
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Golden-file test for the NDJSON trace schema.
 //!
-//! The event stream is a *format contract* consumed by external tooling
+//! The trace line format is a *format contract* consumed by external tooling
 //! (`--trace` output), so its serialization is pinned against a committed
 //! golden file. The events here are hand-constructed — never produced by a
 //! live run — so wall-clock jitter cannot touch the golden bytes. If this
 //! test fails because the schema deliberately changed, regenerate
 //! `golden_trace.ndjson` and call the change out in the PR.
 
-use hetsep_tvl::telemetry::{event_to_json, Counter, Event, Phase, TraceWriter};
+use hetsep_tvl::telemetry::{event_to_json, Counter, Event, Phase};
 
 const GOLDEN: &str = include_str!("golden_trace.ndjson");
 
@@ -121,13 +121,12 @@ fn fixed_events() -> Vec<Event> {
 
 #[test]
 fn trace_writer_matches_golden_file() {
-    let mut writer = TraceWriter::new(Vec::new());
-    for event in fixed_events() {
-        use hetsep_tvl::telemetry::EventSink as _;
-        writer.record(&event);
-    }
-    let bytes = writer.finish().expect("in-memory writes cannot fail");
-    let got = String::from_utf8(bytes).expect("NDJSON is UTF-8");
+    // `hetsep-core`'s `write_trace` renders every line through
+    // `event_to_json`, one event per line.
+    let got: String = fixed_events()
+        .iter()
+        .map(|event| event_to_json(event) + "\n")
+        .collect();
     assert_eq!(
         got, GOLDEN,
         "NDJSON trace schema drifted from tests/golden_trace.ndjson"

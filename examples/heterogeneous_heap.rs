@@ -10,7 +10,7 @@
 use hetsep::core::concrete::states_at_line;
 use hetsep::core::engine::EngineConfig;
 use hetsep::core::translate::{translate, TranslateOptions};
-use hetsep::core::{MetricsSink, Mode, Phase, Verifier};
+use hetsep::core::{Mode, Phase, Verifier};
 use hetsep::strategy::parse_strategy;
 use hetsep::tvl::canon::{blur, canonical_key};
 use hetsep::tvl::display::to_text;
@@ -80,20 +80,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Where does the engine spend its effort verifying this heap? Run the
-    // per-connection separation mode with a metrics sink and per-phase
-    // wall-clock sampling (observation-only: results are unchanged).
-    let mut sink = MetricsSink::new();
+    // per-connection separation mode with per-phase wall-clock sampling
+    // (observation-only: results are unchanged) and read the report's
+    // merged metrics.
     let report = Verifier::new(&program, &spec)
         .mode(Mode::separation(strategy))
         .phase_timings(true)
-        .sink(&mut sink)
         .run()?;
     println!(
         "\n== engine effort (per-connection separation, {} subproblem(s)) ==\n",
         report.subproblems.len()
     );
     for phase in Phase::ALL {
-        let s = sink.phases().get(phase);
+        let s = report.metrics.phases.get(phase);
         println!(
             "  {:<7} {:>7} applications  {:>8.3} ms",
             phase.label(),

@@ -5,7 +5,7 @@
 //! cargo run -p hetsep --example quickstart
 //! ```
 
-use hetsep::core::{MetricsSink, Mode, Verifier};
+use hetsep::core::{Mode, Phase, Verifier};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small client of the IO-streams library: the second read happens
@@ -49,14 +49,12 @@ void main() {
     );
 
     // And with a per-stream separation strategy, watching the engine
-    // through a metrics sink.
+    // through the report's merged metrics.
     let strategy =
         hetsep::strategy::parse_strategy(hetsep::strategy::builtin::IOSTREAM_SINGLE)?;
     println!("\nstrategy:\n{}", hetsep::strategy::builtin::IOSTREAM_SINGLE.trim());
-    let mut sink = MetricsSink::new();
     let report = Verifier::new(&program, &spec)
         .mode(Mode::separation(strategy))
-        .sink(&mut sink)
         .run()?;
     println!("separation verification ({} subproblems):", report.subproblems.len());
     for e in &report.errors {
@@ -68,10 +66,10 @@ void main() {
         report.avg_visits_per_subproblem()
     );
     println!(
-        "  observed via sink: {} subproblems, {} visits, {} focus applications",
-        sink.subproblems(),
-        sink.total_visits(),
-        sink.phases().get(hetsep::core::Phase::Focus).count
+        "  report metrics: {} subproblems, {} visits, {} focus applications",
+        report.subproblems.len(),
+        report.total_visits,
+        report.metrics.phases.get(Phase::Focus).count
     );
     Ok(())
 }

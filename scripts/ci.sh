@@ -21,9 +21,10 @@ cargo test -q -p hetsep-tvl --release --test bulk_grow
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
 # must hold whatever the outer (subproblem) and inner (intra-batch
 # transfer fan-out) worker counts are. The expensive generated workloads
-# stay out of the matrix; everything else runs under both env settings.
-for t in 1 4; do
-    HETSEP_THREADS=$t HETSEP_INTRA_THREADS=$t \
+# stay out of the matrix; everything else runs under every env setting:
+# the full outer {1,2} x inner {1,2} cross, plus an oversubscribed 4/4 leg.
+for workers in 1/1 1/2 2/1 2/2 4/4; do
+    HETSEP_THREADS=${workers%/*} HETSEP_INTRA_THREADS=${workers#*/} \
         cargo test -q -p hetsep-core --release --test determinism -- \
         --skip generated_workloads
 done
@@ -78,7 +79,21 @@ cargo run -q -p hetsep-bench --bin table3 --release -- \
     --threads 1 --no-summaries --json "$table3_quick_json" \
     ISPath KernelBench1 db SharedLibLoop > /dev/null
 table3_quick
-rm -f "$table3_quick_json"
+
+# Trace golden: the NDJSON trace rendered from a quick Table 3 subset's
+# per-subproblem rows must be byte-identical to the committed golden,
+# serially and with both the subproblem and the intra-batch fan-out on.
+# Phase timings stay off, so every `nanos` field is 0.
+trace_quick="$(mktemp)"
+cargo run -q -p hetsep-bench --bin table3 --release -- \
+    --threads 1 --json "$table3_quick_json" --trace "$trace_quick" \
+    ISPath db SharedLibLoop > /dev/null
+diff -u scripts/trace_quick.golden "$trace_quick"
+HETSEP_INTRA_THREADS=2 cargo run -q -p hetsep-bench --bin table3 --release -- \
+    --threads 2 --json "$table3_quick_json" --trace "$trace_quick" \
+    ISPath db SharedLibLoop > /dev/null
+diff -u scripts/trace_quick.golden "$trace_quick"
+rm -f "$table3_quick_json" "$trace_quick"
 
 # Per-procedure summary gate: the shared-library bench asserts internally
 # that verdicts/visits/space are identical across baseline (summaries

@@ -7,13 +7,12 @@
 //! `cargo test -p hetsep --test table3_shape -- --ignored` runs it.
 
 use hetsep::harness::{run_benchmark, run_mode, table3_config};
-use hetsep::NullSink;
 use hetsep::suite::{self, TableMode};
 
 fn assert_expectations(name: &str) {
     let bench = suite::by_name(name).unwrap();
     let config = table3_config();
-    let rows = run_benchmark(&bench, &config, &mut NullSink).unwrap();
+    let rows = run_benchmark(&bench, &config).unwrap();
     for (row, expected) in rows.iter().zip(&bench.expected_reported) {
         assert_eq!(
             row.reported, *expected,
@@ -38,9 +37,9 @@ fn ispath_all_modes_verify() {
 fn input_stream5_vanilla_false_alarm_removed_by_separation() {
     let bench = suite::by_name("InputStream5").unwrap();
     let config = table3_config();
-    let vanilla = run_mode(&bench, TableMode::Vanilla, &config, &mut NullSink).unwrap();
+    let vanilla = run_mode(&bench, TableMode::Vanilla, &config).unwrap();
     assert_eq!(vanilla.reported, Some(1), "vanilla must report a false alarm");
-    let single = run_mode(&bench, TableMode::Single, &config, &mut NullSink).unwrap();
+    let single = run_mode(&bench, TableMode::Single, &config).unwrap();
     assert_eq!(single.reported, Some(0), "separation must verify");
 }
 
@@ -82,8 +81,8 @@ fn kernel_bench1_error_found_everywhere() {
 fn jdbc_example_separation_space_beats_vanilla() {
     let bench = suite::by_name("JDBCExample").unwrap();
     let config = table3_config();
-    let vanilla = run_mode(&bench, TableMode::Vanilla, &config, &mut NullSink).unwrap();
-    let single = run_mode(&bench, TableMode::Single, &config, &mut NullSink).unwrap();
+    let vanilla = run_mode(&bench, TableMode::Vanilla, &config).unwrap();
+    let single = run_mode(&bench, TableMode::Single, &config).unwrap();
     assert!(
         single.space < vanilla.space,
         "single-mode peak space ({}) must be below vanilla ({})",
@@ -105,9 +104,9 @@ fn jdbc_example_separation_space_beats_vanilla() {
 fn kernel_bench3_vanilla_explodes_separation_finishes() {
     let bench = suite::by_name("KernelBench3").unwrap();
     let config = table3_config();
-    let vanilla = run_mode(&bench, TableMode::Vanilla, &config, &mut NullSink).unwrap();
+    let vanilla = run_mode(&bench, TableMode::Vanilla, &config).unwrap();
     assert_eq!(vanilla.reported, None, "vanilla must exceed budget (the `-` row)");
-    let single = run_mode(&bench, TableMode::Single, &config, &mut NullSink).unwrap();
+    let single = run_mode(&bench, TableMode::Single, &config).unwrap();
     assert_eq!(single.reported, Some(1), "separation finds the real error");
     assert!(single.space * 10 < vanilla.space);
 }
@@ -117,7 +116,7 @@ fn kernel_bench3_vanilla_explodes_separation_finishes() {
 fn full_table3() {
     for bench in suite::all() {
         let config = table3_config();
-        let rows = run_benchmark(&bench, &config, &mut NullSink).unwrap();
+        let rows = run_benchmark(&bench, &config).unwrap();
         for (row, expected) in rows.iter().zip(&bench.expected_reported) {
             assert_eq!(
                 row.reported, *expected,
