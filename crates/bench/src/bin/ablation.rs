@@ -2,15 +2,18 @@
 //!
 //! * heterogeneous abstraction on/off (separation with homogeneous A),
 //! * transitive relevance on/off (paper §4.3),
-//! * structure-merging policy (powerset / nullary join / relevant-iso),
 //!
 //! measured on a scaled JDBC workload and the InputStream5 holder program.
+//! Every variant stores location sets as the plain powerset of canonical
+//! structures; the paper's §5 structure merging is not implemented (see
+//! DESIGN.md §3). `scripts/ci.sh` diffs the output against
+//! `scripts/ablation_quick.golden`.
 //!
 //! ```sh
 //! cargo run -p hetsep-bench --bin ablation --release
 //! ```
 
-use hetsep::core::engine::{run, EngineConfig, StructureMerge};
+use hetsep::core::engine::{run, EngineConfig};
 use hetsep::core::translate::{translate, TranslateOptions};
 use hetsep::strategy::parse_strategy;
 use hetsep::suite;
@@ -20,7 +23,6 @@ struct Variant {
     name: &'static str,
     heterogeneous: bool,
     transitive: bool,
-    merge: StructureMerge,
 }
 
 const VARIANTS: &[Variant] = &[
@@ -28,31 +30,16 @@ const VARIANTS: &[Variant] = &[
         name: "full (hetero + transitive, powerset)",
         heterogeneous: true,
         transitive: true,
-        merge: StructureMerge::Powerset,
     },
     Variant {
         name: "no heterogeneous abstraction",
         heterogeneous: false,
         transitive: true,
-        merge: StructureMerge::Powerset,
     },
     Variant {
         name: "no transitive relevance",
         heterogeneous: true,
         transitive: false,
-        merge: StructureMerge::Powerset,
-    },
-    Variant {
-        name: "merge: nullary join",
-        heterogeneous: true,
-        transitive: true,
-        merge: StructureMerge::NullaryJoin,
-    },
-    Variant {
-        name: "merge: relevant-substructure iso",
-        heterogeneous: true,
-        transitive: true,
-        merge: StructureMerge::RelevantIso,
     },
 ];
 
@@ -72,9 +59,7 @@ fn run_variant(
     };
     let inst = translate(&program, &spec, &options)?;
     let config = EngineConfig {
-        merge: v.merge,
-        // Tight caps: the union-based join policies can be very slow on
-        // larger workloads; a truncated run still shows the space shape.
+        // Tight caps: a truncated run still shows the space shape.
         max_visits: 30_000,
         max_structures: 20_000,
         ..EngineConfig::default()

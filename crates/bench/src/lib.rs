@@ -8,7 +8,8 @@
 //! * `fig3` — the file-in-a-loop comparison against the ESP-style baseline,
 //! * `fig7` — the heterogeneous abstract configuration of Fig. 7,
 //! * `ablation` — design-choice ablations (heterogeneous abstraction on/off,
-//!   transitive relevance, merge policies) over scaled JDBC workloads.
+//!   transitive relevance on/off) over a scaled JDBC workload and
+//!   InputStream5.
 //!
 //! Run e.g. `cargo run -p hetsep-bench --bin table3 --release`.
 

@@ -3,13 +3,14 @@
 //! A chaotic-iteration worklist over the CFG: each program location holds a
 //! set of canonically-abstracted 3-valued structures; applying an edge's
 //! action (focus → coerce → assume → checks → update) to a structure yields
-//! post-structures that are blurred and joined into the successor location.
+//! post-structures that are blurred and added to the successor location's
+//! set — the location domain is the plain powerset of canonical structures.
 //! `requires` violations are collected as error reports; for incremental
 //! strategies, the allocation sites of the chosen objects in violating
 //! states are recorded as *failing sites*.
 //!
 //! Structures are hash-consed through a per-run [`StructureInterner`]:
-//! location sets, merge maps and the worklist store compact [`StructureId`]s
+//! location sets and the worklist store compact [`StructureId`]s
 //! instead of cloned [`Structure`]s, and map probes hash a 4-byte id rather
 //! than a full predicate interpretation. The worklist is prioritized by
 //! reverse postorder of the CFG so loop bodies stabilize before their exits
@@ -30,12 +31,12 @@ use std::time::{Duration, Instant};
 
 use hetsep_ir::cfg::Cfg;
 use hetsep_tvl::action::apply_planned;
-use hetsep_tvl::canon::{blur, canonical_key};
+use hetsep_tvl::canon::blur;
 use hetsep_tvl::coerce::CoercePlan;
 use hetsep_tvl::focus::DEFAULT_FOCUS_LIMIT;
 use hetsep_tvl::intern::{StructureId, StructureInterner};
 use hetsep_tvl::kleene::Kleene;
-use hetsep_tvl::pred::{Arity, PredTable};
+use hetsep_tvl::pred::PredTable;
 use hetsep_tvl::structure::Structure;
 use hetsep_tvl::telemetry::{Counter, Phase, RunMetrics};
 
@@ -48,21 +49,6 @@ use crate::vocab::SiteId;
 
 /// How often (in action applications) a run polls its cancellation flag.
 const CANCEL_CHECK_INTERVAL: u64 = 64;
-
-/// How structures arriving at one program location are merged (paper §5,
-/// "Structure Merging").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StructureMerge {
-    /// Keep every isomorphism class (TVLA's default powerset).
-    #[default]
-    Powerset,
-    /// Merge structures agreeing on all nullary predicates.
-    NullaryJoin,
-    /// Heterogeneous merging `≈_relevant`: merge structures whose relevant
-    /// substructures are isomorphic (falls back to powerset in vanilla mode,
-    /// where no relevance predicate exists).
-    RelevantIso,
-}
 
 /// Parallel-scheduling knobs. `threads` controls how many independent
 /// subproblems the mode-level drivers (see [`crate::modes::verify`]) run
@@ -129,16 +115,14 @@ pub struct EngineConfig {
     pub max_visits: u64,
     /// Abort when this many structures are stored across all locations.
     pub max_structures: usize,
-    /// Structure-merging policy at program locations.
-    pub merge: StructureMerge,
     /// Subproblem scheduling (used by mode drivers, not by `run` itself).
     pub parallel: ParallelConfig,
     /// Sample wall-clock durations per engine phase (focus, coerce, update,
-    /// canonical abstraction, merge) into [`RunStats::metrics`]. Off by
-    /// default: phase *counts* and counters are always collected (integer
-    /// increments), but duration sampling reads the clock twice per phase
-    /// application. Observation-only either way — exploration order and
-    /// results never depend on this flag.
+    /// canonical abstraction, location-set insertion) into
+    /// [`RunStats::metrics`]. Off by default: phase *counts* and counters
+    /// are always collected (integer increments), but duration sampling
+    /// reads the clock twice per phase application. Observation-only either
+    /// way — exploration order and results never depend on this flag.
     pub phase_timings: bool,
     /// Run the flow-sensitive points-to × typestate preanalysis before
     /// fanning out non-simultaneous separation subproblems, and skip the
@@ -178,9 +162,8 @@ pub struct EngineConfig {
     /// once per arrival. The nested drain is a pure function of its key, so
     /// verdicts, errors, `visits`, and `structures` are byte-identical with
     /// summaries on or off — only the `summary_*`/`call_evaluations`
-    /// counters and wall-clock differ. Applies under the powerset merge
-    /// policy (every mode driver's policy); other policies drain flat. On by
-    /// default; disable via `--no-summaries`.
+    /// counters and wall-clock differ. On by default; disable via
+    /// `--no-summaries`.
     pub summaries: bool,
 }
 
@@ -190,7 +173,6 @@ impl Default for EngineConfig {
             focus_limit: DEFAULT_FOCUS_LIMIT,
             max_visits: 2_000_000,
             max_structures: 400_000,
-            merge: StructureMerge::Powerset,
             parallel: ParallelConfig::default(),
             phase_timings: false,
             preanalysis: false,
@@ -222,13 +204,12 @@ pub struct RunStats {
     /// Action applications performed.
     pub visits: u64,
     /// Peak number of structures stored across all locations at any point
-    /// during the run. Tracked explicitly at every insertion: merging
-    /// policies replace stored representatives rather than only adding, so
-    /// "location sets only grow" does not hold in general and the final
-    /// count is not a reliable peak.
+    /// during the run. Tracked explicitly at every insertion: nested region
+    /// drains discard their region-local sets when they finish, so the
+    /// final count is not a reliable peak.
     pub structures: usize,
-    /// Distinct structures materialized by the run's interner (canonical
-    /// forms plus merge-key substructures) — a proxy for arena memory.
+    /// Distinct structures materialized by the run's interner — a proxy for
+    /// arena memory.
     pub distinct_structures: usize,
     /// Largest universe size among visited structures.
     pub peak_nodes: usize,
@@ -259,19 +240,6 @@ impl RunResult {
     pub fn verified(&self) -> bool {
         self.errors.is_empty() && self.outcome == AnalysisOutcome::Complete
     }
-}
-
-/// The key under which a structure is merged at a location.
-///
-/// Structure-valued variants hold interned ids, not structures: interning
-/// guarantees id equality ⇔ structure equality (fingerprint collisions are
-/// resolved inside the interner with full comparisons), so keying on the id
-/// is exact while hashing only 4 bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum MergeKey {
-    Whole(StructureId),
-    Nullary(Vec<Kleene>),
-    Relevant(StructureId),
 }
 
 /// Key of one memoized evaluation at either memo level: (content-deduped
@@ -494,34 +462,6 @@ fn compute_transfer(
     (posts, TransferMemo { violations, peak_post_nodes })
 }
 
-/// Computes the merge key of the (already interned) structure `id`.
-fn merge_key(
-    interner: &mut StructureInterner,
-    id: StructureId,
-    instance: &AnalysisInstance,
-    policy: StructureMerge,
-) -> MergeKey {
-    let table = &instance.vocab.table;
-    match (policy, instance.vocab.relevant) {
-        (StructureMerge::Powerset, _) | (StructureMerge::RelevantIso, None) => MergeKey::Whole(id),
-        (StructureMerge::NullaryJoin, _) => {
-            let s = interner.resolve(id);
-            MergeKey::Nullary(
-                table
-                    .iter_arity(Arity::Nullary)
-                    .map(|p| s.nullary(table, p))
-                    .collect(),
-            )
-        }
-        (StructureMerge::RelevantIso, Some(rel)) => {
-            let s = interner.resolve(id);
-            let (sub, _) = s.retain_nodes(table, |u| s.unary(table, rel, u) == Kleene::True);
-            let sub = canonical_key(&sub, table).into_structure();
-            MergeKey::Relevant(interner.intern(sub))
-        }
-    }
-}
-
 /// Reverse-postorder rank of every CFG node (entry = 0). Nodes unreachable
 /// from the entry get the largest rank; ties in the worklist are broken by
 /// insertion order, so their relative processing order is still
@@ -605,9 +545,12 @@ struct RegionSink {
 /// The worklist state of one drain — the global run's, or one nested region
 /// evaluation's.
 struct Frontier {
-    /// Merge-keyed location sets, indexed by `node - base`: the global run
-    /// holds every node (`base` 0), a region evaluation its own node range.
-    states: Vec<HashMap<MergeKey, StructureId>>,
+    /// Location sets, indexed by `node - base`: the global run holds every
+    /// node (`base` 0), a region evaluation its own node range. Members are
+    /// interned ids, so set membership is exact structure equality (the
+    /// interner resolves fingerprint collisions with full comparisons) while
+    /// hashing only 4 bytes.
+    states: Vec<HashSet<StructureId>>,
     /// Min-heap on (rpo rank, insertion sequence, node, structure): lower-
     /// ranked locations first, FIFO among equal ranks — a deterministic
     /// priority worklist.
@@ -648,8 +591,8 @@ struct EngineCtx<'a> {
     /// Fallback cancellation flag for the intra-batch fan-out when the
     /// caller supplied none (`map_ordered` always polls a flag).
     local_cancel: AtomicBool,
-    /// Region index by global entry-node index; empty when the run drains
-    /// flat (non-powerset merge policy or a region-free CFG).
+    /// Region index by global entry-node index; empty when the CFG has no
+    /// call regions (the run then drains flat).
     region_by_entry: HashMap<usize, usize>,
     /// Content id per region — an index into the run's distinct-content
     /// list, so splices of one procedure with identical instrumentation
@@ -853,11 +796,7 @@ pub fn run_shared(
         action_ids.push(ids);
     }
 
-    // Region-structured evaluation applies under the powerset policy only:
-    // the joining merge policies fold arrivals at every location, so a
-    // region's behavior is not a function of single entry structures there
-    // and the CFG drains flat, exactly as a region-free graph does.
-    let use_regions = config.merge == StructureMerge::Powerset && !cfg.regions().is_empty();
+    let use_regions = !cfg.regions().is_empty();
     let mut region_by_entry: HashMap<usize, usize> = HashMap::new();
     let mut region_contents: Vec<u32> = Vec::new();
     let mut distinct_contents: Vec<String> = Vec::new();
@@ -920,17 +859,14 @@ pub fn run_shared(
     // structures are interned directly without a re-keying pass.
     let init = metrics.time(Phase::Canon, || blur(&Structure::new(table), table));
     let init_id = interner.intern(init);
-    let init_key = metrics.time(Phase::Merge, || {
-        merge_key(&mut interner, init_id, instance, config.merge)
-    });
     let mut fr = Frontier {
-        states: vec![HashMap::new(); n_nodes],
+        states: vec![HashSet::new(); n_nodes],
         worklist: BinaryHeap::new(),
         seq: 0,
         base: 0,
         sink: None,
     };
-    fr.states[cfg.entry()].insert(init_key, init_id);
+    metrics.time(Phase::Merge, || fr.states[cfg.entry()].insert(init_id));
     fr.push(ctx.rpo[cfg.entry()], cfg.entry(), init_id, &mut metrics);
 
     let mut st = EngineSt {
@@ -1268,8 +1204,8 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                         st.note_failing_structure(instance, &s);
                     }
                     st.raise_peak_nodes(memo.peak_post_nodes);
-                    for &keyed_id in posts {
-                        commit_post(ctx, st, fr, edge.to, keyed_id);
+                    for &post in posts {
+                        commit_post(ctx, st, fr, edge.to, post);
                     }
                     if let Some(input) = fresh {
                         st.transfers
@@ -1282,67 +1218,29 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
     Ok(())
 }
 
-/// Commits one post-structure at node `to` of the frontier: merge-keys it,
-/// joins or inserts per the merge policy, and pushes changed representatives
-/// onto the worklist. Arrivals at a region sink's exit node are collected
-/// instead (deduplicated, arrival order) — the region's caller commits them
-/// against its own states.
+/// Commits one post-structure at node `to` of the frontier: adds it to the
+/// node's location set and pushes it onto the worklist if it is new.
+/// Arrivals at a region sink's exit node are collected instead
+/// (deduplicated, arrival order) — the region's caller commits them against
+/// its own states.
 fn commit_post(
     ctx: &EngineCtx<'_>,
     st: &mut EngineSt<'_>,
     fr: &mut Frontier,
     to: usize,
-    keyed_id: StructureId,
+    id: StructureId,
 ) {
     if let Some(sink) = fr.sink.as_mut().filter(|sink| sink.exit == to) {
-        if sink.seen.insert(keyed_id) {
-            sink.exits.push(keyed_id);
+        if sink.seen.insert(id) {
+            sink.exits.push(id);
         }
         return;
     }
-    let key = {
-        let EngineSt {
-            metrics, interner, ..
-        } = &mut *st;
-        metrics.time(Phase::Merge, || {
-            merge_key(interner, keyed_id, ctx.instance, ctx.config.merge)
-        })
-    };
     let slot = to - fr.base;
-    match fr.states[slot].get(&key) {
-        None => {
-            st.live += 1;
-            st.raise_live_peak(st.live);
-            fr.states[slot].insert(key, keyed_id);
-            fr.push(ctx.rpo[to], to, keyed_id, &mut st.metrics);
-        }
-        Some(&existing) if existing == keyed_id => {}
-        Some(&existing) => {
-            // Join into the existing representative. The raw union may
-            // violate uniqueness/functionality constraints across the merged
-            // states; weaken those conflicts to 1/2 so coerce does not
-            // discard the join.
-            st.metrics.counters.add(Counter::MergeJoins, 1);
-            let table = &ctx.instance.vocab.table;
-            let merged = {
-                let EngineSt {
-                    metrics, interner, ..
-                } = &mut *st;
-                metrics.time(Phase::Merge, || {
-                    let ex = interner.resolve(existing);
-                    let ky = interner.resolve(keyed_id);
-                    blur(
-                        &hetsep_tvl::merge::weaken_union_conflicts(&ex.union(ky), table),
-                        table,
-                    )
-                })
-            };
-            let merged_id = st.interner.intern(merged);
-            if merged_id != existing {
-                fr.states[slot].insert(key, merged_id);
-                fr.push(ctx.rpo[to], to, merged_id, &mut st.metrics);
-            }
-        }
+    if st.metrics.time(Phase::Merge, || fr.states[slot].insert(id)) {
+        st.live += 1;
+        st.raise_live_peak(st.live);
+        fr.push(ctx.rpo[to], to, id, &mut st.metrics);
     }
 }
 
@@ -1415,12 +1313,11 @@ fn compute_region(
         live_base,
         ..Recorder::default()
     });
-    // Region drains only run under the powerset policy, so the entry seed's
-    // merge key is its own id — no timed merge-key pass — and the seed is
-    // neither counted against the live total (it is already stored at the
-    // caller's entry-node state) nor as a worklist push.
-    let mut states = vec![HashMap::new(); region.nodes().len()];
-    states[entry - base].insert(MergeKey::Whole(input), input);
+    // The entry seed is inserted untimed and is neither counted against the
+    // live total (it is already stored at the caller's entry-node state) nor
+    // as a worklist push.
+    let mut states = vec![HashSet::new(); region.nodes().len()];
+    states[entry - base].insert(input);
     let mut fr = Frontier {
         states,
         worklist: BinaryHeap::from([Reverse((ctx.rpo[entry], 0, entry, input))]),

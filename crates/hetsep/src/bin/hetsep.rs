@@ -215,13 +215,14 @@ fn cmd_verify(o: &Options) -> Result<ExitCode, String> {
 }
 
 /// Lints one source (a file's contents or a suite program) and returns its
-/// diagnostics. Parse failures surface as `E000` diagnostics rather than
-/// aborting, so `--format json` consumers always get a well-formed stream.
+/// diagnostics. Parse failures surface as `E000` (or `E023`, nesting too
+/// deep) diagnostics rather than aborting, so `--format json` consumers
+/// always get a well-formed stream.
 fn lint_source(src: &str, o: &Options) -> Result<Vec<hetsep::ir::Diagnostic>, String> {
     use hetsep::ir::Diagnostic;
     let program = match hetsep::ir::parse_program(src) {
         Ok(p) => p,
-        Err(e) => return Ok(vec![Diagnostic::error("E000", e.message, e.line)]),
+        Err(e) => return Ok(vec![Diagnostic::error(e.code, e.message, e.line)]),
     };
     // The spec to judge strategies against: an explicit --spec file, else
     // the trusted built-in named by the program's `uses` clause.

@@ -267,3 +267,70 @@ fn cache_flag_carries_warmth_across_restarts() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Pipes `lines` into `hetsep serve --quiet`; returns the exit status and
+/// the parsed response lines.
+fn serve_lines(lines: &[String]) -> (std::process::ExitStatus, Vec<JsonValue>) {
+    let mut child = bin()
+        .args(["serve", "--quiet"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(lines.join("\n").as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let responses = stdout
+        .lines()
+        .map(|l| json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}")))
+        .collect();
+    (out.status, responses)
+}
+
+/// A request line nested far past the JSON parser's depth limit is answered
+/// in-band as an invalid line; the daemon keeps serving and exits cleanly.
+#[test]
+fn deeply_nested_json_line_is_invalid_not_fatal() {
+    let (status, responses) = serve_lines(&[
+        "[".repeat(200_000),
+        "{\"op\":\"status\"}".into(),
+        "{\"op\":\"shutdown\"}".into(),
+    ]);
+    assert!(status.success(), "serve exited with {status:?}");
+    assert_eq!(responses.len(), 3);
+    assert_eq!(text(&responses[0], "op"), "invalid");
+    assert_eq!(responses[0].get("ok").and_then(JsonValue::as_bool), Some(false));
+    assert!(text(&responses[0], "error").contains("nesting deeper than"));
+    assert_eq!(text(&responses[1], "op"), "status");
+    assert_eq!(num(&responses[1], "requests"), 2);
+    assert_eq!(text(&responses[2], "op"), "shutdown");
+}
+
+/// A program nested past the parser's block limit is refused with `E023`
+/// in the `load_program` response instead of overflowing the stack.
+#[test]
+fn deeply_nested_program_load_reports_e023() {
+    let source = format!(
+        "program P uses IOStreams;\nvoid main() {{\n{}{}",
+        "if (?) {\n".repeat(20_000),
+        "}\n".repeat(20_001)
+    );
+    let load = hetsep::ir::Request::LoadProgram {
+        name: "deep".into(),
+        source,
+    }
+    .to_json();
+    let (status, responses) = serve_lines(&[load, "{\"op\":\"shutdown\"}".into()]);
+    assert!(status.success(), "serve exited with {status:?}");
+    assert_eq!(responses.len(), 2);
+    assert_eq!(text(&responses[0], "op"), "load_program");
+    assert_eq!(responses[0].get("ok").and_then(JsonValue::as_bool), Some(false));
+    assert!(text(&responses[0], "error").contains("E023"), "{:?}", responses[0]);
+    assert_eq!(text(&responses[1], "op"), "shutdown");
+}

@@ -116,14 +116,24 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Protocol messages nest
+/// at most three levels; the limit keeps the recursive descent far away
+/// from the end of the stack on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
 ///
-/// Returns a message describing the first malformed construct.
+/// Returns a message describing the first malformed construct, or an error
+/// if arrays and objects nest deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<JsonValue, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, at: 0 };
+    let mut p = Parser {
+        bytes,
+        at: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -136,6 +146,8 @@ pub fn parse(src: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -176,8 +188,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -186,6 +198,24 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.at)),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -348,6 +378,18 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("true false").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nest = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let hostile = "[".repeat(200_000);
+        assert!(parse(&hostile).unwrap_err().contains("nesting deeper than"));
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

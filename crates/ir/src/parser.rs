@@ -6,9 +6,18 @@ use crate::ast::{Arg, Block, ClassDecl, Cond, Expr, MethodDecl, Place, Program, 
 use crate::lexer::{lex, LexError};
 use crate::token::{Token, TokenKind};
 
+/// Deepest block nesting the parser accepts (a method body is one level).
+/// Hand-written programs nest a handful of levels; the limit keeps the
+/// recursive descent, and every recursive pass over the tree after it, far
+/// away from the end of the stack on hostile input.
+pub const MAX_NESTING: usize = 100;
+
 /// A parse (or lex) error with its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
+    /// Stable diagnostic code: `E000` for a syntax error, `E023` for
+    /// nesting deeper than [`MAX_NESTING`].
+    pub code: &'static str,
     /// Explanation of the error.
     pub message: String,
     /// 1-based source line.
@@ -17,7 +26,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "parse error[{}] at line {}: {}",
+            self.code, self.line, self.message
+        )
     }
 }
 
@@ -26,6 +39,7 @@ impl std::error::Error for ParseError {}
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> ParseError {
         ParseError {
+            code: "E000",
             message: e.message,
             line: e.line,
         }
@@ -50,12 +64,19 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Blocks currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -81,6 +102,7 @@ impl Parser {
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
+            code: "E000",
             message: message.into(),
             line: self.line(),
         })
@@ -193,13 +215,25 @@ impl Parser {
         })
     }
 
+    /// Parses a `{ … }` block. Statements recurse only through blocks, so
+    /// this is where nesting is counted; an error aborts the whole parse, so
+    /// the counter is only unwound on success.
     fn block(&mut self) -> Result<Block, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError {
+                code: "E023",
+                message: format!("nesting too deep: more than {MAX_NESTING} nested blocks"),
+                line: self.line(),
+            });
+        }
         self.expect(TokenKind::LBrace)?;
+        self.depth += 1;
         let mut stmts = Vec::new();
         while *self.peek() != TokenKind::RBrace {
             stmts.push(self.stmt()?);
         }
         self.expect(TokenKind::RBrace)?;
+        self.depth -= 1;
         Ok(Block { stmts })
     }
 
@@ -674,5 +708,33 @@ void main() {
     fn error_on_missing_semi() {
         let err = parse_program("program P uses X; void main() { a = b }").unwrap_err();
         assert!(err.message.contains("expected `;`"), "{}", err.message);
+        assert_eq!(err.code, "E000");
+    }
+
+    /// `main` holding `depth - 1` nested `if (?) { … }` blocks, one per line.
+    fn nested(depth: usize) -> String {
+        let mut src = String::from("program P uses IOStreams;\nvoid main() {\n");
+        src.push_str(&"if (?) {\n".repeat(depth - 1));
+        src.push_str(&"}\n".repeat(depth));
+        src
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        let p = parse_program(&nested(MAX_NESTING)).unwrap();
+        assert_eq!(p.methods[0].body.stmts.len(), 1);
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_e023() {
+        let err = parse_program(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.code, "E023");
+        assert!(err.message.contains("nesting too deep"), "{}", err.message);
+        // The block that opens one level too deep, on line 2 + MAX_NESTING.
+        assert_eq!(err.line, 2 + MAX_NESTING as u32);
+        assert!(err.to_string().contains("E023"), "{err}");
+        // Hostile depth fails the same way instead of exhausting the stack.
+        let err = parse_program(&nested(20_000)).unwrap_err();
+        assert_eq!(err.code, "E023");
     }
 }

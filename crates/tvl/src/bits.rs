@@ -13,8 +13,7 @@
 //! with the invariant `t & h == 0` (a lane is never both). Under this
 //! encoding a Kleene test becomes a constant number of boolean word
 //! operations applied to 64 lanes at once: for example `a ⊑ b` fails on
-//! exactly the lanes of `!(eq | hb)` ([`le_info_violations`]), and weakening
-//! `True → Unknown` is `h |= t; t = 0` ([`weaken_rows`]). The word identities
+//! exactly the lanes of `!(eq | hb)` ([`le_info_violations`]). The word identities
 //! are checked exhaustively against the scalar [`Kleene`] operations — for
 //! all 3×3 input pairs in all 64 lanes — by the property tests in
 //! `tests/properties.rs` and the unit tests below.
@@ -163,25 +162,6 @@ pub fn or_into(dst: &mut [u64], src: &[u64]) {
     }
     for (dw, &sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
         *dw |= sw;
-    }
-}
-
-/// In-place information-order weakening `True → Unknown` of a whole row:
-/// `h |= t; t = 0` (the merge-conflict weakening), block at a time.
-#[inline]
-pub fn weaken_rows(t: &mut [u64], h: &mut [u64]) {
-    assert_eq!(t.len(), h.len());
-    let mut tb = t.chunks_exact_mut(BLOCK_WORDS);
-    let mut hb = h.chunks_exact_mut(BLOCK_WORDS);
-    for (tw, hw) in tb.by_ref().zip(hb.by_ref()) {
-        for i in 0..BLOCK_WORDS {
-            hw[i] |= tw[i];
-            tw[i] = 0;
-        }
-    }
-    for (tw, hw) in tb.into_remainder().iter_mut().zip(hb.into_remainder()) {
-        *hw |= *tw;
-        *tw = 0;
     }
 }
 

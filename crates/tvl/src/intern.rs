@@ -1,7 +1,7 @@
 //! Hash-consing of canonically-ordered structures.
 //!
 //! The abstract-interpretation engine keeps every canonical structure it has
-//! seen in per-location sets and merge maps. Cloning whole [`Structure`]
+//! seen in per-location sets and its worklist. Cloning whole [`Structure`]
 //! values into each of those containers — and hashing the full predicate
 //! interpretation on every map probe — dominates analysis time on the larger
 //! benchmarks. A [`StructureInterner`] stores each distinct structure once in

@@ -130,7 +130,7 @@ impl Kleene {
     /// Least upper bound in the *information order*: `x ⊔ x = x`, and the
     /// join of two distinct values is `Unknown`.
     ///
-    /// This is the operation used when merging individuals or structures.
+    /// This is the operation used when blur merges individuals.
     #[inline]
     pub fn join(self, other: Kleene) -> Kleene {
         if self == other {

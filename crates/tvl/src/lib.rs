@@ -14,8 +14,6 @@
 //! * [`canon`] — canonical abstraction (individual merging / "blur"),
 //! * [`mod@focus`] — materialization of definite values out of summary nodes,
 //! * [`mod@coerce`] — constraint-driven sharpening and infeasibility pruning,
-//! * [`merge`] — structure-merging policies, including the paper's
-//!   *heterogeneous* merge keyed on the relevant substructure,
 //! * [`action`] — predicate-update transformers (the operational semantics of
 //!   a first-order transition system),
 //! * [`display`] — text/DOT rendering of structures (paper Figures 2, 5, 7),
@@ -48,7 +46,6 @@ pub mod focus;
 pub mod formula;
 pub mod intern;
 pub mod kleene;
-pub mod merge;
 pub mod pred;
 pub mod structure;
 pub mod telemetry;
@@ -63,7 +60,6 @@ pub use focus::{focus, focus_all, FocusSpec, DEFAULT_FOCUS_LIMIT};
 pub use formula::{Formula, Var};
 pub use intern::{PoolId, StructureId, StructureInterner, WordPool};
 pub use kleene::Kleene;
-pub use merge::{merge_all, MergePolicy};
 pub use pred::{Arity, PredFlags, PredId, PredTable};
 pub use structure::{NodeId, Structure};
 pub use telemetry::{Counter, Counters, Event, Phase, PhaseStats, PhaseTimings, RunMetrics};

@@ -662,46 +662,6 @@ impl Structure {
         bits::first_set(h).map(NodeId::from_index)
     }
 
-    /// Builds a new structure containing only the individuals for which
-    /// `keep` returns `true`, preserving order. Returns the structure and the
-    /// mapping from old node ids to new ones.
-    pub fn retain_nodes(
-        &self,
-        table: &PredTable,
-        mut keep: impl FnMut(NodeId) -> bool,
-    ) -> (Structure, Vec<Option<NodeId>>) {
-        let n = self.n as usize;
-        let mut map: Vec<Option<NodeId>> = vec![None; n];
-        let mut kept: Vec<NodeId> = Vec::new();
-        for u in self.nodes() {
-            if keep(u) {
-                map[u.index()] = Some(NodeId(kept.len() as u32));
-                kept.push(u);
-            }
-        }
-        let mut out = self.empty_resized(kept.len());
-        for slot in 0..self.u_slots as usize {
-            for (new_ix, old) in kept.iter().enumerate() {
-                let v = self.get_u(slot, old.index());
-                if v != Kleene::False {
-                    out.set_u(slot, new_ix, v);
-                }
-            }
-        }
-        for slot in 0..self.b_slots as usize {
-            for (si, s_old) in kept.iter().enumerate() {
-                for (di, d_old) in kept.iter().enumerate() {
-                    let v = self.get_b(slot, s_old.index(), d_old.index());
-                    if v != Kleene::False {
-                        out.set_b(slot, si, di, v);
-                    }
-                }
-            }
-        }
-        let _ = table;
-        (out, map)
-    }
-
     /// An all-`False` structure with the same table geometry and nullary
     /// values as `self`, over a universe of `m` nodes.
     fn empty_resized(&self, m: usize) -> Structure {
@@ -747,57 +707,6 @@ impl Structure {
                     let v = self.get_b(slot, s_old.index(), d_old.index());
                     if v != Kleene::False {
                         out.set_b(slot, si, di, v);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Disjoint union of two structures over the same table: the universe is
-    /// the concatenation of both universes and nullary predicates are joined
-    /// pointwise. Cross edges between the two halves are `False`.
-    pub fn union(&self, other: &Structure) -> Structure {
-        assert_eq!(self.nullary.len(), other.nullary.len());
-        assert_eq!(self.u_slots, other.u_slots);
-        assert_eq!(self.b_slots, other.b_slots);
-        let n1 = self.n as usize;
-        let n2 = other.n as usize;
-        let mut out = self.empty_resized(n1 + n2);
-        out.nullary = self
-            .nullary
-            .iter()
-            .zip(&other.nullary)
-            .map(|(&a, &b)| a.join(b))
-            .collect();
-        for slot in 0..self.u_slots as usize {
-            for u in 0..n1 {
-                let v = self.get_u(slot, u);
-                if v != Kleene::False {
-                    out.set_u(slot, u, v);
-                }
-            }
-            for u in 0..n2 {
-                let v = other.get_u(slot, u);
-                if v != Kleene::False {
-                    out.set_u(slot, n1 + u, v);
-                }
-            }
-        }
-        for slot in 0..self.b_slots as usize {
-            for s in 0..n1 {
-                for d in 0..n1 {
-                    let v = self.get_b(slot, s, d);
-                    if v != Kleene::False {
-                        out.set_b(slot, s, d, v);
-                    }
-                }
-            }
-            for s in 0..n2 {
-                for d in 0..n2 {
-                    let v = other.get_b(slot, s, d);
-                    if v != Kleene::False {
-                        out.set_b(slot, n1 + s, n1 + d, v);
                     }
                 }
             }
@@ -1028,26 +937,6 @@ mod tests {
     }
 
     #[test]
-    fn retain_nodes_rebuilds_edges() {
-        let (t, x, f, _b) = setup();
-        let mut s = Structure::new(&t);
-        let u = s.add_node(&t);
-        let v = s.add_node(&t);
-        let w = s.add_node(&t);
-        s.set_unary(&t, x, w, Kleene::True);
-        s.set_binary(&t, f, u, w, Kleene::True);
-        s.set_binary(&t, f, w, w, Kleene::Unknown);
-        let (r, map) = s.retain_nodes(&t, |n| n != v);
-        assert_eq!(r.node_count(), 2);
-        let nu = map[u.index()].unwrap();
-        let nw = map[w.index()].unwrap();
-        assert!(map[v.index()].is_none());
-        assert_eq!(r.unary(&t, x, nw), Kleene::True);
-        assert_eq!(r.binary(&t, f, nu, nw), Kleene::True);
-        assert_eq!(r.binary(&t, f, nw, nw), Kleene::Unknown);
-    }
-
-    #[test]
     fn permute_roundtrip() {
         let (t, x, f, _b) = setup();
         let mut s = Structure::new(&t);
@@ -1060,26 +949,6 @@ mod tests {
         assert_eq!(p.binary(&t, f, NodeId(1), NodeId(0)), Kleene::Unknown);
         let back = p.permute(&[NodeId(1), NodeId(0)]);
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn union_is_disjoint() {
-        let (t, x, f, b) = setup();
-        let mut s1 = Structure::new(&t);
-        let u = s1.add_node(&t);
-        s1.set_unary(&t, x, u, Kleene::True);
-        s1.set_nullary(&t, b, Kleene::True);
-        let mut s2 = Structure::new(&t);
-        let v = s2.add_node(&t);
-        s2.set_binary(&t, f, v, v, Kleene::True);
-        let un = s1.union(&s2);
-        assert_eq!(un.node_count(), 2);
-        assert_eq!(un.unary(&t, x, NodeId(0)), Kleene::True);
-        assert_eq!(un.unary(&t, x, NodeId(1)), Kleene::False);
-        assert_eq!(un.binary(&t, f, NodeId(1), NodeId(1)), Kleene::True);
-        assert_eq!(un.binary(&t, f, NodeId(0), NodeId(1)), Kleene::False);
-        // nullary b: True join False = Unknown
-        assert_eq!(un.nullary(&t, b), Kleene::Unknown);
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub enum Phase {
     Update,
     /// Canonical abstraction: `blur` + `canonical_key` of post-states.
     Canon,
-    /// Structure merging: merge-key computation and location joins.
+    /// Location-set insertion: adding an interned post-structure to its
+    /// target location's set. Labelled `merge`, the name traces, goldens
+    /// and perfbench's `core.engine.merge_ms` report it under.
     Merge,
 }
 
@@ -94,8 +96,6 @@ pub enum Counter {
     CoerceInfeasible,
     /// Post-states produced by action application.
     PostStructures,
-    /// Non-trivial location joins (two distinct structures merged).
-    MergeJoins,
     /// Runs that exhausted their own visit/structure budget.
     BudgetExhausted,
     /// Runs aborted by a cancellation flag raised outside the run. A
@@ -163,7 +163,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in fixed reporting order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 23] = [
         Counter::InternHits,
         Counter::InternMisses,
         Counter::WorklistPushes,
@@ -171,7 +171,6 @@ impl Counter {
         Counter::FocusVariants,
         Counter::CoerceInfeasible,
         Counter::PostStructures,
-        Counter::MergeJoins,
         Counter::BudgetExhausted,
         Counter::Cancelled,
         Counter::SubproblemsPruned,
@@ -200,7 +199,6 @@ impl Counter {
             Counter::FocusVariants => "focus_variants",
             Counter::CoerceInfeasible => "coerce_infeasible",
             Counter::PostStructures => "post_structures",
-            Counter::MergeJoins => "merge_joins",
             Counter::BudgetExhausted => "budget_exhausted",
             Counter::Cancelled => "cancelled",
             Counter::SubproblemsPruned => "subproblems_pruned",

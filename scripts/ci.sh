@@ -95,6 +95,12 @@ HETSEP_INTRA_THREADS=2 cargo run -q -p hetsep-bench --bin table3 --release -- \
 diff -u scripts/trace_quick.golden "$trace_quick"
 rm -f "$table3_quick_json" "$trace_quick"
 
+# Ablation golden: the paper's §4.3 claims on the `ablation` bin — no
+# transitive relevance brings back InputStream5's false alarm, and no
+# heterogeneous abstraction stores 13085 structures against 6011 — plus
+# every other row, pinned byte for byte.
+cargo run -q -p hetsep-bench --bin ablation --release | diff -u scripts/ablation_quick.golden -
+
 # Per-procedure summary gate: the shared-library bench asserts internally
 # that verdicts/visits/space are identical across baseline (summaries
 # off), cold, and warm runs, that the in-run memo and the cross-run store
