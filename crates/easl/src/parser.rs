@@ -13,6 +13,14 @@ use crate::ast::{
     ReturnValue, Spec,
 };
 
+/// Deepest nesting the parser accepts, counting every open block and every
+/// `!` and `&&` operand of a condition along one path of the syntax tree.
+///
+/// Hand-written specifications nest a handful of levels; the limit keeps the
+/// recursive descent, and every recursive pass over the tree after it, far
+/// away from the end of the stack on hostile input.
+pub const MAX_NESTING: usize = 100;
+
 /// A parse or resolution error with its source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecParseError {
@@ -192,6 +200,9 @@ struct RawClass {
 struct P {
     toks: Vec<(Tok, u32)>,
     pos: usize,
+    /// Open nesting levels (see [`MAX_NESTING`]). An error aborts the whole
+    /// parse, so a level is only left again on success.
+    depth: usize,
 }
 
 impl P {
@@ -216,6 +227,17 @@ impl P {
             message: m.into(),
             line: self.line(),
         })
+    }
+
+    /// Opens one nesting level, failing past [`MAX_NESTING`].
+    fn enter(&mut self) -> Result<(), SpecParseError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!(
+                "nesting too deep: more than {MAX_NESTING} nested blocks and condition operators"
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn expect(&mut self, t: Tok) -> Result<(), SpecParseError> {
@@ -349,13 +371,17 @@ impl P {
         })
     }
 
+    /// Statements recurse only through blocks, so this is where their
+    /// nesting is counted.
     fn block(&mut self) -> Result<Vec<RawStmt>, SpecParseError> {
+        self.enter()?;
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
         while *self.peek() != Tok::RBrace {
             stmts.push(self.stmt()?);
         }
         self.expect(Tok::RBrace)?;
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -520,7 +546,9 @@ impl P {
         let first = self.cond_atom()?;
         if *self.peek() == Tok::AndAnd {
             self.bump();
+            self.enter()?;
             let rest = self.cond()?;
+            self.depth -= 1;
             Ok(EaslCond::And(Box::new(first), Box::new(rest)))
         } else {
             Ok(first)
@@ -531,7 +559,9 @@ impl P {
         match self.peek().clone() {
             Tok::Bang => {
                 self.bump();
+                self.enter()?;
                 let inner = self.cond_atom()?;
+                self.depth -= 1;
                 Ok(EaslCond::Not(Box::new(inner)))
             }
             Tok::Ident(root) => {
@@ -889,7 +919,7 @@ impl<'a> Resolver<'a> {
 /// ```
 pub fn parse_spec(src: &str) -> Result<Spec, SpecParseError> {
     let toks = lex(src)?;
-    let (name, raw_classes) = P { toks, pos: 0 }.spec()?;
+    let (name, raw_classes) = P { toks, pos: 0, depth: 0 }.spec()?;
 
     let mut field_table: HashMap<String, Vec<(String, FieldKind)>> = HashMap::new();
     for c in &raw_classes {
@@ -1207,5 +1237,40 @@ class A {
         .unwrap();
         let m = spec.class("A").unwrap().method("m").unwrap();
         assert!(matches!(&m.body[0], EaslStmt::Requires(EaslCond::And(..))));
+    }
+
+    /// A one-method spec whose body is `body`.
+    fn spec_with(body: &str) -> String {
+        format!("spec S;\nclass A {{\n    A b;\n    boolean x;\n    A() {{ }}\n    void m() {{\n{body}\n    }}\n}}\n")
+    }
+
+    #[test]
+    fn nesting_at_the_limit_parses() {
+        // The method body is one level; blocks, `!`s and `&&`s fill the rest.
+        let ifs = MAX_NESTING - 1;
+        let src = spec_with(&format!(
+            "{}{}",
+            "if (this.b != null) {\n".repeat(ifs),
+            "}\n".repeat(ifs)
+        ));
+        parse_spec(&src).unwrap();
+        let bangs = "!".repeat(MAX_NESTING - 1);
+        parse_spec(&spec_with(&format!("requires {bangs}this.x;"))).unwrap();
+        let conj = vec!["this.x"; MAX_NESTING].join(" && ");
+        parse_spec(&spec_with(&format!("requires {conj};"))).unwrap();
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let deep = [
+            format!("{}{}", "if (this.b != null) {\n".repeat(20_000), "}\n".repeat(20_000)),
+            format!("requires {}this.x;", "!".repeat(100_000)),
+            format!("requires {};", vec!["this.b"; 50_000].join(" && ")),
+            format!("requires {}this.x;", "!".repeat(MAX_NESTING)),
+        ];
+        for body in deep {
+            let err = parse_spec(&spec_with(&body)).unwrap_err();
+            assert!(err.message.contains("nesting too deep"), "{err}");
+        }
     }
 }

@@ -334,3 +334,31 @@ fn deeply_nested_program_load_reports_e023() {
     assert!(text(&responses[0], "error").contains("E023"), "{:?}", responses[0]);
     assert_eq!(text(&responses[1], "op"), "shutdown");
 }
+
+/// Easl sources nested past the spec parser's limit — blocks, `!`s and `&&`
+/// chains — are refused in the `load_spec` response, and the daemon keeps
+/// serving instead of overflowing its stack.
+#[test]
+fn deeply_nested_spec_loads_are_refused_in_band() {
+    let spec = |body: String| {
+        let source = format!("spec S;\nclass A {{\nA b;\nboolean x;\nA() {{ }}\nvoid m() {{\n{body}\n}}\n}}\n");
+        hetsep::ir::Request::LoadSpec { name: "deep".into(), source: Some(source), builtin: None }
+            .to_json()
+    };
+    let (status, responses) = serve_lines(&[
+        spec(format!("{}{}", "if (this.b != null) {\n".repeat(20_000), "}\n".repeat(20_000))),
+        spec(format!("requires {}this.x;", "!".repeat(100_000))),
+        spec(format!("requires {};", vec!["this.b"; 50_000].join(" && "))),
+        spec("requires !this.x && this.b != null;".into()),
+        "{\"op\":\"shutdown\"}".into(),
+    ]);
+    assert!(status.success(), "serve exited with {status:?}");
+    assert_eq!(responses.len(), 5);
+    for refused in &responses[..3] {
+        assert_eq!(text(refused, "op"), "load_spec");
+        assert_eq!(refused.get("ok").and_then(JsonValue::as_bool), Some(false));
+        assert!(text(refused, "error").contains("nesting too deep"), "{refused:?}");
+    }
+    assert_eq!(responses[3].get("ok").and_then(JsonValue::as_bool), Some(true), "{:?}", responses[3]);
+    assert_eq!(text(&responses[4], "op"), "shutdown");
+}

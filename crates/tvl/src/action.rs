@@ -21,7 +21,7 @@
 //! blurs when joining into a program location.
 
 use crate::coerce::{coerce_with, CoercePlan};
-use crate::eval::{eval_closed, eval_memo, Assignment, TcMemo};
+use crate::eval::{eval_closed, Assignment, Evaluator, Scratch};
 use crate::focus::{focus_all, FocusSpec};
 use crate::formula::{Formula, Var};
 use crate::kleene::Kleene;
@@ -209,7 +209,7 @@ pub fn apply_planned(
         .counters
         .add(Counter::FocusVariants, focused.len() as u64);
     for f in focused {
-        let Some(f) = metrics.time(Phase::Coerce, || coerce_with(&f, table, plan).feasible())
+        let Some(f) = metrics.time(Phase::Coerce, || coerce_with(f, table, plan).feasible())
         else {
             metrics.counters.add(Counter::CoerceInfeasible, 1);
             continue;
@@ -239,8 +239,8 @@ pub fn apply_planned(
             }
         }
         // Allocation + updates.
-        let post = metrics.time(Phase::Update, || transform(action, &f, table));
-        match metrics.time(Phase::Coerce, || coerce_with(&post, table, plan).feasible()) {
+        let post = metrics.time(Phase::Update, || transform(action, f, table));
+        match metrics.time(Phase::Coerce, || coerce_with(post, table, plan).feasible()) {
             Some(post) => {
                 metrics.counters.add(Counter::PostStructures, 1);
                 outcome.results.push(post);
@@ -252,22 +252,24 @@ pub fn apply_planned(
 }
 
 /// Applies allocation and updates (steps 5–8) without focus/checks.
-fn transform(action: &Action, pre: &Structure, table: &PredTable) -> Structure {
-    let mut staged = pre.clone();
+fn transform(action: &Action, mut staged: Structure, table: &PredTable) -> Structure {
     if action.new_node.is_some() {
         let fresh = staged.add_node(table);
         staged.set_unary(table, table.isnew(), fresh, Kleene::True);
     }
     // Core updates: all RHS evaluated over `staged` (the pre-state plus the
-    // fresh node), results written into `post`. One TC memo spans all core
-    // updates — they all read the same fixed `staged`.
+    // fresh node) by one evaluator, results written into `post`.
     let mut post = staged.clone();
-    let mut memo = TcMemo::new();
+    let mut buf = Scratch::default();
+    let mut rows = Vec::new();
+    let mut ev = Evaluator::new(&staged, table, &mut buf);
     for up in &action.updates {
-        write_update(&staged, &mut post, table, up, &mut memo);
+        eval_update(&mut ev, &staged, table, up, &mut rows);
+        store_update(&mut post, table, up, &rows);
     }
-    // Derived updates: evaluated sequentially over the evolving post-state,
-    // so each round's snapshot needs a fresh memo.
+    // Derived updates: evaluated sequentially, in place, over the evolving
+    // post-state. An iterating update re-evaluates until its own values
+    // stop changing (each round reads the previous round's values).
     for up in &action.derived {
         let rounds = if up.iterate {
             post.node_count() + 1
@@ -275,10 +277,8 @@ fn transform(action: &Action, pre: &Structure, table: &PredTable) -> Structure {
             1
         };
         for _ in 0..rounds {
-            let snapshot = post.clone();
-            memo.clear();
-            write_update(&snapshot, &mut post, table, up, &mut memo);
-            if post == snapshot {
+            eval_update(&mut Evaluator::new(&post, table, &mut buf), &post, table, up, &mut rows);
+            if !store_update(&mut post, table, up, &rows) {
                 break;
             }
         }
@@ -291,51 +291,75 @@ fn transform(action: &Action, pre: &Structure, table: &PredTable) -> Structure {
     post
 }
 
-fn write_update(
+/// Evaluates the new values of `up` over `src` (the structure `ev`
+/// evaluates over) into `rows`, as `(t, h)` value-plane row pairs: one
+/// pair of `stride` words per source row of a binary predicate, one for a
+/// unary predicate, and one pair of one-lane words for a nullary one.
+fn eval_update<'a>(
+    ev: &mut Evaluator<'a>,
     src: &Structure,
-    dst: &mut Structure,
     table: &PredTable,
-    up: &PredUpdate,
-    memo: &mut TcMemo,
+    up: &'a PredUpdate,
+    rows: &mut Vec<u64>,
 ) {
-    match table.arity(up.pred) {
-        Arity::Nullary => {
-            assert!(up.args.is_empty(), "nullary update takes no args");
-            let mut v = eval_closed(src, table, &up.rhs);
+    rows.clear();
+    let mut asg = Assignment::new();
+    match (table.arity(up.pred), up.args.as_slice()) {
+        (Arity::Nullary, []) => {
+            let mut v = ev.eval(&up.rhs, &mut asg);
             if up.refine && !v.is_definite() {
                 v = src.nullary(table, up.pred);
             }
-            dst.set_nullary(table, up.pred, v);
+            let (t, h) = v.to_bits();
+            rows.extend([u64::from(t), u64::from(h)]);
         }
-        Arity::Unary => {
-            let [v] = up.args.as_slice() else {
-                panic!("unary update needs exactly one formal arg");
-            };
-            let mut asg = Assignment::new();
-            for u in src.nodes() {
-                asg.bind(*v, u);
-                let mut val = eval_memo(src, table, &up.rhs, &mut asg, memo);
-                if up.refine && !val.is_definite() {
-                    val = src.unary(table, up.pred, u);
-                }
-                dst.set_unary(table, up.pred, u, val);
+        (Arity::Unary, [v]) => {
+            let (t, m) = ev.planes(&up.rhs, *v, &mut asg);
+            let (st, sh) = src.unary_planes(table.slot(up.pred));
+            // Lanes evaluated to 1/2 keep the stored value under `refine`.
+            let half = |w: usize| m[w] & !t[w];
+            if up.refine {
+                rows.extend((0..t.len()).map(|w| t[w] | (half(w) & st[w])));
+                rows.extend((0..t.len()).map(|w| half(w) & sh[w]));
+            } else {
+                rows.extend_from_slice(t);
+                rows.extend((0..t.len()).map(half));
             }
         }
-        Arity::Binary => {
-            let [v, w] = up.args.as_slice() else {
-                panic!("binary update needs exactly two formal args");
-            };
-            let mut asg = Assignment::new();
+        (Arity::Binary, [v, w]) => {
             for a in src.nodes() {
-                for b in src.nodes() {
-                    asg.bind(*v, a);
-                    asg.bind(*w, b);
-                    let val = eval_memo(src, table, &up.rhs, &mut asg, memo);
-                    dst.set_binary(table, up.pred, a, b, val);
-                }
+                asg.bind(*v, a);
+                let (t, m) = ev.planes(&up.rhs, *w, &mut asg);
+                rows.extend_from_slice(t);
+                rows.extend(t.iter().zip(m).map(|(t, m)| m & !t));
             }
         }
+        (arity, args) => panic!("{arity:?} update with {} formal args", args.len()),
     }
+}
+
+/// Writes the values [`eval_update`] produced into `dst`, returning whether
+/// any value of the predicate changed.
+fn store_update(dst: &mut Structure, table: &PredTable, up: &PredUpdate, rows: &[u64]) -> bool {
+    let (slot, stride) = (table.slot(up.pred), dst.stride_words());
+    let binary = match table.arity(up.pred) {
+        Arity::Nullary => {
+            let v = Kleene::from_bits(rows[0] != 0, rows[1] != 0);
+            let changed = dst.nullary(table, up.pred) != v;
+            dst.set_nullary(table, up.pred, v);
+            return changed;
+        }
+        arity => arity == Arity::Binary,
+    };
+    let mut changed = false;
+    for src in 0..if binary { dst.node_count() } else { 1 } {
+        let (nt, nh) = rows[2 * stride * src..2 * stride * (src + 1)].split_at(stride);
+        let (t, h) = if binary { dst.binary_row_mut(slot, src) } else { dst.unary_planes_mut(slot) };
+        changed |= t != nt || h != nh;
+        t.copy_from_slice(nt);
+        h.copy_from_slice(nh);
+    }
+    changed
 }
 
 #[cfg(test)]

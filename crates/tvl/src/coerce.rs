@@ -24,9 +24,18 @@
 //! analysis engine's action-application loop) build the plan once per run
 //! and use [`coerce_with`]; the plan-free [`coerce`] entry point compiles a
 //! fresh plan per call and is equivalent.
+//!
+//! An instrumentation rule is checked a whole plane at a time: its defining
+//! formula is swept over every node (row by row for binary rules) and
+//! reconciled with the stored planes word-wise. Sharpening writes only the
+//! rule's own predicate, so this equals the per-node order exactly unless
+//! the definition reads that predicate. Even then the outcome is the same:
+//! sharpening only makes values more definite, so a lane that the up-front
+//! plane leaves at `1/2` is sharpened (or found in conflict) by a later
+//! round of the fixpoint loop instead of the current one.
 
 use crate::bits;
-use crate::eval::{eval_closed, eval_memo, Assignment, TcMemo};
+use crate::eval::{eval_closed, Assignment, Evaluator, Scratch};
 use crate::formula::{Formula, Var};
 use crate::kleene::Kleene;
 use crate::pred::{Arity, PredId, PredTable};
@@ -118,15 +127,17 @@ impl CoercePlan {
 
 /// Applies all integrity constraints to fixpoint.
 ///
-/// Compiles a fresh [`CoercePlan`] per call; hot loops should compile the
-/// plan once and call [`coerce_with`].
+/// Compiles a fresh [`CoercePlan`] per call and coerces a copy of `s`; hot
+/// loops should compile the plan once and hand their structure to
+/// [`coerce_with`].
 pub fn coerce(s: &Structure, table: &PredTable) -> CoerceOutcome {
-    coerce_with(s, table, &CoercePlan::new(table))
+    coerce_with(s.clone(), table, &CoercePlan::new(table))
 }
 
-/// Applies all integrity constraints to fixpoint using a precompiled plan.
-pub fn coerce_with(s: &Structure, table: &PredTable, plan: &CoercePlan) -> CoerceOutcome {
-    let mut cur = s.clone();
+/// Applies all integrity constraints to fixpoint using a precompiled plan,
+/// sharpening `s` in place.
+pub fn coerce_with(s: Structure, table: &PredTable, plan: &CoercePlan) -> CoerceOutcome {
+    let mut cur = s;
     #[cfg(debug_assertions)]
     cur.debug_check_invariants();
     loop {
@@ -240,11 +251,11 @@ fn apply_instrumentation(
     plan: &CoercePlan,
     changed: &mut bool,
 ) -> bool {
-    // TC matrices are shared across rules and nodes while `s` is unchanged;
-    // every sharpening write invalidates them (see `TcMemo`).
-    let mut memo = TcMemo::new();
+    let mut buf = Scratch::default();
+    let mut rows = Vec::new();
     for rule in &plan.instr {
         let p = rule.pred;
+        let slot = table.slot(p);
         match rule.arity {
             Arity::Nullary => {
                 let stored = s.nullary(table, p);
@@ -253,46 +264,60 @@ fn apply_instrumentation(
                     Reconciled::Conflict => return false,
                     Reconciled::Sharpen(v) => {
                         s.set_nullary(table, p, v);
-                        memo.clear();
                         *changed = true;
                     }
                     Reconciled::Keep => {}
                 }
             }
-            Arity::Unary => {
-                for u in s.nodes() {
-                    let stored = s.unary(table, p, u);
-                    let mut asg = Assignment::of([(rule.va, u)]);
-                    let evaled = eval_memo(s, table, &rule.defining, &mut asg, &mut memo);
-                    match reconcile(stored, evaled) {
-                        Reconciled::Conflict => return false,
-                        Reconciled::Sharpen(v) => {
-                            s.set_unary(table, p, u, v);
-                            memo.clear();
-                            *changed = true;
-                        }
-                        Reconciled::Keep => {}
+            arity => {
+                // One plane row for a unary rule, one per source node for a
+                // binary rule, all evaluated before any is reconciled.
+                let binary = arity == Arity::Binary;
+                let (sources, var) = if binary { (s.node_count(), rule.vb) } else { (1, rule.va) };
+                rows.clear();
+                let mut ev = Evaluator::new(s, table, &mut buf);
+                let mut asg = Assignment::new();
+                for src in 0..sources {
+                    if binary {
+                        asg.bind(rule.va, NodeId::from_index(src));
+                    }
+                    let (t, m) = ev.planes(&rule.defining, var, &mut asg);
+                    rows.extend_from_slice(t);
+                    rows.extend_from_slice(m);
+                }
+                let width = 2 * s.stride_words();
+                for src in 0..sources {
+                    let row = &rows[width * src..width * (src + 1)];
+                    let planes =
+                        if binary { s.binary_row_mut(slot, src) } else { s.unary_planes_mut(slot) };
+                    if !sharpen_row(planes, row, changed) {
+                        return false;
                     }
                 }
             }
-            Arity::Binary => {
-                for src in s.nodes() {
-                    for dst in s.nodes() {
-                        let stored = s.binary(table, p, src, dst);
-                        let mut asg = Assignment::of([(rule.va, src), (rule.vb, dst)]);
-                        let evaled = eval_memo(s, table, &rule.defining, &mut asg, &mut memo);
-                        match reconcile(stored, evaled) {
-                            Reconciled::Conflict => return false,
-                            Reconciled::Sharpen(v) => {
-                                s.set_binary(table, p, src, dst, v);
-                                memo.clear();
-                                *changed = true;
-                            }
-                            Reconciled::Keep => {}
-                        }
-                    }
-                }
-            }
+        }
+    }
+    true
+}
+
+/// Reconciles one stored plane row `(t, h)` with the threshold planes `row`
+/// (`t` then `m`, `stride` words each) of its defining formula: `false` if
+/// a lane is definite in both and they differ, otherwise every stored `1/2`
+/// whose evaluation is definite is sharpened.
+fn sharpen_row((t, h): (&mut [u64], &mut [u64]), row: &[u64], changed: &mut bool) -> bool {
+    let (et, em) = row.split_at(t.len());
+    for w in 0..t.len() {
+        // Stored 1 evaluated 0, or stored 0 evaluated 1.
+        if (t[w] & !em[w]) | (et[w] & !(t[w] | h[w])) != 0 {
+            return false;
+        }
+    }
+    for w in 0..t.len() {
+        let sharpen = h[w] & (et[w] | !em[w]);
+        if sharpen != 0 {
+            t[w] |= sharpen & et[w];
+            h[w] &= !sharpen;
+            *changed = true;
         }
     }
     true

@@ -10,18 +10,40 @@
 //!
 //! # Word-parallel kernels
 //!
-//! Two hot paths run directly on the two-plane bit representation of
-//! [`Structure`] (see [`crate::bits`]):
+//! An open formula is evaluated at *every* binding of one variable at once
+//! ([`Evaluator::planes`]). The result is a pair of *threshold planes* of
+//! `stride` words each, one bit per node: `t` holds the lanes whose value is
+//! `1`, `m` the lanes whose value is `≥ 1/2` (so `t ⊆ m`, and a lane in
+//! `m \ t` is `1/2`). Kleene logic is monotone in both thresholds, so every
+//! connective is a word-wise boolean operation on 64 lanes at a time:
 //!
-//! * **Quantifier folds** over an atomic body (`∃v. p(v)`, `∀v. ¬p(v)`,
-//!   `∃v. f(u, v)`, …) reduce to plane emptiness tests — `any t bit` /
-//!   `any h bit` / `any valid zero lane` — instead of an `n`-step
-//!   evaluation loop.
-//! * **Transitive closure** decomposes into two *boolean* closures: a path
+//! * `∧` / `∨` are word-wise and / or of both planes;
+//! * `¬` swaps the planes and complements them within the valid-lane mask;
+//! * a unary atom `p(x)` is its slot's planes `(t, t | h)`; a binary atom is
+//!   a plane row when its source is bound and a column probe when its target
+//!   is; equality is the diagonal, with summary nodes at `1/2`;
+//! * `∃w` / `∀w` bind the loop variable lane by lane and fold the body's
+//!   plane over `w` (any `t` bit / any `m` bit, or dually any valid zero);
+//! * a subformula whose only free variable is the one it is swept over is
+//!   *hoisted*: its plane is computed once per [`Evaluator`] and reused by
+//!   every lane and every later sweep, which keeps `∃z. (∃x. p(x) ∧
+//!   f(x, z)) ∧ g(z, u)` quadratic instead of cubic in the universe size;
+//! * **transitive closure** decomposes into two *boolean* closures: a path
 //!   is `True` iff some path uses only `True` edges, and `≠ False` iff some
 //!   path uses only `≠ False` edges. Each boolean closure is a bit-matrix
 //!   Warshall pass whose inner step or-s whole 64-lane words, dropping the
-//!   fixpoint from O(n³) element steps to O(n³/64) word steps.
+//!   fixpoint from O(n³) element steps to O(n³/64) word steps. A closure
+//!   whose step relation depends only on its own two variables is computed
+//!   once per [`Evaluator`].
+//!
+//! Scalar evaluation ([`eval`], [`eval_closed`]) is the same evaluator: a
+//! quantifier folds the plane of its body, so the only per-node loops left
+//! are the lane-by-lane fallback for a closure whose step relation mentions
+//! the swept variable (a subformula with more than two free variables) and
+//! the lane loops of quantifiers nested under a sweep.
+//!
+//! Planes live on a word stack in a [`Scratch`] that callers reuse across
+//! sweeps, so a sweep allocates nothing per node or per subformula.
 
 use crate::bits;
 use crate::formula::{Formula, Var};
@@ -85,380 +107,504 @@ impl Assignment {
             )
         })
     }
+
+    /// Restores `v` to a binding saved with [`Assignment::get`].
+    fn restore(&mut self, v: Var, saved: Option<NodeId>) {
+        match saved {
+            Some(node) => self.bind(v, node),
+            None => self.unbind(v),
+        }
+    }
 }
 
-/// A transitive-closure matrix in two-plane form: `t` holds the lanes whose
-/// closure value is `True`, `m` the lanes whose value is `≠ False` (so
-/// `t ⊆ m`, and a lane in `m \ t` is `Unknown`). Rows are `stride` words.
-#[derive(Debug, Clone)]
+/// A transitive-closure matrix in threshold form: `t` holds the lanes whose
+/// closure value is `True`, `m` the lanes whose value is `≠ False`. Rows are
+/// `stride` words.
+#[derive(Debug)]
 struct TcBits {
-    stride: usize,
     t: Vec<u64>,
     m: Vec<u64>,
 }
 
-impl TcBits {
-    #[inline]
-    fn get(&self, i: usize, j: usize) -> Kleene {
-        let w = i * self.stride + (j >> 6);
-        let b = (j & 63) as u32;
-        let t = (self.t[w] >> b) & 1 != 0;
-        let m = (self.m[w] >> b) & 1 != 0;
-        Kleene::from_bits(t, m && !t)
-    }
+/// Whether a swept quantifier node's plane is hoisted.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    /// The node has free variables besides the swept one.
+    No,
+    /// Hoisted; the plane is computed on first use into the reserved
+    /// `held` slot at this offset.
+    Pending(usize),
+    /// Hoisted and computed at this offset of `held`.
+    Ready(usize),
 }
 
-/// Memoizes transitive-closure matrices across many [`eval_memo`] calls
-/// over the *same* structure.
+/// Reusable buffers of an [`Evaluator`]: the plane stack and the per-
+/// structure caches (quantifier sweep entries, hoisted planes, closures).
 ///
-/// Evaluating a `Tc` subformula costs a full relational fixpoint, and the
-/// sweeps that dominate the analysis (predicate-update transformers, coerce
-/// instrumentation rules) re-evaluate the same formula once per node or node
-/// pair — recomputing an identical closure every time. A `TcMemo` carried
-/// across one sweep caches the matrix per `Tc` body.
-///
-/// Entries are keyed by the body subformula's address, which identifies it
-/// for as long as the formula borrow lives; a matrix is only cached when the
-/// body's free variables are all bound by the `Tc` itself, making the
-/// closure independent of the outer assignment. Callers must [`clear`] the
-/// memo whenever the structure under evaluation changes — the cache is
-/// exact, never heuristic, so a stale entry would be a soundness bug. Debug
-/// builds enforce this: the memo remembers the fingerprint of the structure
-/// it cached for and asserts on every cached read that the structure still
-/// matches, so a mutation (e.g. a coerce sharpening step) that forgets to
-/// `clear()` trips an assertion instead of silently reusing stale closures.
-///
-/// [`clear`]: TcMemo::clear
+/// Keep one `Scratch` per sweeping loop; each [`Evaluator::new`] empties the
+/// caches, so a scratch carries no state from one structure to the next.
 #[derive(Debug, Default)]
-pub struct TcMemo {
-    /// `(body address, closure)`; `None` marks a body whose closure depends
-    /// on outer bindings and must be recomputed per call.
-    entries: Vec<(usize, Option<TcBits>)>,
-    /// Fingerprint of the structure the cached closures were computed over
-    /// (debug builds only; see the stale-entry guard above).
-    #[cfg(debug_assertions)]
-    stamp: Option<u64>,
+pub struct Scratch {
+    /// Plane frames, `2 · stride` words each (`t` then `m`).
+    stack: Vec<u64>,
+    /// `(quantifier node address, swept variable, whether the node mentions
+    /// it, hoisting)`, decided on first use.
+    sweeps: Vec<(usize, Var, bool, Held)>,
+    /// Hoisted planes, `2 · stride` words each.
+    held: Vec<u64>,
+    /// Closure matrices keyed by `Tc` body address: cached ones (bodies free
+    /// only in their own two variables) stay for the evaluator's lifetime.
+    closures: Vec<(usize, TcBits)>,
 }
 
-impl TcMemo {
-    /// Creates an empty memo.
-    pub fn new() -> TcMemo {
-        TcMemo::default()
+/// Evaluates formulas over one structure, one variable's bindings at a time.
+///
+/// The caches in the [`Scratch`] are keyed by subformula address and hold
+/// values computed over the structure, so the evaluator borrows both the
+/// structure and every formula it is given for its whole lifetime: the
+/// caches stay exact without any invalidation. A caller that mutates the
+/// structure drops the evaluator first and makes a new one afterwards.
+pub struct Evaluator<'a> {
+    s: &'a Structure,
+    table: &'a PredTable,
+    n: usize,
+    stride: usize,
+    buf: &'a mut Scratch,
+}
+
+impl<'a> Evaluator<'a> {
+    /// An evaluator over `s`, using (and emptying) `buf`.
+    pub fn new(s: &'a Structure, table: &'a PredTable, buf: &'a mut Scratch) -> Evaluator<'a> {
+        buf.stack.clear();
+        buf.sweeps.clear();
+        buf.held.clear();
+        buf.closures.clear();
+        Evaluator { s, table, n: s.node_count(), stride: s.stride_words(), buf }
     }
 
-    /// Drops all cached closures. Must be called when the structure being
-    /// evaluated over is mutated.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        #[cfg(debug_assertions)]
-        {
-            self.stamp = None;
+    /// Evaluates `f` at every binding of `var` (its other free variables are
+    /// read from `asg`) and returns the threshold planes `(t, m)`: lane `u`
+    /// of `t` is set iff `f[var ↦ u] = 1`, of `m` iff `f[var ↦ u] ≥ 1/2`.
+    /// Padding lanes past the universe are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a free variable other than `var` is unbound in `asg`, or if
+    /// a predicate is applied at the wrong arity.
+    pub fn planes(&mut self, f: &'a Formula, var: Var, asg: &mut Assignment) -> (&[u64], &[u64]) {
+        self.buf.stack.clear();
+        let at = self.push();
+        self.fill(f, var, asg, at);
+        self.buf.stack.split_at(self.stride)
+    }
+
+    /// Evaluates `f` under `asg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a free variable of `f` is unbound in `asg`, or if a
+    /// predicate is applied at the wrong arity.
+    pub fn eval(&mut self, f: &'a Formula, asg: &mut Assignment) -> Kleene {
+        let (s, table) = (self.s, self.table);
+        match f {
+            Formula::Const(k) => *k,
+            Formula::Nullary(p) => s.nullary(table, *p),
+            Formula::Unary(p, v) => s.unary(table, *p, asg.lookup(*v, f)),
+            Formula::Binary(p, a, b) => s.binary(table, *p, asg.lookup(*a, f), asg.lookup(*b, f)),
+            Formula::Eq(a, b) => {
+                let (u, v) = (asg.lookup(*a, f), asg.lookup(*b, f));
+                if u != v {
+                    Kleene::False
+                } else if s.is_summary(table, u) {
+                    // A summary node may represent several distinct individuals.
+                    Kleene::Unknown
+                } else {
+                    Kleene::True
+                }
+            }
+            Formula::Not(g) => !self.eval(g, asg),
+            Formula::And(l, r) => {
+                let lv = self.eval(l, asg);
+                if lv == Kleene::False {
+                    return Kleene::False;
+                }
+                lv & self.eval(r, asg)
+            }
+            Formula::Or(l, r) => {
+                let lv = self.eval(l, asg);
+                if lv == Kleene::True {
+                    return Kleene::True;
+                }
+                lv | self.eval(r, asg)
+            }
+            Formula::Exists(v, body) | Formula::Forall(v, body) => {
+                let at = self.push();
+                self.fill(body, *v, asg, at);
+                let val = self.fold(at, matches!(f, Formula::Exists(..)));
+                self.buf.stack.truncate(at);
+                val
+            }
+            Formula::Tc { lhs, rhs, a, b, body } => {
+                let (u, v) = (asg.lookup(*lhs, f), asg.lookup(*rhs, f));
+                let (ix, temporary) = self.closure(*a, *b, body, asg);
+                let tc = &self.buf.closures[ix].1;
+                let val = lane_of(&tc.t, &tc.m, u.index() * self.stride, v.index());
+                if temporary {
+                    self.buf.closures.pop();
+                }
+                val
+            }
         }
     }
 
-    /// Stale-entry soundness guard (debug builds): records the structure's
-    /// fingerprint on first use and asserts it is unchanged on every
-    /// subsequent use, catching mutations that skipped [`TcMemo::clear`].
-    #[cfg(debug_assertions)]
-    fn check_stamp(&mut self, s: &Structure) {
-        let fp = s.fingerprint();
-        match self.stamp {
-            None => self.stamp = Some(fp),
-            Some(stamp) => debug_assert_eq!(
-                stamp, fp,
-                "TcMemo reused across a structure mutation without clear() — \
-                 stale closure entries are a soundness bug"
-            ),
+    /// Pushes a zeroed frame and returns its offset.
+    fn push(&mut self) -> usize {
+        let at = self.buf.stack.len();
+        self.buf.stack.resize(at + 2 * self.stride, 0);
+        at
+    }
+
+    /// Mask of the valid lanes of plane word `w`.
+    #[inline]
+    fn valid(&self, w: usize) -> u64 {
+        bits::word_mask(self.n, w)
+    }
+
+    /// Sets every lane of frame `at` to `k`.
+    fn broadcast(&mut self, at: usize, k: Kleene) {
+        let (tb, mb) = (k == Kleene::True, k != Kleene::False);
+        for w in 0..self.stride {
+            let valid = self.valid(w);
+            self.buf.stack[at + w] = if tb { valid } else { 0 };
+            self.buf.stack[at + self.stride + w] = if mb { valid } else { 0 };
         }
     }
-}
 
-/// Evaluates `formula` over `s` under `asg`.
-///
-/// # Panics
-///
-/// Panics if a free variable of `formula` is unbound in `asg`, or if a
-/// predicate is applied at the wrong arity.
-pub fn eval(s: &Structure, table: &PredTable, formula: &Formula, asg: &mut Assignment) -> Kleene {
-    eval_memo(s, table, formula, asg, &mut TcMemo::new())
-}
+    /// Sets lane `u` of frame `at` (whose lane is still zero) to `k`.
+    #[inline]
+    fn set(&mut self, at: usize, u: usize, k: Kleene) {
+        let (w, b) = bits::lane(u);
+        self.buf.stack[at + w] |= u64::from(k == Kleene::True) << b;
+        self.buf.stack[at + self.stride + w] |= u64::from(k != Kleene::False) << b;
+    }
 
-/// Like [`eval`], but reuses transitive-closure matrices cached in `memo`.
-///
-/// Sweeps that evaluate one formula at every node (pair) of a fixed
-/// structure should share a single memo across the sweep; see [`TcMemo`]
-/// for the invalidation contract.
-pub fn eval_memo(
-    s: &Structure,
-    table: &PredTable,
-    formula: &Formula,
-    asg: &mut Assignment,
-    memo: &mut TcMemo,
-) -> Kleene {
-    match formula {
-        Formula::Const(k) => *k,
-        Formula::Nullary(p) => s.nullary(table, *p),
-        Formula::Unary(p, v) => s.unary(table, *p, asg.lookup(*v, formula)),
-        Formula::Binary(p, a, b) => {
-            s.binary(table, *p, asg.lookup(*a, formula), asg.lookup(*b, formula))
-        }
-        Formula::Eq(a, b) => {
-            let (u, v) = (asg.lookup(*a, formula), asg.lookup(*b, formula));
-            if u != v {
-                Kleene::False
-            } else if s.is_summary(table, u) {
-                // A summary node may represent several distinct individuals.
+    /// Folds frame `at` under `∃` (`exists`) or `∀`. An empty universe
+    /// folds to the connective's unit.
+    fn fold(&self, at: usize, exists: bool) -> Kleene {
+        let frame = &self.buf.stack[at..at + 2 * self.stride];
+        let (t, m) = frame.split_at(self.stride);
+        if exists {
+            if bits::any_set(t) {
+                Kleene::True
+            } else if bits::any_set(m) {
                 Kleene::Unknown
             } else {
-                Kleene::True
+                Kleene::False
             }
+        } else if bits::any_false(m, m, self.n) {
+            Kleene::False
+        } else if bits::any_false(t, t, self.n) {
+            Kleene::Unknown
+        } else {
+            Kleene::True
         }
-        Formula::Not(f) => !eval_memo(s, table, f, asg, memo),
-        Formula::And(l, r) => {
-            let lv = eval_memo(s, table, l, asg, memo);
-            if lv == Kleene::False {
-                return Kleene::False;
+    }
+
+    /// Writes the planes of `f` swept over `x` into the zeroed frame `at`,
+    /// which is the top of the stack; frames pushed above it are popped
+    /// before returning.
+    fn fill(&mut self, f: &'a Formula, x: Var, asg: &mut Assignment, at: usize) {
+        let (s, table, st) = (self.s, self.table, self.stride);
+        match f {
+            Formula::Unary(p, v) if *v == x => {
+                assert_eq!(table.arity(*p), Arity::Unary);
+                let (t, h) = s.unary_planes(table.slot(*p));
+                self.copy_row(at, t, h);
             }
-            lv & eval_memo(s, table, r, asg, memo)
-        }
-        Formula::Or(l, r) => {
-            let lv = eval_memo(s, table, l, asg, memo);
-            if lv == Kleene::True {
-                return Kleene::True;
-            }
-            lv | eval_memo(s, table, r, asg, memo)
-        }
-        Formula::Exists(v, f) => {
-            if let Some(val) = quantifier_fold(s, table, *v, f, asg, Quant::Exists) {
-                return val;
-            }
-            let saved = asg.get(*v);
-            let mut acc = Kleene::False;
-            for u in s.nodes() {
-                asg.bind(*v, u);
-                acc = acc | eval_memo(s, table, f, asg, memo);
-                if acc == Kleene::True {
-                    break;
+            Formula::Binary(p, a, b) if *a == x || *b == x => {
+                assert_eq!(table.arity(*p), Arity::Binary);
+                let slot = table.slot(*p);
+                if *a != x {
+                    let (t, h) = s.binary_row(slot, asg.lookup(*a, f).index());
+                    self.copy_row(at, t, h);
+                } else {
+                    // Diagonal (`f(x, x)`) or a column probe (`f(x, w)`):
+                    // one bit per source row.
+                    let dst = if *b == x { None } else { Some(asg.lookup(*b, f).index()) };
+                    for u in 0..self.n {
+                        let k = s.get_b(slot, u, dst.unwrap_or(u));
+                        self.set(at, u, k);
+                    }
                 }
             }
-            restore(asg, *v, saved);
-            acc
-        }
-        Formula::Forall(v, f) => {
-            if let Some(val) = quantifier_fold(s, table, *v, f, asg, Quant::Forall) {
-                return val;
-            }
-            let saved = asg.get(*v);
-            let mut acc = Kleene::True;
-            for u in s.nodes() {
-                asg.bind(*v, u);
-                acc = acc & eval_memo(s, table, f, asg, memo);
-                if acc == Kleene::False {
-                    break;
+            Formula::Eq(a, b) if *a == x || *b == x => {
+                let (_, sm) = s.unary_planes(table.slot(table.sm()));
+                if *a == x && *b == x {
+                    for (w, sm) in sm.iter().enumerate() {
+                        let valid = self.valid(w);
+                        self.buf.stack[at + w] = valid & !sm;
+                        self.buf.stack[at + st + w] = valid;
+                    }
+                } else {
+                    let other = asg.lookup(if *a == x { *b } else { *a }, f);
+                    let k = if s.is_summary(table, other) { Kleene::Unknown } else { Kleene::True };
+                    self.set(at, other.index(), k);
                 }
             }
-            restore(asg, *v, saved);
-            acc
-        }
-        Formula::Tc { lhs, rhs, a, b, body } => {
-            let (u, v) = (asg.lookup(*lhs, formula), asg.lookup(*rhs, formula));
-            #[cfg(debug_assertions)]
-            memo.check_stamp(s);
-            let key = &**body as *const Formula as usize;
-            if let Some((_, cached)) = memo.entries.iter().find(|(k, _)| *k == key) {
-                return match cached {
-                    Some(m) => m.get(u.index(), v.index()),
-                    // Closure depends on outer bindings: recompute.
-                    None => tc_closure(s, table, *a, *b, body, asg).get(u.index(), v.index()),
+            Formula::Const(_)
+            | Formula::Nullary(_)
+            | Formula::Unary(..)
+            | Formula::Binary(..)
+            | Formula::Eq(..) => {
+                let k = self.eval(f, asg);
+                self.broadcast(at, k);
+            }
+            Formula::Not(g) => {
+                self.fill(g, x, asg, at);
+                for w in 0..st {
+                    let valid = self.valid(w);
+                    let (t, m) = (self.buf.stack[at + w], self.buf.stack[at + st + w]);
+                    self.buf.stack[at + w] = valid & !m;
+                    self.buf.stack[at + st + w] = valid & !t;
+                }
+            }
+            Formula::And(l, r) | Formula::Or(l, r) => {
+                let and = matches!(f, Formula::And(..));
+                self.fill(l, x, asg, at);
+                // Short-circuit on a decided left operand: all lanes `0`
+                // under `∧`, all lanes `1` under `∨`.
+                let decided = if and {
+                    !bits::any_set(&self.buf.stack[at + st..at + 2 * st])
+                } else {
+                    !bits::any_false(&self.buf.stack[at..at + st], &self.buf.stack[at..at + st], self.n)
                 };
-            }
-            let m = tc_closure(s, table, *a, *b, body, asg);
-            let val = m.get(u.index(), v.index());
-            let cacheable = body.free_vars().iter().all(|fv| fv == a || fv == b);
-            memo.entries.push((key, cacheable.then_some(m)));
-            val
-        }
-    }
-}
-
-fn restore(asg: &mut Assignment, v: Var, saved: Option<NodeId>) {
-    match saved {
-        Some(node) => asg.bind(v, node),
-        None => asg.unbind(v),
-    }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Quant {
-    Exists,
-    Forall,
-}
-
-/// Folds a quantifier whose body is a (possibly negated) atom directly over
-/// the structure's bitplanes, avoiding the per-node evaluation loop.
-///
-/// Returns `None` when the body has no plane-level fast path (the caller then
-/// falls back to the generic loop), or when a variable the atom needs is not
-/// bound yet — the generic path produces the proper diagnostic.
-///
-/// The fold reproduces the loop's Kleene algebra exactly: for `∃` the result
-/// is `True` if any lane is `True`, else `Unknown` if any lane is `Unknown`,
-/// else `False`; `∀` dually. An empty universe folds to the connective's
-/// unit (`False` for `∃`, `True` for `∀`), matching the empty loop.
-fn quantifier_fold(
-    s: &Structure,
-    table: &PredTable,
-    v: Var,
-    body: &Formula,
-    asg: &Assignment,
-    q: Quant,
-) -> Option<Kleene> {
-    let (atom, negated) = match body {
-        Formula::Not(inner) => (&**inner, true),
-        other => (other, false),
-    };
-    match atom {
-        Formula::Unary(p, pv) if *pv == v && table.arity(*p) == Arity::Unary => {
-            let (t, h) = s.unary_planes(table.slot(*p));
-            Some(fold_planes(t, h, s.node_count(), negated, q))
-        }
-        Formula::Binary(p, pa, pb)
-            if *pb == v && *pa != v && table.arity(*p) == Arity::Binary =>
-        {
-            let src = asg.get(*pa)?;
-            let (t, h) = s.binary_row(table.slot(*p), src.index());
-            Some(fold_planes(t, h, s.node_count(), negated, q))
-        }
-        Formula::Binary(p, pa, pb)
-            if *pa == v && *pb != v && table.arity(*p) == Arity::Binary =>
-        {
-            // Column fold: one bit probe per source row.
-            let dst = asg.get(*pb)?.index();
-            let slot = table.slot(*p);
-            let (mut has_t, mut has_h, mut has_f) = (false, false, false);
-            for src in 0..s.node_count() {
-                match s.get_b(slot, src, dst) {
-                    Kleene::True => has_t = true,
-                    Kleene::Unknown => has_h = true,
-                    Kleene::False => has_f = true,
+                if decided {
+                    return;
                 }
-                // Stop as soon as the decisive lane for this quantifier
-                // appeared (True for ∃, False for ∀ — swapped when negated).
-                let decisive = match (q, negated) {
-                    (Quant::Exists, false) | (Quant::Forall, true) => has_t,
-                    (Quant::Exists, true) | (Quant::Forall, false) => has_f,
-                };
-                if decisive {
-                    break;
+                let rat = self.push();
+                self.fill(r, x, asg, rat);
+                let (lo, hi) = self.buf.stack.split_at_mut(rat);
+                for (dst, src) in lo[at..].iter_mut().zip(hi.iter()) {
+                    if and {
+                        *dst &= *src;
+                    } else {
+                        *dst |= *src;
+                    }
+                }
+                self.buf.stack.truncate(rat);
+            }
+            Formula::Exists(w, body) | Formula::Forall(w, body) => {
+                if *w == x {
+                    // The quantifier rebinds `x`: the node does not mention it.
+                    let k = self.eval(f, asg);
+                    self.broadcast(at, k);
+                    return;
+                }
+                let ix = self.sweep_of(f, x);
+                let (_, _, lanes, held) = self.buf.sweeps[ix];
+                if let Held::Ready(off) = held {
+                    let Scratch { stack, held, .. } = &mut *self.buf;
+                    stack[at..at + 2 * st].copy_from_slice(&held[off..off + 2 * st]);
+                    return;
+                }
+                if lanes {
+                    // Bind `x` lane by lane and fold the body's plane over `w`.
+                    let exists = matches!(f, Formula::Exists(..));
+                    let saved = asg.get(x);
+                    for u in 0..self.n {
+                        asg.bind(x, NodeId::from_index(u));
+                        let bat = self.push();
+                        self.fill(body, *w, asg, bat);
+                        let k = self.fold(bat, exists);
+                        self.buf.stack.truncate(bat);
+                        self.set(at, u, k);
+                    }
+                    asg.restore(x, saved);
+                } else {
+                    let k = self.eval(f, asg);
+                    self.broadcast(at, k);
+                }
+                if let Held::Pending(off) = held {
+                    let Scratch { stack, held, sweeps, .. } = &mut *self.buf;
+                    held[off..off + 2 * st].copy_from_slice(&stack[at..at + 2 * st]);
+                    sweeps[ix].3 = Held::Ready(off);
                 }
             }
-            Some(decide(has_t, has_h, has_f, negated, q))
-        }
-        _ => None,
-    }
-}
-
-/// Folds one plane row (`n` lanes) under a quantifier; see
-/// [`quantifier_fold`] for the semantics.
-fn fold_planes(t: &[u64], h: &[u64], n: usize, negated: bool, q: Quant) -> Kleene {
-    let has_t = bits::any_set(t);
-    let has_h = bits::any_set(h);
-    let has_f = bits::any_false(t, h, n);
-    decide(has_t, has_h, has_f, negated, q)
-}
-
-/// Combines lane-presence flags into the quantifier's folded value.
-fn decide(has_t: bool, has_h: bool, has_f: bool, negated: bool, q: Quant) -> Kleene {
-    let (has_t, has_f) = if negated { (has_f, has_t) } else { (has_t, has_f) };
-    match q {
-        Quant::Exists => {
-            if has_t {
-                Kleene::True
-            } else if has_h {
-                Kleene::Unknown
-            } else {
-                Kleene::False
-            }
-        }
-        Quant::Forall => {
-            if has_f {
-                Kleene::False
-            } else if has_h {
-                Kleene::Unknown
-            } else {
-                Kleene::True
-            }
-        }
-    }
-}
-
-/// Computes the 3-valued transitive closure matrix of the step relation
-/// `body(a, b)` under the current outer assignment.
-///
-/// Paths of length ≥ 1 are considered; traversal *through* a summary node is
-/// handled implicitly (a step into and out of the same summary node composes
-/// its possibly-many members).
-///
-/// The Kleene closure (max-min path semiring over `0 < 1/2 < 1`) decomposes
-/// into two boolean closures: a pair is `True` iff connected through `True`
-/// edges only, and `≠ False` iff connected through `≠ False` edges. Both run
-/// as bit-matrix Warshall passes over whole words.
-fn tc_closure(
-    s: &Structure,
-    table: &PredTable,
-    a: Var,
-    b: Var,
-    body: &Formula,
-    asg: &mut Assignment,
-) -> TcBits {
-    let n = s.node_count();
-    let stride = bits::words_for(n);
-    let mut step_t = vec![0u64; n * stride];
-    let mut step_m = vec![0u64; n * stride];
-
-    // Fast path: the step relation is exactly a binary predicate — its
-    // planes *are* the adjacency matrices, word for word.
-    let direct = match body {
-        Formula::Binary(p, fa, fb)
-            if *fa == a && *fb == b && table.arity(*p) == Arity::Binary =>
-        {
-            Some(table.slot(*p))
-        }
-        _ => None,
-    };
-    if let Some(slot) = direct {
-        for src in 0..n {
-            let (t, h) = s.binary_row(slot, src);
-            let row = src * stride;
-            step_t[row..row + stride].copy_from_slice(t);
-            for w in 0..stride {
-                step_m[row + w] = t[w] | h[w];
-            }
-        }
-    } else {
-        let (saved_a, saved_b) = (asg.get(a), asg.get(b));
-        for u in s.nodes() {
-            asg.bind(a, u);
-            for v in s.nodes() {
-                asg.bind(b, v);
-                let val = eval(s, table, body, asg);
-                if val != Kleene::False {
-                    let w = u.index() * stride + (v.index() >> 6);
-                    let bit = 1u64 << (v.index() & 63);
-                    step_m[w] |= bit;
-                    if val == Kleene::True {
-                        step_t[w] |= bit;
+            Formula::Tc { lhs, rhs, a, b, body } => {
+                let body_mentions_x = *a != x && *b != x && mentions(body, x);
+                if body_mentions_x {
+                    // The step relation depends on the swept variable: one
+                    // closure per lane.
+                    let saved = asg.get(x);
+                    for u in 0..self.n {
+                        asg.bind(x, NodeId::from_index(u));
+                        let k = self.eval(f, asg);
+                        self.set(at, u, k);
+                    }
+                    asg.restore(x, saved);
+                } else if *lhs != x && *rhs != x {
+                    let k = self.eval(f, asg);
+                    self.broadcast(at, k);
+                } else {
+                    let src = (*lhs != x).then(|| asg.lookup(*lhs, f).index());
+                    let dst = (*rhs != x).then(|| asg.lookup(*rhs, f).index());
+                    let (ix, temporary) = self.closure(*a, *b, body, asg);
+                    let Scratch { stack, closures, .. } = &mut *self.buf;
+                    let tc = &closures[ix].1;
+                    let (t, m) = stack[at..at + 2 * st].split_at_mut(st);
+                    if let Some(src) = src {
+                        t.copy_from_slice(&tc.t[src * st..(src + 1) * st]);
+                        m.copy_from_slice(&tc.m[src * st..(src + 1) * st]);
+                    } else {
+                        for u in 0..self.n {
+                            let k = lane_of(&tc.t, &tc.m, u * st, dst.unwrap_or(u));
+                            let (w, bit) = bits::lane(u);
+                            t[w] |= u64::from(k == Kleene::True) << bit;
+                            m[w] |= u64::from(k != Kleene::False) << bit;
+                        }
+                    }
+                    if temporary {
+                        closures.pop();
                     }
                 }
             }
         }
-        restore(asg, a, saved_a);
-        restore(asg, b, saved_b);
     }
 
-    bool_closure(&mut step_t, n, stride);
-    bool_closure(&mut step_m, n, stride);
-    TcBits { stride, t: step_t, m: step_m }
+    /// Copies a structure row `(t, h)` into frame `at` as `(t, t | h)`.
+    fn copy_row(&mut self, at: usize, t: &[u64], h: &[u64]) {
+        let st = self.stride;
+        for w in 0..st {
+            self.buf.stack[at + w] = t[w];
+            self.buf.stack[at + st + w] = t[w] | h[w];
+        }
+    }
+
+    /// Index in `sweeps` of the entry for quantifier node `f` swept over
+    /// `x`, made on first use.
+    fn sweep_of(&mut self, f: &'a Formula, x: Var) -> usize {
+        let key = f as *const Formula as usize;
+        if let Some(ix) = self.buf.sweeps.iter().position(|(k, v, ..)| *k == key && *v == x) {
+            return ix;
+        }
+        let lanes = mentions(f, x);
+        // Free only in `x`: the plane is a function of the structure alone.
+        let held = if free_within(f, x, &Bound::Nil) {
+            let off = self.buf.held.len();
+            self.buf.held.resize(off + 2 * self.stride, 0);
+            Held::Pending(off)
+        } else {
+            Held::No
+        };
+        self.buf.sweeps.push((key, x, lanes, held));
+        self.buf.sweeps.len() - 1
+    }
+
+    /// Index in `closures` of the closure of `body(a, b)` under `asg`, and
+    /// whether it is temporary (the caller pops it after reading). A body
+    /// free only in `a` and `b` is closed once per evaluator.
+    fn closure(&mut self, a: Var, b: Var, body: &'a Formula, asg: &mut Assignment) -> (usize, bool) {
+        let key = body as *const Formula as usize;
+        if let Some(ix) = self.buf.closures.iter().position(|(k, _)| *k == key) {
+            return (ix, false);
+        }
+        let tc = self.tc_closure(a, b, body, asg);
+        let temporary = !free_within(body, a, &Bound::Cons(b, &Bound::Nil));
+        self.buf.closures.push((if temporary { 0 } else { key }, tc));
+        (self.buf.closures.len() - 1, temporary)
+    }
+
+    /// Computes the 3-valued transitive closure matrix of the step relation
+    /// `body(a, b)` under the current outer assignment.
+    ///
+    /// Paths of length ≥ 1 are considered; traversal *through* a summary
+    /// node is handled implicitly (a step into and out of the same summary
+    /// node composes its possibly-many members).
+    ///
+    /// The Kleene closure (max-min path semiring over `0 < 1/2 < 1`)
+    /// decomposes into two boolean closures: a pair is `True` iff connected
+    /// through `True` edges only, and `≠ False` iff connected through
+    /// `≠ False` edges. The step matrix is one plane sweep of `body` over
+    /// `b` per binding of `a`, and both closures run as bit-matrix Warshall
+    /// passes over whole words.
+    fn tc_closure(&mut self, a: Var, b: Var, body: &'a Formula, asg: &mut Assignment) -> TcBits {
+        let (n, st) = (self.n, self.stride);
+        let mut step_t = vec![0u64; n * st];
+        let mut step_m = vec![0u64; n * st];
+        let saved = asg.get(a);
+        for u in 0..n {
+            asg.bind(a, NodeId::from_index(u));
+            let at = self.push();
+            self.fill(body, b, asg, at);
+            step_t[u * st..(u + 1) * st].copy_from_slice(&self.buf.stack[at..at + st]);
+            step_m[u * st..(u + 1) * st].copy_from_slice(&self.buf.stack[at + st..at + 2 * st]);
+            self.buf.stack.truncate(at);
+        }
+        asg.restore(a, saved);
+        bool_closure(&mut step_t, n, st);
+        bool_closure(&mut step_m, n, st);
+        TcBits { t: step_t, m: step_m }
+    }
+}
+
+/// Reads lane `j` of the threshold row starting at word `row`.
+#[inline]
+fn lane_of(t: &[u64], m: &[u64], row: usize, j: usize) -> Kleene {
+    let (w, b) = bits::lane(j);
+    let tb = (t[row + w] >> b) & 1 != 0;
+    let mb = (m[row + w] >> b) & 1 != 0;
+    Kleene::from_bits(tb, mb && !tb)
+}
+
+/// Whether `x` occurs free in `f`.
+fn mentions(f: &Formula, x: Var) -> bool {
+    match f {
+        Formula::Const(_) | Formula::Nullary(_) => false,
+        Formula::Unary(_, v) => *v == x,
+        Formula::Binary(_, a, b) | Formula::Eq(a, b) => *a == x || *b == x,
+        Formula::Not(g) => mentions(g, x),
+        Formula::And(l, r) | Formula::Or(l, r) => mentions(l, x) || mentions(r, x),
+        Formula::Exists(w, g) | Formula::Forall(w, g) => *w != x && mentions(g, x),
+        Formula::Tc { lhs, rhs, a, b, body } => {
+            *lhs == x || *rhs == x || (*a != x && *b != x && mentions(body, x))
+        }
+    }
+}
+
+/// Variables bound by the quantifiers enclosing a subformula, as a list on
+/// the call stack.
+enum Bound<'b> {
+    Nil,
+    Cons(Var, &'b Bound<'b>),
+}
+
+impl Bound<'_> {
+    fn contains(&self, v: Var) -> bool {
+        match self {
+            Bound::Nil => false,
+            Bound::Cons(w, rest) => *w == v || rest.contains(v),
+        }
+    }
+}
+
+/// Whether every free variable of `f` is `x` or bound by `bound`.
+fn free_within(f: &Formula, x: Var, bound: &Bound) -> bool {
+    let ok = |v: &Var| *v == x || bound.contains(*v);
+    match f {
+        Formula::Const(_) | Formula::Nullary(_) => true,
+        Formula::Unary(_, v) => ok(v),
+        Formula::Binary(_, a, b) | Formula::Eq(a, b) => ok(a) && ok(b),
+        Formula::Not(g) => free_within(g, x, bound),
+        Formula::And(l, r) | Formula::Or(l, r) => {
+            free_within(l, x, bound) && free_within(r, x, bound)
+        }
+        Formula::Exists(w, g) | Formula::Forall(w, g) => {
+            free_within(g, x, &Bound::Cons(*w, bound))
+        }
+        Formula::Tc { lhs, rhs, a, b, body } => {
+            ok(lhs) && ok(rhs) && free_within(body, x, &Bound::Cons(*a, &Bound::Cons(*b, bound)))
+        }
+    }
 }
 
 /// In-place boolean transitive closure (paths of length ≥ 1) of an `n × n`
@@ -475,6 +621,16 @@ fn bool_closure(adj: &mut [u64], n: usize, stride: usize) {
             }
         }
     }
+}
+
+/// Evaluates `formula` over `s` under `asg`.
+///
+/// # Panics
+///
+/// Panics if a free variable of `formula` is unbound in `asg`, or if a
+/// predicate is applied at the wrong arity.
+pub fn eval(s: &Structure, table: &PredTable, formula: &Formula, asg: &mut Assignment) -> Kleene {
+    Evaluator::new(s, table, &mut Scratch::default()).eval(formula, asg)
 }
 
 /// Evaluates a closed formula (no free variables).
@@ -498,14 +654,10 @@ pub fn eval_unary_at_all(
     formula: &Formula,
     var: Var,
 ) -> Vec<Kleene> {
-    let mut asg = Assignment::new();
-    let mut memo = TcMemo::new();
-    s.nodes()
-        .map(|u| {
-            asg.bind(var, u);
-            eval_memo(s, table, formula, &mut asg, &mut memo)
-        })
-        .collect()
+    let mut buf = Scratch::default();
+    let mut ev = Evaluator::new(s, table, &mut buf);
+    let (t, m) = ev.planes(formula, var, &mut Assignment::new());
+    (0..s.node_count()).map(|u| lane_of(t, m, 0, u)).collect()
 }
 
 #[cfg(test)]
@@ -595,8 +747,9 @@ mod tests {
 
     #[test]
     fn quantifier_fold_matches_loop_on_all_shapes() {
-        // Pin the plane-fold fast paths (∃/∀ over p(v), ¬p(v), f(u,v),
-        // f(v,u)) against the generic evaluation loop on a mixed structure.
+        // Pin the plane folds of ∃/∀ over p(v), ¬p(v), f(u,v) and f(v,u)
+        // (row, column probe and their negations) against the same bodies
+        // under a double negation, which takes the complement path twice.
         let (t, x, f, _g) = setup();
         let mut s = Structure::new(&t);
         let nodes: Vec<NodeId> = (0..5).map(|_| s.add_node(&t)).collect();
@@ -619,8 +772,6 @@ mod tests {
         };
         for src in &nodes {
             for exists in [true, false] {
-                // The loop path is forced by wrapping the atom so it is not
-                // a recognizable fast-path shape (¬¬ is semantically id).
                 for (fast_body, slow_body) in atoms().into_iter().zip(
                     atoms().into_iter().map(|a| a.not().not()),
                 ) {
@@ -685,8 +836,8 @@ mod tests {
 
     #[test]
     fn tc_direct_and_general_bodies_agree() {
-        // The direct plane-copy fast path (body ≡ f(a,b)) must produce the
-        // same closure as the generic eval path over an equivalent body.
+        // A closure over the bare relation f(a,b) must equal the closure
+        // over ¬¬f(a,b), whose step rows come through the negation path.
         let (t, _x, f, _g) = setup();
         let mut s = Structure::new(&t);
         let nodes: Vec<NodeId> = (0..4).map(|_| s.add_node(&t)).collect();
@@ -696,7 +847,6 @@ mod tests {
         s.set_binary(&t, f, nodes[3], nodes[3], Kleene::Unknown);
         let (l, r, a, b) = (Var(0), Var(1), Var(2), Var(3));
         let direct = Formula::tc(l, r, a, b, Formula::binary(f, a, b));
-        // ¬¬f(a,b) is semantically identical but not the fast-path shape.
         let general = Formula::tc(l, r, a, b, Formula::binary(f, a, b).not().not());
         for &u in &nodes {
             for &v in &nodes {
@@ -737,24 +887,5 @@ mod tests {
         let mut s = Structure::new(&t);
         s.add_node(&t);
         let _ = eval(&s, &t, &Formula::unary(x, Var(0)), &mut Assignment::new());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "TcMemo reused across a structure mutation")]
-    fn tc_memo_stale_entry_guard_fires() {
-        let (t, _x, f, _g) = setup();
-        let mut s = Structure::new(&t);
-        let u = s.add_node(&t);
-        let v = s.add_node(&t);
-        s.set_binary(&t, f, u, v, Kleene::True);
-        let (l, r, a, b) = (Var(0), Var(1), Var(2), Var(3));
-        let tc = Formula::tc(l, r, a, b, Formula::binary(f, a, b));
-        let mut memo = TcMemo::new();
-        let mut asg = Assignment::of([(l, u), (r, v)]);
-        assert_eq!(eval_memo(&s, &t, &tc, &mut asg, &mut memo), Kleene::True);
-        // Mutate without memo.clear(): the debug guard must trip.
-        s.set_binary(&t, f, u, v, Kleene::False);
-        let _ = eval_memo(&s, &t, &tc, &mut asg, &mut memo);
     }
 }

@@ -11,6 +11,8 @@
 //! * [`PredTable`] / [`PredId`] — a registry of nullary/unary/binary predicates,
 //! * [`Structure`] — logical structures whose individuals model heap objects,
 //! * [`Formula`] — first-order formulas with transitive closure,
+//! * [`mod@eval`] — Kleene evaluation, a whole variable's bindings at a time
+//!   as threshold planes ([`Evaluator`]),
 //! * [`canon`] — canonical abstraction (individual merging / "blur"),
 //! * [`mod@focus`] — materialization of definite values out of summary nodes,
 //! * [`mod@coerce`] — constraint-driven sharpening and infeasibility pruning,
@@ -55,7 +57,7 @@ pub use action::{
 };
 pub use canon::{blur, canonical_key, CanonicalKey};
 pub use coerce::{coerce, coerce_with, CoerceOutcome, CoercePlan};
-pub use eval::{eval, eval_closed, eval_memo, Assignment, TcMemo};
+pub use eval::{eval, eval_closed, Assignment, Evaluator, Scratch};
 pub use focus::{focus, focus_all, FocusSpec, DEFAULT_FOCUS_LIMIT};
 pub use formula::{Formula, Var};
 pub use intern::{PoolId, StructureId, StructureInterner, WordPool};

@@ -696,3 +696,388 @@ fn canonical_key_is_identity_on_blurred() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Plane evaluation against a per-node reference.
+//
+// `Evaluator::planes` sweeps a formula over every binding of one variable at
+// once, and scalar `eval` folds quantifier bodies through the same planes.
+// The reference below is the textbook per-node Kleene evaluator: quantifiers
+// loop over the universe and a transitive closure relaxes max-min paths from
+// its source. Both properties compare the two on random formulas over random
+// structures, at universe sizes on both sides of the 64-lane word boundary.
+
+/// Universe sizes: empty, tiny, a few lanes, and straddling one and two
+/// plane words.
+const PLANE_SIZES: [usize; 8] = [0, 1, 2, 5, 63, 64, 65, 130];
+/// Variable pool: four names, so quantifiers shadow and closure bodies
+/// mention outer variables.
+const POOL: [Var; 4] = [Var(0), Var(1), Var(2), Var(3)];
+
+struct PlaneVocab {
+    table: PredTable,
+    unary: Vec<PredId>,
+    binary: Vec<PredId>,
+    nullary: PredId,
+}
+
+fn plane_vocab() -> PlaneVocab {
+    let mut table = PredTable::new();
+    let unary = vec![
+        table.add_unary("p", PredFlags::default()),
+        table.add_unary("q", PredFlags::default()),
+        table.sm(),
+    ];
+    let binary = vec![
+        table.add_binary("f", PredFlags::default()),
+        table.add_binary("g", PredFlags::default()),
+    ];
+    let nullary = table.add_nullary("c", PredFlags::default());
+    PlaneVocab { table, unary, binary, nullary }
+}
+
+fn gen_kleene(rng: &mut XorShift) -> Kleene {
+    [Kleene::False, Kleene::Unknown, Kleene::True][rng.gen_range(3)]
+}
+
+/// A random structure with `n` nodes: about a quarter of them summaries,
+/// every unary and nullary value random, binary values sparse.
+fn gen_plane_structure(rng: &mut XorShift, v: &PlaneVocab, n: usize) -> Structure {
+    let t = &v.table;
+    let mut s = Structure::new(t);
+    s.add_nodes(t, n);
+    let nodes: Vec<NodeId> = s.nodes().collect();
+    s.set_nullary(t, v.nullary, gen_kleene(rng));
+    for &u in &nodes {
+        for &p in &v.unary[..2] {
+            s.set_unary(t, p, u, gen_kleene(rng));
+        }
+        s.set_summary(t, u, rng.gen_ratio(1, 4));
+        for &f in &v.binary {
+            for &w in &nodes {
+                if rng.gen_ratio(1, 4) {
+                    s.set_binary(t, f, u, w, gen_kleene(rng));
+                }
+            }
+        }
+    }
+    s
+}
+
+/// A random formula over every constructor. `quants` bounds the number of
+/// nested quantifiers and closures, so the reference stays polynomial at
+/// the larger universe sizes.
+fn gen_plane_formula(rng: &mut XorShift, v: &PlaneVocab, depth: u32, quants: u32) -> Formula {
+    let var = |rng: &mut XorShift| *rng.choose(&POOL);
+    if depth > 0 && rng.gen_range(3) != 0 {
+        let pick = rng.gen_range(if quants > 0 { 6 } else { 3 });
+        let sub = |rng: &mut XorShift, q| gen_plane_formula(rng, v, depth - 1, q);
+        return match pick {
+            0 => sub(rng, quants).not(),
+            1 => sub(rng, quants).and(sub(rng, quants)),
+            2 => sub(rng, quants).or(sub(rng, quants)),
+            3 => Formula::exists(var(rng), sub(rng, quants - 1)),
+            4 => Formula::forall(var(rng), sub(rng, quants - 1)),
+            _ => {
+                let (lhs, rhs) = (var(rng), var(rng));
+                let a = var(rng);
+                let b = *rng.choose(&POOL.iter().copied().filter(|&x| x != a).collect::<Vec<_>>());
+                // The step relation usually relates `a` and `b`, sometimes
+                // with a third free variable from outside the closure.
+                let step = Formula::binary(*rng.choose(&v.binary), a, b);
+                let body = match rng.gen_range(3) {
+                    0 => step,
+                    1 => step.and(sub(rng, 0)),
+                    _ => step.or(sub(rng, quants - 1)),
+                };
+                Formula::tc(lhs, rhs, a, b, body)
+            }
+        };
+    }
+    match rng.gen_range(6) {
+        0 => Formula::Const(gen_kleene(rng)),
+        1 => Formula::nullary(v.nullary),
+        2 | 3 => Formula::unary(*rng.choose(&v.unary), var(rng)),
+        4 => Formula::binary(*rng.choose(&v.binary), var(rng), var(rng)),
+        _ => Formula::eq(var(rng), var(rng)),
+    }
+}
+
+/// Per-node Kleene evaluation: the specification the planes must meet.
+fn reference_eval(s: &Structure, t: &PredTable, f: &Formula, asg: &mut [Option<NodeId>]) -> Kleene {
+    let at = |asg: &[Option<NodeId>], x: &Var| asg[x.0 as usize].expect("bound");
+    match f {
+        Formula::Const(k) => *k,
+        Formula::Nullary(p) => s.nullary(t, *p),
+        Formula::Unary(p, x) => s.unary(t, *p, at(asg, x)),
+        Formula::Binary(p, a, b) => s.binary(t, *p, at(asg, a), at(asg, b)),
+        Formula::Eq(a, b) => {
+            let (u, w) = (at(asg, a), at(asg, b));
+            if u != w {
+                Kleene::False
+            } else if s.is_summary(t, u) {
+                Kleene::Unknown
+            } else {
+                Kleene::True
+            }
+        }
+        Formula::Not(g) => !reference_eval(s, t, g, asg),
+        Formula::And(l, r) => reference_eval(s, t, l, asg) & reference_eval(s, t, r, asg),
+        Formula::Or(l, r) => reference_eval(s, t, l, asg) | reference_eval(s, t, r, asg),
+        Formula::Exists(x, g) | Formula::Forall(x, g) => {
+            let exists = matches!(f, Formula::Exists(..));
+            let saved = asg[x.0 as usize];
+            let mut acc = Kleene::from_bool(!exists);
+            for u in s.nodes() {
+                asg[x.0 as usize] = Some(u);
+                let val = reference_eval(s, t, g, asg);
+                acc = if exists { acc | val } else { acc & val };
+            }
+            asg[x.0 as usize] = saved;
+            acc
+        }
+        Formula::Tc { lhs, rhs, a, b, body } => {
+            let (src, dst) = (at(asg, lhs), at(asg, rhs));
+            let (sa, sb) = (asg[a.0 as usize], asg[b.0 as usize]);
+            let nodes: Vec<NodeId> = s.nodes().collect();
+            let mut step = Vec::with_capacity(nodes.len() * nodes.len());
+            for &u in &nodes {
+                for &w in &nodes {
+                    asg[a.0 as usize] = Some(u);
+                    asg[b.0 as usize] = Some(w);
+                    step.push(reference_eval(s, t, body, asg));
+                }
+            }
+            let edge = |u: NodeId, w: NodeId| step[u.index() * nodes.len() + w.index()];
+            // best[w]: the max over paths src → w of the min edge value.
+            let mut best: Vec<Kleene> = nodes.iter().map(|&w| edge(src, w)).collect();
+            let rank = |k: Kleene| [Kleene::False, Kleene::Unknown, Kleene::True].iter().position(|&x| x == k);
+            loop {
+                let mut grew = false;
+                for &k in &nodes {
+                    if best[k.index()] == Kleene::False {
+                        continue;
+                    }
+                    for &w in &nodes {
+                        let cand = best[k.index()] & edge(k, w);
+                        if rank(cand) > rank(best[w.index()]) {
+                            best[w.index()] = cand;
+                            grew = true;
+                        }
+                    }
+                }
+                if !grew {
+                    break;
+                }
+            }
+            asg[a.0 as usize] = sa;
+            asg[b.0 as usize] = sb;
+            best[dst.index()]
+        }
+    }
+}
+
+/// The lanes checked at size `n`: all of them when small, otherwise the
+/// word boundaries plus a few random ones.
+fn probe_lanes(rng: &mut XorShift, n: usize) -> Vec<usize> {
+    if n <= 5 {
+        return (0..n).collect();
+    }
+    let mut lanes: Vec<usize> = [0, 1, 62, 63, 64, 65, 127, 128, n - 1]
+        .into_iter()
+        .filter(|&u| u < n)
+        .collect();
+    lanes.extend((0..3).map(|_| rng.gen_range(n)));
+    lanes
+}
+
+/// Plane evaluation equals per-node evaluation: for random formulas, a
+/// random swept variable and random bindings of the others, lane `u` of the
+/// threshold planes is the reference value at `x ↦ u`; `t ⊆ m`; padding is
+/// zero; and scalar `eval` agrees with the reference too. Each case sweeps
+/// one evaluator three times under different bindings, as a binary update
+/// does row by row, so a hoisted plane that depends on a binding shows.
+#[test]
+fn plane_evaluation_matches_per_node_eval() {
+    use hetsep_tvl::eval::{eval, Assignment, Evaluator, Scratch};
+    let v = plane_vocab();
+    let t = &v.table;
+    let mut buf = Scratch::default();
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        // Nested quantifiers and closures at the small sizes; one level past
+        // the word boundary, where the reference costs O(n³) per closure.
+        let (cases, quants) = if n <= 5 { (CASES * 2, 3) } else { (24, 1) };
+        for case in 0..cases {
+            let seed = (ix as u64) << 32 | case;
+            let mut rng = XorShift::new(seed);
+            let s = gen_plane_structure(&mut rng, &v, n);
+            let mut f = gen_plane_formula(&mut rng, &v, 5, quants);
+            let x = *rng.choose(&POOL);
+            if n == 0 {
+                // Nothing to bind: close every variable but the swept one.
+                for y in f.free_vars() {
+                    if y != x {
+                        f = Formula::exists(y, f);
+                    }
+                }
+            }
+            let mut ev = Evaluator::new(&s, t, &mut buf);
+            for _ in 0..3 {
+                let mut asg = Assignment::new();
+                let mut slots = vec![None; POOL.len()];
+                for &y in &POOL {
+                    if y != x && n > 0 {
+                        let u = NodeId::from_index(rng.gen_range(n));
+                        asg.bind(y, u);
+                        slots[y.0 as usize] = Some(u);
+                    }
+                }
+                let (pt, pm) = ev.planes(&f, x, &mut asg);
+                assert_eq!(pt.len(), n.div_ceil(64), "seed {seed}: stride");
+                for w in 0..pt.len() {
+                    assert_eq!(pt[w] & !pm[w], 0, "seed {seed}: t ⊆ m");
+                    let valid = if (w + 1) * 64 <= n { !0 } else { (1u64 << (n % 64)) - 1 };
+                    assert_eq!(pm[w] & !valid, 0, "seed {seed} n={n}: padding of {f}");
+                }
+                let (pt, pm) = (pt.to_vec(), pm.to_vec());
+                for u in probe_lanes(&mut rng, n) {
+                    let node = NodeId::from_index(u);
+                    slots[x.0 as usize] = Some(node);
+                    let want = reference_eval(&s, t, &f, &mut slots);
+                    let got = Kleene::from_bits(
+                        (pt[u / 64] >> (u % 64)) & 1 != 0,
+                        (pm[u / 64] & !pt[u / 64]) >> (u % 64) & 1 != 0,
+                    );
+                    assert_eq!(got, want, "seed {seed} n={n}: {f} swept over {x} at {node}");
+                    let mut at = asg.clone();
+                    at.bind(x, node);
+                    assert_eq!(eval(&s, t, &f, &mut at), want, "seed {seed} n={n}: eval of {f}");
+                }
+            }
+        }
+    }
+}
+
+/// Plane-driven coerce equals the per-node path: on random structures over
+/// a vocabulary with unary and binary instrumentation predicates (one of
+/// them defined through itself, so its up-front plane misses sharpening
+/// made earlier in the same sweep), `coerce` gives the same outcome,
+/// structure included, as a reference that reconciles every rule node by
+/// node with per-node evaluation.
+#[test]
+fn plane_coerce_matches_per_node_coerce() {
+    use hetsep_tvl::pred::Arity;
+    let mut table = PredTable::new();
+    let p = table.add_unary("p", PredFlags::default());
+    let f = table.add_binary("f", PredFlags::default());
+    let (u, w) = (Var(0), Var(1));
+    let defined = |defining| PredFlags { defining: Some(defining), ..PredFlags::default() };
+    // near(u) = ∃w. f(u, w) ∧ p(w)
+    let near = Formula::exists(w, Formula::binary(f, u, w).and(Formula::unary(p, w)));
+    table.add_unary("near", defined(near));
+    // edge(u, w) = f(u, w) ∧ ¬p(w)
+    table.add_binary("edge", defined(Formula::binary(f, u, w).and(Formula::unary(p, w).not())));
+    // reach(u) = p(u) ∨ ∃w. f(u, w) ∧ reach(w): reads itself.
+    let reach = table.add_unary("reach", PredFlags::default());
+    let step = Formula::binary(f, u, w).and(Formula::unary(reach, w));
+    table.set_flags(reach, defined(Formula::unary(p, u).or(Formula::exists(w, step))));
+    let rules: Vec<(PredId, Formula)> = table
+        .instrumentation_preds()
+        .into_iter()
+        .map(|q| (q, table.flags(q).defining.clone().unwrap()))
+        .collect();
+
+    let reference = |mut s: Structure| -> CoerceOutcome {
+        loop {
+            let mut changed = false;
+            for (q, def) in &rules {
+                let binary = table.arity(*q) == Arity::Binary;
+                let n = s.node_count();
+                for a in 0..n {
+                    for b in 0..if binary { n } else { 1 } {
+                        let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
+                        let mut slots = vec![Some(a), binary.then_some(b)];
+                        let evaled = reference_eval(&s, &table, def, &mut slots);
+                        let stored =
+                            if binary { s.binary(&table, *q, a, b) } else { s.unary(&table, *q, a) };
+                        if stored == evaled || evaled == Kleene::Unknown {
+                            continue;
+                        }
+                        if stored != Kleene::Unknown {
+                            return CoerceOutcome::Infeasible;
+                        }
+                        if binary {
+                            s.set_binary(&table, *q, a, b, evaled);
+                        } else {
+                            s.set_unary(&table, *q, a, evaled);
+                        }
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                return CoerceOutcome::Feasible(s);
+            }
+        }
+    };
+
+    let (mut feasible, mut infeasible) = (0, 0);
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        for case in 0..if n <= 5 { CASES } else { 16 } {
+            let seed = (ix as u64) << 32 | case;
+            let mut rng = XorShift::new(seed);
+            let mut s = Structure::new(&table);
+            s.add_nodes(&table, n);
+            let nodes: Vec<NodeId> = s.nodes().collect();
+            for &a in &nodes {
+                s.set_unary(&table, p, a, gen_kleene(&mut rng));
+                s.set_summary(&table, a, rng.gen_ratio(1, 4));
+                for &b in &nodes {
+                    if rng.gen_ratio(1, 4) {
+                        s.set_binary(&table, f, a, b, gen_kleene(&mut rng));
+                    }
+                }
+            }
+            // Stored instrumentation values: mostly 1/2, otherwise the
+            // definition's value (over all-1/2 instrumentation), so rules
+            // sharpen often, plus at most one random definite value that
+            // may conflict.
+            for (q, def) in &rules {
+                let binary = table.arity(*q) == Arity::Binary;
+                for a in 0..n {
+                    for b in 0..if binary { n } else { 1 } {
+                        let (a, b) = (NodeId::from_index(a), NodeId::from_index(b));
+                        let mut slots = vec![Some(a), binary.then_some(b)];
+                        let k = if rng.gen_ratio(1, 3) {
+                            reference_eval(&s, &table, def, &mut slots)
+                        } else {
+                            Kleene::Unknown
+                        };
+                        if binary {
+                            s.set_binary(&table, *q, a, b, k);
+                        } else {
+                            s.set_unary(&table, *q, a, k);
+                        }
+                    }
+                }
+            }
+            if n > 0 && rng.gen_bool() {
+                let (q, _) = rng.choose(&rules);
+                let (a, b) = (NodeId::from_index(rng.gen_range(n)), NodeId::from_index(rng.gen_range(n)));
+                let k = Kleene::from_bool(rng.gen_bool());
+                if table.arity(*q) == Arity::Binary {
+                    s.set_binary(&table, *q, a, b, k);
+                } else {
+                    s.set_unary(&table, *q, a, k);
+                }
+            }
+            let got = coerce(&s, &table);
+            match &got {
+                CoerceOutcome::Feasible(_) => feasible += 1,
+                CoerceOutcome::Infeasible => infeasible += 1,
+            }
+            assert_eq!(got, reference(s), "seed {seed} n={n}");
+        }
+    }
+    assert!(feasible > 0 && infeasible > 0, "{feasible} feasible, {infeasible} infeasible");
+}

@@ -11,11 +11,15 @@ cargo test -q
 # the block (4x u64 unrolled) kernels and the stride-padding leak checks
 # must also pass under release codegen (the bit-twiddling kernels are
 # exactly what optimization rewrites hardest).
+# The threshold-plane evaluator and plane-driven coerce are checked against
+# their per-node references the same way.
 cargo test -q -p hetsep-tvl --release --test properties -- \
     word_kernels_match_scalar_truth_tables_in_every_lane \
     stride_padding_bits_never_leak \
     block_kernels_match_word_kernels_in_every_lane \
-    block_scan_kernels_respect_stride_padding
+    block_scan_kernels_respect_stride_padding \
+    plane_evaluation_matches_per_node_eval \
+    plane_coerce_matches_per_node_coerce
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
@@ -62,12 +66,16 @@ table3_quick_json="$(mktemp)"
 table3_quick() {
     sed 's/"subproblems".*//' "$table3_quick_json" | sed -n \
         's/.*"benchmark": "\([^"]*\)", "mode": "\([^"]*\)", "space": \([0-9]*\), "visits": \([0-9]*\),.*"reported": \([^,]*\), "complete": \([^,]*\),.*/\1 \2 space=\3 visits=\4 reported=\5 complete=\6/p' \
-        | diff -u scripts/table3_quick.golden -
+        | diff -u "${1:-scripts/table3_quick.golden}" -
 }
-cargo run -q -p hetsep-bench --bin table3 --release -- \
-    --threads 1 --json "$table3_quick_json" ISPath KernelBench1 db SharedLibLoop > /dev/null
-table3_quick
-# Same subset with the intra-batch transfer fan-out forced on: partition
+# The same columns over every Table 3 program but SQLExecutor, so the rows
+# that spend their time in predicate updates and coerce (KernelBench3,
+# InputStream5/5b/6, JDBCExample(Fixed), SharedLib) are pinned too.
+cargo run -q -p hetsep-bench --bin table3 --release -- --threads 1 --json "$table3_quick_json" \
+    ISPath InputStream5 InputStream5b InputStream6 HandleReuse JDBCExample JDBCExampleFixed \
+    db KernelBench1 KernelBench3 SharedLib SharedLibLoop > /dev/null
+table3_quick scripts/table3_suite.golden
+# The quick subset with the intra-batch transfer fan-out forced on: partition
 # workers may only change wall-clock, never a semantic column.
 HETSEP_INTRA_THREADS=4 cargo run -q -p hetsep-bench --bin table3 --release -- \
     --threads 1 --json "$table3_quick_json" ISPath KernelBench1 db SharedLibLoop > /dev/null
