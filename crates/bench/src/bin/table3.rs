@@ -27,6 +27,9 @@
 //! column except the wall-clock times (and the cache counters) is
 //! byte-identical with the cache on or off.
 //!
+//! `--help` prints the usage line and exits 0. An unknown flag or benchmark
+//! name, or a flag missing its value, prints the usage to stderr and exits 2.
+//!
 //! `--no-summaries` disables call-region summary memoization (on by
 //! default) — the inlining-equivalent A/B baseline. Summary hits replay a
 //! whole region drain, so, as with the transfer cache, every semantic
@@ -38,6 +41,15 @@ use hetsep::harness::{
 };
 use hetsep::suite;
 use hetsep::{write_trace, RunMetrics};
+
+const USAGE: &str = "usage: table3 [--threads N] [--json PATH] [--metrics] [--trace PATH] \
+[--no-preanalysis] [--no-transfer-cache] [--no-summaries] [benchmark-name ...]";
+
+/// Reports a command-line error with the usage line and exits 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("table3: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
 
 fn main() {
     let mut threads: usize = 0;
@@ -51,20 +63,25 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--help" => {
+                println!("{USAGE}");
+                return;
+            }
             "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads = v.parse().expect("--threads needs an integer");
+                let v = args.next().unwrap_or_else(|| usage_error("--threads needs a value"));
+                threads = v.parse().unwrap_or_else(|_| usage_error("--threads needs an integer"));
             }
             "--json" => {
-                json_path = args.next().expect("--json needs a path");
+                json_path = args.next().unwrap_or_else(|| usage_error("--json needs a path"));
             }
             "--metrics" => metrics = true,
             "--no-preanalysis" => no_preanalysis = true,
             "--no-transfer-cache" => no_transfer_cache = true,
             "--no-summaries" => no_summaries = true,
             "--trace" => {
-                trace_path = Some(args.next().expect("--trace needs a path"));
+                trace_path = Some(args.next().unwrap_or_else(|| usage_error("--trace needs a path")));
             }
+            flag if flag.starts_with('-') => usage_error(&format!("unknown flag `{flag}`")),
             _ => names.push(arg),
         }
     }
@@ -73,7 +90,12 @@ fn main() {
     } else {
         names
             .iter()
-            .map(|n| suite::by_name(n).unwrap_or_else(|| panic!("unknown benchmark `{n}`")))
+            .map(|n| {
+                suite::by_name(n).unwrap_or_else(|| {
+                    let known: Vec<&str> = suite::all().iter().map(|b| b.name).collect();
+                    usage_error(&format!("unknown benchmark `{n}` (known: {})", known.join(", ")))
+                })
+            })
             .collect()
     };
     println!(

@@ -9,6 +9,7 @@
 //! predicates `p_r(o) = p(o) ∧ relevant(o)` as the abstraction predicates
 //! (see `hetsep-core`).
 
+use crate::bits;
 use crate::kleene::Kleene;
 use crate::pred::{Arity, PredId, PredTable};
 use crate::structure::{NodeId, Structure};
@@ -25,19 +26,19 @@ pub fn canonical_name(s: &Structure, table: &PredTable, abs: &[PredId], u: NodeI
 /// most-significant-first. Lexicographic comparison of the word rows is then
 /// exactly lexicographic comparison of the Kleene value rows, so sorting and
 /// grouping compare one `u64` per 32 predicates instead of one byte each.
+///
+/// The matrix is filled by a set-bit scan of each predicate's two planes
+/// (OR-ing code 2 for a `t` bit and code 1 for an `h` bit), so the cost is
+/// one word read per plane word plus one OR per non-`False` value.
 fn packed_name_rows(s: &Structure, table: &PredTable, preds: &[PredId]) -> (Vec<u64>, usize) {
-    for &p in preds {
-        assert_eq!(table.arity(p), Arity::Unary, "canonical names are unary");
-    }
-    let slots: Vec<usize> = preds.iter().map(|&p| table.slot(p)).collect();
     let wpn = preds.len().div_ceil(32);
     let mut rows = vec![0u64; s.node_count() * wpn];
-    for u in 0..s.node_count() {
-        let base = u * wpn;
-        for (j, &slot) in slots.iter().enumerate() {
-            let code = s.get_u(slot, u) as u64;
-            rows[base + j / 32] |= code << (62 - 2 * (j % 32));
-        }
+    for (j, &p) in preds.iter().enumerate() {
+        assert_eq!(table.arity(p), Arity::Unary, "canonical names are unary");
+        let (t, h) = s.unary_planes(table.slot(p));
+        let (word, shift) = (j / 32, 62 - 2 * (j % 32));
+        bits::for_each_set(t, |u| rows[u * wpn + word] |= 2 << shift);
+        bits::for_each_set(h, |u| rows[u * wpn + word] |= 1 << shift);
     }
     (rows, wpn)
 }
@@ -88,22 +89,10 @@ pub fn blur_by(s: &Structure, table: &PredTable, abs: &[PredId]) -> (Structure, 
             start = i;
         }
     }
-
     let n_new = groups.len();
-    // Fast path: nothing merges. With every group a singleton the general
-    // path below degenerates to a permutation of `s` by `order` (joins are
-    // over one member; `sm` is untouched), so skip the per-predicate
-    // O(n²) join loops entirely.
-    if n_new == n_old {
-        let identity = order.iter().enumerate().all(|(ix, u)| u.index() == ix);
-        if identity {
-            return (s.clone(), order);
-        }
-        let mut map = vec![NodeId::from_index(0); n_old];
-        for (new_ix, old) in order.iter().enumerate() {
-            map[old.index()] = NodeId::from_index(new_ix);
-        }
-        return (s.permute(&order), map);
+    if n_new == n_old && order.iter().enumerate().all(|(ix, u)| u.index() == ix) {
+        // Already sorted and nothing merges: the quotient is `s` itself.
+        return (s.clone(), order);
     }
     let mut map = vec![NodeId::from_index(0); n_old];
     for (new_ix, g) in groups.iter().enumerate() {
@@ -111,60 +100,99 @@ pub fn blur_by(s: &Structure, table: &PredTable, abs: &[PredId]) -> (Structure, 
             map[m.index()] = NodeId::from_index(new_ix);
         }
     }
-
-    let mut out = Structure::new(table);
-    out.add_nodes(table, n_new);
-    // Nullary predicates carry over unchanged.
-    for p in table.iter_arity(crate::pred::Arity::Nullary) {
-        out.set_nullary(table, p, s.nullary(table, p));
-    }
-    // Unary: join across members; sm additionally reflects merging.
-    let sm = table.sm();
-    for p in table.iter_arity(crate::pred::Arity::Unary) {
-        for (new_ix, g) in groups.iter().enumerate() {
-            let members = &order[g.clone()];
-            let mut acc: Option<Kleene> = None;
-            for &m in members {
-                let v = s.unary(table, p, m);
-                acc = Some(match acc {
-                    None => v,
-                    Some(a) => a.join(v),
-                });
-            }
-            let mut v = acc.expect("group is nonempty");
-            if p == sm && members.len() > 1 {
-                v = Kleene::Unknown;
-            }
-            out.set_unary(table, p, NodeId::from_index(new_ix), v);
-        }
-    }
-    // Binary: join across all member pairs.
-    for p in table.iter_arity(crate::pred::Arity::Binary) {
-        for (si, sg) in groups.iter().enumerate() {
-            let src_members = &order[sg.clone()];
-            for (di, dg) in groups.iter().enumerate() {
-                let dst_members = &order[dg.clone()];
-                let mut acc: Option<Kleene> = None;
-                for &sm_ in src_members {
-                    for &dm in dst_members {
-                        let v = s.binary(table, p, sm_, dm);
-                        acc = Some(match acc {
-                            None => v,
-                            Some(a) => a.join(v),
-                        });
-                    }
-                }
-                out.set_binary(
-                    table,
-                    p,
-                    NodeId::from_index(si),
-                    NodeId::from_index(di),
-                    acc.expect("groups are nonempty"),
-                );
-            }
-        }
+    // One scatter for a pure reorder and a merge alike: every lane becomes
+    // the OR of its preimages, which is already the join wherever a block
+    // (a lane, or a source×destination pair of groups) has one member.
+    let mut out = s.scatter(&map, n_new);
+    if n_new < n_old {
+        fix_merged_blocks(s, table, &order, &groups, &mut out);
     }
     (out, map)
+}
+
+/// Turns the OR-scattered blocks of merged groups into joins.
+///
+/// After the scatter a block holds `t` iff some member value is `True` and
+/// `h` iff some member value is `Unknown`. The join over the members is
+///
+/// * `True` iff `row_t & gm == gm` for every member source row (`gm` the
+///   destination group's member mask over the old universe; a unary plane
+///   is a single row),
+/// * `False` iff `(row_t | row_h) & gm == 0` for every member source row —
+///   exactly the blocks the scatter left empty,
+/// * `Unknown` otherwise.
+///
+/// So only blocks that touch a merged group and carry a `t` bit need work:
+/// those that fail the all-`True` test become `Unknown`. `sm` is `Unknown`
+/// on every merged group whatever its members held.
+fn fix_merged_blocks(
+    s: &Structure,
+    table: &PredTable,
+    order: &[NodeId],
+    groups: &[std::ops::Range<usize>],
+    out: &mut Structure,
+) {
+    let n_new = groups.len();
+    let (st, out_st) = (s.stride_words(), out.stride_words());
+    // Member masks over the old universe, one row per group, and the lanes
+    // of the merged groups over the new universe.
+    let mut gm = vec![0u64; n_new * st];
+    let mut merged = vec![0u64; out_st];
+    for (g, range) in groups.iter().enumerate() {
+        for &m in &order[range.clone()] {
+            let (w, b) = bits::lane(m.index());
+            gm[g * st + w] |= 1 << b;
+        }
+        if range.len() > 1 {
+            let (w, b) = bits::lane(g);
+            merged[w] |= 1 << b;
+        }
+    }
+    let covers = |row_t: &[u64], g: usize| {
+        let mask = &gm[g * st..g * st + st];
+        row_t.iter().zip(mask).all(|(&t, &m)| t & m == m)
+    };
+    let all = vec![!0u64; out_st];
+    let sm = table.slot(table.sm());
+    for slot in 0..table.unary_count() {
+        let (row_t, _) = s.unary_planes(slot);
+        let (t, h) = out.unary_planes_mut(slot);
+        if slot == sm {
+            for ((tw, hw), &mw) in t.iter_mut().zip(h.iter_mut()).zip(&merged) {
+                *tw &= !mw;
+                *hw |= mw;
+            }
+        } else {
+            demote_unless(t, h, &merged, |g| covers(row_t, g));
+        }
+    }
+    for slot in 0..table.binary_count() {
+        for (si, range) in groups.iter().enumerate() {
+            let members = &order[range.clone()];
+            // A merged source makes every block of its row a merged block.
+            let select = if members.len() > 1 { &all } else { &merged };
+            let (t, h) = out.binary_row_mut(slot, si);
+            demote_unless(t, h, select, |di| {
+                members.iter().all(|m| covers(s.binary_row(slot, m.index()).0, di))
+            });
+        }
+    }
+}
+
+/// Demotes to `Unknown` every lane of `t & select` for which `all_true`
+/// fails.
+fn demote_unless(t: &mut [u64], h: &mut [u64], select: &[u64], all_true: impl Fn(usize) -> bool) {
+    for wi in 0..t.len() {
+        let mut word = t[wi] & select[wi];
+        while word != 0 {
+            let b = word.trailing_zeros();
+            word &= word - 1;
+            if !all_true(wi * bits::WORD_BITS + b as usize) {
+                t[wi] &= !(1 << b);
+                h[wi] |= 1 << b;
+            }
+        }
+    }
 }
 
 /// A hash-/equality-ready canonical key for a blurred structure.

@@ -687,28 +687,42 @@ impl Structure {
     pub fn permute(&self, perm: &[NodeId]) -> Structure {
         let n = self.n as usize;
         assert_eq!(perm.len(), n, "permutation length mismatch");
-        let mut seen = vec![false; n];
-        for u in perm {
-            assert!(!seen[u.index()], "not a permutation");
-            seen[u.index()] = true;
+        let mut inv = vec![NodeId(u32::MAX); n];
+        for (new_ix, old) in perm.iter().enumerate() {
+            assert!(inv[old.index()].0 == u32::MAX, "not a permutation");
+            inv[old.index()] = NodeId::from_index(new_ix);
         }
-        let mut out = self.empty_resized(n);
-        for slot in 0..self.u_slots as usize {
-            for (new_ix, old) in perm.iter().enumerate() {
-                let v = self.get_u(slot, old.index());
-                if v != Kleene::False {
-                    out.set_u(slot, new_ix, v);
-                }
+        self.scatter(&inv, n)
+    }
+
+    /// The image of `self` under `map` (`map[old] = new`, onto `0..m`): every
+    /// set bit of every plane lands on the lane of its node's image, and row
+    /// `src` of a binary slot lands on row `map[src]`. Lanes and rows whose
+    /// preimages coincide receive the OR of them, plane by plane, so for a
+    /// bijective `map` this is the permuted structure; where nodes merge the
+    /// result may break `t & h == 0` and [`crate::canon::blur_by`] repairs
+    /// those blocks. Nullary values carry over.
+    pub(crate) fn scatter(&self, map: &[NodeId], m: usize) -> Structure {
+        let n = self.n as usize;
+        debug_assert_eq!(map.len(), n);
+        let mut out = self.empty_resized(m);
+        let (st, out_st) = (self.stride as usize, out.stride as usize);
+        let lanes = |src: &[u64], dst: &mut [u64]| {
+            bits::for_each_set(src, |u| {
+                let (w, b) = bits::lane(map[u].index());
+                dst[w] |= 1 << b;
+            })
+        };
+        for (src, dst) in [(&self.unary_t, &mut out.unary_t), (&self.unary_h, &mut out.unary_h)] {
+            for (row, out_row) in src.chunks_exact(st.max(1)).zip(dst.chunks_exact_mut(out_st.max(1))) {
+                lanes(row, out_row);
             }
         }
-        for slot in 0..self.b_slots as usize {
-            for (si, s_old) in perm.iter().enumerate() {
-                for (di, d_old) in perm.iter().enumerate() {
-                    let v = self.get_b(slot, s_old.index(), d_old.index());
-                    if v != Kleene::False {
-                        out.set_b(slot, si, di, v);
-                    }
-                }
+        for (src, dst) in [(&self.binary_t, &mut out.binary_t), (&self.binary_h, &mut out.binary_h)] {
+            for (ix, row) in src.chunks_exact(st.max(1)).enumerate() {
+                let (slot, old_src) = (ix / n, ix % n);
+                let base = (slot * m + map[old_src].index()) * out_st;
+                lanes(row, &mut dst[base..base + out_st]);
             }
         }
         out

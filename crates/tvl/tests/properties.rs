@@ -295,92 +295,101 @@ fn canonical_equality_is_isomorphism() {
     }
 }
 
-/// The sort-based grouping inside `blur_by` is output-identical to the
-/// original map-based grouping (fresh canonical-name `Vec` per node in a
-/// `HashMap`, then sorted). `reference_blur_by` below *is* that original
-/// implementation; both the blurred structure and the old→new node map must
-/// agree on every input, including structures that already contain summary
-/// nodes and indefinite values.
-#[test]
-fn blur_by_matches_reference_grouping() {
-    use hetsep_tvl::canon::{blur_by, canonical_name};
+/// The per-node canonical abstraction: the original map-based grouping (a
+/// fresh canonical-name `Vec` per node in a `HashMap`, then sorted) and a
+/// Kleene join per node, per node pair and per predicate. `blur_by` must be
+/// output-identical to it.
+fn reference_blur_by(
+    s: &Structure,
+    table: &PredTable,
+    abs: &[PredId],
+) -> (Structure, Vec<NodeId>) {
+    use hetsep_tvl::canon::canonical_name;
     use hetsep_tvl::pred::Arity;
     use std::collections::HashMap;
 
-    fn reference_blur_by(
-        s: &Structure,
-        table: &PredTable,
-        abs: &[PredId],
-    ) -> (Structure, Vec<NodeId>) {
-        let mut groups: HashMap<Vec<Kleene>, Vec<NodeId>> = HashMap::new();
-        for u in s.nodes() {
-            groups
-                .entry(canonical_name(s, table, abs, u))
-                .or_default()
-                .push(u);
-        }
-        let mut named: Vec<(Vec<Kleene>, Vec<NodeId>)> = groups.into_iter().collect();
-        named.sort();
-
-        let n_new = named.len();
-        let n_old = s.node_count();
-        let mut map = vec![NodeId::from_index(0); n_old];
-        for (new_ix, (_, members)) in named.iter().enumerate() {
-            for &m in members {
-                map[m.index()] = NodeId::from_index(new_ix);
-            }
-        }
-
-        let mut out = Structure::new(table);
-        for _ in 0..n_new {
-            out.add_node(table);
-        }
-        for p in table.iter_arity(Arity::Nullary) {
-            out.set_nullary(table, p, s.nullary(table, p));
-        }
-        let sm = table.sm();
-        for p in table.iter_arity(Arity::Unary) {
-            for (new_ix, (_, members)) in named.iter().enumerate() {
-                let mut acc: Option<Kleene> = None;
-                for &m in members {
-                    let v = s.unary(table, p, m);
-                    acc = Some(match acc {
-                        None => v,
-                        Some(a) => a.join(v),
-                    });
-                }
-                let mut v = acc.expect("group is nonempty");
-                if p == sm && members.len() > 1 {
-                    v = Kleene::Unknown;
-                }
-                out.set_unary(table, p, NodeId::from_index(new_ix), v);
-            }
-        }
-        for p in table.iter_arity(Arity::Binary) {
-            for (si, (_, src_members)) in named.iter().enumerate() {
-                for (di, (_, dst_members)) in named.iter().enumerate() {
-                    let mut acc: Option<Kleene> = None;
-                    for &sm_ in src_members {
-                        for &dm in dst_members {
-                            let v = s.binary(table, p, sm_, dm);
-                            acc = Some(match acc {
-                                None => v,
-                                Some(a) => a.join(v),
-                            });
-                        }
-                    }
-                    out.set_binary(
-                        table,
-                        p,
-                        NodeId::from_index(si),
-                        NodeId::from_index(di),
-                        acc.expect("groups are nonempty"),
-                    );
-                }
-            }
-        }
-        (out, map)
+    let mut groups: HashMap<Vec<Kleene>, Vec<NodeId>> = HashMap::new();
+    for u in s.nodes() {
+        groups
+            .entry(canonical_name(s, table, abs, u))
+            .or_default()
+            .push(u);
     }
+    let mut named: Vec<(Vec<Kleene>, Vec<NodeId>)> = groups.into_iter().collect();
+    named.sort();
+
+    let n_new = named.len();
+    let n_old = s.node_count();
+    let mut map = vec![NodeId::from_index(0); n_old];
+    for (new_ix, (_, members)) in named.iter().enumerate() {
+        for &m in members {
+            map[m.index()] = NodeId::from_index(new_ix);
+        }
+    }
+
+    let mut out = Structure::new(table);
+    for _ in 0..n_new {
+        out.add_node(table);
+    }
+    for p in table.iter_arity(Arity::Nullary) {
+        out.set_nullary(table, p, s.nullary(table, p));
+    }
+    let sm = table.sm();
+    for p in table.iter_arity(Arity::Unary) {
+        for (new_ix, (_, members)) in named.iter().enumerate() {
+            let mut acc: Option<Kleene> = None;
+            for &m in members {
+                let v = s.unary(table, p, m);
+                acc = Some(match acc {
+                    None => v,
+                    Some(a) => a.join(v),
+                });
+            }
+            let mut v = acc.expect("group is nonempty");
+            if p == sm && members.len() > 1 {
+                v = Kleene::Unknown;
+            }
+            out.set_unary(table, p, NodeId::from_index(new_ix), v);
+        }
+    }
+    for p in table.iter_arity(Arity::Binary) {
+        for (si, (_, src_members)) in named.iter().enumerate() {
+            for (di, (_, dst_members)) in named.iter().enumerate() {
+                let mut acc: Option<Kleene> = None;
+                for &sm_ in src_members {
+                    for &dm in dst_members {
+                        let v = s.binary(table, p, sm_, dm);
+                        acc = Some(match acc {
+                            None => v,
+                            Some(a) => a.join(v),
+                        });
+                    }
+                }
+                out.set_binary(
+                    table,
+                    p,
+                    NodeId::from_index(si),
+                    NodeId::from_index(di),
+                    acc.expect("groups are nonempty"),
+                );
+            }
+        }
+    }
+    (out, map)
+}
+
+/// The plane-based `blur_by` is output-identical to `reference_blur_by`:
+/// both the blurred structure and the old→new node map agree on every input.
+///
+/// Two input families: small concrete heaps with indefinite values sprinkled
+/// in (and their blurred forms, which carry summary nodes), and random
+/// three-valued structures at every `PLANE_SIZES` universe size, so multi-word
+/// strides are blurred too. The latter draw abstraction values from few
+/// choices, so groups of two up to all `n` members form, and carry summary
+/// nodes and `Unknown` binary entries before blurring.
+#[test]
+fn blur_by_matches_reference_grouping() {
+    use hetsep_tvl::canon::blur_by;
 
     let v = vocab();
     let abs = v.table.abstraction_preds();
@@ -409,6 +418,92 @@ fn blur_by_matches_reference_grouping() {
             reference_blur_by(&b, &v.table, &abs),
             "seed {seed}: sort-based grouping diverged on a blurred structure"
         );
+    }
+
+    let mut table = PredTable::new();
+    let named = [
+        table.add_unary("a", PredFlags::boolean_field()),
+        table.add_unary("b", PredFlags::boolean_field()),
+    ];
+    let plain = table.add_unary("p", PredFlags::default());
+    let fields = [
+        table.add_binary("f", PredFlags::default()),
+        table.add_binary("g", PredFlags::default()),
+    ];
+    let c = table.add_nullary("c", PredFlags::default());
+    let abs = table.abstraction_preds();
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        let mut merged_all = false;
+        for case in 0..if n <= 5 { CASES } else { 16 } {
+            let seed = (ix as u64) << 32 | case;
+            let mut rng = XorShift::new(seed);
+            let mut s = Structure::new(&table);
+            s.add_nodes(&table, n);
+            s.set_nullary(&table, c, gen_kleene(&mut rng));
+            // How many of the abstraction predicates vary: none (one group of
+            // all `n` nodes), one over {0, 1}, or both over all three values.
+            let spread = rng.gen_range(3);
+            let nodes: Vec<NodeId> = s.nodes().collect();
+            for &u in &nodes {
+                let a = match spread {
+                    0 => Kleene::False,
+                    1 => Kleene::from_bool(rng.gen_bool()),
+                    _ => gen_kleene(&mut rng),
+                };
+                s.set_unary(&table, named[0], u, a);
+                if spread == 2 {
+                    s.set_unary(&table, named[1], u, gen_kleene(&mut rng));
+                }
+                s.set_unary(&table, plain, u, gen_kleene(&mut rng));
+                s.set_summary(&table, u, rng.gen_ratio(1, 4));
+                for &f in &fields {
+                    for &w in &nodes {
+                        if rng.gen_ratio(1, 3) {
+                            s.set_binary(&table, f, u, w, gen_kleene(&mut rng));
+                        }
+                    }
+                }
+            }
+            let got = blur_by(&s, &table, &abs);
+            merged_all |= n > 1 && got.0.node_count() == 1;
+            assert_eq!(got, reference_blur_by(&s, &table, &abs), "seed {seed} n={n}");
+        }
+        assert!(n <= 1 || merged_all, "n={n}: no case merged every node");
+    }
+}
+
+/// `Structure::permute` moves every value to its permuted place: on random
+/// structures at every `PLANE_SIZES` universe size and random permutations,
+/// it equals a per-bit `get`/`set` copy.
+#[test]
+fn permute_matches_per_bit_reference() {
+    use hetsep_tvl::pred::Arity;
+    let v = plane_vocab();
+    let t = &v.table;
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        for case in 0..if n <= 5 { CASES } else { 16 } {
+            let seed = (ix as u64) << 32 | case;
+            let mut rng = XorShift::new(seed);
+            let s = gen_plane_structure(&mut rng, &v, n);
+            let mut perm: Vec<NodeId> = s.nodes().collect();
+            rng.shuffle(&mut perm);
+            let mut want = Structure::new(t);
+            want.add_nodes(t, n);
+            want.set_nullary(t, v.nullary, s.nullary(t, v.nullary));
+            for (new, &old) in perm.iter().enumerate() {
+                let new = NodeId::from_index(new);
+                for p in t.iter_arity(Arity::Unary) {
+                    want.set_unary(t, p, new, s.unary(t, p, old));
+                }
+                for p in t.iter_arity(Arity::Binary) {
+                    for (dst, &old_dst) in perm.iter().enumerate() {
+                        let val = s.binary(t, p, old, old_dst);
+                        want.set_binary(t, p, new, NodeId::from_index(dst), val);
+                    }
+                }
+            }
+            assert_eq!(s.permute(&perm), want, "seed {seed} n={n}");
+        }
     }
 }
 

@@ -11,15 +11,18 @@ cargo test -q
 # the block (4x u64 unrolled) kernels and the stride-padding leak checks
 # must also pass under release codegen (the bit-twiddling kernels are
 # exactly what optimization rewrites hardest).
-# The threshold-plane evaluator and plane-driven coerce are checked against
-# their per-node references the same way.
+# The threshold-plane evaluator, plane-driven coerce, and the scatter-based
+# canonical abstraction and permutation are checked against their per-node
+# references the same way.
 cargo test -q -p hetsep-tvl --release --test properties -- \
     word_kernels_match_scalar_truth_tables_in_every_lane \
     stride_padding_bits_never_leak \
     block_kernels_match_word_kernels_in_every_lane \
     block_scan_kernels_respect_stride_padding \
     plane_evaluation_matches_per_node_eval \
-    plane_coerce_matches_per_node_coerce
+    plane_coerce_matches_per_node_coerce \
+    blur_by_matches_reference_grouping \
+    permute_matches_per_bit_reference
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
