@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use hetsep_ir::cfg::Cfg;
 use hetsep_tvl::action::apply_planned;
-use hetsep_tvl::canon::blur;
+use hetsep_tvl::canon::{blur_by, name_columns, Column};
 use hetsep_tvl::coerce::CoercePlan;
 use hetsep_tvl::focus::DEFAULT_FOCUS_LIMIT;
 use hetsep_tvl::intern::{StructureId, StructureInterner};
@@ -442,11 +442,11 @@ fn compute_transfer(
     action: &hetsep_tvl::action::Action,
     s: &Structure,
     table: &PredTable,
-    plan: &CoercePlan,
+    plan: &TransferPlan,
     focus_limit: usize,
     metrics: &mut RunMetrics,
 ) -> (Vec<Structure>, TransferMemo) {
-    let out = apply_planned(action, s, table, plan, focus_limit, metrics);
+    let out = apply_planned(action, s, table, &plan.coerce, focus_limit, metrics);
     let violations = out
         .violations
         .iter()
@@ -456,10 +456,19 @@ fn compute_transfer(
     let mut posts = Vec::with_capacity(out.results.len());
     for post in out.results {
         peak_post_nodes = peak_post_nodes.max(post.node_count());
-        posts.push(metrics.time(Phase::Canon, || blur(&post, table)));
+        posts.push(metrics.time(Phase::Canon, || blur_by(&post, table, &plan.columns).0));
     }
     let peak_post_nodes = u32::try_from(peak_post_nodes).unwrap_or(u32::MAX);
     (posts, TransferMemo { violations, peak_post_nodes })
+}
+
+/// The parts of the transfer pipeline that depend only on the vocabulary,
+/// compiled once per run instead of inside every action application.
+struct TransferPlan {
+    /// The coerce constraint set.
+    coerce: CoercePlan,
+    /// The canonical-name columns of canonical abstraction.
+    columns: Vec<Column>,
 }
 
 /// Reverse-postorder rank of every CFG node (entry = 0). Nodes unreachable
@@ -583,7 +592,7 @@ struct EngineCtx<'a> {
     cancel: Option<&'a AtomicBool>,
     /// Reverse-postorder worklist rank per CFG node.
     rpo: Vec<u32>,
-    plan: CoercePlan,
+    plan: TransferPlan,
     /// Content-deduped action id per `(edge, action index)` (transfer-cache
     /// keys; see the dedup scan in [`run_shared`]).
     action_ids: Vec<Vec<u32>>,
@@ -837,9 +846,10 @@ pub fn run_shared(
         config,
         cancel,
         rpo: rpo_ranks(cfg),
-        // The coerce constraint set depends only on the vocabulary: compile
-        // it once instead of re-deriving it inside every action application.
-        plan: CoercePlan::new(table),
+        plan: TransferPlan {
+            coerce: CoercePlan::new(table),
+            columns: name_columns(table),
+        },
         action_ids,
         intra_workers: config.parallel.effective_intra_threads(),
         local_cancel: AtomicBool::new(false),
@@ -857,7 +867,9 @@ pub fn run_shared(
     // canonical-name order and names are unique per node (verified by the
     // `canonical_key_is_identity_on_blurred` property test) — so blurred
     // structures are interned directly without a re-keying pass.
-    let init = metrics.time(Phase::Canon, || blur(&Structure::new(table), table));
+    let init = metrics.time(Phase::Canon, || {
+        blur_by(&Structure::new(table), table, &ctx.plan.columns).0
+    });
     let init_id = interner.intern(init);
     let mut fr = Frontier {
         states: vec![HashSet::new(); n_nodes],

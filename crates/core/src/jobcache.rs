@@ -13,11 +13,12 @@
 //!
 //! * the *context* of an entry is the full predicate-table content (name,
 //!   arity, and flags — including defining formulas — of every predicate, in
-//!   registration order) plus the focus limit ([`context_content`]). The
-//!   transfer pipeline and the nested region drain are pure functions of
-//!   `(table, focus_limit, actions, input structure)`: coerce constraints
-//!   are compiled from the table, canonicalization reads only abstraction
-//!   flags, and focus is bounded by the limit. Two runs with equal context
+//!   registration order, and the relevance mask) plus the focus limit
+//!   ([`context_content`]). The transfer pipeline and the nested region
+//!   drain are pure functions of `(table, focus_limit, actions, input
+//!   structure)`: coerce constraints are compiled from the table,
+//!   canonicalization reads only abstraction flags and the relevance mask,
+//!   and focus is bounded by the limit. Two runs with equal context
 //!   strings therefore agree on every memoized output;
 //! * a *key* is a content string within a context: an action's full `Debug`
 //!   rendering ([`action_content`]) or a call region's
@@ -82,6 +83,9 @@ pub fn context_content(table: &PredTable, focus_limit: usize) -> String {
             table.arity(p),
             table.flags(p)
         );
+    }
+    if let Some((c, preds)) = table.relevance_mask() {
+        let _ = write!(s, "mask={c}:{preds:?};");
     }
     s
 }

@@ -25,8 +25,8 @@ use crate::vocab::{SiteId, Vocabulary};
 pub struct TranslateOptions {
     /// The strategy stage to instrument for, if any.
     pub stage: Option<AtomicStrategy>,
-    /// Use heterogeneous abstraction (`pr$…` predicates). Only meaningful
-    /// with a stage.
+    /// Use heterogeneous abstraction (the vocabulary's relevance mask). Only
+    /// meaningful with a stage.
     pub heterogeneous: bool,
     /// Per choice index: restrict that choice to these allocation sites.
     pub site_constraints: HashMap<usize, HashSet<SiteId>>,
@@ -217,8 +217,10 @@ pub fn translate(
                     ));
                 }
             }
-            // Killing a variable changes pr$-values: ensure derived updates
-            // run even on edges that previously had no core updates.
+            // Killing a variable can change the derived predicates (a
+            // forced-relevant variable feeds `relevant`, and the forget
+            // updates follow `relevant`): ensure derived updates run even on
+            // edges that previously had no core updates.
             if plan.is_some() && action.derived.is_empty() {
                 action.derived = vocab.derived_updates();
             }

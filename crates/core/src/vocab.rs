@@ -12,9 +12,11 @@
 //!   predicates for Easl set fields,
 //! * with a separation strategy: `chosen[x]`, `wasChosen[x]`, the aggregate
 //!   `chosen`, and the abstraction-directing `relevant`,
-//! * under heterogeneous abstraction, the combined predicates
-//!   `pr$p(o) = p(o) ∧ relevant(o)` that replace the original abstraction
-//!   predicates — the implementation device of paper §5.
+//! * under heterogeneous abstraction, no further predicates: the fine
+//!   abstraction predicates are demoted and set as the table's relevance
+//!   mask `(relevant, P)`, so canonical abstraction keys them only through
+//!   `p ∧ relevant` (paper §5; the paper's prototype stored those
+//!   conjunctions as extra predicates `p_r`).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -72,8 +74,8 @@ pub struct Vocabulary {
     pub near_chosen: Option<PredId>,
     /// The `relevant` predicate (separation modes only).
     pub relevant: Option<PredId>,
-    /// Whether heterogeneous abstraction is active (the `pr$…` predicates
-    /// replaced the original abstraction set).
+    /// Whether heterogeneous abstraction is active (the fine abstraction
+    /// predicates are demoted into the table's relevance mask).
     pub heterogeneous: bool,
     /// Whether relevance propagates transitively through the heap (paper
     /// §4.3). `false` restricts `relevant` to the chosen objects themselves
@@ -242,8 +244,8 @@ impl Vocabulary {
     }
 
     /// Adds the separation instrumentation predicates of paper Table 2 and,
-    /// when `heterogeneous`, replaces the abstraction-predicate set with the
-    /// combined `pr$…` predicates.
+    /// when `heterogeneous`, demotes the fine abstraction predicates into the
+    /// table's relevance mask `(relevant, P)`.
     fn instrument(&mut self, plan: &InstrumentPlan, heterogeneous: bool) {
         for choice in &plan.choices {
             let chosen = self
@@ -307,7 +309,7 @@ impl Vocabulary {
 
         if heterogeneous {
             self.heterogeneous = true;
-            // Replace every abstraction predicate p by pr$p = p ∧ relevant —
+            // Key every abstraction predicate p on p ∧ relevant only —
             // except the type and allocation-site predicates, which remain in
             // the coarse set A0: the paper's "less expensive allocation-site
             // based merging for unchosen individuals" (§5). Keeping them
@@ -317,10 +319,11 @@ impl Vocabulary {
             // The coarse merging criterion A0 for unchosen individuals is
             // *type-based*: irrelevant objects of the same class collapse
             // into one summary. Allocation-site distinctions survive for
-            // relevant objects through pr$site$… — keeping raw site
-            // predicates in A0 would prevent any collapse in straight-line
-            // code (every object has a unique site), reinstating the very
-            // state-space product separation exists to avoid.
+            // relevant objects through the masked site columns — keeping raw
+            // site predicates in A0 would prevent any collapse in
+            // straight-line code (every object has a unique site),
+            // reinstating the very state-space product separation exists to
+            // avoid.
             let mut coarse: std::collections::HashSet<PredId> =
                 self.type_preds.values().copied().collect();
             // relevant is the c-predicate of the heterogeneous equivalence
@@ -335,25 +338,18 @@ impl Vocabulary {
             // liveness kills keep this cheap — dead variables are nulled, so
             // their former targets still collapse into the summary.
             coarse.extend(self.var_preds.values().copied());
-            let abs: Vec<PredId> = self.table.abstraction_preds();
-            for p in abs {
-                if coarse.contains(&p) {
-                    continue;
-                }
+            let fine: Vec<PredId> = self
+                .table
+                .abstraction_preds()
+                .into_iter()
+                .filter(|p| !coarse.contains(p))
+                .collect();
+            for &p in &fine {
                 let mut flags = self.table.flags(p).clone();
                 flags.abstraction = false;
                 self.table.set_flags(p, flags);
-                let name = format!("pr${}", self.table.name(p));
-                let defn = Formula::unary(p, u).and(Formula::unary(relevant, u));
-                self.table.add_unary(
-                    &name,
-                    PredFlags {
-                        abstraction: true,
-                        defining: Some(defn),
-                        ..PredFlags::default()
-                    },
-                );
             }
+            self.table.set_relevance_mask(relevant, fine);
         }
     }
 
@@ -392,10 +388,10 @@ impl Vocabulary {
     }
 
     /// Derived (instrumentation) predicate updates to append to every action:
-    /// re-evaluation of `chosen`, a *refining* update of `relevant`, and the
-    /// `pr$…` predicates, over the evolving post-state in dependency order
-    /// (registration order interleaves them correctly: `chosen` < `relevant`
-    /// < `pr$…`).
+    /// re-evaluation of `chosen` and *refining* updates of `relevant` and
+    /// `nearChosen`, over the evolving post-state in dependency order
+    /// (registration order interleaves them correctly: `chosen` <
+    /// `nearChosen` < `relevant`), then the heterogeneous forget updates.
     pub fn derived_updates(&self) -> Vec<hetsep_tvl::action::PredUpdate> {
         let mut out = Vec::new();
         let u = Var(0);
@@ -451,8 +447,8 @@ impl Vocabulary {
             if let Some(relevant) = self.relevant {
                 // Boolean (typestate) fields and allocation-site identity are
                 // forgotten on irrelevant individuals; relevant ones keep
-                // them with full precision (and the pr$… copies hold them for
-                // the abstraction key).
+                // them with full precision (and the masked columns key on
+                // them there).
                 // Sorted: the emitted update order is part of the action's
                 // content key in the cross-job transfer cache, so it must be
                 // a function of the vocabulary, not of `HashMap` iteration
@@ -646,15 +642,14 @@ void main() {
     fn heterogeneous_mode_replaces_abstraction_set() {
         let v = setup(true);
         assert!(v.heterogeneous);
-        // Every remaining abstraction predicate is a combined pr$…
-        // predicate or part of the coarse A0 set: type/site predicates,
-        // program variables, and the relevance-directing predicates.
+        // Every remaining abstraction predicate is part of the coarse A0
+        // set: type/site predicates, program variables, and the
+        // relevance-directing predicates.
         let var_names: Vec<&str> = v.var_preds.keys().map(String::as_str).collect();
         for p in v.table.abstraction_preds() {
             let name = v.table.name(p);
             assert!(
-                name.starts_with("pr$")
-                    || name.starts_with("type$")
+                name.starts_with("type$")
                     || name.starts_with("site$")
                     || name == "relevant"
                     || name == "nearChosen"
@@ -662,12 +657,24 @@ void main() {
                 "unexpected abstraction predicate {name}"
             );
         }
-        // Fine-grained predicates (boolean/typestate fields, chosen) are
-        // replaced by their pr$ versions.
-        assert!(v.table.lookup("pr$chosen").is_some());
-        assert!(v.table.lookup("pr$Connection.closed").is_some());
+        // The fine predicates (boolean/typestate fields, chosen) are
+        // demoted into the relevance mask (relevant, P), P in id order.
+        let relevant = v.relevant.unwrap();
+        let (c, masked) = v.table.relevance_mask().expect("heterogeneous sets a mask");
+        assert_eq!(c, relevant);
+        assert!(masked.windows(2).all(|w| w[0] < w[1]), "P in ascending id order");
         let closed = v.table.lookup("Connection.closed").unwrap();
-        assert!(!v.table.flags(closed).abstraction);
+        let chosen = v.chosen.unwrap();
+        assert!(masked.contains(&closed) && masked.contains(&chosen));
+        for &p in masked {
+            assert!(!v.table.flags(p).abstraction, "{} stays demoted", v.table.name(p));
+        }
+        // No stored conjunction predicates: the mask replaces them.
+        assert!(v.table.iter().all(|p| !v.table.name(p).starts_with("pr$")));
+        // The homogeneous vocabulary sets no mask and keeps the fine set.
+        let homo = setup(false);
+        assert!(homo.table.relevance_mask().is_none());
+        assert!(homo.table.flags(closed).abstraction);
     }
 
     #[test]
@@ -680,8 +687,19 @@ void main() {
             .collect();
         let chosen_ix = names.iter().position(|n| *n == "chosen").unwrap();
         let relevant_ix = names.iter().position(|n| *n == "relevant").unwrap();
-        let first_pr = names.iter().position(|n| n.starts_with("pr$")).unwrap();
         assert!(chosen_ix < relevant_ix);
-        assert!(relevant_ix < first_pr);
+        // No update maintains a stored p ∧ relevant, and no coerce rule
+        // checks one: `chosen` is the only defined predicate.
+        assert!(names.iter().all(|n| !n.starts_with("pr$")));
+        let defined: Vec<&str> = v
+            .table
+            .instrumentation_preds()
+            .into_iter()
+            .map(|p| v.table.name(p))
+            .collect();
+        assert_eq!(defined, ["chosen"]);
+        // The forget updates follow the re-evaluated predicates.
+        let closed_ix = names.iter().position(|n| *n == "Connection.closed").unwrap();
+        assert!(relevant_ix < closed_ix);
     }
 }

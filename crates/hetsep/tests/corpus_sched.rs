@@ -111,6 +111,6 @@ fn cache_file_bytes_are_pinned() {
     assert!(cache.transfers.entry_count() > 0);
     assert!(cache.summaries.entry_count() > 0);
     let bytes = cache.to_bytes();
-    assert_eq!(bytes.len(), 1_490_010);
-    assert_eq!(fnv1a64(&bytes), 0x9b49_3cd7_d7b8_4f98);
+    assert_eq!(bytes.len(), 1_051_954);
+    assert_eq!(fnv1a64(&bytes), 0x4c69_c3b2_d9e5_4725);
 }

@@ -3,39 +3,100 @@
 //! The basic abstraction primitive of the parametric framework (paper §5):
 //! individuals that agree on the values of all *abstraction predicates* are
 //! merged into one (summary) individual, with remaining predicate values
-//! joined in the information order. The paper's heterogeneous abstraction is
-//! obtained by choosing the abstraction-predicate set per relevance class —
-//! realized here exactly as in the paper's prototype, by registering combined
-//! predicates `p_r(o) = p(o) ∧ relevant(o)` as the abstraction predicates
-//! (see `hetsep-core`).
+//! joined in the information order. The paper's heterogeneous abstraction
+//! `⟨c, A1, A0, A½⟩` is obtained by choosing the abstraction-predicate set
+//! per relevance class. The paper's prototype realized it by storing one
+//! combined predicate `p_r = p ∧ relevant` per abstraction predicate; here
+//! the table's [relevance mask](PredTable::set_relevance_mask) `(c, P)`
+//! adds one *masked column* `p ∧ c` per `p ∈ P` to the canonical name,
+//! computed from the planes of `p` and `c` when names are built (see
+//! [`name_columns`] and `hetsep-core`'s vocabulary).
 
 use crate::bits;
 use crate::kleene::Kleene;
 use crate::pred::{Arity, PredId, PredTable};
 use crate::structure::{NodeId, Structure};
 
-/// The *canonical name* of an individual: its vector of abstraction-predicate
-/// values.
-pub fn canonical_name(s: &Structure, table: &PredTable, abs: &[PredId], u: NodeId) -> Vec<Kleene> {
-    abs.iter().map(|&p| s.unary(table, p, u)).collect()
+/// One column of a canonical name: the value of `pred`, or with a `mask`
+/// the Kleene conjunction `pred ∧ mask`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Column {
+    /// The predicate whose value the column reads.
+    pub pred: PredId,
+    /// The relevance predicate the value is conjoined with, if masked.
+    pub mask: Option<PredId>,
+}
+
+impl Column {
+    /// An unmasked column reading `pred`.
+    pub fn plain(pred: PredId) -> Column {
+        Column { pred, mask: None }
+    }
+
+    /// The column's value at individual `u`.
+    pub fn value(&self, s: &Structure, table: &PredTable, u: NodeId) -> Kleene {
+        let v = s.unary(table, self.pred, u);
+        match self.mask {
+            Some(c) => v.and(s.unary(table, c, u)),
+            None => v,
+        }
+    }
+}
+
+/// The canonical-name columns of `table`: every abstraction predicate in
+/// ascending id order, then one masked column `p ∧ c` per predicate `p` of
+/// the relevance mask `(c, P)`, in ascending id order of `p`. The list
+/// depends only on the table, so hot callers compute it once per table.
+pub fn name_columns(table: &PredTable) -> Vec<Column> {
+    let mut cols: Vec<Column> =
+        table.abstraction_preds().into_iter().map(Column::plain).collect();
+    if let Some((c, preds)) = table.relevance_mask() {
+        cols.extend(preds.iter().map(|&pred| Column { pred, mask: Some(c) }));
+    }
+    cols
+}
+
+/// The *canonical name* of an individual: its vector of column values.
+pub fn canonical_name(s: &Structure, table: &PredTable, cols: &[Column], u: NodeId) -> Vec<Kleene> {
+    cols.iter().map(|c| c.value(s, table, u)).collect()
 }
 
 /// Builds the packed canonical-name matrix: one row of `words_per_name(k)`
-/// `u64` words per node, holding the node's `k` predicate values as 2-bit
+/// `u64` words per node, holding the node's `k` column values as 2-bit
 /// codes (`False`=0, `Unknown`=1, `True`=2 — the Kleene truth order) packed
 /// most-significant-first. Lexicographic comparison of the word rows is then
 /// exactly lexicographic comparison of the Kleene value rows, so sorting and
-/// grouping compare one `u64` per 32 predicates instead of one byte each.
+/// grouping compare one `u64` per 32 columns instead of one byte each.
 ///
-/// The matrix is filled by a set-bit scan of each predicate's two planes
+/// The matrix is filled by a set-bit scan of each column's two planes
 /// (OR-ing code 2 for a `t` bit and code 1 for an `h` bit), so the cost is
-/// one word read per plane word plus one OR per non-`False` value.
-fn packed_name_rows(s: &Structure, table: &PredTable, preds: &[PredId]) -> (Vec<u64>, usize) {
-    let wpn = preds.len().div_ceil(32);
+/// one word read per plane word plus one OR per non-`False` value. A masked
+/// column's planes are the Kleene conjunction of two predicates' planes:
+/// `t = p.t & c.t`, `h = (p.t | p.h) & (c.t | c.h) & !t`.
+fn packed_name_rows(s: &Structure, table: &PredTable, cols: &[Column]) -> (Vec<u64>, usize) {
+    let wpn = cols.len().div_ceil(32);
     let mut rows = vec![0u64; s.node_count() * wpn];
-    for (j, &p) in preds.iter().enumerate() {
+    let planes = |p: PredId| {
         assert_eq!(table.arity(p), Arity::Unary, "canonical names are unary");
-        let (t, h) = s.unary_planes(table.slot(p));
+        s.unary_planes(table.slot(p))
+    };
+    let (mut and_t, mut and_h) = (Vec::new(), Vec::new());
+    for (j, col) in cols.iter().enumerate() {
+        let (pt, ph) = planes(col.pred);
+        let (t, h) = match col.mask {
+            None => (pt, ph),
+            Some(c) => {
+                let (ct, ch) = planes(c);
+                and_t.clear();
+                and_h.clear();
+                for w in 0..pt.len() {
+                    let t = pt[w] & ct[w];
+                    and_t.push(t);
+                    and_h.push((pt[w] | ph[w]) & (ct[w] | ch[w]) & !t);
+                }
+                (&and_t[..], &and_h[..])
+            }
+        };
         let (word, shift) = (j / 32, 62 - 2 * (j % 32));
         bits::for_each_set(t, |u| rows[u * wpn + word] |= 2 << shift);
         bits::for_each_set(h, |u| rows[u * wpn + word] |= 1 << shift);
@@ -44,13 +105,12 @@ fn packed_name_rows(s: &Structure, table: &PredTable, preds: &[PredId]) -> (Vec<
 }
 
 /// Merges all individuals that share a canonical name (the `s/≃` quotient of
-/// paper §5), using the currently-flagged abstraction predicates of `table`.
+/// paper §5), over the [`name_columns`] of `table`.
 ///
 /// Returns the blurred structure together with the map from old node ids to
 /// the merged node ids.
 pub fn blur_with_map(s: &Structure, table: &PredTable) -> (Structure, Vec<NodeId>) {
-    let abs = table.abstraction_preds();
-    blur_by(s, table, &abs)
+    blur_by(s, table, &name_columns(table))
 }
 
 /// Like [`blur_with_map`] but drops the node map.
@@ -58,13 +118,14 @@ pub fn blur(s: &Structure, table: &PredTable) -> Structure {
     blur_with_map(s, table).0
 }
 
-/// Merges individuals by canonical name computed over an explicit abstraction
-/// predicate set `abs` (all must be unary).
+/// Merges individuals by canonical name computed over explicit name columns
+/// `cols` (all predicates must be unary), such as a precomputed
+/// [`name_columns`] list.
 ///
 /// The merged structure's nodes are ordered by ascending canonical name, so
 /// blurred structures are directly comparable with `==` and hashable — two
 /// blurred structures over the same table are isomorphic iff they are equal.
-pub fn blur_by(s: &Structure, table: &PredTable, abs: &[PredId]) -> (Structure, Vec<NodeId>) {
+pub fn blur_by(s: &Structure, table: &PredTable, cols: &[Column]) -> (Structure, Vec<NodeId>) {
     // Group nodes by canonical name. This is the hottest allocation site of
     // the whole analysis (one call per post-structure), so instead of a
     // `HashMap<Vec<Kleene>, Vec<NodeId>>` with a fresh name vector per node,
@@ -76,7 +137,7 @@ pub fn blur_by(s: &Structure, table: &PredTable, abs: &[PredId]) -> (Structure, 
     // map-based grouping produced (names are unique per group, so sorting
     // the collected map entries compared names only).
     let n_old = s.node_count();
-    let (names, wpn) = packed_name_rows(s, table, abs);
+    let (names, wpn) = packed_name_rows(s, table, cols);
     let name_row = |u: NodeId| &names[u.index() * wpn..u.index() * wpn + wpn];
     let mut order: Vec<NodeId> = s.nodes().collect();
     order.sort_by(|&a, &b| name_row(a).cmp(name_row(b)));
@@ -234,9 +295,9 @@ pub fn canonical_key(s: &Structure, table: &PredTable) -> CanonicalKey {
     // order equals Kleene row order; see `packed_name_rows`): a sort key
     // closure would recompute — and reallocate — both vectors on every
     // comparison.
-    let mut preds = table.abstraction_preds();
-    preds.extend(table.iter_arity(Arity::Unary));
-    let (rows, wpn) = packed_name_rows(s, table, &preds);
+    let mut cols = name_columns(table);
+    cols.extend(table.iter_arity(Arity::Unary).map(Column::plain));
+    let (rows, wpn) = packed_name_rows(s, table, &cols);
     let row = |u: NodeId| &rows[u.index() * wpn..u.index() * wpn + wpn];
     let mut order: Vec<NodeId> = s.nodes().collect();
     order.sort_by(|&a, &b| row(a).cmp(row(b)));

@@ -8,7 +8,8 @@
 //!
 //! Every structure in this crate is interpreted against a [`PredTable`].
 //! The table also records *semantic attributes* of predicates that drive
-//! canonical abstraction ([`PredFlags::abstraction`]) and the coerce
+//! canonical abstraction ([`PredFlags::abstraction`] and the table's
+//! [relevance mask](PredTable::set_relevance_mask)) and the coerce
 //! constraints ([`PredFlags::unique`], [`PredFlags::function`]).
 
 use std::collections::HashMap;
@@ -136,6 +137,9 @@ pub struct PredTable {
     sm: Option<PredId>,
     /// The built-in allocation marker predicate `isnew`.
     isnew: Option<PredId>,
+    /// The relevance mask `(c, P)` of heterogeneous abstraction, `P` in
+    /// ascending id order.
+    mask: Option<(PredId, Vec<PredId>)>,
 }
 
 impl PredTable {
@@ -267,6 +271,29 @@ impl PredTable {
             assert_eq!(arity, Arity::Binary);
         }
         self.preds[id.index()].flags = flags;
+    }
+
+    /// Sets the relevance mask `(c, P)` of heterogeneous abstraction (paper
+    /// §5): canonical abstraction keys every `p ∈ P` on the Kleene
+    /// conjunction `p ∧ c` in addition to the abstraction predicates, so
+    /// `P` separates individuals only where `c` is not false (see
+    /// [`crate::canon::name_columns`]). `P` is stored in ascending id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` or a member of `P` is not unary.
+    pub fn set_relevance_mask(&mut self, c: PredId, mut preds: Vec<PredId>) {
+        for &p in preds.iter().chain([&c]) {
+            let name = self.name(p);
+            assert_eq!(self.arity(p), Arity::Unary, "{name}: masked predicates must be unary");
+        }
+        preds.sort_unstable();
+        self.mask = Some((c, preds));
+    }
+
+    /// The relevance mask `(c, P)`, if one is set.
+    pub fn relevance_mask(&self) -> Option<(PredId, &[PredId])> {
+        self.mask.as_ref().map(|(c, preds)| (*c, preds.as_slice()))
     }
 
     /// Storage slot of the predicate within its arity class.
@@ -438,5 +465,25 @@ mod tests {
             },
         );
         assert_eq!(t.abstraction_preds(), vec![x]);
+    }
+
+    #[test]
+    fn relevance_mask_is_sorted() {
+        let mut t = PredTable::new();
+        let a = t.add_unary("a", PredFlags::default());
+        let b = t.add_unary("b", PredFlags::default());
+        let c = t.add_unary("c", PredFlags::default());
+        assert_eq!(t.relevance_mask(), None);
+        t.set_relevance_mask(c, vec![b, a]);
+        assert_eq!(t.relevance_mask(), Some((c, &[a, b][..])));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be unary")]
+    fn relevance_mask_requires_unary() {
+        let mut t = PredTable::new();
+        let c = t.add_unary("c", PredFlags::default());
+        let f = t.add_binary("f", PredFlags::default());
+        t.set_relevance_mask(c, vec![f]);
     }
 }

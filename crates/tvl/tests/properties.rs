@@ -16,7 +16,7 @@
 
 use hetsep_prng::XorShift;
 
-use hetsep_tvl::canon::{blur, canonical_key};
+use hetsep_tvl::canon::{blur, canonical_key, name_columns, Column};
 use hetsep_tvl::coerce::{coerce, CoerceOutcome};
 use hetsep_tvl::embed::embeds;
 use hetsep_tvl::eval::eval_closed;
@@ -302,7 +302,7 @@ fn canonical_equality_is_isomorphism() {
 fn reference_blur_by(
     s: &Structure,
     table: &PredTable,
-    abs: &[PredId],
+    abs: &[Column],
 ) -> (Structure, Vec<NodeId>) {
     use hetsep_tvl::canon::canonical_name;
     use hetsep_tvl::pred::Arity;
@@ -392,7 +392,7 @@ fn blur_by_matches_reference_grouping() {
     use hetsep_tvl::canon::blur_by;
 
     let v = vocab();
-    let abs = v.table.abstraction_preds();
+    let abs = name_columns(&v.table);
     for seed in 0..CASES {
         let mut rng = XorShift::new(seed);
         let h = gen_heap(&mut rng);
@@ -431,7 +431,7 @@ fn blur_by_matches_reference_grouping() {
         table.add_binary("g", PredFlags::default()),
     ];
     let c = table.add_nullary("c", PredFlags::default());
-    let abs = table.abstraction_preds();
+    let abs = name_columns(&table);
     for (ix, &n) in PLANE_SIZES.iter().enumerate() {
         let mut merged_all = false;
         for case in 0..if n <= 5 { CASES } else { 16 } {
@@ -470,6 +470,143 @@ fn blur_by_matches_reference_grouping() {
         }
         assert!(n <= 1 || merged_all, "n={n}: no case merged every node");
     }
+}
+
+/// Blur under a relevance mask `(c, P)` is blur over explicitly stored
+/// conjunctions: on random structures at every `PLANE_SIZES` universe size,
+/// blurring over `name_columns` of a masked table gives the same node map
+/// (hence the same node order) and the same value of every predicate as
+/// blurring a copy over a table that instead registers one abstraction
+/// predicate `q = p ∧ c` per `p ∈ P` after all others (the stored
+/// predicates the paper's prototype used). Only the stored `q` columns
+/// themselves are not compared. `p` and `c` take all three values, nodes
+/// are summaries at random, `P` is a random subset of two plain predicates
+/// and one abstraction predicate (empty included), and `c` is an
+/// abstraction predicate in some cases only. The masked blur is also
+/// checked against the per-node `reference_blur_by`, which evaluates each
+/// masked column with `Kleene::and`.
+#[test]
+fn masked_blur_matches_materialized_conjunction() {
+    use hetsep_tvl::canon::blur_by;
+    use hetsep_tvl::pred::Arity;
+
+    let mut empty_mask = false;
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        let mut merged_masked = false;
+        for case in 0..if n <= 5 { CASES } else { 16 } {
+            let seed = (ix as u64) << 32 | case;
+            let mut rng = XorShift::new(seed);
+            let mut masked = PredTable::new();
+            let a = masked.add_unary("a", PredFlags::boolean_field());
+            let p0 = masked.add_unary("p0", PredFlags::default());
+            let p1 = masked.add_unary("p1", PredFlags::default());
+            let c_flags = if rng.gen_bool() {
+                PredFlags::boolean_field()
+            } else {
+                PredFlags::default()
+            };
+            let c = masked.add_unary("c", c_flags);
+            let fields = [
+                masked.add_binary("f", PredFlags::default()),
+                masked.add_binary("g", PredFlags::default()),
+            ];
+            let flag = masked.add_nullary("flag", PredFlags::default());
+            // P in random order: the table keeps it sorted.
+            let preds: Vec<PredId> = [p0, a, p1].into_iter().filter(|_| rng.gen_bool()).collect();
+            empty_mask |= preds.is_empty();
+            let mut sorted = preds.clone();
+            sorted.sort();
+            let mut stored = masked.clone();
+            let q: Vec<(PredId, PredId)> = sorted
+                .into_iter()
+                .map(|p| {
+                    let name = format!("q${}", masked.name(p));
+                    (p, stored.add_unary(&name, PredFlags::boolean_field()))
+                })
+                .collect();
+            masked.set_relevance_mask(c, preds);
+
+            let mut s = Structure::new(&masked);
+            s.add_nodes(&masked, n);
+            s.set_nullary(&masked, flag, gen_kleene(&mut rng));
+            let nodes: Vec<NodeId> = s.nodes().collect();
+            for &u in &nodes {
+                // `a` from few values so merges happen; `c` false on about
+                // half the nodes, where the masked columns agree whatever
+                // `p` holds.
+                s.set_unary(&masked, a, u, Kleene::from_bool(rng.gen_ratio(1, 4)));
+                let cv = if rng.gen_bool() { Kleene::False } else { gen_kleene(&mut rng) };
+                s.set_unary(&masked, c, u, cv);
+                s.set_unary(&masked, p0, u, gen_kleene(&mut rng));
+                s.set_unary(&masked, p1, u, gen_kleene(&mut rng));
+                s.set_summary(&masked, u, rng.gen_ratio(1, 4));
+                for &f in &fields {
+                    for &w in &nodes {
+                        if rng.gen_ratio(1, 3) {
+                            s.set_binary(&masked, f, u, w, gen_kleene(&mut rng));
+                        }
+                    }
+                }
+            }
+            // The same structure over the stored table, with q = p ∧ c.
+            let mut t = Structure::new(&stored);
+            t.add_nodes(&stored, n);
+            t.set_nullary(&stored, flag, s.nullary(&masked, flag));
+            for &u in &nodes {
+                for p in masked.iter_arity(Arity::Unary) {
+                    t.set_unary(&stored, p, u, s.unary(&masked, p, u));
+                }
+                for &(p, qp) in &q {
+                    let conj = s.unary(&masked, p, u).and(s.unary(&masked, c, u));
+                    t.set_unary(&stored, qp, u, conj);
+                }
+                for &f in &fields {
+                    for &w in &nodes {
+                        t.set_binary(&stored, f, u, w, s.binary(&masked, f, u, w));
+                    }
+                }
+            }
+
+            let cols = name_columns(&masked);
+            assert_eq!(cols.len(), name_columns(&stored).len(), "seed {seed} n={n}");
+            let (bm, map_m) = blur_by(&s, &masked, &cols);
+            let (bs, map_s) = blur_by(&t, &stored, &name_columns(&stored));
+            assert_eq!(map_m, map_s, "seed {seed} n={n}: node maps differ");
+            assert_eq!(bm.node_count(), bs.node_count(), "seed {seed} n={n}");
+            assert_eq!(bm.nullary(&masked, flag), bs.nullary(&stored, flag), "seed {seed} n={n}");
+            let new_nodes: Vec<NodeId> = bm.nodes().collect();
+            for &u in &new_nodes {
+                for p in masked.iter_arity(Arity::Unary) {
+                    assert_eq!(
+                        bm.unary(&masked, p, u),
+                        bs.unary(&stored, p, u),
+                        "seed {seed} n={n}: {} at {u:?}",
+                        masked.name(p)
+                    );
+                }
+                for &f in &fields {
+                    for &w in &new_nodes {
+                        assert_eq!(
+                            bm.binary(&masked, f, u, w),
+                            bs.binary(&stored, f, u, w),
+                            "seed {seed} n={n}"
+                        );
+                    }
+                }
+            }
+            // The mask must matter: some case merges nodes that the
+            // unmasked columns keep apart.
+            let unmasked: Vec<Column> = cols.iter().map(|col| Column::plain(col.pred)).collect();
+            merged_masked |= bm.node_count() < blur_by(&s, &masked, &unmasked).0.node_count();
+            assert_eq!(
+                (bm, map_m),
+                reference_blur_by(&s, &masked, &cols),
+                "seed {seed} n={n}: masked blur diverged from the per-node reference"
+            );
+        }
+        assert!(n < 5 || merged_masked, "n={n}: the mask never merged more nodes");
+    }
+    assert!(empty_mask, "no case drew an empty P");
 }
 
 /// `Structure::permute` moves every value to its permuted place: on random

@@ -13,7 +13,8 @@ cargo test -q
 # exactly what optimization rewrites hardest).
 # The threshold-plane evaluator, plane-driven coerce, and the scatter-based
 # canonical abstraction and permutation are checked against their per-node
-# references the same way.
+# references the same way, and blur under a relevance mask against blur
+# over stored conjunction predicates.
 cargo test -q -p hetsep-tvl --release --test properties -- \
     word_kernels_match_scalar_truth_tables_in_every_lane \
     stride_padding_bits_never_leak \
@@ -22,6 +23,7 @@ cargo test -q -p hetsep-tvl --release --test properties -- \
     plane_evaluation_matches_per_node_eval \
     plane_coerce_matches_per_node_coerce \
     blur_by_matches_reference_grouping \
+    masked_blur_matches_materialized_conjunction \
     permute_matches_per_bit_reference
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
@@ -71,12 +73,13 @@ table3_quick() {
         's/.*"benchmark": "\([^"]*\)", "mode": "\([^"]*\)", "space": \([0-9]*\), "visits": \([0-9]*\),.*"reported": \([^,]*\), "complete": \([^,]*\),.*/\1 \2 space=\3 visits=\4 reported=\5 complete=\6/p' \
         | diff -u "${1:-scripts/table3_quick.golden}" -
 }
-# The same columns over every Table 3 program but SQLExecutor, so the rows
-# that spend their time in predicate updates and coerce (KernelBench3,
-# InputStream5/5b/6, JDBCExample(Fixed), SharedLib) are pinned too.
+# The same columns over every Table 3 program, so the rows that spend their
+# time in predicate updates and coerce (KernelBench3, SQLExecutor,
+# InputStream5/5b/6, JDBCExample(Fixed), SharedLib) are pinned too;
+# SQLExecutor inc is the heaviest heterogeneous row.
 cargo run -q -p hetsep-bench --bin table3 --release -- --threads 1 --json "$table3_quick_json" \
     ISPath InputStream5 InputStream5b InputStream6 HandleReuse JDBCExample JDBCExampleFixed \
-    db KernelBench1 KernelBench3 SharedLib SharedLibLoop > /dev/null
+    db KernelBench1 KernelBench3 SQLExecutor SharedLib SharedLibLoop > /dev/null
 table3_quick scripts/table3_suite.golden
 # The quick subset with the intra-batch transfer fan-out forced on: partition
 # workers may only change wall-clock, never a semantic column.
