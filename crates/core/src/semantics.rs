@@ -100,11 +100,11 @@ impl LowerCtx<'_> {
         Some(Formula::exists(u, any))
     }
 
-    /// Appends the derived instrumentation updates when the action mutates
-    /// core state.
+    /// Appends the derived instrumentation updates and the forget mask when
+    /// the action mutates core state.
     fn finish(&self, mut action: Action) -> Action {
         if self.plan.is_some() && (!action.updates.is_empty() || action.new_node.is_some()) {
-            action.derived = self.vocab.derived_updates();
+            self.vocab.add_derived(&mut action);
         }
         action
     }

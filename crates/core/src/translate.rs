@@ -218,11 +218,11 @@ pub fn translate(
                 }
             }
             // Killing a variable can change the derived predicates (a
-            // forced-relevant variable feeds `relevant`, and the forget
-            // updates follow `relevant`): ensure derived updates run even on
-            // edges that previously had no core updates.
+            // forced-relevant variable feeds `relevant`, and the forget mask
+            // follows `relevant`): ensure derived updates and the mask run
+            // even on edges that previously had no core updates.
             if plan.is_some() && action.derived.is_empty() {
-                action.derived = vocab.derived_updates();
+                vocab.add_derived(action);
             }
         }
     }

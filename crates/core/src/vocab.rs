@@ -17,6 +17,12 @@
 //!   mask `(relevant, P)`, so canonical abstraction keys them only through
 //!   `p ∧ relevant` (paper §5; the paper's prototype stored those
 //!   conjunctions as extra predicates `p_r`).
+//!
+//! Every mutating action gets the derived updates
+//! ([`Vocabulary::derived_updates`]) and, under heterogeneous abstraction,
+//! the forget mask `(relevant, F)` ([`Vocabulary::forget_mask`]), which
+//! blurs the typestate and site values of irrelevant individuals to `1/2`
+//! after the derived updates.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -25,6 +31,7 @@ use hetsep_easl::compile::PredResolver;
 use hetsep_ir::cfg::Cfg;
 use hetsep_ir::Program;
 use hetsep_strategy::instrument::InstrumentPlan;
+use hetsep_tvl::action::{Action, ForgetMask, PredUpdate};
 use hetsep_tvl::formula::{Formula, Var};
 use hetsep_tvl::pred::{PredFlags, PredId, PredTable};
 
@@ -387,12 +394,18 @@ impl Vocabulary {
         out
     }
 
+    /// Gives a mutating `action` its derived updates and forget mask.
+    pub fn add_derived(&self, action: &mut Action) {
+        action.derived = self.derived_updates();
+        action.forget = self.forget_mask();
+    }
+
     /// Derived (instrumentation) predicate updates to append to every action:
     /// re-evaluation of `chosen` and *refining* updates of `relevant` and
     /// `nearChosen`, over the evolving post-state in dependency order
     /// (registration order interleaves them correctly: `chosen` <
-    /// `nearChosen` < `relevant`), then the heterogeneous forget updates.
-    pub fn derived_updates(&self) -> Vec<hetsep_tvl::action::PredUpdate> {
+    /// `nearChosen` < `relevant`).
+    pub fn derived_updates(&self) -> Vec<PredUpdate> {
         let mut out = Vec::new();
         let u = Var(0);
         for p in self.table.iter() {
@@ -412,13 +425,13 @@ impl Vocabulary {
                 }
                 let forced = Formula::or_all(forced);
                 let update = if self.transitive_relevance {
-                    hetsep_tvl::action::PredUpdate::unary_closure(
+                    PredUpdate::unary_closure(
                         p,
                         u,
                         relevance::relevant_step_formula(self, chosen, p).or(forced),
                     )
                 } else {
-                    hetsep_tvl::action::PredUpdate::unary_refine(
+                    PredUpdate::unary_refine(
                         p,
                         u,
                         Formula::unary(chosen, u).or(forced),
@@ -427,51 +440,40 @@ impl Vocabulary {
                 out.push(update);
             } else if Some(p) == self.near_chosen {
                 let chosen = self.chosen.expect("nearChosen implies chosen");
-                out.push(hetsep_tvl::action::PredUpdate::unary_refine(
+                out.push(PredUpdate::unary_refine(
                     p,
                     u,
                     relevance::near_chosen_formula(self, chosen),
                 ));
             } else if let Some(defn) = self.table.flags(p).defining.clone() {
-                out.push(hetsep_tvl::action::PredUpdate::unary(p, u, defn));
-            }
-        }
-        // Heterogeneous abstraction additionally *forgets* typestate values
-        // of irrelevant individuals (the paper's third adaptation, §5:
-        // "adapting predicate values retained"): every boolean-field value on
-        // a non-relevant individual is blurred to 1/2. This collapses the
-        // cross product of irrelevant component states — the state-space
-        // term separation exists to remove — while relevant individuals keep
-        // full precision.
-        if self.heterogeneous {
-            if let Some(relevant) = self.relevant {
-                // Boolean (typestate) fields and allocation-site identity are
-                // forgotten on irrelevant individuals; relevant ones keep
-                // them with full precision (and the masked columns key on
-                // them there).
-                // Sorted: the emitted update order is part of the action's
-                // content key in the cross-job transfer cache, so it must be
-                // a function of the vocabulary, not of `HashMap` iteration
-                // order. (The updates are simultaneous — order does not
-                // affect semantics, only the key bytes.)
-                let mut forgettable: Vec<PredId> = self
-                    .bool_fields
-                    .values()
-                    .chain(self.site_preds.values())
-                    .copied()
-                    .collect();
-                forgettable.sort_unstable();
-                for p in forgettable {
-                    let forget = Formula::ite(
-                        Formula::unary(relevant, u),
-                        Formula::unary(p, u),
-                        Formula::Const(hetsep_tvl::Kleene::Unknown),
-                    );
-                    out.push(hetsep_tvl::action::PredUpdate::unary(p, u, forget));
-                }
+                out.push(PredUpdate::unary(p, u, defn));
             }
         }
         out
+    }
+
+    /// The forget mask of heterogeneous abstraction (the paper's third
+    /// adaptation, §5: "adapting predicate values retained"): after the
+    /// derived updates, every boolean-field (typestate) and allocation-site
+    /// value on an individual that is not definitely `relevant` is blurred
+    /// to `1/2`. This collapses the cross product of irrelevant component
+    /// states — the state-space term separation exists to remove — while
+    /// relevant individuals keep full precision (and the masked canon
+    /// columns key on them there). `None` without heterogeneous abstraction.
+    ///
+    /// The predicates are sorted: the mask is part of the action's content
+    /// key in the cross-job transfer cache, so it must be a function of the
+    /// vocabulary, not of `HashMap` iteration order.
+    pub fn forget_mask(&self) -> Option<ForgetMask> {
+        let c = self.relevant.filter(|_| self.heterogeneous)?;
+        let mut preds: Vec<PredId> = self
+            .bool_fields
+            .values()
+            .chain(self.site_preds.values())
+            .copied()
+            .collect();
+        preds.sort_unstable();
+        Some(ForgetMask { c, preds })
     }
 }
 
@@ -698,8 +700,17 @@ void main() {
             .map(|p| v.table.name(p))
             .collect();
         assert_eq!(defined, ["chosen"]);
-        // The forget updates follow the re-evaluated predicates.
-        let closed_ix = names.iter().position(|n| *n == "Connection.closed").unwrap();
-        assert!(relevant_ix < closed_ix);
+        // Forgetting is the mask (relevant, F), F the sorted boolean-field
+        // and site predicates; no derived update rewrites one of them.
+        let mask = v.forget_mask().expect("heterogeneous sets a forget mask");
+        assert_eq!(mask.c, v.relevant.unwrap());
+        let mut forgettable: Vec<PredId> =
+            v.bool_fields.values().chain(v.site_preds.values()).copied().collect();
+        forgettable.sort_unstable();
+        assert_eq!(mask.preds, forgettable);
+        assert!(mask.preds.contains(&v.table.lookup("Connection.closed").unwrap()));
+        assert!(derived.iter().all(|u| !mask.preds.contains(&u.pred)));
+        // The homogeneous vocabulary forgets nothing.
+        assert!(setup(false).forget_mask().is_none());
     }
 }

@@ -111,6 +111,6 @@ fn cache_file_bytes_are_pinned() {
     assert!(cache.transfers.entry_count() > 0);
     assert!(cache.summaries.entry_count() > 0);
     let bytes = cache.to_bytes();
-    assert_eq!(bytes.len(), 1_051_954);
-    assert_eq!(fnv1a64(&bytes), 0x4c69_c3b2_d9e5_4725);
+    assert_eq!(bytes.len(), 755_893);
+    assert_eq!(fnv1a64(&bytes), 0xabe2_e992_af7e_d86a);
 }

@@ -15,11 +15,14 @@
 //!    its update formula evaluated over the *pre*-state,
 //! 7. sequential **derived updates** — instrumentation predicates recomputed
 //!    over the evolving *post*-state (in dependency order),
-//! 8. clearing of `isnew` and a final **coerce**.
+//! 8. the **forget mask**, if any: one masked pass per forgotten predicate
+//!    ([`ForgetMask`]),
+//! 9. clearing of `isnew` and a final **coerce**.
 //!
 //! Canonical abstraction (blur) is *not* performed here; the analysis engine
 //! blurs when joining into a program location.
 
+use crate::bits;
 use crate::coerce::{coerce_with, CoercePlan};
 use crate::eval::{eval_closed, Assignment, Evaluator, Scratch};
 use crate::focus::{focus_all, FocusSpec};
@@ -118,6 +121,41 @@ pub struct CheckViolation {
     pub value: Kleene,
 }
 
+/// Heterogeneous forgetting (paper §5, "adapting predicate values
+/// retained"): every predicate of `preds` is blurred to `1/2` on the
+/// individuals where `c` is not definitely true, and kept where it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ForgetMask {
+    /// The unary predicate whose definitely-true individuals keep their
+    /// values.
+    pub c: PredId,
+    /// The forgotten unary predicates, in ascending id order.
+    pub preds: Vec<PredId>,
+}
+
+impl ForgetMask {
+    /// Forgets `preds` on `s` in one pass per predicate over its planes:
+    /// `t ← p.t & c.t` and `h ← (p.h & c.t) | (valid & !c.t)`. Each new value
+    /// is the Kleene value of `ite(c(u), p(u), 1/2)`, `c = 1/2` included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` or a member of `preds` is not unary.
+    pub fn apply(&self, s: &mut Structure, table: &PredTable) {
+        assert_eq!(table.arity(self.c), Arity::Unary);
+        let keep = s.unary_planes(table.slot(self.c)).0.to_vec();
+        let n = s.node_count();
+        for &p in &self.preds {
+            assert_eq!(table.arity(p), Arity::Unary);
+            let (t, h) = s.unary_planes_mut(table.slot(p));
+            for (w, &ct) in keep.iter().enumerate() {
+                t[w] &= ct;
+                h[w] = (h[w] & ct) | (bits::word_mask(n, w) & !ct);
+            }
+        }
+    }
+}
+
 /// A structure transformer modelling one program statement.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Action {
@@ -137,6 +175,8 @@ pub struct Action {
     /// Sequential derived updates (instrumentation predicates) evaluated over
     /// the evolving post-state.
     pub derived: Vec<PredUpdate>,
+    /// Applied after the derived updates.
+    pub forget: Option<ForgetMask>,
 }
 
 impl Action {
@@ -156,6 +196,7 @@ impl Action {
             && self.new_node.is_none()
             && self.updates.is_empty()
             && self.derived.is_empty()
+            && self.forget.is_none()
     }
 }
 
@@ -251,7 +292,8 @@ pub fn apply_planned(
     outcome
 }
 
-/// Applies allocation and updates (steps 5–8) without focus/checks.
+/// Applies allocation, updates and the forget mask (steps 5–9) without
+/// focus/checks.
 fn transform(action: &Action, mut staged: Structure, table: &PredTable) -> Structure {
     if action.new_node.is_some() {
         let fresh = staged.add_node(table);
@@ -282,6 +324,9 @@ fn transform(action: &Action, mut staged: Structure, table: &PredTable) -> Struc
                 break;
             }
         }
+    }
+    if let Some(mask) = &action.forget {
+        mask.apply(&mut post, table);
     }
     // Clear the allocation marker: a whole-plane word fill rather than a
     // per-node store loop.
@@ -579,5 +624,8 @@ mod tests {
         let mut b = Action::named("not-skip");
         b.updates.push(PredUpdate::unary(x, Var(0), Formula::ff()));
         assert!(!b.is_identity());
+        let mut c = Action::named("forget");
+        c.forget = Some(ForgetMask { c: x, preds: Vec::new() });
+        assert!(!c.is_identity());
     }
 }

@@ -203,10 +203,17 @@ fn apply_function(
     plan: &CoercePlan,
     changed: &mut bool,
 ) -> bool {
+    // Summary bits are read from the `sm` plane's `h` words (a summary node
+    // is `sm = 1/2`, and by the `t & h` invariant `h` alone decides it).
+    let sm = table.slot(table.sm());
+    let is_summary = |s: &Structure, u: usize| {
+        let (w, b) = bits::lane(u);
+        (s.unary_planes(sm).1[w] >> b) & 1 != 0
+    };
     for &f in &plan.function {
         let slot = table.slot(f);
         for src in s.nodes() {
-            if s.is_summary(table, src) {
+            if is_summary(s, src.index()) {
                 // Distinct members of a summary source may have distinct
                 // targets; no sharpening is possible.
                 continue;
@@ -231,9 +238,8 @@ fn apply_function(
                 // A definite edge into a summary target means the single
                 // source individual points to *every* member: functionality
                 // forces the target to be a single individual.
-                let target = NodeId::from_index(target);
-                if s.is_summary(table, target) {
-                    s.set_summary(table, target, false);
+                if is_summary(s, target) {
+                    s.set_summary(table, NodeId::from_index(target), false);
                     *changed = true;
                 }
             }

@@ -20,10 +20,16 @@
 //! * `∧` / `∨` are word-wise and / or of both planes;
 //! * `¬` swaps the planes and complements them within the valid-lane mask;
 //! * a unary atom `p(x)` is its slot's planes `(t, t | h)`; a binary atom is
-//!   a plane row when its source is bound and a column probe when its target
-//!   is; equality is the diagonal, with summary nodes at `1/2`;
-//! * `∃w` / `∀w` bind the loop variable lane by lane and fold the body's
-//!   plane over `w` (any `t` bit / any `m` bit, or dually any valid zero);
+//!   a plane row when its source is bound, and a row of the predicate's
+//!   transpose when its target is (built once per [`Evaluator`], on the
+//!   first such read); equality is the diagonal, with summary nodes at
+//!   `1/2`;
+//! * `∃w` / `∀w` over a body that mentions the swept variable `x` is a
+//!   *relational product*: the body's operands free of `x` form a selector
+//!   `φ(w)`, swept once over `w`, and the rest `ρ(w, x)` is swept over `x`
+//!   once per selected lane `w` and or-ed (`∃`) or and-ed (`∀`) into the
+//!   result. `∃w. φ(w) ∧ R(w, x)` is thus a word-or of `R`'s rows over
+//!   `φ`'s set bits;
 //! * a subformula whose only free variable is the one it is swept over is
 //!   *hoisted*: its plane is computed once per [`Evaluator`] and reused by
 //!   every lane and every later sweep, which keeps `∃z. (∃x. p(x) ∧
@@ -37,10 +43,11 @@
 //!   once per [`Evaluator`].
 //!
 //! Scalar evaluation ([`eval`], [`eval_closed`]) is the same evaluator: a
-//! quantifier folds the plane of its body, so the only per-node loops left
-//! are the lane-by-lane fallback for a closure whose step relation mentions
-//! the swept variable (a subformula with more than two free variables) and
-//! the lane loops of quantifiers nested under a sweep.
+//! quantifier folds the plane of its body (any `t` bit / any `m` bit, or
+//! dually any valid zero), so the only per-node loops left are the diagonals
+//! (`f(x, x)`, `x = x`) and the lane-by-lane fallback for a closure whose
+//! step relation mentions the swept variable (a subformula with more than
+//! two free variables).
 //!
 //! Planes live on a word stack in a [`Scratch`] that callers reuse across
 //! sweeps, so a sweep allocates nothing per node or per subformula.
@@ -124,6 +131,34 @@ impl Assignment {
 struct TcBits {
     t: Vec<u64>,
     m: Vec<u64>,
+    /// The transposes of `t` and `m`, built on the first column read.
+    cols: Option<(Vec<u64>, Vec<u64>)>,
+}
+
+/// How a swept quantifier node `∃w. body` / `∀w. body` is evaluated.
+#[derive(Debug, Clone, Copy)]
+enum Split {
+    /// The node does not mention the swept variable: one scalar value.
+    Closed,
+    /// A relational product whose selector is every lane of `w`.
+    Whole,
+    /// A relational product whose selector is the left operand of the
+    /// body's `∧` (under `∃`) or `∨` (under `∀`), free of the swept
+    /// variable; the right operand is the relation.
+    Left,
+    /// As [`Split::Left`], with the operands' roles swapped.
+    Right,
+}
+
+/// A quantifier node's sweep entry, decided on first use.
+#[derive(Debug, Clone, Copy)]
+struct Sweep {
+    /// Address of the quantifier node.
+    key: usize,
+    /// The swept variable.
+    var: Var,
+    split: Split,
+    held: Held,
 }
 
 /// Whether a swept quantifier node's plane is hoisted.
@@ -147,14 +182,16 @@ enum Held {
 pub struct Scratch {
     /// Plane frames, `2 · stride` words each (`t` then `m`).
     stack: Vec<u64>,
-    /// `(quantifier node address, swept variable, whether the node mentions
-    /// it, hoisting)`, decided on first use.
-    sweeps: Vec<(usize, Var, bool, Held)>,
+    /// Quantifier sweep entries.
+    sweeps: Vec<Sweep>,
     /// Hoisted planes, `2 · stride` words each.
     held: Vec<u64>,
     /// Closure matrices keyed by `Tc` body address: cached ones (bodies free
     /// only in their own two variables) stay for the evaluator's lifetime.
     closures: Vec<(usize, TcBits)>,
+    /// Transposed `(t, h)` planes of the binary slots read by column, keyed
+    /// by slot.
+    transposes: Vec<(usize, Vec<u64>, Vec<u64>)>,
 }
 
 /// Evaluates formulas over one structure, one variable's bindings at a time.
@@ -179,6 +216,7 @@ impl<'a> Evaluator<'a> {
         buf.sweeps.clear();
         buf.held.clear();
         buf.closures.clear();
+        buf.transposes.clear();
         Evaluator { s, table, n: s.node_count(), stride: s.stride_words(), buf }
     }
 
@@ -319,20 +357,25 @@ impl<'a> Evaluator<'a> {
             Formula::Unary(p, v) if *v == x => {
                 assert_eq!(table.arity(*p), Arity::Unary);
                 let (t, h) = s.unary_planes(table.slot(*p));
-                self.copy_row(at, t, h);
+                copy_row(&mut self.buf.stack[at..at + 2 * st], t, h);
             }
             Formula::Binary(p, a, b) if *a == x || *b == x => {
                 assert_eq!(table.arity(*p), Arity::Binary);
                 let slot = table.slot(*p);
                 if *a != x {
                     let (t, h) = s.binary_row(slot, asg.lookup(*a, f).index());
-                    self.copy_row(at, t, h);
+                    copy_row(&mut self.buf.stack[at..at + 2 * st], t, h);
+                } else if *b != x {
+                    // A column probe `f(x, w)`: row `w` of the transpose.
+                    let col = asg.lookup(*b, f).index() * st;
+                    let ix = self.transposed(slot);
+                    let Scratch { stack, transposes, .. } = &mut *self.buf;
+                    let (_, t, h) = &transposes[ix];
+                    copy_row(&mut stack[at..at + 2 * st], &t[col..col + st], &h[col..col + st]);
                 } else {
-                    // Diagonal (`f(x, x)`) or a column probe (`f(x, w)`):
-                    // one bit per source row.
-                    let dst = if *b == x { None } else { Some(asg.lookup(*b, f).index()) };
+                    // The diagonal `f(x, x)`: one bit per row.
                     for u in 0..self.n {
-                        let k = s.get_b(slot, u, dst.unwrap_or(u));
+                        let k = s.get_b(slot, u, u);
                         self.set(at, u, k);
                     }
                 }
@@ -384,16 +427,10 @@ impl<'a> Evaluator<'a> {
                 let rat = self.push();
                 self.fill(r, x, asg, rat);
                 let (lo, hi) = self.buf.stack.split_at_mut(rat);
-                for (dst, src) in lo[at..].iter_mut().zip(hi.iter()) {
-                    if and {
-                        *dst &= *src;
-                    } else {
-                        *dst |= *src;
-                    }
-                }
+                combine(&mut lo[at..], hi, and);
                 self.buf.stack.truncate(rat);
             }
-            Formula::Exists(w, body) | Formula::Forall(w, body) => {
+            Formula::Exists(w, _) | Formula::Forall(w, _) => {
                 if *w == x {
                     // The quantifier rebinds `x`: the node does not mention it.
                     let k = self.eval(f, asg);
@@ -401,33 +438,22 @@ impl<'a> Evaluator<'a> {
                     return;
                 }
                 let ix = self.sweep_of(f, x);
-                let (_, _, lanes, held) = self.buf.sweeps[ix];
+                let Sweep { split, held, .. } = self.buf.sweeps[ix];
                 if let Held::Ready(off) = held {
                     let Scratch { stack, held, .. } = &mut *self.buf;
                     stack[at..at + 2 * st].copy_from_slice(&held[off..off + 2 * st]);
                     return;
                 }
-                if lanes {
-                    // Bind `x` lane by lane and fold the body's plane over `w`.
-                    let exists = matches!(f, Formula::Exists(..));
-                    let saved = asg.get(x);
-                    for u in 0..self.n {
-                        asg.bind(x, NodeId::from_index(u));
-                        let bat = self.push();
-                        self.fill(body, *w, asg, bat);
-                        let k = self.fold(bat, exists);
-                        self.buf.stack.truncate(bat);
-                        self.set(at, u, k);
-                    }
-                    asg.restore(x, saved);
-                } else {
+                if let Split::Closed = split {
                     let k = self.eval(f, asg);
                     self.broadcast(at, k);
+                } else {
+                    self.product(f, split, x, asg, at);
                 }
                 if let Held::Pending(off) = held {
                     let Scratch { stack, held, sweeps, .. } = &mut *self.buf;
                     held[off..off + 2 * st].copy_from_slice(&stack[at..at + 2 * st]);
-                    sweeps[ix].3 = Held::Ready(off);
+                    sweeps[ix].held = Held::Ready(off);
                 }
             }
             Formula::Tc { lhs, rhs, a, b, body } => {
@@ -449,18 +475,31 @@ impl<'a> Evaluator<'a> {
                     let src = (*lhs != x).then(|| asg.lookup(*lhs, f).index());
                     let dst = (*rhs != x).then(|| asg.lookup(*rhs, f).index());
                     let (ix, temporary) = self.closure(*a, *b, body, asg);
+                    let n = self.n;
                     let Scratch { stack, closures, .. } = &mut *self.buf;
-                    let tc = &closures[ix].1;
+                    let tc = &mut closures[ix].1;
                     let (t, m) = stack[at..at + 2 * st].split_at_mut(st);
-                    if let Some(src) = src {
-                        t.copy_from_slice(&tc.t[src * st..(src + 1) * st]);
-                        m.copy_from_slice(&tc.m[src * st..(src + 1) * st]);
-                    } else {
-                        for u in 0..self.n {
-                            let k = lane_of(&tc.t, &tc.m, u * st, dst.unwrap_or(u));
-                            let (w, bit) = bits::lane(u);
-                            t[w] |= u64::from(k == Kleene::True) << bit;
-                            m[w] |= u64::from(k != Kleene::False) << bit;
+                    match (src, dst) {
+                        (Some(row), _) => {
+                            t.copy_from_slice(&tc.t[row * st..(row + 1) * st]);
+                            m.copy_from_slice(&tc.m[row * st..(row + 1) * st]);
+                        }
+                        (None, Some(col)) => {
+                            // A column read: a row of the transpose.
+                            let (ct, cm) = tc
+                                .cols
+                                .get_or_insert_with(|| (transpose(&tc.t, n, st), transpose(&tc.m, n, st)));
+                            t.copy_from_slice(&ct[col * st..(col + 1) * st]);
+                            m.copy_from_slice(&cm[col * st..(col + 1) * st]);
+                        }
+                        (None, None) => {
+                            // The diagonal: one bit per row.
+                            for u in 0..n {
+                                let k = lane_of(&tc.t, &tc.m, u * st, u);
+                                let (w, bit) = bits::lane(u);
+                                t[w] |= u64::from(k == Kleene::True) << bit;
+                                m[w] |= u64::from(k != Kleene::False) << bit;
+                            }
                         }
                     }
                     if temporary {
@@ -471,23 +510,98 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Copies a structure row `(t, h)` into frame `at` as `(t, t | h)`.
-    fn copy_row(&mut self, at: usize, t: &[u64], h: &[u64]) {
+    /// Writes the quantifier node `f`, `∃w. φ(w) ∧ ρ(w, x)` or
+    /// `∀w. φ(w) ∨ ρ(w, x)` with its operands picked by `split`, swept over
+    /// `x`, into the zeroed frame `at` as a relational product: `φ`'s plane
+    /// over `w` selects the lanes `w` whose plane of `ρ` over `x` is or-ed
+    /// (`∃`) or and-ed (`∀`) into the frame. Under [`Split::Whole`] the body
+    /// is `ρ` and every lane of `w` is selected.
+    ///
+    /// Per threshold: `∃` is `1` at `x` iff some `w` has `φ = 1` and
+    /// `ρ = 1`, and `≥ 1/2` iff some `w` has both `≥ 1/2`, so the `t` plane
+    /// folds the rows of `φ`'s `t` lanes and the `m` plane those of its `m`
+    /// lanes. Dually `∀` is `1` iff every `w` with `φ < 1` has `ρ = 1`, and
+    /// `≥ 1/2` iff every `w` with `φ = 0` has `ρ ≥ 1/2`. Either way the
+    /// lanes of one threshold contain those of the other, so `ρ` is swept
+    /// once per lane of the wider set.
+    fn product(&mut self, f: &'a Formula, split: Split, x: Var, asg: &mut Assignment, at: usize) {
+        let (exists, w, body) = match f {
+            Formula::Exists(w, body) => (true, *w, &**body),
+            Formula::Forall(w, body) => (false, *w, &**body),
+            _ => unreachable!("relational products are made for quantifier nodes"),
+        };
+        let (phi, rho) = match (split, body) {
+            (Split::Left, Formula::And(l, r) | Formula::Or(l, r)) => (Some(&**l), &**r),
+            (Split::Right, Formula::And(l, r) | Formula::Or(l, r)) => (Some(&**r), &**l),
+            _ => (None, body),
+        };
         let st = self.stride;
-        for w in 0..st {
-            self.buf.stack[at + w] = t[w];
-            self.buf.stack[at + st + w] = t[w] | h[w];
+        let sel = self.push();
+        match phi {
+            Some(phi) => self.fill(phi, w, asg, sel),
+            // The unit of the body's connective selects every lane.
+            None => self.broadcast(sel, Kleene::from_bool(exists)),
         }
+        if !exists {
+            // `∀` folds the lanes where `φ` misses a threshold, starting
+            // from all lanes true.
+            for i in 0..st {
+                let valid = self.valid(i);
+                let stack = &mut self.buf.stack;
+                stack[sel + i] = valid & !stack[sel + i];
+                stack[sel + st + i] = valid & !stack[sel + st + i];
+                stack[at + i] = valid;
+                stack[at + st + i] = valid;
+            }
+        }
+        let wide = if exists { sel + st } else { sel };
+        let saved = asg.get(w);
+        for i in 0..st {
+            let mut word = self.buf.stack[wide + i];
+            while word != 0 {
+                let bit = word.trailing_zeros();
+                word &= word - 1;
+                asg.bind(w, NodeId::from_index(i * bits::WORD_BITS + bit as usize));
+                let rat = self.push();
+                self.fill(rho, x, asg, rat);
+                let (lo, hi) = self.buf.stack.split_at_mut(rat);
+                for plane in [0, st] {
+                    if (lo[sel + plane + i] >> bit) & 1 != 0 {
+                        combine(&mut lo[at + plane..at + plane + st], &hi[plane..plane + st], !exists);
+                    }
+                }
+                self.buf.stack.truncate(rat);
+            }
+        }
+        asg.restore(w, saved);
+        self.buf.stack.truncate(sel);
     }
 
     /// Index in `sweeps` of the entry for quantifier node `f` swept over
     /// `x`, made on first use.
     fn sweep_of(&mut self, f: &'a Formula, x: Var) -> usize {
         let key = f as *const Formula as usize;
-        if let Some(ix) = self.buf.sweeps.iter().position(|(k, v, ..)| *k == key && *v == x) {
+        if let Some(ix) = self.buf.sweeps.iter().position(|e| e.key == key && e.var == x) {
             return ix;
         }
-        let lanes = mentions(f, x);
+        let split = match f {
+            _ if !mentions(f, x) => Split::Closed,
+            Formula::Exists(_, body) | Formula::Forall(_, body) => match &**body {
+                Formula::And(l, r) | Formula::Or(l, r)
+                    if matches!(**body, Formula::And(..)) == matches!(f, Formula::Exists(..)) =>
+                {
+                    if !mentions(l, x) {
+                        Split::Left
+                    } else if !mentions(r, x) {
+                        Split::Right
+                    } else {
+                        Split::Whole
+                    }
+                }
+                _ => Split::Whole,
+            },
+            _ => unreachable!("sweep entries are made for quantifier nodes"),
+        };
         // Free only in `x`: the plane is a function of the structure alone.
         let held = if free_within(f, x, &Bound::Nil) {
             let off = self.buf.held.len();
@@ -496,8 +610,20 @@ impl<'a> Evaluator<'a> {
         } else {
             Held::No
         };
-        self.buf.sweeps.push((key, x, lanes, held));
+        self.buf.sweeps.push(Sweep { key, var: x, split, held });
         self.buf.sweeps.len() - 1
+    }
+
+    /// Index in `transposes` of binary slot `slot`'s transpose, built on the
+    /// first column read.
+    fn transposed(&mut self, slot: usize) -> usize {
+        if let Some(ix) = self.buf.transposes.iter().position(|(k, ..)| *k == slot) {
+            return ix;
+        }
+        let (t, h) = self.s.binary_slot_planes(slot);
+        let (tt, th) = (transpose(t, self.n, self.stride), transpose(h, self.n, self.stride));
+        self.buf.transposes.push((slot, tt, th));
+        self.buf.transposes.len() - 1
     }
 
     /// Index in `closures` of the closure of `body(a, b)` under `asg`, and
@@ -543,8 +669,39 @@ impl<'a> Evaluator<'a> {
         asg.restore(a, saved);
         bool_closure(&mut step_t, n, st);
         bool_closure(&mut step_m, n, st);
-        TcBits { t: step_t, m: step_m }
+        TcBits { t: step_t, m: step_m, cols: None }
     }
+}
+
+/// Copies a structure row `(t, h)` into a plane frame as `(t, t | h)`.
+fn copy_row(frame: &mut [u64], t: &[u64], h: &[u64]) {
+    let (ft, fm) = frame.split_at_mut(t.len());
+    for w in 0..t.len() {
+        ft[w] = t[w];
+        fm[w] = t[w] | h[w];
+    }
+}
+
+/// And-s (`and`) or or-s `src` into `dst`, word by word.
+fn combine(dst: &mut [u64], src: &[u64], and: bool) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        if and {
+            *d &= *s;
+        } else {
+            *d |= *s;
+        }
+    }
+}
+
+/// The transpose of an `n × n` bit matrix with `stride`-word rows: bit `v`
+/// of row `u` becomes bit `u` of row `v`, one write per set bit.
+fn transpose(rows: &[u64], n: usize, stride: usize) -> Vec<u64> {
+    let mut out = vec![0u64; n * stride];
+    for u in 0..n {
+        let (w, b) = bits::lane(u);
+        bits::for_each_set(&rows[u * stride..(u + 1) * stride], |v| out[v * stride + w] |= 1 << b);
+    }
+    out
 }
 
 /// Reads lane `j` of the threshold row starting at word `row`.

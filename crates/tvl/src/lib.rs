@@ -53,7 +53,8 @@ pub mod structure;
 pub mod telemetry;
 
 pub use action::{
-    apply, apply_planned, Action, ApplyOutcome, Check, CheckViolation, NewNodeSpec, PredUpdate,
+    apply, apply_planned, Action, ApplyOutcome, Check, CheckViolation, ForgetMask, NewNodeSpec,
+    PredUpdate,
 };
 pub use canon::{blur, canonical_key, CanonicalKey};
 pub use coerce::{coerce, coerce_with, CoerceOutcome, CoercePlan};

@@ -998,11 +998,15 @@ fn gen_plane_structure(rng: &mut XorShift, v: &PlaneVocab, n: usize) -> Structur
 
 /// A random formula over every constructor. `quants` bounds the number of
 /// nested quantifiers and closures, so the reference stays polynomial at
-/// the larger universe sizes.
+/// the larger universe sizes. Besides free combinations it builds the
+/// relational-product shapes `∃w. φ ∧ R` and `∀w. φ ∨ R` (either operand
+/// order, `R` a row, column or negated atom over `w` and another variable,
+/// `φ` usually free of that variable) and their mismatched duals
+/// `∃w. φ ∨ R` and `∀w. φ ∧ R`.
 fn gen_plane_formula(rng: &mut XorShift, v: &PlaneVocab, depth: u32, quants: u32) -> Formula {
     let var = |rng: &mut XorShift| *rng.choose(&POOL);
     if depth > 0 && rng.gen_range(3) != 0 {
-        let pick = rng.gen_range(if quants > 0 { 6 } else { 3 });
+        let pick = rng.gen_range(if quants > 0 { 8 } else { 3 });
         let sub = |rng: &mut XorShift, q| gen_plane_formula(rng, v, depth - 1, q);
         return match pick {
             0 => sub(rng, quants).not(),
@@ -1010,6 +1014,30 @@ fn gen_plane_formula(rng: &mut XorShift, v: &PlaneVocab, depth: u32, quants: u32
             2 => sub(rng, quants).or(sub(rng, quants)),
             3 => Formula::exists(var(rng), sub(rng, quants - 1)),
             4 => Formula::forall(var(rng), sub(rng, quants - 1)),
+            6 | 7 => {
+                let w = var(rng);
+                let y = *rng.choose(&POOL.iter().copied().filter(|&z| z != w).collect::<Vec<_>>());
+                let r = *rng.choose(&v.binary);
+                let rel = match rng.gen_range(3) {
+                    0 => Formula::binary(r, w, y),
+                    1 => Formula::binary(r, y, w),
+                    _ => Formula::binary(r, w, y).not(),
+                };
+                let sel = match rng.gen_range(3) {
+                    0 => Formula::unary(*rng.choose(&v.unary), w),
+                    1 => Formula::unary(*rng.choose(&v.unary), w).not(),
+                    _ => sub(rng, quants - 1),
+                };
+                let (l, r) = if rng.gen_bool() { (sel, rel) } else { (rel, sel) };
+                // `matched`: `∧` under `∃`, `∨` under `∀`.
+                let (exists, matched) = (rng.gen_bool(), pick == 6);
+                let body = if exists == matched { l.and(r) } else { l.or(r) };
+                if exists {
+                    Formula::exists(w, body)
+                } else {
+                    Formula::forall(w, body)
+                }
+            }
             _ => {
                 let (lhs, rhs) = (var(rng), var(rng));
                 let a = var(rng);
@@ -1186,6 +1214,43 @@ fn plane_evaluation_matches_per_node_eval() {
                     assert_eq!(eval(&s, t, &f, &mut at), want, "seed {seed} n={n}: eval of {f}");
                 }
             }
+        }
+    }
+}
+
+/// The forget pass equals evaluating `ite(c(u), p(u), 1/2)` one predicate at
+/// a time: on random structures at every `PLANE_SIZES` universe size, with
+/// `c` and every `p` taking all three values on summary and non-summary
+/// nodes, [`ForgetMask::apply`] sets each `p ∈ F` to the evaluator's planes
+/// of that formula over the structure before the pass and leaves every
+/// other predicate (including `c` unless it is in `F`) unchanged. `F` is a
+/// random subset of the unary predicates, `c` and the empty set included.
+#[test]
+fn forget_pass_matches_ite_evaluation() {
+    use hetsep_tvl::action::ForgetMask;
+    use hetsep_tvl::eval::eval_unary_at_all;
+
+    let v = plane_vocab();
+    let t = &v.table;
+    let u = Var(0);
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        for case in 0..if n <= 5 { CASES } else { 16 } {
+            let seed = (ix as u64) << 32 | case;
+            let mut rng = XorShift::new(seed);
+            let s = gen_plane_structure(&mut rng, &v, n);
+            let c = *rng.choose(&v.unary[..2]);
+            let preds: Vec<PredId> = v.unary[..2].iter().copied().filter(|_| rng.gen_bool()).collect();
+            let mut want = s.clone();
+            for &p in &preds {
+                let half = Formula::Const(Kleene::Unknown);
+                let ite = Formula::ite(Formula::unary(c, u), Formula::unary(p, u), half);
+                for (node, k) in s.nodes().zip(eval_unary_at_all(&s, t, &ite, u)) {
+                    want.set_unary(t, p, node, k);
+                }
+            }
+            let mut got = s.clone();
+            ForgetMask { c, preds: preds.clone() }.apply(&mut got, t);
+            assert_eq!(got, want, "seed {seed} n={n}: forget {preds:?} unless {c:?}");
         }
     }
 }

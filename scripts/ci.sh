@@ -13,8 +13,9 @@ cargo test -q
 # exactly what optimization rewrites hardest).
 # The threshold-plane evaluator, plane-driven coerce, and the scatter-based
 # canonical abstraction and permutation are checked against their per-node
-# references the same way, and blur under a relevance mask against blur
-# over stored conjunction predicates.
+# references the same way, blur under a relevance mask against blur
+# over stored conjunction predicates, and the forget pass against
+# evaluating its `ite` formula.
 cargo test -q -p hetsep-tvl --release --test properties -- \
     word_kernels_match_scalar_truth_tables_in_every_lane \
     stride_padding_bits_never_leak \
@@ -24,6 +25,7 @@ cargo test -q -p hetsep-tvl --release --test properties -- \
     plane_coerce_matches_per_node_coerce \
     blur_by_matches_reference_grouping \
     masked_blur_matches_materialized_conjunction \
+    forget_pass_matches_ite_evaluation \
     permute_matches_per_bit_reference
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
