@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use hetsep_ir::cfg::Cfg;
 use hetsep_tvl::action::apply_planned;
-use hetsep_tvl::canon::{blur_by, name_columns, Column};
+use hetsep_tvl::canon::{blur_by, blur_post, name_columns, Column};
 use hetsep_tvl::coerce::CoercePlan;
 use hetsep_tvl::focus::DEFAULT_FOCUS_LIMIT;
 use hetsep_tvl::intern::{StructureId, StructureInterner};
@@ -415,12 +415,12 @@ impl<C: InRunMemo<M>, M: Memo> MemoLevel<'_, C, M> {
 }
 
 /// One precomputed transfer application, produced by the intra-subproblem
-/// fan-out (phase 2 of the batched worklist loop): blurred canonical posts —
-/// *not* yet interned, id assignment stays serial — the memo payload, and
-/// the metrics of exactly the work done, merged into the run's metrics only
-/// if the result is consumed.
+/// fan-out (phase 2 of the batched worklist loop): blurred canonical posts
+/// with their settled bits — *not* yet interned, id assignment stays
+/// serial — the memo payload, and the metrics of exactly the work done,
+/// merged into the run's metrics only if the result is consumed.
 struct ComputedTransfer {
-    posts: Vec<Structure>,
+    posts: Vec<(Structure, bool)>,
     memo: TransferMemo,
     metrics: RunMetrics,
 }
@@ -435,18 +435,22 @@ const INTRA_FANOUT_MIN: usize = 4;
 /// post-structure. Pure in `(action, s)` given the fixed table/plan/limit —
 /// the worklist loop and the speculative fan-out both funnel through this
 /// function, so a precomputed result is bit-for-bit what the inline path
-/// would have produced. Returns blurred posts in emission order and the memo
-/// payload: `(label, definite?)` violation pairs and the largest unblurred
-/// post universe.
+/// would have produced. Returns blurred posts in emission order, each with
+/// its settled bit, and the memo payload: `(label, definite?)` violation
+/// pairs and the largest unblurred post universe.
+///
+/// `settled` is the interner's bit for `s`; it only lets steps that would
+/// return their input be skipped ([`blur_post`], DESIGN §12.5).
 fn compute_transfer(
     action: &hetsep_tvl::action::Action,
     s: &Structure,
+    settled: bool,
     table: &PredTable,
     plan: &TransferPlan,
     focus_limit: usize,
     metrics: &mut RunMetrics,
-) -> (Vec<Structure>, TransferMemo) {
-    let out = apply_planned(action, s, table, &plan.coerce, focus_limit, metrics);
+) -> (Vec<(Structure, bool)>, TransferMemo) {
+    let out = apply_planned(action, s, settled, table, &plan.coerce, focus_limit, metrics);
     let violations = out
         .violations
         .iter()
@@ -456,7 +460,9 @@ fn compute_transfer(
     let mut posts = Vec::with_capacity(out.results.len());
     for post in out.results {
         peak_post_nodes = peak_post_nodes.max(post.node_count());
-        posts.push(metrics.time(Phase::Canon, || blur_by(&post, table, &plan.columns).0));
+        posts.push(metrics.time(Phase::Canon, || {
+            blur_post(s, settled, post, table, &plan.columns)
+        }));
     }
     let peak_post_nodes = u32::try_from(peak_post_nodes).unwrap_or(u32::MAX);
     (posts, TransferMemo { violations, peak_post_nodes })
@@ -1078,17 +1084,26 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                 }
             }
             if job_metas.len() >= INTRA_FANOUT_MIN {
-                let jobs: Vec<(&hetsep_tvl::action::Action, Structure)> = job_metas
+                let jobs: Vec<(&hetsep_tvl::action::Action, Structure, bool)> = job_metas
                     .iter()
-                    .map(|&(action, (_, sid))| (action, st.interner.resolve(sid).clone()))
+                    .map(|&(action, (_, sid))| {
+                        (action, st.interner.resolve(sid).clone(), st.interner.is_settled(sid))
+                    })
                     .collect();
                 let flag = ctx.cancel.unwrap_or(&ctx.local_cancel);
                 let timed = config.phase_timings;
                 let plan = &ctx.plan;
                 let computed = map_ordered(&jobs, ctx.intra_workers, flag, |_, job, _| {
                     let mut local = RunMetrics::new(timed);
-                    let (posts, memo) =
-                        compute_transfer(job.0, &job.1, table, plan, config.focus_limit, &mut local);
+                    let (posts, memo) = compute_transfer(
+                        job.0,
+                        &job.1,
+                        job.2,
+                        table,
+                        plan,
+                        config.focus_limit,
+                        &mut local,
+                    );
                     ComputedTransfer {
                         posts,
                         memo,
@@ -1125,6 +1140,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                 }
             }
             let s = st.interner.resolve(sid).clone();
+            let settled = st.interner.is_settled(sid);
             for &edge_ix in cfg.out_edges(node) {
                 let edge = &cfg.edges()[edge_ix];
                 for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
@@ -1197,14 +1213,23 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                                 None => compute_transfer(
                                     action,
                                     &s,
+                                    settled,
                                     table,
                                     &ctx.plan,
                                     config.focus_limit,
                                     &mut st.metrics,
                                 ),
                             };
-                            let posts =
-                                blurred.into_iter().map(|p| st.interner.intern(p)).collect();
+                            let posts = blurred
+                                .into_iter()
+                                .map(|(p, settled)| {
+                                    let id = st.interner.intern(p);
+                                    if settled {
+                                        st.interner.settle(id);
+                                    }
+                                    id
+                                })
+                                .collect();
                             ((posts, memo), config.transfer_cache.then_some(input))
                         }
                     };

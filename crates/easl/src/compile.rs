@@ -200,9 +200,7 @@ impl<'a> Compiler<'a> {
     /// body wrote (update formulas are evaluated simultaneously over the
     /// pre-state, so such a read would observe a stale value).
     fn check_reads(&self, f: &Formula) -> Result<(), CompileError> {
-        let mut preds = Vec::new();
-        collect_preds(f, &mut preds);
-        for p in preds {
+        for p in f.preds() {
             if self.written.contains(&p) {
                 return self.err(
                     "method body reads a field after writing it; \
@@ -740,23 +738,6 @@ impl<'a> Compiler<'a> {
             }
         }
         out
-    }
-}
-
-fn collect_preds(f: &Formula, out: &mut Vec<PredId>) {
-    match f {
-        Formula::Const(_) => {}
-        Formula::Nullary(p) => out.push(*p),
-        Formula::Unary(p, _) => out.push(*p),
-        Formula::Binary(p, ..) => out.push(*p),
-        Formula::Eq(..) => {}
-        Formula::Not(x) => collect_preds(x, out),
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            collect_preds(a, out);
-            collect_preds(b, out);
-        }
-        Formula::Exists(_, x) | Formula::Forall(_, x) => collect_preds(x, out),
-        Formula::Tc { body, .. } => collect_preds(body, out),
     }
 }
 

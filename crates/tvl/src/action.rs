@@ -19,16 +19,21 @@
 //!    ([`ForgetMask`]),
 //! 9. clearing of `isnew` and a final **coerce**.
 //!
+//! The focused variant that the updates start from is a coerce fixpoint,
+//! and the updates report which predicates they changed (an allocation
+//! changes all of them), so the final coerce runs only the rules that read a
+//! changed predicate ([`coerce_dirty`]).
+//!
 //! Canonical abstraction (blur) is *not* performed here; the analysis engine
 //! blurs when joining into a program location.
 
 use crate::bits;
-use crate::coerce::{coerce_with, CoercePlan};
+use crate::coerce::{coerce_dirty, coerce_with, CoercePlan};
 use crate::eval::{eval_closed, Assignment, Evaluator, Scratch};
 use crate::focus::{focus_all, FocusSpec};
 use crate::formula::{Formula, Var};
 use crate::kleene::Kleene;
-use crate::pred::{Arity, PredId, PredTable};
+use crate::pred::{Arity, PredId, PredSet, PredTable};
 use crate::structure::Structure;
 use crate::telemetry::{Counter, Phase, RunMetrics};
 
@@ -137,20 +142,28 @@ impl ForgetMask {
     /// Forgets `preds` on `s` in one pass per predicate over its planes:
     /// `t ← p.t & c.t` and `h ← (p.h & c.t) | (valid & !c.t)`. Each new value
     /// is the Kleene value of `ite(c(u), p(u), 1/2)`, `c = 1/2` included.
+    /// Every forgotten predicate whose planes changed is added to `changed`.
     ///
     /// # Panics
     ///
     /// Panics if `c` or a member of `preds` is not unary.
-    pub fn apply(&self, s: &mut Structure, table: &PredTable) {
+    pub fn apply(&self, s: &mut Structure, table: &PredTable, changed: &mut PredSet) {
         assert_eq!(table.arity(self.c), Arity::Unary);
         let keep = s.unary_planes(table.slot(self.c)).0.to_vec();
         let n = s.node_count();
         for &p in &self.preds {
             assert_eq!(table.arity(p), Arity::Unary);
             let (t, h) = s.unary_planes_mut(table.slot(p));
+            let mut diff = 0;
             for (w, &ct) in keep.iter().enumerate() {
-                t[w] &= ct;
-                h[w] = (h[w] & ct) | (bits::word_mask(n, w) & !ct);
+                let nt = t[w] & ct;
+                let nh = (h[w] & ct) | (bits::word_mask(n, w) & !ct);
+                diff |= (t[w] ^ nt) | (h[w] ^ nh);
+                t[w] = nt;
+                h[w] = nh;
+            }
+            if diff != 0 {
+                changed.insert(p);
             }
         }
     }
@@ -227,16 +240,24 @@ pub fn apply_traced(
     focus_limit: usize,
     metrics: &mut RunMetrics,
 ) -> ApplyOutcome {
-    apply_planned(action, s, table, &CoercePlan::new(table), focus_limit, metrics)
+    apply_planned(action, s, false, table, &CoercePlan::new(table), focus_limit, metrics)
 }
 
 /// [`apply_traced`] with a precompiled [`CoercePlan`]. The plan must have
 /// been built from the same `table`; results are identical to
 /// [`apply_traced`], which compiles a fresh plan per call. Hot loops (the
 /// analysis engine) compile the plan once per run and call this directly.
+///
+/// `settled` asserts that `s` is a coerce fixpoint, as every settled
+/// structure is (see [`crate::intern::StructureInterner::is_settled`]).
+/// When focus then splits nothing, its one variant is `s` and the coerce
+/// after focus is skipped: it would return its input. The skipped step
+/// still counts as one [`Phase::Coerce`] application, so results, counters
+/// and phase counts do not depend on `settled`.
 pub fn apply_planned(
     action: &Action,
     s: &Structure,
+    settled: bool,
     table: &PredTable,
     plan: &CoercePlan,
     focus_limit: usize,
@@ -249,9 +270,15 @@ pub fn apply_planned(
     metrics
         .counters
         .add(Counter::FocusVariants, focused.len() as u64);
+    let fixpoint = settled && focused.len() == 1;
     for f in focused {
-        let Some(f) = metrics.time(Phase::Coerce, || coerce_with(f, table, plan).feasible())
-        else {
+        let Some(f) = metrics.time(Phase::Coerce, || {
+            if fixpoint {
+                Some(f)
+            } else {
+                coerce_with(f, table, plan).feasible()
+            }
+        }) else {
             metrics.counters.add(Counter::CoerceInfeasible, 1);
             continue;
         };
@@ -279,9 +306,10 @@ pub fn apply_planned(
                 });
             }
         }
-        // Allocation + updates.
-        let post = metrics.time(Phase::Update, || transform(action, f, table));
-        match metrics.time(Phase::Coerce, || coerce_with(post, table, plan).feasible()) {
+        // Allocation + updates, then coerce from the fixpoint `f` over the
+        // predicates they changed.
+        let (post, dirty) = metrics.time(Phase::Update, || transform(action, f, table));
+        match metrics.time(Phase::Coerce, || coerce_dirty(post, table, plan, dirty).feasible()) {
             Some(post) => {
                 metrics.counters.add(Counter::PostStructures, 1);
                 outcome.results.push(post);
@@ -293,21 +321,32 @@ pub fn apply_planned(
 }
 
 /// Applies allocation, updates and the forget mask (steps 5–9) without
-/// focus/checks.
-fn transform(action: &Action, mut staged: Structure, table: &PredTable) -> Structure {
+/// focus/checks, in place on `post`. Also returns the predicates whose
+/// values changed: those the stores and the forget mask report, or every
+/// predicate after an allocation (the universe grew).
+fn transform(action: &Action, mut post: Structure, table: &PredTable) -> (Structure, PredSet) {
+    let mut changed = PredSet::empty();
     if action.new_node.is_some() {
-        let fresh = staged.add_node(table);
-        staged.set_unary(table, table.isnew(), fresh, Kleene::True);
+        let fresh = post.add_node(table);
+        post.set_unary(table, table.isnew(), fresh, Kleene::True);
+        changed = PredSet::all();
     }
-    // Core updates: all RHS evaluated over `staged` (the pre-state plus the
-    // fresh node) by one evaluator, results written into `post`.
-    let mut post = staged.clone();
+    // Core updates: every RHS is evaluated over the pre-state (plus the
+    // fresh node) by one evaluator before any new value is stored.
     let mut buf = Scratch::default();
     let mut rows = Vec::new();
-    let mut ev = Evaluator::new(&staged, table, &mut buf);
+    let mut ends = Vec::with_capacity(action.updates.len());
+    let mut ev = Evaluator::new(&post, table, &mut buf);
     for up in &action.updates {
-        eval_update(&mut ev, &staged, table, up, &mut rows);
-        store_update(&mut post, table, up, &rows);
+        eval_update(&mut ev, &post, table, up, &mut rows);
+        ends.push(rows.len());
+    }
+    let mut start = 0;
+    for (up, end) in action.updates.iter().zip(ends) {
+        if store_update(&mut post, table, up, &rows[start..end]) {
+            changed.insert(up.pred);
+        }
+        start = end;
     }
     // Derived updates: evaluated sequentially, in place, over the evolving
     // post-state. An iterating update re-evaluates until its own values
@@ -319,27 +358,30 @@ fn transform(action: &Action, mut staged: Structure, table: &PredTable) -> Struc
             1
         };
         for _ in 0..rounds {
+            rows.clear();
             eval_update(&mut Evaluator::new(&post, table, &mut buf), &post, table, up, &mut rows);
             if !store_update(&mut post, table, up, &rows) {
                 break;
             }
+            changed.insert(up.pred);
         }
     }
     if let Some(mask) = &action.forget {
-        mask.apply(&mut post, table);
+        mask.apply(&mut post, table, &mut changed);
     }
     // Clear the allocation marker: a whole-plane word fill rather than a
     // per-node store loop.
     if action.new_node.is_some() {
         post.fill_unary(table, table.isnew(), Kleene::False);
     }
-    post
+    (post, changed)
 }
 
 /// Evaluates the new values of `up` over `src` (the structure `ev`
-/// evaluates over) into `rows`, as `(t, h)` value-plane row pairs: one
-/// pair of `stride` words per source row of a binary predicate, one for a
-/// unary predicate, and one pair of one-lane words for a nullary one.
+/// evaluates over) and appends them to `rows`, as `(t, h)` value-plane row
+/// pairs: one pair of `stride` words per source row of a binary predicate,
+/// one for a unary predicate, and one pair of one-lane words for a nullary
+/// one.
 fn eval_update<'a>(
     ev: &mut Evaluator<'a>,
     src: &Structure,
@@ -347,7 +389,6 @@ fn eval_update<'a>(
     up: &'a PredUpdate,
     rows: &mut Vec<u64>,
 ) {
-    rows.clear();
     let mut asg = Assignment::new();
     match (table.arity(up.pred), up.args.as_slice()) {
         (Arity::Nullary, []) => {

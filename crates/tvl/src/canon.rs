@@ -171,6 +171,43 @@ pub fn blur_by(s: &Structure, table: &PredTable, cols: &[Column]) -> (Structure,
     (out, map)
 }
 
+/// Whether `post` has `pre`'s universe and `pre`'s planes on every
+/// predicate the name columns `cols` read. Then every individual keeps its
+/// canonical name: if `pre` blurs to itself (its names are sorted and
+/// unique), so does `post`.
+pub fn keeps_names(pre: &Structure, post: &Structure, table: &PredTable, cols: &[Column]) -> bool {
+    let same = |p: PredId| pre.unary_planes(table.slot(p)) == post.unary_planes(table.slot(p));
+    pre.node_count() == post.node_count()
+        && cols.iter().all(|c| same(c.pred) && c.mask.is_none_or(same))
+}
+
+/// Canonical abstraction of a transfer's post-state, with the post's
+/// *settled* bit (see [`crate::intern::StructureInterner::settle`]).
+///
+/// `post` must be a coerce fixpoint computed from `pre`, and `pre_settled`
+/// may only be `true` if `pre` is settled. The result equals
+/// `blur_by(&post, table, cols).0`:
+///
+/// * if `pre` is settled and `post` [keeps its names](keeps_names), `post`
+///   is its own canonical form and is returned as it is, settled;
+/// * otherwise `post` is blurred, and the result is settled iff the blur
+///   merged nothing: it is then a permutation of a coerce fixpoint (itself
+///   one, as coerce treats nodes alike) with sorted, unique names.
+pub fn blur_post(
+    pre: &Structure,
+    pre_settled: bool,
+    post: Structure,
+    table: &PredTable,
+    cols: &[Column],
+) -> (Structure, bool) {
+    if pre_settled && keeps_names(pre, &post, table, cols) {
+        return (post, true);
+    }
+    let blurred = blur_by(&post, table, cols).0;
+    let merged_nothing = blurred.node_count() == post.node_count();
+    (blurred, merged_nothing)
+}
+
 /// Turns the OR-scattered blocks of merged groups into joins.
 ///
 /// After the scatter a block holds `t` iff some member value is `True` and

@@ -33,12 +33,23 @@
 //! sharpening only makes values more definite, so a lane that the up-front
 //! plane leaves at `1/2` is sharpened (or found in conflict) by a later
 //! round of the fixpoint loop instead of the current one.
+//!
+//! Each rule reads a fixed set of predicates: a unique rule reads its
+//! predicate and `sm`, a function rule its field and `sm`, and an
+//! instrumentation rule its own predicate, `sm` and every predicate of its
+//! defining formula. A rule changes nothing on a coerce fixpoint, so it
+//! changes nothing on any structure over the same universe that agrees with
+//! that fixpoint on the rule's reads. [`coerce_dirty`] uses this when its
+//! input is a fixpoint changed in a known set of predicates (the action
+//! updates, see [`crate::action`]): the loop skips every rule none of whose
+//! reads is *dirty*, and a rule that writes a predicate makes it dirty.
+//! [`coerce_with`] is the same loop with every predicate dirty.
 
 use crate::bits;
 use crate::eval::{eval_closed, Assignment, Evaluator, Scratch};
 use crate::formula::{Formula, Var};
 use crate::kleene::Kleene;
-use crate::pred::{Arity, PredId, PredTable};
+use crate::pred::{Arity, PredId, PredSet, PredTable};
 use crate::structure::{NodeId, Structure};
 
 /// Result of coercing a structure.
@@ -73,6 +84,8 @@ struct InstrRule {
     va: Var,
     /// Target variable for binary rules (unused otherwise).
     vb: Var,
+    /// The predicates the rule reads: `pred`, `sm` and those of `defining`.
+    reads: Vec<PredId>,
 }
 
 /// The coerce constraint set of one vocabulary, compiled into
@@ -118,7 +131,11 @@ impl CoercePlan {
                         }
                     }
                 };
-                InstrRule { pred: p, arity, defining, va, vb }
+                let mut reads = defining.preds();
+                reads.extend([p, table.sm()]);
+                reads.sort();
+                reads.dedup();
+                InstrRule { pred: p, arity, defining, va, vb, reads }
             })
             .collect();
         CoercePlan { unique, function, instr }
@@ -137,23 +154,57 @@ pub fn coerce(s: &Structure, table: &PredTable) -> CoerceOutcome {
 /// Applies all integrity constraints to fixpoint using a precompiled plan,
 /// sharpening `s` in place.
 pub fn coerce_with(s: Structure, table: &PredTable, plan: &CoercePlan) -> CoerceOutcome {
+    coerce_dirty(s, table, plan, PredSet::all())
+}
+
+/// [`coerce_with`] for a structure that differs from some coerce fixpoint
+/// over the same universe only in the predicates of `dirty`. Rules that
+/// read no dirty predicate are skipped (see the module docs); the outcome
+/// equals [`coerce_with`]'s.
+pub fn coerce_dirty(
+    s: Structure,
+    table: &PredTable,
+    plan: &CoercePlan,
+    dirty: PredSet,
+) -> CoerceOutcome {
     let mut cur = s;
     #[cfg(debug_assertions)]
     cur.debug_check_invariants();
+    let mut round = Round { dirty, changed: false };
     loop {
-        let mut changed = false;
-        if !apply_unique(&mut cur, table, plan, &mut changed) {
+        round.changed = false;
+        if !apply_unique(&mut cur, table, plan, &mut round) {
             return CoerceOutcome::Infeasible;
         }
-        if !apply_function(&mut cur, table, plan, &mut changed) {
+        if !apply_function(&mut cur, table, plan, &mut round) {
             return CoerceOutcome::Infeasible;
         }
-        if !apply_instrumentation(&mut cur, table, plan, &mut changed) {
+        if !apply_instrumentation(&mut cur, table, plan, &mut round) {
             return CoerceOutcome::Infeasible;
         }
-        if !changed {
+        if !round.changed {
             return CoerceOutcome::Feasible(cur);
         }
+    }
+}
+
+/// The fixpoint loop's state: the predicates that may differ from the
+/// fixpoint the input came from, and whether the current round wrote any.
+struct Round {
+    dirty: PredSet,
+    changed: bool,
+}
+
+impl Round {
+    /// Whether a rule reading `preds` can change anything.
+    fn reads_dirty(&self, preds: &[PredId]) -> bool {
+        preds.iter().any(|&p| self.dirty.contains(p))
+    }
+
+    /// Records that a rule changed a value of `p`.
+    fn wrote(&mut self, p: PredId) {
+        self.changed = true;
+        self.dirty.insert(p);
     }
 }
 
@@ -163,8 +214,12 @@ pub fn coerce_with(s: Structure, table: &PredTable, plan: &CoercePlan) -> Coerce
 /// population count, and "clear every other `1/2` candidate" is zeroing the
 /// slot's `h`-plane (the holder's `h` bit is already 0 by the `t & h`
 /// invariant), one word store per 64 nodes.
-fn apply_unique(s: &mut Structure, table: &PredTable, plan: &CoercePlan, changed: &mut bool) -> bool {
+fn apply_unique(s: &mut Structure, table: &PredTable, plan: &CoercePlan, round: &mut Round) -> bool {
+    let sm = table.sm();
     for &p in &plan.unique {
+        if !round.reads_dirty(&[p, sm]) {
+            continue;
+        }
         let slot = table.slot(p);
         let (holders, holder, has_half) = {
             let (t, h) = s.unary_planes(slot);
@@ -180,7 +235,7 @@ fn apply_unique(s: &mut Structure, table: &PredTable, plan: &CoercePlan, changed
             if has_half {
                 let (_, h) = s.unary_planes_mut(slot);
                 h.fill(0);
-                *changed = true;
+                round.wrote(p);
             }
             // A summary node on which p definitely holds represents nodes
             // that all carry p; uniqueness forces it to be a single
@@ -188,7 +243,7 @@ fn apply_unique(s: &mut Structure, table: &PredTable, plan: &CoercePlan, changed
             let holder = NodeId::from_index(holder);
             if s.is_summary(table, holder) {
                 s.set_summary(table, holder, false);
-                *changed = true;
+                round.wrote(sm);
             }
         }
     }
@@ -201,16 +256,20 @@ fn apply_function(
     s: &mut Structure,
     table: &PredTable,
     plan: &CoercePlan,
-    changed: &mut bool,
+    round: &mut Round,
 ) -> bool {
     // Summary bits are read from the `sm` plane's `h` words (a summary node
     // is `sm = 1/2`, and by the `t & h` invariant `h` alone decides it).
-    let sm = table.slot(table.sm());
+    let sm = table.sm();
+    let sm_slot = table.slot(sm);
     let is_summary = |s: &Structure, u: usize| {
         let (w, b) = bits::lane(u);
-        (s.unary_planes(sm).1[w] >> b) & 1 != 0
+        (s.unary_planes(sm_slot).1[w] >> b) & 1 != 0
     };
     for &f in &plan.function {
+        if !round.reads_dirty(&[f, sm]) {
+            continue;
+        }
         let slot = table.slot(f);
         for src in s.nodes() {
             if is_summary(s, src.index()) {
@@ -233,14 +292,14 @@ fn apply_function(
                 if has_half {
                     let (_, h) = s.binary_row_mut(slot, src.index());
                     h.fill(0);
-                    *changed = true;
+                    round.wrote(f);
                 }
                 // A definite edge into a summary target means the single
                 // source individual points to *every* member: functionality
                 // forces the target to be a single individual.
                 if is_summary(s, target) {
                     s.set_summary(table, NodeId::from_index(target), false);
-                    *changed = true;
+                    round.wrote(sm);
                 }
             }
         }
@@ -255,11 +314,14 @@ fn apply_instrumentation(
     s: &mut Structure,
     table: &PredTable,
     plan: &CoercePlan,
-    changed: &mut bool,
+    round: &mut Round,
 ) -> bool {
     let mut buf = Scratch::default();
     let mut rows = Vec::new();
     for rule in &plan.instr {
+        if !round.reads_dirty(&rule.reads) {
+            continue;
+        }
         let p = rule.pred;
         let slot = table.slot(p);
         match rule.arity {
@@ -270,7 +332,7 @@ fn apply_instrumentation(
                     Reconciled::Conflict => return false,
                     Reconciled::Sharpen(v) => {
                         s.set_nullary(table, p, v);
-                        *changed = true;
+                        round.wrote(p);
                     }
                     Reconciled::Keep => {}
                 }
@@ -296,8 +358,10 @@ fn apply_instrumentation(
                     let row = &rows[width * src..width * (src + 1)];
                     let planes =
                         if binary { s.binary_row_mut(slot, src) } else { s.unary_planes_mut(slot) };
-                    if !sharpen_row(planes, row, changed) {
-                        return false;
+                    match sharpen_row(planes, row) {
+                        None => return false,
+                        Some(true) => round.wrote(p),
+                        Some(false) => {}
                     }
                 }
             }
@@ -308,25 +372,27 @@ fn apply_instrumentation(
 
 /// Reconciles one stored plane row `(t, h)` with the threshold planes `row`
 /// (`t` then `m`, `stride` words each) of its defining formula: `false` if
-/// a lane is definite in both and they differ, otherwise every stored `1/2`
-/// whose evaluation is definite is sharpened.
-fn sharpen_row((t, h): (&mut [u64], &mut [u64]), row: &[u64], changed: &mut bool) -> bool {
+/// a lane is definite in both and they differ (`None`), otherwise every
+/// stored `1/2` whose evaluation is definite is sharpened (`Some(true)` iff
+/// one was).
+fn sharpen_row((t, h): (&mut [u64], &mut [u64]), row: &[u64]) -> Option<bool> {
     let (et, em) = row.split_at(t.len());
     for w in 0..t.len() {
         // Stored 1 evaluated 0, or stored 0 evaluated 1.
         if (t[w] & !em[w]) | (et[w] & !(t[w] | h[w])) != 0 {
-            return false;
+            return None;
         }
     }
+    let mut sharpened = false;
     for w in 0..t.len() {
         let sharpen = h[w] & (et[w] | !em[w]);
         if sharpen != 0 {
             t[w] |= sharpen & et[w];
             h[w] &= !sharpen;
-            *changed = true;
+            sharpened = true;
         }
     }
-    true
+    Some(sharpened)
 }
 
 enum Reconciled {

@@ -52,6 +52,10 @@ pub fn focus(s: &Structure, table: &PredTable, spec: &FocusSpec, limit: usize) -
 }
 
 /// Applies a sequence of focus specifications left to right.
+///
+/// Focus never drops a structure and every split yields at least two, so
+/// the result is a single structure exactly when no spec split anything;
+/// that structure is then `s` itself.
 pub fn focus_all(
     s: &Structure,
     table: &PredTable,
@@ -61,12 +65,12 @@ pub fn focus_all(
     let mut current = vec![s.clone()];
     for spec in specs {
         let mut next = Vec::new();
-        for st in &current {
+        for (i, st) in current.iter().enumerate() {
             next.extend(focus(st, table, spec, limit));
             if next.len() >= limit {
                 // Abandon further splitting: keep the remaining structures
                 // unfocused rather than exploding.
-                next.extend(current.iter().skip(next.len()).cloned());
+                next.extend(current[i + 1..].iter().cloned());
                 break;
             }
         }
@@ -291,6 +295,30 @@ mod tests {
         assert!(out
             .iter()
             .any(|st| st.nodes().any(|u| !st.unary(&t, x, u).is_definite())));
+    }
+
+    #[test]
+    fn focus_all_keeps_unprocessed_structures_at_the_limit() {
+        // Focus on p splits three 1/2 nodes into 5 variants before the
+        // limit of 4 stops it; focus on q then hits the limit on the first
+        // variant and must keep the other four unfocused, not drop them.
+        let mut t = PredTable::new();
+        let p = t.add_unary("p", PredFlags::default());
+        let q = t.add_unary("q", PredFlags::default());
+        let mut s = Structure::new(&t);
+        for _ in 0..3 {
+            let u = s.add_node(&t);
+            s.set_unary(&t, p, u, Kleene::Unknown);
+            s.set_unary(&t, q, u, Kleene::Unknown);
+        }
+        let by_p = focus(&s, &t, &FocusSpec::Unary(p), 4);
+        assert_eq!(by_p.len(), 5);
+        let out = focus_all(&s, &t, &[FocusSpec::Unary(p), FocusSpec::Unary(q)], 4);
+        let head = focus(&by_p[0], &t, &FocusSpec::Unary(q), 4);
+        assert!(head.len() >= 4, "the first variant alone reaches the limit");
+        let mut expected = head;
+        expected.extend(by_p[1..].iter().cloned());
+        assert_eq!(out, expected, "variants 1-4 of the p focus survive unfocused");
     }
 
     #[test]

@@ -301,6 +301,28 @@ impl Formula {
         }
     }
 
+    /// Predicates occurring in the formula, in ascending id order without
+    /// duplicates.
+    pub fn preds(&self) -> Vec<PredId> {
+        fn collect(f: &Formula, out: &mut Vec<PredId>) {
+            match f {
+                Formula::Const(_) | Formula::Eq(..) => {}
+                Formula::Nullary(p) | Formula::Unary(p, _) | Formula::Binary(p, ..) => out.push(*p),
+                Formula::Not(x) | Formula::Exists(_, x) | Formula::Forall(_, x) => collect(x, out),
+                Formula::And(a, b) | Formula::Or(a, b) => {
+                    collect(a, out);
+                    collect(b, out);
+                }
+                Formula::Tc { body, .. } => collect(body, out),
+            }
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        out.sort();
+        out.dedup();
+        out
+    }
+
     /// Largest variable index mentioned anywhere (free or bound), used for
     /// picking fresh variables.
     pub fn max_var(&self) -> Option<Var> {

@@ -15,6 +15,11 @@
 //! reusing an id — a collision costs one structure comparison, never a wrong
 //! answer.
 //!
+//! Each id also carries a *settled* bit (see
+//! [`StructureInterner::is_settled`]): a fact about the structure that the
+//! engine proves while producing it and that lets later transfers skip
+//! coerce and canonical-abstraction steps that would return their input.
+//!
 //! With the bit-packed two-plane [`Structure`] layout both halves of a probe
 //! are word-parallel: the fingerprint mixes one `u64` plane word (64 truth
 //! values) per FNV round, and the verifying `==` is a derived slice compare
@@ -54,6 +59,8 @@ impl StructureId {
 #[derive(Debug, Default)]
 pub struct StructureInterner {
     arena: Vec<Structure>,
+    /// The settled bit of each arena entry.
+    settled: Vec<bool>,
     /// fingerprint → candidate ids with that fingerprint.
     buckets: HashMap<u64, Vec<StructureId>>,
     /// Probes answered from the arena (structure already interned).
@@ -86,8 +93,25 @@ impl StructureInterner {
         self.misses += 1;
         let id = StructureId(u32::try_from(self.arena.len()).expect("interner overflow"));
         self.arena.push(s);
+        self.settled.push(false);
         bucket.push(id);
         id
+    }
+
+    /// Marks `id` settled: its structure is a coerce fixpoint (coerce
+    /// returns it unchanged and feasible) and canonical abstraction returns
+    /// it unchanged (its canonical names are sorted and unique). Callers
+    /// that skip work on the bit rely on both, so only a structure proven to
+    /// have them may be marked (see [`crate::canon::blur_post`]). Both are
+    /// properties of the structure alone, so an entry may be marked at any
+    /// time; entries start unsettled.
+    pub fn settle(&mut self, id: StructureId) {
+        self.settled[id.index()] = true;
+    }
+
+    /// Whether `id` was marked by [`StructureInterner::settle`].
+    pub fn is_settled(&self, id: StructureId) -> bool {
+        self.settled[id.index()]
     }
 
     /// The structure an id refers to.

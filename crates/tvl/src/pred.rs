@@ -34,6 +34,48 @@ impl fmt::Display for PredId {
     }
 }
 
+/// A set of predicates of one table, or the set of every predicate.
+///
+/// Coerce uses it to name the predicates in which a structure may differ
+/// from a coerce fixpoint (see [`crate::coerce::coerce_dirty`]).
+#[derive(Debug, Clone, Default)]
+pub struct PredSet {
+    all: bool,
+    /// Bit `i % 64` of word `i / 64` is set iff the predicate with index `i`
+    /// is a member.
+    words: Vec<u64>,
+}
+
+impl PredSet {
+    /// The empty set.
+    pub fn empty() -> PredSet {
+        PredSet::default()
+    }
+
+    /// The set of every predicate of every table.
+    pub fn all() -> PredSet {
+        PredSet { all: true, words: Vec::new() }
+    }
+
+    /// Adds `p`.
+    pub fn insert(&mut self, p: PredId) {
+        if self.all {
+            return;
+        }
+        let (w, b) = (p.index() / 64, p.index() % 64);
+        if self.words.len() <= w {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << b;
+    }
+
+    /// Whether `p` is a member.
+    pub fn contains(&self, p: PredId) -> bool {
+        let (w, b) = (p.index() / 64, p.index() % 64);
+        self.all || self.words.get(w).is_some_and(|&word| (word >> b) & 1 != 0)
+    }
+}
+
 /// Number of individual arguments a predicate takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Arity {

@@ -1225,14 +1225,18 @@ fn plane_evaluation_matches_per_node_eval() {
 /// of that formula over the structure before the pass and leaves every
 /// other predicate (including `c` unless it is in `F`) unchanged. `F` is a
 /// random subset of the unary predicates, `c` and the empty set included.
+/// The predicates the pass reports changed are exactly those whose values
+/// differ afterwards.
 #[test]
 fn forget_pass_matches_ite_evaluation() {
     use hetsep_tvl::action::ForgetMask;
     use hetsep_tvl::eval::eval_unary_at_all;
+    use hetsep_tvl::pred::{Arity, PredSet};
 
     let v = plane_vocab();
     let t = &v.table;
     let u = Var(0);
+    let (mut kept, mut reported) = (false, false);
     for (ix, &n) in PLANE_SIZES.iter().enumerate() {
         for case in 0..if n <= 5 { CASES } else { 16 } {
             let seed = (ix as u64) << 32 | case;
@@ -1249,10 +1253,19 @@ fn forget_pass_matches_ite_evaluation() {
                 }
             }
             let mut got = s.clone();
-            ForgetMask { c, preds: preds.clone() }.apply(&mut got, t);
+            let mut changed = PredSet::empty();
+            ForgetMask { c, preds: preds.clone() }.apply(&mut got, t, &mut changed);
             assert_eq!(got, want, "seed {seed} n={n}: forget {preds:?} unless {c:?}");
+            for q in t.iter() {
+                let differs = t.arity(q) == Arity::Unary
+                    && s.nodes().any(|u| s.unary(t, q, u) != got.unary(t, q, u));
+                assert_eq!(changed.contains(q), differs, "seed {seed} n={n}: {q} reported");
+                kept |= preds.contains(&q) && !differs;
+                reported |= differs;
+            }
         }
     }
+    assert!(kept && reported, "every forgotten predicate always changed, or none ever did");
 }
 
 /// Plane-driven coerce equals the per-node path: on random structures over
@@ -1377,4 +1390,245 @@ fn plane_coerce_matches_per_node_coerce() {
         }
     }
     assert!(feasible > 0 && infeasible > 0, "{feasible} feasible, {infeasible} infeasible");
+}
+
+/// Coerce over dirty predicates equals full coerce. On a vocabulary with
+/// unique, function, and unary, binary and nullary instrumentation rules
+/// (one reading itself, one reading `sm` through equality, one reading
+/// another instrumentation predicate), a random structure is coerced to a
+/// fixpoint; then up to three random unary, binary or nullary values are
+/// overwritten or summary bits flipped, and exactly the predicates written
+/// are marked dirty. `coerce_dirty` must return what `coerce_with` returns,
+/// structure or `Infeasible`.
+#[test]
+fn dirty_coerce_matches_full_coerce() {
+    use hetsep_tvl::coerce::{coerce_dirty, coerce_with, CoercePlan};
+    use hetsep_tvl::pred::PredSet;
+
+    let mut table = PredTable::new();
+    let x = table.add_unary("x", PredFlags::reference_variable());
+    let y = table.add_unary("y", PredFlags::reference_variable());
+    let p = table.add_unary("p", PredFlags::default());
+    let f = table.add_binary("f", PredFlags::reference_field());
+    let g = table.add_binary("g", PredFlags::default());
+    let b = table.add_nullary("b", PredFlags::default());
+    let (u, w) = (Var(0), Var(1));
+    let defined = |defining| PredFlags { defining: Some(defining), ..PredFlags::default() };
+    // near(u) = ∃w. f(u, w) ∧ p(w)
+    let near_def = Formula::exists(w, Formula::binary(f, u, w).and(Formula::unary(p, w)));
+    let near = table.add_unary("near", defined(near_def));
+    // far(u) = ∃w. g(u, w) ∧ near(w): reads another rule's predicate.
+    let far_def = Formula::exists(w, Formula::binary(g, u, w).and(Formula::unary(near, w)));
+    let far = table.add_unary("far", defined(far_def));
+    // looped(u) = ∃w. g(u, w) ∧ u = w: reads `sm` through equality.
+    let looped_def = Formula::exists(w, Formula::binary(g, u, w).and(Formula::eq(u, w)));
+    let looped = table.add_unary("looped", defined(looped_def));
+    // edge(u, w) = f(u, w) ∧ ¬y(w)
+    let edge_def = Formula::binary(f, u, w).and(Formula::unary(y, w).not());
+    let edge = table.add_binary("edge", defined(edge_def));
+    // reach(u) = x(u) ∨ ∃w. g(u, w) ∧ reach(w): reads itself.
+    let reach = table.add_unary("reach", PredFlags::default());
+    let step = Formula::binary(g, u, w).and(Formula::unary(reach, w));
+    table.set_flags(reach, defined(Formula::unary(x, u).or(Formula::exists(w, step))));
+    // some = b ∨ ∃u. x(u) ∧ p(u)
+    let some_def = Formula::nullary(b).or(Formula::exists(u, Formula::unary(x, u).and(Formula::unary(p, u))));
+    let some = table.add_nullary("some", defined(some_def));
+    let plan = CoercePlan::new(&table);
+    let unary = [x, y, p, near, far, looped, reach];
+    let binary = [f, g, edge];
+    let nullary = [b, some];
+
+    let (mut sharpened, mut infeasible, mut unchanged) = (0, 0, 0);
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        for case in 0..if n <= 5 { 8 * CASES } else { 32 } {
+            let seed = (ix as u64) << 32 | case;
+            let mut rng = XorShift::new(seed);
+            let mut s = Structure::new(&table);
+            s.add_nodes(&table, n);
+            let nodes: Vec<NodeId> = s.nodes().collect();
+            if n > 0 {
+                for v in [x, y] {
+                    s.set_unary(&table, v, *rng.choose(&nodes), gen_kleene(&mut rng));
+                }
+            }
+            for &a in &nodes {
+                s.set_unary(&table, p, a, gen_kleene(&mut rng));
+                s.set_summary(&table, a, rng.gen_ratio(1, 4));
+                for q in [near, far, looped, reach] {
+                    s.set_unary(&table, q, a, Kleene::Unknown);
+                }
+                for &c in &nodes {
+                    for q in [f, g] {
+                        // Self-loops are common, so `looped` depends on `sm`.
+                        if rng.gen_ratio(1, if a == c { 2 } else { 4 }) {
+                            s.set_binary(&table, q, a, c, gen_kleene(&mut rng));
+                        }
+                    }
+                    s.set_binary(&table, edge, a, c, Kleene::Unknown);
+                }
+            }
+            s.set_nullary(&table, b, gen_kleene(&mut rng));
+            s.set_nullary(&table, some, Kleene::Unknown);
+            let Some(mut s) = coerce_with(s, &table, &plan).feasible() else {
+                continue;
+            };
+            let mut dirty = PredSet::empty();
+            for _ in 0..rng.gen_range(4) {
+                match rng.gen_range(4) {
+                    0 if n > 0 => {
+                        let (q, a) = (*rng.choose(&unary), *rng.choose(&nodes));
+                        s.set_unary(&table, q, a, gen_kleene(&mut rng));
+                        dirty.insert(q);
+                    }
+                    1 if n > 0 => {
+                        let a = *rng.choose(&nodes);
+                        s.set_summary(&table, a, !s.is_summary(&table, a));
+                        dirty.insert(table.sm());
+                    }
+                    2 if n > 0 => {
+                        let q = *rng.choose(&binary);
+                        let (a, c) = (*rng.choose(&nodes), *rng.choose(&nodes));
+                        s.set_binary(&table, q, a, c, gen_kleene(&mut rng));
+                        dirty.insert(q);
+                    }
+                    _ => {
+                        let q = *rng.choose(&nullary);
+                        s.set_nullary(&table, q, gen_kleene(&mut rng));
+                        dirty.insert(q);
+                    }
+                }
+            }
+            let want = coerce_with(s.clone(), &table, &plan);
+            match &want {
+                CoerceOutcome::Infeasible => infeasible += 1,
+                CoerceOutcome::Feasible(r) if *r == s => unchanged += 1,
+                CoerceOutcome::Feasible(_) => sharpened += 1,
+            }
+            assert_eq!(coerce_dirty(s, &table, &plan, dirty), want, "seed {seed} n={n}");
+        }
+    }
+    assert!(
+        sharpened > 0 && infeasible > 0 && unchanged > 0,
+        "{sharpened} sharpened, {infeasible} infeasible, {unchanged} unchanged"
+    );
+}
+
+/// Settled structures blur to themselves, over a vocabulary without and
+/// with a relevance mask. On random coerced structures of up to five nodes,
+/// `blur_post` returns `blur_by`'s result and settles it exactly when the
+/// blur merged nothing; a settled result is a coerce fixpoint and `blur_by`
+/// returns it unchanged. A structure that keeps a settled structure's
+/// universe and name-column planes, but changes other unary or binary
+/// values, is returned as it is (and settled) by `blur_post` and blurs to
+/// itself exactly; one that changes a name-column value is blurred.
+#[test]
+fn settled_structure_blurs_to_itself() {
+    use hetsep_tvl::canon::{blur_by, blur_post, keeps_names};
+    use hetsep_tvl::coerce::{coerce_with, CoercePlan};
+    use hetsep_tvl::pred::Arity;
+
+    for masked in [false, true] {
+        let mut t = PredTable::new();
+        let x = t.add_unary("x", PredFlags::reference_variable());
+        let a = t.add_unary("a", PredFlags::boolean_field());
+        let p = t.add_unary("p", PredFlags::default());
+        let c = t.add_unary("c", PredFlags::default());
+        let q = t.add_unary("q", PredFlags::default());
+        let fields = [
+            t.add_binary("f", PredFlags::reference_field()),
+            t.add_binary("g", PredFlags::default()),
+        ];
+        if masked {
+            t.set_relevance_mask(c, vec![p]);
+        }
+        let cols = name_columns(&t);
+        let in_names = |r: PredId| cols.iter().any(|col| col.pred == r || col.mask == Some(r));
+        let named: Vec<PredId> = t.iter_arity(Arity::Unary).filter(|&r| in_names(r)).collect();
+        let other: Vec<PredId> = t
+            .iter_arity(Arity::Unary)
+            .filter(|&r| !in_names(r) && r != t.isnew())
+            .collect();
+        assert_eq!(named.len(), if masked { 4 } else { 2 });
+        let plan = CoercePlan::new(&t);
+        let (mut merged, mut settled, mut renamed) = (0, 0, 0);
+        for n in 0..=5 {
+            for case in 0..CASES {
+                let seed = u64::from(masked) << 40 | (n as u64) << 32 | case;
+                let mut rng = XorShift::new(seed);
+                let mut s = Structure::new(&t);
+                s.add_nodes(&t, n);
+                let nodes: Vec<NodeId> = s.nodes().collect();
+                if n > 0 {
+                    s.set_unary(&t, x, *rng.choose(&nodes), Kleene::True);
+                }
+                for &u in &nodes {
+                    for r in [a, p, c, q] {
+                        s.set_unary(&t, r, u, gen_kleene(&mut rng));
+                    }
+                    s.set_summary(&t, u, rng.gen_ratio(1, 4));
+                    for &f in &fields {
+                        for &w in &nodes {
+                            if rng.gen_ratio(1, 3) {
+                                s.set_binary(&t, f, u, w, gen_kleene(&mut rng));
+                            }
+                        }
+                    }
+                }
+                let Some(post) = coerce_with(s, &t, &plan).feasible() else {
+                    continue;
+                };
+                let (b, is_settled) = blur_post(&post, false, post.clone(), &t, &cols);
+                assert_eq!(b, blur_by(&post, &t, &cols).0, "seed {seed}");
+                assert_eq!(is_settled, b.node_count() == n, "seed {seed}: settled iff nothing merged");
+                if !is_settled {
+                    merged += 1;
+                    continue;
+                }
+                settled += 1;
+                assert_eq!(blur_by(&b, &t, &cols).0, b, "seed {seed}: settled blurs to itself");
+                let fixpoint = coerce_with(b.clone(), &t, &plan);
+                assert_eq!(fixpoint, CoerceOutcome::Feasible(b.clone()), "seed {seed}");
+                if n == 0 {
+                    continue;
+                }
+                // Change values that no name column reads.
+                let mut kept = b.clone();
+                for _ in 0..1 + rng.gen_range(3) {
+                    let (u, w) = (*rng.choose(&nodes), *rng.choose(&nodes));
+                    if rng.gen_bool() {
+                        let r = *rng.choose(&other);
+                        if r == t.sm() {
+                            kept.set_summary(&t, u, rng.gen_bool());
+                        } else {
+                            kept.set_unary(&t, r, u, gen_kleene(&mut rng));
+                        }
+                    } else {
+                        kept.set_binary(&t, *rng.choose(&fields), u, w, gen_kleene(&mut rng));
+                    }
+                }
+                assert!(keeps_names(&b, &kept, &t, &cols), "seed {seed}");
+                assert_eq!(blur_by(&kept, &t, &cols).0, kept, "seed {seed}: kept names");
+                let out = blur_post(&b, true, kept.clone(), &t, &cols);
+                assert_eq!(out, (kept, true), "seed {seed}");
+                // Change one name-column value: the post is blurred.
+                let mut moved = b.clone();
+                let (r, u) = (*rng.choose(&named), *rng.choose(&nodes));
+                let old = moved.unary(&t, r, u);
+                let new = [Kleene::False, Kleene::Unknown, Kleene::True]
+                    .into_iter()
+                    .find(|&k| k != old)
+                    .unwrap();
+                moved.set_unary(&t, r, u, new);
+                assert!(!keeps_names(&b, &moved, &t, &cols), "seed {seed}");
+                let blurred = blur_by(&moved, &t, &cols).0;
+                let is_settled = blurred.node_count() == n;
+                renamed += 1;
+                assert_eq!(blur_post(&b, true, moved, &t, &cols), (blurred, is_settled), "seed {seed}");
+            }
+        }
+        assert!(
+            merged > 0 && settled > 0 && renamed > 0,
+            "masked={masked}: {merged} merged, {settled} settled, {renamed} renamed"
+        );
+    }
 }

@@ -14,8 +14,9 @@ cargo test -q
 # The threshold-plane evaluator, plane-driven coerce, and the scatter-based
 # canonical abstraction and permutation are checked against their per-node
 # references the same way, blur under a relevance mask against blur
-# over stored conjunction predicates, and the forget pass against
-# evaluating its `ite` formula.
+# over stored conjunction predicates, the forget pass against
+# evaluating its `ite` formula, coerce over dirty predicates against full
+# coerce, and settled structures against blurring them.
 cargo test -q -p hetsep-tvl --release --test properties -- \
     word_kernels_match_scalar_truth_tables_in_every_lane \
     stride_padding_bits_never_leak \
@@ -26,7 +27,9 @@ cargo test -q -p hetsep-tvl --release --test properties -- \
     blur_by_matches_reference_grouping \
     masked_blur_matches_materialized_conjunction \
     forget_pass_matches_ite_evaluation \
-    permute_matches_per_bit_reference
+    permute_matches_per_bit_reference \
+    dirty_coerce_matches_full_coerce \
+    settled_structure_blurs_to_itself
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
