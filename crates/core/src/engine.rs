@@ -27,6 +27,7 @@ use std::borrow::Borrow;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use hetsep_ir::cfg::Cfg;
@@ -40,7 +41,9 @@ use hetsep_tvl::pred::PredTable;
 use hetsep_tvl::structure::Structure;
 use hetsep_tvl::telemetry::{Counter, Phase, RunMetrics};
 
-use crate::jobcache::{action_content, Memo, RunScope, SharedTransferSession, TransferMemo};
+use crate::jobcache::{
+    action_content, context_content, Memo, RunScope, SharedTransferSession, TransferMemo,
+};
 use crate::parallel::map_ordered;
 use crate::report::{dedup_reports, ErrorReport};
 use crate::summary::{region_content, SharedSummarySession, SummaryMemo};
@@ -596,26 +599,12 @@ struct EngineCtx<'a> {
     instance: &'a AnalysisInstance,
     config: &'a EngineConfig,
     cancel: Option<&'a AtomicBool>,
-    /// Reverse-postorder worklist rank per CFG node.
-    rpo: Vec<u32>,
-    plan: TransferPlan,
-    /// Content-deduped action id per `(edge, action index)` (transfer-cache
-    /// keys; see the dedup scan in [`run_shared`]).
-    action_ids: Vec<Vec<u32>>,
+    /// What the run derives from its instance alone.
+    prep: &'a InstancePlan,
     intra_workers: usize,
     /// Fallback cancellation flag for the intra-batch fan-out when the
     /// caller supplied none (`map_ordered` always polls a flag).
     local_cancel: AtomicBool,
-    /// Region index by global entry-node index; empty when the CFG has no
-    /// call regions (the run then drains flat).
-    region_by_entry: HashMap<usize, usize>,
-    /// Content id per region — an index into the run's distinct-content
-    /// list, so splices of one procedure with identical instrumentation
-    /// share summaries.
-    region_contents: Vec<u32>,
-    /// Table predicate id → allocation site, for replaying the failing
-    /// sites of a summary.
-    site_of_pred: HashMap<u32, SiteId>,
 }
 
 /// The mutable state of one engine run, threaded through the global drain
@@ -738,7 +727,7 @@ impl EngineSt<'_> {
             self.note_violation(*line, label, *definite);
         }
         for &pred in &summary.failing_preds {
-            if let Some(&site) = ctx.site_of_pred.get(&pred) {
+            if let Some(&site) = ctx.prep.site_of_pred.get(&pred) {
                 self.note_failing_site(site, pred);
             }
         }
@@ -779,6 +768,132 @@ pub fn run_shared(
     cancel: Option<&AtomicBool>,
     sessions: Sessions<'_>,
 ) -> RunResult {
+    run_planned(instance, &InstancePlan::new(instance), config, cancel, sessions)
+}
+
+/// What an engine run derives from its instance alone, built once per
+/// instance: the worklist ranks, the transfer plan, the content-deduped
+/// action ids and the call-region content ids. A prepared verification
+/// (see `modes::Prepared`) keeps it beside its instance, so a re-run of an
+/// unchanged instance starts at the worklist.
+pub(crate) struct InstancePlan {
+    /// Reverse-postorder worklist rank per CFG node.
+    rpo: Vec<u32>,
+    transfer: TransferPlan,
+    /// Content-deduped action id per `(edge, action index)`: structurally
+    /// equal actions on different edges (skip edges, `assume(?)` branch
+    /// pairs, repeated statements) share one id, hence one transfer-cache
+    /// key. The worklist itself never re-applies one edge's action to the
+    /// same structure — location sets dedup on interned ids — so all cache
+    /// hits come from this cross-edge sharing.
+    action_ids: Vec<Vec<u32>>,
+    /// `(edge, action index)` of each distinct action's first occurrence.
+    distinct_actions: Vec<(usize, usize)>,
+    /// The distinct actions' content strings (shared transfer-store keys),
+    /// rendered on first use: only runs with a transfer session read them.
+    action_contents: OnceLock<Arc<[String]>>,
+    /// Region index by global entry-node index; empty when the CFG has no
+    /// call regions (the run then drains flat).
+    region_by_entry: HashMap<usize, usize>,
+    /// Content id per region — an index into `distinct_regions`, so splices
+    /// of one procedure with identical instrumentation share summaries.
+    region_contents: Vec<u32>,
+    /// The distinct region contents (shared summary-store keys).
+    distinct_regions: Arc<[String]>,
+    /// The shared stores' context string ([`context_content`]) and the
+    /// focus limit it was rendered for, on first use.
+    context: OnceLock<(usize, Arc<str>)>,
+    /// Table predicate id → allocation site, for replaying the failing
+    /// sites of a summary.
+    site_of_pred: HashMap<u32, SiteId>,
+}
+
+impl InstancePlan {
+    pub(crate) fn new(instance: &AnalysisInstance) -> InstancePlan {
+        let table = &instance.vocab.table;
+        let cfg = &instance.cfg;
+        // A linear scan per action: action counts are CFG-sized (tens).
+        let mut action_ids: Vec<Vec<u32>> = Vec::with_capacity(instance.actions.len());
+        let mut distinct_actions: Vec<(usize, usize)> = Vec::new();
+        for (edge, edge_actions) in instance.actions.iter().enumerate() {
+            let ids = edge_actions
+                .iter()
+                .enumerate()
+                .map(|(ix, a)| {
+                    let same = |&(e, i): &(usize, usize)| instance.actions[e][i] == *a;
+                    match distinct_actions.iter().position(same) {
+                        Some(id) => id as u32,
+                        None => {
+                            distinct_actions.push((edge, ix));
+                            (distinct_actions.len() - 1) as u32
+                        }
+                    }
+                })
+                .collect();
+            action_ids.push(ids);
+        }
+        let mut region_by_entry: HashMap<usize, usize> = HashMap::new();
+        let mut region_contents: Vec<u32> = Vec::new();
+        let mut distinct_regions: Vec<String> = Vec::new();
+        let mut content_ix: HashMap<String, u32> = HashMap::new();
+        for (ix, region) in cfg.regions().iter().enumerate() {
+            region_by_entry.insert(region.entry.index(), ix);
+            let content = region_content(region, cfg, &instance.actions);
+            let id = *content_ix.entry(content.clone()).or_insert_with(|| {
+                distinct_regions.push(content);
+                (distinct_regions.len() - 1) as u32
+            });
+            region_contents.push(id);
+        }
+        InstancePlan {
+            rpo: rpo_ranks(cfg),
+            transfer: TransferPlan {
+                coerce: CoercePlan::new(table),
+                columns: name_columns(table),
+            },
+            action_ids,
+            distinct_actions,
+            action_contents: OnceLock::new(),
+            region_by_entry,
+            region_contents,
+            distinct_regions: distinct_regions.into(),
+            context: OnceLock::new(),
+            site_of_pred: instance
+                .vocab
+                .site_preds
+                .iter()
+                .map(|(&site, &pred)| (pred.index() as u32, site))
+                .collect(),
+        }
+    }
+
+    fn action_contents(&self, instance: &AnalysisInstance) -> Arc<[String]> {
+        let contents = self.action_contents.get_or_init(|| {
+            self.distinct_actions
+                .iter()
+                .map(|&(e, i)| action_content(&instance.actions[e][i]))
+                .collect()
+        });
+        Arc::clone(contents)
+    }
+
+    fn context(&self, table: &PredTable, focus_limit: usize) -> Arc<str> {
+        let render = || Arc::from(context_content(table, focus_limit));
+        match self.context.get_or_init(|| (focus_limit, render())) {
+            (limit, context) if *limit == focus_limit => Arc::clone(context),
+            _ => render(),
+        }
+    }
+}
+
+/// [`run_shared`] over an instance whose [`InstancePlan`] is already built.
+pub(crate) fn run_planned(
+    instance: &AnalysisInstance,
+    prep: &InstancePlan,
+    config: &EngineConfig,
+    cancel: Option<&AtomicBool>,
+    sessions: Sessions<'_>,
+) -> RunResult {
     let start = Instant::now();
     let table = &instance.vocab.table;
     let cfg = &instance.cfg;
@@ -787,47 +902,7 @@ pub fn run_shared(
     let mut metrics = RunMetrics::new(config.phase_timings);
     let mut interner = StructureInterner::new();
 
-    // Content-keyed action ids for transfer-cache keys: `action_ids[e][i]`
-    // identifies action `i` of edge `e` by *content*, so structurally equal
-    // actions on different edges (skip edges, `assume(?)` branch pairs,
-    // repeated statements) share cache entries. The worklist itself never
-    // re-applies one edge's action to the same structure — location sets
-    // dedup on interned ids — so all cache hits come from this cross-edge
-    // sharing. Deduplication is a linear scan per action: action counts are
-    // CFG-sized (tens), and it runs once per analysis.
-    let mut action_ids: Vec<Vec<u32>> = Vec::with_capacity(instance.actions.len());
-    let mut uniq_actions: Vec<&hetsep_tvl::action::Action> = Vec::new();
-    for edge_actions in &instance.actions {
-        let ids = edge_actions
-            .iter()
-            .map(|a| match uniq_actions.iter().position(|u| *u == a) {
-                Some(ix) => ix as u32,
-                None => {
-                    uniq_actions.push(a);
-                    (uniq_actions.len() - 1) as u32
-                }
-            })
-            .collect();
-        action_ids.push(ids);
-    }
-
     let use_regions = !cfg.regions().is_empty();
-    let mut region_by_entry: HashMap<usize, usize> = HashMap::new();
-    let mut region_contents: Vec<u32> = Vec::new();
-    let mut distinct_contents: Vec<String> = Vec::new();
-    if use_regions {
-        let mut content_ix: HashMap<String, u32> = HashMap::new();
-        for (ix, region) in cfg.regions().iter().enumerate() {
-            region_by_entry.insert(region.entry.index(), ix);
-            let content = region_content(region, cfg, &instance.actions);
-            let id = *content_ix.entry(content.clone()).or_insert_with(|| {
-                distinct_contents.push(content);
-                (distinct_contents.len() - 1) as u32
-            });
-            region_contents.push(id);
-        }
-    }
-
     let transfers = MemoLevel {
         memo: TransferCache {
             cap: (config.transfer_cache_capacity / 2).max(1),
@@ -835,8 +910,8 @@ pub fn run_shared(
             old: HashMap::new(),
         },
         scope: sessions.transfers.filter(|_| config.transfer_cache).map(|s| {
-            let contents = uniq_actions.iter().map(|a| action_content(a)).collect();
-            s.run_scope(table, config.focus_limit, contents)
+            let context = prep.context(table, config.focus_limit);
+            s.run_scope(context, prep.action_contents(instance))
         }),
     };
     let regions = MemoLevel {
@@ -844,29 +919,19 @@ pub fn run_shared(
         scope: sessions
             .summaries
             .filter(|_| use_regions && config.summaries)
-            .map(|s| s.run_scope(table, config.focus_limit, distinct_contents)),
+            .map(|s| {
+                let context = prep.context(table, config.focus_limit);
+                s.run_scope(context, Arc::clone(&prep.distinct_regions))
+            }),
     };
 
     let ctx = EngineCtx {
         instance,
         config,
         cancel,
-        rpo: rpo_ranks(cfg),
-        plan: TransferPlan {
-            coerce: CoercePlan::new(table),
-            columns: name_columns(table),
-        },
-        action_ids,
+        prep,
         intra_workers: config.parallel.effective_intra_threads(),
         local_cancel: AtomicBool::new(false),
-        region_by_entry,
-        region_contents,
-        site_of_pred: instance
-            .vocab
-            .site_preds
-            .iter()
-            .map(|(&site, &pred)| (pred.index() as u32, site))
-            .collect(),
     };
 
     // `blur` output is already canonical — nodes are emitted in ascending
@@ -874,7 +939,7 @@ pub fn run_shared(
     // `canonical_key_is_identity_on_blurred` property test) — so blurred
     // structures are interned directly without a re-keying pass.
     let init = metrics.time(Phase::Canon, || {
-        blur_by(&Structure::new(table), table, &ctx.plan.columns).0
+        blur_by(&Structure::new(table), table, &ctx.prep.transfer.columns).0
     });
     let init_id = interner.intern(init);
     let mut fr = Frontier {
@@ -885,7 +950,7 @@ pub fn run_shared(
         sink: None,
     };
     metrics.time(Phase::Merge, || fr.states[cfg.entry()].insert(init_id));
-    fr.push(ctx.rpo[cfg.entry()], cfg.entry(), init_id, &mut metrics);
+    fr.push(ctx.prep.rpo[cfg.entry()], cfg.entry(), init_id, &mut metrics);
 
     let mut st = EngineSt {
         metrics,
@@ -995,7 +1060,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
         // the entry's (the exit is a DFS descendant of the entry), so these
         // commits never outrank the batch being drained.
         if own_entry != Some(node) {
-            if let Some(&region_ix) = ctx.region_by_entry.get(&node) {
+            if let Some(&region_ix) = ctx.prep.region_by_entry.get(&node) {
                 let exit = cfg.regions()[region_ix].exit.index();
                 for &(_, sid) in &batch {
                     let summary = eval_region(ctx, st, region_ix, sid)?;
@@ -1065,7 +1130,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                         if spec_visits > config.max_visits {
                             break 'classify;
                         }
-                        let key = (ctx.action_ids[edge_ix][action_ix], sid);
+                        let key = (ctx.prep.action_ids[edge_ix][action_ix], sid);
                         let predicted_hit = st.speculative.contains_key(&key)
                             || pending.contains(&key)
                             || (config.transfer_cache
@@ -1092,7 +1157,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                     .collect();
                 let flag = ctx.cancel.unwrap_or(&ctx.local_cancel);
                 let timed = config.phase_timings;
-                let plan = &ctx.plan;
+                let plan = &ctx.prep.transfer;
                 let computed = map_ordered(&jobs, ctx.intra_workers, flag, |_, job, _| {
                     let mut local = RunMetrics::new(timed);
                     let (posts, memo) = compute_transfer(
@@ -1161,7 +1226,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                     // — canonical post ids, violations, peak universe size —
                     // replays exactly from either memo layer. Resolve one
                     // entry, then apply it once, whichever layer produced it.
-                    let key = (ctx.action_ids[edge_ix][action_ix], sid);
+                    let key = (ctx.prep.action_ids[edge_ix][action_ix], sid);
                     // Claim any precomputed transfer for this application up
                     // front: if the caches hit after all (a misprediction),
                     // the speculative result is simply dropped, exactly like
@@ -1215,7 +1280,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                                     &s,
                                     settled,
                                     table,
-                                    &ctx.plan,
+                                    &ctx.prep.transfer,
                                     config.focus_limit,
                                     &mut st.metrics,
                                 ),
@@ -1277,7 +1342,7 @@ fn commit_post(
     if st.metrics.time(Phase::Merge, || fr.states[slot].insert(id)) {
         st.live += 1;
         st.raise_live_peak(st.live);
-        fr.push(ctx.rpo[to], to, id, &mut st.metrics);
+        fr.push(ctx.prep.rpo[to], to, id, &mut st.metrics);
     }
 }
 
@@ -1301,7 +1366,7 @@ fn eval_region(
         return compute_region(ctx, st, region_ix, input).map(Rc::new);
     }
     st.metrics.counters.add(Counter::CallEvaluations, 1);
-    let key = (ctx.region_contents[region_ix], input);
+    let key = (ctx.prep.region_contents[region_ix], input);
     let table = &ctx.instance.vocab.table;
     let summary = match st.regions.lookup(key, &mut st.interner, table, &mut st.metrics) {
         Lookup::Memo(summary) => summary,
@@ -1357,7 +1422,7 @@ fn compute_region(
     states[entry - base].insert(input);
     let mut fr = Frontier {
         states,
-        worklist: BinaryHeap::from([Reverse((ctx.rpo[entry], 0, entry, input))]),
+        worklist: BinaryHeap::from([Reverse((ctx.prep.rpo[entry], 0, entry, input))]),
         seq: 1,
         base,
         sink: Some(RegionSink {

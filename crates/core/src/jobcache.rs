@@ -62,12 +62,13 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use hetsep_tvl::intern::{PoolId, WordPool};
 use hetsep_tvl::{PredTable, Structure};
 
 use crate::summary::SummaryStore;
+use crate::workspace::fingerprint;
 
 /// The content string identifying a memo context: the full predicate table
 /// plus the focus limit. Runs with equal context strings compute identical
@@ -164,13 +165,18 @@ struct Entry<M> {
 
 /// A persistent cross-run memo store: context and key content pools, a
 /// sharded structure [`WordPool`], and the entry map.
+///
+/// Each content string is stored once; the indexes map its
+/// [`fingerprint`] to candidate ids, confirmed by a full comparison.
 #[derive(Debug, Clone)]
 pub struct Store<M> {
     contexts: Vec<String>,
-    context_ix: HashMap<String, u32>,
+    /// Content fingerprint → ids of the contexts with that fingerprint.
+    context_ix: HashMap<u64, Vec<u32>>,
     /// `(context id, key content)` per key id, in registration order.
     keys: Vec<(u32, String)>,
-    key_ix: HashMap<(u32, String), u32>,
+    /// `(context id, content fingerprint)` → ids of the keys with both.
+    key_ix: HashMap<(u32, u64), Vec<u32>>,
     pool: WordPool,
     /// `(key id, input pool id)` → memoized output.
     entries: HashMap<(u32, PoolId), Entry<M>>,
@@ -211,31 +217,44 @@ impl<M: Memo> Store<M> {
     }
 
     fn context_id(&self, content: &str) -> Option<u32> {
-        self.context_ix.get(content).copied()
+        let candidates = self.context_ix.get(&fingerprint(content))?;
+        candidates
+            .iter()
+            .copied()
+            .find(|&id| self.contexts[id as usize] == content)
     }
 
     fn key_id(&self, context: u32, content: &str) -> Option<u32> {
-        self.key_ix.get(&(context, content.to_string())).copied()
+        let candidates = self.key_ix.get(&(context, fingerprint(content)))?;
+        candidates
+            .iter()
+            .copied()
+            .find(|&id| self.keys[id as usize].1 == content)
     }
 
     fn ensure_context(&mut self, content: &str) -> u32 {
-        if let Some(id) = self.context_ix.get(content) {
-            return *id;
+        if let Some(id) = self.context_id(content) {
+            return id;
         }
         let id = u32::try_from(self.contexts.len()).expect("context overflow");
-        self.contexts.push(content.to_string());
-        self.context_ix.insert(content.to_string(), id);
+        self.contexts.push(content.to_owned());
+        self.context_ix
+            .entry(fingerprint(content))
+            .or_default()
+            .push(id);
         id
     }
 
     fn ensure_key(&mut self, context: u32, content: &str) -> u32 {
-        let key = (context, content.to_string());
-        if let Some(id) = self.key_ix.get(&key) {
-            return *id;
+        if let Some(id) = self.key_id(context, content) {
+            return id;
         }
         let id = u32::try_from(self.keys.len()).expect("key overflow");
-        self.keys.push(key.clone());
-        self.key_ix.insert(key, id);
+        self.keys.push((context, content.to_owned()));
+        self.key_ix
+            .entry((context, fingerprint(content)))
+            .or_default()
+            .push(id);
         id
     }
 
@@ -577,8 +596,8 @@ pub struct SharedSession<'a, M> {
 /// context and key strings plus word-encoded structures).
 #[derive(Debug)]
 pub struct Delta<M> {
-    context: String,
-    keys: Vec<String>,
+    context: Arc<str>,
+    keys: Arc<[String]>,
     records: Vec<Record<M>>,
 }
 
@@ -607,17 +626,12 @@ impl<'a, M: Memo> SharedSession<'a, M> {
         self.deltas.into_inner().unwrap()
     }
 
-    /// Opens the per-engine-run scope: resolves the run's context and key
-    /// contents against the snapshot once, so per-evaluation probes are id
-    /// lookups. `keys` is the engine's content-deduplicated key list;
-    /// run-local key ids index into it.
-    pub fn run_scope(
-        &'a self,
-        table: &PredTable,
-        focus_limit: usize,
-        keys: Vec<String>,
-    ) -> RunScope<'a, M> {
-        let context = context_content(table, focus_limit);
+    /// Opens the per-engine-run scope: resolves the run's context (a
+    /// [`context_content`] string) and key contents against the snapshot
+    /// once, so per-evaluation probes are id lookups. `keys` is the engine's
+    /// content-deduplicated key list; run-local key ids index into it. Both
+    /// are shared, not copied, into the run's delta.
+    pub fn run_scope(&'a self, context: Arc<str>, keys: Arc<[String]>) -> RunScope<'a, M> {
         let snapshot_ctx = self.snapshot.context_id(&context);
         let slots = keys
             .iter()

@@ -17,12 +17,20 @@
 //! identical to a serial run.
 //! Incremental stages stay sequential by design: each stage's site set
 //! depends on the previous stage's failing sites.
+//!
+//! A verification has a *prepare* half — every translation, the pruning
+//! preanalysis, each instance's `engine::InstancePlan` — and an *execute* half,
+//! the engine runs and the report. Only execute reads the shared stores.
+//! `Prepared` memoizes the prepare half, so a caller that keeps it (the
+//! [`crate::workspace::Workspace`], per program) re-verifies by running
+//! only the engine; [`Verifier::run`] uses a fresh one.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, Write};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use hetsep_easl::ast::Spec;
@@ -30,11 +38,13 @@ use hetsep_ir::Program;
 use hetsep_strategy::ast::{ChoiceMode, Strategy};
 use hetsep_tvl::telemetry::{event_to_json, Counter, Event, Phase, RunMetrics};
 
-use crate::engine::{run_shared, AnalysisOutcome, EngineConfig, RunResult, RunStats, Sessions};
+use crate::engine::{
+    run_planned, AnalysisOutcome, EngineConfig, InstancePlan, RunResult, RunStats, Sessions,
+};
 use crate::jobcache::SharedTransferSession;
 use crate::summary::SharedSummarySession;
 use crate::report::{dedup_reports, ErrorReport, VerifyError};
-use crate::translate::{translate, TranslateOptions};
+use crate::translate::{translate, AnalysisInstance, TranslateOptions};
 use crate::vocab::SiteId;
 
 /// The mode *family* of a verification, detached from any strategy value.
@@ -459,10 +469,146 @@ fn site_options(base: &TranslateOptions, choice_ix: usize, site: SiteId) -> Tran
     options
 }
 
-/// Runs one subproblem per allocation site, on a scoped worker pool when
-/// more than one thread is configured.
+/// A translated instance with its [`InstancePlan`]: everything an engine
+/// run reads that does not depend on the stores.
+struct PreparedInstance {
+    instance: AnalysisInstance,
+    plan: InstancePlan,
+}
+
+impl PreparedInstance {
+    fn translate(
+        program: &Program,
+        spec: &Spec,
+        options: &TranslateOptions,
+    ) -> Result<PreparedInstance, VerifyError> {
+        let instance = translate(program, spec, options)?;
+        let plan = InstancePlan::new(&instance);
+        Ok(PreparedInstance { instance, plan })
+    }
+
+    fn run(
+        &self,
+        config: &EngineConfig,
+        cancel: Option<&AtomicBool>,
+        sessions: Sessions<'_>,
+    ) -> RunResult {
+        run_planned(&self.instance, &self.plan, config, cancel, sessions)
+    }
+}
+
+/// A non-simultaneous family as its preparation left it: the family's
+/// allocation sites, the pruning preanalysis (when configured), the sites
+/// left to run, and one lazily translated instance per site to run.
+struct Family {
+    choice_ix: usize,
+    sites: Vec<SiteId>,
+    pre: Option<Preanalysis>,
+    to_run: Vec<SiteId>,
+    /// One slot per `to_run` site, translated by the run that first reaches
+    /// it, so a site past the cancellation watermark is never translated.
+    instances: Vec<OnceLock<Result<PreparedInstance, VerifyError>>>,
+}
+
+/// The prepare half of one verification: every translation and the pruning
+/// preanalysis of one (program, spec, mode), built on first use and kept
+/// for re-runs.
 ///
-/// Results come back in `sites` order regardless of completion order, so
+/// None of it depends on what the stores hold — only the engine runs do —
+/// so a re-verification of unchanged artifacts over a kept `Prepared` runs
+/// only the engine and reports exactly what a fresh one-shot run over the
+/// same store snapshot reports. [`Verifier::run`] prepares into a fresh,
+/// throw-away `Prepared`; the [`crate::workspace::Workspace`] keeps one per
+/// program. A `Prepared` serves the one (program, spec, mode, config) it
+/// was first used with.
+#[derive(Default)]
+pub(crate) struct Prepared {
+    /// The vanilla or simultaneous instance, or the probe of a
+    /// non-simultaneous family (all three translate the mode's base
+    /// options).
+    base: Option<Result<PreparedInstance, VerifyError>>,
+    /// The non-simultaneous family.
+    family: Option<Family>,
+    /// Incremental stage instances by stage index and the sorted failing
+    /// sites of the stage before.
+    stages: HashMap<(usize, Vec<SiteId>), Result<PreparedInstance, VerifyError>>,
+}
+
+impl Prepared {
+    /// The instance of `options`, translated on first use.
+    fn base(
+        &mut self,
+        program: &Program,
+        spec: &Spec,
+        options: &TranslateOptions,
+    ) -> Result<&PreparedInstance, VerifyError> {
+        self.base
+            .get_or_insert_with(|| PreparedInstance::translate(program, spec, options))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// The site family of the choice at `choice_ix`, a `choose some` of
+    /// `class`, with its pruning preanalysis when `prune`.
+    fn family(
+        &mut self,
+        program: &Program,
+        spec: &Spec,
+        class: &str,
+        choice_ix: usize,
+        prune: bool,
+    ) -> &Family {
+        if self.family.is_none() {
+            let probe = match &self.base {
+                Some(Ok(p)) => &p.instance,
+                _ => unreachable!("the family is prepared after its probe"),
+            };
+            let sites: Vec<SiteId> = probe.sites_of(class).to_vec();
+            // Pruning pre-pass: the preanalysis runs once and every site
+            // it proves safe is skipped. If it declines, the run loop
+            // covers every site.
+            let pre = prune.then(|| Preanalysis::run(program, spec, &sites));
+            let to_run: Vec<SiteId> = sites
+                .iter()
+                .copied()
+                .filter(|s| !pre.as_ref().is_some_and(|p| p.safe.contains(s)))
+                .collect();
+            let instances = to_run.iter().map(|_| OnceLock::new()).collect();
+            let family = Family {
+                choice_ix,
+                sites,
+                pre,
+                to_run,
+                instances,
+            };
+            self.family = Some(family);
+        }
+        self.family.as_ref().expect("just prepared")
+    }
+
+    /// The instance of incremental stage `ix` given the previous stage's
+    /// failing sites.
+    fn stage(
+        &mut self,
+        program: &Program,
+        spec: &Spec,
+        ix: usize,
+        options: &TranslateOptions,
+    ) -> Result<&PreparedInstance, VerifyError> {
+        let mut failing: Vec<SiteId> = options.failing_sites.iter().copied().collect();
+        failing.sort_unstable();
+        self.stages
+            .entry((ix, failing))
+            .or_insert_with(|| PreparedInstance::translate(program, spec, options))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+}
+
+/// Runs one subproblem per site of `family.to_run`, on a scoped worker pool
+/// when more than one thread is configured.
+///
+/// Results come back in site order regardless of completion order, so
 /// downstream merging is deterministic. Cancellation is deterministic too:
 /// a cancellation *watermark* holds the lowest slot index whose subproblem
 /// exhausted its budget or failed to translate. Only slots after the
@@ -474,11 +620,11 @@ fn run_sites(
     program: &Program,
     spec: &Spec,
     base: &TranslateOptions,
-    choice_ix: usize,
-    sites: &[SiteId],
+    family: &Family,
     config: &EngineConfig,
     sessions: Sessions<'_>,
 ) -> Result<Vec<(SiteId, RunResult)>, VerifyError> {
+    let sites = &family.to_run;
     let threads = config.parallel.effective_threads().clamp(1, sites.len().max(1));
     // Relaxed throughout: the watermark and flags publish no data (results
     // are read after the pool joins), and a stale read only lets a slot
@@ -501,8 +647,14 @@ fn run_sites(
         if watermark.load(Ordering::Relaxed) < ix {
             return None;
         }
-        let result = translate(program, spec, &site_options(base, choice_ix, site))
-            .map(|inst| run_shared(&inst, config, Some(&cancelled[ix]), sessions));
+        let prepared = family.instances[ix].get_or_init(|| {
+            let options = site_options(base, family.choice_ix, site);
+            PreparedInstance::translate(program, spec, &options)
+        });
+        let result = match prepared {
+            Ok(p) => Ok(p.run(config, Some(&cancelled[ix]), sessions)),
+            Err(e) => Err(e.clone()),
+        };
         match &result {
             Ok(r) if r.outcome != AnalysisOutcome::BudgetExceeded => {}
             _ => lower_watermark(ix),
@@ -660,6 +812,16 @@ impl<'a> Verifier<'a> {
     /// Propagates translation failures; property violations are *results*
     /// (see [`VerificationReport::errors`]), not errors.
     pub fn run(self) -> Result<VerificationReport, VerifyError> {
+        self.run_prepared(&mut Prepared::default())
+    }
+
+    /// Runs the verification over `prepared`, which holds (or receives) the
+    /// translations and pruning of this verifier's program, spec, mode and
+    /// configuration.
+    pub(crate) fn run_prepared(
+        self,
+        prepared: &mut Prepared,
+    ) -> Result<VerificationReport, VerifyError> {
         let Verifier {
             program,
             spec,
@@ -668,7 +830,7 @@ impl<'a> Verifier<'a> {
             sessions,
         } = self;
         let start = Instant::now();
-        let mut report = verify_inner(program, spec, &mode, &config, sessions)?;
+        let mut report = verify_inner(program, spec, &mode, &config, sessions, prepared)?;
         report.elapsed_wall = start.elapsed();
         Ok(report)
     }
@@ -776,22 +938,25 @@ pub fn write_trace(subproblems: &[SubproblemStats], out: &mut impl Write) -> io:
 }
 
 /// The one engine entry point behind every public verification surface. Its
-/// only caller is [`Verifier::run`]; the [`verify`] wrapper and the owned
-/// [`crate::workspace::Workspace`] API both run a [`Verifier`], which is
-/// what makes the one-shot and daemon paths byte-identical by construction.
-pub(crate) fn verify_inner(
+/// only caller is [`Verifier::run_prepared`]; the [`verify`] wrapper and the
+/// owned [`crate::workspace::Workspace`] API both run a [`Verifier`], which
+/// is what makes the one-shot and daemon paths byte-identical by
+/// construction. Translation and pruning come from `prepared` (built there
+/// on first use); only the engine runs happen here every time.
+fn verify_inner(
     program: &Program,
     spec: &Spec,
     mode: &Mode,
     config: &EngineConfig,
     sessions: Sessions<'_>,
+    prepared: &mut Prepared,
 ) -> Result<VerificationReport, VerifyError> {
     match mode {
         Mode::Vanilla => {
-            let inst = translate(program, spec, &TranslateOptions::default())?;
+            let inst = prepared.base(program, spec, &TranslateOptions::default())?;
             let mut report = VerificationReport::empty();
             report.stages_run = 1;
-            report.absorb(None, run_shared(&inst, config, None, sessions));
+            report.absorb(None, inst.run(config, None, sessions));
             Ok(report.finish())
         }
         Mode::Separation {
@@ -810,69 +975,49 @@ pub(crate) fn verify_inner(
             };
             let mut report = VerificationReport::empty();
             report.stages_run = 1;
-            if *simultaneous {
-                let inst = translate(program, spec, &base)?;
-                report.absorb(None, run_shared(&inst, config, None, sessions));
-                return Ok(report.finish());
-            }
-            // Non-simultaneous: one run per allocation site of the first
-            // `choose some` class.
-            let probe = translate(program, spec, &base)?;
+            // The simultaneous instance, or the probe of a non-simultaneous
+            // family: one run per allocation site of the first `choose
+            // some` class.
+            let probe = prepared.base(program, spec, &base)?;
             let first_some = stage
                 .choices
                 .iter()
                 .position(|c| c.mode == ChoiceMode::Some);
-            match first_some {
-                None => {
-                    report.absorb(None, run_shared(&probe, config, None, sessions));
+            let choice_ix = match first_some {
+                Some(ix) if !*simultaneous => ix,
+                _ => {
+                    report.absorb(None, probe.run(config, None, sessions));
+                    return Ok(report.finish());
                 }
-                Some(choice_ix) => {
-                    let class = &stage.choices[choice_ix].class;
-                    let sites: Vec<SiteId> = probe.sites_of(class).to_vec();
-                    if sites.is_empty() {
-                        // Nothing of the chosen class is ever allocated: a
-                        // single (cheap) run covers the empty family.
-                        report.absorb(None, run_shared(&probe, config, None, sessions));
-                    }
-                    // Pruning pre-pass: the preanalysis runs once and every
-                    // site it proves safe is skipped. If it declines, the
-                    // run loop covers every site.
-                    let pre = if config.preanalysis {
-                        Some(Preanalysis::run(program, spec, &sites))
-                    } else {
-                        None
-                    };
-                    let pruned = |s: &SiteId| pre.as_ref().is_some_and(|p| p.safe.contains(s));
-                    let to_run: Vec<SiteId> = sites
-                        .iter()
-                        .copied()
-                        .filter(|s| !pruned(s))
-                        .collect();
-                    let mut results =
-                        run_sites(program, spec, &base, choice_ix, &to_run, config, sessions)?
-                            .into_iter()
-                            .peekable();
-                    // Merge in original site order so reports are identical
-                    // to an unpruned run (pruned entries interleave).
-                    for &site in &sites {
-                        if pruned(&site) {
-                            report.absorb_pruned(site, pre.as_ref().expect("pruned implies pre"));
-                        } else if results.peek().is_some_and(|&(s, _)| s == site) {
-                            let (_, mut result) = results.next().expect("peeked");
-                            if let Some(pre) = &pre {
-                                pre.stamp_row(site, &mut result.stats.metrics);
-                            }
-                            report.absorb(Some(site), result);
-                        }
-                        // else: past the cancellation watermark — an
-                        // earlier site exhausted its budget, so the report
-                        // is already incomplete.
-                    }
-                    if let Some(pre) = pre {
-                        report.preanalysis = Some(pre.summary());
-                    }
-                }
+            };
+            let class = &stage.choices[choice_ix].class;
+            if probe.instance.sites_of(class).is_empty() {
+                // Nothing of the chosen class is ever allocated: a single
+                // (cheap) run covers the empty family.
+                report.absorb(None, probe.run(config, None, sessions));
             }
+            let family = prepared.family(program, spec, class, choice_ix, config.preanalysis);
+            let mut results = run_sites(program, spec, &base, family, config, sessions)?
+                .into_iter()
+                .peekable();
+            let pre = family.pre.as_ref();
+            // Merge in original site order so reports are identical to an
+            // unpruned run (pruned entries interleave).
+            for &site in &family.sites {
+                if let Some(pre) = pre.filter(|p| p.safe.contains(&site)) {
+                    report.absorb_pruned(site, pre);
+                } else if results.peek().is_some_and(|&(s, _)| s == site) {
+                    let (_, mut result) = results.next().expect("peeked");
+                    if let Some(pre) = pre {
+                        pre.stamp_row(site, &mut result.stats.metrics);
+                    }
+                    report.absorb(Some(site), result);
+                }
+                // else: past the cancellation watermark — an earlier site
+                // exhausted its budget, so the report is already
+                // incomplete.
+            }
+            report.preanalysis = pre.map(Preanalysis::summary);
             Ok(report.finish())
         }
         Mode::Incremental {
@@ -887,11 +1032,12 @@ pub(crate) fn verify_inner(
                 let options = TranslateOptions {
                     stage: Some(stage.clone()),
                     heterogeneous: *heterogeneous,
-                    failing_sites: failing.clone(),
+                    failing_sites: failing,
                     ..TranslateOptions::default()
                 };
-                let inst = translate(program, spec, &options)?;
-                let result = run_shared(&inst, config, None, sessions);
+                let result = prepared
+                    .stage(program, spec, ix, &options)?
+                    .run(config, None, sessions);
                 report.stages_run = ix + 1;
                 let stage_errors = result.errors.clone();
                 last_stage_complete = result.outcome == AnalysisOutcome::Complete;

@@ -22,7 +22,7 @@ use hetsep_tvl::telemetry::Counter;
 
 use crate::engine::EngineConfig;
 use crate::modes::ModeKind;
-use crate::workspace::{ProgramId, SpecId, StrategyId, VerifyRequest, Workspace};
+use crate::workspace::{ProgramId, SpecId, StrategyId, VerifyOutput, VerifyRequest, Workspace};
 
 /// How a named spec was registered — source-text specs get the `W12x` spec
 /// lints, built-ins are a trusted standard library (mirroring the CLI).
@@ -38,7 +38,9 @@ enum SpecOrigin {
 /// Names are bindings, not artifacts: re-loading a name with new content
 /// re-points the binding (the workspace keeps both contents registered, so
 /// flipping back replays without re-parsing — and with warm transfer
-/// caches).
+/// caches). When the last name bound to a program is re-pointed, the
+/// workspace drops that program's prepared verification, so prepared state
+/// follows the live bindings.
 #[derive(Default)]
 pub struct Session {
     workspace: Workspace,
@@ -122,7 +124,15 @@ impl Session {
     fn load_program(&mut self, name: &str, source: &str) -> Response {
         match self.workspace.add_program(source) {
             Ok(reg) => {
-                self.programs.insert(name.to_owned(), reg.id);
+                // Once no name is bound to the previous program, its
+                // prepared verification goes: the workspace keeps prepared
+                // state only for programs a client can still verify.
+                let previous = self.programs.insert(name.to_owned(), reg.id);
+                if let Some(old) = previous.filter(|&old| old != reg.id) {
+                    if !self.programs.values().any(|&id| id == old) {
+                        self.workspace.release_prepared(old);
+                    }
+                }
                 loaded("load_program", name, reg.fingerprint, reg.reused)
             }
             Err(e) => Response::error("load_program", e.to_string()),
@@ -233,39 +243,7 @@ impl Session {
             kind,
         };
         match self.workspace.verify(&request) {
-            Ok(out) => {
-                let r = &out.report;
-                let c = |counter| r.metrics.counters.get(counter);
-                Response::Verify(VerifyOutcome {
-                    program: program.to_owned(),
-                    mode: out.kind.as_str().to_owned(),
-                    verdict: r.verdict().to_owned(),
-                    complete: r.complete,
-                    visits: r.total_visits,
-                    space: r.max_space as u64,
-                    subproblems: r.subproblems.len() as u64,
-                    pruned: c(Counter::SubproblemsPruned),
-                    components: r.preanalysis.map_or(0, |p| p.components),
-                    estimated_structures: r.preanalysis.map_or(0, |p| p.estimated_structures),
-                    cache_hits: c(Counter::TransferCacheHits),
-                    cache_misses: c(Counter::TransferCacheMisses),
-                    shared_hits: c(Counter::SharedCacheHits),
-                    shared_misses: c(Counter::SharedCacheMisses),
-                    call_evaluations: c(Counter::CallEvaluations),
-                    summary_hits: c(Counter::SummaryHits),
-                    summary_misses: c(Counter::SummaryMisses),
-                    shared_summary_hits: c(Counter::SharedSummaryHits),
-                    errors: r
-                        .errors
-                        .iter()
-                        .map(|e| WireError {
-                            line: e.line,
-                            label: e.label.clone(),
-                            definite: e.definite,
-                        })
-                        .collect(),
-                })
-            }
+            Ok(out) => Response::Verify(out.to_wire(program)),
             Err(e) => Response::error("verify", e.to_string()),
         }
     }
@@ -341,6 +319,47 @@ impl Session {
             store_entries: self.workspace.store().entry_count() as u64,
             store_structures: self.workspace.store().structure_count() as u64,
             summary_entries: self.workspace.summary_store().entry_count() as u64,
+            prepared: self.workspace.prepared_count() as u64,
+            prepared_hits: self.workspace.prepared_hits(),
+        }
+    }
+}
+
+impl VerifyOutput {
+    /// The wire form of this result for the program bound to `program`:
+    /// the verdict, the work totals and the cache counters, nothing that
+    /// depends on wall-clock time.
+    pub fn to_wire(&self, program: &str) -> VerifyOutcome {
+        let r = &self.report;
+        let c = |counter| r.metrics.counters.get(counter);
+        VerifyOutcome {
+            program: program.to_owned(),
+            mode: self.kind.as_str().to_owned(),
+            verdict: r.verdict().to_owned(),
+            complete: r.complete,
+            visits: r.total_visits,
+            space: r.max_space as u64,
+            subproblems: r.subproblems.len() as u64,
+            pruned: c(Counter::SubproblemsPruned),
+            components: r.preanalysis.map_or(0, |p| p.components),
+            estimated_structures: r.preanalysis.map_or(0, |p| p.estimated_structures),
+            cache_hits: c(Counter::TransferCacheHits),
+            cache_misses: c(Counter::TransferCacheMisses),
+            shared_hits: c(Counter::SharedCacheHits),
+            shared_misses: c(Counter::SharedCacheMisses),
+            call_evaluations: c(Counter::CallEvaluations),
+            summary_hits: c(Counter::SummaryHits),
+            summary_misses: c(Counter::SummaryMisses),
+            shared_summary_hits: c(Counter::SharedSummaryHits),
+            errors: r
+                .errors
+                .iter()
+                .map(|e| WireError {
+                    line: e.line,
+                    label: e.label.clone(),
+                    definite: e.definite,
+                })
+                .collect(),
         }
     }
 }

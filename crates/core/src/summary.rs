@@ -118,7 +118,7 @@ pub type SharedSummarySession<'a> = SharedSession<'a, SummaryMemo>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jobcache::{CacheFile, TransferStore};
+    use crate::jobcache::{context_content, CacheFile, TransferStore};
 
     type Rec = (u32, Vec<u64>, Vec<Vec<u64>>, SummaryMemo);
 
@@ -128,7 +128,8 @@ mod tests {
         let empty = SummaryStore::new();
         let session = SharedSummarySession::new(&empty);
         let keys = keys.iter().map(|k| k.to_string()).collect();
-        let mut scope = session.run_scope(&hetsep_tvl::PredTable::new(), 8, keys);
+        let context = context_content(&hetsep_tvl::PredTable::new(), 8);
+        let mut scope = session.run_scope(context.into(), keys);
         for (key, input, outputs, memo) in records {
             scope.record(key, input, outputs, memo);
         }
@@ -236,16 +237,17 @@ mod tests {
         );
 
         let session = SharedSummarySession::new(&store);
-        let scope = session.run_scope(&table, 8, region());
+        let scope = session.run_scope(context_content(&table, 8).into(), region().into());
         assert!(scope.contains(0, &words));
         let (exits, hit) = scope.probe(0, &words, &table).expect("same context and region");
         assert_eq!(exits.len(), 1);
         assert_eq!(hit, memo(12));
         assert!(scope.probe(0, &[words[0] + 1], &table).is_none(), "other input");
         // Another focus limit is another context; another region another key.
-        let scope = session.run_scope(&table, 9, region());
+        let scope = session.run_scope(context_content(&table, 9).into(), region().into());
         assert!(scope.probe(0, &words, &table).is_none());
-        let scope = session.run_scope(&table, 8, vec!["0>2@4:Other|;".into()]);
+        let other = vec!["0>2@4:Other|;".to_string()];
+        let scope = session.run_scope(context_content(&table, 8).into(), other.into());
         assert!(scope.probe(0, &words, &table).is_none());
     }
 }

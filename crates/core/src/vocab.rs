@@ -25,6 +25,7 @@
 //! after the derived updates.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 
 use hetsep_easl::ast::{FieldKind, Spec};
 use hetsep_easl::compile::PredResolver;
@@ -92,7 +93,15 @@ pub struct Vocabulary {
     pub force_relevant_vars: Vec<String>,
     /// Allocation sites whose objects are forced relevant (paper §7).
     pub force_relevant_sites: BTreeSet<SiteId>,
+    /// [`Vocabulary::derived_updates`] and [`Vocabulary::forget_mask`],
+    /// built on the first [`Vocabulary::add_derived`] and shared by every
+    /// action it is given to.
+    shared_derived: OnceLock<SharedDerived>,
 }
+
+/// The derived updates and forget mask every mutating action of one
+/// vocabulary shares.
+type SharedDerived = (Arc<[PredUpdate]>, Option<Arc<ForgetMask>>);
 
 impl Vocabulary {
     /// Builds the vocabulary for a program/spec pair, optionally instrumented
@@ -242,6 +251,7 @@ impl Vocabulary {
             transitive_relevance,
             force_relevant_vars,
             force_relevant_sites,
+            shared_derived: OnceLock::new(),
         };
 
         if let Some(plan) = plan {
@@ -394,10 +404,14 @@ impl Vocabulary {
         out
     }
 
-    /// Gives a mutating `action` its derived updates and forget mask.
+    /// Gives a mutating `action` its derived updates and forget mask (the
+    /// vocabulary's shared copies, not new ones).
     pub fn add_derived(&self, action: &mut Action) {
-        action.derived = self.derived_updates();
-        action.forget = self.forget_mask();
+        let (derived, forget) = self
+            .shared_derived
+            .get_or_init(|| (self.derived_updates().into(), self.forget_mask().map(Arc::new)));
+        action.derived = Arc::clone(derived);
+        action.forget = forget.clone();
     }
 
     /// Derived (instrumentation) predicate updates to append to every action:

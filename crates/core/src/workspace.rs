@@ -28,6 +28,13 @@
 //!   mounted stores attached, so the daemon and the CLI share one front
 //!   door and one engine entry point: their verdicts are byte-identical by
 //!   construction, not by testing alone.
+//! * **Each program keeps its prepared verification.** The translations
+//!   and pruning preanalysis of a program's latest [`VerifyRequest`] do
+//!   not depend on the stores, so the workspace keeps them and a repeat of
+//!   that request runs only the engine. A different request for the
+//!   program replaces them; [`Workspace::release_prepared`] drops them
+//!   (the daemon session does so when no name is bound to the program any
+//!   more).
 
 use std::collections::HashMap;
 
@@ -38,7 +45,7 @@ use hetsep_strategy::ast::Strategy;
 
 use crate::engine::EngineConfig;
 use crate::jobcache::{SharedTransferSession, TransferStore};
-use crate::modes::{Mode, ModeKind, VerificationReport, Verifier};
+use crate::modes::{Mode, ModeKind, Prepared, VerificationReport, Verifier};
 use crate::summary::{SharedSummarySession, SummaryStore};
 use crate::report::VerifyError;
 
@@ -208,6 +215,9 @@ pub struct Workspace {
     /// daemon's built-in `W12x` filter) apply on top.
     lint_cache: HashMap<(ProgramId, Option<SpecId>, Option<StrategyId>), Vec<Diagnostic>>,
     lint_cache_hits: u64,
+    /// The prepared verification of each program's latest request.
+    prepared: HashMap<ProgramId, (VerifyRequest, Prepared)>,
+    prepared_hits: u64,
 }
 
 impl Workspace {
@@ -393,6 +403,23 @@ impl Workspace {
         self.lint_cache_hits
     }
 
+    /// Number of programs holding a prepared verification.
+    pub fn prepared_count(&self) -> usize {
+        self.prepared.len()
+    }
+
+    /// Verifications that reused their program's prepared translations so
+    /// far.
+    pub fn prepared_hits(&self) -> u64 {
+        self.prepared_hits
+    }
+
+    /// Drops the prepared verification of `program`, if any. Artifacts stay
+    /// registered; the next verification of the program prepares afresh.
+    pub fn release_prepared(&mut self, program: ProgramId) {
+        self.prepared.remove(&program);
+    }
+
     /// Verifies a registered program.
     ///
     /// Runs a one-shot [`Verifier`] — reports are byte-identical to a fresh
@@ -401,6 +428,8 @@ impl Workspace {
     /// transfers and summaries are absorbed back afterwards, so repeat and
     /// overlapping requests replay instead of recomputing (visible as
     /// `shared_cache_hits` and `shared_summary_hits` in the report metrics).
+    /// A repeat of the program's previous request also reuses its
+    /// translations and pruning (see [`Workspace::prepared_hits`]).
     ///
     /// # Errors
     ///
@@ -410,8 +439,19 @@ impl Workspace {
         let strategy = request.strategy.map(|id| self.strategy(id).clone());
         let mode = Mode::from_kind(request.kind, strategy)?;
         let kind = mode.kind();
-        let program = self.program(request.program);
-        let spec = self.spec(request.spec);
+        match self.prepared.get(&request.program) {
+            Some((previous, _)) if previous == request => self.prepared_hits += 1,
+            _ => {
+                self.prepared
+                    .insert(request.program, (*request, Prepared::default()));
+            }
+        }
+        let (_, prepared) = self
+            .prepared
+            .get_mut(&request.program)
+            .expect("inserted above");
+        let program = &self.programs.get(request.program.0).value;
+        let spec = &self.specs.get(request.spec.0).value;
         let session = SharedTransferSession::new(&self.store);
         let summary_session = SharedSummarySession::new(&self.summaries);
         let report = Verifier::new(program, spec)
@@ -419,7 +459,7 @@ impl Workspace {
             .config(self.config.clone())
             .shared_cache(&session)
             .shared_summaries(&summary_session)
-            .run()?;
+            .run_prepared(prepared)?;
         self.store.absorb(session.into_deltas());
         self.summaries.absorb(summary_session.into_deltas());
         Ok(VerifyOutput { report, kind })

@@ -318,6 +318,11 @@ pub struct StatusInfo {
     pub store_structures: u64,
     /// Memoized call-region summaries in the workspace summary store.
     pub summary_entries: u64,
+    /// Programs holding a prepared verification (translations and pruning
+    /// kept for a repeat of their latest verify request).
+    pub prepared: u64,
+    /// Verify requests that reused their program's prepared verification.
+    pub prepared_hits: u64,
 }
 
 /// One daemon response (daemon → client, one per line).
@@ -443,7 +448,7 @@ impl Response {
                 "{{\"ok\":true,\"op\":\"status\",\"programs\":{},\"specs\":{},\
                  \"strategies\":{},\"requests\":{},\"verifies\":{},\
                  \"lint_cache_hits\":{},\"store_entries\":{},\"store_structures\":{},\
-                 \"summary_entries\":{}}}",
+                 \"summary_entries\":{},\"prepared\":{},\"prepared_hits\":{}}}",
                 s.programs,
                 s.specs,
                 s.strategies,
@@ -453,6 +458,8 @@ impl Response {
                 s.store_entries,
                 s.store_structures,
                 s.summary_entries,
+                s.prepared,
+                s.prepared_hits,
             ),
             Response::Shutdown => "{\"ok\":true,\"op\":\"shutdown\"}".to_owned(),
             Response::Error { op, message } => format!(

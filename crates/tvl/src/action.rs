@@ -27,6 +27,8 @@
 //! Canonical abstraction (blur) is *not* performed here; the analysis engine
 //! blurs when joining into a program location.
 
+use std::sync::Arc;
+
 use crate::bits;
 use crate::coerce::{coerce_dirty, coerce_with, CoercePlan};
 use crate::eval::{eval_closed, Assignment, Evaluator, Scratch};
@@ -186,10 +188,11 @@ pub struct Action {
     /// Simultaneous core updates evaluated over the pre-state.
     pub updates: Vec<PredUpdate>,
     /// Sequential derived updates (instrumentation predicates) evaluated over
-    /// the evolving post-state.
-    pub derived: Vec<PredUpdate>,
-    /// Applied after the derived updates.
-    pub forget: Option<ForgetMask>,
+    /// the evolving post-state. Shared: every mutating action of one
+    /// vocabulary carries the same list.
+    pub derived: Arc<[PredUpdate]>,
+    /// Applied after the derived updates; shared like `derived`.
+    pub forget: Option<Arc<ForgetMask>>,
 }
 
 impl Action {
@@ -351,7 +354,7 @@ fn transform(action: &Action, mut post: Structure, table: &PredTable) -> (Struct
     // Derived updates: evaluated sequentially, in place, over the evolving
     // post-state. An iterating update re-evaluates until its own values
     // stop changing (each round reads the previous round's values).
-    for up in &action.derived {
+    for up in action.derived.iter() {
         let rounds = if up.iterate {
             post.node_count() + 1
         } else {
@@ -546,7 +549,7 @@ mod tests {
         let action = Action {
             name: "derived".into(),
             updates: vec![PredUpdate::unary(x, v, Formula::unary(y, v))],
-            derived: vec![PredUpdate::unary(d, v, Formula::unary(x, v))],
+            derived: vec![PredUpdate::unary(d, v, Formula::unary(x, v))].into(),
             ..Action::default()
         };
         let post = &apply(&action, &s, &t, DEFAULT_FOCUS_LIMIT).results[0];
@@ -666,7 +669,7 @@ mod tests {
         b.updates.push(PredUpdate::unary(x, Var(0), Formula::ff()));
         assert!(!b.is_identity());
         let mut c = Action::named("forget");
-        c.forget = Some(ForgetMask { c: x, preds: Vec::new() });
+        c.forget = Some(Arc::new(ForgetMask { c: x, preds: Vec::new() }));
         assert!(!c.is_identity());
     }
 }

@@ -164,13 +164,16 @@ rm -f "$corpus_cache" "$corpus_cache.err"
 
 # Verification-daemon smoke gate: a canned NDJSON session (load a buggy
 # program, verify cold, re-verify warm, load the edited fix, re-verify,
-# lint twice, an unknown-name error, status, shutdown) must reproduce the
-# committed transcript byte-for-byte. Responses are deliberately
+# lint twice, an unknown-name error, status, flip back to the first content
+# and re-verify twice, a `multi` and an `inc` verify, status, shutdown) must
+# reproduce the committed transcript byte-for-byte. Responses are deliberately
 # wall-clock-free, so this pins verdicts AND the warm-replay cache
 # accounting (the warm verify's shared_hits/cache_misses are part of the
 # golden). `--preanalysis` makes the pruning columns live: the fixed
 # program's only subproblem is pruned (zero visits), and the repeated lint
-# must come from the workspace lint cache (`lint_cache_hits` in status).
+# must come from the workspace lint cache (`lint_cache_hits` in status);
+# repeated verifies reuse their program's prepared verification
+# (`prepared_hits` in status) without changing any verify line.
 cargo run -q -p hetsep --bin hetsep --release -- \
     serve --quiet --preanalysis < scripts/serve_session.ndjson \
     | diff -u scripts/serve_quick.golden -

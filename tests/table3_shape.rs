@@ -3,9 +3,9 @@
 //! benchmarks.
 //!
 //! The fast tests run the light benchmarks; `full_table3` replays every row
-//! (about 18 s in a release build) and is `#[ignore]`d because it fails:
+//! (about 5 s in a release build) and is `#[ignore]`d because it fails:
 //! SQLExecutor's vanilla row reports `Some(0)` where the paper's table has
-//! `None` (the row finishes inside the budget; ROADMAP item 2).
+//! `None` (the row finishes inside the budget; ROADMAP item 5).
 //! `cargo test --release -p hetsep --test table3_shape -- --ignored` runs it.
 
 use hetsep::harness::{run_benchmark, run_mode, table3_config};
@@ -114,7 +114,7 @@ fn kernel_bench3_vanilla_explodes_separation_finishes() {
 }
 
 #[test]
-#[ignore = "fails: SQLExecutor/vanilla reports Some(0), expected None (ROADMAP item 2); ~18 s under --release"]
+#[ignore = "fails: SQLExecutor/vanilla reports Some(0), expected None (ROADMAP item 5); ~5 s under --release"]
 fn full_table3() {
     for bench in suite::all() {
         let config = table3_config();
