@@ -349,9 +349,9 @@ enum Lookup<E, M> {
     /// A shared-store hit, outputs interned; the caller seeds the in-run memo
     /// with it through [`MemoLevel::remember`] once it is applied.
     Shared(Memoized<M>),
-    /// A miss at both layers, carrying the encoded input when a shared store
-    /// was probed, so [`MemoLevel::remember`] records without re-encoding.
-    Miss(Option<Vec<u64>>),
+    /// A miss at both layers; `true` when a shared store was probed, so
+    /// [`MemoLevel::remember`] records the computed entry into it.
+    Miss(bool),
 }
 
 /// One memo level: the in-run memo in front of the run's scope of the
@@ -381,37 +381,32 @@ impl<C: InRunMemo<M>, M: Memo> MemoLevel<'_, C, M> {
         if let Some(entry) = self.memo.hit(&key, metrics) {
             return Lookup::Memo(entry);
         }
-        let Some(scope) = &self.scope else {
-            return Lookup::Miss(None);
+        let Some(scope) = &mut self.scope else {
+            return Lookup::Miss(false);
         };
-        let input = interner.resolve(key.1).to_words();
-        match scope.probe(key.0, &input, table) {
+        match scope.probe(key.0, key.1, interner, table) {
             Some((outputs, memo)) => {
                 let outputs = outputs.into_iter().map(|s| interner.intern(s)).collect();
                 Lookup::Shared((outputs, memo))
             }
-            None => Lookup::Miss(Some(input)),
+            None => Lookup::Miss(true),
         }
     }
 
     /// Seeds the in-run memo with a shared hit or a fresh computation, and
-    /// records the latter (`input` is its [`Lookup::Miss`] payload) into the
+    /// records the latter (`record` is its [`Lookup::Miss`] payload) into the
     /// shared store for future runs.
     fn remember(
         &mut self,
         key: MemoKey,
         entry: C::Entry,
-        input: Option<Vec<u64>>,
+        record: bool,
         interner: &StructureInterner,
         metrics: &mut RunMetrics,
     ) {
-        if let (Some(scope), Some(input)) = (self.scope.as_mut(), input) {
+        if let Some(scope) = self.scope.as_mut().filter(|_| record) {
             let (outputs, memo) = entry.borrow();
-            let outputs = outputs
-                .iter()
-                .map(|&id| interner.resolve(id).to_words())
-                .collect();
-            scope.record(key.0, input, outputs, memo.clone());
+            scope.record(key.0, key.1, outputs, memo.clone(), interner);
         }
         self.memo.seed(key, entry, metrics);
     }
@@ -1124,6 +1119,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
             let mut spec_visits = st.visits;
             'classify: for &(_, sid) in &batch {
                 let mut words: Option<Vec<u64>> = None;
+                let input = st.interner.resolve(sid);
                 for &edge_ix in cfg.out_edges(node) {
                     for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
                         spec_visits += 1;
@@ -1136,10 +1132,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                             || (config.transfer_cache
                                 && (st.transfers.memo.contains(&key)
                                     || st.transfers.scope.as_ref().is_some_and(|scope| {
-                                        let w = words.get_or_insert_with(|| {
-                                            st.interner.resolve(sid).to_words()
-                                        });
-                                        scope.contains(key.0, w)
+                                        scope.contains(key.0, input, &mut words)
                                     })));
                         if !predicted_hit {
                             pending.insert(key);
@@ -1237,9 +1230,9 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                         st.transfers
                             .lookup(key, &mut st.interner, table, &mut st.metrics)
                     } else {
-                        Lookup::Miss(None)
+                        Lookup::Miss(false)
                     };
-                    // `fresh` is `Some(input)` when the entry is not yet in
+                    // `fresh` is `Some(record)` when the entry is not yet in
                     // the per-run cache: `remember` seeds it after the apply
                     // step, recording computed ones into the shared store.
                     let (entry, fresh) = match found {
@@ -1254,10 +1247,10 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                         // a cold one.
                         Lookup::Shared(entry) => {
                             st.metrics.counters.add(Counter::SharedCacheHits, 1);
-                            (entry, Some(None))
+                            (entry, Some(false))
                         }
-                        Lookup::Miss(input) => {
-                            if input.is_some() {
+                        Lookup::Miss(record) => {
+                            if record {
                                 st.metrics.counters.add(Counter::SharedCacheMisses, 1);
                             }
                             if config.transfer_cache {
@@ -1295,7 +1288,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                                     id
                                 })
                                 .collect();
-                            ((posts, memo), config.transfer_cache.then_some(input))
+                            ((posts, memo), config.transfer_cache.then_some(record))
                         }
                     };
                     let (posts, memo) = &entry;
@@ -1309,9 +1302,9 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                     for &post in posts {
                         commit_post(ctx, st, fr, edge.to, post);
                     }
-                    if let Some(input) = fresh {
+                    if let Some(record) = fresh {
                         st.transfers
-                            .remember(key, entry, input, &st.interner, &mut st.metrics);
+                            .remember(key, entry, record, &st.interner, &mut st.metrics);
                     }
                 }
             }
@@ -1374,14 +1367,14 @@ fn eval_region(
             st.metrics.counters.add(Counter::SharedSummaryHits, 1);
             let summary = Rc::new(summary);
             st.regions
-                .remember(key, summary.clone(), None, &st.interner, &mut st.metrics);
+                .remember(key, summary.clone(), false, &st.interner, &mut st.metrics);
             summary
         }
-        Lookup::Miss(input_words) => {
+        Lookup::Miss(record) => {
             st.metrics.counters.add(Counter::SummaryMisses, 1);
             let summary = Rc::new(compute_region(ctx, st, region_ix, input)?);
             st.regions
-                .remember(key, summary.clone(), input_words, &st.interner, &mut st.metrics);
+                .remember(key, summary.clone(), record, &st.interner, &mut st.metrics);
             return Ok(summary);
         }
     };

@@ -41,7 +41,10 @@
 //! The job scheduler freezes a [`Store`] snapshot before a batch: jobs
 //! *probe* the snapshot read-only and *record* their misses into per-job
 //! [`SharedSession`] deltas, which the scheduler merges back in job order
-//! after the batch ([`Store::absorb`]). Per-job results and counters
+//! after the batch ([`Store::absorb`]). A delta is hash-consed per run
+//! (see [`Delta`]): it holds each distinct structure the run recorded
+//! once, in an order that leaves the merged store's bytes as they would
+//! be without the deduplication. Per-job results and counters
 //! therefore depend only on the snapshot — not on the worker count or on
 //! which jobs happened to finish first — which is what keeps corpus output
 //! byte-identical across schedules (the same determinism discipline the
@@ -64,7 +67,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use hetsep_tvl::intern::{PoolId, WordPool};
+use hetsep_tvl::intern::{PoolId, StructureId, StructureInterner, WordPool};
 use hetsep_tvl::{PredTable, Structure};
 
 use crate::summary::SummaryStore;
@@ -265,10 +268,13 @@ impl<M: Memo> Store<M> {
 
     /// Merges per-run session deltas into the store, in the order given;
     /// first write wins for duplicate keys (all writers computed the same
-    /// pure function, so the choice is cosmetic).
+    /// pure function, so the choice is cosmetic). Each delta's structures
+    /// are interned once, in local-id order, which is the order a walk over
+    /// its records meets them first.
     pub fn absorb(&mut self, deltas: Vec<Delta<M>>) {
         for delta in deltas {
             let ctx = self.ensure_context(&delta.context);
+            let pooled: Vec<PoolId> = delta.pool.iter().map(|w| self.pool.intern(w)).collect();
             // Resolve key contents lazily: only keys that actually produced
             // records enter the store.
             let mut key_ids: Vec<Option<u32>> = vec![None; delta.keys.len()];
@@ -282,8 +288,8 @@ impl<M: Memo> Store<M> {
                         id
                     }
                 };
-                let input = self.pool.intern(&rec.input);
-                let outputs = rec.outputs.iter().map(|w| self.pool.intern(w)).collect();
+                let input = pooled[rec.input as usize];
+                let outputs = rec.outputs.iter().map(|&o| pooled[o as usize]).collect();
                 self.entries.entry((key, input)).or_insert(Entry {
                     outputs,
                     memo: rec.memo,
@@ -297,38 +303,62 @@ impl<M: Memo> Store<M> {
     /// sorted key order).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.write(&mut out);
+        out
+    }
+
+    /// The exact length of [`Store::to_bytes`], computed without building
+    /// the bytes (payloads are encoded one at a time into a reused buffer).
+    pub fn encoded_len(&self) -> usize {
+        let contexts: usize = self.contexts.iter().map(|c| 4 + c.len()).sum();
+        let keys: usize = self.keys.iter().map(|(_, c)| 8 + c.len()).sum();
+        let pool: usize = self.pool.iter().map(|(_, w)| 8 + 8 * w.len()).sum();
+        let mut buf = Vec::new();
+        let entries: usize = self
+            .entries
+            .values()
+            .map(|e| {
+                buf.clear();
+                e.memo.write(&mut buf);
+                12 + 4 * e.outputs.len() + buf.len()
+            })
+            .sum();
+        M::MAGIC.len() + 16 + contexts + keys + pool + entries
+    }
+
+    /// Appends the [`Store::to_bytes`] encoding to `out`.
+    fn write(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(M::MAGIC);
-        push_u32(&mut out, self.contexts.len() as u32);
+        push_u32(out, self.contexts.len() as u32);
         for c in &self.contexts {
-            push_str(&mut out, c);
+            push_str(out, c);
         }
-        push_u32(&mut out, self.keys.len() as u32);
+        push_u32(out, self.keys.len() as u32);
         for (ctx, content) in &self.keys {
-            push_u32(&mut out, *ctx);
-            push_str(&mut out, content);
+            push_u32(out, *ctx);
+            push_str(out, content);
         }
-        push_u32(&mut out, self.pool.len() as u32);
+        push_u32(out, self.pool.len() as u32);
         for (id, words) in self.pool.iter() {
-            push_u32(&mut out, id.raw());
-            push_u32(&mut out, words.len() as u32);
+            push_u32(out, id.raw());
+            push_u32(out, words.len() as u32);
             for &w in words {
-                push_u64(&mut out, w);
+                push_u64(out, w);
             }
         }
         let mut keys: Vec<&(u32, PoolId)> = self.entries.keys().collect();
         keys.sort();
-        push_u32(&mut out, keys.len() as u32);
+        push_u32(out, keys.len() as u32);
         for key in keys {
             let entry = &self.entries[key];
-            push_u32(&mut out, key.0);
-            push_u32(&mut out, key.1.raw());
-            push_u32(&mut out, entry.outputs.len() as u32);
+            push_u32(out, key.0);
+            push_u32(out, key.1.raw());
+            push_u32(out, entry.outputs.len() as u32);
             for p in &entry.outputs {
-                push_u32(&mut out, p.raw());
+                push_u32(out, p.raw());
             }
-            entry.memo.write(&mut out);
+            entry.memo.write(out);
         }
-        out
     }
 
     /// Deserializes a store written by [`Store::to_bytes`].
@@ -413,14 +443,19 @@ pub struct CacheFile {
     pub summaries: SummaryStore,
 }
 
+/// A [`CacheFile`] over borrowed stores: what writing one needs, so a
+/// holder of live stores (the daemon's workspace) saves them without a copy.
+#[derive(Debug, Clone, Copy)]
+pub struct CacheView<'a> {
+    /// Cross-job transfer memoization.
+    pub transfers: &'a TransferStore,
+    /// Cross-job per-procedure summaries.
+    pub summaries: &'a SummaryStore,
+}
+
 const WS_MAGIC: &[u8] = b"HSEPWS02";
 
-impl CacheFile {
-    /// Creates an empty container.
-    pub fn new() -> CacheFile {
-        CacheFile::default()
-    }
-
+impl CacheView<'_> {
     /// The container's sizes as one line of text:
     /// `<n> transfer(s), <n> structure(s), <n> summar(ies)`.
     pub fn sizes(&self) -> String {
@@ -432,15 +467,47 @@ impl CacheFile {
         )
     }
 
-    /// Serializes both sections deterministically.
+    /// Serializes both sections deterministically, each straight into the
+    /// container behind its length prefix.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(WS_MAGIC);
-        for section in [self.transfers.to_bytes(), self.summaries.to_bytes()] {
-            push_u64(&mut out, section.len() as u64);
-            out.extend_from_slice(&section);
-        }
+        let mut out = WS_MAGIC.to_vec();
+        push_section(&mut out, |out| self.transfers.write(out));
+        push_section(&mut out, |out| self.summaries.write(out));
         out
+    }
+
+    /// Writes the container to a file.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures.
+    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        std::fs::write(path, self.to_bytes())
+    }
+}
+
+impl CacheFile {
+    /// Creates an empty container.
+    pub fn new() -> CacheFile {
+        CacheFile::default()
+    }
+
+    /// The container over borrowed references to its stores.
+    pub fn view(&self) -> CacheView<'_> {
+        CacheView {
+            transfers: &self.transfers,
+            summaries: &self.summaries,
+        }
+    }
+
+    /// See [`CacheView::sizes`].
+    pub fn sizes(&self) -> String {
+        self.view().sizes()
+    }
+
+    /// See [`CacheView::to_bytes`].
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.view().to_bytes()
     }
 
     /// Deserializes a container. Anything else, a bare transfer store
@@ -465,13 +532,13 @@ impl CacheFile {
         })
     }
 
-    /// Writes the container to a file.
+    /// See [`CacheView::save`].
     ///
     /// # Errors
     ///
     /// I/O failures.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
+        self.view().save(path)
     }
 
     /// Reads a container from a file.
@@ -491,6 +558,16 @@ pub(crate) fn push_u32(out: &mut Vec<u8>, v: u32) {
 
 pub(crate) fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64`-length-prefixed section, written in place behind its
+/// prefix.
+fn push_section(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    push_u64(out, 0);
+    write(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
 }
 
 pub(crate) fn push_str(out: &mut Vec<u8>, s: &str) {
@@ -594,10 +671,19 @@ pub struct SharedSession<'a, M> {
 
 /// The entries one engine run computed, in content form (self-contained:
 /// context and key strings plus word-encoded structures).
+///
+/// Structures are hash-consed per run: each distinct one is encoded once
+/// into `pool`, and records refer to it by local id. Local ids are handed
+/// out in first-appearance order (input, then outputs, record by record),
+/// so [`Store::absorb`] interns a delta's structures in the order it would
+/// meet them walking the records, and the store's pool ids do not depend
+/// on the delta being deduplicated.
 #[derive(Debug)]
 pub struct Delta<M> {
     context: Arc<str>,
     keys: Arc<[String]>,
+    /// The run's distinct recorded structures, by local id.
+    pool: Vec<Vec<u64>>,
     records: Vec<Record<M>>,
 }
 
@@ -605,8 +691,10 @@ pub struct Delta<M> {
 struct Record<M> {
     /// Index into [`Delta::keys`].
     key: u32,
-    input: Vec<u64>,
-    outputs: Vec<Vec<u64>>,
+    /// Local id (index into [`Delta::pool`]) of the input structure.
+    input: u32,
+    /// Local ids of the output structures.
+    outputs: Vec<u32>,
     memo: M,
 }
 
@@ -640,14 +728,20 @@ impl<'a, M: Memo> SharedSession<'a, M> {
         RunScope {
             session: self,
             slots,
+            local: Vec::new(),
+            probed: Vec::new(),
             delta: Delta {
                 context,
                 keys,
+                pool: Vec::new(),
                 records: Vec::new(),
             },
         }
     }
 }
+
+/// [`RunScope::local`] entry of a structure not yet in the delta's pool.
+const UNPOOLED: u32 = u32::MAX;
 
 /// Per-engine-run view of a [`SharedSession`]: probe before computing,
 /// record after, finish once.
@@ -656,50 +750,110 @@ pub struct RunScope<'a, M> {
     /// Store key id per run-local key id; `None` when the snapshot does not
     /// know the key, so every probe misses.
     slots: Vec<Option<u32>>,
+    /// Delta-local id per interned structure (indexed by
+    /// [`StructureId::index`]; interner ids are dense), [`UNPOOLED`] until
+    /// the structure is first recorded.
+    local: Vec<u32>,
+    /// Encodings made for probes that missed, kept for the record that
+    /// follows the computation. One per pending evaluation: a call region's
+    /// nested drain probes (and records) inner regions before the outer
+    /// record arrives.
+    probed: Vec<(StructureId, Vec<u64>)>,
     delta: Delta<M>,
 }
 
 impl<M: Memo> RunScope<'_, M> {
     /// Probes the snapshot for `(key, input)`; `key` is the run-local
-    /// content id, `input_words` the encoded input structure. A hit returns
-    /// the decoded output structures, ready to intern locally, and the
-    /// payload. A decode failure (corrupt pool entry) degrades to a miss,
-    /// never to a wrong replay.
+    /// content id. The input is encoded only when the snapshot knows the
+    /// key, and a miss keeps that encoding for [`RunScope::record`]. A hit
+    /// returns the decoded output structures, ready to intern locally, and
+    /// the payload. A decode failure (corrupt pool entry) degrades to a
+    /// miss, never to a wrong replay.
     pub fn probe(
-        &self,
+        &mut self,
         key: u32,
-        input_words: &[u64],
+        input: StructureId,
+        interner: &StructureInterner,
         table: &PredTable,
     ) -> Option<(Vec<Structure>, M)> {
         let gid = self.slots[key as usize]?;
+        let words = interner.resolve(input).to_words();
         let snapshot = self.session.snapshot;
-        let entry = snapshot.lookup(gid, input_words)?;
-        let mut outputs = Vec::with_capacity(entry.outputs.len());
-        for &p in &entry.outputs {
-            outputs.push(Structure::from_words(table, snapshot.pool.resolve(p))?);
+        let hit = snapshot.lookup(gid, &words).and_then(|entry| {
+            let outputs = entry
+                .outputs
+                .iter()
+                .map(|&p| Structure::from_words(table, snapshot.pool.resolve(p)))
+                .collect::<Option<Vec<_>>>()?;
+            Some((outputs, entry.memo.clone()))
+        });
+        if hit.is_none() {
+            self.probed.push((input, words));
         }
-        Some((outputs, entry.memo.clone()))
+        hit
     }
 
     /// Membership-only probe: whether [`RunScope::probe`] would find an
-    /// entry for `(key, input)`, without decoding the outputs. Used by the
-    /// engine's speculative batch classification, where a cheap prediction
-    /// is enough (a decode failure downgrades the later full probe to a
-    /// miss, which the engine handles by computing inline).
-    pub fn contains(&self, key: u32, input_words: &[u64]) -> bool {
-        self.slots[key as usize]
-            .is_some_and(|gid| self.session.snapshot.lookup(gid, input_words).is_some())
+    /// entry for `(key, input)`, without decoding the outputs. `words`
+    /// caches the input's encoding across calls; it is filled only when the
+    /// snapshot knows the key. Used by the engine's speculative batch
+    /// classification, where a cheap prediction is enough (a decode failure
+    /// downgrades the later full probe to a miss, which the engine handles
+    /// by computing inline).
+    pub fn contains(&self, key: u32, input: &Structure, words: &mut Option<Vec<u64>>) -> bool {
+        self.slots[key as usize].is_some_and(|gid| {
+            let words = words.get_or_insert_with(|| input.to_words());
+            self.session.snapshot.lookup(gid, words).is_some()
+        })
     }
 
     /// Records a computed entry for future jobs. `key` is the run-local
-    /// content id (also its index in the delta's key list).
-    pub fn record(&mut self, key: u32, input_words: Vec<u64>, outputs: Vec<Vec<u64>>, memo: M) {
+    /// content id (also its index in the delta's key list); structures are
+    /// encoded into the delta only the first time the run records them.
+    pub fn record(
+        &mut self,
+        key: u32,
+        input: StructureId,
+        outputs: &[StructureId],
+        memo: M,
+        interner: &StructureInterner,
+    ) {
+        let probed = self
+            .probed
+            .iter()
+            .position(|&(id, _)| id == input)
+            .map(|ix| self.probed.swap_remove(ix).1);
+        let input = self.pool(input, probed, interner);
+        let outputs = outputs
+            .iter()
+            .map(|&id| self.pool(id, None, interner))
+            .collect();
         self.delta.records.push(Record {
             key,
-            input: input_words,
+            input,
             outputs,
             memo,
         });
+    }
+
+    /// The delta-local id of `id`, encoding it into the delta's pool (or
+    /// moving in `words`, its encoding from a probe) on first sight.
+    fn pool(
+        &mut self,
+        id: StructureId,
+        words: Option<Vec<u64>>,
+        interner: &StructureInterner,
+    ) -> u32 {
+        let ix = id.index();
+        if ix >= self.local.len() {
+            self.local.resize(ix + 1, UNPOOLED);
+        }
+        if self.local[ix] == UNPOOLED {
+            self.local[ix] = u32::try_from(self.delta.pool.len()).expect("delta pool overflow");
+            let words = words.unwrap_or_else(|| interner.resolve(id).to_words());
+            self.delta.pool.push(words);
+        }
+        self.local[ix]
     }
 
     /// Pushes this run's delta into the session. Call once, at run end.
@@ -714,6 +868,110 @@ impl<M: Memo> RunScope<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The structure of `n` nodes over the empty table.
+    fn nodes(n: usize) -> Structure {
+        let table = PredTable::new();
+        let mut s = Structure::new(&table);
+        s.add_nodes(&table, n);
+        s
+    }
+
+    fn memo(i: usize) -> TransferMemo {
+        TransferMemo {
+            violations: (0..i % 3).map(|v| (format!("check{v}"), v == 0)).collect(),
+            peak_post_nodes: i as u32,
+        }
+    }
+
+    /// `(key, input, outputs)` with structures named by node count: 40
+    /// structures over 60 transfers, outputs shared between transfers and
+    /// inputs reappearing as outputs, so every shard holds several.
+    fn transfers() -> Vec<(u32, usize, Vec<usize>)> {
+        (0..60)
+            .map(|i| ((i % 3) as u32, (i * 7) % 40, vec![(i + 1) % 40, (i * 3) % 40, 5]))
+            .collect()
+    }
+
+    #[test]
+    fn delta_holds_each_structure_once_and_absorbs_to_the_same_bytes() {
+        let keys: Arc<[String]> = ["a", "b", "c"].map(String::from).into();
+        let context = "ctx";
+        let mut interner = StructureInterner::new();
+        let ids: Vec<StructureId> = (0..40).map(|n| interner.intern(nodes(n))).collect();
+        // A snapshot that knows key "b" (through an unrelated input), so its
+        // probes encode and keep the input for the record.
+        let mut warm = TransferStore::new();
+        let ctx = warm.ensure_context(context);
+        let b = warm.ensure_key(ctx, "b");
+        let other = warm.pool.intern(&nodes(99).to_words());
+        warm.entries.insert((b, other), Entry { outputs: vec![], memo: memo(0) });
+
+        let table = PredTable::new();
+        let session = SharedSession::new(&warm);
+        let mut scope = session.run_scope(context.into(), Arc::clone(&keys));
+        for (i, (key, input, outputs)) in transfers().into_iter().enumerate() {
+            assert!(scope.probe(key, ids[input], &interner, &table).is_none());
+            assert_eq!(scope.probed.len(), usize::from(&*keys[key as usize] == "b"));
+            let outputs: Vec<StructureId> = outputs.iter().map(|&o| ids[o]).collect();
+            scope.record(key, ids[input], &outputs, memo(i), &interner);
+            assert!(scope.probed.is_empty(), "the probe's encoding moves into the record");
+        }
+        scope.finish();
+        let deltas = session.into_deltas();
+
+        // Each distinct structure once, in first-appearance order.
+        let mut first_seen: Vec<usize> = Vec::new();
+        for (_, input, outputs) in transfers() {
+            for n in std::iter::once(input).chain(outputs) {
+                if !first_seen.contains(&n) {
+                    first_seen.push(n);
+                }
+            }
+        }
+        let expected: Vec<Vec<u64>> = first_seen.iter().map(|&n| nodes(n).to_words()).collect();
+        assert_eq!(deltas[0].pool, expected);
+
+        // The reference interns every record's encodings, record by record.
+        let mut reference = TransferStore::new();
+        let ctx = reference.ensure_context(context);
+        for (i, (key, input, outputs)) in transfers().into_iter().enumerate() {
+            let key = reference.ensure_key(ctx, &keys[key as usize]);
+            let input = reference.pool.intern(&nodes(input).to_words());
+            let outputs = outputs
+                .iter()
+                .map(|&o| reference.pool.intern(&nodes(o).to_words()))
+                .collect();
+            reference
+                .entries
+                .entry((key, input))
+                .or_insert(Entry { outputs, memo: memo(i) });
+        }
+        let mut store = TransferStore::new();
+        store.absorb(deltas);
+        assert_eq!(store.structure_count(), 40);
+        assert_eq!(store.to_bytes(), reference.to_bytes());
+    }
+
+    #[test]
+    fn encoded_len_is_the_length_of_the_bytes() {
+        let empty = TransferStore::new();
+        assert_eq!(empty.encoded_len(), empty.to_bytes().len());
+        let mut interner = StructureInterner::new();
+        let ids: Vec<StructureId> = (0..40).map(|n| interner.intern(nodes(n))).collect();
+        let session = SharedSession::new(&empty);
+        let keys: Arc<[String]> = ["a", "b", "c"].map(String::from).into();
+        let mut scope = session.run_scope("ctx".into(), keys);
+        for (i, (key, input, outputs)) in transfers().into_iter().enumerate() {
+            let outputs: Vec<StructureId> = outputs.iter().map(|&o| ids[o]).collect();
+            scope.record(key, ids[input], &outputs, memo(i), &interner);
+        }
+        scope.finish();
+        let mut store = TransferStore::new();
+        store.absorb(session.into_deltas());
+        assert!(store.entry_count() > 0);
+        assert_eq!(store.encoded_len(), store.to_bytes().len());
+    }
 
     #[test]
     fn declared_lengths_never_outrun_the_bytes() {

@@ -67,7 +67,7 @@ pub mod vocab;
 pub mod workspace;
 
 pub use engine::{AnalysisOutcome, EngineConfig, ParallelConfig, RunStats};
-pub use jobcache::{CacheFile, SharedTransferSession, TransferStore};
+pub use jobcache::{CacheFile, CacheView, SharedTransferSession, TransferStore};
 pub use summary::{SharedSummarySession, SummaryStore};
 pub use parallel::map_ordered;
 pub use hetsep_tvl::telemetry::{

@@ -321,6 +321,8 @@ impl Session {
             summary_entries: self.workspace.summary_store().entry_count() as u64,
             prepared: self.workspace.prepared_count() as u64,
             prepared_hits: self.workspace.prepared_hits(),
+            store_bytes: (self.workspace.store().encoded_len()
+                + self.workspace.summary_store().encoded_len()) as u64,
         }
     }
 }

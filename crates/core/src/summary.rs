@@ -119,8 +119,20 @@ pub type SharedSummarySession<'a> = SharedSession<'a, SummaryMemo>;
 mod tests {
     use super::*;
     use crate::jobcache::{context_content, CacheFile, TransferStore};
+    use hetsep_tvl::intern::{StructureId, StructureInterner};
+    use hetsep_tvl::{PredTable, Structure};
 
-    type Rec = (u32, Vec<u64>, Vec<Vec<u64>>, SummaryMemo);
+    /// `(key, input, outputs, memo)`, structures named by node count: over
+    /// the empty table, `n` stands for the structure of `n` nodes.
+    type Rec = (u32, usize, Vec<usize>, SummaryMemo);
+
+    /// The structure of `n` nodes over the empty table.
+    fn nodes(n: usize) -> Structure {
+        let table = PredTable::new();
+        let mut s = Structure::new(&table);
+        s.add_nodes(&table, n);
+        s
+    }
 
     /// Records `records` against `keys` through a session over an empty
     /// store (context: the empty table at focus limit 8) and absorbs them.
@@ -128,10 +140,14 @@ mod tests {
         let empty = SummaryStore::new();
         let session = SharedSummarySession::new(&empty);
         let keys = keys.iter().map(|k| k.to_string()).collect();
-        let context = context_content(&hetsep_tvl::PredTable::new(), 8);
+        let context = context_content(&PredTable::new(), 8);
         let mut scope = session.run_scope(context.into(), keys);
+        let mut interner = StructureInterner::new();
         for (key, input, outputs, memo) in records {
-            scope.record(key, input, outputs, memo);
+            let input = interner.intern(nodes(input));
+            let outputs: Vec<StructureId> =
+                outputs.into_iter().map(|n| interner.intern(nodes(n))).collect();
+            scope.record(key, input, &outputs, memo, &interner);
         }
         scope.finish();
         store.absorb(session.into_deltas());
@@ -160,8 +176,8 @@ mod tests {
             &mut store,
             &["0>1@3:Action|;", "0>2@4:Other|;"],
             vec![
-                (0, vec![1, 2, 3], vec![vec![4, 5], vec![6]], memo(12)),
-                (1, vec![9], vec![vec![6]], quiet),
+                (0, 1, vec![2, 3], memo(12)),
+                (1, 4, vec![3], quiet),
             ],
         );
         store
@@ -176,7 +192,7 @@ mod tests {
         absorb(
             &mut store,
             &["0>1@3:Action|;"],
-            vec![(0, vec![1, 2, 3], vec![], memo(99))],
+            vec![(0, 1, vec![], memo(99))],
         );
         assert_eq!(store.to_bytes(), before, "duplicate keys keep the first write");
     }
@@ -225,29 +241,32 @@ mod tests {
 
     #[test]
     fn session_probe_hits_only_matching_context_and_region() {
-        let table = hetsep_tvl::PredTable::new();
-        let words = hetsep_tvl::Structure::new(&table).to_words();
+        let table = PredTable::new();
         let region = || vec!["0>1@3:Action|;".to_string()];
 
         let mut store = SummaryStore::new();
-        absorb(
-            &mut store,
-            &["0>1@3:Action|;"],
-            vec![(0, words.clone(), vec![words.clone()], memo(12))],
-        );
+        absorb(&mut store, &["0>1@3:Action|;"], vec![(0, 0, vec![0], memo(12))]);
 
+        let mut interner = StructureInterner::new();
+        let input = interner.intern(nodes(0));
+        let other_input = interner.intern(nodes(1));
         let session = SharedSummarySession::new(&store);
-        let scope = session.run_scope(context_content(&table, 8).into(), region().into());
-        assert!(scope.contains(0, &words));
-        let (exits, hit) = scope.probe(0, &words, &table).expect("same context and region");
+        let mut scope = session.run_scope(context_content(&table, 8).into(), region().into());
+        assert!(scope.contains(0, &nodes(0), &mut None));
+        let (exits, hit) = scope
+            .probe(0, input, &interner, &table)
+            .expect("same context and region");
         assert_eq!(exits.len(), 1);
         assert_eq!(hit, memo(12));
-        assert!(scope.probe(0, &[words[0] + 1], &table).is_none(), "other input");
+        assert!(scope.probe(0, other_input, &interner, &table).is_none(), "other input");
         // Another focus limit is another context; another region another key.
-        let scope = session.run_scope(context_content(&table, 9).into(), region().into());
-        assert!(scope.probe(0, &words, &table).is_none());
+        let mut scope = session.run_scope(context_content(&table, 9).into(), region().into());
+        assert!(scope.probe(0, input, &interner, &table).is_none());
         let other = vec!["0>2@4:Other|;".to_string()];
-        let scope = session.run_scope(context_content(&table, 8).into(), other.into());
-        assert!(scope.probe(0, &words, &table).is_none());
+        let mut scope = session.run_scope(context_content(&table, 8).into(), other.into());
+        let mut words = None;
+        assert!(!scope.contains(0, &nodes(0), &mut words));
+        assert!(words.is_none(), "an unknown key is not worth encoding the input");
+        assert!(scope.probe(0, input, &interner, &table).is_none());
     }
 }

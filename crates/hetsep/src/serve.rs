@@ -21,7 +21,7 @@
 use std::io::{self, BufRead, Write};
 
 use hetsep_core::engine::EngineConfig;
-use hetsep_core::{CacheFile, Session, Workspace};
+use hetsep_core::{CacheFile, CacheView, Session, Workspace};
 use hetsep_ir::Response;
 
 use crate::options::Options;
@@ -86,12 +86,12 @@ fn build_session(o: &Options) -> Result<Session, String> {
 }
 
 /// Saves the session's transfer and summary stores back to `--cache`, if
-/// given.
+/// given, serializing them where they live.
 fn save_cache(o: &Options, session: &Session) -> Result<(), String> {
     if let Some(path) = &o.cache_path {
-        let cache = CacheFile {
-            transfers: session.workspace().store().clone(),
-            summaries: session.workspace().summary_store().clone(),
+        let cache = CacheView {
+            transfers: session.workspace().store(),
+            summaries: session.workspace().summary_store(),
         };
         cache
             .save(std::path::Path::new(path))

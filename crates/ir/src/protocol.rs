@@ -323,6 +323,9 @@ pub struct StatusInfo {
     pub prepared: u64,
     /// Verify requests that reused their program's prepared verification.
     pub prepared_hits: u64,
+    /// Encoded size in bytes of the transfer and summary store sections a
+    /// cache file of the workspace stores would hold.
+    pub store_bytes: u64,
 }
 
 /// One daemon response (daemon → client, one per line).
@@ -448,7 +451,8 @@ impl Response {
                 "{{\"ok\":true,\"op\":\"status\",\"programs\":{},\"specs\":{},\
                  \"strategies\":{},\"requests\":{},\"verifies\":{},\
                  \"lint_cache_hits\":{},\"store_entries\":{},\"store_structures\":{},\
-                 \"summary_entries\":{},\"prepared\":{},\"prepared_hits\":{}}}",
+                 \"summary_entries\":{},\"prepared\":{},\"prepared_hits\":{},\
+                 \"store_bytes\":{}}}",
                 s.programs,
                 s.specs,
                 s.strategies,
@@ -460,6 +464,7 @@ impl Response {
                 s.summary_entries,
                 s.prepared,
                 s.prepared_hits,
+                s.store_bytes,
             ),
             Response::Shutdown => "{\"ok\":true,\"op\":\"shutdown\"}".to_owned(),
             Response::Error { op, message } => format!(

@@ -157,11 +157,13 @@ fn response_goldens() -> Vec<(Response, &'static str)> {
                 summary_entries: 7,
                 prepared: 2,
                 prepared_hits: 1,
+                store_bytes: 4096,
             }),
             "{\"ok\":true,\"op\":\"status\",\"programs\":2,\"specs\":1,\
              \"strategies\":1,\"requests\":9,\"verifies\":3,\
              \"lint_cache_hits\":1,\"store_entries\":120,\"store_structures\":48,\
-             \"summary_entries\":7,\"prepared\":2,\"prepared_hits\":1}",
+             \"summary_entries\":7,\"prepared\":2,\"prepared_hits\":1,\
+             \"store_bytes\":4096}",
         ),
         (Response::Shutdown, "{\"ok\":true,\"op\":\"shutdown\"}"),
         (

@@ -129,19 +129,28 @@ cargo run -q -p hetsep-bench --bin summaries --release -- \
     --json "$summaries_json" --repeats 1 > /dev/null
 rm -f "$summaries_json"
 
-# Corpus scheduler smoke gate: a 50-job generated corpus run twice through
-# a persisted cross-job cache. Both runs must reproduce the committed
-# verdict summary (the summary line is schedule- and cache-independent by
-# the scheduler's determinism contract), and the warm run must replay from
-# the cache: identical summary with zero shared-store misses.
+# Corpus scheduler smoke gate: a 50-job generated corpus run cold at 4 and
+# at 1 worker, then warm through the persisted cross-job cache. Every run
+# must reproduce the committed verdict summary (the summary line is
+# schedule- and cache-independent by the scheduler's determinism contract).
+# The two cold caches must be byte-identical: store files do not depend on
+# the schedule. The warm run must replay from the cache: every one of its
+# 50 per-job rows reports zero shared-store misses.
 corpus_cache="$(mktemp -u)"
+corpus_rows="$(mktemp)"
 cargo run -q -p hetsep --bin hetsep --release -- \
     corpus --jobs 50 --seed 42 --workers 4 --cache "$corpus_cache" --quiet \
     | diff -u scripts/corpus_quick.golden -
 cargo run -q -p hetsep --bin hetsep --release -- \
-    corpus --jobs 50 --seed 42 --workers 4 --cache "$corpus_cache" --quiet \
+    corpus --jobs 50 --seed 42 --workers 1 --cache "$corpus_cache.1" --quiet \
     | diff -u scripts/corpus_quick.golden -
-rm -f "$corpus_cache"
+cmp "$corpus_cache" "$corpus_cache.1"
+cargo run -q -p hetsep --bin hetsep --release -- \
+    corpus --jobs 50 --seed 42 --workers 4 --cache "$corpus_cache" --quiet \
+    --json "$corpus_rows" | diff -u scripts/corpus_quick.golden -
+[ "$(grep -c '"shared_misses"' "$corpus_rows")" -eq 50 ]
+[ "$(grep -c '"shared_misses": 0,' "$corpus_rows")" -eq 50 ]
+rm -f "$corpus_cache" "$corpus_cache.1" "$corpus_rows"
 
 # Hostile cache input: a 44-byte container whose transfer section declares
 # one structure of u32::MAX words must be rejected with the CLI's error
