@@ -40,15 +40,19 @@
 //!
 //! The job scheduler freezes a [`Store`] snapshot before a batch: jobs
 //! *probe* the snapshot read-only and *record* their misses into per-job
-//! [`SharedSession`] deltas, which the scheduler merges back in job order
-//! after the batch ([`Store::absorb`]). A delta is hash-consed per run
-//! (see [`Delta`]): it holds each distinct structure the run recorded
-//! once, in an order that leaves the merged store's bytes as they would
-//! be without the deduplication. Per-job results and counters
-//! therefore depend only on the snapshot — not on the worker count or on
-//! which jobs happened to finish first — which is what keeps corpus output
-//! byte-identical across schedules (the same determinism discipline the
-//! subproblem scheduler uses for site results).
+//! [`SharedSession`] deltas. As each job-order prefix of the batch
+//! completes, the scheduler absorbs its deltas, in job order, into a
+//! batch-level store that started empty ([`Store::absorb`]), and after the
+//! batch folds that store into the snapshot ([`Store::merge`]), which
+//! gives exactly the ids and bytes absorbing every delta into the snapshot
+//! would. A delta is hash-consed per run (see [`Delta`]): it holds each
+//! distinct structure the run recorded once, in an order that leaves the
+//! merged store's bytes as they would be without the deduplication.
+//! Per-job results and counters therefore depend only on the snapshot —
+//! not on the worker count or on which jobs happened to finish first —
+//! which is what keeps corpus output byte-identical across schedules (the
+//! same determinism discipline the subproblem scheduler uses for site
+//! results).
 //!
 //! # On-disk format
 //!
@@ -62,8 +66,10 @@
 //! format. Decoding never trusts a length it has not checked against the
 //! bytes that remain, so a corrupt file is an error, never an abort.
 
+use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -71,7 +77,6 @@ use hetsep_tvl::intern::{PoolId, StructureId, StructureInterner, WordPool};
 use hetsep_tvl::{PredTable, Structure};
 
 use crate::summary::SummaryStore;
-use crate::workspace::fingerprint;
 
 /// The content string identifying a memo context: the full predicate table
 /// plus the focus limit. Runs with equal context strings compute identical
@@ -166,34 +171,86 @@ struct Entry<M> {
     memo: M,
 }
 
+/// A multiply-rotate hasher (the FxHash step) for the store's maps. Their
+/// keys are ids and the store's own unkeyed content hashes: keys chosen to
+/// collide would already collide in the content hash, so SipHash's
+/// resistance to them buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the high bits best mixed; hash tables index
+        // by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// The index hash of a context or key string, 8 bytes at a time. Indexes
+/// keyed by it are rebuilt on load, so it is not part of the file format.
+fn content_hash(content: &str) -> u64 {
+    let bytes = content.as_bytes();
+    let mut h = IdHasher(bytes.len() as u64);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        h.add(u64::from_le_bytes(chunk.try_into().expect("chunks of 8 bytes")));
+    }
+    let mut tail = [0u8; 8];
+    tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+    h.add(u64::from_le_bytes(tail));
+    h.finish()
+}
+
 /// A persistent cross-run memo store: context and key content pools, a
 /// sharded structure [`WordPool`], and the entry map.
 ///
 /// Each content string is stored once; the indexes map its
-/// [`fingerprint`] to candidate ids, confirmed by a full comparison.
+/// content hash to candidate ids, confirmed by a full comparison.
 #[derive(Debug, Clone)]
 pub struct Store<M> {
     contexts: Vec<String>,
-    /// Content fingerprint → ids of the contexts with that fingerprint.
-    context_ix: HashMap<u64, Vec<u32>>,
+    /// Content hash → ids of the contexts with that hash.
+    context_ix: IdMap<u64, Vec<u32>>,
     /// `(context id, key content)` per key id, in registration order.
     keys: Vec<(u32, String)>,
-    /// `(context id, content fingerprint)` → ids of the keys with both.
-    key_ix: HashMap<(u32, u64), Vec<u32>>,
+    /// `(context id, content hash)` → ids of the keys with both.
+    key_ix: IdMap<(u32, u64), Vec<u32>>,
     pool: WordPool,
     /// `(key id, input pool id)` → memoized output.
-    entries: HashMap<(u32, PoolId), Entry<M>>,
+    entries: IdMap<(u32, PoolId), Entry<M>>,
 }
 
 impl<M> Default for Store<M> {
     fn default() -> Store<M> {
         Store {
             contexts: Vec::new(),
-            context_ix: HashMap::new(),
+            context_ix: IdMap::default(),
             keys: Vec::new(),
-            key_ix: HashMap::new(),
+            key_ix: IdMap::default(),
             pool: WordPool::new(),
-            entries: HashMap::new(),
+            entries: IdMap::default(),
         }
     }
 }
@@ -219,8 +276,17 @@ impl<M: Memo> Store<M> {
         self.entries.is_empty()
     }
 
+    /// Whether the store holds nothing at all (no entries, and no contexts,
+    /// keys or structures either).
+    fn is_blank(&self) -> bool {
+        self.contexts.is_empty()
+            && self.keys.is_empty()
+            && self.pool.is_empty()
+            && self.entries.is_empty()
+    }
+
     fn context_id(&self, content: &str) -> Option<u32> {
-        let candidates = self.context_ix.get(&fingerprint(content))?;
+        let candidates = self.context_ix.get(&content_hash(content))?;
         candidates
             .iter()
             .copied()
@@ -228,7 +294,7 @@ impl<M: Memo> Store<M> {
     }
 
     fn key_id(&self, context: u32, content: &str) -> Option<u32> {
-        let candidates = self.key_ix.get(&(context, fingerprint(content)))?;
+        let candidates = self.key_ix.get(&(context, content_hash(content)))?;
         candidates
             .iter()
             .copied()
@@ -236,28 +302,30 @@ impl<M: Memo> Store<M> {
     }
 
     fn ensure_context(&mut self, content: &str) -> u32 {
-        if let Some(id) = self.context_id(content) {
+        let ids = self.context_ix.entry(content_hash(content)).or_default();
+        if let Some(&id) = ids
+            .iter()
+            .find(|&&id| self.contexts[id as usize] == content)
+        {
             return id;
         }
         let id = u32::try_from(self.contexts.len()).expect("context overflow");
         self.contexts.push(content.to_owned());
-        self.context_ix
-            .entry(fingerprint(content))
-            .or_default()
-            .push(id);
+        ids.push(id);
         id
     }
 
     fn ensure_key(&mut self, context: u32, content: &str) -> u32 {
-        if let Some(id) = self.key_id(context, content) {
+        let ids = self
+            .key_ix
+            .entry((context, content_hash(content)))
+            .or_default();
+        if let Some(&id) = ids.iter().find(|&&id| self.keys[id as usize].1 == content) {
             return id;
         }
         let id = u32::try_from(self.keys.len()).expect("key overflow");
         self.keys.push((context, content.to_owned()));
-        self.key_ix
-            .entry((context, fingerprint(content)))
-            .or_default()
-            .push(id);
+        ids.push(id);
         id
     }
 
@@ -273,27 +341,77 @@ impl<M: Memo> Store<M> {
     /// its records meets them first.
     pub fn absorb(&mut self, deltas: Vec<Delta<M>>) {
         for delta in deltas {
-            let ctx = self.ensure_context(&delta.context);
-            let pooled: Vec<PoolId> = delta.pool.iter().map(|w| self.pool.intern(w)).collect();
+            let Delta {
+                context,
+                keys,
+                words,
+                ends,
+                records,
+                outputs,
+            } = delta;
+            let ctx = self.ensure_context(&context);
+            let mut start = 0;
+            let pooled: Vec<PoolId> = ends
+                .iter()
+                .map(|&end| {
+                    let id = self.pool.intern(&words[start..end]);
+                    start = end;
+                    id
+                })
+                .collect();
             // Resolve key contents lazily: only keys that actually produced
             // records enter the store.
-            let mut key_ids: Vec<Option<u32>> = vec![None; delta.keys.len()];
-            for rec in delta.records {
+            let mut key_ids: Vec<Option<u32>> = vec![None; keys.len()];
+            let mut start = 0;
+            for rec in records {
+                let outs = &outputs[start..rec.outputs_end];
+                start = rec.outputs_end;
                 let ix = rec.key as usize;
-                let key = match key_ids[ix] {
-                    Some(id) => id,
-                    None => {
-                        let id = self.ensure_key(ctx, &delta.keys[ix]);
-                        key_ids[ix] = Some(id);
-                        id
-                    }
-                };
+                let key = *key_ids[ix].get_or_insert_with(|| self.ensure_key(ctx, &keys[ix]));
                 let input = pooled[rec.input as usize];
-                let outputs = rec.outputs.iter().map(|&o| pooled[o as usize]).collect();
-                self.entries.entry((key, input)).or_insert(Entry {
-                    outputs,
-                    memo: rec.memo,
-                });
+                if let MapEntry::Vacant(slot) = self.entries.entry((key, input)) {
+                    slot.insert(Entry {
+                        outputs: outs.iter().map(|&o| pooled[o as usize]).collect(),
+                        memo: rec.memo,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Folds `other`, a store grown from empty by [`Store::absorb`], into
+    /// this one: the result has exactly the ids (and bytes) that absorbing
+    /// the same deltas here, in the same order, would have given.
+    ///
+    /// Contexts and keys are folded in id order and the pool shard by shard
+    /// in in-shard order — each the order `other` first met them, so what is
+    /// new here is appended as absorbing would have appended it. Entries
+    /// already here win, as earlier writes do in [`Store::absorb`]. Into a
+    /// blank store the merge is a move.
+    pub fn merge(&mut self, other: Store<M>) {
+        if self.is_blank() {
+            *self = other;
+            return;
+        }
+        let contexts: Vec<u32> = other
+            .contexts
+            .iter()
+            .map(|c| self.ensure_context(c))
+            .collect();
+        let keys: Vec<u32> = other
+            .keys
+            .iter()
+            .map(|(ctx, content)| self.ensure_key(contexts[*ctx as usize], content))
+            .collect();
+        let pool = self.pool.merge(&other.pool);
+        for ((key, input), mut entry) in other.entries {
+            if let MapEntry::Vacant(slot) =
+                self.entries.entry((keys[key as usize], pool.get(input)))
+            {
+                for p in &mut entry.outputs {
+                    *p = pool.get(*p);
+                }
+                slot.insert(entry);
             }
         }
     }
@@ -673,28 +791,45 @@ pub struct SharedSession<'a, M> {
 /// context and key strings plus word-encoded structures).
 ///
 /// Structures are hash-consed per run: each distinct one is encoded once
-/// into `pool`, and records refer to it by local id. Local ids are handed
-/// out in first-appearance order (input, then outputs, record by record),
-/// so [`Store::absorb`] interns a delta's structures in the order it would
-/// meet them walking the records, and the store's pool ids do not depend
-/// on the delta being deduplicated.
+/// into the flat `words`, and records refer to it by local id. Local ids
+/// are handed out in first-appearance order (input, then outputs, record
+/// by record), so [`Store::absorb`] interns a delta's structures in the
+/// order it would meet them walking the records, and the store's pool ids
+/// do not depend on the delta being deduplicated. Structures and output
+/// lists are packed into one vector each, so a delta is a handful of
+/// allocations whatever its size.
 #[derive(Debug)]
 pub struct Delta<M> {
     context: Arc<str>,
     keys: Arc<[String]>,
-    /// The run's distinct recorded structures, by local id.
-    pool: Vec<Vec<u64>>,
+    /// The run's distinct recorded structures, concatenated in local-id
+    /// order.
+    words: Vec<u64>,
+    /// End offset in `words` of each structure, by local id.
+    ends: Vec<usize>,
     records: Vec<Record<M>>,
+    /// Every record's output local ids, concatenated in record order.
+    outputs: Vec<u32>,
+}
+
+impl<M> Delta<M> {
+    /// The encoding of the structure with local id `local`.
+    #[cfg(test)]
+    fn structure(&self, local: usize) -> &[u64] {
+        let start = if local == 0 { 0 } else { self.ends[local - 1] };
+        &self.words[start..self.ends[local]]
+    }
 }
 
 #[derive(Debug)]
 struct Record<M> {
     /// Index into [`Delta::keys`].
     key: u32,
-    /// Local id (index into [`Delta::pool`]) of the input structure.
+    /// Local id of the input structure.
     input: u32,
-    /// Local ids of the output structures.
-    outputs: Vec<u32>,
+    /// End offset in [`Delta::outputs`] of this record's output local ids
+    /// (they start where the previous record's end).
+    outputs_end: usize,
     memo: M,
 }
 
@@ -733,8 +868,10 @@ impl<'a, M: Memo> SharedSession<'a, M> {
             delta: Delta {
                 context,
                 keys,
-                pool: Vec::new(),
+                words: Vec::new(),
+                ends: Vec::new(),
                 records: Vec::new(),
+                outputs: Vec::new(),
             },
         }
     }
@@ -824,20 +961,20 @@ impl<M: Memo> RunScope<'_, M> {
             .position(|&(id, _)| id == input)
             .map(|ix| self.probed.swap_remove(ix).1);
         let input = self.pool(input, probed, interner);
-        let outputs = outputs
-            .iter()
-            .map(|&id| self.pool(id, None, interner))
-            .collect();
+        for &id in outputs {
+            let local = self.pool(id, None, interner);
+            self.delta.outputs.push(local);
+        }
         self.delta.records.push(Record {
             key,
             input,
-            outputs,
+            outputs_end: self.delta.outputs.len(),
             memo,
         });
     }
 
-    /// The delta-local id of `id`, encoding it into the delta's pool (or
-    /// moving in `words`, its encoding from a probe) on first sight.
+    /// The delta-local id of `id`, encoding it into the delta's words (or
+    /// copying in `words`, its encoding from a probe) on first sight.
     fn pool(
         &mut self,
         id: StructureId,
@@ -849,9 +986,12 @@ impl<M: Memo> RunScope<'_, M> {
             self.local.resize(ix + 1, UNPOOLED);
         }
         if self.local[ix] == UNPOOLED {
-            self.local[ix] = u32::try_from(self.delta.pool.len()).expect("delta pool overflow");
-            let words = words.unwrap_or_else(|| interner.resolve(id).to_words());
-            self.delta.pool.push(words);
+            self.local[ix] = u32::try_from(self.delta.ends.len()).expect("delta pool overflow");
+            match words {
+                Some(words) => self.delta.words.extend_from_slice(&words),
+                None => interner.resolve(id).write_words(&mut self.delta.words),
+            }
+            self.delta.ends.push(self.delta.words.len());
         }
         self.local[ix]
     }
@@ -868,6 +1008,7 @@ impl<M: Memo> RunScope<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::SummaryMemo;
 
     /// The structure of `n` nodes over the empty table.
     fn nodes(n: usize) -> Structure {
@@ -930,7 +1071,10 @@ mod tests {
             }
         }
         let expected: Vec<Vec<u64>> = first_seen.iter().map(|&n| nodes(n).to_words()).collect();
-        assert_eq!(deltas[0].pool, expected);
+        let pooled: Vec<Vec<u64>> = (0..deltas[0].ends.len())
+            .map(|l| deltas[0].structure(l).to_vec())
+            .collect();
+        assert_eq!(pooled, expected);
 
         // The reference interns every record's encodings, record by record.
         let mut reference = TransferStore::new();
@@ -951,6 +1095,132 @@ mod tests {
         store.absorb(deltas);
         assert_eq!(store.structure_count(), 40);
         assert_eq!(store.to_bytes(), reference.to_bytes());
+    }
+
+    /// One recorded row: `(context, key, input, outputs, memo seed)`, with
+    /// structures named by node count.
+    type Row = (&'static str, &'static str, usize, Vec<usize>, usize);
+
+    /// Records rows, one run per `runs` element, through a session over an
+    /// empty store.
+    fn deltas<M: Memo>(runs: &[Vec<Row>], memo: impl Fn(usize) -> M) -> Vec<Delta<M>> {
+        let empty = Store::new();
+        let session = SharedSession::new(&empty);
+        let mut interner = StructureInterner::new();
+        let ids: Vec<StructureId> = (0..120).map(|n| interner.intern(nodes(n))).collect();
+        for run in runs {
+            let keys: Vec<String> = ["a", "b", "c", "d", "z"].map(String::from).to_vec();
+            let mut scope = session.run_scope(run[0].0.into(), keys.clone().into());
+            for (_, key, input, outputs, seed) in run {
+                let key = keys.iter().position(|k| k == key).unwrap() as u32;
+                let outputs: Vec<StructureId> = outputs.iter().map(|&o| ids[o]).collect();
+                scope.record(key, ids[*input], &outputs, memo(*seed), &interner);
+            }
+            scope.finish();
+        }
+        session.into_deltas()
+    }
+
+    /// A batch of six runs over two contexts and four keys, sharing 60
+    /// structures; `(key, input)` pairs recur across runs with different
+    /// payloads, so first-write-wins decides.
+    fn batch_runs() -> Vec<Vec<Row>> {
+        (0..6)
+            .map(|run| {
+                let context = if run % 3 == 2 { "ctx2" } else { "ctx" };
+                (0..25)
+                    .map(|i| {
+                        let n = run * 25 + i;
+                        let key = ["a", "b", "c", "d"][n % 4];
+                        (
+                            context,
+                            key,
+                            (n * 7) % 60,
+                            vec![(n + 1) % 60, (n * 3) % 60],
+                            n,
+                        )
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// A snapshot that shares context `ctx`, keys `b` and `c`, structures
+    /// and some `(key, input)` pairs with [`batch_runs`], and holds a
+    /// context, a key and structures of its own ahead of them.
+    fn warm_runs() -> Vec<Vec<Row>> {
+        vec![
+            (0..8)
+                .map(|i| ("ctx0", "z", 100 + i, vec![101 + i, 3 * i], 1000 + i))
+                .collect(),
+            [1, 2, 5, 6, 9, 10, 13, 14]
+                .map(|n| {
+                    (
+                        "ctx",
+                        ["a", "b", "c", "d"][n % 4],
+                        (n * 7) % 60,
+                        vec![80 + n],
+                        2000 + n,
+                    )
+                })
+                .to_vec(),
+        ]
+    }
+
+    fn merge_equals_absorb_for<M: Memo>(memo: impl Fn(usize) -> M + Copy) {
+        let mut absorbed = Store::new();
+        absorbed.absorb(deltas(&warm_runs(), memo));
+        let warm_bytes = absorbed.to_bytes();
+        absorbed.absorb(deltas(&batch_runs(), memo));
+
+        let mut warm = Store::from_bytes(&warm_bytes).unwrap();
+        let mut batch = Store::new();
+        batch.absorb(deltas(&batch_runs(), memo));
+        let batch_bytes = batch.to_bytes();
+        assert!(
+            absorbed.entry_count() < warm.entry_count() + batch.entry_count(),
+            "the snapshot already holds some of the batch's (key, input) pairs"
+        );
+        warm.merge(batch);
+        assert_eq!(
+            warm.to_bytes(),
+            absorbed.to_bytes(),
+            "merge into a warm store"
+        );
+
+        // Two batches in turn, each merged into the grown store.
+        let runs = batch_runs();
+        let mut twice = Store::from_bytes(&warm_bytes).unwrap();
+        for half in runs.chunks(3) {
+            let mut batch = Store::new();
+            batch.absorb(deltas(half, memo));
+            twice.merge(batch);
+        }
+        assert_eq!(
+            twice.to_bytes(),
+            absorbed.to_bytes(),
+            "merge batch by batch"
+        );
+
+        let mut empty = Store::new();
+        let mut batch = Store::new();
+        batch.absorb(deltas(&batch_runs(), memo));
+        empty.merge(batch);
+        assert_eq!(empty.to_bytes(), batch_bytes, "merge into an empty store");
+    }
+
+    #[test]
+    fn merge_equals_absorb() {
+        merge_equals_absorb_for(memo);
+        merge_equals_absorb_for(|i| SummaryMemo {
+            violations: (0..i % 2)
+                .map(|v| (v as u32, format!("check{i}"), true))
+                .collect(),
+            failing_preds: vec![i as u32],
+            visits: i as u64,
+            peak_extra: 1,
+            peak_nodes: 2,
+        });
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub mod workspace;
 pub use engine::{AnalysisOutcome, EngineConfig, ParallelConfig, RunStats};
 pub use jobcache::{CacheFile, CacheView, SharedTransferSession, TransferStore};
 pub use summary::{SharedSummarySession, SummaryStore};
-pub use parallel::map_ordered;
+pub use parallel::{for_each_ordered, map_ordered};
 pub use hetsep_tvl::telemetry::{
     Counter, Counters, Event, Phase, PhaseStats, PhaseTimings, RunMetrics,
 };

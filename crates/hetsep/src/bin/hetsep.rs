@@ -397,13 +397,14 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
     println!("{}", result.summary_line());
     if !o.quiet {
         eprintln!(
-            "{} jobs in {:.2?} ({:.1} jobs/s, workers={}): latency p50 {:.2?} \
-             p95 {:.2?} p99 {:.2?}; cache hits={} misses={} shared_hits={} \
-             shared_misses={}; summary hits={} misses={} shared_hits={}",
+            "{} jobs in {:.2?} ({:.1} jobs/s, workers={}, absorb {:.2?}): latency \
+             p50 {:.2?} p95 {:.2?} p99 {:.2?}; cache hits={} misses={} shared_hits={} \
+             shared_misses={}; summary hits={} misses={} shared_hits={}; stores: {}",
             result.outcomes.len(),
             result.wall,
             result.jobs_per_sec,
             config.workers,
+            result.absorb,
             result.p50,
             result.p95,
             result.p99,
@@ -414,6 +415,7 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
             result.total(|j| j.summary_hits),
             result.total(|j| j.summary_misses),
             result.total(|j| j.shared_summary_hits),
+            cache.sizes(),
         );
     }
     Ok(if result.count("failed") == 0 {

@@ -8,8 +8,9 @@
 //! The inner scheduler (`hetsep-core`'s `run_sites`) parallelizes the
 //! subproblems *of one job*; this crate parallelizes *jobs of a corpus*,
 //! reusing the same deterministic fan-out helper
-//! ([`hetsep_core::map_ordered`]) and the same discipline: results land in
-//! job order regardless of worker count or completion order.
+//! ([`hetsep_core::for_each_ordered`]) and the same discipline: results
+//! are delivered in job order regardless of worker count or completion
+//! order.
 //!
 //! Two memos persist across jobs, in the one cross-run store of
 //! [`hetsep_core::jobcache`]: single transfers ([`TransferStore`]) and
@@ -23,14 +24,20 @@
 //!
 //! [`run_batch`] freezes both stores before the batch: every job probes
 //! those immutable snapshots and records what it computed into private
-//! deltas; deltas are merged back **in job order** after the
-//! batch. Consequently each job's outcome (verdict, errors, visits, every
-//! cache counter) is a pure function of (job, engine config, snapshot) —
-//! not of the worker count, the schedule, or sibling jobs — and
-//! [`JobOutcome::stable_json`] is byte-identical across schedules. Jobs run
-//! with one engine thread each (the outer pool is the parallelism), which
-//! also makes the post-batch stores — and hence their serialized bytes —
-//! schedule-independent.
+//! deltas. Deltas are absorbed **in job order**, during the batch: as soon
+//! as every earlier job has finished, a job's deltas go into batch-level
+//! stores that started empty, on whichever worker delivers them, and are
+//! dropped. After the batch those stores fold into the snapshots
+//! ([`TransferStore::merge`]), which gives the ids and bytes absorbing
+//! every delta into the snapshots in job order would. A batch therefore
+//! holds only the deltas of jobs that finished ahead of an earlier one
+//! still running, not every job's until the end. Consequently each job's
+//! outcome (verdict, errors, visits, every cache counter) is a pure
+//! function of (job, engine config, snapshot) — not of the worker count,
+//! the schedule, or sibling jobs — and [`JobOutcome::stable_json`] is
+//! byte-identical across schedules. Jobs run with one engine thread each
+//! (the outer pool is the parallelism), which also makes the post-batch
+//! stores — and hence their serialized bytes — schedule-independent.
 
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
@@ -38,7 +45,7 @@ use std::time::{Duration, Instant};
 use hetsep_core::jobcache::{Delta, TransferMemo};
 use hetsep_core::summary::SummaryMemo;
 use hetsep_core::{
-    map_ordered, Counter, EngineConfig, Mode, ModeKind, ParallelConfig, SharedSummarySession,
+    for_each_ordered, Counter, EngineConfig, Mode, ModeKind, ParallelConfig, SharedSummarySession,
     SharedTransferSession, SummaryStore, TransferStore, Verifier,
 };
 // The workspace's one string-escaping rule, shared with diagnostics and the
@@ -188,8 +195,12 @@ impl JobOutcome {
 pub struct BatchResult {
     /// Per-job outcomes, in job (input) order.
     pub outcomes: Vec<JobOutcome>,
-    /// Wall-clock time of the whole batch.
+    /// Wall-clock time of the whole batch, absorbing the jobs' deltas and
+    /// the final merge into the stores included.
     pub wall: Duration,
+    /// Time spent growing the stores: absorbing each job's deltas (summed
+    /// over the workers that delivered them) plus the final merge.
+    pub absorb: Duration,
     /// Jobs completed per second of batch wall-clock.
     pub jobs_per_sec: f64,
     /// Median per-job latency (nearest-rank).
@@ -332,8 +343,8 @@ fn run_job(
 }
 
 /// Runs a batch of jobs over the worker pool, probing and then growing the
-/// persistent `store` (see the module docs for the snapshot + delta
-/// determinism contract).
+/// persistent `store` (see the module docs for the snapshot + ordered
+/// deltas determinism contract).
 pub fn run_batch(
     jobs: &[Job],
     config: &BatchConfig,
@@ -350,23 +361,32 @@ pub fn run_batch(
     let summary_snapshot = std::mem::take(summaries);
     let start = Instant::now();
     let cancel = AtomicBool::new(false);
-    let results = map_ordered(jobs, config.workers, &cancel, |_, job, _| {
-        run_job(job, &engine, &snapshot, &summary_snapshot)
-    });
-    let wall = start.elapsed();
-
-    let mut merged = snapshot;
-    let mut merged_summaries = summary_snapshot;
+    let mut batch = TransferStore::new();
+    let mut batch_summaries = SummaryStore::new();
     let mut outcomes = Vec::with_capacity(jobs.len());
-    for r in results {
-        // The flag is never raised, so every slot is filled.
-        let (outcome, deltas, summary_deltas) = r.expect("job scheduler never cancels");
-        merged.absorb(deltas);
-        merged_summaries.absorb(summary_deltas);
-        outcomes.push(outcome);
-    }
-    *store = merged;
-    *summaries = merged_summaries;
+    let mut absorb = Duration::ZERO;
+    for_each_ordered(
+        jobs,
+        config.workers,
+        &cancel,
+        |_, job, _| run_job(job, &engine, &snapshot, &summary_snapshot),
+        |_, r| {
+            // The flag is never raised, so every job runs.
+            let (outcome, deltas, summary_deltas) = r.expect("job scheduler never cancels");
+            let at = Instant::now();
+            batch.absorb(deltas);
+            batch_summaries.absorb(summary_deltas);
+            absorb += at.elapsed();
+            outcomes.push(outcome);
+        },
+    );
+    let at = Instant::now();
+    *store = snapshot;
+    store.merge(batch);
+    *summaries = summary_snapshot;
+    summaries.merge(batch_summaries);
+    absorb += at.elapsed();
+    let wall = start.elapsed();
 
     let mut latencies: Vec<Duration> = outcomes.iter().map(|o| o.wall).collect();
     latencies.sort_unstable();
@@ -385,6 +405,7 @@ pub fn run_batch(
     BatchResult {
         outcomes,
         wall,
+        absorb,
         jobs_per_sec,
         p50: pct(50.0),
         p95: pct(95.0),

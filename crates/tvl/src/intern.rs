@@ -283,6 +283,25 @@ impl WordPool {
         self.len == 0
     }
 
+    /// Interns every entry of `other` here, shard by shard in in-shard
+    /// order, and returns the id each of `other`'s ids now has.
+    ///
+    /// An entry's shard is fixed by its fingerprint, so the entries new to
+    /// this pool are appended to each shard in the order `other` holds them.
+    /// For an `other` grown from empty, that is the order in which `other`
+    /// first met them: merging gives the ids that interning everything
+    /// `other` interned, in the same order, straight into this pool would
+    /// have given.
+    pub fn merge(&mut self, other: &WordPool) -> PoolMap {
+        PoolMap(
+            other
+                .shards
+                .iter()
+                .map(|shard| shard.arena.iter().map(|words| self.intern(words)).collect())
+                .collect(),
+        )
+    }
+
     /// All entries in deterministic (shard-major, insertion) order, for
     /// serialization.
     pub fn iter(&self) -> impl Iterator<Item = (PoolId, &[u64])> {
@@ -293,6 +312,21 @@ impl WordPool {
                 .enumerate()
                 .map(move |(ix, words)| (PoolId::new(s, ix), &**words))
         })
+    }
+}
+
+/// Where [`WordPool::merge`] put each id of the merged pool.
+#[derive(Debug, Clone)]
+pub struct PoolMap(Vec<Vec<PoolId>>);
+
+impl PoolMap {
+    /// The id in the merged-into pool of `id`, an id of the merged pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` did not come from the merged pool.
+    pub fn get(&self, id: PoolId) -> PoolId {
+        self.0[id.shard()][id.index()]
     }
 }
 
@@ -418,6 +452,25 @@ mod tests {
         let order2: Vec<u32> = pool.iter().map(|(id, _)| id.raw()).collect();
         assert_eq!(order1.len(), 200);
         assert_eq!(order1, order2);
+    }
+
+    #[test]
+    fn merging_a_pool_gives_the_ids_of_interning_its_entries() {
+        let mut base = WordPool::new();
+        for i in 0..40u64 {
+            base.intern(&[i, 1]);
+        }
+        let seen: Vec<[u64; 2]> = (20..90u64).map(|i| [i, 1]).collect();
+        let mut other = WordPool::new();
+        let ids: Vec<PoolId> = seen.iter().map(|w| other.intern(w)).collect();
+        let mut direct = base.clone();
+        let want: Vec<PoolId> = seen.iter().map(|w| direct.intern(w)).collect();
+        let map = base.merge(&other);
+        let got: Vec<PoolId> = ids.iter().map(|&id| map.get(id)).collect();
+        assert_eq!(got, want);
+        assert_eq!(base.len(), direct.len());
+        let order = |p: &WordPool| p.iter().map(|(id, w)| (id, w.to_vec())).collect::<Vec<_>>();
+        assert_eq!(order(&base), order(&direct));
     }
 
     #[test]

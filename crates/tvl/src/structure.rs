@@ -393,8 +393,16 @@ impl Structure {
     /// invariant, equal structures encode to equal word vectors and vice
     /// versa — the encoding is a value-exact key for cross-job caches.
     pub fn to_words(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.write_words(&mut out);
+        out
+    }
+
+    /// Appends the [`Structure::to_words`] encoding to `out` (no
+    /// intermediate vector, for callers that pack many encodings into one).
+    pub fn write_words(&self, out: &mut Vec<u64>) {
         let nw = Self::nullary_words(self.nullary.len());
-        let mut out = Vec::with_capacity(
+        out.reserve(
             1 + nw
                 + self.unary_t.len()
                 + self.unary_h.len()
@@ -402,18 +410,17 @@ impl Structure {
                 + self.binary_h.len(),
         );
         out.push(self.n as u64);
-        let mut packed = vec![0u64; nw];
+        let packed = out.len();
+        out.resize(packed + nw, 0);
         for (ix, &v) in self.nullary.iter().enumerate() {
             let (t, h) = v.to_bits();
             let bits = (t as u64) << 1 | (h as u64);
-            packed[ix / 32] |= bits << ((ix % 32) * 2);
+            out[packed + ix / 32] |= bits << ((ix % 32) * 2);
         }
-        out.extend_from_slice(&packed);
         out.extend_from_slice(&self.unary_t);
         out.extend_from_slice(&self.unary_h);
         out.extend_from_slice(&self.binary_t);
         out.extend_from_slice(&self.binary_h);
-        out
     }
 
     /// Decodes a structure previously encoded by [`Structure::to_words`]

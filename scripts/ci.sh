@@ -134,8 +134,11 @@ rm -f "$summaries_json"
 # must reproduce the committed verdict summary (the summary line is
 # schedule- and cache-independent by the scheduler's determinism contract).
 # The two cold caches must be byte-identical: store files do not depend on
-# the schedule. The warm run must replay from the cache: every one of its
-# 50 per-job rows reports zero shared-store misses.
+# the schedule. A warm batch at another seed on each of them merges what it
+# computed into a non-empty store: the two caches must again be
+# byte-identical, and so must the two batches' summary lines and per-job
+# rows without wall-clock. The warm run must replay from the cache: every
+# one of its 50 per-job rows reports zero shared-store misses.
 corpus_cache="$(mktemp -u)"
 corpus_rows="$(mktemp)"
 cargo run -q -p hetsep --bin hetsep --release -- \
@@ -145,6 +148,17 @@ cargo run -q -p hetsep --bin hetsep --release -- \
     corpus --jobs 50 --seed 42 --workers 1 --cache "$corpus_cache.1" --quiet \
     | diff -u scripts/corpus_quick.golden -
 cmp "$corpus_cache" "$corpus_cache.1"
+for workers in 4 1; do
+    suffix="$([ "$workers" -eq 4 ] || echo .1)"
+    cargo run -q -p hetsep --bin hetsep --release -- \
+        corpus --jobs 50 --seed 7 --workers "$workers" --cache "$corpus_cache$suffix" \
+        --quiet --json "$corpus_rows$suffix" > "$corpus_rows$suffix.out"
+    sed -E 's/, "wall_ms": [0-9.]+//' "$corpus_rows$suffix" >> "$corpus_rows$suffix.out"
+done
+cmp "$corpus_cache" "$corpus_cache.1"
+cmp "$corpus_rows.out" "$corpus_rows.1.out"
+[ "$(grep -c '"shared_hits": [1-9]' "$corpus_rows.out")" -gt 0 ]
+rm -f "$corpus_rows.1" "$corpus_rows.out" "$corpus_rows.1.out"
 cargo run -q -p hetsep --bin hetsep --release -- \
     corpus --jobs 50 --seed 42 --workers 4 --cache "$corpus_cache" --quiet \
     --json "$corpus_rows" | diff -u scripts/corpus_quick.golden -
