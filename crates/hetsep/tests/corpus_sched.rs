@@ -2,7 +2,8 @@
 //!
 //! * **Schedule independence** — per-job results are byte-identical
 //!   regardless of worker count and job submission order, and the merged
-//!   store serializes to identical bytes for every worker count.
+//!   store serializes to identical bytes for every worker count, cold and
+//!   after a warm batch at another seed merges into the non-empty store.
 //! * **Cache observation equivalence** — a warm batch over a *persisted*
 //!   (saved + reloaded) store reports identical verdicts, error counts, and
 //!   visit counts, with strictly fewer transfer-cache misses.
@@ -13,8 +14,8 @@ use hetsep_core::CacheFile;
 use hetsep_prng::XorShift;
 use hetsep_sched::{run_batch, BatchConfig, BatchResult, Job};
 
-fn corpus(jobs: usize) -> Vec<Job> {
-    corpus_jobs(&CorpusConfig { jobs, seed: 42 })
+fn corpus(jobs: usize, seed: u64) -> Vec<Job> {
+    corpus_jobs(&CorpusConfig { jobs, seed })
 }
 
 fn batch(jobs: &[Job], workers: usize, cache: &mut CacheFile) -> BatchResult {
@@ -27,7 +28,7 @@ fn batch(jobs: &[Job], workers: usize, cache: &mut CacheFile) -> BatchResult {
 
 #[test]
 fn results_are_independent_of_worker_count_and_job_order() {
-    let jobs = corpus(24);
+    let jobs = corpus(24, 42);
 
     let mut store_one = CacheFile::new();
     let one = batch(&jobs, 1, &mut store_one);
@@ -38,6 +39,22 @@ fn results_are_independent_of_worker_count_and_job_order() {
         assert_eq!(a.stable_json(), b.stable_json(), "{}", a.name);
     }
     // Same job order ⇒ the merged stores are byte-identical too.
+    assert_eq!(store_one.to_bytes(), store_four.to_bytes());
+
+    // A warm batch at another seed replays part of the cold store and
+    // merges what it computed into it: still identical at both counts.
+    let cold_entries = store_one.transfers.entry_count();
+    let warm_jobs = corpus(24, 7);
+    let warm_one = batch(&warm_jobs, 1, &mut store_one);
+    let warm_four = batch(&warm_jobs, 4, &mut store_four);
+    for (a, b) in warm_one.outcomes.iter().zip(&warm_four.outcomes) {
+        assert_eq!(a.stable_json(), b.stable_json(), "{}", a.name);
+    }
+    assert!(warm_one.total(|o| o.shared_hits) > 0, "the warm batch replays");
+    assert!(
+        store_one.transfers.entry_count() > cold_entries,
+        "and adds what it computed"
+    );
     assert_eq!(store_one.to_bytes(), store_four.to_bytes());
 
     // A shuffled submission order changes neither any job's outcome row.
@@ -58,7 +75,7 @@ fn results_are_independent_of_worker_count_and_job_order() {
 
 #[test]
 fn persisted_cache_is_observation_equivalent() {
-    let jobs = corpus(30);
+    let jobs = corpus(30, 42);
     let dir = std::env::temp_dir().join("hetsep_corpus_sched_test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("transfer.cache");
@@ -105,7 +122,7 @@ fn cache_file_bytes_are_pinned() {
     // run at one worker must serialize to exactly these bytes. The slice
     // exercises both sections: its generated clients call helper
     // procedures, so call regions are summarized.
-    let jobs = corpus(12);
+    let jobs = corpus(12, 42);
     let mut cache = CacheFile::new();
     batch(&jobs, 1, &mut cache);
     assert!(cache.transfers.entry_count() > 0);

@@ -134,11 +134,13 @@ rm -f "$summaries_json"
 # must reproduce the committed verdict summary (the summary line is
 # schedule- and cache-independent by the scheduler's determinism contract).
 # The two cold caches must be byte-identical: store files do not depend on
-# the schedule. A warm batch at another seed on each of them merges what it
-# computed into a non-empty store: the two caches must again be
-# byte-identical, and so must the two batches' summary lines and per-job
-# rows without wall-clock. The warm run must replay from the cache: every
-# one of its 50 per-job rows reports zero shared-store misses.
+# the schedule. A warm run at the same seed must replay from the cold cache
+# alone: every one of its 50 per-job rows reports zero shared-store misses,
+# and the cache file it rewrites stays byte-identical.
+# Then a warm batch at another seed on each cache merges what it computed
+# into a non-empty store: the two caches must again be byte-identical, and
+# so must the two batches' summary lines and per-job rows without
+# wall-clock.
 corpus_cache="$(mktemp -u)"
 corpus_rows="$(mktemp)"
 cargo run -q -p hetsep --bin hetsep --release -- \
@@ -147,6 +149,12 @@ cargo run -q -p hetsep --bin hetsep --release -- \
 cargo run -q -p hetsep --bin hetsep --release -- \
     corpus --jobs 50 --seed 42 --workers 1 --cache "$corpus_cache.1" --quiet \
     | diff -u scripts/corpus_quick.golden -
+cmp "$corpus_cache" "$corpus_cache.1"
+cargo run -q -p hetsep --bin hetsep --release -- \
+    corpus --jobs 50 --seed 42 --workers 4 --cache "$corpus_cache" --quiet \
+    --json "$corpus_rows" | diff -u scripts/corpus_quick.golden -
+[ "$(grep -c '"shared_misses"' "$corpus_rows")" -eq 50 ]
+[ "$(grep -c '"shared_misses": 0,' "$corpus_rows")" -eq 50 ]
 cmp "$corpus_cache" "$corpus_cache.1"
 for workers in 4 1; do
     suffix="$([ "$workers" -eq 4 ] || echo .1)"
@@ -159,11 +167,6 @@ cmp "$corpus_cache" "$corpus_cache.1"
 cmp "$corpus_rows.out" "$corpus_rows.1.out"
 [ "$(grep -c '"shared_hits": [1-9]' "$corpus_rows.out")" -gt 0 ]
 rm -f "$corpus_rows.1" "$corpus_rows.out" "$corpus_rows.1.out"
-cargo run -q -p hetsep --bin hetsep --release -- \
-    corpus --jobs 50 --seed 42 --workers 4 --cache "$corpus_cache" --quiet \
-    --json "$corpus_rows" | diff -u scripts/corpus_quick.golden -
-[ "$(grep -c '"shared_misses"' "$corpus_rows")" -eq 50 ]
-[ "$(grep -c '"shared_misses": 0,' "$corpus_rows")" -eq 50 ]
 rm -f "$corpus_cache" "$corpus_cache.1" "$corpus_rows"
 
 # Hostile cache input: a 44-byte container whose transfer section declares
