@@ -35,7 +35,6 @@
 //! whole region drain, so, as with the transfer cache, every semantic
 //! column is byte-identical on or off.
 
-use hetsep::core::ParallelConfig;
 use hetsep::harness::{
     format_metrics, format_rows, rows_to_json, run_benchmark, table3_config, ModeRow,
 };
@@ -105,7 +104,7 @@ fn main() {
     );
     println!("{}", "-".repeat(101));
     let mut config = table3_config();
-    config.parallel = ParallelConfig { threads, intra_threads: 0 };
+    config.parallel.threads = threads;
     config.phase_timings = metrics;
     if no_preanalysis {
         config.preanalysis = false;

@@ -23,7 +23,6 @@
 //! values at a time.
 
 use std::cmp::Reverse;
-use std::borrow::Borrow;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,7 +43,6 @@ use hetsep_tvl::telemetry::{Counter, Phase, RunMetrics};
 use crate::jobcache::{
     action_content, context_content, Memo, RunScope, SharedTransferSession, TransferMemo,
 };
-use crate::parallel::map_ordered;
 use crate::report::{dedup_reports, ErrorReport};
 use crate::summary::{region_content, SharedSummarySession, SummaryMemo};
 use crate::translate::AnalysisInstance;
@@ -53,23 +51,19 @@ use crate::vocab::SiteId;
 /// How often (in action applications) a run polls its cancellation flag.
 const CANCEL_CHECK_INTERVAL: u64 = 64;
 
-/// Parallel-scheduling knobs. `threads` controls how many independent
-/// subproblems the mode-level drivers (see [`crate::modes::verify`]) run
-/// concurrently; `intra_threads` controls the worker pool *inside* one
-/// engine run, which fans the transfer pipeline out over same-priority
-/// worklist batches (results are byte-identical whatever the count — see
-/// [`run_shared`]).
+/// Parallel-scheduling knobs: how many independent subproblems the
+/// mode-level drivers (see [`crate::modes::verify`]) run concurrently. One
+/// engine run is always serial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ParallelConfig {
     /// Worker threads for per-site subproblem scheduling. `0` means auto:
     /// the `HETSEP_THREADS` environment variable if set to a positive
     /// integer, else the machine's available parallelism, else 1.
     pub threads: usize,
-    /// Worker threads for intra-subproblem transfer fan-out. `0` means
-    /// auto: the `HETSEP_INTRA_THREADS` environment variable if set to a
-    /// positive integer, else 1 (off — the engine stays single-threaded by
-    /// default, since the mode drivers already saturate cores with
-    /// subproblem-level parallelism).
+    /// Ignored: nothing reads it. Kept only so that the `perfbench/`
+    /// harness, which builds `ParallelConfig { threads, intra_threads: 1 }`,
+    /// keeps compiling.
+    #[doc(hidden)]
     pub intra_threads: usize,
 }
 
@@ -79,33 +73,13 @@ impl ParallelConfig {
         if self.threads > 0 {
             return self.threads;
         }
-        if let Some(n) = env_threads("HETSEP_THREADS") {
-            return n;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
+        std::env::var("HETSEP_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
             .unwrap_or(1)
     }
-
-    /// Resolves the intra-subproblem worker count. Unlike
-    /// [`ParallelConfig::effective_threads`] the auto default is 1, not the
-    /// machine width: intra-run fan-out only pays off when subproblem-level
-    /// parallelism leaves cores idle, so it is strictly opt-in (explicit
-    /// config or `HETSEP_INTRA_THREADS`).
-    pub fn effective_intra_threads(&self) -> usize {
-        if self.intra_threads > 0 {
-            return self.intra_threads;
-        }
-        env_threads("HETSEP_INTRA_THREADS").unwrap_or(1)
-    }
-}
-
-/// Parses a positive thread count from an environment variable.
-fn env_threads(var: &str) -> Option<usize> {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// Engine tuning knobs.
@@ -143,17 +117,11 @@ pub struct EngineConfig {
     /// byte-identical with the cache on or off — only wall-clock time and
     /// the per-phase work counters change. The cache is per-run (each
     /// separation subproblem owns its interner, so ids are not shared across
-    /// threads). On by default; disable via
-    /// [`crate::Verifier::with_transfer_cache`] or `--no-transfer-cache`.
+    /// threads). It holds at most one entry per miss, and misses never
+    /// exceed the run's visits, which `max_visits` caps. On by default;
+    /// disable via [`crate::Verifier::with_transfer_cache`] or
+    /// `--no-transfer-cache`.
     pub transfer_cache: bool,
-    /// Entry budget for the transfer cache. The cache holds two generations
-    /// of at most `capacity / 2` entries each; when the young generation
-    /// fills, the old generation is discarded (counted in
-    /// [`Counter::TransferCacheEvictions`]) and the young one ages into its
-    /// place. Probes that hit the old generation promote the entry back into
-    /// the young one, so the warm working set survives rotation. Eviction is
-    /// sound (the cache is exact, so losing entries only costs time).
-    pub transfer_cache_capacity: usize,
     /// Memoize per-procedure summaries: the engine always evaluates a
     /// spliced call region as a nested subproblem of its entry structure
     /// (see the region drain in [`run_shared`]); with this flag on, the
@@ -180,7 +148,6 @@ impl Default for EngineConfig {
             phase_timings: false,
             preanalysis: false,
             transfer_cache: true,
-            transfer_cache_capacity: 1 << 20,
             summaries: true,
         }
     }
@@ -257,98 +224,13 @@ type MemoKey = (u32, StructureId);
 /// computation are applied by the same code.
 type Memoized<M> = (Vec<StructureId>, M);
 
-/// The in-run side of one memo level (see [`MemoLevel`]).
-trait InRunMemo<M> {
-    /// What a hit hands to the apply step.
-    type Entry: Borrow<Memoized<M>>;
-    /// Probes the memo for `key`.
-    fn hit(&mut self, key: &MemoKey, metrics: &mut RunMetrics) -> Option<Self::Entry>;
-    /// Stores a shared hit or a fresh computation under `key`.
-    fn seed(&mut self, key: MemoKey, entry: Self::Entry, metrics: &mut RunMetrics);
-}
-
-/// The per-run transfer cache with generational eviction.
-///
-/// Entries live in a *young* and an *old* generation of at most `cap`
-/// entries each (`cap` = half the configured capacity). Inserts go into the
-/// young generation; when it fills, the old generation is discarded — its
-/// entry count feeds [`Counter::TransferCacheEvictions`] — and young becomes
-/// old. A probe that hits the old generation promotes the entry back into
-/// the young one, so anything re-referenced within one generation's worth of
-/// inserts is never evicted: the warm working set survives rotation instead
-/// of being dumped wholesale.
-struct TransferCache {
-    /// Entry budget per generation.
-    cap: usize,
-    /// The young generation: receives inserts and promotions.
-    young: HashMap<MemoKey, Memoized<TransferMemo>>,
-    /// The old generation: read-only until discarded by the next rotation.
-    old: HashMap<MemoKey, Memoized<TransferMemo>>,
-}
-
-impl TransferCache {
-    /// Read-only membership probe (no promotion) — used by the speculative
-    /// classification pass, which must not perturb eviction order.
-    fn contains(&self, key: &MemoKey) -> bool {
-        self.young.contains_key(key) || self.old.contains_key(key)
-    }
-
-    /// Evicts when the young generation is at capacity: discards the old
-    /// generation (counted in [`Counter::TransferCacheEvictions`]) and ages
-    /// the young one into its place.
-    fn rotate_if_full(&mut self, metrics: &mut RunMetrics) {
-        if self.young.len() < self.cap {
-            return;
-        }
-        metrics
-            .counters
-            .add(Counter::TransferCacheEvictions, self.old.len() as u64);
-        self.old = std::mem::take(&mut self.young);
-    }
-}
-
-impl InRunMemo<TransferMemo> for TransferCache {
-    type Entry = Memoized<TransferMemo>;
-
-    /// An old-generation hit is promoted into the young generation (rotating
-    /// first if it is full). Hits are cloned out: applying one needs the run
-    /// state mutably.
-    fn hit(&mut self, key: &MemoKey, metrics: &mut RunMetrics) -> Option<Self::Entry> {
-        if let Some(entry) = self.young.get(key) {
-            return Some(entry.clone());
-        }
-        let entry = self.old.remove(key)?;
-        self.rotate_if_full(metrics);
-        Some(self.young.entry(*key).or_insert(entry).clone())
-    }
-
-    fn seed(&mut self, key: MemoKey, entry: Self::Entry, metrics: &mut RunMetrics) {
-        self.rotate_if_full(metrics);
-        self.young.insert(key, entry);
-    }
-}
-
-/// The in-run summary memo: entries are shared, so a replay is a pointer
-/// copy.
-impl<M> InRunMemo<M> for HashMap<MemoKey, Rc<Memoized<M>>> {
-    type Entry = Rc<Memoized<M>>;
-
-    fn hit(&mut self, key: &MemoKey, _: &mut RunMetrics) -> Option<Self::Entry> {
-        self.get(key).cloned()
-    }
-
-    fn seed(&mut self, key: MemoKey, entry: Self::Entry, _: &mut RunMetrics) {
-        self.insert(key, entry);
-    }
-}
-
 /// What one [`MemoLevel::lookup`] found.
-enum Lookup<E, M> {
+enum Lookup<M> {
     /// An in-run memo hit.
-    Memo(E),
+    Memo(Rc<Memoized<M>>),
     /// A shared-store hit, outputs interned; the caller seeds the in-run memo
     /// with it through [`MemoLevel::remember`] once it is applied.
-    Shared(Memoized<M>),
+    Shared(Rc<Memoized<M>>),
     /// A miss at both layers; `true` when a shared store was probed, so
     /// [`MemoLevel::remember`] records the computed entry into it.
     Miss(bool),
@@ -359,15 +241,18 @@ enum Lookup<E, M> {
 /// are two instances of it, with one lookup and one remember step; each
 /// level maps the [`Lookup`] outcome onto its own counters.
 ///
-/// The shared layer sits strictly behind the in-run memo: it is only
-/// consulted (and populated) when that misses, so the added cost is bounded
-/// by one content probe per distinct key per run.
-struct MemoLevel<'s, C, M> {
-    memo: C,
+/// The in-run memo keeps every entry for the whole run: it gains at most
+/// one per miss, and misses never exceed the run's visits. Entries are
+/// shared, so a hit is a pointer copy. The shared layer sits strictly
+/// behind the in-run memo: it is only consulted (and populated) when that
+/// misses, so the added cost is bounded by one content probe per distinct
+/// key per run.
+struct MemoLevel<'s, M> {
+    memo: HashMap<MemoKey, Rc<Memoized<M>>>,
     scope: Option<RunScope<'s, M>>,
 }
 
-impl<C: InRunMemo<M>, M: Memo> MemoLevel<'_, C, M> {
+impl<M: Memo> MemoLevel<'_, M> {
     /// Probes the in-run memo, then the shared store. Stored outputs are the
     /// exact canonical structures of the original computation, so interning
     /// them replays the cold run's id assignment.
@@ -376,10 +261,9 @@ impl<C: InRunMemo<M>, M: Memo> MemoLevel<'_, C, M> {
         key: MemoKey,
         interner: &mut StructureInterner,
         table: &PredTable,
-        metrics: &mut RunMetrics,
-    ) -> Lookup<C::Entry, M> {
-        if let Some(entry) = self.memo.hit(&key, metrics) {
-            return Lookup::Memo(entry);
+    ) -> Lookup<M> {
+        if let Some(entry) = self.memo.get(&key) {
+            return Lookup::Memo(Rc::clone(entry));
         }
         let Some(scope) = &mut self.scope else {
             return Lookup::Miss(false);
@@ -387,7 +271,7 @@ impl<C: InRunMemo<M>, M: Memo> MemoLevel<'_, C, M> {
         match scope.probe(key.0, key.1, interner, table) {
             Some((outputs, memo)) => {
                 let outputs = outputs.into_iter().map(|s| interner.intern(s)).collect();
-                Lookup::Shared((outputs, memo))
+                Lookup::Shared(Rc::new((outputs, memo)))
             }
             None => Lookup::Miss(true),
         }
@@ -399,41 +283,23 @@ impl<C: InRunMemo<M>, M: Memo> MemoLevel<'_, C, M> {
     fn remember(
         &mut self,
         key: MemoKey,
-        entry: C::Entry,
+        entry: Rc<Memoized<M>>,
         record: bool,
         interner: &StructureInterner,
-        metrics: &mut RunMetrics,
     ) {
         if let Some(scope) = self.scope.as_mut().filter(|_| record) {
-            let (outputs, memo) = entry.borrow();
+            let (outputs, memo) = &*entry;
             scope.record(key.0, key.1, outputs, memo.clone(), interner);
         }
-        self.memo.seed(key, entry, metrics);
+        self.memo.insert(key, entry);
     }
 }
 
-/// One precomputed transfer application, produced by the intra-subproblem
-/// fan-out (phase 2 of the batched worklist loop): blurred canonical posts
-/// with their settled bits — *not* yet interned, id assignment stays
-/// serial — the memo payload, and the metrics of exactly the work done,
-/// merged into the run's metrics only if the result is consumed.
-struct ComputedTransfer {
-    posts: Vec<(Structure, bool)>,
-    memo: TransferMemo,
-    metrics: RunMetrics,
-}
-
-/// Minimum predicted-miss count for which a batch fans its transfers out
-/// over the intra-subproblem worker pool: below this, thread-scope setup
-/// costs more than the pipeline work it would parallelize.
-const INTRA_FANOUT_MIN: usize = 4;
-
 /// The transfer pipeline of one action application: focus → coerce → update
 /// (inside [`apply_planned`]) plus canonical abstraction of every
-/// post-structure. Pure in `(action, s)` given the fixed table/plan/limit —
-/// the worklist loop and the speculative fan-out both funnel through this
-/// function, so a precomputed result is bit-for-bit what the inline path
-/// would have produced. Returns blurred posts in emission order, each with
+/// post-structure. Pure in `(action, s)` given the fixed table/plan/limit,
+/// which is what makes its memoized results exact. Returns blurred posts in
+/// emission order, each with
 /// its settled bit, and the memo payload: `(label, definite?)` violation
 /// pairs and the largest unblurred post universe.
 ///
@@ -546,7 +412,7 @@ struct Recorder {
 /// own state for the exit node — whether the summary was computed or
 /// replayed.
 struct RegionSink {
-    /// Global node index of the region's entry: batches there are drained
+    /// Global node index of the region's entry: arrivals there are drained
     /// edge by edge, not intercepted as a nested evaluation.
     entry: usize,
     /// Global node index of the region's exit.
@@ -596,10 +462,6 @@ struct EngineCtx<'a> {
     cancel: Option<&'a AtomicBool>,
     /// What the run derives from its instance alone.
     prep: &'a InstancePlan,
-    intra_workers: usize,
-    /// Fallback cancellation flag for the intra-batch fan-out when the
-    /// caller supplied none (`map_ordered` always polls a flag).
-    local_cancel: AtomicBool,
 }
 
 /// The mutable state of one engine run, threaded through the global drain
@@ -610,12 +472,10 @@ struct EngineSt<'s> {
     interner: StructureInterner,
     /// Transfer level: the per-run transfer cache in front of the shared
     /// transfer store.
-    transfers: MemoLevel<'s, TransferCache, TransferMemo>,
+    transfers: MemoLevel<'s, TransferMemo>,
     /// Call-region level: the in-run summary memo in front of the shared
     /// summary store.
-    regions: MemoLevel<'s, HashMap<MemoKey, Rc<Memoized<SummaryMemo>>>, SummaryMemo>,
-    /// Precomputed speculative transfers (phase 2 of the global drain).
-    speculative: HashMap<MemoKey, ComputedTransfer>,
+    regions: MemoLevel<'s, SummaryMemo>,
     visits: u64,
     /// Structures currently stored across all live location sets (the
     /// global ones plus any in-flight nested drains').
@@ -899,11 +759,7 @@ pub(crate) fn run_planned(
 
     let use_regions = !cfg.regions().is_empty();
     let transfers = MemoLevel {
-        memo: TransferCache {
-            cap: (config.transfer_cache_capacity / 2).max(1),
-            young: HashMap::new(),
-            old: HashMap::new(),
-        },
+        memo: HashMap::new(),
         scope: sessions.transfers.filter(|_| config.transfer_cache).map(|s| {
             let context = prep.context(table, config.focus_limit);
             s.run_scope(context, prep.action_contents(instance))
@@ -925,8 +781,6 @@ pub(crate) fn run_planned(
         config,
         cancel,
         prep,
-        intra_workers: config.parallel.effective_intra_threads(),
-        local_cancel: AtomicBool::new(false),
     };
 
     // `blur` output is already canonical — nodes are emitted in ascending
@@ -952,7 +806,6 @@ pub(crate) fn run_planned(
         interner,
         transfers,
         regions,
-        speculative: HashMap::new(),
         visits: 0,
         live: 1,
         peak_structures: 1,
@@ -1009,303 +862,129 @@ pub(crate) fn run_planned(
     }
 }
 
-/// Drains one frontier to fixpoint — the batched core loop shared by the
-/// global run and every nested region evaluation.
+/// Drains one frontier to fixpoint — the serial core loop shared by the
+/// global run and every nested region evaluation. Each pop takes the
+/// highest-priority worklist entry and applies every action of the node's
+/// out-edges to its structure.
 ///
 /// A region evaluation's frontier carries a [`RegionSink`]: arrivals at its
-/// exit node are collected instead of committed, and batches at its own
-/// entry are processed normally. A batch at any *other* region entry is
+/// exit node are collected instead of committed, and entries at its own
+/// entry are processed normally. An entry at any *other* region entry is
 /// intercepted and evaluated as a nested subproblem via [`eval_region`].
-/// The intra-subproblem fan-out (phases 1–2) runs in the global drain only —
-/// nested drains are short and stay serial.
 fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Result<(), Stop> {
     let instance = ctx.instance;
     let config = ctx.config;
     let cfg = &instance.cfg;
     let table = &instance.vocab.table;
     let own_entry = fr.sink.as_ref().map(|sink| sink.entry);
-    // Each iteration drains one *batch*: every queued entry of the
-    // highest-priority (rank, node) pair. Entries of one node sit
-    // contiguously at the top of the heap — reachable nodes have unique
-    // ranks, and among unreachable nodes (which share the sentinel rank)
-    // draining stops at the first entry for a different node. Entries keep
-    // their insertion sequence: a back-edge push from an earlier batch
-    // member can outrank the remaining members, in which case phase 3
-    // requeues them (original sequence and all) so the commit order replays
-    // the serial pop order exactly.
-    'outer: while let Some(&Reverse((rank, _, node, _))) = fr.worklist.peek() {
-        let mut batch: Vec<(u64, StructureId)> = Vec::new();
-        while let Some(&Reverse((r, s, n, sid))) = fr.worklist.peek() {
-            if r != rank || n != node {
-                break;
-            }
-            fr.worklist.pop();
-            batch.push((s, sid));
-        }
-        // Poll the cross-run flag at the top of every batch (the batched
-        // equivalent of the former per-visit top poll): a single expensive
-        // focus/coerce expansion must not delay a budget-triggered cancel by
-        // a whole batch. Further polls run every `CANCEL_CHECK_INTERVAL`
-        // applications below.
+    while let Some(Reverse((_, _, node, sid))) = fr.worklist.pop() {
+        // Poll the cross-run flag at every pop: a single expensive
+        // focus/coerce expansion must not delay a budget-triggered cancel.
+        // Further polls run every `CANCEL_CHECK_INTERVAL` applications below.
         st.poll_cancel(ctx.cancel)?;
-        // A batch at another region's entry is not applied edge by edge:
-        // each arrival is evaluated as a nested subproblem of that region
-        // (computed or replayed — see `eval_region`) and its exit structures
-        // are committed at the region's exit node. The exit's rank exceeds
-        // the entry's (the exit is a DFS descendant of the entry), so these
-        // commits never outrank the batch being drained.
+        // An arrival at another region's entry is not applied edge by edge:
+        // it is evaluated as a nested subproblem of that region (computed or
+        // replayed — see `eval_region`) and its exit structures are
+        // committed at the region's exit node.
         if own_entry != Some(node) {
             if let Some(&region_ix) = ctx.prep.region_by_entry.get(&node) {
                 let exit = cfg.regions()[region_ix].exit.index();
-                for &(_, sid) in &batch {
-                    let summary = eval_region(ctx, st, region_ix, sid)?;
-                    for &xid in &summary.0 {
-                        commit_post(ctx, st, fr, exit, xid);
-                    }
+                let summary = eval_region(ctx, st, region_ix, sid)?;
+                for &xid in &summary.0 {
+                    commit_post(ctx, st, fr, exit, xid);
                 }
-                continue 'outer;
+                continue;
             }
         }
-        // Exploitable-width telemetry, counted from the drained batch size
-        // *before* any worker configuration is consulted: the values — and
-        // with them every emitted trace — are identical whatever
-        // `intra_threads` is set to.
-        if batch.len() >= 2 {
-            st.metrics.counters.add(Counter::IntraBatches, 1);
-            st.metrics
-                .counters
-                .add(Counter::IntraBatchItems, batch.len() as u64);
-        }
-
-        // Phase 1 (speculative, strictly read-only): predict which
-        // applications of this batch miss every cache and will therefore
-        // compute the transfer pipeline. Probes must not perturb observable
-        // state — `TransferCache::contains` skips promotion, the shared
-        // scope is a snapshot — and keys already claimed by an earlier
-        // application of this batch are tracked in `pending` (the first
-        // application inserts the entry the later ones will hit).
-        // Enumeration stops at the visit budget: the loop below breaks
-        // there, so later applications must not be precomputed.
-        //
-        // Phase 2: fan the predicted misses over the worker pool
-        // (`map_ordered`, input-order results) and stash the results in the
-        // `speculative` memo. The transfer is a pure function of the
-        // (action, interned pre-structure) key, so memoized results stay
-        // valid across batch requeues — a member pushed back by a
-        // higher-priority back-edge entry reclaims its precompute when it is
-        // drained again instead of recomputing. Mispredictions and
-        // cancelled-before-start slots fall back to inline computation in
-        // phase 3 — speculation can only waste work, never change a result,
-        // because both sides run `compute_transfer` on identical inputs and
-        // the metrics of unconsumed results are discarded.
-        // Cheap width precheck: a batch that cannot reach the fan-out
-        // threshold even if every application misses skips classification
-        // outright — small batches must not pay probe or clone overhead.
-        let apps_per_structure: usize = cfg
-            .out_edges(node)
-            .iter()
-            .map(|&e| instance.actions[e].len())
-            .sum();
-        if fr.sink.is_none()
-            && ctx.intra_workers > 1
-            && st.live <= config.max_structures
-            && batch.len() * apps_per_structure >= INTRA_FANOUT_MIN
-        {
-            // (action, action id, pre-structure id) of every predicted miss.
-            // Structures are cloned only after the threshold check below —
-            // classification itself never allocates per application.
-            let mut job_metas: Vec<(&hetsep_tvl::action::Action, MemoKey)> = Vec::new();
-            let mut pending: HashSet<MemoKey> = HashSet::new();
-            let mut spec_visits = st.visits;
-            'classify: for &(_, sid) in &batch {
-                let mut words: Option<Vec<u64>> = None;
-                let input = st.interner.resolve(sid);
-                for &edge_ix in cfg.out_edges(node) {
-                    for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
-                        spec_visits += 1;
-                        if spec_visits > config.max_visits {
-                            break 'classify;
-                        }
-                        let key = (ctx.prep.action_ids[edge_ix][action_ix], sid);
-                        let predicted_hit = st.speculative.contains_key(&key)
-                            || pending.contains(&key)
-                            || (config.transfer_cache
-                                && (st.transfers.memo.contains(&key)
-                                    || st.transfers.scope.as_ref().is_some_and(|scope| {
-                                        scope.contains(key.0, input, &mut words)
-                                    })));
-                        if !predicted_hit {
-                            pending.insert(key);
-                            job_metas.push((action, key));
-                        }
+        let s = st.interner.resolve(sid).clone();
+        let settled = st.interner.is_settled(sid);
+        for &edge_ix in cfg.out_edges(node) {
+            let edge = &cfg.edges()[edge_ix];
+            for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
+                st.visits += 1;
+                if st.visits > config.max_visits || st.live > config.max_structures {
+                    st.outcome = AnalysisOutcome::BudgetExceeded;
+                    st.metrics.counters.add(Counter::BudgetExhausted, 1);
+                    if let Some(flag) = ctx.cancel {
+                        flag.store(true, Ordering::Relaxed);
                     }
+                    return Err(Stop);
                 }
-            }
-            if job_metas.len() >= INTRA_FANOUT_MIN {
-                let jobs: Vec<(&hetsep_tvl::action::Action, Structure, bool)> = job_metas
-                    .iter()
-                    .map(|&(action, (_, sid))| {
-                        (action, st.interner.resolve(sid).clone(), st.interner.is_settled(sid))
-                    })
-                    .collect();
-                let flag = ctx.cancel.unwrap_or(&ctx.local_cancel);
-                let timed = config.phase_timings;
-                let plan = &ctx.prep.transfer;
-                let computed = map_ordered(&jobs, ctx.intra_workers, flag, |_, job, _| {
-                    let mut local = RunMetrics::new(timed);
-                    let (posts, memo) = compute_transfer(
-                        job.0,
-                        &job.1,
-                        job.2,
-                        table,
-                        plan,
-                        config.focus_limit,
-                        &mut local,
-                    );
-                    ComputedTransfer {
-                        posts,
-                        memo,
-                        metrics: local,
-                    }
-                });
-                for ((_, key), result) in job_metas.into_iter().zip(computed) {
-                    if let Some(c) = result {
-                        st.speculative.insert(key, c);
-                    }
+                if st.visits.is_multiple_of(CANCEL_CHECK_INTERVAL) {
+                    st.poll_cancel(ctx.cancel)?;
                 }
-            }
-        }
-
-        // Phase 3: the serial worklist body, application by application in
-        // the exact pre-batching order — every counter bump, budget check,
-        // cache probe and downstream merge/push runs here, on one thread.
-        for (batch_ix, &(entry_seq, sid)) in batch.iter().enumerate() {
-            // A back-edge push from an earlier member of this batch can
-            // carry a higher priority than the remaining members; serial
-            // processing would pop it first. Requeue the rest of the batch
-            // with their original sequence numbers — restoring the exact
-            // heap state — and drain again. Precomputed transfers for
-            // requeued members stay in the `speculative` memo and are
-            // reclaimed on the next drain.
-            if batch_ix > 0 {
-                if let Some(&Reverse((r, sq, _, _))) = fr.worklist.peek() {
-                    if (r, sq) < (rank, entry_seq) {
-                        for &(q, d) in &batch[batch_ix..] {
-                            fr.worklist.push(Reverse((rank, q, node, d)));
-                        }
-                        continue 'outer;
+                // The transfer function is a pure function of the (interned)
+                // pre-structure and the action, so its output — canonical
+                // post ids, violations, peak universe size — replays exactly
+                // from either memo layer. Resolve one entry, then apply it
+                // once, whichever layer produced it.
+                let key = (ctx.prep.action_ids[edge_ix][action_ix], sid);
+                let found = if config.transfer_cache {
+                    st.transfers.lookup(key, &mut st.interner, table)
+                } else {
+                    Lookup::Miss(false)
+                };
+                // `fresh` is `Some(record)` when the entry is not yet in the
+                // per-run cache: `remember` seeds it after the apply step,
+                // recording computed ones into the shared store.
+                let (entry, fresh) = match found {
+                    Lookup::Memo(entry) => {
+                        st.metrics.counters.add(Counter::TransferCacheHits, 1);
+                        (entry, None)
                     }
-                }
-            }
-            let s = st.interner.resolve(sid).clone();
-            let settled = st.interner.is_settled(sid);
-            for &edge_ix in cfg.out_edges(node) {
-                let edge = &cfg.edges()[edge_ix];
-                for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
-                    st.visits += 1;
-                    if st.visits > config.max_visits || st.live > config.max_structures {
-                        st.outcome = AnalysisOutcome::BudgetExceeded;
-                        st.metrics.counters.add(Counter::BudgetExhausted, 1);
-                        if let Some(flag) = ctx.cancel {
-                            flag.store(true, Ordering::Relaxed);
-                        }
-                        return Err(Stop);
+                    // A shared hit replaces — not joins — the local miss:
+                    // the pipeline is skipped, so only `SharedCacheHits`
+                    // advances and a warm corpus run reports strictly fewer
+                    // transfer-cache misses than a cold one.
+                    Lookup::Shared(entry) => {
+                        st.metrics.counters.add(Counter::SharedCacheHits, 1);
+                        (entry, Some(false))
                     }
-                    if st.visits.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                        st.poll_cancel(ctx.cancel)?;
-                    }
-                    // The transfer function is a pure function of the
-                    // (interned) pre-structure and the action, so its output
-                    // — canonical post ids, violations, peak universe size —
-                    // replays exactly from either memo layer. Resolve one
-                    // entry, then apply it once, whichever layer produced it.
-                    let key = (ctx.prep.action_ids[edge_ix][action_ix], sid);
-                    // Claim any precomputed transfer for this application up
-                    // front: if the caches hit after all (a misprediction),
-                    // the speculative result is simply dropped, exactly like
-                    // the inline computation it replaced would never have
-                    // run.
-                    let precomp = st.speculative.remove(&key);
-                    let found = if config.transfer_cache {
-                        st.transfers
-                            .lookup(key, &mut st.interner, table, &mut st.metrics)
-                    } else {
-                        Lookup::Miss(false)
-                    };
-                    // `fresh` is `Some(record)` when the entry is not yet in
-                    // the per-run cache: `remember` seeds it after the apply
-                    // step, recording computed ones into the shared store.
-                    let (entry, fresh) = match found {
-                        Lookup::Memo(entry) => {
-                            st.metrics.counters.add(Counter::TransferCacheHits, 1);
-                            (entry, None)
+                    Lookup::Miss(record) => {
+                        if record {
+                            st.metrics.counters.add(Counter::SharedCacheMisses, 1);
                         }
-                        // A shared hit replaces — not joins — the local
-                        // miss: the pipeline is skipped, so only
-                        // `SharedCacheHits` advances and a warm corpus run
-                        // reports strictly fewer transfer-cache misses than
-                        // a cold one.
-                        Lookup::Shared(entry) => {
-                            st.metrics.counters.add(Counter::SharedCacheHits, 1);
-                            (entry, Some(false))
+                        if config.transfer_cache {
+                            st.metrics.counters.add(Counter::TransferCacheMisses, 1);
                         }
-                        Lookup::Miss(record) => {
-                            if record {
-                                st.metrics.counters.add(Counter::SharedCacheMisses, 1);
-                            }
-                            if config.transfer_cache {
-                                st.metrics.counters.add(Counter::TransferCacheMisses, 1);
-                            }
-                            // Consume the precomputed transfer if phase 2
-                            // produced one for this application; otherwise
-                            // (speculation off, below the fan-out threshold,
-                            // cancelled before start) compute inline. Both
-                            // sides are `compute_transfer` on identical
-                            // inputs, so the merged-in metrics and the
-                            // results are byte-identical either way.
-                            let (blurred, memo) = match precomp {
-                                Some(c) => {
-                                    st.metrics.merge(&c.metrics);
-                                    (c.posts, c.memo)
+                        let (blurred, memo) = compute_transfer(
+                            action,
+                            &s,
+                            settled,
+                            table,
+                            &ctx.prep.transfer,
+                            config.focus_limit,
+                            &mut st.metrics,
+                        );
+                        let posts = blurred
+                            .into_iter()
+                            .map(|(p, settled)| {
+                                let id = st.interner.intern(p);
+                                if settled {
+                                    st.interner.settle(id);
                                 }
-                                None => compute_transfer(
-                                    action,
-                                    &s,
-                                    settled,
-                                    table,
-                                    &ctx.prep.transfer,
-                                    config.focus_limit,
-                                    &mut st.metrics,
-                                ),
-                            };
-                            let posts = blurred
-                                .into_iter()
-                                .map(|(p, settled)| {
-                                    let id = st.interner.intern(p);
-                                    if settled {
-                                        st.interner.settle(id);
-                                    }
-                                    id
-                                })
-                                .collect();
-                            ((posts, memo), config.transfer_cache.then_some(record))
-                        }
-                    };
-                    let (posts, memo) = &entry;
-                    if !memo.violations.is_empty() {
-                        for (label, definite) in &memo.violations {
-                            st.note_violation(edge.line, label, *definite);
-                        }
-                        st.note_failing_structure(instance, &s);
+                                id
+                            })
+                            .collect();
+                        (
+                            Rc::new((posts, memo)),
+                            config.transfer_cache.then_some(record),
+                        )
                     }
-                    st.raise_peak_nodes(memo.peak_post_nodes);
-                    for &post in posts {
-                        commit_post(ctx, st, fr, edge.to, post);
+                };
+                let (posts, memo) = &*entry;
+                if !memo.violations.is_empty() {
+                    for (label, definite) in &memo.violations {
+                        st.note_violation(edge.line, label, *definite);
                     }
-                    if let Some(record) = fresh {
-                        st.transfers
-                            .remember(key, entry, record, &st.interner, &mut st.metrics);
-                    }
+                    st.note_failing_structure(instance, &s);
+                }
+                st.raise_peak_nodes(memo.peak_post_nodes);
+                for &post in posts {
+                    commit_post(ctx, st, fr, edge.to, post);
+                }
+                if let Some(record) = fresh {
+                    st.transfers.remember(key, entry, record, &st.interner);
                 }
             }
         }
@@ -1361,20 +1040,19 @@ fn eval_region(
     st.metrics.counters.add(Counter::CallEvaluations, 1);
     let key = (ctx.prep.region_contents[region_ix], input);
     let table = &ctx.instance.vocab.table;
-    let summary = match st.regions.lookup(key, &mut st.interner, table, &mut st.metrics) {
+    let summary = match st.regions.lookup(key, &mut st.interner, table) {
         Lookup::Memo(summary) => summary,
         Lookup::Shared(summary) => {
             st.metrics.counters.add(Counter::SharedSummaryHits, 1);
-            let summary = Rc::new(summary);
             st.regions
-                .remember(key, summary.clone(), false, &st.interner, &mut st.metrics);
+                .remember(key, summary.clone(), false, &st.interner);
             summary
         }
         Lookup::Miss(record) => {
             st.metrics.counters.add(Counter::SummaryMisses, 1);
             let summary = Rc::new(compute_region(ctx, st, region_ix, input)?);
             st.regions
-                .remember(key, summary.clone(), record, &st.interner, &mut st.metrics);
+                .remember(key, summary.clone(), record, &st.interner);
             return Ok(summary);
         }
     };
@@ -1388,8 +1066,8 @@ fn eval_region(
 }
 
 /// Runs a call region as a nested subproblem of one entry structure:
-/// region-local states and worklist, drained by the same batched loop as
-/// the global run (sharing the interner, caches and counters through `st`).
+/// region-local states and worklist, drained by the same loop as the
+/// global run (sharing the interner, caches and counters through `st`).
 /// Region-local structures are discarded when the drain finishes — only the
 /// exit structures escape, committed by the caller — so `N` spliced copies
 /// of a procedure cost one body's peak footprint at a time, not `N`.

@@ -930,20 +930,6 @@ impl<M: Memo> RunScope<'_, M> {
         hit
     }
 
-    /// Membership-only probe: whether [`RunScope::probe`] would find an
-    /// entry for `(key, input)`, without decoding the outputs. `words`
-    /// caches the input's encoding across calls; it is filled only when the
-    /// snapshot knows the key. Used by the engine's speculative batch
-    /// classification, where a cheap prediction is enough (a decode failure
-    /// downgrades the later full probe to a miss, which the engine handles
-    /// by computing inline).
-    pub fn contains(&self, key: u32, input: &Structure, words: &mut Option<Vec<u64>>) -> bool {
-        self.slots[key as usize].is_some_and(|gid| {
-            let words = words.get_or_insert_with(|| input.to_words());
-            self.session.snapshot.lookup(gid, words).is_some()
-        })
-    }
-
     /// Records a computed entry for future jobs. `key` is the run-local
     /// content id (also its index in the delta's key list); structures are
     /// encoded into the delta only the first time the run records them.

@@ -11,7 +11,7 @@
 //! completes within budget, so full equality is asserted.
 
 use hetsep_core::{
-    verify, write_trace, Counter, EngineConfig, Mode, ParallelConfig, VerificationReport, Verifier,
+    verify, write_trace, EngineConfig, Mode, ParallelConfig, VerificationReport, Verifier,
 };
 use hetsep_strategy::builtin as strategies;
 use hetsep_strategy::parse_strategy;
@@ -21,17 +21,7 @@ fn config_with_threads(threads: usize) -> EngineConfig {
     EngineConfig {
         parallel: ParallelConfig {
             threads,
-            intra_threads: 0,
-        },
-        ..EngineConfig::default()
-    }
-}
-
-fn config_with_workers(threads: usize, intra_threads: usize) -> EngineConfig {
-    EngineConfig {
-        parallel: ParallelConfig {
-            threads,
-            intra_threads,
+            ..ParallelConfig::default()
         },
         ..EngineConfig::default()
     }
@@ -103,8 +93,7 @@ fn sep(strategy: &str) -> Mode {
     Mode::separation(parse_strategy(strategy).unwrap())
 }
 
-/// The scenario-suite workloads shared by the schedule-independence and
-/// intra-worker matrix tests below.
+/// The scenario-suite workloads of the schedule-independence test below.
 fn scenario_cases() -> Vec<(&'static str, String, Mode)> {
     vec![
         (
@@ -328,130 +317,10 @@ fn auto_thread_count_is_schedule_independent() {
     assert_eq!(serial.max_space, auto.max_space);
 }
 
-/// The intra-subproblem transfer fan-out must be invisible: runs with 1, 2,
-/// and 8 partition workers agree byte-for-byte on verdicts, visit counts,
-/// merged telemetry, and the rendered NDJSON trace. Speculative
-/// classification only predicts cache hits — the commit loop performs the
-/// exact serial cache-op sequence — so even the hit/miss/eviction counters
-/// must match.
-#[test]
-fn intra_worker_matrix_is_byte_identical() {
-    let mut saw_batches = false;
-    for (name, src, mode) in scenario_cases() {
-        let program = hetsep_ir::parse_program(&src).unwrap();
-        let spec = hetsep_easl::builtin::by_name(&program.uses).unwrap();
-        let mut baseline: Option<(VerificationReport, Vec<u8>)> = None;
-        for intra in [1usize, 2, 8] {
-            let config = config_with_workers(1, intra);
-            let report = Verifier::new(&program, &spec)
-                .mode(mode.clone())
-                .config(config)
-                .run()
-                .unwrap();
-            let mut trace = Vec::new();
-            write_trace(&report.subproblems, &mut trace).expect("in-memory writes cannot fail");
-            match &baseline {
-                None => {
-                    saw_batches |=
-                        report.metrics.counters.get(Counter::IntraBatches) > 0;
-                    baseline = Some((report, trace));
-                }
-                Some((base_report, base_trace)) => {
-                    assert_eq!(
-                        format!("{:?}", base_report.errors),
-                        format!("{:?}", report.errors),
-                        "{name}: verdicts differ at intra={intra}"
-                    );
-                    assert_eq!(
-                        base_report.total_visits, report.total_visits,
-                        "{name}: visit counts differ at intra={intra}"
-                    );
-                    assert_eq!(
-                        base_report.complete, report.complete,
-                        "{name}: complete flag differs at intra={intra}"
-                    );
-                    assert_eq!(
-                        base_report.max_space, report.max_space,
-                        "{name}: max_space differs at intra={intra}"
-                    );
-                    assert_eq!(
-                        base_report.metrics, report.metrics,
-                        "{name}: merged telemetry differs at intra={intra}"
-                    );
-                    assert_eq!(
-                        base_trace, &trace,
-                        "{name}: NDJSON traces differ at intra={intra}"
-                    );
-                }
-            }
-        }
-    }
-    assert!(
-        saw_batches,
-        "no workload ever drained a multi-structure batch; the matrix is vacuous"
-    );
-}
-
-/// Budget exhaustion in the middle of a partitioned batch is deterministic:
-/// phase-1 classification stops speculating past the visit budget and the
-/// serial commit loop re-checks the same bound, so a truncated run reports
-/// identical verdicts and visit counts no matter how many partition workers
-/// were in flight when the budget ran out.
-#[test]
-fn budget_exhaustion_mid_batch_is_intra_independent() {
-    let src = "program P uses JDBC; void main() {\n\
-               ConnectionManager cm = new ConnectionManager();\n\
-               Connection con = cm.getConnection();\n\
-               Statement st1 = cm.createStatement(con);\n\
-               Statement st2 = cm.createStatement(con);\n\
-               ResultSet rs2 = st2.executeQuery(\"q\");\n\
-               st1.close();\n\
-               while (rs2.next()) {\n\
-               }\n}";
-    let mode = sep(strategies::JDBC_SINGLE);
-    let program = hetsep_ir::parse_program(src).unwrap();
-    let spec = hetsep_easl::builtin::by_name(&program.uses).unwrap();
-    let mut baseline: Option<VerificationReport> = None;
-    for intra in [1usize, 2, 8] {
-        let config = EngineConfig {
-            max_visits: 8,
-            parallel: ParallelConfig {
-                threads: 1,
-                intra_threads: intra,
-            },
-            ..EngineConfig::default()
-        };
-        let report = verify(&program, &spec, &mode, &config).unwrap();
-        assert!(
-            !report.complete,
-            "a budget of 8 visits must exhaust mid-run (intra={intra})"
-        );
-        match &baseline {
-            None => baseline = Some(report),
-            Some(base) => {
-                assert_eq!(
-                    format!("{:?}", base.errors),
-                    format!("{:?}", report.errors),
-                    "verdicts differ at intra={intra}"
-                );
-                assert_eq!(
-                    base.total_visits, report.total_visits,
-                    "truncation point differs at intra={intra}"
-                );
-                assert_eq!(
-                    base.metrics, report.metrics,
-                    "telemetry differs at intra={intra}"
-                );
-            }
-        }
-    }
-}
-
-/// Combined outer and inner parallelism (two subproblem threads, four
-/// partition workers each) still terminates promptly when the visit budget
-/// is exhausted while partitions are in flight, and reports the same
+/// Two subproblem threads still terminate promptly when the visit budget is
+/// exhausted while another subproblem is in flight, and report the same
 /// truncated outcome as a fully serial run — budgets are per-subproblem, so
-/// neither scheduling layer can perturb them.
+/// the schedule cannot perturb them.
 #[test]
 fn cancellation_mid_partition_is_schedule_independent() {
     let src = "program P uses IOStreams; void main() {\n\
@@ -464,29 +333,25 @@ fn cancellation_mid_partition_is_schedule_independent() {
     let mode = sep(strategies::IOSTREAM_SINGLE);
     let program = hetsep_ir::parse_program(src).unwrap();
     let spec = hetsep_easl::builtin::by_name(&program.uses).unwrap();
-    let run = |threads: usize, intra: usize| {
+    let run = |threads: usize| {
         let config = EngineConfig {
             max_visits: 3,
-            parallel: ParallelConfig {
-                threads,
-                intra_threads: intra,
-            },
-            ..EngineConfig::default()
+            ..config_with_threads(threads)
         };
         verify(&program, &spec, &mode, &config).unwrap()
     };
-    let serial = run(1, 1);
-    let fanned = run(2, 4);
+    let serial = run(1);
+    let parallel = run(2);
     assert!(
         !serial.complete,
         "a budget of 3 visits must exhaust mid-run"
     );
     assert_eq!(
         format!("{:?}", serial.errors),
-        format!("{:?}", fanned.errors),
-        "verdicts differ under combined fan-out"
+        format!("{:?}", parallel.errors),
+        "verdicts differ between schedules"
     );
-    assert_eq!(serial.complete, fanned.complete);
-    assert_eq!(serial.total_visits, fanned.total_visits);
-    assert_eq!(serial.metrics, fanned.metrics);
+    assert_eq!(serial.complete, parallel.complete);
+    assert_eq!(serial.total_visits, parallel.total_visits);
+    assert_eq!(serial.metrics, parallel.metrics);
 }

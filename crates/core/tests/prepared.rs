@@ -50,7 +50,7 @@ fn config(threads: usize) -> EngineConfig {
         preanalysis: true,
         parallel: ParallelConfig {
             threads,
-            intra_threads: 1,
+            ..ParallelConfig::default()
         },
         ..EngineConfig::default()
     }

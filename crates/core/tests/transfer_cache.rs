@@ -224,85 +224,6 @@ fn transfer_cache_is_observation_equivalent_on_scenarios() {
     );
 }
 
-/// At a tiny capacity the cache overflows constantly, and two-generation
-/// eviction must stay exact: verdicts, visits, space and errors are
-/// byte-identical to an uncapped run.
-#[test]
-fn tiny_capacity_two_generation_eviction_is_exact() {
-    let src = "program P uses IOStreams; void main() {\n\
-               while (?) {\n\
-               InputStream f = new InputStream();\n\
-               while (?) {\n\
-               f.read();\n\
-               }\n\
-               f.close();\n\
-               }\n}";
-    let bench = Benchmark {
-        name: "nested_loops_tiny_cache",
-        description: "",
-        source: src.to_owned(),
-        single_strategy: hetsep_strategy::builtin::IOSTREAM_SINGLE,
-        multi_strategy: None,
-        incremental_strategy: None,
-        modes: vec![TableMode::Vanilla, TableMode::Single],
-        actual_errors: 0,
-        expected_reported: vec![None, None],
-    };
-    let program = bench.program();
-    let spec = bench.spec();
-    for table_mode in [TableMode::Vanilla, TableMode::Single] {
-        let label = table_mode.label();
-        let mode = core_mode(&bench, table_mode).unwrap();
-        let uncapped = run(&bench, &mode, true);
-        let capped = Verifier::new(&program, &spec)
-            .mode(mode.clone())
-            .config(EngineConfig {
-                transfer_cache_capacity: 4,
-                ..budget()
-            })
-            .run()
-            .unwrap();
-        assert_eq!(
-            format!("{:?}", uncapped.errors),
-            format!("{:?}", capped.errors),
-            "{label}: errors differ under capacity 4"
-        );
-        assert_eq!(
-            uncapped.verified(),
-            capped.verified(),
-            "{label}: verdict differs under capacity 4"
-        );
-        assert_eq!(
-            uncapped.complete, capped.complete,
-            "{label}: completeness differs under capacity 4"
-        );
-        assert_eq!(
-            uncapped.total_visits, capped.total_visits,
-            "{label}: visits differ under capacity 4 (eviction must only \
-             re-compute, never re-explore)"
-        );
-        assert_eq!(
-            uncapped.max_space, capped.max_space,
-            "{label}: space differs under capacity 4"
-        );
-        assert_eq!(
-            uncapped.peak_nodes, capped.peak_nodes,
-            "{label}: peak universe differs under capacity 4"
-        );
-        assert!(
-            capped.metrics.counters.get(Counter::TransferCacheEvictions) > 0,
-            "{label}: capacity 4 must overflow the cache"
-        );
-        // The uncapped run never evicts: the counter stays an actual-eviction
-        // count, not a rotation count.
-        assert_eq!(
-            uncapped.metrics.counters.get(Counter::TransferCacheEvictions),
-            0,
-            "{label}: uncapped run must not evict"
-        );
-    }
-}
-
 /// Every suite benchmark × every Table 3 mode, cache on vs off. Expensive
 /// (the full table twice) — release builds only, like the pruning suite.
 #[test]

@@ -242,7 +242,7 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
              \"elapsed_ms\": {:.3}, \"reported\": {}, \"complete\": {}, \
              \"actual\": {}, \"pruned\": {}, \"components\": {}, \
              \"estimated_structures\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"cache_evictions\": {}",
+             \"cache_misses\": {}",
             r.benchmark,
             r.mode,
             r.space,
@@ -258,7 +258,6 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
             r.estimated_structures,
             r.metrics.counters.get(Counter::TransferCacheHits),
             r.metrics.counters.get(Counter::TransferCacheMisses),
-            r.metrics.counters.get(Counter::TransferCacheEvictions),
         );
         if include_metrics {
             metrics_json(&mut out, &r.metrics);

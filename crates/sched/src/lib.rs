@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use hetsep_core::jobcache::{Delta, TransferMemo};
 use hetsep_core::summary::SummaryMemo;
 use hetsep_core::{
-    for_each_ordered, Counter, EngineConfig, Mode, ModeKind, ParallelConfig, SharedSummarySession,
+    for_each_ordered, Counter, EngineConfig, Mode, ModeKind, SharedSummarySession,
     SharedTransferSession, SummaryStore, TransferStore, Verifier,
 };
 // The workspace's one string-escaping rule, shared with diagnostics and the
@@ -118,8 +118,6 @@ pub struct JobOutcome {
     pub cache_hits: u64,
     /// Per-run transfer-cache misses (computed transfers).
     pub cache_misses: u64,
-    /// Per-run transfer-cache bulk evictions.
-    pub cache_evictions: u64,
     /// Cross-job shared-store hits (replays of another job's transfer).
     pub shared_hits: u64,
     /// Cross-job shared-store probes that missed.
@@ -148,8 +146,8 @@ impl JobOutcome {
              \"reported\": {}, \"complete\": {}, \"visits\": {}, \
              \"space\": {}, \"peak_nodes\": {}, \"subproblems\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_evictions\": {}, \"shared_hits\": {}, \
-             \"shared_misses\": {}, \"call_evaluations\": {}, \
+             \"shared_hits\": {}, \"shared_misses\": {}, \
+             \"call_evaluations\": {}, \
              \"summary_hits\": {}, \"summary_misses\": {}, \
              \"shared_summary_hits\": {}",
             json_string(&self.name),
@@ -163,7 +161,6 @@ impl JobOutcome {
             self.subproblems,
             self.cache_hits,
             self.cache_misses,
-            self.cache_evictions,
             self.shared_hits,
             self.shared_misses,
             self.call_evaluations,
@@ -258,7 +255,6 @@ fn run_job(
         subproblems: 0,
         cache_hits: 0,
         cache_misses: 0,
-        cache_evictions: 0,
         shared_hits: 0,
         shared_misses: 0,
         call_evaluations: 0,
@@ -326,7 +322,6 @@ fn run_job(
                 subproblems: report.subproblems.len(),
                 cache_hits: c(Counter::TransferCacheHits),
                 cache_misses: c(Counter::TransferCacheMisses),
-                cache_evictions: c(Counter::TransferCacheEvictions),
                 shared_hits: c(Counter::SharedCacheHits),
                 shared_misses: c(Counter::SharedCacheMisses),
                 call_evaluations: c(Counter::CallEvaluations),
@@ -352,10 +347,10 @@ pub fn run_batch(
     summaries: &mut SummaryStore,
 ) -> BatchResult {
     let mut engine = config.engine.clone();
-    // One engine thread per job: the outer pool is the parallelism, and a
-    // fixed inner thread count keeps per-job results and delta order
+    // One subproblem thread per job: the outer pool is the parallelism, and
+    // a fixed thread count keeps per-job results and delta order
     // independent of the outer schedule.
-    engine.parallel = ParallelConfig { threads: 1, intra_threads: 1 };
+    engine.parallel.threads = 1;
 
     let snapshot = std::mem::take(store);
     let summary_snapshot = std::mem::take(summaries);

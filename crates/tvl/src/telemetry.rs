@@ -113,10 +113,6 @@ pub enum Counter {
     /// the cache. `hits + misses` equals the action applications that reached
     /// the transfer step (a run that aborts mid-visit loses at most one).
     TransferCacheMisses,
-    /// Transfer-cache entries actually discarded by capacity eviction
-    /// (generational: a full young generation discards the old one; see
-    /// `EngineConfig::transfer_cache_capacity` in `hetsep-core`).
-    TransferCacheEvictions,
     /// Action applications answered from a *cross-job* shared transfer store
     /// (a persisted corpus cache; see `hetsep-core`'s `jobcache` module).
     /// Counted instead of — not in addition to — `TransferCacheMisses`, so a
@@ -133,15 +129,6 @@ pub enum Counter {
     /// (sums across rows to the predicted cost of the family). An estimate,
     /// not a bound: measured peaks exceed it (see `DESIGN.md` §15.2).
     PreanalysisEstimatedStructures,
-    /// Worklist batches (all queued structures of one CFG location at equal
-    /// priority, drained together) holding two or more structures — the
-    /// batches whose transfers the engine *can* fan out over the
-    /// intra-subproblem worker pool. Counted from the drained batch size, so
-    /// the value is identical whatever `intra_threads` is configured;
-    /// `IntraBatchItems / IntraBatches` is the mean exploitable width.
-    IntraBatches,
-    /// Structures in those multi-structure batches (see [`Counter::IntraBatches`]).
-    IntraBatchItems,
     /// Call-region evaluations: structures arriving at a spliced procedure's
     /// entry node while summary memoization is active. Every evaluation is
     /// answered by a summary hit or computed as a miss, so
@@ -163,7 +150,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in fixed reporting order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 20] = [
         Counter::InternHits,
         Counter::InternMisses,
         Counter::WorklistPushes,
@@ -176,13 +163,10 @@ impl Counter {
         Counter::SubproblemsPruned,
         Counter::TransferCacheHits,
         Counter::TransferCacheMisses,
-        Counter::TransferCacheEvictions,
         Counter::SharedCacheHits,
         Counter::SharedCacheMisses,
         Counter::PreanalysisComponents,
         Counter::PreanalysisEstimatedStructures,
-        Counter::IntraBatches,
-        Counter::IntraBatchItems,
         Counter::CallEvaluations,
         Counter::SummaryHits,
         Counter::SummaryMisses,
@@ -204,13 +188,10 @@ impl Counter {
             Counter::SubproblemsPruned => "subproblems_pruned",
             Counter::TransferCacheHits => "transfer_cache_hits",
             Counter::TransferCacheMisses => "transfer_cache_misses",
-            Counter::TransferCacheEvictions => "transfer_cache_evictions",
             Counter::SharedCacheHits => "shared_cache_hits",
             Counter::SharedCacheMisses => "shared_cache_misses",
             Counter::PreanalysisComponents => "preanalysis_components",
             Counter::PreanalysisEstimatedStructures => "preanalysis_estimated_structures",
-            Counter::IntraBatches => "intra_batches",
-            Counter::IntraBatchItems => "intra_batch_items",
             Counter::CallEvaluations => "call_evaluations",
             Counter::SummaryHits => "summary_hits",
             Counter::SummaryMisses => "summary_misses",

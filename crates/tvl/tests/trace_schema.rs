@@ -40,11 +40,6 @@ fn fixed_events() -> Vec<Event> {
         },
         Event::CounterSample {
             index: 0,
-            counter: Counter::TransferCacheEvictions,
-            value: 0,
-        },
-        Event::CounterSample {
-            index: 0,
             counter: Counter::PreanalysisComponents,
             value: 2,
         },
@@ -52,16 +47,6 @@ fn fixed_events() -> Vec<Event> {
             index: 0,
             counter: Counter::PreanalysisEstimatedStructures,
             value: 96,
-        },
-        Event::CounterSample {
-            index: 0,
-            counter: Counter::IntraBatches,
-            value: 5,
-        },
-        Event::CounterSample {
-            index: 0,
-            counter: Counter::IntraBatchItems,
-            value: 17,
         },
         Event::CounterSample {
             index: 0,

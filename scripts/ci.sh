@@ -33,13 +33,11 @@ cargo test -q -p hetsep-tvl --release --test properties -- \
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
-# must hold whatever the outer (subproblem) and inner (intra-batch
-# transfer fan-out) worker counts are. The expensive generated workloads
-# stay out of the matrix; everything else runs under every env setting:
-# the full outer {1,2} x inner {1,2} cross, plus an oversubscribed 4/4 leg.
-for workers in 1/1 1/2 2/1 2/2 4/4; do
-    HETSEP_THREADS=${workers%/*} HETSEP_INTRA_THREADS=${workers#*/} \
-        cargo test -q -p hetsep-core --release --test determinism -- \
+# must hold whatever the subproblem worker count is. The expensive
+# generated workloads stay out of the matrix; everything else runs at 1 and
+# 2 workers and at an oversubscribed 4.
+for threads in 1 2 4; do
+    HETSEP_THREADS=$threads cargo test -q -p hetsep-core --release --test determinism -- \
         --skip generated_workloads
 done
 # Budget exhaustion mid-fan-out: the cancellation watermark must reproduce
@@ -86,11 +84,6 @@ cargo run -q -p hetsep-bench --bin table3 --release -- --threads 1 --json "$tabl
     ISPath InputStream5 InputStream5b InputStream6 HandleReuse JDBCExample JDBCExampleFixed \
     db KernelBench1 KernelBench3 SQLExecutor SharedLib SharedLibLoop > /dev/null
 table3_quick scripts/table3_suite.golden
-# The quick subset with the intra-batch transfer fan-out forced on: partition
-# workers may only change wall-clock, never a semantic column.
-HETSEP_INTRA_THREADS=4 cargo run -q -p hetsep-bench --bin table3 --release -- \
-    --threads 1 --json "$table3_quick_json" ISPath KernelBench1 db SharedLibLoop > /dev/null
-table3_quick
 # And the summaries A/B: `--no-summaries` is the inlining-equivalent
 # baseline, so the semantic columns must be byte-identical against the
 # very same golden — only wall-clock and the summary counters may move.
@@ -101,14 +94,14 @@ table3_quick
 
 # Trace golden: the NDJSON trace rendered from a quick Table 3 subset's
 # per-subproblem rows must be byte-identical to the committed golden,
-# serially and with both the subproblem and the intra-batch fan-out on.
+# serially and with two subproblem threads.
 # Phase timings stay off, so every `nanos` field is 0.
 trace_quick="$(mktemp)"
 cargo run -q -p hetsep-bench --bin table3 --release -- \
     --threads 1 --json "$table3_quick_json" --trace "$trace_quick" \
     ISPath db SharedLibLoop > /dev/null
 diff -u scripts/trace_quick.golden "$trace_quick"
-HETSEP_INTRA_THREADS=2 cargo run -q -p hetsep-bench --bin table3 --release -- \
+cargo run -q -p hetsep-bench --bin table3 --release -- \
     --threads 2 --json "$table3_quick_json" --trace "$trace_quick" \
     ISPath db SharedLibLoop > /dev/null
 diff -u scripts/trace_quick.golden "$trace_quick"
