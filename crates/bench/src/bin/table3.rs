@@ -2,8 +2,7 @@
 //! benchmark programs, per verification mode.
 //!
 //! Usage: `table3 [--threads N] [--json PATH] [--metrics] [--trace PATH]
-//! [--no-preanalysis] [--no-transfer-cache] [--no-summaries]
-//! [benchmark-name …]` (default:
+//! [--no-preanalysis] [--no-transfer-cache] [benchmark-name …]` (default:
 //! all benchmarks, auto thread count, JSON written to `BENCH_table3.json`
 //! in the working directory).
 //!
@@ -29,11 +28,6 @@
 //!
 //! `--help` prints the usage line and exits 0. An unknown flag or benchmark
 //! name, or a flag missing its value, prints the usage to stderr and exits 2.
-//!
-//! `--no-summaries` disables call-region summary memoization (on by
-//! default) — the inlining-equivalent A/B baseline. Summary hits replay a
-//! whole region drain, so, as with the transfer cache, every semantic
-//! column is byte-identical on or off.
 
 use hetsep::harness::{
     format_metrics, format_rows, rows_to_json, run_benchmark, table3_config, ModeRow,
@@ -42,7 +36,7 @@ use hetsep::suite;
 use hetsep::{write_trace, RunMetrics};
 
 const USAGE: &str = "usage: table3 [--threads N] [--json PATH] [--metrics] [--trace PATH] \
-[--no-preanalysis] [--no-transfer-cache] [--no-summaries] [benchmark-name ...]";
+[--no-preanalysis] [--no-transfer-cache] [benchmark-name ...]";
 
 /// Reports a command-line error with the usage line and exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -56,7 +50,6 @@ fn main() {
     let mut metrics = false;
     let mut no_preanalysis = false;
     let mut no_transfer_cache = false;
-    let mut no_summaries = false;
     let mut trace_path: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -76,7 +69,6 @@ fn main() {
             "--metrics" => metrics = true,
             "--no-preanalysis" => no_preanalysis = true,
             "--no-transfer-cache" => no_transfer_cache = true,
-            "--no-summaries" => no_summaries = true,
             "--trace" => {
                 trace_path = Some(args.next().unwrap_or_else(|| usage_error("--trace needs a path")));
             }
@@ -111,9 +103,6 @@ fn main() {
     }
     if no_transfer_cache {
         config.transfer_cache = false;
-    }
-    if no_summaries {
-        config.summaries = false;
     }
     let mut trace = trace_path.as_ref().map(|path| {
         let file = std::fs::File::create(path)

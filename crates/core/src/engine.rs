@@ -41,10 +41,9 @@ use hetsep_tvl::structure::Structure;
 use hetsep_tvl::telemetry::{Counter, Phase, RunMetrics};
 
 use crate::jobcache::{
-    action_content, context_content, Memo, RunScope, SharedTransferSession, TransferMemo,
+    action_content, context_content, RunScope, SharedTransferSession, TransferMemo,
 };
 use crate::report::{dedup_reports, ErrorReport};
-use crate::summary::{region_content, SharedSummarySession, SummaryMemo};
 use crate::translate::AnalysisInstance;
 use crate::vocab::SiteId;
 
@@ -122,19 +121,9 @@ pub struct EngineConfig {
     /// disable via [`crate::Verifier::with_transfer_cache`] or
     /// `--no-transfer-cache`.
     pub transfer_cache: bool,
-    /// Memoize per-procedure summaries: the engine always evaluates a
-    /// spliced call region as a nested subproblem of its entry structure
-    /// (see the region drain in [`run_shared`]); with this flag on, the
-    /// result — exit structures, violations, failing sites, and exact
-    /// visit/peak accounting — is memoized per `(region content, interned
-    /// input structure)` and replayed on repeat evaluations, so a library
-    /// procedure called from N sites (or re-entered each loop iteration with
-    /// a stable abstraction) is drained once per calling context instead of
-    /// once per arrival. The nested drain is a pure function of its key, so
-    /// verdicts, errors, `visits`, and `structures` are byte-identical with
-    /// summaries on or off — only the `summary_*`/`call_evaluations`
-    /// counters and wall-clock differ. On by default; disable via
-    /// `--no-summaries`.
+    /// Ignored: nothing reads it. Kept only so that the `perfbench/`
+    /// harness, which sets it, keeps compiling.
+    #[doc(hidden)]
     pub summaries: bool,
 }
 
@@ -148,7 +137,7 @@ impl Default for EngineConfig {
             phase_timings: false,
             preanalysis: false,
             transfer_cache: true,
-            summaries: true,
+            summaries: false,
         }
     }
 }
@@ -212,34 +201,30 @@ impl RunResult {
     }
 }
 
-/// Key of one memoized evaluation at either memo level: (content-deduped
-/// action or call-region id, interned input structure id).
+/// Key of one memoized transfer: (content-deduped action id, interned
+/// input structure id).
 type MemoKey = (u32, StructureId);
 
-/// One memoized evaluation, at either level: the interned canonical output
-/// ids (transfer posts in pipeline emission order, or region exits in
-/// first-arrival order) and the shared store's own payload for the level
-/// ([`TransferMemo`] or [`SummaryMemo`]). In-run memos hold exactly what the
-/// cross-run store persists, so a store hit, an in-run hit and a fresh
-/// computation are applied by the same code.
-type Memoized<M> = (Vec<StructureId>, M);
+/// One memoized transfer: the interned canonical post ids in pipeline
+/// emission order and the shared store's payload. The in-run memo holds
+/// exactly what the cross-run store persists, so a store hit, an in-run hit
+/// and a fresh computation are applied by the same code.
+type Memoized = (Vec<StructureId>, TransferMemo);
 
-/// What one [`MemoLevel::lookup`] found.
-enum Lookup<M> {
+/// What one [`Transfers::lookup`] found.
+enum Lookup {
     /// An in-run memo hit.
-    Memo(Rc<Memoized<M>>),
+    Memo(Rc<Memoized>),
     /// A shared-store hit, outputs interned; the caller seeds the in-run memo
-    /// with it through [`MemoLevel::remember`] once it is applied.
-    Shared(Rc<Memoized<M>>),
+    /// with it through [`Transfers::remember`] once it is applied.
+    Shared(Rc<Memoized>),
     /// A miss at both layers; `true` when a shared store was probed, so
-    /// [`MemoLevel::remember`] records the computed entry into it.
+    /// [`Transfers::remember`] records the computed entry into it.
     Miss(bool),
 }
 
-/// One memo level: the in-run memo in front of the run's scope of the
-/// cross-run store (see [`crate::jobcache`]). Transfers and call regions
-/// are two instances of it, with one lookup and one remember step; each
-/// level maps the [`Lookup`] outcome onto its own counters.
+/// The transfer lookup: the in-run memo in front of the run's scope of the
+/// cross-run store (see [`crate::jobcache`]).
 ///
 /// The in-run memo keeps every entry for the whole run: it gains at most
 /// one per miss, and misses never exceed the run's visits. Entries are
@@ -247,12 +232,12 @@ enum Lookup<M> {
 /// behind the in-run memo: it is only consulted (and populated) when that
 /// misses, so the added cost is bounded by one content probe per distinct
 /// key per run.
-struct MemoLevel<'s, M> {
-    memo: HashMap<MemoKey, Rc<Memoized<M>>>,
-    scope: Option<RunScope<'s, M>>,
+struct Transfers<'s> {
+    memo: HashMap<MemoKey, Rc<Memoized>>,
+    scope: Option<RunScope<'s>>,
 }
 
-impl<M: Memo> MemoLevel<'_, M> {
+impl Transfers<'_> {
     /// Probes the in-run memo, then the shared store. Stored outputs are the
     /// exact canonical structures of the original computation, so interning
     /// them replays the cold run's id assignment.
@@ -261,7 +246,7 @@ impl<M: Memo> MemoLevel<'_, M> {
         key: MemoKey,
         interner: &mut StructureInterner,
         table: &PredTable,
-    ) -> Lookup<M> {
+    ) -> Lookup {
         if let Some(entry) = self.memo.get(&key) {
             return Lookup::Memo(Rc::clone(entry));
         }
@@ -283,7 +268,7 @@ impl<M: Memo> MemoLevel<'_, M> {
     fn remember(
         &mut self,
         key: MemoKey,
-        entry: Rc<Memoized<M>>,
+        entry: Rc<Memoized>,
         record: bool,
         interner: &StructureInterner,
     ) {
@@ -377,7 +362,7 @@ fn rpo_ranks(cfg: &Cfg) -> Vec<u32> {
 
 /// Runs the worklist analysis on a translated instance.
 pub fn run(instance: &AnalysisInstance, config: &EngineConfig) -> RunResult {
-    run_shared(instance, config, None, Sessions::default())
+    run_shared(instance, config, None, None)
 }
 
 /// A structural stop signal: the visit/structure budget was exhausted or the
@@ -386,31 +371,10 @@ pub fn run(instance: &AnalysisInstance, config: &EngineConfig) -> RunResult {
 /// [`EngineSt`] at the raise site.
 struct Stop;
 
-/// Mirror of one in-flight region evaluation: while its nested drain runs,
-/// every violation, failing site, live-count high-water mark and peak
-/// universe raised anywhere below it — including replayed inner summaries —
-/// is recorded here as well as on the run totals, in the shape of the
-/// [`SummaryMemo`] the finished evaluation becomes, so the summary replays
-/// nested effects exactly. Recorders stack: an inner region's contribution
-/// flows into every enclosing recorder.
-#[derive(Default)]
-struct Recorder {
-    /// The run's live structure count when the region was entered;
-    /// `peak_extra` is measured above this base.
-    live_base: usize,
-    peak_extra: u32,
-    peak_nodes: u32,
-    /// `(line, label)` → definite?, OR-joined like the run's error map.
-    violations: HashMap<(u32, String), bool>,
-    /// Table predicate ids of the failing allocation sites.
-    failing_preds: HashSet<u32>,
-}
-
 /// Exit collector of one nested region drain: arrivals at the region's exit
 /// node are gathered (deduplicated, in arrival order) instead of merged into
-/// a location set, so the caller commits them — once, against the caller's
-/// own state for the exit node — whether the summary was computed or
-/// replayed.
+/// a location set, so the caller commits them once, against the caller's
+/// own state for the exit node.
 struct RegionSink {
     /// Global node index of the region's entry: arrivals there are drained
     /// edge by edge, not intercepted as a nested evaluation.
@@ -465,17 +429,13 @@ struct EngineCtx<'a> {
 }
 
 /// The mutable state of one engine run, threaded through the global drain
-/// and every nested region drain (which share the interner, both memo
-/// levels and all counters with their caller).
+/// and every nested region drain (which share the interner, the transfer
+/// lookup and all counters with their caller).
 struct EngineSt<'s> {
     metrics: RunMetrics,
     interner: StructureInterner,
-    /// Transfer level: the per-run transfer cache in front of the shared
-    /// transfer store.
-    transfers: MemoLevel<'s, TransferMemo>,
-    /// Call-region level: the in-run summary memo in front of the shared
-    /// summary store.
-    regions: MemoLevel<'s, SummaryMemo>,
+    /// The per-run transfer cache in front of the shared transfer store.
+    transfers: Transfers<'s>,
     visits: u64,
     /// Structures currently stored across all live location sets (the
     /// global ones plus any in-flight nested drains').
@@ -485,8 +445,6 @@ struct EngineSt<'s> {
     /// `(line, label)` → definite?
     errors: HashMap<(u32, String), bool>,
     failing_sites: HashSet<SiteId>,
-    /// One recorder per in-flight region evaluation, innermost last.
-    recorders: Vec<Recorder>,
     outcome: AnalysisOutcome,
 }
 
@@ -501,37 +459,11 @@ impl EngineSt<'_> {
         Ok(())
     }
 
-    /// Raises the live-structure high-water marks of the run and of every
-    /// enclosing region recorder to `live`.
-    fn raise_live_peak(&mut self, live: usize) {
-        self.peak_structures = self.peak_structures.max(live);
-        for r in &mut self.recorders {
-            let extra = u32::try_from(live - r.live_base).unwrap_or(u32::MAX);
-            r.peak_extra = r.peak_extra.max(extra);
-        }
-    }
-
-    fn raise_peak_nodes(&mut self, n: u32) {
-        self.peak_nodes = self.peak_nodes.max(n);
-        for r in &mut self.recorders {
-            r.peak_nodes = r.peak_nodes.max(n);
-        }
-    }
-
     fn note_violation(&mut self, line: u32, label: &str, definite: bool) {
-        let recorded = self.recorders.iter_mut().map(|r| &mut r.violations);
-        for map in std::iter::once(&mut self.errors).chain(recorded) {
-            map.entry((line, label.to_string()))
-                .and_modify(|d| *d |= definite)
-                .or_insert(definite);
-        }
-    }
-
-    fn note_failing_site(&mut self, site: SiteId, pred: u32) {
-        self.failing_sites.insert(site);
-        for r in &mut self.recorders {
-            r.failing_preds.insert(pred);
-        }
+        self.errors
+            .entry((line, label.to_string()))
+            .and_modify(|d| *d |= definite)
+            .or_insert(definite);
     }
 
     /// Records the allocation sites of the chosen objects of a violating
@@ -549,86 +481,40 @@ impl EngineSt<'_> {
         };
         for (&site, &pred) in &instance.vocab.site_preds {
             if s.maybe_overlap(table, chosen, pred) {
-                self.note_failing_site(site, pred.index() as u32);
+                self.failing_sites.insert(site);
             }
         }
     }
-
-    /// Whether replaying `summary` is guaranteed not to mask a budget abort:
-    /// replay is all-or-nothing, so it is only taken when even the summary's
-    /// full visit count and peak live footprint stay within budget. On a
-    /// refusal the region is recomputed inline, which aborts at exactly the
-    /// application where the recorded drain would have.
-    fn replay_fits(&self, summary: &SummaryMemo, config: &EngineConfig) -> bool {
-        self.visits + summary.visits <= config.max_visits
-            && self.live + summary.peak_extra as usize <= config.max_structures
-    }
-
-    /// Replays a memoized region evaluation: visits, peaks, violations and
-    /// failing sites advance exactly as the recorded nested drain advanced
-    /// them. Replayed applications count as transfer-cache hits — re-draining
-    /// the region would find every one of its transfers in the per-run cache
-    /// — keeping `hits + misses == visits` intact.
-    fn replay(&mut self, ctx: &EngineCtx<'_>, summary: &SummaryMemo) {
-        self.visits += summary.visits;
-        if ctx.config.transfer_cache {
-            self.metrics
-                .counters
-                .add(Counter::TransferCacheHits, summary.visits);
-        }
-        self.raise_live_peak(self.live + summary.peak_extra as usize);
-        self.raise_peak_nodes(summary.peak_nodes);
-        for (line, label, definite) in &summary.violations {
-            self.note_violation(*line, label, *definite);
-        }
-        for &pred in &summary.failing_preds {
-            if let Some(&site) = ctx.prep.site_of_pred.get(&pred) {
-                self.note_failing_site(site, pred);
-            }
-        }
-    }
-}
-
-/// The cross-run shared sessions one engine run probes and records into
-/// (see [`crate::jobcache`]). The default is none: a self-contained run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sessions<'s> {
-    /// Shared transfer store session.
-    pub transfers: Option<&'s SharedTransferSession<'s>>,
-    /// Shared call-region summary store session.
-    pub summaries: Option<&'s SharedSummarySession<'s>>,
 }
 
 /// Runs the worklist analysis with an optional cross-run cancellation flag
-/// and optional cross-job shared transfer and summary sessions.
+/// and an optional cross-job shared transfer session.
 ///
 /// Used by the parallel subproblem scheduler: every run polls `cancel`
 /// periodically and aborts with [`AnalysisOutcome::BudgetExceeded`] when it
 /// is raised, and a run that exhausts its own budget raises it.
 ///
-/// Both memo levels resolve an evaluation the same way: the in-run memo,
-/// then the session's store snapshot by *content* key, else a computation
-/// that is recorded into the session's delta for future jobs. The transfer
-/// session is used only when
-/// `config.transfer_cache` is on; a shared transfer hit replays the memoized
+/// A transfer is resolved by the in-run memo, then by the session's store
+/// snapshot by *content* key, else by a computation that is recorded into
+/// the session's delta for future jobs. The session is used only when
+/// `config.transfer_cache` is on; a shared hit replays the memoized
 /// posts/violations/peak exactly and counts [`Counter::SharedCacheHits`]
-/// instead of a transfer-cache miss. The summary session does the same one
-/// level up, for whole call-region evaluations (see
-/// [`EngineConfig::summaries`]), counting [`Counter::SharedSummaryHits`].
-/// Results are observation-equivalent with and without sessions; only cache
-/// counters and wall-clock differ.
+/// instead of a transfer-cache miss. A call region's nested drain is a
+/// sequence of transfers, so a warm run replays it from the same store.
+/// Results are observation-equivalent with and without a session; only
+/// cache counters and wall-clock differ.
 pub fn run_shared(
     instance: &AnalysisInstance,
     config: &EngineConfig,
     cancel: Option<&AtomicBool>,
-    sessions: Sessions<'_>,
+    shared: Option<&SharedTransferSession<'_>>,
 ) -> RunResult {
-    run_planned(instance, &InstancePlan::new(instance), config, cancel, sessions)
+    run_planned(instance, &InstancePlan::new(instance), config, cancel, shared)
 }
 
 /// What an engine run derives from its instance alone, built once per
 /// instance: the worklist ranks, the transfer plan, the content-deduped
-/// action ids and the call-region content ids. A prepared verification
+/// action ids and the call regions by entry node. A prepared verification
 /// (see `modes::Prepared`) keeps it beside its instance, so a re-run of an
 /// unchanged instance starts at the worklist.
 pub(crate) struct InstancePlan {
@@ -650,17 +536,9 @@ pub(crate) struct InstancePlan {
     /// Region index by global entry-node index; empty when the CFG has no
     /// call regions (the run then drains flat).
     region_by_entry: HashMap<usize, usize>,
-    /// Content id per region — an index into `distinct_regions`, so splices
-    /// of one procedure with identical instrumentation share summaries.
-    region_contents: Vec<u32>,
-    /// The distinct region contents (shared summary-store keys).
-    distinct_regions: Arc<[String]>,
-    /// The shared stores' context string ([`context_content`]) and the
+    /// The shared store's context string ([`context_content`]) and the
     /// focus limit it was rendered for, on first use.
     context: OnceLock<(usize, Arc<str>)>,
-    /// Table predicate id → allocation site, for replaying the failing
-    /// sites of a summary.
-    site_of_pred: HashMap<u32, SiteId>,
 }
 
 impl InstancePlan {
@@ -687,19 +565,6 @@ impl InstancePlan {
                 .collect();
             action_ids.push(ids);
         }
-        let mut region_by_entry: HashMap<usize, usize> = HashMap::new();
-        let mut region_contents: Vec<u32> = Vec::new();
-        let mut distinct_regions: Vec<String> = Vec::new();
-        let mut content_ix: HashMap<String, u32> = HashMap::new();
-        for (ix, region) in cfg.regions().iter().enumerate() {
-            region_by_entry.insert(region.entry.index(), ix);
-            let content = region_content(region, cfg, &instance.actions);
-            let id = *content_ix.entry(content.clone()).or_insert_with(|| {
-                distinct_regions.push(content);
-                (distinct_regions.len() - 1) as u32
-            });
-            region_contents.push(id);
-        }
         InstancePlan {
             rpo: rpo_ranks(cfg),
             transfer: TransferPlan {
@@ -709,16 +574,13 @@ impl InstancePlan {
             action_ids,
             distinct_actions,
             action_contents: OnceLock::new(),
-            region_by_entry,
-            region_contents,
-            distinct_regions: distinct_regions.into(),
-            context: OnceLock::new(),
-            site_of_pred: instance
-                .vocab
-                .site_preds
+            region_by_entry: cfg
+                .regions()
                 .iter()
-                .map(|(&site, &pred)| (pred.index() as u32, site))
+                .enumerate()
+                .map(|(ix, region)| (region.entry.index(), ix))
                 .collect(),
+            context: OnceLock::new(),
         }
     }
 
@@ -747,7 +609,7 @@ pub(crate) fn run_planned(
     prep: &InstancePlan,
     config: &EngineConfig,
     cancel: Option<&AtomicBool>,
-    sessions: Sessions<'_>,
+    shared: Option<&SharedTransferSession<'_>>,
 ) -> RunResult {
     let start = Instant::now();
     let table = &instance.vocab.table;
@@ -757,23 +619,12 @@ pub(crate) fn run_planned(
     let mut metrics = RunMetrics::new(config.phase_timings);
     let mut interner = StructureInterner::new();
 
-    let use_regions = !cfg.regions().is_empty();
-    let transfers = MemoLevel {
+    let transfers = Transfers {
         memo: HashMap::new(),
-        scope: sessions.transfers.filter(|_| config.transfer_cache).map(|s| {
+        scope: shared.filter(|_| config.transfer_cache).map(|s| {
             let context = prep.context(table, config.focus_limit);
             s.run_scope(context, prep.action_contents(instance))
         }),
-    };
-    let regions = MemoLevel {
-        memo: HashMap::new(),
-        scope: sessions
-            .summaries
-            .filter(|_| use_regions && config.summaries)
-            .map(|s| {
-                let context = prep.context(table, config.focus_limit);
-                s.run_scope(context, Arc::clone(&prep.distinct_regions))
-            }),
     };
 
     let ctx = EngineCtx {
@@ -805,14 +656,12 @@ pub(crate) fn run_planned(
         metrics,
         interner,
         transfers,
-        regions,
         visits: 0,
         live: 1,
         peak_structures: 1,
         peak_nodes: 0,
         errors: HashMap::new(),
         failing_sites: HashSet::new(),
-        recorders: Vec::new(),
         outcome: AnalysisOutcome::Complete,
     };
 
@@ -820,9 +669,6 @@ pub(crate) fn run_planned(
     let _ = drain(&ctx, &mut st, &mut fr);
 
     if let Some(scope) = st.transfers.scope.take() {
-        scope.finish();
-    }
-    if let Some(scope) = st.regions.scope.take() {
         scope.finish();
     }
 
@@ -870,7 +716,7 @@ pub(crate) fn run_planned(
 /// A region evaluation's frontier carries a [`RegionSink`]: arrivals at its
 /// exit node are collected instead of committed, and entries at its own
 /// entry are processed normally. An entry at any *other* region entry is
-/// intercepted and evaluated as a nested subproblem via [`eval_region`].
+/// intercepted and drained as a nested subproblem by [`compute_region`].
 fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Result<(), Stop> {
     let instance = ctx.instance;
     let config = ctx.config;
@@ -883,14 +729,13 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
         // Further polls run every `CANCEL_CHECK_INTERVAL` applications below.
         st.poll_cancel(ctx.cancel)?;
         // An arrival at another region's entry is not applied edge by edge:
-        // it is evaluated as a nested subproblem of that region (computed or
-        // replayed — see `eval_region`) and its exit structures are
-        // committed at the region's exit node.
+        // it is drained as a nested subproblem of that region and its exit
+        // structures are committed at the region's exit node.
         if own_entry != Some(node) {
             if let Some(&region_ix) = ctx.prep.region_by_entry.get(&node) {
+                st.metrics.counters.add(Counter::CallEvaluations, 1);
                 let exit = cfg.regions()[region_ix].exit.index();
-                let summary = eval_region(ctx, st, region_ix, sid)?;
-                for &xid in &summary.0 {
+                for xid in compute_region(ctx, st, region_ix, sid)? {
                     commit_post(ctx, st, fr, exit, xid);
                 }
                 continue;
@@ -979,7 +824,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                     }
                     st.note_failing_structure(instance, &s);
                 }
-                st.raise_peak_nodes(memo.peak_post_nodes);
+                st.peak_nodes = st.peak_nodes.max(memo.peak_post_nodes);
                 for &post in posts {
                     commit_post(ctx, st, fr, edge.to, post);
                 }
@@ -1013,79 +858,28 @@ fn commit_post(
     let slot = to - fr.base;
     if st.metrics.time(Phase::Merge, || fr.states[slot].insert(id)) {
         st.live += 1;
-        st.raise_live_peak(st.live);
+        st.peak_structures = st.peak_structures.max(st.live);
         fr.push(ctx.prep.rpo[to], to, id, &mut st.metrics);
     }
 }
 
-/// Evaluates a call region for one entry structure: the region memo level
-/// over [`compute_region`]. With summaries off the region is recomputed
-/// every time — same nested drain, no memo — so results cannot depend on
-/// the flag.
-///
-/// Counter discipline: every evaluation counts [`Counter::CallEvaluations`]
-/// and exactly one of [`Counter::SummaryHits`] (replayed) or
-/// [`Counter::SummaryMisses`] (computed, or a memo/shared hit refused by the
-/// budget guard). A shared-store hit additionally counts
-/// [`Counter::SharedSummaryHits`], whether or not it is replayable.
-fn eval_region(
-    ctx: &EngineCtx<'_>,
-    st: &mut EngineSt<'_>,
-    region_ix: usize,
-    input: StructureId,
-) -> Result<Rc<Memoized<SummaryMemo>>, Stop> {
-    if !ctx.config.summaries {
-        return compute_region(ctx, st, region_ix, input).map(Rc::new);
-    }
-    st.metrics.counters.add(Counter::CallEvaluations, 1);
-    let key = (ctx.prep.region_contents[region_ix], input);
-    let table = &ctx.instance.vocab.table;
-    let summary = match st.regions.lookup(key, &mut st.interner, table) {
-        Lookup::Memo(summary) => summary,
-        Lookup::Shared(summary) => {
-            st.metrics.counters.add(Counter::SharedSummaryHits, 1);
-            st.regions
-                .remember(key, summary.clone(), false, &st.interner);
-            summary
-        }
-        Lookup::Miss(record) => {
-            st.metrics.counters.add(Counter::SummaryMisses, 1);
-            let summary = Rc::new(compute_region(ctx, st, region_ix, input)?);
-            st.regions
-                .remember(key, summary.clone(), record, &st.interner);
-            return Ok(summary);
-        }
-    };
-    if st.replay_fits(&summary.1, ctx.config) {
-        st.metrics.counters.add(Counter::SummaryHits, 1);
-        st.replay(ctx, &summary.1);
-        return Ok(summary);
-    }
-    st.metrics.counters.add(Counter::SummaryMisses, 1);
-    compute_region(ctx, st, region_ix, input).map(Rc::new)
-}
-
-/// Runs a call region as a nested subproblem of one entry structure:
+/// Drains a call region as a nested subproblem of one entry structure:
 /// region-local states and worklist, drained by the same loop as the
-/// global run (sharing the interner, caches and counters through `st`).
-/// Region-local structures are discarded when the drain finishes — only the
-/// exit structures escape, committed by the caller — so `N` spliced copies
-/// of a procedure cost one body's peak footprint at a time, not `N`.
+/// global run (sharing the interner, the transfer lookup and counters
+/// through `st`). Region-local structures are discarded when the drain
+/// finishes — only the exit structures escape, returned in first-arrival
+/// order for the caller to commit — so `N` spliced copies of a procedure
+/// cost one body's peak footprint at a time, not `N`.
 fn compute_region(
     ctx: &EngineCtx<'_>,
     st: &mut EngineSt<'_>,
     region_ix: usize,
     input: StructureId,
-) -> Result<Memoized<SummaryMemo>, Stop> {
+) -> Result<Vec<StructureId>, Stop> {
     let region = &ctx.instance.cfg.regions()[region_ix];
     let entry = region.entry.index();
     let base = region.nodes().start;
     let live_base = st.live;
-    let visits_base = st.visits;
-    st.recorders.push(Recorder {
-        live_base,
-        ..Recorder::default()
-    });
     // The entry seed is inserted untimed and is neither counted against the
     // live total (it is already stored at the caller's entry-node state) nor
     // as a worklist push.
@@ -1104,26 +898,8 @@ fn compute_region(
         }),
     };
     drain(ctx, st, &mut fr)?;
-    let rec = st.recorders.pop().expect("recorder pushed above");
     st.live = live_base;
-    let mut violations: Vec<(u32, String, bool)> = rec
-        .violations
-        .into_iter()
-        .map(|((line, label), definite)| (line, label, definite))
-        .collect();
-    violations.sort();
-    let mut failing_preds: Vec<u32> = rec.failing_preds.into_iter().collect();
-    failing_preds.sort_unstable();
-    Ok((
-        fr.sink.expect("region frontier has a sink").exits,
-        SummaryMemo {
-            violations,
-            failing_preds,
-            visits: st.visits - visits_base,
-            peak_extra: rec.peak_extra,
-            peak_nodes: rec.peak_nodes,
-        },
-    ))
+    Ok(fr.sink.expect("region frontier has a sink").exits)
 }
 
 #[cfg(test)]
@@ -1343,7 +1119,7 @@ mod tests {
         let spec = hetsep_easl::builtin::iostreams();
         let inst = translate(&program, &spec, &TranslateOptions::default()).unwrap();
         let flag = AtomicBool::new(true);
-        let r = run_shared(&inst, &EngineConfig::default(), Some(&flag), Sessions::default());
+        let r = run_shared(&inst, &EngineConfig::default(), Some(&flag), None);
         assert_eq!(r.outcome, AnalysisOutcome::BudgetExceeded);
         assert_eq!(r.stats.visits, 0, "no action may be applied");
         use hetsep_tvl::telemetry::Counter;

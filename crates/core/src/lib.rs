@@ -13,13 +13,13 @@
 //!   single run (the [`verify`] free function is a thin wrapper over it).
 //! * **Owned sessions** are built on it: a [`Workspace`] owns artifacts
 //!   registered from source text — content-fingerprinted, parsed and stored
-//!   once per distinct content — plus the mounted cross-request stores of
-//!   [`jobcache`], and each [`Workspace::verify`] is a short-lived
-//!   [`Verifier`] with those stores attached, so repeat calls replay
-//!   memoized transfers and procedure summaries instead of recomputing
-//!   them. [`Session`] layers the `hetsep serve` wire protocol's name
-//!   bindings on top. Every surface runs a [`Verifier`], so their verdicts
-//!   are byte-identical by construction.
+//!   once per distinct content — plus the mounted cross-request transfer
+//!   store of [`jobcache`], and each [`Workspace::verify`] is a short-lived
+//!   [`Verifier`] with that store attached, so repeat calls replay
+//!   memoized transfers instead of recomputing them. [`Session`] layers
+//!   the `hetsep serve` wire protocol's name bindings on top. Every surface
+//!   runs a [`Verifier`], so their verdicts are byte-identical by
+//!   construction.
 //!
 //! Verification runs under a [`Mode`] (its strategy-free family is
 //! [`ModeKind`]):
@@ -61,14 +61,14 @@ pub mod relevance;
 pub mod report;
 pub mod semantics;
 pub mod session;
-pub mod summary;
 pub mod translate;
 pub mod vocab;
 pub mod workspace;
 
 pub use engine::{AnalysisOutcome, EngineConfig, ParallelConfig, RunStats};
-pub use jobcache::{CacheFile, CacheView, SharedTransferSession, TransferStore};
-pub use summary::{SharedSummarySession, SummaryStore};
+pub use jobcache::{CacheFile, SharedTransferSession, TransferStore};
+#[doc(hidden)]
+pub use jobcache::{SharedSummarySession, SummaryStore};
 pub use parallel::{for_each_ordered, map_ordered};
 pub use hetsep_tvl::telemetry::{
     Counter, Counters, Event, Phase, PhaseStats, PhaseTimings, RunMetrics,

@@ -20,7 +20,7 @@
 //!
 //! A verification has a *prepare* half — every translation, the pruning
 //! preanalysis, each instance's `engine::InstancePlan` — and an *execute* half,
-//! the engine runs and the report. Only execute reads the shared stores.
+//! the engine runs and the report. Only execute reads the shared store.
 //! `Prepared` memoizes the prepare half, so a caller that keeps it (the
 //! [`crate::workspace::Workspace`], per program) re-verifies by running
 //! only the engine; [`Verifier::run`] uses a fresh one.
@@ -39,10 +39,9 @@ use hetsep_strategy::ast::{ChoiceMode, Strategy};
 use hetsep_tvl::telemetry::{event_to_json, Counter, Event, Phase, RunMetrics};
 
 use crate::engine::{
-    run_planned, AnalysisOutcome, EngineConfig, InstancePlan, RunResult, RunStats, Sessions,
+    run_planned, AnalysisOutcome, EngineConfig, InstancePlan, RunResult, RunStats,
 };
-use crate::jobcache::SharedTransferSession;
-use crate::summary::SharedSummarySession;
+use crate::jobcache::{SharedSummarySession, SharedTransferSession};
 use crate::report::{dedup_reports, ErrorReport, VerifyError};
 use crate::translate::{translate, AnalysisInstance, TranslateOptions};
 use crate::vocab::SiteId;
@@ -470,7 +469,7 @@ fn site_options(base: &TranslateOptions, choice_ix: usize, site: SiteId) -> Tran
 }
 
 /// A translated instance with its [`InstancePlan`]: everything an engine
-/// run reads that does not depend on the stores.
+/// run reads that does not depend on the store.
 struct PreparedInstance {
     instance: AnalysisInstance,
     plan: InstancePlan,
@@ -491,9 +490,9 @@ impl PreparedInstance {
         &self,
         config: &EngineConfig,
         cancel: Option<&AtomicBool>,
-        sessions: Sessions<'_>,
+        shared: Option<&SharedTransferSession<'_>>,
     ) -> RunResult {
-        run_planned(&self.instance, &self.plan, config, cancel, sessions)
+        run_planned(&self.instance, &self.plan, config, cancel, shared)
     }
 }
 
@@ -514,7 +513,7 @@ struct Family {
 /// preanalysis of one (program, spec, mode), built on first use and kept
 /// for re-runs.
 ///
-/// None of it depends on what the stores hold — only the engine runs do —
+/// None of it depends on what the store holds — only the engine runs do —
 /// so a re-verification of unchanged artifacts over a kept `Prepared` runs
 /// only the engine and reports exactly what a fresh one-shot run over the
 /// same store snapshot reports. [`Verifier::run`] prepares into a fresh,
@@ -622,7 +621,7 @@ fn run_sites(
     base: &TranslateOptions,
     family: &Family,
     config: &EngineConfig,
-    sessions: Sessions<'_>,
+    shared: Option<&SharedTransferSession<'_>>,
 ) -> Result<Vec<(SiteId, RunResult)>, VerifyError> {
     let sites = &family.to_run;
     let threads = config.parallel.effective_threads().clamp(1, sites.len().max(1));
@@ -652,7 +651,7 @@ fn run_sites(
             PreparedInstance::translate(program, spec, &options)
         });
         let result = match prepared {
-            Ok(p) => Ok(p.run(config, Some(&cancelled[ix]), sessions)),
+            Ok(p) => Ok(p.run(config, Some(&cancelled[ix]), shared)),
             Err(e) => Err(e.clone()),
         };
         match &result {
@@ -710,7 +709,7 @@ pub struct Verifier<'a> {
     spec: &'a Spec,
     mode: Mode,
     config: EngineConfig,
-    sessions: Sessions<'a>,
+    shared: Option<&'a SharedTransferSession<'a>>,
 }
 
 impl<'a> Verifier<'a> {
@@ -722,7 +721,7 @@ impl<'a> Verifier<'a> {
             spec,
             mode: Mode::Vanilla,
             config: EngineConfig::default(),
-            sessions: Sessions::default(),
+            shared: None,
         }
     }
 
@@ -779,29 +778,14 @@ impl<'a> Verifier<'a> {
     /// change. Requires the transfer cache (on by default) to have any
     /// effect.
     pub fn shared_cache(mut self, session: &'a SharedTransferSession<'a>) -> Verifier<'a> {
-        self.sessions.transfers = Some(session);
+        self.shared = Some(session);
         self
     }
 
-    /// Enables or disables per-procedure summary memoization (see
-    /// [`EngineConfig::summaries`]). The nested region drain is a pure
-    /// function of its `(region content, input structure)` key, so verdicts,
-    /// error sets and `visits`/`space` statistics are byte-identical with
-    /// summaries on or off — only the summary counters and wall-clock time
-    /// change. On by default.
-    pub fn with_summaries(mut self, on: bool) -> Verifier<'a> {
-        self.config.summaries = on;
-        self
-    }
-
-    /// Attaches a cross-job shared summary session (see [`crate::summary`]):
-    /// in-run summary-memo misses probe the session's store snapshot by
-    /// region content, and computed region summaries are recorded into the
-    /// session's delta for future jobs. Observation-equivalent, like
-    /// [`Verifier::shared_cache`] one level up. Requires summaries (on by
-    /// default) to have any effect.
-    pub fn shared_summaries(mut self, session: &'a SharedSummarySession<'a>) -> Verifier<'a> {
-        self.sessions.summaries = Some(session);
+    /// Does nothing. Kept only so that the `perfbench/` harness, which
+    /// calls it, keeps compiling.
+    #[doc(hidden)]
+    pub fn shared_summaries(self, _session: &'a SharedSummarySession<'a>) -> Verifier<'a> {
         self
     }
 
@@ -827,10 +811,10 @@ impl<'a> Verifier<'a> {
             spec,
             mode,
             config,
-            sessions,
+            shared,
         } = self;
         let start = Instant::now();
-        let mut report = verify_inner(program, spec, &mode, &config, sessions, prepared)?;
+        let mut report = verify_inner(program, spec, &mode, &config, shared, prepared)?;
         report.elapsed_wall = start.elapsed();
         Ok(report)
     }
@@ -894,7 +878,7 @@ pub fn write_trace(subproblems: &[SubproblemStats], out: &mut impl Write) -> io:
                 })?;
             }
         }
-        for counter in Counter::ALL {
+        for &counter in Counter::REPORTED {
             let value = m.counters.get(counter);
             if value > 0 {
                 line(Event::CounterSample {
@@ -948,7 +932,7 @@ fn verify_inner(
     spec: &Spec,
     mode: &Mode,
     config: &EngineConfig,
-    sessions: Sessions<'_>,
+    shared: Option<&SharedTransferSession<'_>>,
     prepared: &mut Prepared,
 ) -> Result<VerificationReport, VerifyError> {
     match mode {
@@ -956,7 +940,7 @@ fn verify_inner(
             let inst = prepared.base(program, spec, &TranslateOptions::default())?;
             let mut report = VerificationReport::empty();
             report.stages_run = 1;
-            report.absorb(None, inst.run(config, None, sessions));
+            report.absorb(None, inst.run(config, None, shared));
             Ok(report.finish())
         }
         Mode::Separation {
@@ -986,7 +970,7 @@ fn verify_inner(
             let choice_ix = match first_some {
                 Some(ix) if !*simultaneous => ix,
                 _ => {
-                    report.absorb(None, probe.run(config, None, sessions));
+                    report.absorb(None, probe.run(config, None, shared));
                     return Ok(report.finish());
                 }
             };
@@ -994,10 +978,10 @@ fn verify_inner(
             if probe.instance.sites_of(class).is_empty() {
                 // Nothing of the chosen class is ever allocated: a single
                 // (cheap) run covers the empty family.
-                report.absorb(None, probe.run(config, None, sessions));
+                report.absorb(None, probe.run(config, None, shared));
             }
             let family = prepared.family(program, spec, class, choice_ix, config.preanalysis);
-            let mut results = run_sites(program, spec, &base, family, config, sessions)?
+            let mut results = run_sites(program, spec, &base, family, config, shared)?
                 .into_iter()
                 .peekable();
             let pre = family.pre.as_ref();
@@ -1037,7 +1021,7 @@ fn verify_inner(
                 };
                 let result = prepared
                     .stage(program, spec, ix, &options)?
-                    .run(config, None, sessions);
+                    .run(config, None, shared);
                 report.stages_run = ix + 1;
                 let stage_errors = result.errors.clone();
                 last_stage_complete = result.outcome == AnalysisOutcome::Complete;

@@ -318,11 +318,9 @@ impl Session {
             lint_cache_hits: self.workspace.lint_cache_hits(),
             store_entries: self.workspace.store().entry_count() as u64,
             store_structures: self.workspace.store().structure_count() as u64,
-            summary_entries: self.workspace.summary_store().entry_count() as u64,
             prepared: self.workspace.prepared_count() as u64,
             prepared_hits: self.workspace.prepared_hits(),
-            store_bytes: (self.workspace.store().encoded_len()
-                + self.workspace.summary_store().encoded_len()) as u64,
+            store_bytes: self.workspace.store().encoded_len() as u64,
         }
     }
 }
@@ -350,9 +348,6 @@ impl VerifyOutput {
             shared_hits: c(Counter::SharedCacheHits),
             shared_misses: c(Counter::SharedCacheMisses),
             call_evaluations: c(Counter::CallEvaluations),
-            summary_hits: c(Counter::SummaryHits),
-            summary_misses: c(Counter::SummaryMisses),
-            shared_summary_hits: c(Counter::SharedSummaryHits),
             errors: r
                 .errors
                 .iter()

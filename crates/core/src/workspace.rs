@@ -14,23 +14,23 @@
 //!   fingerprint match before reusing the stored artifact. Re-registering
 //!   identical content is a lookup, not a re-parse; a fingerprint collision
 //!   costs one string comparison, never a wrong artifact.
-//! * **The cross-run stores are workspace-mounted.** Every
-//!   [`Workspace::verify`] probes [`SharedTransferSession`] and
-//!   [`SharedSummarySession`] snapshots of the transfer and summary stores
-//!   and absorbs the run's computed entries back afterwards, so an
-//!   unchanged (program, spec, strategy, mode) quadruple replays its
-//!   transfers and procedure summaries from earlier requests instead of
-//!   recomputing them — observation-equivalent by the [`crate::jobcache`]
+//! * **The cross-run store is workspace-mounted.** Every
+//!   [`Workspace::verify`] probes a [`SharedTransferSession`] snapshot of
+//!   the transfer store and absorbs the run's computed entries back
+//!   afterwards, so an unchanged (program, spec, strategy, mode) quadruple
+//!   replays its transfers, call regions included, from earlier requests
+//!   instead of recomputing them — observation-equivalent by the
+//!   [`crate::jobcache`]
 //!   contract (verdicts, errors and visit counts identical; only the
 //!   shared-cache counters and wall-clock change).
 //! * **Verification is the one-shot API.** [`Workspace::verify`] is a
 //!   short-lived [`Verifier`] over the registered artifacts with the
-//!   mounted stores attached, so the daemon and the CLI share one front
+//!   mounted store attached, so the daemon and the CLI share one front
 //!   door and one engine entry point: their verdicts are byte-identical by
 //!   construction, not by testing alone.
 //! * **Each program keeps its prepared verification.** The translations
 //!   and pruning preanalysis of a program's latest [`VerifyRequest`] do
-//!   not depend on the stores, so the workspace keeps them and a repeat of
+//!   not depend on the store, so the workspace keeps them and a repeat of
 //!   that request runs only the engine. A different request for the
 //!   program replaces them; [`Workspace::release_prepared`] drops them
 //!   (the daemon session does so when no name is bound to the program any
@@ -44,9 +44,8 @@ use hetsep_ir::Program;
 use hetsep_strategy::ast::Strategy;
 
 use crate::engine::EngineConfig;
-use crate::jobcache::{SharedTransferSession, TransferStore};
+use crate::jobcache::{SharedTransferSession, SummaryStore, TransferStore};
 use crate::modes::{Mode, ModeKind, Prepared, VerificationReport, Verifier};
-use crate::summary::{SharedSummarySession, SummaryStore};
 use crate::report::VerifyError;
 
 /// FNV-1a 64-bit content fingerprint, rendered as 16 hex digits on the
@@ -172,8 +171,7 @@ pub struct VerifyOutput {
 }
 
 /// An owned, long-lived verification workspace: content-addressed artifact
-/// registries plus mounted cross-request [`TransferStore`] and
-/// [`SummaryStore`].
+/// registries plus a mounted cross-request [`TransferStore`].
 ///
 /// ```
 /// use hetsep_core::{ModeKind, VerifyRequest, Workspace};
@@ -207,7 +205,6 @@ pub struct Workspace {
     specs: ArtifactSet<Spec>,
     strategies: ArtifactSet<Strategy>,
     store: TransferStore,
-    summaries: SummaryStore,
     config: EngineConfig,
     /// Memoized lint batches per artifact triple. Artifacts are
     /// content-addressed and immutable, so a key hit is exact — the cache
@@ -344,8 +341,8 @@ impl Workspace {
         self.strategies.len()
     }
 
-    /// The mounted cross-request transfer store (e.g. to persist as the
-    /// transfer section of a [`crate::CacheFile`]).
+    /// The mounted cross-request transfer store (e.g. to persist as a
+    /// [`crate::CacheFile`]).
     pub fn store(&self) -> &TransferStore {
         &self.store
     }
@@ -357,18 +354,11 @@ impl Workspace {
         self.store = store;
     }
 
-    /// The mounted cross-request summary store (see [`crate::summary`]) —
-    /// whole call-region evaluations memoized across requests, one level
-    /// above the per-transfer store.
+    /// An empty stand-in; see [`SummaryStore`]. Kept only so that the
+    /// `perfbench/` harness, which calls it, keeps compiling.
+    #[doc(hidden)]
     pub fn summary_store(&self) -> &SummaryStore {
-        &self.summaries
-    }
-
-    /// Mounts a summary store, replacing the current one. Like
-    /// [`Workspace::mount_store`], verdicts never depend on it — only the
-    /// summary counters and wall-clock do.
-    pub fn mount_summary_store(&mut self, store: SummaryStore) {
-        self.summaries = store;
+        &SummaryStore
     }
 
     /// Lints a registered artifact triple through `hetsep-analysis`'s
@@ -423,11 +413,11 @@ impl Workspace {
     /// Verifies a registered program.
     ///
     /// Runs a one-shot [`Verifier`] — reports are byte-identical to a fresh
-    /// one-shot run of the same artifacts — with the workspace stores
-    /// mounted: the run probes read-only snapshots and its computed
-    /// transfers and summaries are absorbed back afterwards, so repeat and
-    /// overlapping requests replay instead of recomputing (visible as
-    /// `shared_cache_hits` and `shared_summary_hits` in the report metrics).
+    /// one-shot run of the same artifacts — with the workspace store
+    /// mounted: the run probes a read-only snapshot and its computed
+    /// transfers are absorbed back afterwards, so repeat and overlapping
+    /// requests replay instead of recomputing (visible as
+    /// `shared_cache_hits` in the report metrics).
     /// A repeat of the program's previous request also reuses its
     /// translations and pruning (see [`Workspace::prepared_hits`]).
     ///
@@ -453,15 +443,12 @@ impl Workspace {
         let program = &self.programs.get(request.program.0).value;
         let spec = &self.specs.get(request.spec.0).value;
         let session = SharedTransferSession::new(&self.store);
-        let summary_session = SharedSummarySession::new(&self.summaries);
         let report = Verifier::new(program, spec)
             .mode(mode)
             .config(self.config.clone())
             .shared_cache(&session)
-            .shared_summaries(&summary_session)
             .run_prepared(prepared)?;
         self.store.absorb(session.into_deltas());
-        self.summaries.absorb(summary_session.into_deltas());
         Ok(VerifyOutput { report, kind })
     }
 }

@@ -6,13 +6,13 @@
 //! every mode family — re-verifies, edits, flips back to earlier content,
 //! a re-mounted store — and checks each verify response byte for byte
 //! against a fresh one-shot `Verifier` run over a snapshot of the same
-//! stores. It also pins the lifetime rule: names bound to the same content
+//! store. It also pins the lifetime rule: names bound to the same content
 //! share one prepared entry, and the entry goes when its last name is
 //! re-pointed.
 
 use hetsep_core::{
-    CacheFile, EngineConfig, Mode, ModeKind, ParallelConfig, Session, SharedSummarySession,
-    SharedTransferSession, Verifier, VerifyOutput,
+    CacheFile, EngineConfig, Mode, ModeKind, ParallelConfig, Session, SharedTransferSession,
+    Verifier, VerifyOutput,
 };
 use hetsep_ir::{Request, Response, StatusInfo};
 use hetsep_strategy::builtin::{IOSTREAM_SINGLE, JDBC_INCREMENTAL, JDBC_MULTI, JDBC_SINGLE};
@@ -79,7 +79,7 @@ fn status(session: &mut Session) -> StatusInfo {
 }
 
 /// Verifies `program` through the session and checks the response against
-/// a one-shot run over a snapshot of the session's stores taken just
+/// a one-shot run over a snapshot of the session's store taken just
 /// before.
 fn verify_matches_one_shot(
     session: &mut Session,
@@ -90,7 +90,6 @@ fn verify_matches_one_shot(
 ) {
     let ws = session.workspace();
     let transfers = ws.store().clone();
-    let summaries = ws.summary_store().clone();
     let config = ws.config().clone();
 
     let response = session.handle(&Request::Verify {
@@ -105,13 +104,11 @@ fn verify_matches_one_shot(
     let strategy = strategy.map(|(_, src)| hetsep_strategy::parse_strategy(src).unwrap());
     let mode = Mode::from_kind(kind, strategy).unwrap();
     let transfer_session = SharedTransferSession::new(&transfers);
-    let summary_session = SharedSummarySession::new(&summaries);
     let kind = mode.kind();
     let report = Verifier::new(&parsed, &spec)
         .mode(mode)
         .config(config)
         .shared_cache(&transfer_session)
-        .shared_summaries(&summary_session)
         .run()
         .unwrap();
     let expected = Response::Verify(VerifyOutput { report, kind }.to_wire(program));
@@ -168,17 +165,11 @@ fn session_verifies_equal_one_shot_runs_over_the_same_stores() {
         // A re-mounted store (a round trip through the cache file format,
         // then an empty one) changes the counters, never the preparation's
         // validity.
-        let ws = session.workspace();
-        let cache = CacheFile {
-            transfers: ws.store().clone(),
-            summaries: ws.summary_store().clone(),
-        };
-        let cache = CacheFile::from_bytes(&cache.to_bytes()).unwrap();
+        let bytes = session.workspace().store().to_bytes();
+        let cache = CacheFile::from_bytes(&bytes).unwrap();
         session.workspace_mut().mount_store(cache.transfers);
-        session.workspace_mut().mount_summary_store(cache.summaries);
         verify_matches_one_shot(&mut session, "io", STREAMS, io_single, ModeKind::Single);
         session.workspace_mut().mount_store(Default::default());
-        session.workspace_mut().mount_summary_store(Default::default());
         verify_matches_one_shot(&mut session, "io", STREAMS, io_single, ModeKind::Single);
         let inc = Some(("inc", JDBC_INCREMENTAL));
         verify_matches_one_shot(&mut session, "jdbc", JDBC, inc, ModeKind::Inc);

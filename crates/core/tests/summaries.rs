@@ -1,20 +1,19 @@
-//! Exactness of the per-procedure summary cache.
+//! Call regions behind the transfer store.
 //!
-//! Summaries (`EngineConfig::summaries` / `Verifier::with_summaries`)
-//! memoize whole call-region evaluations per (region content, interned
-//! input abstraction) key. A summary replay re-applies the recorded exit
-//! structures, violations, failing sites, and the region's visit/space
-//! accounting — so for every suite benchmark and every Table 3 mode the
-//! verdict, the reported-error set, the completeness flag, the visit
-//! counts, and the space peaks are byte-identical with summaries on and
-//! off. Only wall-clock time, the summary counters, and *interner arena
-//! size* (a replay does not re-intern the region's interior states) may
-//! differ — which is exactly the transfer-cache exactness contract, one
-//! level up.
+//! The engine drains every arrival at a spliced call region as a nested
+//! subproblem, and a drain is a sequence of transfers: the per-run transfer
+//! cache and the cross-run transfer store replay a region's interior the
+//! way they replay any other transfer. So for the region-heavy
+//! shared-library family the verdict, the reported-error set, the failing
+//! allocation sites, the visit counts and the space peaks are
+//! byte-identical with the transfer cache on or off, and cold or warm over
+//! a store round-tripped through the cache file format. Only wall-clock
+//! time and the cache counters may differ.
 
-use hetsep_core::summary::SharedSummarySession;
+use hetsep_core::engine::run_shared;
 use hetsep_core::{
-    Counter, EngineConfig, Mode, SummaryStore, VerificationReport, Verifier, VerifyError,
+    translate, CacheFile, Counter, EngineConfig, Mode, SharedTransferSession, TransferStore,
+    TranslateOptions, VerificationReport, Verifier, VerifyError,
 };
 use hetsep_strategy::parse_strategy;
 use hetsep_suite::{Benchmark, TableMode};
@@ -41,151 +40,83 @@ fn core_mode(bench: &Benchmark, mode: TableMode) -> Result<Mode, VerifyError> {
     })
 }
 
-fn run(bench: &Benchmark, mode: &Mode, summaries: bool) -> VerificationReport {
-    let program = bench.program();
-    let spec = bench.spec();
-    Verifier::new(&program, &spec)
-        .mode(mode.clone())
-        .config(budget())
-        .with_summaries(summaries)
-        .run()
-        .unwrap()
-}
-
-/// Everything observable except wall time, the summary counters, and the
-/// interner arena size must match between a summaries-on and a
-/// summaries-off (inlining-equivalent) run.
-fn assert_equivalent(
-    name: &str,
-    mode_label: &str,
-    off: &VerificationReport,
-    on: &VerificationReport,
-) {
+/// Everything observable except wall time and the cache counters must
+/// match between two runs of one program and mode.
+fn assert_equivalent(label: &str, a: &VerificationReport, b: &VerificationReport) {
     assert_eq!(
-        format!("{:?}", off.errors),
-        format!("{:?}", on.errors),
-        "{name}/{mode_label}: error reports differ with summaries"
+        format!("{:?}", a.errors),
+        format!("{:?}", b.errors),
+        "{label}: error reports differ"
     );
+    assert_eq!(a.verified(), b.verified(), "{label}: verdict differs");
+    assert_eq!(a.complete, b.complete, "{label}: complete flag differs");
+    assert_eq!(a.total_visits, b.total_visits, "{label}: visit counts differ");
+    assert_eq!(a.max_space, b.max_space, "{label}: space differs");
+    assert_eq!(a.peak_nodes, b.peak_nodes, "{label}: peak universe differs");
     assert_eq!(
-        off.verified(),
-        on.verified(),
-        "{name}/{mode_label}: verdict differs with summaries"
+        a.subproblems.len(),
+        b.subproblems.len(),
+        "{label}: subproblem fan-out differs"
     );
-    assert_eq!(
-        off.complete, on.complete,
-        "{name}/{mode_label}: complete flag differs with summaries"
-    );
-    assert_eq!(
-        off.total_visits, on.total_visits,
-        "{name}/{mode_label}: visit counts differ with summaries"
-    );
-    assert_eq!(
-        off.max_space, on.max_space,
-        "{name}/{mode_label}: space differs with summaries"
-    );
-    assert_eq!(
-        off.peak_nodes, on.peak_nodes,
-        "{name}/{mode_label}: peak universe differs with summaries"
-    );
-    assert_eq!(
-        off.subproblems.len(),
-        on.subproblems.len(),
-        "{name}/{mode_label}: subproblem fan-out differs with summaries"
-    );
-    for (o, n) in off.subproblems.iter().zip(&on.subproblems) {
-        assert_eq!(o.site, n.site, "{name}/{mode_label}: site order changed");
-        assert_eq!(o.outcome, n.outcome, "{name}/{mode_label}: per-site outcome changed");
+    for (x, y) in a.subproblems.iter().zip(&b.subproblems) {
+        assert_eq!(x.site, y.site, "{label}: site order changed");
+        assert_eq!(x.outcome, y.outcome, "{label}: per-site outcome changed");
+        assert_eq!(x.stats.visits, y.stats.visits, "{label}: per-site visits changed");
         assert_eq!(
-            o.stats.visits, n.stats.visits,
-            "{name}/{mode_label}: per-site visits changed"
+            x.stats.structures, y.stats.structures,
+            "{label}: per-site space changed"
         );
         assert_eq!(
-            o.stats.structures, n.stats.structures,
-            "{name}/{mode_label}: per-site space changed"
+            x.stats.peak_nodes, y.stats.peak_nodes,
+            "{label}: per-site peak universe changed"
         );
-        assert_eq!(
-            o.stats.peak_nodes, n.stats.peak_nodes,
-            "{name}/{mode_label}: per-site peak universe changed"
-        );
-        assert_eq!(o.errors, n.errors, "{name}/{mode_label}: per-site errors changed");
-        // Deliberately NOT compared: `distinct_structures` — a replayed
-        // region skips interning its interior states, so the arena is
-        // allowed to stay smaller with summaries on.
-    }
-    // The off run must not touch the summary machinery at all; the on run
-    // accounts for every region evaluation as exactly one hit or one miss.
-    for c in [
-        Counter::CallEvaluations,
-        Counter::SummaryHits,
-        Counter::SummaryMisses,
-        Counter::SharedSummaryHits,
-    ] {
-        assert_eq!(
-            off.metrics.counters.get(c),
-            0,
-            "{name}/{mode_label}: summaries-off run touched {c:?}"
-        );
+        assert_eq!(x.errors, y.errors, "{label}: per-site errors changed");
     }
     assert_eq!(
-        on.metrics.counters.get(Counter::SummaryHits)
-            + on.metrics.counters.get(Counter::SummaryMisses),
-        on.metrics.counters.get(Counter::CallEvaluations),
-        "{name}/{mode_label}: every region evaluation is one hit or one miss"
+        a.metrics.counters.get(Counter::CallEvaluations),
+        b.metrics.counters.get(Counter::CallEvaluations),
+        "{label}: every arrival at a region entry is drained either way"
     );
 }
 
-/// The shared-library family in debug runs: small, region-heavy, covers
-/// both the correct and the erroneous (violation-replay) paths.
+/// The shared-library family in debug runs, transfer cache on against off:
+/// small, region-heavy, and it covers both the correct and the erroneous
+/// (violation-replay) paths.
 #[test]
 fn shared_lib_family_is_observation_equivalent() {
-    let mut total_hits = 0u64;
+    let mut evaluations = 0u64;
     for name in ["SharedLib", "SharedLibLoop"] {
         let bench = hetsep_suite::by_name(name).unwrap();
+        let program = bench.program();
+        let spec = bench.spec();
         for &table_mode in &bench.modes {
             let mode = core_mode(&bench, table_mode).unwrap();
-            let off = run(&bench, &mode, false);
-            let on = run(&bench, &mode, true);
-            assert_equivalent(bench.name, table_mode.label(), &off, &on);
-            total_hits += on.metrics.counters.get(Counter::SummaryHits);
+            let run = |cache: bool| {
+                Verifier::new(&program, &spec)
+                    .mode(mode.clone())
+                    .config(budget())
+                    .with_transfer_cache(cache)
+                    .run()
+                    .unwrap()
+            };
+            let on = run(true);
+            assert_equivalent(&format!("{name}/{table_mode:?}"), &run(false), &on);
+            assert!(on.metrics.counters.get(Counter::TransferCacheHits) > 0);
+            evaluations += on.metrics.counters.get(Counter::CallEvaluations);
         }
     }
-    assert!(
-        total_hits > 0,
-        "the in-run memo should hit at least once on the shared-library family"
-    );
+    assert!(evaluations > 0, "the family should evaluate call regions");
 }
 
-/// Every suite benchmark × every Table 3 mode, summaries on vs off.
-/// Expensive (the full table twice) — release builds only, like the
-/// transfer-cache and pruning suite matrices.
+/// Cross-run persistence: a warm run over a transfer store that went
+/// through the cache file's bytes replays every transfer, call-region
+/// interiors included, with byte-identical observable results. The inputs
+/// cover the error-free `SharedLib` and the erroneous `SharedLibLoop` in
+/// vanilla and both separation modes, where region interiors raise
+/// violations and flag failing allocation sites that the warm replay must
+/// reproduce.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
-fn summaries_are_observation_equivalent_on_the_suite() {
-    let mut total_evals = 0u64;
-    for bench in hetsep_suite::all() {
-        for &table_mode in &bench.modes {
-            let mode = core_mode(&bench, table_mode).unwrap();
-            let off = run(&bench, &mode, false);
-            let on = run(&bench, &mode, true);
-            assert_equivalent(bench.name, table_mode.label(), &off, &on);
-            total_evals += on.metrics.counters.get(Counter::CallEvaluations);
-        }
-    }
-    assert!(
-        total_evals > 0,
-        "the suite should evaluate at least one call region"
-    );
-}
-
-/// Cross-run persistence: a warm run over a *serialized and reloaded*
-/// summary store replays regions from the store (strictly fewer misses,
-/// shared hits observed) with byte-identical observable results. The
-/// inputs cover the error-free `SharedLib` and the erroneous
-/// `SharedLibLoop` in vanilla and both separation modes, where regions
-/// record violations and failing allocation sites that the warm replay
-/// must reproduce.
-#[test]
-fn persisted_summary_store_is_observation_equivalent() {
+fn persisted_transfer_store_replays_call_regions() {
     for (name, table_mode) in [
         ("SharedLib", TableMode::Vanilla),
         ("SharedLibLoop", TableMode::Vanilla),
@@ -194,56 +125,93 @@ fn persisted_summary_store_is_observation_equivalent() {
     ] {
         let bench = hetsep_suite::by_name(name).unwrap();
         let mode = core_mode(&bench, table_mode).unwrap();
-        let label = format!("{}-warm", table_mode.label());
-        assert_warm_replay_is_equivalent(&bench, &mode, &label);
+        assert_warm_replay_is_equivalent(&bench, &mode, &format!("{name}/{table_mode:?}"));
     }
 }
 
+/// The store's cache file bytes, loaded back.
+fn round_trip(store: &TransferStore) -> TransferStore {
+    let bytes = store.to_bytes();
+    let loaded = CacheFile::from_bytes(&bytes).expect("round-trip").transfers;
+    assert_eq!(loaded.to_bytes(), bytes, "serialization is deterministic");
+    loaded
+}
+
 fn assert_warm_replay_is_equivalent(bench: &Benchmark, mode: &Mode, label: &str) {
-    let name = bench.name;
     let program = bench.program();
     let spec = bench.spec();
-    let run_with = |store: &SummaryStore| {
-        let session = SharedSummarySession::new(store);
+    let run_with = |store: &TransferStore| {
+        let session = SharedTransferSession::new(store);
         let report = Verifier::new(&program, &spec)
             .mode(mode.clone())
             .config(budget())
-            .shared_summaries(&session)
+            .shared_cache(&session)
             .run()
             .unwrap();
         (report, session.into_deltas())
     };
 
-    let mut store = SummaryStore::new();
+    let mut store = TransferStore::new();
     let (cold, deltas) = run_with(&store);
     store.absorb(deltas);
-    assert!(store.entry_count() > 0, "{name}/{label}: cold run must populate the store");
+    assert!(store.entry_count() > 0, "{label}: cold run must populate the store");
+    assert!(cold.metrics.counters.get(Counter::CallEvaluations) > 0);
 
-    let bytes = store.to_bytes();
-    let reloaded = SummaryStore::from_bytes(&bytes).expect("round-trip");
-    assert_eq!(reloaded.entry_count(), store.entry_count());
-    assert_eq!(reloaded.to_bytes(), bytes, "serialization is deterministic");
-
-    let (warm, warm_deltas) = run_with(&reloaded);
-    // The cold run *did* use summaries; clearing its metrics lets the
-    // invariant-checking comparison treat it as the reference side.
-    let mut reference = cold.clone();
-    reference.metrics = Default::default();
-    assert_equivalent(name, label, &reference, &warm);
-
-    let cold_misses = cold.metrics.counters.get(Counter::SummaryMisses);
-    let warm_misses = warm.metrics.counters.get(Counter::SummaryMisses);
-    assert!(
-        warm_misses < cold_misses,
-        "{name}/{label}: warm run must miss less: {warm_misses} vs {cold_misses}"
+    let (warm, warm_deltas) = run_with(&round_trip(&store));
+    assert_equivalent(label, &cold, &warm);
+    assert_eq!(
+        warm.metrics.counters.get(Counter::SharedCacheMisses),
+        0,
+        "{label}: the warm run must replay every transfer from the store"
     );
-    assert!(
-        warm.metrics.counters.get(Counter::SharedSummaryHits) > 0,
-        "{name}/{label}: warm run must replay from the shared store"
-    );
-    // The repeat run is a fixed point of the store: nothing new to record.
+    assert!(warm.metrics.counters.get(Counter::SharedCacheHits) > 0);
     assert!(
         warm_deltas.is_empty(),
-        "{name}/{label}: a fully warmed run should record no new summaries"
+        "{label}: a fully warmed run should record nothing new"
     );
+
+    // Failing sites live on the engine run, not the report: check them on
+    // the one instance the mode's probe (or simultaneous run) translates.
+    let options = match mode {
+        Mode::Vanilla => TranslateOptions::default(),
+        Mode::Separation { strategy, .. } => TranslateOptions {
+            stage: Some(strategy.stages[0].clone()),
+            heterogeneous: true,
+            ..TranslateOptions::default()
+        },
+        Mode::Incremental { .. } => unreachable!("the family has no incremental mode"),
+    };
+    let instance = translate(&program, &spec, &options).unwrap();
+    let run_engine = |store: &TransferStore| {
+        let session = SharedTransferSession::new(store);
+        let result = run_shared(&instance, &budget(), None, Some(&session));
+        (result, session.into_deltas())
+    };
+    let mut store = TransferStore::new();
+    let (cold, deltas) = run_engine(&store);
+    store.absorb(deltas);
+    let (warm, warm_deltas) = run_engine(&round_trip(&store));
+    if !matches!(mode, Mode::Vanilla) {
+        assert_eq!(
+            cold.failing_sites.is_empty(),
+            cold.errors.is_empty(),
+            "{label}: a violation inside the library flags its stream's site"
+        );
+    }
+    assert_eq!(
+        cold.failing_sites, warm.failing_sites,
+        "{label}: failing sites differ"
+    );
+    assert_eq!(cold.errors, warm.errors, "{label}: engine errors differ");
+    assert_eq!(cold.stats.visits, warm.stats.visits, "{label}: engine visits differ");
+    assert_eq!(
+        cold.stats.structures, warm.stats.structures,
+        "{label}: engine space differs"
+    );
+    assert_eq!(
+        warm.stats.metrics.counters.get(Counter::SharedCacheMisses),
+        0,
+        "{label}: the warm engine run must replay every transfer"
+    );
+    assert!(warm_deltas.is_empty(), "{label}: the warm engine run records nothing new");
 }

@@ -167,7 +167,6 @@ fn cmd_verify(o: &Options) -> Result<ExitCode, String> {
         phase_timings: o.metrics,
         preanalysis: o.preanalysis,
         transfer_cache: o.transfer_cache,
-        summaries: o.summaries,
         ..EngineConfig::default()
     };
     // The trace file is created before the run, so an unwritable path fails
@@ -345,7 +344,7 @@ fn cmd_check(o: &Options) -> Result<ExitCode, String> {
 }
 
 fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
-    use hetsep::core::CacheFile;
+    use hetsep::core::{CacheFile, SummaryStore};
     use hetsep::corpus::{corpus_engine_config, corpus_jobs};
     use hetsep::sched::{run_batch, BatchConfig};
     use hetsep::suite::corpus::CorpusConfig;
@@ -358,19 +357,22 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
         Some(path) if std::path::Path::new(path).exists() => {
             let cache = CacheFile::load(std::path::Path::new(path))?;
             if !o.quiet {
-                eprintln!("cache loaded from {path}: {}", cache.sizes());
+                eprintln!("cache loaded from {path}: {}", cache.transfers.sizes());
             }
             cache
         }
         _ => CacheFile::new(),
     };
-    let mut engine = corpus_engine_config();
-    engine.summaries = o.summaries;
     let config = BatchConfig {
         workers: o.workers.max(1),
-        engine,
+        engine: corpus_engine_config(),
     };
-    let result = run_batch(&jobs, &config, &mut cache.transfers, &mut cache.summaries);
+    let result = run_batch(
+        &jobs,
+        &config,
+        &mut cache.transfers,
+        &mut SummaryStore::new(),
+    );
     if let Some(path) = &o.json_path {
         let mut out = String::from("[\n");
         for (ix, outcome) in result.outcomes.iter().enumerate() {
@@ -389,7 +391,7 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
             .save(std::path::Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?;
         if !o.quiet {
-            eprintln!("cache saved to {path}: {}", cache.sizes());
+            eprintln!("cache saved to {path}: {}", cache.transfers.sizes());
         }
     }
     // The schedule-independent verdict summary: the CI smoke gate diffs
@@ -399,7 +401,7 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
         eprintln!(
             "{} jobs in {:.2?} ({:.1} jobs/s, workers={}, absorb {:.2?}): latency \
              p50 {:.2?} p95 {:.2?} p99 {:.2?}; cache hits={} misses={} shared_hits={} \
-             shared_misses={}; summary hits={} misses={} shared_hits={}; stores: {}",
+             shared_misses={}; store: {}",
             result.outcomes.len(),
             result.wall,
             result.jobs_per_sec,
@@ -412,10 +414,7 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
             result.total(|j| j.cache_misses),
             result.total(|j| j.shared_hits),
             result.total(|j| j.shared_misses),
-            result.total(|j| j.summary_hits),
-            result.total(|j| j.summary_misses),
-            result.total(|j| j.shared_summary_hits),
-            cache.sizes(),
+            cache.transfers.sizes(),
         );
     }
     Ok(if result.count("failed") == 0 {

@@ -217,7 +217,7 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
             );
         }
         let _ = write!(out, "}}, \"counters\": {{");
-        for (ix, counter) in Counter::ALL.iter().enumerate() {
+        for (ix, counter) in Counter::REPORTED.iter().enumerate() {
             let _ = write!(
                 out,
                 "{}\"{}\": {}",
@@ -334,7 +334,7 @@ pub fn format_metrics(metrics: &RunMetrics) -> String {
         );
     }
     let _ = writeln!(out, "{:<22} {:>12}", "counter", "value");
-    for counter in Counter::ALL {
+    for &counter in Counter::REPORTED {
         let _ = writeln!(
             out,
             "{:<22} {:>12}",

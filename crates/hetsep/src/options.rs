@@ -42,9 +42,6 @@ pub struct Options {
     pub preanalysis: bool,
     /// `--no-transfer-cache` clears this.
     pub transfer_cache: bool,
-    /// `--no-summaries` clears this (disables call-region summary
-    /// memoization; verdicts are identical either way).
-    pub summaries: bool,
     /// `--format text|json`.
     pub format: String,
     /// `--deny warnings`.
@@ -81,7 +78,6 @@ impl Default for Options {
             dot: false,
             preanalysis: false,
             transfer_cache: true,
-            summaries: true,
             format: "text".into(),
             deny_warnings: false,
             suite: false,
@@ -111,7 +107,6 @@ const FLAG_SPECS: &[FlagSpec] = &[
     FlagSpec { name: "--preanalysis", value: None, help: "enable the sound subproblem-pruning pre-pass" },
     FlagSpec { name: "--metrics", value: None, help: "print per-phase timings and counters to stderr" },
     FlagSpec { name: "--no-transfer-cache", value: None, help: "disable the exact transfer-function cache" },
-    FlagSpec { name: "--no-summaries", value: None, help: "disable call-region summary memoization (A/B baseline)" },
     FlagSpec { name: "--trace", value: Some("<path>"), help: "write the per-subproblem NDJSON trace to <path>" },
     FlagSpec { name: "--quiet", value: None, help: "suppress the stderr summary (-q)" },
     FlagSpec { name: "--format", value: Some("text|json"), help: "diagnostic output format (default text)" },
@@ -151,8 +146,7 @@ pub const COMMANDS: &[Command] = &[
         requires_positional: true,
         flags: &[
             "--spec", "--strategy", "--mode", "--no-hetero", "--max-visits",
-            "--preanalysis", "--metrics", "--no-transfer-cache", "--no-summaries",
-            "--trace", "--quiet",
+            "--preanalysis", "--metrics", "--no-transfer-cache", "--trace", "--quiet",
         ],
     },
     Command {
@@ -188,10 +182,7 @@ pub const COMMANDS: &[Command] = &[
         summary: "batch a generated corpus over the job scheduler",
         positional: "",
         requires_positional: false,
-        flags: &[
-            "--jobs", "--seed", "--workers", "--cache", "--json", "--no-summaries",
-            "--quiet",
-        ],
+        flags: &["--jobs", "--seed", "--workers", "--cache", "--json", "--quiet"],
     },
     Command {
         name: "serve",
@@ -200,7 +191,7 @@ pub const COMMANDS: &[Command] = &[
         requires_positional: false,
         flags: &[
             "--cache", "--socket", "--max-visits", "--preanalysis",
-            "--no-transfer-cache", "--no-summaries", "--quiet",
+            "--no-transfer-cache", "--quiet",
         ],
     },
 ];
@@ -315,7 +306,6 @@ pub fn parse(cmd: &Command, args: &[String]) -> Result<Parsed, String> {
             "--quiet" => o.quiet = true,
             "--preanalysis" => o.preanalysis = true,
             "--no-transfer-cache" => o.transfer_cache = false,
-            "--no-summaries" => o.summaries = false,
             "--suite" => o.suite = true,
             "--jobs" => {
                 o.jobs = next(&mut it, "--jobs")?
@@ -430,7 +420,6 @@ mod tests {
         assert_eq!(o.cache_path.as_deref(), Some("/tmp/x"));
         assert_eq!(o.max_visits, 99);
         assert!(o.transfer_cache);
-        assert!(o.summaries);
     }
 
     #[test]

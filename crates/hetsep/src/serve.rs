@@ -14,14 +14,13 @@
 //! entry point — only the cache counters (and wall-clock, which the
 //! protocol deliberately omits) differ between a cold and a warm run.
 //!
-//! `--cache <path>` persists the transfer store and summary store across
-//! daemon restarts, sharing the on-disk container format with
-//! `hetsep corpus --cache`.
+//! `--cache <path>` persists the transfer store across daemon restarts,
+//! sharing the on-disk cache file format with `hetsep corpus --cache`.
 
 use std::io::{self, BufRead, Write};
 
 use hetsep_core::engine::EngineConfig;
-use hetsep_core::{CacheFile, CacheView, Session, Workspace};
+use hetsep_core::{CacheFile, Session, Workspace};
 use hetsep_ir::Response;
 
 use crate::options::Options;
@@ -61,14 +60,12 @@ pub fn serve_stream(
 }
 
 /// Builds the daemon's session from the CLI options: engine budget from the
-/// flags, transfer and summary stores preloaded from `--cache` when the
-/// file exists.
+/// flags, transfer store preloaded from `--cache` when the file exists.
 fn build_session(o: &Options) -> Result<Session, String> {
     let config = EngineConfig {
         max_visits: o.max_visits,
         preanalysis: o.preanalysis,
         transfer_cache: o.transfer_cache,
-        summaries: o.summaries,
         ..EngineConfig::default()
     };
     let mut workspace = Workspace::with_config(config);
@@ -76,28 +73,24 @@ fn build_session(o: &Options) -> Result<Session, String> {
         if std::path::Path::new(path).exists() {
             let cache = CacheFile::load(std::path::Path::new(path))?;
             if !o.quiet {
-                eprintln!("cache loaded from {path}: {}", cache.sizes());
+                eprintln!("cache loaded from {path}: {}", cache.transfers.sizes());
             }
             workspace.mount_store(cache.transfers);
-            workspace.mount_summary_store(cache.summaries);
         }
     }
     Ok(Session::with_workspace(workspace))
 }
 
-/// Saves the session's transfer and summary stores back to `--cache`, if
-/// given, serializing them where they live.
+/// Saves the session's transfer store back to `--cache`, if given,
+/// serializing it where it lives.
 fn save_cache(o: &Options, session: &Session) -> Result<(), String> {
     if let Some(path) = &o.cache_path {
-        let cache = CacheView {
-            transfers: session.workspace().store(),
-            summaries: session.workspace().summary_store(),
-        };
-        cache
+        let store = session.workspace().store();
+        store
             .save(std::path::Path::new(path))
             .map_err(|e| format!("{path}: {e}"))?;
         if !o.quiet {
-            eprintln!("cache saved to {path}: {}", cache.sizes());
+            eprintln!("cache saved to {path}: {}", store.sizes());
         }
     }
     Ok(())

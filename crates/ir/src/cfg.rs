@@ -17,8 +17,7 @@
 //! * Every splice is recorded as a [`CallRegion`] — a single-entry,
 //!   single-exit range of contiguously numbered nodes and edges — and
 //!   fingerprinted with FNV-1a over its (splice-relative) edge pool slice.
-//!   Identical regions of the same procedure share a fingerprint, which is
-//!   what makes per-procedure summary reuse possible one layer up.
+//!   Identical regions of the same procedure share a fingerprint.
 //! * Node lines, edges, and the adjacency lists live in flat pools (the
 //!   adjacency is CSR: one shared index pool plus per-node offsets), and
 //!   procedures/regions are addressed by the newtype indices [`NodeId`],

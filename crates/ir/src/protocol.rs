@@ -284,15 +284,8 @@ pub struct VerifyOutcome {
     pub shared_hits: u64,
     /// Workspace-store probes that missed.
     pub shared_misses: u64,
-    /// Call-region evaluations (each is a summary hit or miss).
+    /// Call-region evaluations (each drains the region body).
     pub call_evaluations: u64,
-    /// Region evaluations replayed from a memoized summary.
-    pub summary_hits: u64,
-    /// Region evaluations that drained the region body.
-    pub summary_misses: u64,
-    /// Workspace summary-store hits (summaries replayed from previous
-    /// requests).
-    pub shared_summary_hits: u64,
     /// Deduplicated per-line violation reports.
     pub errors: Vec<WireError>,
 }
@@ -316,15 +309,13 @@ pub struct StatusInfo {
     pub store_entries: u64,
     /// Distinct structures in the workspace store's pool.
     pub store_structures: u64,
-    /// Memoized call-region summaries in the workspace summary store.
-    pub summary_entries: u64,
     /// Programs holding a prepared verification (translations and pruning
     /// kept for a repeat of their latest verify request).
     pub prepared: u64,
     /// Verify requests that reused their program's prepared verification.
     pub prepared_hits: u64,
-    /// Encoded size in bytes of the transfer and summary store sections a
-    /// cache file of the workspace stores would hold.
+    /// Encoded size in bytes of the workspace store: the size of the cache
+    /// file it would save to.
     pub store_bytes: u64,
 }
 
@@ -393,8 +384,7 @@ impl Response {
                      \"subproblems\":{},\"pruned\":{},\"components\":{},\
                      \"estimated_structures\":{},\"cache_hits\":{},\"cache_misses\":{},\
                      \"shared_hits\":{},\"shared_misses\":{},\
-                     \"call_evaluations\":{},\"summary_hits\":{},\
-                     \"summary_misses\":{},\"shared_summary_hits\":{},\"errors\":[",
+                     \"call_evaluations\":{},\"errors\":[",
                     json::string(&o.program),
                     json::string(&o.mode),
                     json::string(&o.verdict),
@@ -410,9 +400,6 @@ impl Response {
                     o.shared_hits,
                     o.shared_misses,
                     o.call_evaluations,
-                    o.summary_hits,
-                    o.summary_misses,
-                    o.shared_summary_hits,
                 );
                 for (ix, e) in o.errors.iter().enumerate() {
                     let _ = write!(
@@ -451,7 +438,7 @@ impl Response {
                 "{{\"ok\":true,\"op\":\"status\",\"programs\":{},\"specs\":{},\
                  \"strategies\":{},\"requests\":{},\"verifies\":{},\
                  \"lint_cache_hits\":{},\"store_entries\":{},\"store_structures\":{},\
-                 \"summary_entries\":{},\"prepared\":{},\"prepared_hits\":{},\
+                 \"prepared\":{},\"prepared_hits\":{},\
                  \"store_bytes\":{}}}",
                 s.programs,
                 s.specs,
@@ -461,7 +448,6 @@ impl Response {
                 s.lint_cache_hits,
                 s.store_entries,
                 s.store_structures,
-                s.summary_entries,
                 s.prepared,
                 s.prepared_hits,
                 s.store_bytes,

@@ -109,9 +109,6 @@ fn response_goldens() -> Vec<(Response, &'static str)> {
                 shared_hits: 0,
                 shared_misses: 32,
                 call_evaluations: 6,
-                summary_hits: 4,
-                summary_misses: 2,
-                shared_summary_hits: 1,
                 errors: vec![WireError {
                     line: 9,
                     label: "read requires open".into(),
@@ -123,8 +120,7 @@ fn response_goldens() -> Vec<(Response, &'static str)> {
              \"subproblems\":2,\"pruned\":1,\"components\":2,\
              \"estimated_structures\":96,\"cache_hits\":10,\"cache_misses\":32,\
              \"shared_hits\":0,\"shared_misses\":32,\
-             \"call_evaluations\":6,\"summary_hits\":4,\
-             \"summary_misses\":2,\"shared_summary_hits\":1,\
+             \"call_evaluations\":6,\
              \"errors\":[{\"line\":9,\"label\":\"read requires open\",\
              \"definite\":false}]}",
         ),
@@ -154,7 +150,6 @@ fn response_goldens() -> Vec<(Response, &'static str)> {
                 lint_cache_hits: 1,
                 store_entries: 120,
                 store_structures: 48,
-                summary_entries: 7,
                 prepared: 2,
                 prepared_hits: 1,
                 store_bytes: 4096,
@@ -162,7 +157,7 @@ fn response_goldens() -> Vec<(Response, &'static str)> {
             "{\"ok\":true,\"op\":\"status\",\"programs\":2,\"specs\":1,\
              \"strategies\":1,\"requests\":9,\"verifies\":3,\
              \"lint_cache_hits\":1,\"store_entries\":120,\"store_structures\":48,\
-             \"summary_entries\":7,\"prepared\":2,\"prepared_hits\":1,\
+             \"prepared\":2,\"prepared_hits\":1,\
              \"store_bytes\":4096}",
         ),
         (Response::Shutdown, "{\"ok\":true,\"op\":\"shutdown\"}"),

@@ -12,24 +12,23 @@
 //! are delivered in job order regardless of worker count or completion
 //! order.
 //!
-//! Two memos persist across jobs, in the one cross-run store of
-//! [`hetsep_core::jobcache`]: single transfers ([`TransferStore`]) and
-//! whole call-region drains ([`SummaryStore`]). Both are keyed by *content*
-//! — the vocabulary, the action or region rendering, and the word-encoded
-//! input structure — with every structure stored once in a hash-consed
-//! pool, so a repeat corpus — or a corpus of near-duplicate clients —
-//! replays instead of recomputing.
+//! Transfers persist across jobs in the cross-run [`TransferStore`] of
+//! [`hetsep_core::jobcache`], keyed by *content* — the vocabulary, the
+//! action rendering, and the word-encoded input structure — with every
+//! structure stored once in a hash-consed pool, so a repeat corpus — or a
+//! corpus of near-duplicate clients — replays instead of recomputing,
+//! call regions included.
 //!
 //! # Determinism contract
 //!
-//! [`run_batch`] freezes both stores before the batch: every job probes
-//! those immutable snapshots and records what it computed into private
-//! deltas. Deltas are absorbed **in job order**, during the batch: as soon
-//! as every earlier job has finished, a job's deltas go into batch-level
-//! stores that started empty, on whichever worker delivers them, and are
-//! dropped. After the batch those stores fold into the snapshots
+//! [`run_batch`] freezes the store before the batch: every job probes that
+//! immutable snapshot and records what it computed into private deltas.
+//! Deltas are absorbed **in job order**, during the batch: as soon as
+//! every earlier job has finished, a job's deltas go into a batch-level
+//! store that started empty, on whichever worker delivers them, and are
+//! dropped. After the batch that store folds into the snapshot
 //! ([`TransferStore::merge`]), which gives the ids and bytes absorbing
-//! every delta into the snapshots in job order would. A batch therefore
+//! every delta into the snapshot in job order would. A batch therefore
 //! holds only the deltas of jobs that finished ahead of an earlier one
 //! still running, not every job's until the end. Consequently each job's
 //! outcome (verdict, errors, visits, every cache counter) is a pure
@@ -37,16 +36,15 @@
 //! the schedule, or sibling jobs — and [`JobOutcome::stable_json`] is
 //! byte-identical across schedules. Jobs run with one engine thread each
 //! (the outer pool is the parallelism), which also makes the post-batch
-//! stores — and hence their serialized bytes — schedule-independent.
+//! store — and hence its serialized bytes — schedule-independent.
 
 use std::sync::atomic::AtomicBool;
 use std::time::{Duration, Instant};
 
-use hetsep_core::jobcache::{Delta, TransferMemo};
-use hetsep_core::summary::SummaryMemo;
+use hetsep_core::jobcache::Delta;
 use hetsep_core::{
-    for_each_ordered, Counter, EngineConfig, Mode, ModeKind, SharedSummarySession,
-    SharedTransferSession, SummaryStore, TransferStore, Verifier,
+    for_each_ordered, Counter, EngineConfig, Mode, ModeKind, SharedTransferSession, SummaryStore,
+    TransferStore, Verifier,
 };
 // The workspace's one string-escaping rule, shared with diagnostics and the
 // serve protocol.
@@ -122,13 +120,14 @@ pub struct JobOutcome {
     pub shared_hits: u64,
     /// Cross-job shared-store probes that missed.
     pub shared_misses: u64,
-    /// Call-region evaluations (each is a summary hit or miss).
+    /// Call-region evaluations (each drains the region body).
     pub call_evaluations: u64,
-    /// Region evaluations replayed from a memoized summary.
+    /// Always 0. Kept, with `shared_summary_hits`, only so that the
+    /// `perfbench/` harness, which reads both, keeps compiling.
+    #[doc(hidden)]
     pub summary_hits: u64,
-    /// Region evaluations that drained the region body.
-    pub summary_misses: u64,
-    /// Cross-job shared summary-store hits.
+    /// Always 0; see `summary_hits`.
+    #[doc(hidden)]
     pub shared_summary_hits: u64,
     /// Failure message when `verdict == "failed"`.
     pub failure: Option<String>,
@@ -147,9 +146,7 @@ impl JobOutcome {
              \"space\": {}, \"peak_nodes\": {}, \"subproblems\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \
              \"shared_hits\": {}, \"shared_misses\": {}, \
-             \"call_evaluations\": {}, \
-             \"summary_hits\": {}, \"summary_misses\": {}, \
-             \"shared_summary_hits\": {}",
+             \"call_evaluations\": {}",
             json_string(&self.name),
             self.mode,
             self.verdict,
@@ -164,9 +161,6 @@ impl JobOutcome {
             self.shared_hits,
             self.shared_misses,
             self.call_evaluations,
-            self.summary_hits,
-            self.summary_misses,
-            self.shared_summary_hits,
         );
         if let Some(f) = &self.failure {
             s.push_str(&format!(", \"failure\": {}", json_string(f)));
@@ -234,14 +228,9 @@ impl BatchResult {
     }
 }
 
-/// Runs one job against frozen transfer- and summary-store snapshots,
-/// returning its outcome and the transfers and summaries it computed.
-fn run_job(
-    job: &Job,
-    engine: &EngineConfig,
-    snapshot: &TransferStore,
-    summaries: &SummaryStore,
-) -> (JobOutcome, Vec<Delta<TransferMemo>>, Vec<Delta<SummaryMemo>>) {
+/// Runs one job against a frozen store snapshot, returning its outcome and
+/// the transfers it computed.
+fn run_job(job: &Job, engine: &EngineConfig, snapshot: &TransferStore) -> (JobOutcome, Vec<Delta>) {
     let start = Instant::now();
     let fail = |msg: String, start: Instant| JobOutcome {
         name: job.name.clone(),
@@ -259,7 +248,6 @@ fn run_job(
         shared_misses: 0,
         call_evaluations: 0,
         summary_hits: 0,
-        summary_misses: 0,
         shared_summary_hits: 0,
         failure: Some(msg),
         wall: start.elapsed(),
@@ -267,45 +255,35 @@ fn run_job(
 
     let program = match hetsep_ir::parse_program(&job.program) {
         Ok(p) => p,
-        Err(e) => return (fail(format!("parse: {e}"), start), Vec::new(), Vec::new()),
+        Err(e) => return (fail(format!("parse: {e}"), start), Vec::new()),
     };
     let Some(spec) = hetsep_easl::builtin::by_name(&program.uses) else {
-        return (
-            fail(format!("unknown spec: {}", program.uses), start),
-            Vec::new(),
-            Vec::new(),
-        );
+        return (fail(format!("unknown spec: {}", program.uses), start), Vec::new());
     };
     let strategy = if job.mode.needs_strategy() {
         let Some(src) = &job.strategy else {
-            return (
-                fail("mode requires a strategy".into(), start),
-                Vec::new(),
-                Vec::new(),
-            );
+            return (fail("mode requires a strategy".into(), start), Vec::new());
         };
         match hetsep_strategy::parse_strategy(src) {
             Ok(s) => Some(s),
-            Err(e) => return (fail(format!("strategy: {e}"), start), Vec::new(), Vec::new()),
+            Err(e) => return (fail(format!("strategy: {e}"), start), Vec::new()),
         }
     } else {
         None
     };
     let mode = match Mode::from_kind(job.mode, strategy) {
         Ok(m) => m,
-        Err(e) => return (fail(e.to_string(), start), Vec::new(), Vec::new()),
+        Err(e) => return (fail(e.to_string(), start), Vec::new()),
     };
     // The label a job reports under is resolved from the strategy (`single`
     // vs. `multi`), not echoed from the request.
     let mode_label = mode.kind().as_str();
 
     let session = SharedTransferSession::new(snapshot);
-    let summary_session = SharedSummarySession::new(summaries);
     let report = Verifier::new(&program, &spec)
         .mode(mode)
         .config(engine.clone())
         .shared_cache(&session)
-        .shared_summaries(&summary_session)
         .run();
     match report {
         Ok(report) => {
@@ -325,26 +303,26 @@ fn run_job(
                 shared_hits: c(Counter::SharedCacheHits),
                 shared_misses: c(Counter::SharedCacheMisses),
                 call_evaluations: c(Counter::CallEvaluations),
-                summary_hits: c(Counter::SummaryHits),
-                summary_misses: c(Counter::SummaryMisses),
-                shared_summary_hits: c(Counter::SharedSummaryHits),
+                summary_hits: 0,
+                shared_summary_hits: 0,
                 failure: None,
                 wall: start.elapsed(),
             };
-            (outcome, session.into_deltas(), summary_session.into_deltas())
+            (outcome, session.into_deltas())
         }
-        Err(e) => (fail(e.to_string(), start), Vec::new(), Vec::new()),
+        Err(e) => (fail(e.to_string(), start), Vec::new()),
     }
 }
 
 /// Runs a batch of jobs over the worker pool, probing and then growing the
 /// persistent `store` (see the module docs for the snapshot + ordered
-/// deltas determinism contract).
+/// deltas determinism contract). `_summaries` is ignored: it stays only so
+/// that the `perfbench/` harness, which passes it, keeps compiling.
 pub fn run_batch(
     jobs: &[Job],
     config: &BatchConfig,
     store: &mut TransferStore,
-    summaries: &mut SummaryStore,
+    _summaries: &mut SummaryStore,
 ) -> BatchResult {
     let mut engine = config.engine.clone();
     // One subproblem thread per job: the outer pool is the parallelism, and
@@ -353,24 +331,21 @@ pub fn run_batch(
     engine.parallel.threads = 1;
 
     let snapshot = std::mem::take(store);
-    let summary_snapshot = std::mem::take(summaries);
     let start = Instant::now();
     let cancel = AtomicBool::new(false);
     let mut batch = TransferStore::new();
-    let mut batch_summaries = SummaryStore::new();
     let mut outcomes = Vec::with_capacity(jobs.len());
     let mut absorb = Duration::ZERO;
     for_each_ordered(
         jobs,
         config.workers,
         &cancel,
-        |_, job, _| run_job(job, &engine, &snapshot, &summary_snapshot),
+        |_, job, _| run_job(job, &engine, &snapshot),
         |_, r| {
             // The flag is never raised, so every job runs.
-            let (outcome, deltas, summary_deltas) = r.expect("job scheduler never cancels");
+            let (outcome, deltas) = r.expect("job scheduler never cancels");
             let at = Instant::now();
             batch.absorb(deltas);
-            batch_summaries.absorb(summary_deltas);
             absorb += at.elapsed();
             outcomes.push(outcome);
         },
@@ -378,8 +353,6 @@ pub fn run_batch(
     let at = Instant::now();
     *store = snapshot;
     store.merge(batch);
-    *summaries = summary_snapshot;
-    summaries.merge(batch_summaries);
     absorb += at.elapsed();
     let wall = start.elapsed();
 
@@ -450,8 +423,12 @@ mod tests {
     #[test]
     fn batch_reports_verdicts_in_job_order() {
         let mut store = TransferStore::new();
-        let mut summaries = SummaryStore::new();
-        let result = run_batch(&jobs(), &BatchConfig::default(), &mut store, &mut summaries);
+        let result = run_batch(
+            &jobs(),
+            &BatchConfig::default(),
+            &mut store,
+            &mut SummaryStore::new(),
+        );
         let verdicts: Vec<&str> = result.outcomes.iter().map(|o| o.verdict).collect();
         assert_eq!(verdicts, ["verified", "errors", "failed"]);
         assert_eq!(
@@ -467,10 +444,19 @@ mod tests {
     #[test]
     fn warm_store_replays_instead_of_recomputing() {
         let mut store = TransferStore::new();
-        let mut summaries = SummaryStore::new();
-        let cold = run_batch(&jobs(), &BatchConfig::default(), &mut store, &mut summaries);
+        let cold = run_batch(
+            &jobs(),
+            &BatchConfig::default(),
+            &mut store,
+            &mut SummaryStore::new(),
+        );
         let entries = store.entry_count();
-        let warm = run_batch(&jobs(), &BatchConfig::default(), &mut store, &mut summaries);
+        let warm = run_batch(
+            &jobs(),
+            &BatchConfig::default(),
+            &mut store,
+            &mut SummaryStore::new(),
+        );
         assert!(entries > 0);
         assert_eq!(
             store.entry_count(),
@@ -491,12 +477,11 @@ mod tests {
         let jobs = jobs();
         let run = |workers: usize| {
             let mut store = TransferStore::new();
-            let mut summaries = SummaryStore::new();
             let cfg = BatchConfig {
                 workers,
                 ..BatchConfig::default()
             };
-            run_batch(&jobs, &cfg, &mut store, &mut summaries)
+            run_batch(&jobs, &cfg, &mut store, &mut SummaryStore::new())
         };
         let one = run(1);
         let four = run(4);

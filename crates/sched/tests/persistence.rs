@@ -36,16 +36,24 @@ fn jobs() -> Vec<Job> {
 #[test]
 fn persisted_store_round_trips() {
     let mut store = TransferStore::new();
-    let mut summaries = SummaryStore::new();
-    let cold = run_batch(&jobs(), &BatchConfig::default(), &mut store, &mut summaries);
+    let cold = run_batch(
+        &jobs(),
+        &BatchConfig::default(),
+        &mut store,
+        &mut SummaryStore::new(),
+    );
     let bytes = store.to_bytes();
 
     let mut reloaded = TransferStore::from_bytes(&bytes).expect("load");
-    let mut warm_summaries = SummaryStore::new();
     assert_eq!(reloaded.entry_count(), store.entry_count());
     assert_eq!(reloaded.structure_count(), store.structure_count());
 
-    let warm = run_batch(&jobs(), &BatchConfig::default(), &mut reloaded, &mut warm_summaries);
+    let warm = run_batch(
+        &jobs(),
+        &BatchConfig::default(),
+        &mut reloaded,
+        &mut SummaryStore::new(),
+    );
     assert_eq!(
         reloaded.entry_count(),
         store.entry_count(),
@@ -68,8 +76,12 @@ fn persisted_store_round_trips() {
 #[test]
 fn corrupt_bytes_are_rejected() {
     let mut store = TransferStore::new();
-    let mut summaries = SummaryStore::new();
-    run_batch(&jobs(), &BatchConfig::default(), &mut store, &mut summaries);
+    run_batch(
+        &jobs(),
+        &BatchConfig::default(),
+        &mut store,
+        &mut SummaryStore::new(),
+    );
     let bytes = store.to_bytes();
     assert!(TransferStore::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     let mut truncated = bytes.clone();

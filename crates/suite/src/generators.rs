@@ -276,11 +276,10 @@ pub struct SharedLibWorkload {
 /// called from `clients × calls_per_client` sites, every site passing a
 /// different stream through the *same* callee body.
 ///
-/// This is the summary-cache stress shape: under call-site inlining each
-/// site re-expands and re-analyzes the library body, whereas per-procedure
-/// summaries compute the body once per distinct input abstraction and
-/// replay it everywhere else — the warm-over-cold and
-/// summaries-over-inlining wins `BENCH_summaries.json` reports.
+/// This is the call-region stress shape: every site drains the library
+/// body as a nested subproblem, and a body arrival whose transfers the run
+/// (or, warm, the shared transfer store) has already computed replays them
+/// instead of recomputing.
 pub fn shared_lib(name: &str, w: &SharedLibWorkload) -> String {
     let mut out = String::new();
     writeln!(out, "program {name} uses IOStreams;").unwrap();

@@ -16,7 +16,7 @@
 //! | `KernelBench1`   | collections/iterators kernel \[14\]         | static source (1 real error) |
 //! | `KernelBench3`   | larger kernel — vanilla does not finish   | generated |
 //! | `SQLExecutor`    | open-source JDBC framework — vanilla does not finish | generated |
-//! | `SharedLib`      | one library procedure, many call sites    | generated (summary-cache stress shape) |
+//! | `SharedLib`      | one library procedure, many call sites    | generated (call-region stress shape) |
 //! | `SharedLibLoop`  | loop-wrapped erroneous variant            | generated (1 real error inside the shared body) |
 //!
 //! The originals (SpecJVM98, SQLExecutor) are proprietary or unavailable;

@@ -384,7 +384,7 @@ pub fn sql_executor() -> Benchmark {
 }
 
 /// `SharedLib`: one library procedure called from many sites across many
-/// client streams — the summary-cache stress shape. Correct usage
+/// client streams — the call-region stress shape. Correct usage
 /// throughout; every mode verifies.
 pub fn shared_lib() -> Benchmark {
     Benchmark {

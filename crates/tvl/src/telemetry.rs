@@ -130,27 +130,22 @@ pub enum Counter {
     /// not a bound: measured peaks exceed it (see `DESIGN.md` §15.2).
     PreanalysisEstimatedStructures,
     /// Call-region evaluations: structures arriving at a spliced procedure's
-    /// entry node while summary memoization is active. Every evaluation is
-    /// answered by a summary hit or computed as a miss, so
-    /// `SummaryHits + SummaryMisses == CallEvaluations`.
+    /// entry node, each drained through the callee body as a nested
+    /// subproblem.
     CallEvaluations,
-    /// Call-region evaluations replayed from a memoized per-procedure
-    /// summary (in-run memo or shared store) instead of re-draining the
-    /// callee body.
+    /// Never incremented and not in [`Counter::REPORTED`]: procedure
+    /// summaries are gone. Kept, with `SharedSummaryHits`, only so that
+    /// the `perfbench/` harness, which reads both, keeps compiling.
+    #[doc(hidden)]
     SummaryHits,
-    /// Call-region evaluations that drained the callee body as a nested
-    /// subproblem and recorded the summary for future evaluations.
-    SummaryMisses,
-    /// Summary hits answered by a *cross-job* shared summary store (a
-    /// persisted section beside the transfer store; see `hetsep-core`'s
-    /// `summary` module). A subset of `SummaryHits`, so a warm run reports
-    /// strictly fewer `SummaryMisses` than a cold one.
+    /// Never incremented; see `SummaryHits`.
+    #[doc(hidden)]
     SharedSummaryHits,
 }
 
 impl Counter {
     /// Every counter, in fixed reporting order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 19] = [
         Counter::InternHits,
         Counter::InternMisses,
         Counter::WorklistPushes,
@@ -169,9 +164,13 @@ impl Counter {
         Counter::PreanalysisEstimatedStructures,
         Counter::CallEvaluations,
         Counter::SummaryHits,
-        Counter::SummaryMisses,
         Counter::SharedSummaryHits,
     ];
+
+    /// Every counter the engine increments, in reporting order: all of
+    /// [`Counter::ALL`] but the two hidden stand-ins at its end. Traces,
+    /// JSON rows and metric tables list these.
+    pub const REPORTED: &'static [Counter] = Counter::ALL.split_at(Counter::ALL.len() - 2).0;
 
     /// Stable snake_case label used in traces and JSON output.
     pub fn label(self) -> &'static str {
@@ -194,7 +193,6 @@ impl Counter {
             Counter::PreanalysisEstimatedStructures => "preanalysis_estimated_structures",
             Counter::CallEvaluations => "call_evaluations",
             Counter::SummaryHits => "summary_hits",
-            Counter::SummaryMisses => "summary_misses",
             Counter::SharedSummaryHits => "shared_summary_hits",
         }
     }
@@ -604,6 +602,11 @@ mod tests {
         for (i, c) in Counter::ALL.into_iter().enumerate() {
             assert_eq!(c.index(), i, "{c}");
         }
+        assert_eq!(
+            Counter::ALL[Counter::REPORTED.len()..],
+            [Counter::SummaryHits, Counter::SharedSummaryHits],
+            "only the hidden stand-ins go unreported"
+        );
         for (i, p) in Phase::ALL.into_iter().enumerate() {
             assert_eq!(p.index(), i, "{p}");
         }

@@ -53,21 +53,6 @@ fn fixed_events() -> Vec<Event> {
             counter: Counter::CallEvaluations,
             value: 9,
         },
-        Event::CounterSample {
-            index: 0,
-            counter: Counter::SummaryHits,
-            value: 6,
-        },
-        Event::CounterSample {
-            index: 0,
-            counter: Counter::SummaryMisses,
-            value: 3,
-        },
-        Event::CounterSample {
-            index: 0,
-            counter: Counter::SharedSummaryHits,
-            value: 2,
-        },
         Event::LocationStructures {
             index: 0,
             location: 5,

@@ -84,13 +84,6 @@ cargo run -q -p hetsep-bench --bin table3 --release -- --threads 1 --json "$tabl
     ISPath InputStream5 InputStream5b InputStream6 HandleReuse JDBCExample JDBCExampleFixed \
     db KernelBench1 KernelBench3 SQLExecutor SharedLib SharedLibLoop > /dev/null
 table3_quick scripts/table3_suite.golden
-# And the summaries A/B: `--no-summaries` is the inlining-equivalent
-# baseline, so the semantic columns must be byte-identical against the
-# very same golden — only wall-clock and the summary counters may move.
-cargo run -q -p hetsep-bench --bin table3 --release -- \
-    --threads 1 --no-summaries --json "$table3_quick_json" \
-    ISPath KernelBench1 db SharedLibLoop > /dev/null
-table3_quick
 
 # Trace golden: the NDJSON trace rendered from a quick Table 3 subset's
 # per-subproblem rows must be byte-identical to the committed golden,
@@ -112,15 +105,6 @@ rm -f "$table3_quick_json" "$trace_quick"
 # heterogeneous abstraction stores 13085 structures against 6011 — plus
 # every other row, pinned byte for byte.
 cargo run -q -p hetsep-bench --bin ablation --release | diff -u scripts/ablation_quick.golden -
-
-# Per-procedure summary gate: the shared-library bench asserts internally
-# that verdicts/visits/space are identical across baseline (summaries
-# off), cold, and warm runs, that the in-run memo and the cross-run store
-# both hit, and that every region evaluation is exactly one hit or miss.
-summaries_json="$(mktemp)"
-cargo run -q -p hetsep-bench --bin summaries --release -- \
-    --json "$summaries_json" --repeats 1 > /dev/null
-rm -f "$summaries_json"
 
 # Corpus scheduler smoke gate: a 50-job generated corpus run cold at 4 and
 # at 1 worker, then warm through the persisted cross-job cache. Every run
@@ -162,17 +146,16 @@ cmp "$corpus_rows.out" "$corpus_rows.1.out"
 rm -f "$corpus_rows.1" "$corpus_rows.out" "$corpus_rows.1.out"
 rm -f "$corpus_cache" "$corpus_cache.1" "$corpus_rows"
 
-# Hostile cache input: a 44-byte container whose transfer section declares
+# Hostile cache input: a 28-byte cache file whose transfer store declares
 # one structure of u32::MAX words must be rejected with the CLI's error
 # diagnostic (exit 2), not abort the process reserving 32 GiB. Layout:
-# container magic, section length 28, section magic, 0 contexts, 0 keys,
-# 1 structure: id 0, u32::MAX words.
+# store magic, 0 contexts, 0 keys, 1 structure: id 0, u32::MAX words.
 {
-    printf 'HSEPWS02\034\000\000\000\000\000\000\000HSEPTC01'
+    printf 'HSEPTC01'
     printf '\000\000\000\000\000\000\000\000\001\000\000\000'
     printf '\000\000\000\000\377\377\377\377'
 } > "$corpus_cache"
-[ "$(wc -c < "$corpus_cache")" -eq 44 ]
+[ "$(wc -c < "$corpus_cache")" -eq 28 ]
 corpus_status=0
 cargo run -q -p hetsep --bin hetsep --release -- \
     corpus --jobs 1 --cache "$corpus_cache" --quiet > /dev/null 2> "$corpus_cache.err" \
