@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use hetsep_ir::cfg::Cfg;
 use hetsep_tvl::action::apply_planned;
-use hetsep_tvl::canon::{blur_by, blur_post, name_columns, Column};
+use hetsep_tvl::canon::{blur_by, blur_post, name_columns, Column, NameSlots};
 use hetsep_tvl::coerce::CoercePlan;
 use hetsep_tvl::focus::DEFAULT_FOCUS_LIMIT;
 use hetsep_tvl::intern::{StructureId, StructureInterner};
@@ -310,7 +310,7 @@ fn compute_transfer(
     for post in out.results {
         peak_post_nodes = peak_post_nodes.max(post.node_count());
         posts.push(metrics.time(Phase::Canon, || {
-            blur_post(s, settled, post, table, &plan.columns)
+            blur_post(s, settled, post, table, &plan.columns, &plan.name_slots)
         }));
     }
     let peak_post_nodes = u32::try_from(peak_post_nodes).unwrap_or(u32::MAX);
@@ -324,6 +324,8 @@ struct TransferPlan {
     coerce: CoercePlan,
     /// The canonical-name columns of canonical abstraction.
     columns: Vec<Column>,
+    /// The unary slots the `columns` read, for the settled check.
+    name_slots: NameSlots,
 }
 
 /// Reverse-postorder rank of every CFG node (entry = 0). Nodes unreachable
@@ -465,24 +467,28 @@ impl EngineSt<'_> {
             .and_modify(|d| *d |= definite)
             .or_insert(definite);
     }
+}
 
-    /// Records the allocation sites of the chosen objects of a violating
-    /// pre-state (paper §4.2: allocation-site based identification of failed
-    /// individuals).
-    ///
-    /// A site fails iff some individual is possibly `chosen` *and* possibly
-    /// carries the site's predicate; with bit-packed structures that is one
-    /// word-parallel maybe-mask intersection per site
-    /// ([`Structure::maybe_overlap`]) instead of a node × site probe loop.
-    fn note_failing_structure(&mut self, instance: &AnalysisInstance, s: &Structure) {
-        let table = &instance.vocab.table;
-        let Some(chosen) = instance.vocab.chosen else {
-            return;
-        };
-        for (&site, &pred) in &instance.vocab.site_preds {
-            if s.maybe_overlap(table, chosen, pred) {
-                self.failing_sites.insert(site);
-            }
+/// Records in `failing_sites` the allocation sites of the chosen objects of
+/// a violating pre-state (paper §4.2: allocation-site based identification
+/// of failed individuals).
+///
+/// A site fails iff some individual is possibly `chosen` *and* possibly
+/// carries the site's predicate; with bit-packed structures that is one
+/// word-parallel maybe-mask intersection per site
+/// ([`Structure::maybe_overlap`]) instead of a node × site probe loop.
+fn note_failing_structure(
+    failing_sites: &mut HashSet<SiteId>,
+    instance: &AnalysisInstance,
+    s: &Structure,
+) {
+    let table = &instance.vocab.table;
+    let Some(chosen) = instance.vocab.chosen else {
+        return;
+    };
+    for (&site, &pred) in &instance.vocab.site_preds {
+        if s.maybe_overlap(table, chosen, pred) {
+            failing_sites.insert(site);
         }
     }
 }
@@ -565,11 +571,13 @@ impl InstancePlan {
                 .collect();
             action_ids.push(ids);
         }
+        let columns = name_columns(table);
         InstancePlan {
             rpo: rpo_ranks(cfg),
             transfer: TransferPlan {
                 coerce: CoercePlan::new(table),
-                columns: name_columns(table),
+                name_slots: NameSlots::new(table, &columns),
+                columns,
             },
             action_ids,
             distinct_actions,
@@ -741,7 +749,9 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                 continue;
             }
         }
-        let s = st.interner.resolve(sid).clone();
+        // The pre-state is read from the interner where it is used, not
+        // cloned: the arena entry outlives the pop, and the borrows below
+        // are by field, so interning the posts does not conflict with them.
         let settled = st.interner.is_settled(sid);
         for &edge_ix in cfg.out_edges(node) {
             let edge = &cfg.edges()[edge_ix];
@@ -794,7 +804,7 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                         }
                         let (blurred, memo) = compute_transfer(
                             action,
-                            &s,
+                            st.interner.resolve(sid),
                             settled,
                             table,
                             &ctx.prep.transfer,
@@ -822,7 +832,11 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                     for (label, definite) in &memo.violations {
                         st.note_violation(edge.line, label, *definite);
                     }
-                    st.note_failing_structure(instance, &s);
+                    note_failing_structure(
+                        &mut st.failing_sites,
+                        instance,
+                        st.interner.resolve(sid),
+                    );
                 }
                 st.peak_nodes = st.peak_nodes.max(memo.peak_post_nodes);
                 for &post in posts {

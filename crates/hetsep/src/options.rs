@@ -77,7 +77,7 @@ impl Default for Options {
             line: None,
             dot: false,
             preanalysis: false,
-            transfer_cache: true,
+            transfer_cache: crate::EngineConfig::default().transfer_cache,
             format: "text".into(),
             deny_warnings: false,
             suite: false,
@@ -369,6 +369,17 @@ mod tests {
 
     fn run(cmd: &str, a: &[&str]) -> Result<Parsed, String> {
         parse(find_command(cmd).unwrap(), &args(a))
+    }
+
+    #[test]
+    fn transfer_cache_default_is_the_engine_default() {
+        assert_eq!(
+            Options::default().transfer_cache,
+            crate::EngineConfig::default().transfer_cache
+        );
+        let o = run("verify", &["p.hsp"]).unwrap();
+        let Parsed::Run(o) = o else { panic!("verify parses to a run") };
+        assert_eq!(o.transfer_cache, crate::EngineConfig::default().transfer_cache);
     }
 
     #[test]

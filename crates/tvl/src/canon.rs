@@ -126,6 +126,14 @@ pub fn blur(s: &Structure, table: &PredTable) -> Structure {
 /// blurred structures are directly comparable with `==` and hashable — two
 /// blurred structures over the same table are isomorphic iff they are equal.
 pub fn blur_by(s: &Structure, table: &PredTable, cols: &[Column]) -> (Structure, Vec<NodeId>) {
+    quotient(s, table, cols).unwrap_or_else(|| (s.clone(), s.nodes().collect()))
+}
+
+/// The one blur path behind [`blur_by`] and [`blur_post`]: the quotient of
+/// `s` and its node map, or `None` when the quotient is `s` itself (the
+/// names are already sorted and nothing merges), so that a caller owning
+/// `s` returns it without a copy.
+fn quotient(s: &Structure, table: &PredTable, cols: &[Column]) -> Option<(Structure, Vec<NodeId>)> {
     // Group nodes by canonical name. This is the hottest allocation site of
     // the whole analysis (one call per post-structure), so instead of a
     // `HashMap<Vec<Kleene>, Vec<NodeId>>` with a fresh name vector per node,
@@ -153,7 +161,7 @@ pub fn blur_by(s: &Structure, table: &PredTable, cols: &[Column]) -> (Structure,
     let n_new = groups.len();
     if n_new == n_old && order.iter().enumerate().all(|(ix, u)| u.index() == ix) {
         // Already sorted and nothing merges: the quotient is `s` itself.
-        return (s.clone(), order);
+        return None;
     }
     let mut map = vec![NodeId::from_index(0); n_old];
     for (new_ix, g) in groups.iter().enumerate() {
@@ -168,44 +176,87 @@ pub fn blur_by(s: &Structure, table: &PredTable, cols: &[Column]) -> (Structure,
     if n_new < n_old {
         fix_merged_blocks(s, table, &order, &groups, &mut out);
     }
-    (out, map)
+    Some((out, map))
 }
 
-/// Whether `post` has `pre`'s universe and `pre`'s planes on every
-/// predicate the name columns `cols` read. Then every individual keeps its
-/// canonical name: if `pre` blurs to itself (its names are sorted and
-/// unique), so does `post`.
-pub fn keeps_names(pre: &Structure, post: &Structure, table: &PredTable, cols: &[Column]) -> bool {
-    let same = |p: PredId| pre.unary_planes(table.slot(p)) == post.unary_planes(table.slot(p));
+/// The unary slots that a list of name columns reads (each column's
+/// predicate and its mask predicate), every slot once, as maximal runs of
+/// consecutive slots. It depends only on the table and the columns, so hot
+/// callers compute it once per table, next to the [`name_columns`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NameSlots(Vec<std::ops::Range<usize>>);
+
+impl NameSlots {
+    /// The slots that `cols` read in `table` (all predicates must be unary).
+    pub fn new(table: &PredTable, cols: &[Column]) -> NameSlots {
+        let mut slots: Vec<usize> = cols
+            .iter()
+            .flat_map(|c| std::iter::once(c.pred).chain(c.mask))
+            .map(|p| {
+                assert_eq!(table.arity(p), Arity::Unary, "canonical names are unary");
+                table.slot(p)
+            })
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+        for slot in slots {
+            match runs.last_mut() {
+                Some(run) if run.end == slot => run.end += 1,
+                _ => runs.push(slot..slot + 1),
+            }
+        }
+        NameSlots(runs)
+    }
+}
+
+/// Whether `post` has `pre`'s universe and `pre`'s planes on every unary
+/// slot of `slots`, the [`NameSlots`] of the name columns. Then every
+/// individual keeps its canonical name: if `pre` blurs to itself (its names
+/// are sorted and unique), so does `post`. Each slot is compared once,
+/// however many columns read it, and each run of consecutive slots as one
+/// slice per plane.
+pub fn keeps_names(pre: &Structure, post: &Structure, slots: &NameSlots) -> bool {
     pre.node_count() == post.node_count()
-        && cols.iter().all(|c| same(c.pred) && c.mask.is_none_or(same))
+        && slots
+            .0
+            .iter()
+            .all(|run| pre.unary_slot_planes(run.clone()) == post.unary_slot_planes(run.clone()))
 }
 
 /// Canonical abstraction of a transfer's post-state, with the post's
 /// *settled* bit (see [`crate::intern::StructureInterner::settle`]).
 ///
-/// `post` must be a coerce fixpoint computed from `pre`, and `pre_settled`
-/// may only be `true` if `pre` is settled. The result equals
-/// `blur_by(&post, table, cols).0`:
+/// `post` must be a coerce fixpoint computed from `pre`, `pre_settled` may
+/// only be `true` if `pre` is settled, and `slots` must be the
+/// [`NameSlots`] of `cols`. The result equals `blur_by(&post, table,
+/// cols).0`:
 ///
 /// * if `pre` is settled and `post` [keeps its names](keeps_names), `post`
 ///   is its own canonical form and is returned as it is, settled;
 /// * otherwise `post` is blurred, and the result is settled iff the blur
 ///   merged nothing: it is then a permutation of a coerce fixpoint (itself
-///   one, as coerce treats nodes alike) with sorted, unique names.
+///   one, as coerce treats nodes alike) with sorted, unique names. When the
+///   names are already sorted and unique, that permutation is the identity
+///   and `post` itself is returned.
 pub fn blur_post(
     pre: &Structure,
     pre_settled: bool,
     post: Structure,
     table: &PredTable,
     cols: &[Column],
+    slots: &NameSlots,
 ) -> (Structure, bool) {
-    if pre_settled && keeps_names(pre, &post, table, cols) {
+    if pre_settled && keeps_names(pre, &post, slots) {
         return (post, true);
     }
-    let blurred = blur_by(&post, table, cols).0;
-    let merged_nothing = blurred.node_count() == post.node_count();
-    (blurred, merged_nothing)
+    match quotient(&post, table, cols) {
+        None => (post, true),
+        Some((blurred, _)) => {
+            let merged_nothing = blurred.node_count() == post.node_count();
+            (blurred, merged_nothing)
+        }
+    }
 }
 
 /// Turns the OR-scattered blocks of merged groups into joins.

@@ -22,9 +22,17 @@
 //!
 //! With the bit-packed two-plane [`Structure`] layout both halves of a probe
 //! are word-parallel: the fingerprint mixes one `u64` plane word (64 truth
-//! values) per FNV round, and the verifying `==` is a derived slice compare
-//! over the plane vectors — the stride-padding invariant (bits past the
-//! universe size are always zero) is what makes both value-exact.
+//! values) per FNV round, in four independent lanes folded together at the
+//! end, and the verifying `==` is a derived slice compare over the plane
+//! vectors — the stride-padding invariant (bits past the universe size are
+//! always zero) is what makes both value-exact.
+//!
+//! The lane fingerprint is in-memory only: the interner's buckets and
+//! [`crate::canon::CanonicalKey::fingerprint`] read it, nothing persists it,
+//! so its value may change between builds. [`WordPool`]'s fingerprint is
+//! different: it fixes each entry's shard, hence its [`PoolId`], and the
+//! order of the pool's (serialized) entries, so it stays the single-chain
+//! FNV-1a it is, and a persisted cache keeps its bytes.
 
 use std::collections::HashMap;
 
@@ -216,6 +224,8 @@ impl WordPool {
         WordPool::default()
     }
 
+    /// FNV-1a over the length and the words. It fixes shards, ids and the
+    /// serialized entry order, so its value must not change.
     fn fingerprint(words: &[u64]) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

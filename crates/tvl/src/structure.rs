@@ -41,6 +41,9 @@ use crate::bits;
 use crate::kleene::Kleene;
 use crate::pred::{Arity, PredId, PredTable};
 
+/// Number of independent FNV lanes of [`Structure::fingerprint`].
+pub const FINGERPRINT_LANES: usize = 4;
+
 /// Index of an individual in a structure's universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
@@ -245,6 +248,15 @@ impl Structure {
         (&self.unary_t[base..base + st], &self.unary_h[base..base + st])
     }
 
+    /// Both planes of the consecutive unary slots `slots`, `stride` words
+    /// per slot.
+    #[inline]
+    pub(crate) fn unary_slot_planes(&self, slots: std::ops::Range<usize>) -> (&[u64], &[u64]) {
+        let st = self.stride as usize;
+        let span = slots.start * st..slots.end * st;
+        (&self.unary_t[span.clone()], &self.unary_h[span])
+    }
+
     /// Mutable planes of one unary slot. Callers must preserve the `t & h`
     /// and padding invariants.
     #[inline]
@@ -347,12 +359,22 @@ impl Structure {
         }
     }
 
-    /// A 64-bit fingerprint of the structure's full contents (FNV-1a over
-    /// the universe size, the nullary values, and every plane word).
+    /// A 64-bit fingerprint of the structure's full contents: FNV-1a over
+    /// the universe size, the nullary values and every plane word, run in
+    /// [`FINGERPRINT_LANES`] independent lanes and folded together at the
+    /// end.
+    ///
+    /// Each plane is cut into chunks of `FINGERPRINT_LANES` words; word `i`
+    /// of a chunk goes to lane `i`, and the plane's remainder words go to
+    /// lanes `0..r`. The lanes' multiply chains do not depend on each
+    /// other, so they overlap in the pipeline instead of waiting on one
+    /// another. A change to a single word changes its lane's hash (each
+    /// FNV step is a bijection of the running hash), hence the fingerprint.
     ///
     /// Equal structures always have equal fingerprints; distinct structures
     /// collide with probability ~2⁻⁶⁴. Callers that use fingerprints as map
-    /// keys (e.g. the interner) must verify candidates with full `==`.
+    /// keys (e.g. the interner) must verify candidates with full `==`. The
+    /// value is in-memory only: nothing persists it.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -360,27 +382,27 @@ impl Structure {
         fn mix(h: u64, word: u64) -> u64 {
             (h ^ word).wrapping_mul(PRIME)
         }
-        let mut h = OFFSET;
-        h = mix(h, self.n as u64);
+        let mut lanes = [OFFSET; FINGERPRINT_LANES];
+        lanes[0] = mix(lanes[0], self.n as u64);
         for &v in &self.nullary {
-            h = mix(h, v as u64);
+            lanes[0] = mix(lanes[0], v as u64);
         }
         // Plane boundaries are implied by `n` and the (fixed) predicate
         // table, so no separators are needed between slots; padding bits are
         // zero by invariant, so equal structures hash equal per-word.
-        for &w in &self.unary_t {
-            h = mix(h, w);
+        for plane in [&self.unary_t, &self.unary_h, &self.binary_t, &self.binary_h] {
+            let chunks = plane.chunks_exact(FINGERPRINT_LANES);
+            let rest = chunks.remainder();
+            for chunk in chunks {
+                for (lane, &w) in lanes.iter_mut().zip(chunk) {
+                    *lane = mix(*lane, w);
+                }
+            }
+            for (lane, &w) in lanes.iter_mut().zip(rest) {
+                *lane = mix(*lane, w);
+            }
         }
-        for &w in &self.unary_h {
-            h = mix(h, w);
-        }
-        for &w in &self.binary_t {
-            h = mix(h, w);
-        }
-        for &w in &self.binary_h {
-            h = mix(h, w);
-        }
-        h
+        lanes.into_iter().fold(OFFSET, mix)
     }
 
     /// Serializes the structure to a flat word vector.

@@ -1513,80 +1513,235 @@ fn dirty_coerce_matches_full_coerce() {
     );
 }
 
+/// The vocabulary of the settled-structure properties: a reference
+/// variable `x`, `NAMED` boolean abstraction predicates `a0…`, plain
+/// predicates `p`, `c` and `q` between them (so name slots and other slots
+/// interleave), a function field `f` and a plain field `g`. With `masked`,
+/// the relevance mask is `(c, {p, a0})`: `a0`'s slot is read by two
+/// columns, and `c`'s by mask columns only.
+struct SettledVocab {
+    table: PredTable,
+    x: PredId,
+    named: Vec<PredId>,
+    plain: [PredId; 3],
+    fields: [PredId; 2],
+}
+
+/// Enough abstraction predicates for 130 distinct names: 3⁵ = 243.
+const NAMED: usize = 5;
+
+fn settled_vocab(masked: bool) -> SettledVocab {
+    let mut table = PredTable::new();
+    let x = table.add_unary("x", PredFlags::reference_variable());
+    let mut named = Vec::new();
+    let mut plain = Vec::new();
+    for i in 0..NAMED {
+        named.push(table.add_unary(&format!("a{i}"), PredFlags::boolean_field()));
+        if let Some(name) = ["p", "c", "q"].get(i) {
+            plain.push(table.add_unary(name, PredFlags::default()));
+        }
+    }
+    let plain: [PredId; 3] = plain.try_into().unwrap();
+    let fields = [
+        table.add_binary("f", PredFlags::reference_field()),
+        table.add_binary("g", PredFlags::default()),
+    ];
+    if masked {
+        table.set_relevance_mask(plain[1], vec![plain[0], named[0]]);
+    }
+    SettledVocab { table, x, named, plain, fields }
+}
+
+/// A random structure over [`settled_vocab`] with `n` nodes. `x` holds at
+/// one node, `f` has at most one non-`False` target per source, and every
+/// other value is random. With `distinct`, the abstraction predicates spell
+/// a different base-3 code at every node, so no two nodes share a name;
+/// otherwise only `a0` varies, so names repeat.
+fn gen_settled_structure(rng: &mut XorShift, v: &SettledVocab, n: usize, distinct: bool) -> Structure {
+    let t = &v.table;
+    let mut s = Structure::new(t);
+    s.add_nodes(t, n);
+    let nodes: Vec<NodeId> = s.nodes().collect();
+    if n > 0 {
+        s.set_unary(t, v.x, *rng.choose(&nodes), Kleene::True);
+    }
+    let mut codes: Vec<usize> = (0..3usize.pow(NAMED as u32)).collect();
+    rng.shuffle(&mut codes);
+    let digits = [Kleene::False, Kleene::Unknown, Kleene::True];
+    for &u in &nodes {
+        let mut code = codes[u.index()];
+        for (i, &a) in v.named.iter().enumerate() {
+            let value = if distinct {
+                digits[code % 3]
+            } else if i == 0 {
+                gen_kleene(rng)
+            } else {
+                Kleene::False
+            };
+            code /= 3;
+            s.set_unary(t, a, u, value);
+        }
+        for &r in &v.plain {
+            s.set_unary(t, r, u, gen_kleene(rng));
+        }
+        s.set_summary(t, u, rng.gen_ratio(1, 4));
+        if rng.gen_bool() {
+            s.set_binary(t, v.fields[0], u, *rng.choose(&nodes), gen_kleene(rng));
+        }
+        for &w in &nodes {
+            if rng.gen_ratio(1, 3) {
+                s.set_binary(t, v.fields[1], u, w, gen_kleene(rng));
+            }
+        }
+    }
+    s
+}
+
+/// A Kleene value other than `old`.
+fn other_kleene(rng: &mut XorShift, old: Kleene) -> Kleene {
+    let rest: Vec<Kleene> = [Kleene::False, Kleene::Unknown, Kleene::True]
+        .into_iter()
+        .filter(|&k| k != old)
+        .collect();
+    *rng.choose(&rest)
+}
+
+/// The column-by-column definition of `keeps_names`: the same universe, and
+/// the same value at every node of every predicate that a name column
+/// reads, its mask predicate included.
+fn reference_keeps_names(pre: &Structure, post: &Structure, t: &PredTable, cols: &[Column]) -> bool {
+    let same = |p: PredId| pre.nodes().all(|u| pre.unary(t, p, u) == post.unary(t, p, u));
+    pre.node_count() == post.node_count()
+        && cols.iter().all(|c| same(c.pred) && c.mask.is_none_or(same))
+}
+
+/// `keeps_names` over a table's `NameSlots` agrees with the column-by-column
+/// reference on random structures at every `PLANE_SIZES` universe size,
+/// without and with a relevance mask. Posts keep the pre-state, change a
+/// value that no column reads, change a name predicate, change only the
+/// mask predicate `c` (read by no column without a mask), or gain a node.
+#[test]
+fn keeps_names_matches_column_reference() {
+    use hetsep_tvl::canon::{keeps_names, NameSlots};
+    use hetsep_tvl::pred::Arity;
+
+    for masked in [false, true] {
+        let v = settled_vocab(masked);
+        let t = &v.table;
+        let cols = name_columns(t);
+        let slots = NameSlots::new(t, &cols);
+        let [p, c, q] = v.plain;
+        let mut named = v.named.clone();
+        named.push(v.x);
+        let mut unread = vec![q, t.sm(), t.isnew()];
+        if !masked {
+            unread.extend([p, c]);
+        }
+        let mut tally = [0usize; 5];
+        for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+            for case in 0..if n <= 5 { CASES } else { 16 } {
+                let seed = u64::from(masked) << 40 | (ix as u64) << 32 | case;
+                let mut rng = XorShift::new(seed);
+                let distinct = rng.gen_bool();
+                let pre = gen_settled_structure(&mut rng, &v, n, distinct);
+                let nodes: Vec<NodeId> = pre.nodes().collect();
+                let mut post = pre.clone();
+                let kind = if n == 0 { 4 * rng.gen_range(2) } else { rng.gen_range(5) };
+                let change = |post: &mut Structure, r: PredId, rng: &mut XorShift| {
+                    let u = *rng.choose(&nodes);
+                    if t.arity(r) == Arity::Unary {
+                        let new = other_kleene(rng, post.unary(t, r, u));
+                        post.set_unary(t, r, u, new);
+                    } else {
+                        let w = *rng.choose(&nodes);
+                        let new = other_kleene(rng, post.binary(t, r, u, w));
+                        post.set_binary(t, r, u, w, new);
+                    }
+                };
+                let want = match kind {
+                    0 => true,
+                    1 => {
+                        for _ in 0..1 + rng.gen_range(3) {
+                            let r = if rng.gen_bool() { *rng.choose(&unread) } else { *rng.choose(&v.fields) };
+                            change(&mut post, r, &mut rng);
+                        }
+                        true
+                    }
+                    2 => {
+                        change(&mut post, *rng.choose(&named), &mut rng);
+                        false
+                    }
+                    3 => {
+                        change(&mut post, c, &mut rng);
+                        !masked
+                    }
+                    _ => {
+                        post.add_node(t);
+                        false
+                    }
+                };
+                tally[kind] += 1;
+                let got = keeps_names(&pre, &post, &slots);
+                assert_eq!(got, reference_keeps_names(&pre, &post, t, &cols), "seed {seed} n={n}");
+                assert_eq!(got, want, "seed {seed} n={n} kind {kind}");
+            }
+        }
+        assert!(tally.iter().all(|&k| k > 0), "masked={masked}: {tally:?}");
+    }
+}
+
 /// Settled structures blur to themselves, over a vocabulary without and
-/// with a relevance mask. On random coerced structures of up to five nodes,
-/// `blur_post` returns `blur_by`'s result and settles it exactly when the
-/// blur merged nothing; a settled result is a coerce fixpoint and `blur_by`
-/// returns it unchanged. A structure that keeps a settled structure's
-/// universe and name-column planes, but changes other unary or binary
-/// values, is returned as it is (and settled) by `blur_post` and blurs to
-/// itself exactly; one that changes a name-column value is blurred.
+/// with a relevance mask. On random coerced structures at every
+/// `PLANE_SIZES` universe size, `blur_post` returns `blur_by`'s result and
+/// settles it exactly when the blur merged nothing; a settled result is a
+/// coerce fixpoint and `blur_by` returns it unchanged. A structure that
+/// keeps a settled structure's universe and name-column planes, but changes
+/// other unary or binary values, is returned as it is (and settled) by
+/// `blur_post` and blurs to itself exactly; one that changes a name-column
+/// value is blurred. Half the cases give every node a distinct name, so
+/// multi-word universes settle too.
 #[test]
 fn settled_structure_blurs_to_itself() {
-    use hetsep_tvl::canon::{blur_by, blur_post, keeps_names};
+    use hetsep_tvl::canon::{blur_by, blur_post, keeps_names, NameSlots};
     use hetsep_tvl::coerce::{coerce_with, CoercePlan};
     use hetsep_tvl::pred::Arity;
 
     for masked in [false, true] {
-        let mut t = PredTable::new();
-        let x = t.add_unary("x", PredFlags::reference_variable());
-        let a = t.add_unary("a", PredFlags::boolean_field());
-        let p = t.add_unary("p", PredFlags::default());
-        let c = t.add_unary("c", PredFlags::default());
-        let q = t.add_unary("q", PredFlags::default());
-        let fields = [
-            t.add_binary("f", PredFlags::reference_field()),
-            t.add_binary("g", PredFlags::default()),
-        ];
-        if masked {
-            t.set_relevance_mask(c, vec![p]);
-        }
-        let cols = name_columns(&t);
+        let v = settled_vocab(masked);
+        let t = &v.table;
+        let cols = name_columns(t);
+        let slots = NameSlots::new(t, &cols);
         let in_names = |r: PredId| cols.iter().any(|col| col.pred == r || col.mask == Some(r));
         let named: Vec<PredId> = t.iter_arity(Arity::Unary).filter(|&r| in_names(r)).collect();
         let other: Vec<PredId> = t
             .iter_arity(Arity::Unary)
             .filter(|&r| !in_names(r) && r != t.isnew())
             .collect();
-        assert_eq!(named.len(), if masked { 4 } else { 2 });
-        let plan = CoercePlan::new(&t);
-        let (mut merged, mut settled, mut renamed) = (0, 0, 0);
-        for n in 0..=5 {
-            for case in 0..CASES {
-                let seed = u64::from(masked) << 40 | (n as u64) << 32 | case;
+        assert_eq!(named.len(), if masked { NAMED + 3 } else { NAMED + 1 });
+        let plan = CoercePlan::new(t);
+        let (mut merged, mut settled, mut settled_wide, mut renamed) = (0, 0, 0, 0);
+        for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+            for case in 0..if n <= 5 { CASES } else { 16 } {
+                let seed = u64::from(masked) << 40 | (ix as u64) << 32 | case;
                 let mut rng = XorShift::new(seed);
-                let mut s = Structure::new(&t);
-                s.add_nodes(&t, n);
+                let distinct = rng.gen_bool();
+                let s = gen_settled_structure(&mut rng, &v, n, distinct);
                 let nodes: Vec<NodeId> = s.nodes().collect();
-                if n > 0 {
-                    s.set_unary(&t, x, *rng.choose(&nodes), Kleene::True);
-                }
-                for &u in &nodes {
-                    for r in [a, p, c, q] {
-                        s.set_unary(&t, r, u, gen_kleene(&mut rng));
-                    }
-                    s.set_summary(&t, u, rng.gen_ratio(1, 4));
-                    for &f in &fields {
-                        for &w in &nodes {
-                            if rng.gen_ratio(1, 3) {
-                                s.set_binary(&t, f, u, w, gen_kleene(&mut rng));
-                            }
-                        }
-                    }
-                }
-                let Some(post) = coerce_with(s, &t, &plan).feasible() else {
+                let Some(post) = coerce_with(s, t, &plan).feasible() else {
                     continue;
                 };
-                let (b, is_settled) = blur_post(&post, false, post.clone(), &t, &cols);
-                assert_eq!(b, blur_by(&post, &t, &cols).0, "seed {seed}");
+                let (b, is_settled) = blur_post(&post, false, post.clone(), t, &cols, &slots);
+                assert_eq!(b, blur_by(&post, t, &cols).0, "seed {seed}");
                 assert_eq!(is_settled, b.node_count() == n, "seed {seed}: settled iff nothing merged");
                 if !is_settled {
                     merged += 1;
                     continue;
                 }
                 settled += 1;
-                assert_eq!(blur_by(&b, &t, &cols).0, b, "seed {seed}: settled blurs to itself");
-                let fixpoint = coerce_with(b.clone(), &t, &plan);
+                settled_wide += usize::from(n > 64);
+                assert_eq!(blur_by(&b, t, &cols).0, b, "seed {seed}: settled blurs to itself");
+                assert_eq!(blur_post(&b, false, b.clone(), t, &cols, &slots), (b.clone(), true));
+                let fixpoint = coerce_with(b.clone(), t, &plan);
                 assert_eq!(fixpoint, CoerceOutcome::Feasible(b.clone()), "seed {seed}");
                 if n == 0 {
                     continue;
@@ -1598,37 +1753,157 @@ fn settled_structure_blurs_to_itself() {
                     if rng.gen_bool() {
                         let r = *rng.choose(&other);
                         if r == t.sm() {
-                            kept.set_summary(&t, u, rng.gen_bool());
+                            kept.set_summary(t, u, rng.gen_bool());
                         } else {
-                            kept.set_unary(&t, r, u, gen_kleene(&mut rng));
+                            kept.set_unary(t, r, u, gen_kleene(&mut rng));
                         }
                     } else {
-                        kept.set_binary(&t, *rng.choose(&fields), u, w, gen_kleene(&mut rng));
+                        kept.set_binary(t, *rng.choose(&v.fields), u, w, gen_kleene(&mut rng));
                     }
                 }
-                assert!(keeps_names(&b, &kept, &t, &cols), "seed {seed}");
-                assert_eq!(blur_by(&kept, &t, &cols).0, kept, "seed {seed}: kept names");
-                let out = blur_post(&b, true, kept.clone(), &t, &cols);
+                assert!(keeps_names(&b, &kept, &slots), "seed {seed}");
+                assert_eq!(blur_by(&kept, t, &cols).0, kept, "seed {seed}: kept names");
+                let out = blur_post(&b, true, kept.clone(), t, &cols, &slots);
                 assert_eq!(out, (kept, true), "seed {seed}");
                 // Change one name-column value: the post is blurred.
                 let mut moved = b.clone();
                 let (r, u) = (*rng.choose(&named), *rng.choose(&nodes));
-                let old = moved.unary(&t, r, u);
-                let new = [Kleene::False, Kleene::Unknown, Kleene::True]
-                    .into_iter()
-                    .find(|&k| k != old)
-                    .unwrap();
-                moved.set_unary(&t, r, u, new);
-                assert!(!keeps_names(&b, &moved, &t, &cols), "seed {seed}");
-                let blurred = blur_by(&moved, &t, &cols).0;
+                let new = other_kleene(&mut rng, moved.unary(t, r, u));
+                moved.set_unary(t, r, u, new);
+                assert!(!keeps_names(&b, &moved, &slots), "seed {seed}");
+                let blurred = blur_by(&moved, t, &cols).0;
                 let is_settled = blurred.node_count() == n;
                 renamed += 1;
-                assert_eq!(blur_post(&b, true, moved, &t, &cols), (blurred, is_settled), "seed {seed}");
+                assert_eq!(
+                    blur_post(&b, true, moved, t, &cols, &slots),
+                    (blurred, is_settled),
+                    "seed {seed}"
+                );
             }
         }
         assert!(
-            merged > 0 && settled > 0 && renamed > 0,
-            "masked={masked}: {merged} merged, {settled} settled, {renamed} renamed"
+            merged > 0 && settled > 0 && settled_wide > 0 && renamed > 0,
+            "masked={masked}: {merged} merged, {settled} settled ({settled_wide} over 64 nodes), \
+             {renamed} renamed"
         );
+    }
+}
+
+/// The interner gives structures one id exactly when they are equal. At
+/// every `PLANE_SIZES` universe size, a random structure is varied in one
+/// plane word at a time: one value goes from `False` to `True` (its
+/// `t`-plane word) or to `Unknown` (its `h`-plane word), at lane 0 of every
+/// word of every row of every unary and binary predicate, so the changed
+/// word falls in each of the fingerprint's lanes and in the remainder words
+/// of each plane. Both sides of every pair are also rebuilt independently
+/// (node by node, values copied in reverse order): the copy gets the
+/// original's id, and the two sides of a pair get distinct ids and distinct
+/// fingerprints.
+#[test]
+fn interned_ids_follow_word_equality() {
+    use hetsep_tvl::intern::StructureInterner;
+    use hetsep_tvl::pred::Arity;
+    use hetsep_tvl::structure::FINGERPRINT_LANES;
+    use std::collections::HashSet;
+
+    // Six unary slots (with `sm` and `isnew`) and one binary slot: at one
+    // word per row the unary planes have a remainder of two words, the
+    // binary planes one of `n mod 4` words.
+    let mut t = PredTable::new();
+    for name in ["p", "q", "r", "s"] {
+        t.add_unary(name, PredFlags::default());
+    }
+    let f = t.add_binary("f", PredFlags::default());
+    let flag = t.add_nullary("flag", PredFlags::default());
+    let unary: Vec<PredId> = t.iter_arity(Arity::Unary).collect();
+    assert_eq!((unary.len(), t.binary_count()), (6, 1));
+    // An equal structure built another way: one node at a time, values
+    // set in reverse order.
+    let rebuild = |s: &Structure| {
+        let mut copy = Structure::new(&t);
+        for _ in 0..s.node_count() {
+            copy.add_node(&t);
+        }
+        copy.set_nullary(&t, flag, s.nullary(&t, flag));
+        let mut nodes: Vec<NodeId> = s.nodes().collect();
+        nodes.reverse();
+        for &u in &nodes {
+            for &r in unary.iter().rev() {
+                copy.set_unary(&t, r, u, s.unary(&t, r, u));
+            }
+            for &w in &nodes {
+                copy.set_binary(&t, f, u, w, s.binary(&t, f, u, w));
+            }
+        }
+        copy
+    };
+    // (plane, lane), lane `FINGERPRINT_LANES` standing for the remainder.
+    let mut hit: HashSet<(usize, usize)> = HashSet::new();
+    let mut interner = StructureInterner::new();
+    let mut distinct: HashSet<Vec<u64>> = HashSet::new();
+    for (ix, &n) in PLANE_SIZES.iter().enumerate() {
+        let mut rng = XorShift::new((ix as u64) << 32);
+        let mut base = Structure::new(&t);
+        base.add_nodes(&t, n);
+        base.set_nullary(&t, flag, gen_kleene(&mut rng));
+        let nodes: Vec<NodeId> = base.nodes().collect();
+        for &u in &nodes {
+            for &r in &unary {
+                base.set_unary(&t, r, u, gen_kleene(&mut rng));
+            }
+            for &w in &nodes {
+                if rng.gen_ratio(1, 3) {
+                    base.set_binary(&t, f, u, w, gen_kleene(&mut rng));
+                }
+            }
+        }
+        let word_starts: Vec<NodeId> = nodes.iter().copied().step_by(64).collect();
+        let stride = word_starts.len();
+        let plane_lens = [unary.len() * stride, unary.len() * stride, n * stride, n * stride];
+        let mut sites: Vec<(Option<PredId>, NodeId, NodeId)> = Vec::new();
+        for &w in &word_starts {
+            sites.extend(unary.iter().map(|&r| (Some(r), w, w)));
+            sites.extend(nodes.iter().map(|&u| (None, u, w)));
+        }
+        for (r, u, w) in sites {
+            for value in [Kleene::True, Kleene::Unknown] {
+                let mut lo = base.clone();
+                let mut hi = base.clone();
+                match r {
+                    Some(r) => {
+                        lo.set_unary(&t, r, u, Kleene::False);
+                        hi.set_unary(&t, r, u, value);
+                    }
+                    None => {
+                        lo.set_binary(&t, f, u, w, Kleene::False);
+                        hi.set_binary(&t, f, u, w, value);
+                    }
+                }
+                let (lw, hw) = (lo.to_words(), hi.to_words());
+                let diff: Vec<usize> = (0..lw.len()).filter(|&i| lw[i] != hw[i]).collect();
+                assert_eq!(diff.len(), 1, "n={n}: one word differs");
+                // Locate the word: past `n` and the packed nullary word.
+                let (mut plane, mut at) = (0, diff[0] - 2);
+                while at >= plane_lens[plane] {
+                    at -= plane_lens[plane];
+                    plane += 1;
+                }
+                let chunked = plane_lens[plane] / FINGERPRINT_LANES * FINGERPRINT_LANES;
+                let lane = if at < chunked { at % FINGERPRINT_LANES } else { FINGERPRINT_LANES };
+                hit.insert((plane, lane));
+                assert_ne!(lo.fingerprint(), hi.fingerprint(), "n={n} plane {plane} word {at}");
+                let (lo_id, hi_id) = (interner.intern(lo.clone()), interner.intern(hi.clone()));
+                assert_ne!(lo_id, hi_id, "n={n} plane {plane} word {at}");
+                assert_eq!(interner.intern(rebuild(&lo)), lo_id, "n={n}");
+                assert_eq!(interner.intern(rebuild(&hi)), hi_id, "n={n}");
+                distinct.extend([lw, hw]);
+            }
+        }
+    }
+    assert_eq!(interner.len(), distinct.len());
+    for plane in 0..4 {
+        for lane in 0..=FINGERPRINT_LANES {
+            assert!(hit.contains(&(plane, lane)), "plane {plane} lane {lane} never varied");
+        }
     }
 }

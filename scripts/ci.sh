@@ -16,7 +16,11 @@ cargo test -q
 # references the same way, blur under a relevance mask against blur
 # over stored conjunction predicates, the forget pass against
 # evaluating its `ite` formula, coerce over dirty predicates against full
-# coerce, and settled structures against blurring them.
+# coerce, settled structures against blurring them at every plane size
+# (the blur's identity path returns its input), the per-slot settled check
+# against its column-by-column reference with and without a relevance mask,
+# and interned ids against word equality with the changed word in each
+# fingerprint lane and in each plane's remainder words.
 cargo test -q -p hetsep-tvl --release --test properties -- \
     word_kernels_match_scalar_truth_tables_in_every_lane \
     stride_padding_bits_never_leak \
@@ -29,7 +33,9 @@ cargo test -q -p hetsep-tvl --release --test properties -- \
     forget_pass_matches_ite_evaluation \
     permute_matches_per_bit_reference \
     dirty_coerce_matches_full_coerce \
-    settled_structure_blurs_to_itself
+    settled_structure_blurs_to_itself \
+    keeps_names_matches_column_reference \
+    interned_ids_follow_word_equality
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
@@ -66,15 +72,15 @@ done
 cargo run -q -p hetsep --bin hetsep --release -- \
     lint --suite --format json --quiet | diff -u scripts/lint_quick.golden -
 
-# Transfer-cache / reporting golden: a quick Table 3 subset must keep its
-# semantic columns byte-identical to the committed golden (wall-clock
-# columns deliberately excluded). Guards the exact transfer cache and the
+# Transfer-cache / reporting golden: `table3_quick GOLDEN` diffs the
+# semantic columns of the last Table 3 run (wall-clock columns deliberately
+# excluded) against GOLDEN. Guards the exact transfer cache and the
 # reported/complete accounting against silent drift.
 table3_quick_json="$(mktemp)"
 table3_quick() {
     sed 's/"subproblems".*//' "$table3_quick_json" | sed -n \
         's/.*"benchmark": "\([^"]*\)", "mode": "\([^"]*\)", "space": \([0-9]*\), "visits": \([0-9]*\),.*"reported": \([^,]*\), "complete": \([^,]*\),.*/\1 \2 space=\3 visits=\4 reported=\5 complete=\6/p' \
-        | diff -u "${1:-scripts/table3_quick.golden}" -
+        | diff -u "$1" -
 }
 # The same columns over every Table 3 program, so the rows that spend their
 # time in predicate updates and coerce (KernelBench3, SQLExecutor,
