@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use hetsep_ir::cfg::Cfg;
 use hetsep_tvl::action::apply_planned;
-use hetsep_tvl::canon::{blur_by, blur_post, name_columns, Column, NameSlots};
+use hetsep_tvl::canon::{blur_by, blur_post, Names};
 use hetsep_tvl::coerce::CoercePlan;
 use hetsep_tvl::focus::DEFAULT_FOCUS_LIMIT;
 use hetsep_tvl::intern::{StructureId, StructureInterner};
@@ -310,7 +310,7 @@ fn compute_transfer(
     for post in out.results {
         peak_post_nodes = peak_post_nodes.max(post.node_count());
         posts.push(metrics.time(Phase::Canon, || {
-            blur_post(s, settled, post, table, &plan.columns, &plan.name_slots)
+            blur_post(s, settled, post, table, &plan.names)
         }));
     }
     let peak_post_nodes = u32::try_from(peak_post_nodes).unwrap_or(u32::MAX);
@@ -322,10 +322,9 @@ fn compute_transfer(
 struct TransferPlan {
     /// The coerce constraint set.
     coerce: CoercePlan,
-    /// The canonical-name columns of canonical abstraction.
-    columns: Vec<Column>,
-    /// The unary slots the `columns` read, for the settled check.
-    name_slots: NameSlots,
+    /// The canonical-name columns of canonical abstraction, with the slots
+    /// they read for the settled check.
+    names: Names,
 }
 
 /// Reverse-postorder rank of every CFG node (entry = 0). Nodes unreachable
@@ -571,13 +570,11 @@ impl InstancePlan {
                 .collect();
             action_ids.push(ids);
         }
-        let columns = name_columns(table);
         InstancePlan {
             rpo: rpo_ranks(cfg),
             transfer: TransferPlan {
                 coerce: CoercePlan::new(table),
-                name_slots: NameSlots::new(table, &columns),
-                columns,
+                names: Names::new(table),
             },
             action_ids,
             distinct_actions,
@@ -647,7 +644,7 @@ pub(crate) fn run_planned(
     // `canonical_key_is_identity_on_blurred` property test) — so blurred
     // structures are interned directly without a re-keying pass.
     let init = metrics.time(Phase::Canon, || {
-        blur_by(&Structure::new(table), table, &ctx.prep.transfer.columns).0
+        blur_by(&Structure::new(table), table, ctx.prep.transfer.names.columns()).0
     });
     let init_id = interner.intern(init);
     let mut fr = Frontier {
@@ -749,9 +746,6 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
                 continue;
             }
         }
-        // The pre-state is read from the interner where it is used, not
-        // cloned: the arena entry outlives the pop, and the borrows below
-        // are by field, so interning the posts does not conflict with them.
         let settled = st.interner.is_settled(sid);
         for &edge_ix in cfg.out_edges(node) {
             let edge = &cfg.edges()[edge_ix];

@@ -179,17 +179,21 @@ fn quotient(s: &Structure, table: &PredTable, cols: &[Column]) -> Option<(Struct
     Some((out, map))
 }
 
-/// The unary slots that a list of name columns reads (each column's
-/// predicate and its mask predicate), every slot once, as maximal runs of
-/// consecutive slots. It depends only on the table and the columns, so hot
-/// callers compute it once per table, next to the [`name_columns`].
+/// The [`name_columns`] of a table together with the unary slots they read
+/// (each column's predicate and its mask predicate), every slot once, as
+/// maximal runs of consecutive slots. It depends only on the table, so hot
+/// callers build it once per table.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NameSlots(Vec<std::ops::Range<usize>>);
+pub struct Names {
+    columns: Vec<Column>,
+    slots: Vec<std::ops::Range<usize>>,
+}
 
-impl NameSlots {
-    /// The slots that `cols` read in `table` (all predicates must be unary).
-    pub fn new(table: &PredTable, cols: &[Column]) -> NameSlots {
-        let mut slots: Vec<usize> = cols
+impl Names {
+    /// The name columns of `table` and the slots they read.
+    pub fn new(table: &PredTable) -> Names {
+        let columns = name_columns(table);
+        let mut slots: Vec<usize> = columns
             .iter()
             .flat_map(|c| std::iter::once(c.pred).chain(c.mask))
             .map(|p| {
@@ -206,20 +210,25 @@ impl NameSlots {
                 _ => runs.push(slot..slot + 1),
             }
         }
-        NameSlots(runs)
+        Names { columns, slots: runs }
+    }
+
+    /// The name columns.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
     }
 }
 
 /// Whether `post` has `pre`'s universe and `pre`'s planes on every unary
-/// slot of `slots`, the [`NameSlots`] of the name columns. Then every
-/// individual keeps its canonical name: if `pre` blurs to itself (its names
-/// are sorted and unique), so does `post`. Each slot is compared once,
-/// however many columns read it, and each run of consecutive slots as one
-/// slice per plane.
-pub fn keeps_names(pre: &Structure, post: &Structure, slots: &NameSlots) -> bool {
+/// slot that the name columns of `names` read. Then every individual keeps
+/// its canonical name: if `pre` blurs to itself (its names are sorted and
+/// unique), so does `post`. Each slot is compared once, however many
+/// columns read it, and each run of consecutive slots as one slice per
+/// plane.
+pub fn keeps_names(pre: &Structure, post: &Structure, names: &Names) -> bool {
     pre.node_count() == post.node_count()
-        && slots
-            .0
+        && names
+            .slots
             .iter()
             .all(|run| pre.unary_slot_planes(run.clone()) == post.unary_slot_planes(run.clone()))
 }
@@ -227,10 +236,9 @@ pub fn keeps_names(pre: &Structure, post: &Structure, slots: &NameSlots) -> bool
 /// Canonical abstraction of a transfer's post-state, with the post's
 /// *settled* bit (see [`crate::intern::StructureInterner::settle`]).
 ///
-/// `post` must be a coerce fixpoint computed from `pre`, `pre_settled` may
-/// only be `true` if `pre` is settled, and `slots` must be the
-/// [`NameSlots`] of `cols`. The result equals `blur_by(&post, table,
-/// cols).0`:
+/// `post` must be a coerce fixpoint computed from `pre`, and `pre_settled`
+/// may only be `true` if `pre` is settled. The result equals
+/// `blur_by(&post, table, names.columns()).0`:
 ///
 /// * if `pre` is settled and `post` [keeps its names](keeps_names), `post`
 ///   is its own canonical form and is returned as it is, settled;
@@ -244,13 +252,12 @@ pub fn blur_post(
     pre_settled: bool,
     post: Structure,
     table: &PredTable,
-    cols: &[Column],
-    slots: &NameSlots,
+    names: &Names,
 ) -> (Structure, bool) {
-    if pre_settled && keeps_names(pre, &post, slots) {
+    if pre_settled && keeps_names(pre, &post, names) {
         return (post, true);
     }
-    match quotient(&post, table, cols) {
+    match quotient(&post, table, &names.columns) {
         None => (post, true),
         Some((blurred, _)) => {
             let merged_nothing = blurred.node_count() == post.node_count();

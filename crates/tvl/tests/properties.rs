@@ -1552,11 +1552,24 @@ fn settled_vocab(masked: bool) -> SettledVocab {
     SettledVocab { table, x, named, plain, fields }
 }
 
+/// The universe sizes of the settled-structure properties: every size up to
+/// [`SMALL`], then the multi-word `PLANE_SIZES`.
+fn settled_sizes() -> impl Iterator<Item = usize> {
+    (0..=SMALL).chain(PLANE_SIZES.into_iter().filter(|&n| n > SMALL))
+}
+
+/// Universes up to this size get random values on both fields at every
+/// pair of nodes.
+const SMALL: usize = 5;
+
 /// A random structure over [`settled_vocab`] with `n` nodes. `x` holds at
-/// one node, `f` has at most one non-`False` target per source, and every
-/// other value is random. With `distinct`, the abstraction predicates spell
-/// a different base-3 code at every node, so no two nodes share a name;
-/// otherwise only `a0` varies, so names repeat.
+/// one node and every other value is random. With `distinct`, the
+/// abstraction predicates spell a different base-3 code at every node, so
+/// no two nodes share a name; otherwise only `a0` varies, so names repeat.
+/// Up to [`SMALL`] nodes both fields get a random value at about a third of
+/// all pairs, so coerce sharpens sources with several non-`False` `f`
+/// targets; above it `f` has at most one non-`False` target per source,
+/// which keeps large universes feasible.
 fn gen_settled_structure(rng: &mut XorShift, v: &SettledVocab, n: usize, distinct: bool) -> Structure {
     let t = &v.table;
     let mut s = Structure::new(t);
@@ -1585,12 +1598,19 @@ fn gen_settled_structure(rng: &mut XorShift, v: &SettledVocab, n: usize, distinc
             s.set_unary(t, r, u, gen_kleene(rng));
         }
         s.set_summary(t, u, rng.gen_ratio(1, 4));
-        if rng.gen_bool() {
-            s.set_binary(t, v.fields[0], u, *rng.choose(&nodes), gen_kleene(rng));
-        }
-        for &w in &nodes {
-            if rng.gen_ratio(1, 3) {
-                s.set_binary(t, v.fields[1], u, w, gen_kleene(rng));
+        let dense = if n <= SMALL {
+            &v.fields[..]
+        } else {
+            if rng.gen_bool() {
+                s.set_binary(t, v.fields[0], u, *rng.choose(&nodes), gen_kleene(rng));
+            }
+            &v.fields[1..]
+        };
+        for &f in dense {
+            for &w in &nodes {
+                if rng.gen_ratio(1, 3) {
+                    s.set_binary(t, f, u, w, gen_kleene(rng));
+                }
             }
         }
     }
@@ -1615,21 +1635,22 @@ fn reference_keeps_names(pre: &Structure, post: &Structure, t: &PredTable, cols:
         && cols.iter().all(|c| same(c.pred) && c.mask.is_none_or(same))
 }
 
-/// `keeps_names` over a table's `NameSlots` agrees with the column-by-column
-/// reference on random structures at every `PLANE_SIZES` universe size,
+/// `keeps_names` over a table's `Names` agrees with the column-by-column
+/// reference on random structures at every universe size up to five nodes
+/// and every `PLANE_SIZES` universe size,
 /// without and with a relevance mask. Posts keep the pre-state, change a
 /// value that no column reads, change a name predicate, change only the
 /// mask predicate `c` (read by no column without a mask), or gain a node.
 #[test]
 fn keeps_names_matches_column_reference() {
-    use hetsep_tvl::canon::{keeps_names, NameSlots};
+    use hetsep_tvl::canon::{keeps_names, Names};
     use hetsep_tvl::pred::Arity;
 
     for masked in [false, true] {
         let v = settled_vocab(masked);
         let t = &v.table;
-        let cols = name_columns(t);
-        let slots = NameSlots::new(t, &cols);
+        let names = Names::new(t);
+        let cols = names.columns();
         let [p, c, q] = v.plain;
         let mut named = v.named.clone();
         named.push(v.x);
@@ -1638,9 +1659,9 @@ fn keeps_names_matches_column_reference() {
             unread.extend([p, c]);
         }
         let mut tally = [0usize; 5];
-        for (ix, &n) in PLANE_SIZES.iter().enumerate() {
-            for case in 0..if n <= 5 { CASES } else { 16 } {
-                let seed = u64::from(masked) << 40 | (ix as u64) << 32 | case;
+        for n in settled_sizes() {
+            for case in 0..if n <= SMALL { CASES } else { 16 } {
+                let seed = u64::from(masked) << 40 | (n as u64) << 32 | case;
                 let mut rng = XorShift::new(seed);
                 let distinct = rng.gen_bool();
                 let pre = gen_settled_structure(&mut rng, &v, n, distinct);
@@ -1681,8 +1702,8 @@ fn keeps_names_matches_column_reference() {
                     }
                 };
                 tally[kind] += 1;
-                let got = keeps_names(&pre, &post, &slots);
-                assert_eq!(got, reference_keeps_names(&pre, &post, t, &cols), "seed {seed} n={n}");
+                let got = keeps_names(&pre, &post, &names);
+                assert_eq!(got, reference_keeps_names(&pre, &post, t, cols), "seed {seed} n={n}");
                 assert_eq!(got, want, "seed {seed} n={n} kind {kind}");
             }
         }
@@ -1691,26 +1712,27 @@ fn keeps_names_matches_column_reference() {
 }
 
 /// Settled structures blur to themselves, over a vocabulary without and
-/// with a relevance mask. On random coerced structures at every
-/// `PLANE_SIZES` universe size, `blur_post` returns `blur_by`'s result and
+/// with a relevance mask. On random coerced structures at every universe
+/// size up to five nodes and every `PLANE_SIZES` universe size, `blur_post`
+/// returns `blur_by`'s result and
 /// settles it exactly when the blur merged nothing; a settled result is a
 /// coerce fixpoint and `blur_by` returns it unchanged. A structure that
 /// keeps a settled structure's universe and name-column planes, but changes
 /// other unary or binary values, is returned as it is (and settled) by
 /// `blur_post` and blurs to itself exactly; one that changes a name-column
-/// value is blurred. Half the cases give every node a distinct name, so
-/// multi-word universes settle too.
+/// value is blurred. Above five nodes half the cases give every node a
+/// distinct name, so multi-word universes settle too.
 #[test]
 fn settled_structure_blurs_to_itself() {
-    use hetsep_tvl::canon::{blur_by, blur_post, keeps_names, NameSlots};
+    use hetsep_tvl::canon::{blur_by, blur_post, keeps_names, Names};
     use hetsep_tvl::coerce::{coerce_with, CoercePlan};
     use hetsep_tvl::pred::Arity;
 
     for masked in [false, true] {
         let v = settled_vocab(masked);
         let t = &v.table;
-        let cols = name_columns(t);
-        let slots = NameSlots::new(t, &cols);
+        let names = Names::new(t);
+        let cols = names.columns();
         let in_names = |r: PredId| cols.iter().any(|col| col.pred == r || col.mask == Some(r));
         let named: Vec<PredId> = t.iter_arity(Arity::Unary).filter(|&r| in_names(r)).collect();
         let other: Vec<PredId> = t
@@ -1720,9 +1742,9 @@ fn settled_structure_blurs_to_itself() {
         assert_eq!(named.len(), if masked { NAMED + 3 } else { NAMED + 1 });
         let plan = CoercePlan::new(t);
         let (mut merged, mut settled, mut settled_wide, mut renamed) = (0, 0, 0, 0);
-        for (ix, &n) in PLANE_SIZES.iter().enumerate() {
-            for case in 0..if n <= 5 { CASES } else { 16 } {
-                let seed = u64::from(masked) << 40 | (ix as u64) << 32 | case;
+        for n in settled_sizes() {
+            for case in 0..if n <= SMALL { CASES } else { 16 } {
+                let seed = u64::from(masked) << 40 | (n as u64) << 32 | case;
                 let mut rng = XorShift::new(seed);
                 let distinct = rng.gen_bool();
                 let s = gen_settled_structure(&mut rng, &v, n, distinct);
@@ -1730,8 +1752,8 @@ fn settled_structure_blurs_to_itself() {
                 let Some(post) = coerce_with(s, t, &plan).feasible() else {
                     continue;
                 };
-                let (b, is_settled) = blur_post(&post, false, post.clone(), t, &cols, &slots);
-                assert_eq!(b, blur_by(&post, t, &cols).0, "seed {seed}");
+                let (b, is_settled) = blur_post(&post, false, post.clone(), t, &names);
+                assert_eq!(b, blur_by(&post, t, cols).0, "seed {seed}");
                 assert_eq!(is_settled, b.node_count() == n, "seed {seed}: settled iff nothing merged");
                 if !is_settled {
                     merged += 1;
@@ -1739,8 +1761,8 @@ fn settled_structure_blurs_to_itself() {
                 }
                 settled += 1;
                 settled_wide += usize::from(n > 64);
-                assert_eq!(blur_by(&b, t, &cols).0, b, "seed {seed}: settled blurs to itself");
-                assert_eq!(blur_post(&b, false, b.clone(), t, &cols, &slots), (b.clone(), true));
+                assert_eq!(blur_by(&b, t, cols).0, b, "seed {seed}: settled blurs to itself");
+                assert_eq!(blur_post(&b, false, b.clone(), t, &names), (b.clone(), true));
                 let fixpoint = coerce_with(b.clone(), t, &plan);
                 assert_eq!(fixpoint, CoerceOutcome::Feasible(b.clone()), "seed {seed}");
                 if n == 0 {
@@ -1761,21 +1783,21 @@ fn settled_structure_blurs_to_itself() {
                         kept.set_binary(t, *rng.choose(&v.fields), u, w, gen_kleene(&mut rng));
                     }
                 }
-                assert!(keeps_names(&b, &kept, &slots), "seed {seed}");
-                assert_eq!(blur_by(&kept, t, &cols).0, kept, "seed {seed}: kept names");
-                let out = blur_post(&b, true, kept.clone(), t, &cols, &slots);
+                assert!(keeps_names(&b, &kept, &names), "seed {seed}");
+                assert_eq!(blur_by(&kept, t, cols).0, kept, "seed {seed}: kept names");
+                let out = blur_post(&b, true, kept.clone(), t, &names);
                 assert_eq!(out, (kept, true), "seed {seed}");
                 // Change one name-column value: the post is blurred.
                 let mut moved = b.clone();
                 let (r, u) = (*rng.choose(&named), *rng.choose(&nodes));
                 let new = other_kleene(&mut rng, moved.unary(t, r, u));
                 moved.set_unary(t, r, u, new);
-                assert!(!keeps_names(&b, &moved, &slots), "seed {seed}");
-                let blurred = blur_by(&moved, t, &cols).0;
+                assert!(!keeps_names(&b, &moved, &names), "seed {seed}");
+                let blurred = blur_by(&moved, t, cols).0;
                 let is_settled = blurred.node_count() == n;
                 renamed += 1;
                 assert_eq!(
-                    blur_post(&b, true, moved, t, &cols, &slots),
+                    blur_post(&b, true, moved, t, &names),
                     (blurred, is_settled),
                     "seed {seed}"
                 );

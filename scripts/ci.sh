@@ -16,7 +16,8 @@ cargo test -q
 # references the same way, blur under a relevance mask against blur
 # over stored conjunction predicates, the forget pass against
 # evaluating its `ite` formula, coerce over dirty predicates against full
-# coerce, settled structures against blurring them at every plane size
+# coerce, settled structures against blurring them at every size up to
+# five nodes and every plane size
 # (the blur's identity path returns its input), the per-slot settled check
 # against its column-by-column reference with and without a relevance mask,
 # and interned ids against word equality with the changed word in each
