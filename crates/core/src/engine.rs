@@ -162,10 +162,8 @@ pub enum AnalysisOutcome {
 pub struct RunStats {
     /// Action applications performed.
     pub visits: u64,
-    /// Peak number of structures stored across all locations at any point
-    /// during the run. Tracked explicitly at every insertion: nested region
-    /// drains discard their region-local sets when they finish, so the
-    /// final count is not a reliable peak.
+    /// Structures stored across all locations when the run ended. Location
+    /// sets only grow, so this is also the peak.
     pub structures: usize,
     /// Distinct structures materialized by the run's interner — a proxy for
     /// arena memory.
@@ -366,34 +364,12 @@ pub fn run(instance: &AnalysisInstance, config: &EngineConfig) -> RunResult {
     run_shared(instance, config, None, None)
 }
 
-/// A structural stop signal: the visit/structure budget was exhausted or the
-/// cross-run cancellation flag was raised. Unwinds every nested region drain
-/// back to [`run_shared`]; the outcome and counter were already recorded on
-/// [`EngineSt`] at the raise site.
-struct Stop;
-
-/// Exit collector of one nested region drain: arrivals at the region's exit
-/// node are gathered (deduplicated, in arrival order) instead of merged into
-/// a location set, so the caller commits them once, against the caller's
-/// own state for the exit node.
-struct RegionSink {
-    /// Global node index of the region's entry: arrivals there are drained
-    /// edge by edge, not intercepted as a nested evaluation.
-    entry: usize,
-    /// Global node index of the region's exit.
-    exit: usize,
-    exits: Vec<StructureId>,
-    seen: HashSet<StructureId>,
-}
-
-/// The worklist state of one drain — the global run's, or one nested region
-/// evaluation's.
+/// The worklist state of one run.
 struct Frontier {
-    /// Location sets, indexed by `node - base`: the global run holds every
-    /// node (`base` 0), a region evaluation its own node range. Members are
-    /// interned ids, so set membership is exact structure equality (the
-    /// interner resolves fingerprint collisions with full comparisons) while
-    /// hashing only 4 bytes.
+    /// Location sets, indexed by node. Members are interned ids, so set
+    /// membership is exact structure equality (the interner resolves
+    /// fingerprint collisions with full comparisons) while hashing only 4
+    /// bytes.
     states: Vec<HashSet<StructureId>>,
     /// Min-heap on (rpo rank, insertion sequence, node, structure): lower-
     /// ranked locations first, FIFO among equal ranks — a deterministic
@@ -401,9 +377,6 @@ struct Frontier {
     worklist: BinaryHeap<Reverse<(u32, u64, usize, StructureId)>>,
     /// Next insertion sequence number.
     seq: u64,
-    base: usize,
-    /// The region being drained; `None` for the global drain.
-    sink: Option<RegionSink>,
 }
 
 impl Frontier {
@@ -419,8 +392,7 @@ impl Frontier {
     }
 }
 
-/// The immutable context of one engine run, shared by the global drain and
-/// every nested region drain.
+/// The immutable context of one engine run.
 struct EngineCtx<'a> {
     instance: &'a AnalysisInstance,
     config: &'a EngineConfig,
@@ -429,19 +401,16 @@ struct EngineCtx<'a> {
     prep: &'a InstancePlan,
 }
 
-/// The mutable state of one engine run, threaded through the global drain
-/// and every nested region drain (which share the interner, the transfer
-/// lookup and all counters with their caller).
+/// The mutable state of one engine run.
 struct EngineSt<'s> {
     metrics: RunMetrics,
     interner: StructureInterner,
     /// The per-run transfer cache in front of the shared transfer store.
     transfers: Transfers<'s>,
     visits: u64,
-    /// Structures currently stored across all live location sets (the
-    /// global ones plus any in-flight nested drains').
-    live: usize,
-    peak_structures: usize,
+    /// Structures stored across all location sets. Sets only grow, so this
+    /// is also the run's peak.
+    stored: usize,
     peak_nodes: u32,
     /// `(line, label)` → definite?
     errors: HashMap<(u32, String), bool>,
@@ -450,14 +419,15 @@ struct EngineSt<'s> {
 }
 
 impl EngineSt<'_> {
-    /// Stops the run if the cross-run cancellation flag is raised.
-    fn poll_cancel(&mut self, cancel: Option<&AtomicBool>) -> Result<(), Stop> {
+    /// Whether the cross-run cancellation flag is raised; records the stop
+    /// if it is.
+    fn cancelled(&mut self, cancel: Option<&AtomicBool>) -> bool {
         if cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
             self.outcome = AnalysisOutcome::BudgetExceeded;
             self.metrics.counters.add(Counter::Cancelled, 1);
-            return Err(Stop);
+            return true;
         }
-        Ok(())
+        false
     }
 
     fn note_violation(&mut self, line: u32, label: &str, definite: bool) {
@@ -504,10 +474,8 @@ fn note_failing_structure(
 /// the session's delta for future jobs. The session is used only when
 /// `config.transfer_cache` is on; a shared hit replays the memoized
 /// posts/violations/peak exactly and counts [`Counter::SharedCacheHits`]
-/// instead of a transfer-cache miss. A call region's nested drain is a
-/// sequence of transfers, so a warm run replays it from the same store.
-/// Results are observation-equivalent with and without a session; only
-/// cache counters and wall-clock differ.
+/// instead of a transfer-cache miss. Results are observation-equivalent
+/// with and without a session; only cache counters and wall-clock differ.
 pub fn run_shared(
     instance: &AnalysisInstance,
     config: &EngineConfig,
@@ -519,7 +487,7 @@ pub fn run_shared(
 
 /// What an engine run derives from its instance alone, built once per
 /// instance: the worklist ranks, the transfer plan, the content-deduped
-/// action ids and the call regions by entry node. A prepared verification
+/// action ids and the call-region entry nodes. A prepared verification
 /// (see `modes::Prepared`) keeps it beside its instance, so a re-run of an
 /// unchanged instance starts at the worklist.
 pub(crate) struct InstancePlan {
@@ -538,9 +506,9 @@ pub(crate) struct InstancePlan {
     /// The distinct actions' content strings (shared transfer-store keys),
     /// rendered on first use: only runs with a transfer session read them.
     action_contents: OnceLock<Arc<[String]>>,
-    /// Region index by global entry-node index; empty when the CFG has no
-    /// call regions (the run then drains flat).
-    region_by_entry: HashMap<usize, usize>,
+    /// Per CFG node, whether it is a call region's entry: a pop there counts
+    /// one [`Counter::CallEvaluations`].
+    region_entry: Vec<bool>,
     /// The shared store's context string ([`context_content`]) and the
     /// focus limit it was rendered for, on first use.
     context: OnceLock<(usize, Arc<str>)>,
@@ -570,6 +538,10 @@ impl InstancePlan {
                 .collect();
             action_ids.push(ids);
         }
+        let mut region_entry = vec![false; cfg.node_count()];
+        for region in cfg.regions() {
+            region_entry[region.entry.index()] = true;
+        }
         InstancePlan {
             rpo: rpo_ranks(cfg),
             transfer: TransferPlan {
@@ -579,12 +551,7 @@ impl InstancePlan {
             action_ids,
             distinct_actions,
             action_contents: OnceLock::new(),
-            region_by_entry: cfg
-                .regions()
-                .iter()
-                .enumerate()
-                .map(|(ix, region)| (region.entry.index(), ix))
-                .collect(),
+            region_entry,
             context: OnceLock::new(),
         }
     }
@@ -651,8 +618,6 @@ pub(crate) fn run_planned(
         states: vec![HashSet::new(); n_nodes],
         worklist: BinaryHeap::new(),
         seq: 0,
-        base: 0,
-        sink: None,
     };
     metrics.time(Phase::Merge, || fr.states[cfg.entry()].insert(init_id));
     fr.push(ctx.prep.rpo[cfg.entry()], cfg.entry(), init_id, &mut metrics);
@@ -662,16 +627,14 @@ pub(crate) fn run_planned(
         interner,
         transfers,
         visits: 0,
-        live: 1,
-        peak_structures: 1,
+        stored: 1,
         peak_nodes: 0,
         errors: HashMap::new(),
         failing_sites: HashSet::new(),
         outcome: AnalysisOutcome::Complete,
     };
 
-    // A `Stop` already recorded its outcome and counter on `st`.
-    let _ = drain(&ctx, &mut st, &mut fr);
+    drain(&ctx, &mut st, &mut fr);
 
     if let Some(scope) = st.transfers.scope.take() {
         scope.finish();
@@ -702,7 +665,7 @@ pub(crate) fn run_planned(
         failing_sites: st.failing_sites,
         stats: RunStats {
             visits: st.visits,
-            structures: st.peak_structures,
+            structures: st.stored,
             distinct_structures: st.interner.len(),
             peak_nodes: st.peak_nodes as usize,
             wall: start.elapsed(),
@@ -713,54 +676,42 @@ pub(crate) fn run_planned(
     }
 }
 
-/// Drains one frontier to fixpoint — the serial core loop shared by the
-/// global run and every nested region evaluation. Each pop takes the
-/// highest-priority worklist entry and applies every action of the node's
-/// out-edges to its structure.
-///
-/// A region evaluation's frontier carries a [`RegionSink`]: arrivals at its
-/// exit node are collected instead of committed, and entries at its own
-/// entry are processed normally. An entry at any *other* region entry is
-/// intercepted and drained as a nested subproblem by [`compute_region`].
-fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Result<(), Stop> {
+/// Drains the frontier to fixpoint, or until a budget runs out or the run
+/// is cancelled (the outcome and counter are then recorded on `st`). Each
+/// pop takes the highest-priority worklist entry and applies every action
+/// of the node's out-edges to its structure. Call regions are spliced into
+/// the CFG, so their nodes are drained like any other: procedures are
+/// inlined, as in the paper.
+fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) {
     let instance = ctx.instance;
     let config = ctx.config;
     let cfg = &instance.cfg;
     let table = &instance.vocab.table;
-    let own_entry = fr.sink.as_ref().map(|sink| sink.entry);
     while let Some(Reverse((_, _, node, sid))) = fr.worklist.pop() {
         // Poll the cross-run flag at every pop: a single expensive
         // focus/coerce expansion must not delay a budget-triggered cancel.
         // Further polls run every `CANCEL_CHECK_INTERVAL` applications below.
-        st.poll_cancel(ctx.cancel)?;
-        // An arrival at another region's entry is not applied edge by edge:
-        // it is drained as a nested subproblem of that region and its exit
-        // structures are committed at the region's exit node.
-        if own_entry != Some(node) {
-            if let Some(&region_ix) = ctx.prep.region_by_entry.get(&node) {
-                st.metrics.counters.add(Counter::CallEvaluations, 1);
-                let exit = cfg.regions()[region_ix].exit.index();
-                for xid in compute_region(ctx, st, region_ix, sid)? {
-                    commit_post(ctx, st, fr, exit, xid);
-                }
-                continue;
-            }
+        if st.cancelled(ctx.cancel) {
+            return;
+        }
+        if ctx.prep.region_entry[node] {
+            st.metrics.counters.add(Counter::CallEvaluations, 1);
         }
         let settled = st.interner.is_settled(sid);
         for &edge_ix in cfg.out_edges(node) {
             let edge = &cfg.edges()[edge_ix];
             for (action_ix, action) in instance.actions[edge_ix].iter().enumerate() {
                 st.visits += 1;
-                if st.visits > config.max_visits || st.live > config.max_structures {
+                if st.visits > config.max_visits || st.stored > config.max_structures {
                     st.outcome = AnalysisOutcome::BudgetExceeded;
                     st.metrics.counters.add(Counter::BudgetExhausted, 1);
                     if let Some(flag) = ctx.cancel {
                         flag.store(true, Ordering::Relaxed);
                     }
-                    return Err(Stop);
+                    return;
                 }
-                if st.visits.is_multiple_of(CANCEL_CHECK_INTERVAL) {
-                    st.poll_cancel(ctx.cancel)?;
+                if st.visits.is_multiple_of(CANCEL_CHECK_INTERVAL) && st.cancelled(ctx.cancel) {
+                    return;
                 }
                 // The transfer function is a pure function of the (interned)
                 // pre-structure and the action, so its output — canonical
@@ -842,14 +793,10 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) -> Resul
             }
         }
     }
-    Ok(())
 }
 
-/// Commits one post-structure at node `to` of the frontier: adds it to the
-/// node's location set and pushes it onto the worklist if it is new.
-/// Arrivals at a region sink's exit node are collected instead
-/// (deduplicated, arrival order) — the region's caller commits them against
-/// its own states.
+/// Commits one post-structure at node `to`: adds it to the node's location
+/// set and pushes it onto the worklist if it is new.
 fn commit_post(
     ctx: &EngineCtx<'_>,
     st: &mut EngineSt<'_>,
@@ -857,57 +804,10 @@ fn commit_post(
     to: usize,
     id: StructureId,
 ) {
-    if let Some(sink) = fr.sink.as_mut().filter(|sink| sink.exit == to) {
-        if sink.seen.insert(id) {
-            sink.exits.push(id);
-        }
-        return;
-    }
-    let slot = to - fr.base;
-    if st.metrics.time(Phase::Merge, || fr.states[slot].insert(id)) {
-        st.live += 1;
-        st.peak_structures = st.peak_structures.max(st.live);
+    if st.metrics.time(Phase::Merge, || fr.states[to].insert(id)) {
+        st.stored += 1;
         fr.push(ctx.prep.rpo[to], to, id, &mut st.metrics);
     }
-}
-
-/// Drains a call region as a nested subproblem of one entry structure:
-/// region-local states and worklist, drained by the same loop as the
-/// global run (sharing the interner, the transfer lookup and counters
-/// through `st`). Region-local structures are discarded when the drain
-/// finishes — only the exit structures escape, returned in first-arrival
-/// order for the caller to commit — so `N` spliced copies of a procedure
-/// cost one body's peak footprint at a time, not `N`.
-fn compute_region(
-    ctx: &EngineCtx<'_>,
-    st: &mut EngineSt<'_>,
-    region_ix: usize,
-    input: StructureId,
-) -> Result<Vec<StructureId>, Stop> {
-    let region = &ctx.instance.cfg.regions()[region_ix];
-    let entry = region.entry.index();
-    let base = region.nodes().start;
-    let live_base = st.live;
-    // The entry seed is inserted untimed and is neither counted against the
-    // live total (it is already stored at the caller's entry-node state) nor
-    // as a worklist push.
-    let mut states = vec![HashSet::new(); region.nodes().len()];
-    states[entry - base].insert(input);
-    let mut fr = Frontier {
-        states,
-        worklist: BinaryHeap::from([Reverse((ctx.prep.rpo[entry], 0, entry, input))]),
-        seq: 1,
-        base,
-        sink: Some(RegionSink {
-            entry,
-            exit: region.exit.index(),
-            exits: Vec::new(),
-            seen: HashSet::new(),
-        }),
-    };
-    drain(ctx, st, &mut fr)?;
-    st.live = live_base;
-    Ok(fr.sink.expect("region frontier has a sink").exits)
 }
 
 #[cfg(test)]

@@ -6,9 +6,9 @@
 //! pre-structure id)`). Both halves of that key are run-local, so every job
 //! of a corpus would re-pay every transfer from scratch. This module
 //! re-keys the memo by **content** so it can outlive a run, a job, and
-//! (serialized to disk) a process. A call region's nested drain is a
-//! sequence of transfers, so a warm run replays its call regions
-//! transfer by transfer from the same store:
+//! (serialized to disk) a process. Call regions are drained like the rest
+//! of the CFG, so a warm run replays them transfer by transfer from the
+//! same store:
 //!
 //! * the *context* of an entry is the full predicate-table content (name,
 //!   arity, and flags — including defining formulas — of every predicate, in

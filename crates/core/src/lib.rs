@@ -56,7 +56,6 @@ pub mod jobcache;
 pub mod liveness;
 pub mod modes;
 pub mod parallel;
-pub mod refine;
 pub mod relevance;
 pub mod report;
 pub mod semantics;

@@ -1,14 +1,14 @@
 //! Call regions behind the transfer store.
 //!
-//! The engine drains every arrival at a spliced call region as a nested
-//! subproblem, and a drain is a sequence of transfers: the per-run transfer
-//! cache and the cross-run transfer store replay a region's interior the
-//! way they replay any other transfer. So for the region-heavy
-//! shared-library family the verdict, the reported-error set, the failing
-//! allocation sites, the visit counts and the space peaks are
-//! byte-identical with the transfer cache on or off, and cold or warm over
-//! a store round-tripped through the cache file format. Only wall-clock
-//! time and the cache counters may differ.
+//! A spliced call region is drained like the rest of the CFG (the paper
+//! inlines procedures), so its interior is a sequence of transfers that the
+//! per-run transfer cache and the cross-run transfer store replay like any
+//! other. For the region-heavy shared-library family the verdict, the
+//! reported-error set, the failing allocation sites, the visit counts, the
+//! space peaks and the call-evaluation count are byte-identical with the
+//! transfer cache on or off, and cold or warm over a store round-tripped
+//! through the cache file format. Only wall-clock time and the cache
+//! counters may differ.
 
 use hetsep_core::engine::run_shared;
 use hetsep_core::{
@@ -75,7 +75,7 @@ fn assert_equivalent(label: &str, a: &VerificationReport, b: &VerificationReport
     assert_eq!(
         a.metrics.counters.get(Counter::CallEvaluations),
         b.metrics.counters.get(Counter::CallEvaluations),
-        "{label}: every arrival at a region entry is drained either way"
+        "{label}: region-entry pops are counted the same either way"
     );
 }
 

@@ -15,9 +15,7 @@
 //!   and compiler temporaries restart per splice (`{proc}::tmp$N`), so the
 //!   spliced body of a procedure is byte-identical at every call site.
 //! * Every splice is recorded as a [`CallRegion`] — a single-entry,
-//!   single-exit range of contiguously numbered nodes and edges — and
-//!   fingerprinted with FNV-1a over its (splice-relative) edge pool slice.
-//!   Identical regions of the same procedure share a fingerprint.
+//!   single-exit range of contiguously numbered nodes and edges.
 //! * Node lines, edges, and the adjacency lists live in flat pools (the
 //!   adjacency is CSR: one shared index pool plus per-node offsets), and
 //!   procedures/regions are addressed by the newtype indices [`NodeId`],
@@ -32,35 +30,6 @@ use crate::diag::Diagnostic;
 
 /// Maximum procedure-splicing depth (guards against nested-call blowup).
 const MAX_CALL_DEPTH: usize = 64;
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a hasher over raw bytes.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// A typed index of a CFG node in the flat node pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -252,10 +221,6 @@ pub struct CfgEdge {
 pub struct ProcInfo {
     /// Source-level procedure name.
     pub name: String,
-    /// FNV-1a fingerprint of the procedure's spliced body (splice-relative,
-    /// so it is independent of where in the CFG the body landed). For the
-    /// entry procedure this covers the whole edge pool.
-    pub fingerprint: u64,
 }
 
 /// One splice of a procedure body: a single-entry, single-exit subgraph
@@ -265,8 +230,7 @@ pub struct ProcInfo {
 /// node is the unique join all `return`s and the fall-through path reach.
 /// Parameter binding and result copy-out happen *outside* the region, so
 /// two regions of the same procedure have byte-identical interiors (same
-/// variable names, same relative topology, same source lines) and therefore
-/// equal fingerprints.
+/// variable names, same relative topology, same source lines).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallRegion {
     /// The spliced procedure.
@@ -279,9 +243,6 @@ pub struct CallRegion {
     node_end: u32,
     edge_start: u32,
     edge_end: u32,
-    /// FNV-1a over the region's edge-pool slice, rendered relative to the
-    /// region base so identical splices hash identically.
-    pub fingerprint: u64,
 }
 
 impl CallRegion {
@@ -423,26 +384,6 @@ impl Cfg {
     pub fn regions(&self) -> &[CallRegion] {
         &self.regions
     }
-
-    /// Fingerprint of the entry procedure, which covers the entire edge
-    /// pool — a whole-CFG content address.
-    pub fn fingerprint(&self) -> u64 {
-        self.procs.first().map_or(FNV_OFFSET, |p| p.fingerprint)
-    }
-}
-
-/// Hashes the edge slice `range`, rendering node indices relative to
-/// `node_base` so the hash is independent of placement in the pool.
-fn fingerprint_edges(edges: &[CfgEdge], range: Range<usize>, node_base: usize) -> u64 {
-    let mut h = Fnv::new();
-    for edge in &edges[range] {
-        h.write_u32(edge.from.wrapping_sub(node_base) as u32);
-        h.write_u32(edge.to.wrapping_sub(node_base) as u32);
-        h.write_u32(edge.line);
-        h.write(format!("{:?}", edge.op).as_bytes());
-        h.write(b";");
-    }
-    h.finish()
 }
 
 struct Frame {
@@ -503,7 +444,6 @@ impl<'p> Builder<'p> {
         let id = ProcId::from_index(self.procs.len());
         self.procs.push(ProcInfo {
             name: name.to_owned(),
-            fingerprint: 0,
         });
         self.proc_ix.insert(name.to_owned(), id);
         id
@@ -532,9 +472,8 @@ impl<'p> Builder<'p> {
         })
     }
 
-    /// Builds the CSR adjacency, fingerprints regions and procedures, and
-    /// assembles the final [`Cfg`].
-    fn seal(mut self, entry: usize, exit: usize) -> Cfg {
+    /// Builds the CSR adjacency and assembles the final [`Cfg`].
+    fn seal(self, entry: usize, exit: usize) -> Cfg {
         let n = self.lines.len();
         let mut out_starts = vec![0u32; n + 1];
         for e in &self.edges {
@@ -548,24 +487,6 @@ impl<'p> Builder<'p> {
         for (ix, e) in self.edges.iter().enumerate() {
             out_pool[cursor[e.from] as usize] = ix;
             cursor[e.from] += 1;
-        }
-        for region in &mut self.regions {
-            region.fingerprint = fingerprint_edges(
-                &self.edges,
-                region.edge_start as usize..region.edge_end as usize,
-                region.node_start as usize,
-            );
-        }
-        // A procedure's fingerprint is its first region's; the entry
-        // procedure (index 0) owns the whole pool.
-        for region in &self.regions {
-            let p = &mut self.procs[region.proc.index()];
-            if p.fingerprint == 0 {
-                p.fingerprint = region.fingerprint;
-            }
-        }
-        if let Some(p) = self.procs.first_mut() {
-            p.fingerprint = fingerprint_edges(&self.edges, 0..self.edges.len(), 0);
         }
         Cfg {
             lines: self.lines,
@@ -1172,7 +1093,6 @@ impl<'p> Builder<'p> {
             node_end: self.lines.len() as u32,
             edge_start: edge_start as u32,
             edge_end: self.edges.len() as u32,
-            fingerprint: 0, // filled in by seal()
         });
         // Copy the result out (outside the region).
         if let (Some(res), Some(rv)) = (result, ret_var) {
@@ -1345,7 +1265,7 @@ void main() {
     }
 
     #[test]
-    fn call_regions_are_recorded_and_fingerprints_shared() {
+    fn call_regions_are_recorded_with_identical_interiors() {
         let cfg = build(
             r#"
 program P uses IOStreams;
@@ -1365,10 +1285,6 @@ void main() {
         let (r1, r2) = (&regions[0], &regions[1]);
         assert_eq!(r1.proc, r2.proc);
         assert_eq!(cfg.proc(r1.proc).name, "use");
-        // Identical splices of the same procedure hash identically.
-        assert_eq!(r1.fingerprint, r2.fingerprint);
-        assert_ne!(r1.fingerprint, 0);
-        assert_eq!(cfg.proc(r1.proc).fingerprint, r1.fingerprint);
         // Regions are single-entry/single-exit over contiguous ranges, and
         // interior edges stay inside the node range.
         for r in regions {
@@ -1392,26 +1308,6 @@ void main() {
             assert_eq!(a.op, b.op);
             assert_eq!(a.line, b.line);
         }
-    }
-
-    #[test]
-    fn distinct_procedures_get_distinct_fingerprints() {
-        let cfg = build(
-            r#"
-program P uses IOStreams;
-void ping(InputStream s) { s.read(); }
-void pong(InputStream s) { s.close(); }
-void main() {
-    InputStream a = new InputStream();
-    ping(a);
-    pong(a);
-}
-"#,
-        );
-        assert_eq!(cfg.regions().len(), 2);
-        let f1 = cfg.regions()[0].fingerprint;
-        let f2 = cfg.regions()[1].fingerprint;
-        assert_ne!(f1, f2);
     }
 
     #[test]
@@ -1498,13 +1394,19 @@ void main() {
 }
 "#,
         );
-        // Both splices name the temporary identically, so the regions
-        // fingerprint identically (the whole point of stable naming).
+        // Both splices name the temporary identically, so the regions'
+        // operations are identical (the whole point of stable naming).
         assert_eq!(cfg.var_type("fill::tmp$1"), Some("InputStream"));
         assert_eq!(cfg.var_type("fill::tmp$2"), None);
         let regions = cfg.regions();
         assert_eq!(regions.len(), 2);
-        assert_eq!(regions[0].fingerprint, regions[1].fingerprint);
+        let interior = |r: &CallRegion| -> Vec<CfgOp> {
+            cfg.edges()[r.edges()]
+                .iter()
+                .map(|e| e.op.clone())
+                .collect()
+        };
+        assert_eq!(interior(&regions[0]), interior(&regions[1]));
     }
 
     #[test]

@@ -284,7 +284,7 @@ pub struct VerifyOutcome {
     pub shared_hits: u64,
     /// Workspace-store probes that missed.
     pub shared_misses: u64,
-    /// Call-region evaluations (each drains the region body).
+    /// Call-region evaluations: structures popped at a region-entry node.
     pub call_evaluations: u64,
     /// Deduplicated per-line violation reports.
     pub errors: Vec<WireError>,

@@ -120,7 +120,7 @@ pub struct JobOutcome {
     pub shared_hits: u64,
     /// Cross-job shared-store probes that missed.
     pub shared_misses: u64,
-    /// Call-region evaluations (each drains the region body).
+    /// Call-region evaluations: structures popped at a region-entry node.
     pub call_evaluations: u64,
     /// Always 0. Kept, with `shared_summary_hits`, only so that the
     /// `perfbench/` harness, which reads both, keeps compiling.

@@ -276,10 +276,9 @@ pub struct SharedLibWorkload {
 /// called from `clients × calls_per_client` sites, every site passing a
 /// different stream through the *same* callee body.
 ///
-/// This is the call-region stress shape: every site drains the library
-/// body as a nested subproblem, and a body arrival whose transfers the run
-/// (or, warm, the shared transfer store) has already computed replays them
-/// instead of recomputing.
+/// This is the call-region stress shape: every site splices the library
+/// body, and a transfer in it that the run (or, warm, the shared transfer
+/// store) has already computed replays instead of recomputing.
 pub fn shared_lib(name: &str, w: &SharedLibWorkload) -> String {
     let mut out = String::new();
     writeln!(out, "program {name} uses IOStreams;").unwrap();

@@ -129,9 +129,9 @@ pub enum Counter {
     /// (sums across rows to the predicted cost of the family). An estimate,
     /// not a bound: measured peaks exceed it (see `DESIGN.md` §15.2).
     PreanalysisEstimatedStructures,
-    /// Call-region evaluations: structures arriving at a spliced procedure's
-    /// entry node, each drained through the callee body as a nested
-    /// subproblem.
+    /// Call-region evaluations: structures popped from the worklist at a
+    /// spliced procedure's entry node (each distinct structure once per
+    /// entry, since location sets deduplicate).
     CallEvaluations,
     /// Never incremented and not in [`Counter::REPORTED`]: procedure
     /// summaries are gone. Kept, with `SharedSummaryHits`, only so that

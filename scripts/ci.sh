@@ -38,6 +38,12 @@ cargo test -q -p hetsep-tvl --release --test properties -- \
     keeps_names_matches_column_reference \
     interned_ids_follow_word_equality
 cargo test -q -p hetsep-tvl --release --test bulk_grow
+# Release-only suites: the Table 3 shape tests (every row of `full_table3`
+# against the paper's reported counts, its `-` rows included) and the
+# pruning and transfer-cache equivalence matrices are ignored in debug
+# builds, so they run here.
+cargo test -q --release -p hetsep --test table3_shape
+cargo test -q --release -p hetsep-core --test pruning --test transfer_cache
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
 # must hold whatever the subproblem worker count is. The expensive

@@ -2,11 +2,11 @@
 //! Table 3 — who reports what, and who wins on space — on the shipped
 //! benchmarks.
 //!
-//! The fast tests run the light benchmarks; `full_table3` replays every row
-//! (about 5 s in a release build) and is `#[ignore]`d because it fails:
-//! SQLExecutor's vanilla row reports `Some(0)` where the paper's table has
-//! `None` (the row finishes inside the budget; ROADMAP item 5).
-//! `cargo test --release -p hetsep --test table3_shape -- --ignored` runs it.
+//! The fast tests run the light benchmarks. The heavy ones, `full_table3`
+//! among them (it replays every row against `expected_reported`, the
+//! paper's `-` rows for KernelBench3 and SQLExecutor vanilla included), are
+//! ignored in debug builds and run under
+//! `cargo test --release -p hetsep --test table3_shape`.
 
 use hetsep::harness::{run_benchmark, run_mode, table3_config};
 use hetsep::suite::{self, TableMode};
@@ -114,7 +114,7 @@ fn kernel_bench3_vanilla_explodes_separation_finishes() {
 }
 
 #[test]
-#[ignore = "fails: SQLExecutor/vanilla reports Some(0), expected None (ROADMAP item 5); ~5 s under --release"]
+#[cfg_attr(debug_assertions, ignore = "expensive; run under --release")]
 fn full_table3() {
     for bench in suite::all() {
         let config = table3_config();
