@@ -2,7 +2,7 @@
 //! benchmark programs, per verification mode.
 //!
 //! Usage: `table3 [--threads N] [--json PATH] [--metrics] [--trace PATH]
-//! [--no-preanalysis] [--no-transfer-cache] [benchmark-name …]` (default:
+//! [--no-preanalysis] [benchmark-name …]` (default:
 //! all benchmarks, auto thread count, JSON written to `BENCH_table3.json`
 //! in the working directory).
 //!
@@ -21,11 +21,6 @@
 //! `table3_config` turns on. Pruning is observation-equivalent, so only the
 //! `pruned` column (and the effort of pruned subproblems) changes.
 //!
-//! `--no-transfer-cache` disables the exact transfer-function cache (on by
-//! default). Cache hits replay memoized interned post-structures, so every
-//! column except the wall-clock times (and the cache counters) is
-//! byte-identical with the cache on or off.
-//!
 //! `--help` prints the usage line and exits 0. An unknown flag or benchmark
 //! name, or a flag missing its value, prints the usage to stderr and exits 2.
 
@@ -36,7 +31,7 @@ use hetsep::suite;
 use hetsep::{write_trace, RunMetrics};
 
 const USAGE: &str = "usage: table3 [--threads N] [--json PATH] [--metrics] [--trace PATH] \
-[--no-preanalysis] [--no-transfer-cache] [benchmark-name ...]";
+[--no-preanalysis] [benchmark-name ...]";
 
 /// Reports a command-line error with the usage line and exits 2.
 fn usage_error(msg: &str) -> ! {
@@ -49,7 +44,6 @@ fn main() {
     let mut json_path = String::from("BENCH_table3.json");
     let mut metrics = false;
     let mut no_preanalysis = false;
-    let mut no_transfer_cache = false;
     let mut trace_path: Option<String> = None;
     let mut names: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
@@ -68,7 +62,6 @@ fn main() {
             }
             "--metrics" => metrics = true,
             "--no-preanalysis" => no_preanalysis = true,
-            "--no-transfer-cache" => no_transfer_cache = true,
             "--trace" => {
                 trace_path = Some(args.next().unwrap_or_else(|| usage_error("--trace needs a path")));
             }
@@ -100,9 +93,6 @@ fn main() {
     config.phase_timings = metrics;
     if no_preanalysis {
         config.preanalysis = false;
-    }
-    if no_transfer_cache {
-        config.transfer_cache = false;
     }
     let mut trace = trace_path.as_ref().map(|path| {
         let file = std::fs::File::create(path)

@@ -24,7 +24,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -107,19 +106,14 @@ pub struct EngineConfig {
     /// verdict or the reported errors, only which subproblems run. Off by
     /// default; enable via [`crate::Verifier::with_preanalysis`].
     pub preanalysis: bool,
-    /// Memoize the transfer function: per run, a map from `(action,
-    /// input structure id)` to the interned canonical post-structure ids and
-    /// check violations of the full focus → coerce → update → canon
-    /// pipeline. Because structures are hash-consed (id equality ⇔ structure
-    /// equality) and the pipeline is deterministic, cache hits are exact:
-    /// verdicts, error sets and `visits`/`structures` statistics are
-    /// byte-identical with the cache on or off — only wall-clock time and
-    /// the per-phase work counters change. The cache is per-run (each
-    /// separation subproblem owns its interner, so ids are not shared across
-    /// threads). It holds at most one entry per miss, and misses never
-    /// exceed the run's visits, which `max_visits` caps. On by default;
-    /// disable via [`crate::Verifier::with_transfer_cache`] or
-    /// `--no-transfer-cache`.
+    /// Probe and record the cross-run transfer store when the run is given
+    /// a session (see [`run_shared`] and [`crate::jobcache`]). A store hit
+    /// replays the exact canonical posts, violations and peak universe of
+    /// the focus → coerce → update → canon pipeline, so verdicts, error sets
+    /// and `visits`/`structures` statistics are byte-identical with the
+    /// store on or off; only wall-clock time and the work counters change.
+    /// A run without a session computes every transfer and keeps no map of
+    /// its own. On by default; `hetsep serve --no-transfer-cache` clears it.
     pub transfer_cache: bool,
     /// Ignored: nothing reads it. Kept only so that the `perfbench/`
     /// harness, which sets it, keeps compiling.
@@ -199,92 +193,13 @@ impl RunResult {
     }
 }
 
-/// Key of one memoized transfer: (content-deduped action id, interned
-/// input structure id).
-type MemoKey = (u32, StructureId);
-
-/// One memoized transfer: the interned canonical post ids in pipeline
-/// emission order and the shared store's payload. The in-run memo holds
-/// exactly what the cross-run store persists, so a store hit, an in-run hit
-/// and a fresh computation are applied by the same code.
-type Memoized = (Vec<StructureId>, TransferMemo);
-
-/// What one [`Transfers::lookup`] found.
-enum Lookup {
-    /// An in-run memo hit.
-    Memo(Rc<Memoized>),
-    /// A shared-store hit, outputs interned; the caller seeds the in-run memo
-    /// with it through [`Transfers::remember`] once it is applied.
-    Shared(Rc<Memoized>),
-    /// A miss at both layers; `true` when a shared store was probed, so
-    /// [`Transfers::remember`] records the computed entry into it.
-    Miss(bool),
-}
-
-/// The transfer lookup: the in-run memo in front of the run's scope of the
-/// cross-run store (see [`crate::jobcache`]).
-///
-/// The in-run memo keeps every entry for the whole run: it gains at most
-/// one per miss, and misses never exceed the run's visits. Entries are
-/// shared, so a hit is a pointer copy. The shared layer sits strictly
-/// behind the in-run memo: it is only consulted (and populated) when that
-/// misses, so the added cost is bounded by one content probe per distinct
-/// key per run.
-struct Transfers<'s> {
-    memo: HashMap<MemoKey, Rc<Memoized>>,
-    scope: Option<RunScope<'s>>,
-}
-
-impl Transfers<'_> {
-    /// Probes the in-run memo, then the shared store. Stored outputs are the
-    /// exact canonical structures of the original computation, so interning
-    /// them replays the cold run's id assignment.
-    fn lookup(
-        &mut self,
-        key: MemoKey,
-        interner: &mut StructureInterner,
-        table: &PredTable,
-    ) -> Lookup {
-        if let Some(entry) = self.memo.get(&key) {
-            return Lookup::Memo(Rc::clone(entry));
-        }
-        let Some(scope) = &mut self.scope else {
-            return Lookup::Miss(false);
-        };
-        match scope.probe(key.0, key.1, interner, table) {
-            Some((outputs, memo)) => {
-                let outputs = outputs.into_iter().map(|s| interner.intern(s)).collect();
-                Lookup::Shared(Rc::new((outputs, memo)))
-            }
-            None => Lookup::Miss(true),
-        }
-    }
-
-    /// Seeds the in-run memo with a shared hit or a fresh computation, and
-    /// records the latter (`record` is its [`Lookup::Miss`] payload) into the
-    /// shared store for future runs.
-    fn remember(
-        &mut self,
-        key: MemoKey,
-        entry: Rc<Memoized>,
-        record: bool,
-        interner: &StructureInterner,
-    ) {
-        if let Some(scope) = self.scope.as_mut().filter(|_| record) {
-            let (outputs, memo) = &*entry;
-            scope.record(key.0, key.1, outputs, memo.clone(), interner);
-        }
-        self.memo.insert(key, entry);
-    }
-}
-
 /// The transfer pipeline of one action application: focus → coerce → update
 /// (inside [`apply_planned`]) plus canonical abstraction of every
 /// post-structure. Pure in `(action, s)` given the fixed table/plan/limit,
-/// which is what makes its memoized results exact. Returns blurred posts in
-/// emission order, each with
-/// its settled bit, and the memo payload: `(label, definite?)` violation
-/// pairs and the largest unblurred post universe.
+/// which is what makes the shared store's replays exact. Returns blurred
+/// posts in emission order, each with its settled bit, and the store's
+/// payload: `(label, definite?)` violation pairs and the largest unblurred
+/// post universe.
 ///
 /// `settled` is the interner's bit for `s`; it only lets steps that would
 /// return their input be skipped ([`blur_post`], DESIGN §12.5).
@@ -405,8 +320,8 @@ struct EngineCtx<'a> {
 struct EngineSt<'s> {
     metrics: RunMetrics,
     interner: StructureInterner,
-    /// The per-run transfer cache in front of the shared transfer store.
-    transfers: Transfers<'s>,
+    /// This run's scope of the cross-run transfer store, if it has one.
+    scope: Option<RunScope<'s>>,
     visits: u64,
     /// Structures stored across all location sets. Sets only grow, so this
     /// is also the run's peak.
@@ -469,12 +384,13 @@ fn note_failing_structure(
 /// periodically and aborts with [`AnalysisOutcome::BudgetExceeded`] when it
 /// is raised, and a run that exhausts its own budget raises it.
 ///
-/// A transfer is resolved by the in-run memo, then by the session's store
-/// snapshot by *content* key, else by a computation that is recorded into
-/// the session's delta for future jobs. The session is used only when
-/// `config.transfer_cache` is on; a shared hit replays the memoized
-/// posts/violations/peak exactly and counts [`Counter::SharedCacheHits`]
-/// instead of a transfer-cache miss. Results are observation-equivalent
+/// A transfer is resolved by the session's store snapshot by *content* key,
+/// else by a computation that is recorded into the session's delta for
+/// future jobs; a run without a session computes every transfer. The
+/// session is used only when `config.transfer_cache` is on; a shared hit
+/// replays the stored posts/violations/peak exactly and counts
+/// [`Counter::SharedCacheHits`] instead of a computed transfer
+/// ([`Counter::TransferCacheMisses`]). Results are observation-equivalent
 /// with and without a session; only cache counters and wall-clock differ.
 pub fn run_shared(
     instance: &AnalysisInstance,
@@ -496,10 +412,8 @@ pub(crate) struct InstancePlan {
     transfer: TransferPlan,
     /// Content-deduped action id per `(edge, action index)`: structurally
     /// equal actions on different edges (skip edges, `assume(?)` branch
-    /// pairs, repeated statements) share one id, hence one transfer-cache
-    /// key. The worklist itself never re-applies one edge's action to the
-    /// same structure — location sets dedup on interned ids — so all cache
-    /// hits come from this cross-edge sharing.
+    /// pairs, repeated statements) share one id, hence one shared-store
+    /// key.
     action_ids: Vec<Vec<u32>>,
     /// `(edge, action index)` of each distinct action's first occurrence.
     distinct_actions: Vec<(usize, usize)>,
@@ -591,13 +505,10 @@ pub(crate) fn run_planned(
     let mut metrics = RunMetrics::new(config.phase_timings);
     let mut interner = StructureInterner::new();
 
-    let transfers = Transfers {
-        memo: HashMap::new(),
-        scope: shared.filter(|_| config.transfer_cache).map(|s| {
-            let context = prep.context(table, config.focus_limit);
-            s.run_scope(context, prep.action_contents(instance))
-        }),
-    };
+    let scope = shared.filter(|_| config.transfer_cache).map(|s| {
+        let context = prep.context(table, config.focus_limit);
+        s.run_scope(context, prep.action_contents(instance))
+    });
 
     let ctx = EngineCtx {
         instance,
@@ -625,7 +536,7 @@ pub(crate) fn run_planned(
     let mut st = EngineSt {
         metrics,
         interner,
-        transfers,
+        scope,
         visits: 0,
         stored: 1,
         peak_nodes: 0,
@@ -636,7 +547,7 @@ pub(crate) fn run_planned(
 
     drain(&ctx, &mut st, &mut fr);
 
-    if let Some(scope) = st.transfers.scope.take() {
+    if let Some(scope) = st.scope.take() {
         scope.finish();
     }
 
@@ -716,37 +627,28 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) {
                 // The transfer function is a pure function of the (interned)
                 // pre-structure and the action, so its output — canonical
                 // post ids, violations, peak universe size — replays exactly
-                // from either memo layer. Resolve one entry, then apply it
-                // once, whichever layer produced it.
-                let key = (ctx.prep.action_ids[edge_ix][action_ix], sid);
-                let found = if config.transfer_cache {
-                    st.transfers.lookup(key, &mut st.interner, table)
-                } else {
-                    Lookup::Miss(false)
+                // from the shared store. `fresh` marks a computed transfer,
+                // recorded into the store once it is applied.
+                let key = ctx.prep.action_ids[edge_ix][action_ix];
+                let hit = match &mut st.scope {
+                    Some(scope) => scope.probe(key, sid, &st.interner, table),
+                    None => None,
                 };
-                // `fresh` is `Some(record)` when the entry is not yet in the
-                // per-run cache: `remember` seeds it after the apply step,
-                // recording computed ones into the shared store.
-                let (entry, fresh) = match found {
-                    Lookup::Memo(entry) => {
-                        st.metrics.counters.add(Counter::TransferCacheHits, 1);
-                        (entry, None)
-                    }
-                    // A shared hit replaces — not joins — the local miss:
-                    // the pipeline is skipped, so only `SharedCacheHits`
-                    // advances and a warm corpus run reports strictly fewer
-                    // transfer-cache misses than a cold one.
-                    Lookup::Shared(entry) => {
+                let (posts, memo, fresh): (Vec<StructureId>, _, _) = match hit {
+                    // A shared hit replaces the computation, so only
+                    // `SharedCacheHits` advances and a warm corpus run
+                    // reports strictly fewer computed transfers than a cold
+                    // one.
+                    Some((outputs, memo)) => {
                         st.metrics.counters.add(Counter::SharedCacheHits, 1);
-                        (entry, Some(false))
+                        let posts = outputs.into_iter().map(|s| st.interner.intern(s));
+                        (posts.collect(), memo, false)
                     }
-                    Lookup::Miss(record) => {
-                        if record {
+                    None => {
+                        if st.scope.is_some() {
                             st.metrics.counters.add(Counter::SharedCacheMisses, 1);
                         }
-                        if config.transfer_cache {
-                            st.metrics.counters.add(Counter::TransferCacheMisses, 1);
-                        }
+                        st.metrics.counters.add(Counter::TransferCacheMisses, 1);
                         let (blurred, memo) = compute_transfer(
                             action,
                             st.interner.resolve(sid),
@@ -766,13 +668,9 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) {
                                 id
                             })
                             .collect();
-                        (
-                            Rc::new((posts, memo)),
-                            config.transfer_cache.then_some(record),
-                        )
+                        (posts, memo, true)
                     }
                 };
-                let (posts, memo) = &*entry;
                 if !memo.violations.is_empty() {
                     for (label, definite) in &memo.violations {
                         st.note_violation(edge.line, label, *definite);
@@ -784,11 +682,11 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) {
                     );
                 }
                 st.peak_nodes = st.peak_nodes.max(memo.peak_post_nodes);
-                for &post in posts {
+                for &post in &posts {
                     commit_post(ctx, st, fr, edge.to, post);
                 }
-                if let Some(record) = fresh {
-                    st.transfers.remember(key, entry, record, &st.interner);
+                if let Some(scope) = st.scope.as_mut().filter(|_| fresh) {
+                    scope.record(key, sid, &posts, memo, &st.interner);
                 }
             }
         }
@@ -983,18 +881,16 @@ mod tests {
 
         let m = &plain.stats.metrics;
         use hetsep_tvl::telemetry::{Counter, Phase};
-        // The transfer cache (on by default) skips the focus phase on hits:
-        // focus runs exactly once per cache miss, and every application is
-        // either a hit or a miss.
+        // Without a shared store every application computes its transfer,
+        // and focus runs exactly once per computation.
         assert_eq!(
             m.phases.get(Phase::Focus).count,
             m.counters.get(Counter::TransferCacheMisses)
         );
         assert_eq!(
-            m.counters.get(Counter::TransferCacheHits)
-                + m.counters.get(Counter::TransferCacheMisses),
+            m.counters.get(Counter::TransferCacheMisses),
             plain.stats.visits,
-            "every application is answered by the cache or computed"
+            "every application computes its transfer"
         );
         assert!(m.phases.get(Phase::Canon).count > 0);
         assert!(m.counters.get(Counter::PostStructures) > 0);

@@ -758,25 +758,14 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Enables or disables the exact transfer-function cache (see
-    /// [`EngineConfig::transfer_cache`]). Hits replay the memoized interned
-    /// post-structures of the focus → coerce → update → canon pipeline, so
-    /// verdicts, error sets and `visits`/`space` statistics are byte-identical
-    /// with the cache on or off — only wall-clock time changes. On by
-    /// default.
-    pub fn with_transfer_cache(mut self, on: bool) -> Verifier<'a> {
-        self.config.transfer_cache = on;
-        self
-    }
-
     /// Attaches a cross-job shared transfer session (see
-    /// [`crate::jobcache`]): per-run-cache misses probe the session's store
+    /// [`crate::jobcache`]): every transfer probes the session's store
     /// snapshot by content key, and computed transfers are recorded into the
     /// session's delta for future jobs. Observation-equivalent — verdicts,
     /// reported errors and visit/space statistics are identical with or
-    /// without a session; only the shared-cache counters and wall-clock
-    /// change. Requires the transfer cache (on by default) to have any
-    /// effect.
+    /// without a session; only the cache counters and wall-clock change.
+    /// Has no effect when [`EngineConfig::transfer_cache`] (on by default)
+    /// is off.
     pub fn shared_cache(mut self, session: &'a SharedTransferSession<'a>) -> Verifier<'a> {
         self.shared = Some(session);
         self

@@ -343,7 +343,6 @@ impl VerifyOutput {
             pruned: c(Counter::SubproblemsPruned),
             components: r.preanalysis.map_or(0, |p| p.components),
             estimated_structures: r.preanalysis.map_or(0, |p| p.estimated_structures),
-            cache_hits: c(Counter::TransferCacheHits),
             cache_misses: c(Counter::TransferCacheMisses),
             shared_hits: c(Counter::SharedCacheHits),
             shared_misses: c(Counter::SharedCacheMisses),

@@ -2,13 +2,12 @@
 //!
 //! A spliced call region is drained like the rest of the CFG (the paper
 //! inlines procedures), so its interior is a sequence of transfers that the
-//! per-run transfer cache and the cross-run transfer store replay like any
-//! other. For the region-heavy shared-library family the verdict, the
-//! reported-error set, the failing allocation sites, the visit counts, the
-//! space peaks and the call-evaluation count are byte-identical with the
-//! transfer cache on or off, and cold or warm over a store round-tripped
-//! through the cache file format. Only wall-clock time and the cache
-//! counters may differ.
+//! cross-run transfer store records and replays like any other. For the
+//! region-heavy shared-library family the verdict, the reported-error set,
+//! the failing allocation sites, the visit counts, the space peaks and the
+//! call-evaluation count are byte-identical with and without a store, and
+//! cold or warm over a store round-tripped through the cache file format.
+//! Only wall-clock time and the cache counters may differ.
 
 use hetsep_core::engine::run_shared;
 use hetsep_core::{
@@ -79,9 +78,9 @@ fn assert_equivalent(label: &str, a: &VerificationReport, b: &VerificationReport
     );
 }
 
-/// The shared-library family in debug runs, transfer cache on against off:
-/// small, region-heavy, and it covers both the correct and the erroneous
-/// (violation-replay) paths.
+/// The shared-library family in debug runs, without a store against a cold
+/// one: small, region-heavy, and it covers both the correct and the
+/// erroneous paths.
 #[test]
 fn shared_lib_family_is_observation_equivalent() {
     let mut evaluations = 0u64;
@@ -91,18 +90,13 @@ fn shared_lib_family_is_observation_equivalent() {
         let spec = bench.spec();
         for &table_mode in &bench.modes {
             let mode = core_mode(&bench, table_mode).unwrap();
-            let run = |cache: bool| {
-                Verifier::new(&program, &spec)
-                    .mode(mode.clone())
-                    .config(budget())
-                    .with_transfer_cache(cache)
-                    .run()
-                    .unwrap()
-            };
-            let on = run(true);
-            assert_equivalent(&format!("{name}/{table_mode:?}"), &run(false), &on);
-            assert!(on.metrics.counters.get(Counter::TransferCacheHits) > 0);
-            evaluations += on.metrics.counters.get(Counter::CallEvaluations);
+            let verifier = || Verifier::new(&program, &spec).mode(mode.clone()).config(budget());
+            let store = TransferStore::new();
+            let session = SharedTransferSession::new(&store);
+            let cold = verifier().shared_cache(&session).run().unwrap();
+            assert_equivalent(&format!("{name}/{table_mode:?}"), &verifier().run().unwrap(), &cold);
+            assert!(cold.metrics.counters.get(Counter::SharedCacheMisses) > 0);
+            evaluations += cold.metrics.counters.get(Counter::CallEvaluations);
         }
     }
     assert!(evaluations > 0, "the family should evaluate call regions");

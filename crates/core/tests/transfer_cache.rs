@@ -1,16 +1,20 @@
-//! Exactness of the transfer-function cache.
+//! Exactness of transfer-store replay.
 //!
-//! The cache (`EngineConfig::transfer_cache` / `Verifier::with_transfer_cache`)
-//! memoizes the full focus → coerce → update → canon pipeline per
-//! `(action, interned pre-structure)` key. Because structure ids are
-//! hash-consed (id equality ⇔ structure equality) and the pipeline is
-//! deterministic, cache hits must be *exact*: for every suite benchmark and
-//! every Table 3 mode, the verdict, the reported-error set, the completeness
-//! flag, and the per-site `visits`/`structures` statistics are byte-identical
-//! with the cache on and off. Only wall-clock time and the work counters of
-//! the skipped phases may differ.
+//! A run with a shared transfer session (`Verifier::shared_cache`) probes
+//! the store for every `(action content, input structure)` key before it
+//! computes the focus → coerce → update → canon pipeline, and replays a hit's
+//! canonical posts, violations and peak universe. Because the pipeline is
+//! deterministic, a replay must be *exact*: for every Table 3 row, a run with
+//! no store, a run on a cold store and a run warm from the cold store's
+//! cache-file bytes agree on the verdict, the reported-error set, the
+//! completeness flag, the visit and space figures and every per-site
+//! statistic. The warm run computes nothing: every probe hits. Only
+//! wall-clock time and the cache counters may differ.
 
-use hetsep_core::{AnalysisOutcome, Counter, EngineConfig, Mode, VerificationReport, Verifier, VerifyError};
+use hetsep_core::{
+    CacheFile, Counter, EngineConfig, Mode, SharedTransferSession, TransferStore,
+    VerificationReport, Verifier, VerifyError,
+};
 use hetsep_strategy::parse_strategy;
 use hetsep_suite::{Benchmark, TableMode};
 
@@ -36,114 +40,98 @@ fn core_mode(bench: &Benchmark, mode: TableMode) -> Result<Mode, VerifyError> {
     })
 }
 
-fn run(bench: &Benchmark, mode: &Mode, cache: bool) -> VerificationReport {
-    let program = bench.program();
-    let spec = bench.spec();
-    Verifier::new(&program, &spec)
-        .mode(mode.clone())
-        .config(budget())
-        .with_transfer_cache(cache)
-        .run()
-        .unwrap()
-}
-
-/// The heart of the tentpole: a cache hit replays exactly what the pipeline
-/// would have computed, so *everything observable* except wall time matches.
-fn assert_equivalent(
-    name: &str,
-    mode_label: &str,
-    off: &VerificationReport,
-    on: &VerificationReport,
-) {
+/// Everything observable except wall time and the cache counters.
+fn assert_equivalent(label: &str, a: &VerificationReport, b: &VerificationReport) {
     assert_eq!(
-        format!("{:?}", off.errors),
-        format!("{:?}", on.errors),
-        "{name}/{mode_label}: error reports differ with the cache"
+        format!("{:?}", a.errors),
+        format!("{:?}", b.errors),
+        "{label}: error reports differ"
     );
+    assert_eq!(a.verified(), b.verified(), "{label}: verdict differs");
+    assert_eq!(a.complete, b.complete, "{label}: complete flag differs");
+    assert_eq!(a.total_visits, b.total_visits, "{label}: visit counts differ");
+    assert_eq!(a.max_space, b.max_space, "{label}: space differs");
+    assert_eq!(a.peak_nodes, b.peak_nodes, "{label}: peak universe differs");
     assert_eq!(
-        off.verified(),
-        on.verified(),
-        "{name}/{mode_label}: verdict differs with the cache"
+        a.subproblems.len(),
+        b.subproblems.len(),
+        "{label}: subproblem fan-out differs"
     );
-    assert_eq!(
-        off.complete, on.complete,
-        "{name}/{mode_label}: complete flag differs with the cache"
-    );
-    assert_eq!(
-        off.total_visits, on.total_visits,
-        "{name}/{mode_label}: visit counts differ with the cache"
-    );
-    assert_eq!(
-        off.max_space, on.max_space,
-        "{name}/{mode_label}: space differs with the cache"
-    );
-    assert_eq!(
-        off.peak_nodes, on.peak_nodes,
-        "{name}/{mode_label}: peak universe differs with the cache"
-    );
-    assert_eq!(
-        off.subproblems.len(),
-        on.subproblems.len(),
-        "{name}/{mode_label}: subproblem fan-out differs with the cache"
-    );
-    for (o, n) in off.subproblems.iter().zip(&on.subproblems) {
-        assert_eq!(o.site, n.site, "{name}/{mode_label}: site order changed");
-        assert_eq!(o.outcome, n.outcome, "{name}/{mode_label}: per-site outcome changed");
+    for (x, y) in a.subproblems.iter().zip(&b.subproblems) {
+        assert_eq!(x.site, y.site, "{label}: site order changed");
+        assert_eq!(x.outcome, y.outcome, "{label}: per-site outcome changed");
+        assert_eq!(x.stats.visits, y.stats.visits, "{label}: per-site visits changed");
         assert_eq!(
-            o.stats.visits, n.stats.visits,
-            "{name}/{mode_label}: per-site visits changed"
+            x.stats.structures, y.stats.structures,
+            "{label}: per-site space changed"
         );
         assert_eq!(
-            o.stats.structures, n.stats.structures,
-            "{name}/{mode_label}: per-site space changed"
+            x.stats.peak_nodes, y.stats.peak_nodes,
+            "{label}: per-site peak universe changed"
         );
         assert_eq!(
-            o.stats.peak_nodes, n.stats.peak_nodes,
-            "{name}/{mode_label}: per-site peak universe changed"
-        );
-        assert_eq!(
-            o.stats.distinct_structures, n.stats.distinct_structures,
-            "{name}/{mode_label}: interner arena size changed (cache must not \
+            x.stats.distinct_structures, y.stats.distinct_structures,
+            "{label}: interner arena size changed (a replay must not \
              materialize or skip distinct structures)"
         );
-        assert_eq!(o.errors, n.errors, "{name}/{mode_label}: per-site errors changed");
+        assert_eq!(x.errors, y.errors, "{label}: per-site errors changed");
     }
-    // The off run touches the cache counters not at all; the on run accounts
-    // for every action application as exactly one hit or one miss. A run
-    // that stops mid-visit (budget/cancel) breaks after counting the visit
-    // but before the transfer step, losing at most one application per
-    // non-complete subproblem.
+}
+
+/// Runs `bench` in `mode` with no store, on a cold store, and warm from
+/// the cold store's cache-file bytes; checks that the three agree and that
+/// the warm run replays every transfer. Returns the warm run's store hits.
+fn assert_store_replay_is_exact(bench: &Benchmark, table_mode: TableMode) -> u64 {
+    let label = format!("{}/{}", bench.name, table_mode.label());
+    let program = bench.program();
+    let spec = bench.spec();
+    let mode = core_mode(bench, table_mode).unwrap();
+    let verifier = || Verifier::new(&program, &spec).mode(mode.clone()).config(budget());
+    let run_with = |store: &TransferStore| {
+        let session = SharedTransferSession::new(store);
+        let report = verifier().shared_cache(&session).run().unwrap();
+        (report, session.into_deltas())
+    };
+
+    let plain = verifier().run().unwrap();
     assert_eq!(
-        off.metrics.counters.get(Counter::TransferCacheHits)
-            + off.metrics.counters.get(Counter::TransferCacheMisses),
+        plain.metrics.counters.get(Counter::SharedCacheHits)
+            + plain.metrics.counters.get(Counter::SharedCacheMisses),
         0,
-        "{name}/{mode_label}: cache-off run touched the cache"
+        "{label}: a run without a session touched a store"
     );
-    let answered = on.metrics.counters.get(Counter::TransferCacheHits)
-        + on.metrics.counters.get(Counter::TransferCacheMisses);
-    let aborted = on
-        .subproblems
-        .iter()
-        .filter(|s| s.outcome == AnalysisOutcome::BudgetExceeded)
-        .count() as u64;
-    assert!(
-        answered + aborted >= on.total_visits && answered <= on.total_visits,
-        "{name}/{mode_label}: hits + misses = {answered} does not account for \
-         {} applications ({aborted} aborted subproblems)",
-        on.total_visits
+
+    let mut store = TransferStore::new();
+    let (cold, deltas) = run_with(&store);
+    store.absorb(deltas);
+    assert_equivalent(&format!("{label} cold"), &plain, &cold);
+    assert_eq!(
+        cold.metrics.counters.get(Counter::SharedCacheHits),
+        0,
+        "{label}: an empty store cannot answer"
     );
-    if on.complete {
-        assert_eq!(
-            answered, on.total_visits,
-            "{name}/{mode_label}: complete run must answer every application \
-             from the cache or compute it"
-        );
-    }
+
+    let bytes = store.to_bytes();
+    let warm_store = CacheFile::from_bytes(&bytes).expect("round-trip").transfers;
+    let (warm, warm_deltas) = run_with(&warm_store);
+    assert_equivalent(&format!("{label} warm"), &plain, &warm);
+    assert_eq!(
+        warm.metrics.counters.get(Counter::SharedCacheMisses),
+        0,
+        "{label}: the warm run must replay every transfer from the store"
+    );
+    assert_eq!(
+        warm.metrics.counters.get(Counter::TransferCacheMisses),
+        0,
+        "{label}: the warm run must compute nothing"
+    );
+    assert!(warm_deltas.is_empty(), "{label}: a fully warm run records nothing");
+    warm.metrics.counters.get(Counter::SharedCacheHits)
 }
 
 /// Small hand-written programs covering the interesting transfer shapes:
-/// loops (revisited structures — the cache's bread and butter), branches
-/// (merge joins), error paths (violation replay), and allocation.
+/// loops (revisited structures), branches (merge joins), error paths
+/// (violation replay), and allocation.
 #[test]
 fn transfer_cache_is_observation_equivalent_on_scenarios() {
     let cases: &[(&str, &str)] = &[
@@ -197,50 +185,20 @@ fn transfer_cache_is_observation_equivalent_on_scenarios() {
             expected_reported: vec![None, None],
         };
         for table_mode in [TableMode::Vanilla, TableMode::Single] {
-            let mode = core_mode(&bench, table_mode).unwrap();
-            let off = run(&bench, &mode, false);
-            let on = run(&bench, &mode, true);
-            assert_equivalent(name, table_mode.label(), &off, &on);
+            let hits = assert_store_replay_is_exact(&bench, table_mode);
+            assert!(hits > 0, "{name}: the warm run must replay from the store");
         }
     }
-    // Spot-check that the loops actually exercise the cache: revisiting a
-    // stabilized loop body must replay from the cache, not recompute.
-    let bench = Benchmark {
-        name: "loop_fresh_streams",
-        description: "",
-        source: cases[0].1.to_owned(),
-        single_strategy: hetsep_strategy::builtin::IOSTREAM_SINGLE,
-        multi_strategy: None,
-        incremental_strategy: None,
-        modes: vec![TableMode::Vanilla],
-        actual_errors: 0,
-        expected_reported: vec![None],
-    };
-    let mode = core_mode(&bench, TableMode::Vanilla).unwrap();
-    let on = run(&bench, &mode, true);
-    assert!(
-        on.metrics.counters.get(Counter::TransferCacheHits) > 0,
-        "a fixpoint loop must produce at least one cache hit"
-    );
 }
 
-/// Every suite benchmark × every Table 3 mode, cache on vs off. Expensive
-/// (the full table twice) — release builds only, like the pruning suite.
+/// Every Table 3 row, three ways. Expensive (the full table three times) —
+/// release builds only, like the pruning suite.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
-fn transfer_cache_is_observation_equivalent_on_the_suite() {
-    let mut total_hits = 0u64;
+fn store_replay_is_observation_equivalent_on_every_table3_row() {
     for bench in hetsep_suite::all() {
         for &table_mode in &bench.modes {
-            let mode = core_mode(&bench, table_mode).unwrap();
-            let off = run(&bench, &mode, false);
-            let on = run(&bench, &mode, true);
-            assert_equivalent(bench.name, table_mode.label(), &off, &on);
-            total_hits += on.metrics.counters.get(Counter::TransferCacheHits);
+            assert_store_replay_is_exact(&bench, table_mode);
         }
     }
-    assert!(
-        total_hits > 0,
-        "the cache should hit at least once somewhere in the suite"
-    );
 }

@@ -166,7 +166,6 @@ fn cmd_verify(o: &Options) -> Result<ExitCode, String> {
         max_visits: o.max_visits,
         phase_timings: o.metrics,
         preanalysis: o.preanalysis,
-        transfer_cache: o.transfer_cache,
         ..EngineConfig::default()
     };
     // The trace file is created before the run, so an unwritable path fails
@@ -400,7 +399,7 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
     if !o.quiet {
         eprintln!(
             "{} jobs in {:.2?} ({:.1} jobs/s, workers={}, absorb {:.2?}): latency \
-             p50 {:.2?} p95 {:.2?} p99 {:.2?}; cache hits={} misses={} shared_hits={} \
+             p50 {:.2?} p95 {:.2?} p99 {:.2?}; cache misses={} shared_hits={} \
              shared_misses={}; store: {}",
             result.outcomes.len(),
             result.wall,
@@ -410,7 +409,6 @@ fn cmd_corpus(o: &Options) -> Result<ExitCode, String> {
             result.p50,
             result.p95,
             result.p99,
-            result.total(|j| j.cache_hits),
             result.total(|j| j.cache_misses),
             result.total(|j| j.shared_hits),
             result.total(|j| j.shared_misses),

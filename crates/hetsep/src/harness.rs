@@ -241,8 +241,7 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
              \"visits\": {}, \"peak_nodes\": {}, \"wall_ms\": {:.3}, \
              \"elapsed_ms\": {:.3}, \"reported\": {}, \"complete\": {}, \
              \"actual\": {}, \"pruned\": {}, \"components\": {}, \
-             \"estimated_structures\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}",
+             \"estimated_structures\": {}, \"cache_misses\": {}",
             r.benchmark,
             r.mode,
             r.space,
@@ -256,7 +255,6 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
             r.pruned,
             r.components,
             r.estimated_structures,
-            r.metrics.counters.get(Counter::TransferCacheHits),
             r.metrics.counters.get(Counter::TransferCacheMisses),
         );
         if include_metrics {

@@ -40,7 +40,7 @@ pub struct Options {
     pub dot: bool,
     /// `--preanalysis`.
     pub preanalysis: bool,
-    /// `--no-transfer-cache` clears this.
+    /// `--no-transfer-cache` (serve) clears this.
     pub transfer_cache: bool,
     /// `--format text|json`.
     pub format: String,
@@ -106,7 +106,7 @@ const FLAG_SPECS: &[FlagSpec] = &[
     FlagSpec { name: "--max-visits", value: Some("N"), help: "per-run action-application budget (default 2000000)" },
     FlagSpec { name: "--preanalysis", value: None, help: "enable the sound subproblem-pruning pre-pass" },
     FlagSpec { name: "--metrics", value: None, help: "print per-phase timings and counters to stderr" },
-    FlagSpec { name: "--no-transfer-cache", value: None, help: "disable the exact transfer-function cache" },
+    FlagSpec { name: "--no-transfer-cache", value: None, help: "do not probe or record the daemon's transfer store" },
     FlagSpec { name: "--trace", value: Some("<path>"), help: "write the per-subproblem NDJSON trace to <path>" },
     FlagSpec { name: "--quiet", value: None, help: "suppress the stderr summary (-q)" },
     FlagSpec { name: "--format", value: Some("text|json"), help: "diagnostic output format (default text)" },
@@ -146,7 +146,7 @@ pub const COMMANDS: &[Command] = &[
         requires_positional: true,
         flags: &[
             "--spec", "--strategy", "--mode", "--no-hetero", "--max-visits",
-            "--preanalysis", "--metrics", "--no-transfer-cache", "--trace", "--quiet",
+            "--preanalysis", "--metrics", "--trace", "--quiet",
         ],
     },
     Command {
@@ -377,8 +377,8 @@ mod tests {
             Options::default().transfer_cache,
             crate::EngineConfig::default().transfer_cache
         );
-        let o = run("verify", &["p.hsp"]).unwrap();
-        let Parsed::Run(o) = o else { panic!("verify parses to a run") };
+        let o = run("serve", &[]).unwrap();
+        let Parsed::Run(o) = o else { panic!("serve parses to a run") };
         assert_eq!(o.transfer_cache, crate::EngineConfig::default().transfer_cache);
     }
 

@@ -276,9 +276,8 @@ pub struct VerifyOutcome {
     /// Preanalysis structure-count estimate (not a bound), summed over the
     /// site family (0 when the pre-pass did not run).
     pub estimated_structures: u64,
-    /// Per-run transfer-cache hits.
-    pub cache_hits: u64,
-    /// Per-run transfer-cache misses (computed transfers).
+    /// Transfers the pipeline computed (not answered by the workspace
+    /// store).
     pub cache_misses: u64,
     /// Workspace-store hits (transfers replayed from previous requests).
     pub shared_hits: u64,
@@ -382,7 +381,7 @@ impl Response {
                     "{{\"ok\":true,\"op\":\"verify\",\"program\":{},\"mode\":{},\
                      \"verdict\":{},\"complete\":{},\"visits\":{},\"space\":{},\
                      \"subproblems\":{},\"pruned\":{},\"components\":{},\
-                     \"estimated_structures\":{},\"cache_hits\":{},\"cache_misses\":{},\
+                     \"estimated_structures\":{},\"cache_misses\":{},\
                      \"shared_hits\":{},\"shared_misses\":{},\
                      \"call_evaluations\":{},\"errors\":[",
                     json::string(&o.program),
@@ -395,7 +394,6 @@ impl Response {
                     o.pruned,
                     o.components,
                     o.estimated_structures,
-                    o.cache_hits,
                     o.cache_misses,
                     o.shared_hits,
                     o.shared_misses,

@@ -104,7 +104,6 @@ fn response_goldens() -> Vec<(Response, &'static str)> {
                 pruned: 1,
                 components: 2,
                 estimated_structures: 96,
-                cache_hits: 10,
                 cache_misses: 32,
                 shared_hits: 0,
                 shared_misses: 32,
@@ -118,7 +117,7 @@ fn response_goldens() -> Vec<(Response, &'static str)> {
             "{\"ok\":true,\"op\":\"verify\",\"program\":\"p\",\"mode\":\"single\",\
              \"verdict\":\"errors\",\"complete\":true,\"visits\":421,\"space\":17,\
              \"subproblems\":2,\"pruned\":1,\"components\":2,\
-             \"estimated_structures\":96,\"cache_hits\":10,\"cache_misses\":32,\
+             \"estimated_structures\":96,\"cache_misses\":32,\
              \"shared_hits\":0,\"shared_misses\":32,\
              \"call_evaluations\":6,\
              \"errors\":[{\"line\":9,\"label\":\"read requires open\",\

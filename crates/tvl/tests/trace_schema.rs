@@ -30,7 +30,7 @@ fn fixed_events() -> Vec<Event> {
         },
         Event::CounterSample {
             index: 0,
-            counter: Counter::TransferCacheHits,
+            counter: Counter::SharedCacheHits,
             value: 42,
         },
         Event::CounterSample {
