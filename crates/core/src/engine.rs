@@ -164,7 +164,8 @@ pub struct RunStats {
     pub distinct_structures: usize,
     /// Largest universe size among visited structures.
     pub peak_nodes: usize,
-    /// Wall-clock duration.
+    /// Wall-clock duration, including the teardown of the run's interner
+    /// and location sets.
     pub wall: Duration,
     /// CFG locations.
     pub locations: usize,
@@ -551,8 +552,29 @@ pub(crate) fn run_planned(
         scope.finish();
     }
 
-    let reports: Vec<ErrorReport> = st
-        .errors
+    let EngineSt {
+        mut metrics,
+        interner,
+        visits,
+        stored,
+        peak_nodes,
+        errors,
+        failing_sites,
+        outcome,
+        ..
+    } = st;
+    metrics.counters.add(Counter::InternHits, interner.hits());
+    metrics.counters.add(Counter::InternMisses, interner.misses());
+    metrics.per_location = fr
+        .states
+        .iter()
+        .map(|m| u32::try_from(m.len()).unwrap_or(u32::MAX))
+        .collect();
+    let distinct_structures = interner.len();
+    // The run's interner and location sets are torn down before the clock
+    // stops, so `wall` covers the whole run.
+    drop((interner, fr));
+    let reports = errors
         .into_iter()
         .map(|((line, label), definite)| ErrorReport {
             line,
@@ -561,29 +583,19 @@ pub(crate) fn run_planned(
         })
         .collect();
 
-    st.metrics.counters.add(Counter::InternHits, st.interner.hits());
-    st.metrics
-        .counters
-        .add(Counter::InternMisses, st.interner.misses());
-    st.metrics.per_location = fr
-        .states
-        .iter()
-        .map(|m| u32::try_from(m.len()).unwrap_or(u32::MAX))
-        .collect();
-
     RunResult {
         errors: dedup_reports(reports),
-        failing_sites: st.failing_sites,
+        failing_sites,
         stats: RunStats {
-            visits: st.visits,
-            structures: st.stored,
-            distinct_structures: st.interner.len(),
-            peak_nodes: st.peak_nodes as usize,
+            visits,
+            structures: stored,
+            distinct_structures,
+            peak_nodes: peak_nodes as usize,
             wall: start.elapsed(),
             locations: n_nodes,
-            metrics: st.metrics,
+            metrics,
         },
-        outcome: st.outcome,
+        outcome,
     }
 }
 
