@@ -405,19 +405,16 @@ struct Preanalysis {
 }
 
 impl Preanalysis {
-    /// Runs the analysis once. It may decline (e.g. an unmodelled library
-    /// member) and then proves nothing safe; the run loop covers every
-    /// site.
-    fn run(program: &Program, spec: &Spec, sites: &[SiteId]) -> Preanalysis {
+    /// Runs the analysis once over the program's CFG (the one its probe
+    /// instance holds). It may decline (e.g. an unmodelled library member)
+    /// and then proves nothing safe; the run loop covers every site.
+    fn run(cfg: &hetsep_ir::Cfg, spec: &Spec, sites: &[SiteId]) -> Preanalysis {
         let mut safe = HashSet::new();
         let mut components = 0;
         let mut estimates = HashMap::new();
-        let verdicts = hetsep_ir::Cfg::build(program, "main")
+        let verdicts = hetsep_analysis::points_to_flow::analyze_flow(cfg, spec)
             .ok()
-            .and_then(|cfg| {
-                let v = hetsep_analysis::points_to_flow::analyze_flow(&cfg, spec).ok()?;
-                Some(hetsep_analysis::heap_components::summarize(&cfg, spec, &v))
-            });
+            .map(|v| hetsep_analysis::heap_components::summarize(cfg, spec, &v));
         if let Some(summary) = verdicts {
             components = summary.component_count() as u64;
             for &s in sites {
@@ -551,7 +548,6 @@ impl Prepared {
     /// `class`, with its pruning preanalysis when `prune`.
     fn family(
         &mut self,
-        program: &Program,
         spec: &Spec,
         class: &str,
         choice_ix: usize,
@@ -566,7 +562,7 @@ impl Prepared {
             // Pruning pre-pass: the preanalysis runs once and every site
             // it proves safe is skipped. If it declines, the run loop
             // covers every site.
-            let pre = prune.then(|| Preanalysis::run(program, spec, &sites));
+            let pre = prune.then(|| Preanalysis::run(&probe.cfg, spec, &sites));
             let to_run: Vec<SiteId> = sites
                 .iter()
                 .copied()
@@ -969,7 +965,7 @@ fn verify_inner(
                 // (cheap) run covers the empty family.
                 report.absorb(None, probe.run(config, None, shared));
             }
-            let family = prepared.family(program, spec, class, choice_ix, config.preanalysis);
+            let family = prepared.family(spec, class, choice_ix, config.preanalysis);
             let mut results = run_sites(program, spec, &base, family, config, shared)?
                 .into_iter()
                 .peekable();
