@@ -15,15 +15,12 @@
 //!   and compiler temporaries restart per splice (`{proc}::tmp$N`), so the
 //!   spliced body of a procedure is byte-identical at every call site.
 //! * Every splice is recorded as a [`CallRegion`] — a single-entry,
-//!   single-exit range of contiguously numbered nodes and edges.
+//!   single-exit subgraph addressed by its entry and exit [`NodeId`]s.
 //! * Node lines, edges, and the adjacency lists live in flat pools (the
-//!   adjacency is CSR: one shared index pool plus per-node offsets), and
-//!   procedures/regions are addressed by the newtype indices [`NodeId`],
-//!   [`EdgeId`], and [`ProcId`].
+//!   adjacency is CSR: one shared index pool plus per-node offsets).
 
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
 
 use crate::ast::{Arg, Block, Cond, Expr, MethodDecl, Place, Program, Stmt};
 use crate::diag::Diagnostic;
@@ -34,14 +31,6 @@ const MAX_CALL_DEPTH: usize = 64;
 /// A typed index of a CFG node in the flat node pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(u32);
-
-/// A typed index of a CFG edge in the flat edge pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EdgeId(u32);
-
-/// A typed index of a spliced procedure in [`Cfg::procs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcId(u32);
 
 macro_rules! index_newtype {
     ($name:ident) => {
@@ -66,8 +55,6 @@ macro_rules! index_newtype {
 }
 
 index_newtype!(NodeId);
-index_newtype!(EdgeId);
-index_newtype!(ProcId);
 
 /// An error produced during CFG construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,13 +203,6 @@ pub struct CfgEdge {
     pub line: u32,
 }
 
-/// A procedure whose body was spliced into the CFG at least once.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcInfo {
-    /// Source-level procedure name.
-    pub name: String,
-}
-
 /// One splice of a procedure body: a single-entry, single-exit subgraph
 /// occupying a contiguous range of the node and edge pools.
 ///
@@ -233,33 +213,10 @@ pub struct ProcInfo {
 /// variable names, same relative topology, same source lines).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallRegion {
-    /// The spliced procedure.
-    pub proc: ProcId,
     /// Region entry node (first node of the range).
     pub entry: NodeId,
     /// Region exit node (unique successor-facing node of the range).
     pub exit: NodeId,
-    node_start: u32,
-    node_end: u32,
-    edge_start: u32,
-    edge_end: u32,
-}
-
-impl CallRegion {
-    /// Node-pool indices covered by the region (entry and exit included).
-    pub fn nodes(&self) -> Range<usize> {
-        self.node_start as usize..self.node_end as usize
-    }
-
-    /// Edge-pool indices interior to the region.
-    pub fn edges(&self) -> Range<usize> {
-        self.edge_start as usize..self.edge_end as usize
-    }
-
-    /// Whether `node` lies inside the region's node range.
-    pub fn contains_node(&self, node: usize) -> bool {
-        self.nodes().contains(&node)
-    }
 }
 
 /// A control-flow graph with typed variables on flat arena pools.
@@ -274,7 +231,6 @@ pub struct Cfg {
     entry: usize,
     exit: usize,
     var_types: HashMap<String, String>,
-    procs: Vec<ProcInfo>,
     regions: Vec<CallRegion>,
 }
 
@@ -296,14 +252,10 @@ impl Cfg {
             lines: Vec::new(),
             edges: Vec::new(),
             var_types: HashMap::new(),
-            procs: Vec::new(),
-            proc_ix: HashMap::new(),
             regions: Vec::new(),
             tmp_counters: HashMap::new(),
             call_stack: vec![entry.to_owned()],
         };
-        let entry_proc = b.intern_proc(entry);
-        debug_assert_eq!(entry_proc.index(), 0);
         let n_entry = b.node(main.line);
         let n_exit = b.node(main.line);
         let mut frame = Frame {
@@ -369,16 +321,6 @@ impl Cfg {
         v
     }
 
-    /// Every procedure spliced into the CFG. Index 0 is the entry procedure.
-    pub fn procs(&self) -> &[ProcInfo] {
-        &self.procs
-    }
-
-    /// Procedure metadata by id.
-    pub fn proc(&self, id: ProcId) -> &ProcInfo {
-        &self.procs[id.index()]
-    }
-
     /// Every call-site splice, in completion order (inner regions of nested
     /// calls precede the region that contains them).
     pub fn regions(&self) -> &[CallRegion] {
@@ -417,8 +359,6 @@ struct Builder<'p> {
     lines: Vec<u32>,
     edges: Vec<CfgEdge>,
     var_types: HashMap<String, String>,
-    procs: Vec<ProcInfo>,
-    proc_ix: HashMap<String, ProcId>,
     regions: Vec<CallRegion>,
     /// Per-frame-prefix temporary counters; reset at each splice so the
     /// temporaries of a procedure body are named identically at every
@@ -435,18 +375,6 @@ impl<'p> Builder<'p> {
 
     fn edge(&mut self, from: usize, to: usize, op: CfgOp, line: u32) {
         self.edges.push(CfgEdge { from, to, op, line });
-    }
-
-    fn intern_proc(&mut self, name: &str) -> ProcId {
-        if let Some(&id) = self.proc_ix.get(name) {
-            return id;
-        }
-        let id = ProcId::from_index(self.procs.len());
-        self.procs.push(ProcInfo {
-            name: name.to_owned(),
-        });
-        self.proc_ix.insert(name.to_owned(), id);
-        id
     }
 
     fn fresh_tmp(&mut self, prefix: &str, ty: &str) -> String {
@@ -496,7 +424,6 @@ impl<'p> Builder<'p> {
             entry,
             exit,
             var_types: self.var_types,
-            procs: self.procs,
             regions: self.regions,
         }
     }
@@ -1009,7 +936,6 @@ impl<'p> Builder<'p> {
                 Some(method.to_owned()),
             );
         }
-        let proc = self.intern_proc(method);
         let prefix = format!("{method}::");
         let mut callee = Frame {
             subst: HashMap::new(),
@@ -1053,8 +979,6 @@ impl<'p> Builder<'p> {
         // node, so the interior ranges are contiguous.
         let entry = self.node(line);
         self.edge(pcur, entry, CfgOp::Nop, line);
-        let node_start = entry;
-        let edge_start = self.edges.len();
         let exit = self.node(line);
         callee.return_node = exit;
         let ret_var = result.as_ref().map(|_| format!("{prefix}$ret"));
@@ -1086,13 +1010,8 @@ impl<'p> Builder<'p> {
             self.edge(end, exit, CfgOp::Nop, decl.line);
         }
         self.regions.push(CallRegion {
-            proc,
             entry: NodeId::from_index(entry),
             exit: NodeId::from_index(exit),
-            node_start: node_start as u32,
-            node_end: self.lines.len() as u32,
-            edge_start: edge_start as u32,
-            edge_end: self.edges.len() as u32,
         });
         // Copy the result out (outside the region).
         if let (Some(res), Some(rv)) = (result, ret_var) {
@@ -1264,6 +1183,24 @@ void main() {
         ));
     }
 
+    /// A region's interior: the edges reachable from its entry without
+    /// leaving through its exit, in depth-first order.
+    fn interior<'c>(cfg: &'c Cfg, r: &CallRegion) -> Vec<&'c CfgEdge> {
+        let mut seen = vec![false; cfg.node_count()];
+        let mut stack = vec![r.entry.index()];
+        let mut edges = Vec::new();
+        while let Some(n) = stack.pop() {
+            if n == r.exit.index() || std::mem::replace(&mut seen[n], true) {
+                continue;
+            }
+            for &e in cfg.out_edges(n) {
+                edges.push(&cfg.edges()[e]);
+                stack.push(cfg.edges()[e].to);
+            }
+        }
+        edges
+    }
+
     #[test]
     fn call_regions_are_recorded_with_identical_interiors() {
         let cfg = build(
@@ -1282,29 +1219,18 @@ void main() {
         );
         let regions = cfg.regions();
         assert_eq!(regions.len(), 2);
-        let (r1, r2) = (&regions[0], &regions[1]);
-        assert_eq!(r1.proc, r2.proc);
-        assert_eq!(cfg.proc(r1.proc).name, "use");
-        // Regions are single-entry/single-exit over contiguous ranges, and
-        // interior edges stay inside the node range.
-        for r in regions {
-            assert!(r.contains_node(r.entry.index()));
-            assert!(r.contains_node(r.exit.index()));
-            for e in &cfg.edges()[r.edges()] {
-                assert!(r.contains_node(e.from) && r.contains_node(e.to));
-            }
-            // Nothing outside the region targets an interior node except
-            // through the entry.
-            for (ix, e) in cfg.edges().iter().enumerate() {
-                if !r.edges().contains(&ix) && r.contains_node(e.to) {
-                    assert_eq!(e.to, r.entry.index());
-                }
+        let (i1, i2) = (interior(&cfg, &regions[0]), interior(&cfg, &regions[1]));
+        assert!(!i1.is_empty());
+        assert!(i1.iter().any(|e| e.to == regions[0].exit.index()), "the exit is reached");
+        // Single entry: nothing outside the region targets an interior node.
+        for e in cfg.edges() {
+            if i1.iter().any(|x| x.to == e.to) && !i1.iter().any(|x| std::ptr::eq(*x, e)) {
+                assert!(e.to == regions[0].entry.index() || e.to == regions[0].exit.index());
             }
         }
-        // The two regions' interiors are byte-identical modulo offset.
-        let (e1, e2) = (r1.edges(), r2.edges());
-        assert_eq!(e1.len(), e2.len());
-        for (a, b) in cfg.edges()[e1].iter().zip(&cfg.edges()[e2]) {
+        // The two regions' interiors are byte-identical.
+        assert_eq!(i1.len(), i2.len());
+        for (a, b) in i1.iter().zip(&i2) {
             assert_eq!(a.op, b.op);
             assert_eq!(a.line, b.line);
         }
@@ -1400,13 +1326,10 @@ void main() {
         assert_eq!(cfg.var_type("fill::tmp$2"), None);
         let regions = cfg.regions();
         assert_eq!(regions.len(), 2);
-        let interior = |r: &CallRegion| -> Vec<CfgOp> {
-            cfg.edges()[r.edges()]
-                .iter()
-                .map(|e| e.op.clone())
-                .collect()
+        let ops = |r: &CallRegion| -> Vec<&CfgOp> {
+            interior(&cfg, r).into_iter().map(|e| &e.op).collect()
         };
-        assert_eq!(interior(&regions[0]), interior(&regions[1]));
+        assert_eq!(ops(&regions[0]), ops(&regions[1]));
     }
 
     #[test]
