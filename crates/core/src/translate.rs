@@ -35,10 +35,6 @@ pub struct TranslateOptions {
     /// Disable the paper's transitive relevance (§4.3) — ablation only;
     /// `Default` enables it.
     pub no_transitive_relevance: bool,
-    /// Variables whose targets are forced relevant (paper §7 refinement).
-    pub force_relevant_vars: Vec<String>,
-    /// Allocation sites whose objects are forced relevant (paper §7).
-    pub force_relevant_sites: std::collections::BTreeSet<SiteId>,
 }
 
 /// A translated analysis instance.
@@ -177,8 +173,6 @@ pub fn translate(
         plan.as_ref(),
         options.heterogeneous,
         !options.no_transitive_relevance,
-        options.force_relevant_vars.clone(),
-        options.force_relevant_sites.clone(),
     );
     let ctx = LowerCtx {
         vocab: &vocab,
@@ -217,8 +211,8 @@ pub fn translate(
                     ));
                 }
             }
-            // Killing a variable can change the derived predicates (a
-            // forced-relevant variable feeds `relevant`, and the forget mask
+            // Killing a variable can change the derived predicates, which
+            // are re-evaluated on the post-state (and the forget mask
             // follows `relevant`): ensure derived updates and the mask run
             // even on edges that previously had no core updates.
             if plan.is_some() && action.derived.is_empty() {

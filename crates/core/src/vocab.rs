@@ -24,7 +24,7 @@
 //! blurs the typestate and site values of irrelevant individuals to `1/2`
 //! after the derived updates.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use hetsep_easl::ast::{FieldKind, Spec};
@@ -89,10 +89,6 @@ pub struct Vocabulary {
     /// §4.3). `false` restricts `relevant` to the chosen objects themselves
     /// (an ablation that re-introduces the InputStream5 false alarm).
     pub transitive_relevance: bool,
-    /// Variables whose targets are forced relevant (paper §7 refinement).
-    pub force_relevant_vars: Vec<String>,
-    /// Allocation sites whose objects are forced relevant (paper §7).
-    pub force_relevant_sites: BTreeSet<SiteId>,
     /// [`Vocabulary::derived_updates`] and [`Vocabulary::forget_mask`],
     /// built on the first [`Vocabulary::add_derived`] and shared by every
     /// action it is given to.
@@ -124,14 +120,10 @@ impl Vocabulary {
             plan,
             heterogeneous,
             true,
-            Vec::new(),
-            BTreeSet::new(),
         )
     }
 
-    /// Like [`Vocabulary::build`] with control over transitive relevance and
-    /// the §7 forced-relevance refinement sets.
-    #[allow(clippy::too_many_arguments)]
+    /// Like [`Vocabulary::build`] with control over transitive relevance.
     pub fn build_with(
         program: &Program,
         spec: &Spec,
@@ -140,8 +132,6 @@ impl Vocabulary {
         plan: Option<&InstrumentPlan>,
         heterogeneous: bool,
         transitive_relevance: bool,
-        force_relevant_vars: Vec<String>,
-        force_relevant_sites: BTreeSet<SiteId>,
     ) -> Vocabulary {
         let mut table = PredTable::new();
         let mut v = VocabularyBuilder {
@@ -249,8 +239,6 @@ impl Vocabulary {
             relevant: None,
             heterogeneous: false,
             transitive_relevance,
-            force_relevant_vars,
-            force_relevant_sites,
             shared_derived: OnceLock::new(),
         };
 
@@ -425,31 +413,14 @@ impl Vocabulary {
         for p in self.table.iter() {
             if Some(p) == self.relevant {
                 let chosen = self.chosen.expect("relevant implies chosen");
-                // §7 refinement: forced variables/sites extend relevance.
-                let mut forced = Vec::new();
-                for var in &self.force_relevant_vars {
-                    if let Some(&vp) = self.var_preds.get(var) {
-                        forced.push(Formula::unary(vp, u));
-                    }
-                }
-                for site in &self.force_relevant_sites {
-                    if let Some(&sp) = self.site_preds.get(site) {
-                        forced.push(Formula::unary(sp, u));
-                    }
-                }
-                let forced = Formula::or_all(forced);
                 let update = if self.transitive_relevance {
                     PredUpdate::unary_closure(
                         p,
                         u,
-                        relevance::relevant_step_formula(self, chosen, p).or(forced),
+                        relevance::relevant_step_formula(self, chosen, p),
                     )
                 } else {
-                    PredUpdate::unary_refine(
-                        p,
-                        u,
-                        Formula::unary(chosen, u).or(forced),
-                    )
+                    PredUpdate::unary_refine(p, u, Formula::unary(chosen, u))
                 };
                 out.push(update);
             } else if Some(p) == self.near_chosen {

@@ -128,6 +128,6 @@ fn cache_file_bytes_are_pinned() {
     assert!(result.total(|o| o.call_evaluations) > 0);
     assert!(cache.transfers.entry_count() > 0);
     let bytes = cache.to_bytes();
-    assert_eq!(bytes.len(), 672_959);
-    assert_eq!(fnv1a64(&bytes), 0x1ac9_836c_9b63_bb20);
+    assert_eq!(bytes.len(), 670_925);
+    assert_eq!(fnv1a64(&bytes), 0x5631_6a8c_29a8_6c65);
 }
