@@ -103,7 +103,7 @@ fn main() {
     for bench in &benches {
         match run_benchmark(bench, &config) {
             Ok(rows) => {
-                print!("{}", format_rows(&rows, bench.line_count()));
+                print!("{}", format_rows(&rows));
                 all_rows.extend(rows);
             }
             Err(e) => println!("{:<18} failed: {e}", bench.name),

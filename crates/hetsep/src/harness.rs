@@ -67,6 +67,8 @@ pub struct ModeRow {
     pub complete: bool,
     /// Ground truth.
     pub actual: usize,
+    /// Source lines of the benchmark program.
+    pub lines: usize,
 }
 
 impl ModeRow {
@@ -168,6 +170,7 @@ pub fn run_mode(
         reported: finished.then_some(report.errors.len()),
         complete: finished,
         actual: bench.actual_errors,
+        lines: bench.line_count(),
     })
 }
 
@@ -240,7 +243,7 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
             "    {{\"benchmark\": \"{}\", \"mode\": \"{}\", \"space\": {}, \
              \"visits\": {}, \"peak_nodes\": {}, \"wall_ms\": {:.3}, \
              \"elapsed_ms\": {:.3}, \"reported\": {}, \"complete\": {}, \
-             \"actual\": {}, \"pruned\": {}, \"components\": {}, \
+             \"actual\": {}, \"lines\": {}, \"pruned\": {}, \"components\": {}, \
              \"estimated_structures\": {}, \"cache_misses\": {}",
             r.benchmark,
             r.mode,
@@ -252,6 +255,7 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
             reported,
             r.complete,
             r.actual,
+            r.lines,
             r.pruned,
             r.components,
             r.estimated_structures,
@@ -286,13 +290,13 @@ pub fn rows_to_json(rows: &[ModeRow], threads: usize, include_metrics: bool) -> 
 }
 
 /// Renders rows in the paper's Table 3 layout.
-pub fn format_rows(rows: &[ModeRow], line_count: usize) -> String {
+pub fn format_rows(rows: &[ModeRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for (ix, r) in rows.iter().enumerate() {
         let name = if ix == 0 { r.benchmark } else { "" };
         let lines = if ix == 0 {
-            line_count.to_string()
+            r.lines.to_string()
         } else {
             String::new()
         };

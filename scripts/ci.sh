@@ -39,11 +39,14 @@ cargo test -q -p hetsep-tvl --release --test properties -- \
     interned_ids_follow_word_equality
 cargo test -q -p hetsep-tvl --release --test bulk_grow
 # Release-only suites: the Table 3 shape tests (every row of `full_table3`
-# against the paper's reported counts, its `-` rows included) and the
-# pruning and transfer-cache equivalence matrices are ignored in debug
-# builds, so they run here.
+# against the paper's reported counts, its `-` rows included), the pruning
+# matrix and the store-replay equivalence (every Table 3 row with no
+# store, on a cold store and warm from its cache-file bytes) are ignored
+# in debug builds, so they run here.
 cargo test -q --release -p hetsep --test table3_shape
-cargo test -q --release -p hetsep-core --test pruning --test transfer_cache
+cargo test -q --release -p hetsep-core --test pruning
+cargo test -q --release -p hetsep-core --test transfer_cache -- \
+    store_replay_is_observation_equivalent_on_every_table3_row
 
 # Scheduler determinism matrix: the scenario-suite byte-identity contracts
 # must hold whatever the subproblem worker count is. The expensive
@@ -79,10 +82,10 @@ done
 cargo run -q -p hetsep --bin hetsep --release -- \
     lint --suite --format json --quiet | diff -u scripts/lint_quick.golden -
 
-# Transfer-cache / reporting golden: `table3_quick GOLDEN` diffs the
-# semantic columns of the last Table 3 run (wall-clock columns deliberately
-# excluded) against GOLDEN. Guards the exact transfer cache and the
-# reported/complete accounting against silent drift.
+# Reporting golden: `table3_quick GOLDEN` diffs the semantic columns of
+# the last Table 3 run (wall-clock columns deliberately excluded) against
+# GOLDEN. Guards the space/visits and reported/complete accounting against
+# silent drift.
 table3_quick_json="$(mktemp)"
 table3_quick() {
     sed 's/"subproblems".*//' "$table3_quick_json" | sed -n \
@@ -97,6 +100,10 @@ cargo run -q -p hetsep-bench --bin table3 --release -- --threads 1 --json "$tabl
     ISPath InputStream5 InputStream5b InputStream6 HandleReuse JDBCExample JDBCExampleFixed \
     db KernelBench1 KernelBench3 SQLExecutor SharedLib SharedLibLoop > /dev/null
 table3_quick scripts/table3_suite.golden
+
+# EXPERIMENTS.md's Table 3 block is rendered from the committed
+# BENCH_table3.json; the two must agree.
+python3 scripts/table3_block.py BENCH_table3.json --check EXPERIMENTS.md
 
 # Trace golden: the NDJSON trace rendered from a quick Table 3 subset's
 # per-subproblem rows must be byte-identical to the committed golden,
