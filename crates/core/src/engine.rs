@@ -642,10 +642,10 @@ fn drain(ctx: &EngineCtx<'_>, st: &mut EngineSt<'_>, fr: &mut Frontier) {
                 // from the shared store. `fresh` marks a computed transfer,
                 // recorded into the store once it is applied.
                 let key = ctx.prep.action_ids[edge_ix][action_ix];
-                let hit = match &mut st.scope {
-                    Some(scope) => scope.probe(key, sid, &st.interner, table),
-                    None => None,
-                };
+                let hit = st
+                    .scope
+                    .as_mut()
+                    .and_then(|scope| scope.probe(key, sid, &st.interner, table));
                 let (posts, memo, fresh): (Vec<StructureId>, _, _) = match hit {
                     // A shared hit replaces the computation, so only
                     // `SharedCacheHits` advances and a warm corpus run

@@ -1,12 +1,12 @@
 //! The cross-run transfer store: content-keyed, persistent, exact
 //! memoization.
 //!
-//! The engine memoizes single transfers within one run (the focus → coerce
-//! → update → canon pipeline, keyed by `(action content id, interned
-//! pre-structure id)`). Both halves of that key are run-local, so every job
-//! of a corpus would re-pay every transfer from scratch. This module
-//! re-keys the memo by **content** so it can outlive a run, a job, and
-//! (serialized to disk) a process. Call regions are drained like the rest
+//! Inside a run the engine names a transfer (the focus → coerce → update →
+//! canon pipeline) by `(action content id, interned pre-structure id)`.
+//! Both halves of that name are run-local, so every job of a corpus would
+//! re-pay every transfer from scratch. This module keys transfers by
+//! **content** so that a computed one outlives its run, its job, and
+//! (serialized to disk) its process. Call regions are drained like the rest
 //! of the CFG, so a warm run replays them transfer by transfer from the
 //! same store:
 //!

@@ -45,8 +45,8 @@ pub fn corpus_jobs(config: &CorpusConfig) -> Vec<Job> {
 /// Engine budget for corpus runs: the Table 3 budget shape, scaled down —
 /// corpus programs are smaller than the explosive benchmark rows, and a
 /// per-job ceiling keeps a thousand-job batch's worst case bounded. The
-/// transfer cache is on (the cross-job shared store sits behind it) and so
-/// is the pre-analysis, mirroring [`crate::harness::table3_config`].
+/// cross-job transfer store is on and so is the pre-analysis, mirroring
+/// [`crate::harness::table3_config`].
 pub fn corpus_engine_config() -> EngineConfig {
     EngineConfig {
         max_visits: 200_000,
