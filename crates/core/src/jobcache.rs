@@ -23,12 +23,15 @@
 //!   ([`action_content`]). Predicate ids in formulas are table-relative,
 //!   which is exactly what scoping by context makes unambiguous;
 //! * *input and output structures* are keyed by their
-//!   [`Structure::to_words`] encoding, hash-consed in a sharded
-//!   [`WordPool`] so outputs shared between entries are stored once.
+//!   [`Structure::to_words`] encoding, so outputs shared between entries
+//!   are stored once.
 //!
-//! Every layer follows the interner discipline: fingerprint-style indexing
+//! Contexts, keys and structures are each hash-consed in an
+//! [`intern::Pool`](Pool), the interner's discipline: fingerprint-indexed
 //! for speed, full content comparison before reuse — a collision costs one
-//! comparison, never a wrong answer. Entries replay the exact canonical
+//! comparison, never a wrong answer. An id is the item's insertion
+//! position, so ids and the file's order depend only on the order in which
+//! the store first met its items, never on a hash value. Entries replay the exact canonical
 //! outputs and the violations the computation would have produced, so warm
 //! and cold corpus runs are observation-equivalent (verdicts, reported
 //! errors, visit counts); only the cache counters and wall-clock differ.
@@ -53,24 +56,25 @@
 //!
 //! # On-disk format
 //!
-//! The cache file is the store's own bytes: the magic `HSEPTC01`, the
+//! The cache file is the store's own bytes: the magic `HSEPTC02`, the
 //! context strings, the `(context id, content)` keys, the pool's
-//! `(id, words)` structures, and the entries in sorted key order, each as
-//! key id, input id, output ids, violations and peak post universe.
+//! `(id, words)` structures in first-met order, and the entries in sorted
+//! key order, each as key id, input id, output ids, violations and peak
+//! post universe.
 //! Integers are little-endian, counts and string lengths `u32`. Anything
 //! with another magic is rejected as bad magic. Decoding never trusts a
 //! length it has not checked against the bytes that remain, so a corrupt
 //! file is an error, never an abort.
 
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-use hetsep_tvl::intern::{PoolId, StructureId, StructureInterner, WordPool};
+use hetsep_tvl::intern::{IdHasher, IdMap, Pool, PoolId, StructureId, StructureInterner};
+use hetsep_tvl::structure::lane_fingerprint;
 use hetsep_tvl::{PredTable, Structure};
 
 /// The content string identifying a memo context: the full predicate table
@@ -101,7 +105,9 @@ pub fn action_content(action: &hetsep_tvl::action::Action) -> String {
 }
 
 /// Magic prefix of a serialized [`TransferStore`], the cache file format.
-const MAGIC: &[u8] = b"HSEPTC01";
+/// `HSEPTC01` files wrote the pool in an order fixed by a word hash; they
+/// are refused as bad magic.
+const MAGIC: &[u8] = b"HSEPTC02";
 
 /// What a memoized transfer replays beside its output structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,75 +149,40 @@ struct Entry {
     memo: TransferMemo,
 }
 
-/// A multiply-rotate hasher (the FxHash step) for the store's maps. Their
-/// keys are ids and the store's own unkeyed content hashes: keys chosen to
-/// collide would already collide in the content hash, so SipHash's
-/// resistance to them buys nothing here.
-#[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl IdHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the high bits best mixed; hash tables index
-        // by the low ones.
-        self.0.rotate_left(26)
-    }
-}
-
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-
-/// The index hash of a context or key string, 8 bytes at a time. Indexes
-/// keyed by it are rebuilt on load, so it is not part of the file format.
-fn content_hash(content: &str) -> u64 {
+/// The index hash of a context (`seed` 0) or of a key (`seed` its context
+/// id) string, 8 bytes at a time. Pools keyed by it are rebuilt on load,
+/// so it is not part of the file format.
+fn content_hash(seed: u32, content: &str) -> u64 {
     let bytes = content.as_bytes();
-    let mut h = IdHasher(bytes.len() as u64);
+    let mut h = IdHasher::default();
+    h.write_u32(seed);
+    h.write_u64(bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
-        h.add(u64::from_le_bytes(chunk.try_into().expect("chunks of 8 bytes")));
+        h.write_u64(u64::from_le_bytes(chunk.try_into().expect("chunks of 8 bytes")));
     }
     let mut tail = [0u8; 8];
     tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-    h.add(u64::from_le_bytes(tail));
+    h.write_u64(u64::from_le_bytes(tail));
     h.finish()
 }
 
-/// A persistent cross-run memo store: context and key content pools, a
-/// sharded structure [`WordPool`], and the entry map.
-///
-/// Each content string is stored once; the indexes map its
-/// content hash to candidate ids, confirmed by a full comparison.
+/// The pool fingerprint of a word-encoded structure: its length and words
+/// through the lane FNV of [`Structure::fingerprint`].
+fn words_hash(words: &[u64]) -> u64 {
+    lane_fingerprint([words.len() as u64], [words])
+}
+
+/// A persistent cross-run memo store: pools of contexts, keys and
+/// word-encoded structures, and the entry map.
 #[derive(Debug, Clone, Default)]
 pub struct TransferStore {
-    contexts: Vec<String>,
-    /// Content hash → ids of the contexts with that hash.
-    context_ix: IdMap<u64, Vec<u32>>,
-    /// `(context id, key content)` per key id, in registration order.
-    keys: Vec<(u32, String)>,
-    /// `(context id, content hash)` → ids of the keys with both.
-    key_ix: IdMap<(u32, u64), Vec<u32>>,
-    pool: WordPool,
+    contexts: Pool<String>,
+    /// `(context id, key content)`.
+    keys: Pool<(PoolId, String)>,
+    pool: Pool<Box<[u64]>>,
     /// `(key id, input pool id)` → memoized output.
-    entries: IdMap<(u32, PoolId), Entry>,
+    entries: IdMap<(PoolId, PoolId), Entry>,
 }
 
 impl TransferStore {
@@ -244,52 +215,10 @@ impl TransferStore {
             && self.entries.is_empty()
     }
 
-    fn context_id(&self, content: &str) -> Option<u32> {
-        let candidates = self.context_ix.get(&content_hash(content))?;
-        candidates
-            .iter()
-            .copied()
-            .find(|&id| self.contexts[id as usize] == content)
-    }
-
-    fn key_id(&self, context: u32, content: &str) -> Option<u32> {
-        let candidates = self.key_ix.get(&(context, content_hash(content)))?;
-        candidates
-            .iter()
-            .copied()
-            .find(|&id| self.keys[id as usize].1 == content)
-    }
-
-    fn ensure_context(&mut self, content: &str) -> u32 {
-        let ids = self.context_ix.entry(content_hash(content)).or_default();
-        if let Some(&id) = ids
-            .iter()
-            .find(|&&id| self.contexts[id as usize] == content)
-        {
-            return id;
-        }
-        let id = u32::try_from(self.contexts.len()).expect("context overflow");
-        self.contexts.push(content.to_owned());
-        ids.push(id);
-        id
-    }
-
-    fn ensure_key(&mut self, context: u32, content: &str) -> u32 {
-        let ids = self
-            .key_ix
-            .entry((context, content_hash(content)))
-            .or_default();
-        if let Some(&id) = ids.iter().find(|&&id| self.keys[id as usize].1 == content) {
-            return id;
-        }
-        let id = u32::try_from(self.keys.len()).expect("key overflow");
-        self.keys.push((context, content.to_owned()));
-        ids.push(id);
-        id
-    }
-
-    fn lookup(&self, key: u32, input_words: &[u64]) -> Option<&Entry> {
-        let input = self.pool.get(input_words)?;
+    fn lookup(&self, key: PoolId, input_words: &[u64]) -> Option<&Entry> {
+        let input = self
+            .pool
+            .find(words_hash(input_words), |words| **words == *input_words)?;
         self.entries.get(&(key, input))
     }
 
@@ -308,25 +237,32 @@ impl TransferStore {
                 records,
                 outputs,
             } = delta;
-            let ctx = self.ensure_context(&context);
+            let (ctx, _) = self
+                .contexts
+                .find_or_insert(content_hash(0, &context), context.to_string());
             let mut start = 0;
             let pooled: Vec<PoolId> = ends
                 .iter()
                 .map(|&end| {
-                    let id = self.pool.intern(&words[start..end]);
+                    let structure = &words[start..end];
                     start = end;
-                    id
+                    self.pool
+                        .find_or_insert(words_hash(structure), structure.into())
+                        .0
                 })
                 .collect();
             // Resolve key contents lazily: only keys that actually produced
             // records enter the store.
-            let mut key_ids: Vec<Option<u32>> = vec![None; keys.len()];
+            let mut key_ids: Vec<Option<PoolId>> = vec![None; keys.len()];
             let mut start = 0;
             for rec in records {
                 let outs = &outputs[start..rec.outputs_end];
                 start = rec.outputs_end;
                 let ix = rec.key as usize;
-                let key = *key_ids[ix].get_or_insert_with(|| self.ensure_key(ctx, &keys[ix]));
+                let key = *key_ids[ix].get_or_insert_with(|| {
+                    let fp = content_hash(ctx.raw(), &keys[ix]);
+                    self.keys.find_or_insert(fp, (ctx, keys[ix].clone())).0
+                });
                 let input = pooled[rec.input as usize];
                 if let MapEntry::Vacant(slot) = self.entries.entry((key, input)) {
                     slot.insert(Entry {
@@ -342,33 +278,41 @@ impl TransferStore {
     /// this one: the result has exactly the ids (and bytes) that absorbing
     /// the same deltas here, in the same order, would have given.
     ///
-    /// Contexts and keys are folded in id order and the pool shard by shard
-    /// in in-shard order — each the order `other` first met them, so what is
-    /// new here is appended as absorbing would have appended it. Entries
-    /// already here win, as earlier writes do in [`TransferStore::absorb`]. Into a
-    /// blank store the merge is a move.
+    /// Contexts, keys and structures are folded in id order — the order
+    /// `other` first met them — so what is new here is appended as absorbing
+    /// would have appended it, and each of `other`'s ids maps to its id here
+    /// through a `Vec`. Entries already here win, as earlier writes do in
+    /// [`TransferStore::absorb`]. Into a blank store the merge is a move.
     pub fn merge(&mut self, other: TransferStore) {
         if self.is_blank() {
             *self = other;
             return;
         }
-        let contexts: Vec<u32> = other
+        let contexts: Vec<PoolId> = other
             .contexts
             .iter()
-            .map(|c| self.ensure_context(c))
+            .map(|(_, c)| self.contexts.find_or_insert(content_hash(0, c), c.clone()).0)
             .collect();
-        let keys: Vec<u32> = other
+        let keys: Vec<PoolId> = other
             .keys
             .iter()
-            .map(|(ctx, content)| self.ensure_key(contexts[*ctx as usize], content))
+            .map(|(_, (ctx, content))| {
+                let ctx = contexts[ctx.index()];
+                let fp = content_hash(ctx.raw(), content);
+                self.keys.find_or_insert(fp, (ctx, content.clone())).0
+            })
             .collect();
-        let pool = self.pool.merge(&other.pool);
+        let pool: Vec<PoolId> = other
+            .pool
+            .iter()
+            .map(|(_, words)| self.pool.find_or_insert(words_hash(words), words.clone()).0)
+            .collect();
         for ((key, input), mut entry) in other.entries {
             if let MapEntry::Vacant(slot) =
-                self.entries.entry((keys[key as usize], pool.get(input)))
+                self.entries.entry((keys[key.index()], pool[input.index()]))
             {
                 for p in &mut entry.outputs {
-                    *p = pool.get(*p);
+                    *p = pool[p.index()];
                 }
                 slot.insert(entry);
             }
@@ -382,12 +326,12 @@ impl TransferStore {
         let mut bytes = MAGIC.to_vec();
         let out = &mut bytes;
         push_u32(out, self.contexts.len() as u32);
-        for c in &self.contexts {
+        for (_, c) in self.contexts.iter() {
             push_str(out, c);
         }
         push_u32(out, self.keys.len() as u32);
-        for (ctx, content) in &self.keys {
-            push_u32(out, *ctx);
+        for (_, (ctx, content)) in self.keys.iter() {
+            push_u32(out, ctx.raw());
             push_str(out, content);
         }
         push_u32(out, self.pool.len() as u32);
@@ -398,12 +342,12 @@ impl TransferStore {
                 push_u64(out, w);
             }
         }
-        let mut keys: Vec<&(u32, PoolId)> = self.entries.keys().collect();
+        let mut keys: Vec<&(PoolId, PoolId)> = self.entries.keys().collect();
         keys.sort();
         push_u32(out, keys.len() as u32);
         for key in keys {
             let entry = &self.entries[key];
-            push_u32(out, key.0);
+            push_u32(out, key.0.raw());
             push_u32(out, key.1.raw());
             push_u32(out, entry.outputs.len() as u32);
             for p in &entry.outputs {
@@ -418,8 +362,8 @@ impl TransferStore {
     /// building the bytes (payloads are encoded one at a time into a reused
     /// buffer).
     pub fn encoded_len(&self) -> usize {
-        let contexts: usize = self.contexts.iter().map(|c| 4 + c.len()).sum();
-        let keys: usize = self.keys.iter().map(|(_, c)| 8 + c.len()).sum();
+        let contexts: usize = self.contexts.iter().map(|(_, c)| 4 + c.len()).sum();
+        let keys: usize = self.keys.iter().map(|(_, (_, c))| 8 + c.len()).sum();
         let pool: usize = self.pool.iter().map(|(_, w)| 8 + 8 * w.len()).sum();
         let mut buf = Vec::new();
         let entries: usize = self
@@ -453,7 +397,7 @@ impl TransferStore {
         let mut store = TransferStore::new();
         for _ in 0..r.count(4)? {
             let c = r.string()?;
-            store.ensure_context(&c);
+            store.contexts.find_or_insert(content_hash(0, &c), c);
         }
         for _ in 0..r.count(8)? {
             let ctx = r.u32()?;
@@ -461,7 +405,8 @@ impl TransferStore {
                 return Err(format!("key references unknown context {ctx}"));
             }
             let content = r.string()?;
-            store.ensure_key(ctx, &content);
+            let fp = content_hash(ctx, &content);
+            store.keys.find_or_insert(fp, (PoolId::from_raw(ctx), content));
         }
         for _ in 0..r.count(8)? {
             let raw = r.u32()?;
@@ -470,7 +415,7 @@ impl TransferStore {
             for _ in 0..len {
                 words.push(r.u64()?);
             }
-            let id = store.pool.intern(&words);
+            let (id, _) = store.pool.find_or_insert(words_hash(&words), words.into());
             if id.raw() != raw {
                 return Err(format!(
                     "pool id mismatch (recorded {raw}, re-pooled {})",
@@ -478,25 +423,20 @@ impl TransferStore {
                 ));
             }
         }
+        let pooled = |raw: u32| (raw < store.pool.len() as u32).then_some(PoolId::from_raw(raw));
         for _ in 0..r.count(12)? {
             let key = r.u32()?;
             if key as usize >= store.keys.len() {
                 return Err(format!("entry references unknown key {key}"));
             }
-            let input = PoolId::from_raw(r.u32()?);
-            if !store.pool.contains(input) {
-                return Err("entry input id out of range".into());
-            }
+            let input = pooled(r.u32()?).ok_or("entry input id out of range")?;
             let n_outputs = r.count(4)?;
             let mut outputs = Vec::with_capacity(n_outputs);
             for _ in 0..n_outputs {
-                let p = PoolId::from_raw(r.u32()?);
-                if !store.pool.contains(p) {
-                    return Err("entry output id out of range".into());
-                }
-                outputs.push(p);
+                outputs.push(pooled(r.u32()?).ok_or("entry output id out of range")?);
             }
             let memo = TransferMemo::read(r)?;
+            let key = PoolId::from_raw(key);
             store.entries.insert((key, input), Entry { outputs, memo });
         }
         if r.at != bytes.len() {
@@ -781,10 +721,18 @@ impl<'a> SharedTransferSession<'a> {
     /// content-deduplicated key list; run-local key ids index into it. Both
     /// are shared, not copied, into the run's delta.
     pub fn run_scope(&'a self, context: Arc<str>, keys: Arc<[String]>) -> RunScope<'a> {
-        let snapshot_ctx = self.snapshot.context_id(&context);
+        let snapshot = self.snapshot;
+        let ctx = snapshot
+            .contexts
+            .find(content_hash(0, &context), |c| **c == *context);
         let slots = keys
             .iter()
-            .map(|content| snapshot_ctx.and_then(|ctx| self.snapshot.key_id(ctx, content)))
+            .map(|content| {
+                let ctx = ctx?;
+                snapshot.keys.find(content_hash(ctx.raw(), content), |(c, k)| {
+                    *c == ctx && k == content
+                })
+            })
             .collect();
         RunScope {
             session: self,
@@ -812,7 +760,7 @@ pub struct RunScope<'a> {
     session: &'a SharedTransferSession<'a>,
     /// Store key id per run-local key id; `None` when the snapshot does not
     /// know the key, so every probe misses.
-    slots: Vec<Option<u32>>,
+    slots: Vec<Option<PoolId>>,
     /// Delta-local id per interned structure (indexed by
     /// [`StructureId::index`]; interner ids are dense), [`UNPOOLED`] until
     /// the structure is first recorded.
@@ -844,7 +792,7 @@ impl RunScope<'_> {
             let outputs = entry
                 .outputs
                 .iter()
-                .map(|&p| Structure::from_words(table, snapshot.pool.resolve(p)))
+                .map(|&p| Structure::from_words(table, snapshot.pool.get(p)))
                 .collect::<Option<Vec<_>>>()?;
             Some((outputs, entry.memo.clone()))
         });
@@ -920,6 +868,24 @@ impl RunScope<'_> {
 mod tests {
     use super::*;
 
+    /// Direct pool access, for building stores by hand.
+    impl TransferStore {
+        fn context(&mut self, content: &str) -> PoolId {
+            let fp = content_hash(0, content);
+            self.contexts.find_or_insert(fp, content.into()).0
+        }
+
+        fn key(&mut self, ctx: PoolId, content: &str) -> PoolId {
+            let fp = content_hash(ctx.raw(), content);
+            self.keys.find_or_insert(fp, (ctx, content.into())).0
+        }
+
+        fn structure(&mut self, s: &Structure) -> PoolId {
+            let words = s.to_words();
+            self.pool.find_or_insert(words_hash(&words), words.into()).0
+        }
+    }
+
     /// The structure of `n` nodes over the empty table.
     fn nodes(n: usize) -> Structure {
         let table = PredTable::new();
@@ -937,7 +903,7 @@ mod tests {
 
     /// `(key, input, outputs)` with structures named by node count: 40
     /// structures over 60 transfers, outputs shared between transfers and
-    /// inputs reappearing as outputs, so every shard holds several.
+    /// inputs reappearing as outputs.
     fn transfers() -> Vec<(u32, usize, Vec<usize>)> {
         (0..60)
             .map(|i| ((i % 3) as u32, (i * 7) % 40, vec![(i + 1) % 40, (i * 3) % 40, 5]))
@@ -953,9 +919,9 @@ mod tests {
         // A snapshot that knows key "b" (through an unrelated input), so its
         // probes encode and keep the input for the record.
         let mut warm = TransferStore::new();
-        let ctx = warm.ensure_context(context);
-        let b = warm.ensure_key(ctx, "b");
-        let other = warm.pool.intern(&nodes(99).to_words());
+        let ctx = warm.context(context);
+        let b = warm.key(ctx, "b");
+        let other = warm.structure(&nodes(99));
         warm.entries.insert((b, other), Entry { outputs: vec![], memo: memo(0) });
 
         let table = PredTable::new();
@@ -988,13 +954,13 @@ mod tests {
 
         // The reference interns every record's encodings, record by record.
         let mut reference = TransferStore::new();
-        let ctx = reference.ensure_context(context);
+        let ctx = reference.context(context);
         for (i, (key, input, outputs)) in transfers().into_iter().enumerate() {
-            let key = reference.ensure_key(ctx, &keys[key as usize]);
-            let input = reference.pool.intern(&nodes(input).to_words());
+            let key = reference.key(ctx, &keys[key as usize]);
+            let input = reference.structure(&nodes(input));
             let outputs = outputs
                 .iter()
-                .map(|&o| reference.pool.intern(&nodes(o).to_words()))
+                .map(|&o| reference.structure(&nodes(o)))
                 .collect();
             reference
                 .entries
@@ -1201,11 +1167,12 @@ mod tests {
         assert_eq!(back.transfers.to_bytes(), bytes);
         assert_eq!(back.transfers.sizes(), "2 transfer(s), 4 structure(s)");
 
-        // Any other magic — an older multi-section container, a section of
-        // another payload — is bad magic.
+        // Any other magic — an older multi-section container, a store whose
+        // pool was written in hash order, a section of another payload — is
+        // bad magic.
         let mut other = bytes.clone();
         other[4..8].copy_from_slice(b"WS02");
-        for bad in [&other[..], b"HSEPSM01", b"GARBAGE!"] {
+        for bad in [&other[..], b"HSEPTC01", b"HSEPSM01", b"GARBAGE!"] {
             assert_eq!(
                 CacheFile::from_bytes(bad).unwrap_err(),
                 "not a hetsep cache file (bad magic)"

@@ -9,9 +9,9 @@
 //!
 //! * **Artifacts are registered once, keyed by content fingerprint.**
 //!   [`Workspace::add_program`] (and the spec/strategy twins) fingerprints
-//!   the source text and — following the interner discipline used
-//!   everywhere else in the workspace — compares the *full content* on a
-//!   fingerprint match before reusing the stored artifact. Re-registering
+//!   the source text and looks it up in an [`intern::Pool`](Pool), which
+//!   compares the *full content* on a fingerprint match before reusing
+//!   the stored artifact. Re-registering
 //!   identical content is a lookup, not a re-parse; a fingerprint collision
 //!   costs one string comparison, never a wrong artifact.
 //! * **The cross-run store is workspace-mounted.** Every
@@ -42,6 +42,7 @@ use hetsep_easl::ast::Spec;
 use hetsep_ir::diag::Diagnostic;
 use hetsep_ir::Program;
 use hetsep_strategy::ast::Strategy;
+use hetsep_tvl::intern::{Pool, PoolId};
 
 use crate::engine::EngineConfig;
 use crate::jobcache::{SharedTransferSession, SummaryStore, TransferStore};
@@ -50,7 +51,7 @@ use crate::report::VerifyError;
 
 /// FNV-1a 64-bit content fingerprint, rendered as 16 hex digits on the
 /// wire. Fast and stable across processes; never trusted alone — every
-/// fingerprint lookup re-compares the full content (see [`Workspace`]).
+/// fingerprint lookup re-compares the full content (see [`Pool`]).
 pub fn fingerprint(content: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in content.as_bytes() {
@@ -62,15 +63,15 @@ pub fn fingerprint(content: &str) -> u64 {
 
 /// Handle to a registered program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProgramId(u32);
+pub struct ProgramId(PoolId);
 
 /// Handle to a registered specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpecId(u32);
+pub struct SpecId(PoolId);
 
 /// Handle to a registered separation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StrategyId(u32);
+pub struct StrategyId(PoolId);
 
 /// The result of registering an artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,62 +85,23 @@ pub struct Registered<Id> {
     pub reused: bool,
 }
 
-/// One stored artifact: the content it was registered under plus the parsed
-/// value (the fingerprint lives in the index).
-struct Entry<T> {
-    content: String,
-    value: T,
-}
+/// Registered artifacts: the source text each was registered under, with
+/// its parsed value, pooled under the text's [`fingerprint`].
+type Artifacts<T> = Pool<(String, T)>;
 
-/// A content-addressed artifact registry (fingerprint index, full-content
-/// confirmation).
-struct ArtifactSet<T> {
-    items: Vec<Entry<T>>,
-    index: HashMap<u64, Vec<u32>>,
-}
-
-impl<T> Default for ArtifactSet<T> {
-    fn default() -> ArtifactSet<T> {
-        ArtifactSet {
-            items: Vec::new(),
-            index: HashMap::new(),
-        }
+/// Registers `content`, parsing with `build` only when the exact content is
+/// new. Returns `(id, fingerprint, reused)`.
+fn register<T: Eq, E>(
+    artifacts: &mut Artifacts<T>,
+    content: &str,
+    build: impl FnOnce() -> Result<T, E>,
+) -> Result<(PoolId, u64, bool), E> {
+    let fp = fingerprint(content);
+    if let Some(id) = artifacts.find(fp, |(c, _)| c == content) {
+        return Ok((id, fp, true));
     }
-}
-
-impl<T> ArtifactSet<T> {
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    fn get(&self, ix: u32) -> &Entry<T> {
-        &self.items[ix as usize]
-    }
-
-    /// Registers `content`, parsing with `build` only when the exact
-    /// content is new. Returns `(index, fingerprint, reused)`.
-    fn insert_with<E>(
-        &mut self,
-        content: &str,
-        build: impl FnOnce() -> Result<T, E>,
-    ) -> Result<(u32, u64, bool), E> {
-        let fp = fingerprint(content);
-        if let Some(candidates) = self.index.get(&fp) {
-            for &ix in candidates {
-                if self.items[ix as usize].content == content {
-                    return Ok((ix, fp, true));
-                }
-            }
-        }
-        let value = build()?;
-        let ix = u32::try_from(self.items.len()).expect("artifact overflow");
-        self.items.push(Entry {
-            content: content.to_owned(),
-            value,
-        });
-        self.index.entry(fp).or_default().push(ix);
-        Ok((ix, fp, false))
-    }
+    let (id, _) = artifacts.find_or_insert(fp, (content.to_owned(), build()?));
+    Ok((id, fp, false))
 }
 
 /// One verification request against registered artifacts.
@@ -201,9 +163,9 @@ pub struct VerifyOutput {
 /// ```
 #[derive(Default)]
 pub struct Workspace {
-    programs: ArtifactSet<Program>,
-    specs: ArtifactSet<Spec>,
-    strategies: ArtifactSet<Strategy>,
+    programs: Artifacts<Program>,
+    specs: Artifacts<Spec>,
+    strategies: Artifacts<Strategy>,
     store: TransferStore,
     config: EngineConfig,
     /// Memoized lint batches per artifact triple. Artifacts are
@@ -244,11 +206,11 @@ impl Workspace {
     ///
     /// Parse failures ([`VerifyError::Parse`]); nothing is registered then.
     pub fn add_program(&mut self, source: &str) -> Result<Registered<ProgramId>, VerifyError> {
-        let (ix, fingerprint, reused) = self.programs.insert_with(source, || {
+        let (id, fingerprint, reused) = register(&mut self.programs, source, || {
             hetsep_ir::parse_program(source).map_err(|e| VerifyError::Parse(e.to_string()))
         })?;
         Ok(Registered {
-            id: ProgramId(ix),
+            id: ProgramId(id),
             fingerprint,
             reused,
         })
@@ -260,11 +222,11 @@ impl Workspace {
     ///
     /// Parse failures ([`VerifyError::Parse`]).
     pub fn add_spec(&mut self, source: &str) -> Result<Registered<SpecId>, VerifyError> {
-        let (ix, fingerprint, reused) = self.specs.insert_with(source, || {
+        let (id, fingerprint, reused) = register(&mut self.specs, source, || {
             hetsep_easl::parse_spec(source).map_err(|e| VerifyError::Parse(e.to_string()))
         })?;
         Ok(Registered {
-            id: SpecId(ix),
+            id: SpecId(id),
             fingerprint,
             reused,
         })
@@ -279,12 +241,12 @@ impl Workspace {
     /// Unknown built-in names ([`VerifyError::Parse`]).
     pub fn add_builtin_spec(&mut self, name: &str) -> Result<Registered<SpecId>, VerifyError> {
         let content = format!("builtin:{name}");
-        let (ix, fingerprint, reused) = self.specs.insert_with(&content, || {
+        let (id, fingerprint, reused) = register(&mut self.specs, &content, || {
             hetsep_easl::builtin::by_name(name)
                 .ok_or_else(|| VerifyError::Parse(format!("unknown built-in spec `{name}`")))
         })?;
         Ok(Registered {
-            id: SpecId(ix),
+            id: SpecId(id),
             fingerprint,
             reused,
         })
@@ -296,11 +258,11 @@ impl Workspace {
     ///
     /// Parse failures ([`VerifyError::Parse`]).
     pub fn add_strategy(&mut self, source: &str) -> Result<Registered<StrategyId>, VerifyError> {
-        let (ix, fingerprint, reused) = self.strategies.insert_with(source, || {
+        let (id, fingerprint, reused) = register(&mut self.strategies, source, || {
             hetsep_strategy::parse_strategy(source).map_err(|e| VerifyError::Parse(e.to_string()))
         })?;
         Ok(Registered {
-            id: StrategyId(ix),
+            id: StrategyId(id),
             fingerprint,
             reused,
         })
@@ -308,22 +270,22 @@ impl Workspace {
 
     /// The parsed program behind a handle.
     pub fn program(&self, id: ProgramId) -> &Program {
-        &self.programs.get(id.0).value
+        &self.programs.get(id.0).1
     }
 
     /// The source text a program was registered with.
     pub fn program_source(&self, id: ProgramId) -> &str {
-        &self.programs.get(id.0).content
+        &self.programs.get(id.0).0
     }
 
     /// The parsed specification behind a handle.
     pub fn spec(&self, id: SpecId) -> &Spec {
-        &self.specs.get(id.0).value
+        &self.specs.get(id.0).1
     }
 
     /// The parsed strategy behind a handle.
     pub fn strategy(&self, id: StrategyId) -> &Strategy {
-        &self.strategies.get(id.0).value
+        &self.strategies.get(id.0).1
     }
 
     /// Number of distinct programs registered (by content).
@@ -440,8 +402,8 @@ impl Workspace {
             .prepared
             .get_mut(&request.program)
             .expect("inserted above");
-        let program = &self.programs.get(request.program.0).value;
-        let spec = &self.specs.get(request.spec.0).value;
+        let program = &self.programs.get(request.program.0).1;
+        let spec = &self.specs.get(request.spec.0).1;
         let session = SharedTransferSession::new(&self.store);
         let report = Verifier::new(program, spec)
             .mode(mode)

@@ -1,56 +1,209 @@
-//! Hash-consing of canonically-ordered structures.
+//! Hash-consing: one [`Pool`] keeps each distinct value once.
 //!
-//! The abstract-interpretation engine keeps every canonical structure it has
-//! seen in per-location sets and its worklist. Cloning whole [`Structure`]
-//! values into each of those containers — and hashing the full predicate
-//! interpretation on every map probe — dominates analysis time on the larger
-//! benchmarks. A [`StructureInterner`] stores each distinct structure once in
-//! an arena and hands out a compact [`StructureId`]; equal structures always
-//! receive the same id, so id equality is structure equality and containers
-//! can key on a 4-byte copyable value.
+//! A [`Pool`] holds its items in insertion order and hands out each item's
+//! position as a compact [`PoolId`]. Lookup is keyed by a caller-given
+//! 64-bit fingerprint. Fingerprints can collide, so each fingerprint maps
+//! to a list of candidate ids and every candidate is confirmed by full
+//! equality before its id is reused: a collision costs one comparison,
+//! never a wrong answer. Equal values therefore always receive the same
+//! id, so id equality is value equality.
 //!
-//! Lookup is keyed by the structure's 64-bit [`Structure::fingerprint`].
-//! Fingerprints can collide, so each fingerprint bucket holds a list of
-//! candidate ids and interning verifies candidates with full `==` before
-//! reusing an id — a collision costs one structure comparison, never a wrong
-//! answer.
+//! Every hash-consing site of the workspace is a pool: the engine's
+//! [`StructureInterner`] over canonical [`Structure`]s, the cross-run
+//! transfer store's contexts, keys and word-encoded structures, and the
+//! daemon workspace's artifact registries. Each picks its own fingerprint:
+//! [`Structure::fingerprint`] here, [`crate::structure::lane_fingerprint`]
+//! of the words in the store, and the wire fingerprint of an artifact's
+//! source text in the workspace. Ids are insertion positions, so nothing
+//! about a pool's ids or order depends on the fingerprint's value.
 //!
-//! Each id also carries a *settled* bit (see
-//! [`StructureInterner::is_settled`]): a fact about the structure that the
-//! engine proves while producing it and that lets later transfers skip
-//! coerce and canonical-abstraction steps that would return their input.
-//!
-//! With the bit-packed two-plane [`Structure`] layout both halves of a probe
-//! are word-parallel: the fingerprint mixes one `u64` plane word (64 truth
+//! The engine keeps every canonical structure it has seen in per-location
+//! sets and its worklist. Cloning whole [`Structure`] values into each of
+//! those containers — and hashing the full predicate interpretation on
+//! every map probe — dominates analysis time on the larger benchmarks, so
+//! containers key on a 4-byte copyable [`StructureId`] instead. With the
+//! bit-packed two-plane [`Structure`] layout both halves of a probe are
+//! word-parallel: the fingerprint mixes one `u64` plane word (64 truth
 //! values) per FNV round, in four independent lanes folded together at the
 //! end, and the verifying `==` is a derived slice compare over the plane
 //! vectors — the stride-padding invariant (bits past the universe size are
 //! always zero) is what makes both value-exact.
 //!
-//! The lane fingerprint is in-memory only: the interner's buckets and
-//! [`crate::canon::CanonicalKey::fingerprint`] read it, nothing persists it,
-//! so its value may change between builds. [`WordPool`]'s fingerprint is
-//! different: it fixes each entry's shard, hence its [`PoolId`], and the
-//! order of the pool's (serialized) entries, so it stays the single-chain
-//! FNV-1a it is, and a persisted cache keeps its bytes.
+//! Each interned structure also carries a *settled* bit (see
+//! [`StructureInterner::is_settled`]): a fact about the structure that the
+//! engine proves while producing it and that lets later transfers skip
+//! coerce and canonical-abstraction steps that would return their input.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::structure::Structure;
+
+/// A multiply-rotate hasher (the FxHash step) for maps keyed by ids and by
+/// the workspace's own unkeyed content hashes: keys chosen to collide would
+/// already collide in the content hash, so SipHash's resistance to them
+/// buys nothing there.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the high bits best mixed; hash tables index
+        // by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Position of an item in its [`Pool`]. Equal ids ⇔ equal items (within
+/// one pool).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PoolId(u32);
+
+impl PoolId {
+    /// The item's insertion position.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// Raw value, for serialization.
+    pub fn raw(self) -> u32 {
+        self.0
+    }
+
+    /// Rebuilds an id from [`PoolId::raw`]. Validity (the id being below
+    /// the pool's [`Pool::len`]) is the caller's concern.
+    pub fn from_raw(raw: u32) -> PoolId {
+        PoolId(raw)
+    }
+}
+
+/// A hash-consing arena: each distinct item once, in insertion order,
+/// indexed by a caller-given fingerprint.
+///
+/// # Example
+///
+/// ```
+/// use hetsep_tvl::intern::Pool;
+/// let mut pool = Pool::new();
+/// let (a, found) = pool.find_or_insert(7, "x".to_string());
+/// assert!(!found);
+/// // Another value under the same fingerprint gets its own id.
+/// let (b, _) = pool.find_or_insert(7, "y".to_string());
+/// assert_ne!(a, b);
+/// assert_eq!(pool.find_or_insert(7, "x".to_string()), (a, true));
+/// assert_eq!(pool.find(7, |s| s == "y"), Some(b));
+/// assert_eq!(pool.get(b), "y");
+/// ```
+#[derive(Debug, Clone)]
+pub struct Pool<T> {
+    items: Vec<T>,
+    /// Fingerprint → ids of the items with that fingerprint.
+    buckets: IdMap<u64, Vec<PoolId>>,
+}
+
+impl<T> Default for Pool<T> {
+    fn default() -> Pool<T> {
+        Pool {
+            items: Vec::new(),
+            buckets: IdMap::default(),
+        }
+    }
+}
+
+impl<T> Pool<T> {
+    /// Creates an empty pool.
+    pub fn new() -> Pool<T> {
+        Pool::default()
+    }
+
+    /// The id of the item with fingerprint `fp` that `is` accepts. `is`
+    /// must be full equality with the value sought, as it is in
+    /// [`Pool::find_or_insert`].
+    pub fn find(&self, fp: u64, mut is: impl FnMut(&T) -> bool) -> Option<PoolId> {
+        self.buckets
+            .get(&fp)?
+            .iter()
+            .copied()
+            .find(|&id| is(&self.items[id.index()]))
+    }
+
+    /// The id of the item equal to `item` (whose fingerprint is `fp`),
+    /// appending `item` when there is none, and whether it was there
+    /// already. One map probe either way.
+    pub fn find_or_insert(&mut self, fp: u64, item: T) -> (PoolId, bool)
+    where
+        T: Eq,
+    {
+        let bucket = self.buckets.entry(fp).or_default();
+        if let Some(&id) = bucket.iter().find(|&&id| self.items[id.index()] == item) {
+            return (id, true);
+        }
+        let id = PoolId(u32::try_from(self.items.len()).expect("pool overflow"));
+        self.items.push(item);
+        bucket.push(id);
+        (id, false)
+    }
+
+    /// The item an id refers to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not below [`Pool::len`].
+    pub fn get(&self, id: PoolId) -> &T {
+        &self.items[id.index()]
+    }
+
+    /// Number of distinct items.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Whether the pool is empty.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Every item with its id, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (PoolId, &T)> {
+        self.items
+            .iter()
+            .enumerate()
+            .map(|(ix, item)| (PoolId(ix as u32), item))
+    }
+}
 
 /// Arena index of an interned structure. Equal ids ⇔ equal structures
 /// (within one interner).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct StructureId(u32);
+pub struct StructureId(PoolId);
 
 impl StructureId {
     /// Raw arena index.
     pub fn index(self) -> usize {
-        self.0 as usize
+        self.0.index()
     }
 }
 
-/// A hash-consing arena for [`Structure`]s.
+/// A hash-consing arena for [`Structure`]s: a [`Pool`] under
+/// [`Structure::fingerprint`], with a settled bit per entry and probe
+/// counts.
 ///
 /// # Example
 ///
@@ -66,14 +219,12 @@ impl StructureId {
 /// ```
 #[derive(Debug, Default)]
 pub struct StructureInterner {
-    arena: Vec<Structure>,
-    /// The settled bit of each arena entry.
+    pool: Pool<Structure>,
+    /// The settled bit of each pool entry.
     settled: Vec<bool>,
-    /// fingerprint → candidate ids with that fingerprint.
-    buckets: HashMap<u64, Vec<StructureId>>,
-    /// Probes answered from the arena (structure already interned).
+    /// Probes answered from the pool (structure already interned).
     hits: u64,
-    /// Probes that materialized a new arena entry.
+    /// Probes that materialized a new pool entry.
     misses: u64,
 }
 
@@ -83,27 +234,21 @@ impl StructureInterner {
         StructureInterner::default()
     }
 
-    /// Interns a structure, returning the id of the arena copy equal to it.
+    /// Interns a structure, returning the id of the pool copy equal to it.
     ///
     /// Structures should already be in canonical node order (the engine
     /// interns [`crate::canon::canonical_key`] outputs); the interner itself
     /// only requires `==`-equality, so order-sensitive callers get exact
     /// behavior either way.
     pub fn intern(&mut self, s: Structure) -> StructureId {
-        let fp = s.fingerprint();
-        let bucket = self.buckets.entry(fp).or_default();
-        for &id in bucket.iter() {
-            if self.arena[id.index()] == s {
-                self.hits += 1;
-                return id;
-            }
+        let (id, found) = self.pool.find_or_insert(s.fingerprint(), s);
+        if found {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+            self.settled.push(false);
         }
-        self.misses += 1;
-        let id = StructureId(u32::try_from(self.arena.len()).expect("interner overflow"));
-        self.arena.push(s);
-        self.settled.push(false);
-        bucket.push(id);
-        id
+        StructureId(id)
     }
 
     /// Marks `id` settled: its structure is a coerce fixpoint (coerce
@@ -124,219 +269,27 @@ impl StructureInterner {
 
     /// The structure an id refers to.
     pub fn resolve(&self, id: StructureId) -> &Structure {
-        &self.arena[id.index()]
+        self.pool.get(id.0)
     }
 
     /// Number of distinct structures interned.
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.pool.len()
     }
 
-    /// Probes answered by an existing arena entry (hash-consing savings).
+    /// Probes answered by an existing pool entry (hash-consing savings).
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Probes that materialized a new arena entry (`misses() == len()`).
+    /// Probes that materialized a new pool entry (`misses() == len()`).
     pub fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Whether the interner is empty.
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
-    }
-}
-
-/// Number of shards in a [`WordPool`] (a power of two; the shard of an entry
-/// is the low bits of its fingerprint).
-pub const WORD_POOL_SHARDS: usize = 16;
-
-/// Pool handle of a word-encoded structure. Equal ids ⇔ equal word vectors
-/// (within one pool). The shard lives in the low 4 bits, the in-shard index
-/// in the upper 28.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PoolId(u32);
-
-impl PoolId {
-    fn new(shard: usize, ix: usize) -> PoolId {
-        let packed = (ix as u32) << 4 | shard as u32;
-        assert!(packed >> 4 == ix as u32, "word pool shard overflow");
-        PoolId(packed)
-    }
-
-    fn shard(self) -> usize {
-        (self.0 & 0xf) as usize
-    }
-
-    fn index(self) -> usize {
-        (self.0 >> 4) as usize
-    }
-
-    /// Raw packed value, for serialization.
-    pub fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// Rebuilds an id from [`PoolId::raw`]. Validity (the id resolving in a
-    /// given pool) is the caller's concern — see [`WordPool::contains`].
-    pub fn from_raw(raw: u32) -> PoolId {
-        PoolId(raw)
-    }
-}
-
-#[derive(Debug, Default, Clone)]
-struct WordShard {
-    arena: Vec<Box<[u64]>>,
-    /// fingerprint → in-shard candidate indices with that fingerprint.
-    buckets: HashMap<u64, Vec<u32>>,
-}
-
-/// A sharded hash-consing pool for *word-encoded* structures
-/// (`Structure::to_words` outputs), shared across verification jobs.
-///
-/// Same discipline as [`StructureInterner`] — fingerprint bucket, then full
-/// slice equality before reusing an id, so a collision costs one comparison
-/// and never a wrong answer — but over plain word vectors, which keeps the
-/// pool independent of any predicate table and lets one pool back jobs with
-/// different vocabularies. Sharding by fingerprint bits keeps individual
-/// hash maps small at corpus scale; lookups stay single-threaded and
-/// deterministic (the job scheduler merges per-job additions in job order,
-/// the same discipline the subproblem scheduler uses for site results).
-#[derive(Debug, Clone)]
-pub struct WordPool {
-    shards: Vec<WordShard>,
-    len: usize,
-}
-
-impl Default for WordPool {
-    fn default() -> WordPool {
-        WordPool {
-            shards: vec![WordShard::default(); WORD_POOL_SHARDS],
-            len: 0,
-        }
-    }
-}
-
-impl WordPool {
-    /// Creates an empty pool.
-    pub fn new() -> WordPool {
-        WordPool::default()
-    }
-
-    /// FNV-1a over the length and the words. It fixes shards, ids and the
-    /// serialized entry order, so its value must not change.
-    fn fingerprint(words: &[u64]) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        h = (h ^ words.len() as u64).wrapping_mul(PRIME);
-        for &w in words {
-            h = (h ^ w).wrapping_mul(PRIME);
-        }
-        h
-    }
-
-    /// Interns a word vector, returning the id of the pool copy equal to it.
-    pub fn intern(&mut self, words: &[u64]) -> PoolId {
-        let fp = Self::fingerprint(words);
-        let shard_ix = (fp as usize) % WORD_POOL_SHARDS;
-        let shard = &mut self.shards[shard_ix];
-        let bucket = shard.buckets.entry(fp).or_default();
-        for &ix in bucket.iter() {
-            if &*shard.arena[ix as usize] == words {
-                return PoolId::new(shard_ix, ix as usize);
-            }
-        }
-        let ix = shard.arena.len();
-        shard.arena.push(words.into());
-        bucket.push(ix as u32);
-        self.len += 1;
-        PoolId::new(shard_ix, ix)
-    }
-
-    /// Read-only probe: the id of an equal entry, if one exists.
-    pub fn get(&self, words: &[u64]) -> Option<PoolId> {
-        let fp = Self::fingerprint(words);
-        let shard_ix = (fp as usize) % WORD_POOL_SHARDS;
-        let shard = &self.shards[shard_ix];
-        let bucket = shard.buckets.get(&fp)?;
-        bucket
-            .iter()
-            .find(|&&ix| &*shard.arena[ix as usize] == words)
-            .map(|&ix| PoolId::new(shard_ix, ix as usize))
-    }
-
-    /// The word vector an id refers to.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id did not come from this pool (or
-    /// [`WordPool::contains`] is false for it).
-    pub fn resolve(&self, id: PoolId) -> &[u64] {
-        &self.shards[id.shard()].arena[id.index()]
-    }
-
-    /// Whether `id` resolves in this pool (used to validate deserialized
-    /// ids).
-    pub fn contains(&self, id: PoolId) -> bool {
-        id.shard() < self.shards.len() && id.index() < self.shards[id.shard()].arena.len()
-    }
-
-    /// Number of distinct entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Interns every entry of `other` here, shard by shard in in-shard
-    /// order, and returns the id each of `other`'s ids now has.
-    ///
-    /// An entry's shard is fixed by its fingerprint, so the entries new to
-    /// this pool are appended to each shard in the order `other` holds them.
-    /// For an `other` grown from empty, that is the order in which `other`
-    /// first met them: merging gives the ids that interning everything
-    /// `other` interned, in the same order, straight into this pool would
-    /// have given.
-    pub fn merge(&mut self, other: &WordPool) -> PoolMap {
-        PoolMap(
-            other
-                .shards
-                .iter()
-                .map(|shard| shard.arena.iter().map(|words| self.intern(words)).collect())
-                .collect(),
-        )
-    }
-
-    /// All entries in deterministic (shard-major, insertion) order, for
-    /// serialization.
-    pub fn iter(&self) -> impl Iterator<Item = (PoolId, &[u64])> {
-        self.shards.iter().enumerate().flat_map(|(s, shard)| {
-            shard
-                .arena
-                .iter()
-                .enumerate()
-                .map(move |(ix, words)| (PoolId::new(s, ix), &**words))
-        })
-    }
-}
-
-/// Where [`WordPool::merge`] put each id of the merged pool.
-#[derive(Debug, Clone)]
-pub struct PoolMap(Vec<Vec<PoolId>>);
-
-impl PoolMap {
-    /// The id in the merged-into pool of `id`, an id of the merged pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from the merged pool.
-    pub fn get(&self, id: PoolId) -> PoolId {
-        self.0[id.shard()][id.index()]
+        self.pool.is_empty()
     }
 }
 
@@ -345,6 +298,7 @@ mod tests {
     use super::*;
     use crate::kleene::Kleene;
     use crate::pred::{PredFlags, PredTable};
+    use crate::structure::lane_fingerprint;
 
     fn vocab() -> PredTable {
         let mut t = PredTable::new();
@@ -406,91 +360,111 @@ mod tests {
 
     #[test]
     fn survives_fingerprint_collisions() {
-        // Force every structure into one bucket by construction: intern many
-        // distinct structures and check ids stay exact even when we simulate
-        // bucket sharing through repeated interning.
-        let t = vocab();
-        let x = t.lookup("x").unwrap();
-        let mut interner = StructureInterner::new();
-        let mut ids = Vec::new();
-        for i in 0..16 {
-            let mut s = Structure::new(&t);
-            for _ in 0..=i {
-                s.add_node(&t);
-            }
-            let u = s.nodes().next().unwrap();
-            s.set_unary(&t, x, u, Kleene::Unknown);
-            ids.push(interner.intern(s.clone()));
-            assert_eq!(*ids.last().unwrap(), interner.intern(s));
-        }
+        // Every value goes into one bucket: distinct values must still get
+        // distinct ids, equal values the same one.
+        const FP: u64 = 42;
+        let mut pool = Pool::new();
+        let values: Vec<Vec<u64>> = (0..40u64).map(|i| vec![i; 1 + (i % 3) as usize]).collect();
+        let ids: Vec<PoolId> = values
+            .iter()
+            .map(|v| {
+                let (id, found) = pool.find_or_insert(FP, v.clone());
+                assert!(!found, "a distinct value is new");
+                id
+            })
+            .collect();
         let mut deduped = ids.clone();
         deduped.sort_unstable();
         deduped.dedup();
-        assert_eq!(deduped.len(), ids.len(), "distinct structures, distinct ids");
+        assert_eq!(deduped.len(), ids.len(), "distinct values, distinct ids");
+        assert_eq!(pool.len(), values.len());
+        for (v, &id) in values.iter().zip(&ids) {
+            assert_eq!(pool.find_or_insert(FP, v.clone()), (id, true));
+            assert_eq!(pool.find(FP, |w| w == v), Some(id));
+            assert_eq!(pool.get(id), v);
+        }
+        assert_eq!(pool.len(), values.len(), "equal values add nothing");
+        let listed: Vec<(PoolId, &Vec<u64>)> = pool.iter().collect();
+        let expected: Vec<(PoolId, &Vec<u64>)> = ids.iter().copied().zip(&values).collect();
+        assert_eq!(listed, expected, "iter lists each value under its id");
+        assert_eq!(pool.find(FP, |w| w == &vec![99]), None);
+        assert_eq!(pool.find(FP + 1, |w| w == &values[0]), None, "wrong bucket");
+    }
+
+    /// Interns a word vector under its lane fingerprint, as the transfer
+    /// store does.
+    fn pool_words(pool: &mut Pool<Box<[u64]>>, words: &[u64]) -> PoolId {
+        let fp = lane_fingerprint([words.len() as u64], [words]);
+        pool.find_or_insert(fp, words.into()).0
     }
 
     #[test]
     fn word_pool_interns_exactly() {
-        let mut pool = WordPool::new();
-        let a = pool.intern(&[1, 2, 3]);
-        let b = pool.intern(&[1, 2, 3]);
-        let c = pool.intern(&[1, 2, 4]);
+        let mut pool = Pool::new();
+        let a = pool_words(&mut pool, &[1, 2, 3]);
+        let b = pool_words(&mut pool, &[1, 2, 3]);
+        let c = pool_words(&mut pool, &[1, 2, 4]);
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.resolve(a), &[1, 2, 3]);
-        assert_eq!(pool.get(&[1, 2, 4]), Some(c));
-        assert_eq!(pool.get(&[9]), None);
-        assert!(pool.contains(PoolId::from_raw(c.raw())));
+        assert_eq!(&**pool.get(a), &[1, 2, 3]);
+        let find = |w: &[u64]| {
+            let fp = lane_fingerprint([w.len() as u64], [w]);
+            pool.find(fp, |x| **x == *w)
+        };
+        assert_eq!(find(&[1, 2, 4]), Some(c));
+        assert_eq!(find(&[9]), None);
+        assert_eq!(PoolId::from_raw(c.raw()), c);
     }
 
     #[test]
-    fn word_pool_distributes_and_iterates_deterministically() {
-        let mut pool = WordPool::new();
-        let ids: Vec<PoolId> = (0..200u64).map(|i| pool.intern(&[i, i * 31])).collect();
+    fn word_pool_iterates_in_insertion_order() {
+        let mut pool = Pool::new();
+        let ids: Vec<PoolId> = (0..200u64).map(|i| pool_words(&mut pool, &[i, i * 31])).collect();
         assert_eq!(pool.len(), 200);
-        // Every id resolves to its own entry.
+        // Every id resolves to its own entry, and iteration visits every
+        // entry exactly once, in insertion order.
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(pool.resolve(*id), &[i as u64, i as u64 * 31]);
+            assert_eq!(id.index(), i);
+            assert_eq!(&**pool.get(*id), &[i as u64, i as u64 * 31]);
         }
-        // More than one shard is populated, and iteration visits every
-        // entry exactly once in a reproducible order.
-        let shards: std::collections::HashSet<usize> =
-            ids.iter().map(|id| (id.raw() & 0xf) as usize).collect();
-        assert!(shards.len() > 1, "fingerprint sharding distributes");
-        let order1: Vec<u32> = pool.iter().map(|(id, _)| id.raw()).collect();
-        let order2: Vec<u32> = pool.iter().map(|(id, _)| id.raw()).collect();
-        assert_eq!(order1.len(), 200);
-        assert_eq!(order1, order2);
+        let order: Vec<PoolId> = pool.iter().map(|(id, _)| id).collect();
+        assert_eq!(order, ids);
     }
 
     #[test]
     fn merging_a_pool_gives_the_ids_of_interning_its_entries() {
-        let mut base = WordPool::new();
+        let mut base = Pool::new();
         for i in 0..40u64 {
-            base.intern(&[i, 1]);
+            pool_words(&mut base, &[i, 1]);
         }
         let seen: Vec<[u64; 2]> = (20..90u64).map(|i| [i, 1]).collect();
-        let mut other = WordPool::new();
-        let ids: Vec<PoolId> = seen.iter().map(|w| other.intern(w)).collect();
+        let mut other = Pool::new();
+        let ids: Vec<PoolId> = seen.iter().map(|w| pool_words(&mut other, w)).collect();
         let mut direct = base.clone();
-        let want: Vec<PoolId> = seen.iter().map(|w| direct.intern(w)).collect();
-        let map = base.merge(&other);
-        let got: Vec<PoolId> = ids.iter().map(|&id| map.get(id)).collect();
+        let want: Vec<PoolId> = seen.iter().map(|w| pool_words(&mut direct, w)).collect();
+        // Merge as the transfer store does: intern `other`'s items in
+        // order, mapping its ids through a `Vec`.
+        let map: Vec<PoolId> = other.iter().map(|(_, w)| pool_words(&mut base, w)).collect();
+        let got: Vec<PoolId> = ids.iter().map(|&id| map[id.index()]).collect();
         assert_eq!(got, want);
         assert_eq!(base.len(), direct.len());
-        let order = |p: &WordPool| p.iter().map(|(id, w)| (id, w.to_vec())).collect::<Vec<_>>();
+        let order = |p: &Pool<Box<[u64]>>| p.iter().map(|(id, w)| (id, w.to_vec())).collect::<Vec<_>>();
         assert_eq!(order(&base), order(&direct));
     }
 
     #[test]
     fn word_pool_ids_distinguish_distinct_vectors() {
         // Length is mixed into the fingerprint: a prefix never aliases.
-        let mut pool = WordPool::new();
-        let short = pool.intern(&[7]);
-        let long = pool.intern(&[7, 0]);
+        let mut pool = Pool::new();
+        let short = pool_words(&mut pool, &[7]);
+        let long = pool_words(&mut pool, &[7, 0]);
         assert_ne!(short, long);
-        assert_eq!(pool.resolve(short), &[7]);
-        assert_eq!(pool.resolve(long), &[7, 0]);
+        assert_eq!(&**pool.get(short), &[7]);
+        assert_eq!(&**pool.get(long), &[7, 0]);
+        assert_ne!(
+            lane_fingerprint([1], [&[7u64][..]]),
+            lane_fingerprint([2], [&[7u64, 0][..]])
+        );
     }
 }

@@ -61,7 +61,7 @@ pub use coerce::{coerce, coerce_with, CoerceOutcome, CoercePlan};
 pub use eval::{eval, eval_closed, Assignment, Evaluator, Scratch};
 pub use focus::{focus, focus_all, FocusSpec, DEFAULT_FOCUS_LIMIT};
 pub use formula::{Formula, Var};
-pub use intern::{PoolId, PoolMap, StructureId, StructureInterner, WordPool};
+pub use intern::{Pool, PoolId, StructureId, StructureInterner};
 pub use kleene::Kleene;
 pub use pred::{Arity, PredFlags, PredId, PredTable};
 pub use structure::{NodeId, Structure};

@@ -44,6 +44,44 @@ use crate::pred::{Arity, PredId, PredTable};
 /// Number of independent FNV lanes of [`Structure::fingerprint`].
 pub const FINGERPRINT_LANES: usize = 4;
 
+/// FNV-1a run in [`FINGERPRINT_LANES`] independent lanes and folded
+/// together at the end: the `head` words go to lane 0, then each of
+/// `planes` is cut into chunks of `FINGERPRINT_LANES` words, word `i` of a
+/// chunk going to lane `i` and the plane's remainder words to lanes
+/// `0..r`.
+///
+/// The lanes' multiply chains do not depend on each other, so they overlap
+/// in the pipeline instead of waiting on one another. A change to a single
+/// word changes its lane's hash (each FNV step is a bijection of the
+/// running hash), hence the fingerprint. Word vectors of different lengths
+/// need the length among the head words to hash apart.
+pub fn lane_fingerprint<const P: usize>(
+    head: impl IntoIterator<Item = u64>,
+    planes: [&[u64]; P],
+) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    #[inline]
+    fn mix(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(PRIME)
+    }
+    let mut lanes = [OFFSET; FINGERPRINT_LANES];
+    lanes[0] = head.into_iter().fold(lanes[0], mix);
+    for plane in planes {
+        let chunks = plane.chunks_exact(FINGERPRINT_LANES);
+        let rest = chunks.remainder();
+        for chunk in chunks {
+            for (lane, &w) in lanes.iter_mut().zip(chunk) {
+                *lane = mix(*lane, w);
+            }
+        }
+        for (lane, &w) in lanes.iter_mut().zip(rest) {
+            *lane = mix(*lane, w);
+        }
+    }
+    lanes.into_iter().fold(OFFSET, mix)
+}
+
 /// Index of an individual in a structure's universe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
@@ -359,50 +397,22 @@ impl Structure {
         }
     }
 
-    /// A 64-bit fingerprint of the structure's full contents: FNV-1a over
-    /// the universe size, the nullary values and every plane word, run in
-    /// [`FINGERPRINT_LANES`] independent lanes and folded together at the
-    /// end.
-    ///
-    /// Each plane is cut into chunks of `FINGERPRINT_LANES` words; word `i`
-    /// of a chunk goes to lane `i`, and the plane's remainder words go to
-    /// lanes `0..r`. The lanes' multiply chains do not depend on each
-    /// other, so they overlap in the pipeline instead of waiting on one
-    /// another. A change to a single word changes its lane's hash (each
-    /// FNV step is a bijection of the running hash), hence the fingerprint.
+    /// A 64-bit fingerprint of the structure's full contents: the
+    /// [`lane_fingerprint`] of the universe size and the nullary values
+    /// (head words) and the four planes.
     ///
     /// Equal structures always have equal fingerprints; distinct structures
     /// collide with probability ~2⁻⁶⁴. Callers that use fingerprints as map
     /// keys (e.g. the interner) must verify candidates with full `==`. The
     /// value is in-memory only: nothing persists it.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        #[inline]
-        fn mix(h: u64, word: u64) -> u64 {
-            (h ^ word).wrapping_mul(PRIME)
-        }
-        let mut lanes = [OFFSET; FINGERPRINT_LANES];
-        lanes[0] = mix(lanes[0], self.n as u64);
-        for &v in &self.nullary {
-            lanes[0] = mix(lanes[0], v as u64);
-        }
         // Plane boundaries are implied by `n` and the (fixed) predicate
         // table, so no separators are needed between slots; padding bits are
         // zero by invariant, so equal structures hash equal per-word.
-        for plane in [&self.unary_t, &self.unary_h, &self.binary_t, &self.binary_h] {
-            let chunks = plane.chunks_exact(FINGERPRINT_LANES);
-            let rest = chunks.remainder();
-            for chunk in chunks {
-                for (lane, &w) in lanes.iter_mut().zip(chunk) {
-                    *lane = mix(*lane, w);
-                }
-            }
-            for (lane, &w) in lanes.iter_mut().zip(rest) {
-                *lane = mix(*lane, w);
-            }
-        }
-        lanes.into_iter().fold(OFFSET, mix)
+        lane_fingerprint(
+            std::iter::once(self.n as u64).chain(self.nullary.iter().map(|&v| v as u64)),
+            [&self.unary_t, &self.unary_h, &self.binary_t, &self.binary_h],
+        )
     }
 
     /// Serializes the structure to a flat word vector.
