@@ -59,14 +59,6 @@ impl HeapSummary {
         self.comp_of.get(&site).copied()
     }
 
-    /// Sites of the component containing `site` (empty if unknown).
-    #[must_use]
-    pub fn component_sites(&self, site: Site) -> BTreeSet<Site> {
-        self.component_of(site)
-            .map(|c| self.components[c].clone())
-            .unwrap_or_default()
-    }
-
     /// Suspect sites after closure over may-share components: a site in the
     /// same component as a raw suspect may share structure with it, so its
     /// subproblem cannot be pruned.
@@ -86,13 +78,6 @@ impl HeapSummary {
         self.component_of(site)
             .map(|c| self.estimates[c])
             .unwrap_or(0)
-    }
-
-    /// Sum of the per-component bounds — the predicted total cost of
-    /// verifying the whole may-share partition separately.
-    #[must_use]
-    pub fn total_estimate(&self) -> u64 {
-        self.estimates.iter().fold(0, |a, &b| a.saturating_add(b))
     }
 }
 
@@ -275,7 +260,6 @@ mod tests {
             .unwrap()
             .node_count() as u64;
         assert!(per_loc2 > per_loc1, "summary site admits the ½ value");
-        assert_eq!(s1.total_estimate(), s1.estimate(site1));
     }
 
     #[test]
@@ -289,6 +273,5 @@ mod tests {
         );
         assert_eq!(s.estimate(9999), 0);
         assert_eq!(s.component_of(9999), None);
-        assert!(s.component_sites(9999).is_empty());
     }
 }

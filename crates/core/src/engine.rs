@@ -102,9 +102,10 @@ pub struct EngineConfig {
     /// Run the flow-sensitive points-to × typestate preanalysis before
     /// fanning out non-simultaneous separation subproblems, and skip the
     /// allocation sites it proves safe (recorded as
-    /// [`AnalysisOutcome::Pruned`]). Sound: pruning never changes the
-    /// verdict or the reported errors, only which subproblems run. Off by
-    /// default; enable via [`crate::Verifier::with_preanalysis`].
+    /// [`AnalysisOutcome::Pruned`], with the `subproblems_pruned` counter;
+    /// the aggregate lands in [`crate::VerificationReport::preanalysis`]).
+    /// Sound: pruning never changes the verdict or the reported errors,
+    /// only which subproblems run. Off by default.
     pub preanalysis: bool,
     /// Probe and record the cross-run transfer store when the run is given
     /// a session (see [`run_shared`] and [`crate::jobcache`]). A store hit

@@ -159,7 +159,9 @@ fn content_hash(seed: u32, content: &str) -> u64 {
     h.write_u64(bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
-        h.write_u64(u64::from_le_bytes(chunk.try_into().expect("chunks of 8 bytes")));
+        h.write_u64(u64::from_le_bytes(
+            chunk.try_into().expect("chunks of 8 bytes"),
+        ));
     }
     let mut tail = [0u8; 8];
     tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
@@ -291,7 +293,11 @@ impl TransferStore {
         let contexts: Vec<PoolId> = other
             .contexts
             .iter()
-            .map(|(_, c)| self.contexts.find_or_insert(content_hash(0, c), c.clone()).0)
+            .map(|(_, c)| {
+                self.contexts
+                    .find_or_insert(content_hash(0, c), c.clone())
+                    .0
+            })
             .collect();
         let keys: Vec<PoolId> = other
             .keys
@@ -406,7 +412,9 @@ impl TransferStore {
             }
             let content = r.string()?;
             let fp = content_hash(ctx, &content);
-            store.keys.find_or_insert(fp, (PoolId::from_raw(ctx), content));
+            store
+                .keys
+                .find_or_insert(fp, (PoolId::from_raw(ctx), content));
         }
         for _ in 0..r.count(8)? {
             let raw = r.u32()?;
@@ -729,9 +737,11 @@ impl<'a> SharedTransferSession<'a> {
             .iter()
             .map(|content| {
                 let ctx = ctx?;
-                snapshot.keys.find(content_hash(ctx.raw(), content), |(c, k)| {
-                    *c == ctx && k == content
-                })
+                snapshot
+                    .keys
+                    .find(content_hash(ctx.raw(), content), |(c, k)| {
+                        *c == ctx && k == content
+                    })
             })
             .collect();
         RunScope {

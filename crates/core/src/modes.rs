@@ -740,20 +740,6 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Enables the static pruning pre-pass (see
-    /// [`EngineConfig::preanalysis`]): before fanning out non-simultaneous
-    /// separation subproblems, the flow-sensitive points-to × typestate
-    /// product analysis with may-share closure runs once, and allocation
-    /// sites it proves safe are skipped, recorded as
-    /// [`AnalysisOutcome::Pruned`] with the `subproblems_pruned` counter;
-    /// the aggregate lands in [`VerificationReport::preanalysis`]. The
-    /// proof is sound, so verdicts and reported errors are identical with
-    /// pruning on or off. Off by default.
-    pub fn with_preanalysis(mut self, on: bool) -> Verifier<'a> {
-        self.config.preanalysis = on;
-        self
-    }
-
     /// Attaches a cross-job shared transfer session (see
     /// [`crate::jobcache`]): every transfer probes the session's store
     /// snapshot by content key, and computed transfers are recorded into the

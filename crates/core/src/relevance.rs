@@ -9,36 +9,14 @@
 //! chosen stream stay materialized while unrelated holders collapse.
 //!
 //! The paper maintains `relevant` with the finite-differencing machinery of
-//! Reps, Sagiv & Loginov; we re-evaluate its defining formula after each
-//! action (see DESIGN.md) — sound, and precise enough because the formula is
-//! evaluated on the focused post-state.
+//! Reps, Sagiv & Loginov; after each action we iterate a one-step formula
+//! to a fixpoint instead (see DESIGN.md) — sound, and precise enough because
+//! the formula is evaluated on the focused post-state.
 
 use hetsep_tvl::formula::{Formula, Var};
 use hetsep_tvl::pred::PredId;
 
 use crate::vocab::Vocabulary;
-
-/// Builds the defining formula of `relevant`:
-///
-/// ```text
-/// relevant(v) = chosen(v) ∨ ∃w. (TC a,b: edge(a,b))(v, w) ∧ chosen(w)
-/// ```
-///
-/// where `edge(a,b)` is the disjunction of all reference and set field
-/// predicates.
-pub fn relevant_formula(vocab: &Vocabulary, chosen: PredId) -> Formula {
-    let v = Var(0);
-    let w = Var(90);
-    let a = Var(91);
-    let b = Var(92);
-    let edges = vocab.all_edge_preds();
-    let step = Formula::or_all(edges.iter().map(|&p| Formula::binary(p, a, b)));
-    let reach = Formula::exists(
-        w,
-        Formula::tc(v, w, a, b, step).and(Formula::unary(chosen, w)),
-    );
-    Formula::unary(chosen, v).or(reach)
-}
 
 /// Builds the *one-step* maintenance formula of `relevant`:
 ///
@@ -104,16 +82,36 @@ mod tests {
         Vocabulary::build(&program, &spec, &cfg, &var_types, Some(&plan), false)
     }
 
+    /// `relevant` as the engine maintains it: the step formula iterated
+    /// from all-false stored values to a fixpoint, which is transitive
+    /// relevance, `chosen(v) ∨ ∃w. (TC a,b: edge(a,b))(v, w) ∧ chosen(w)`.
+    fn relevance(v: &Vocabulary, s: &mut Structure) -> Vec<Kleene> {
+        let relevant = v.relevant.unwrap();
+        let step = relevant_step_formula(v, v.chosen.unwrap(), relevant);
+        let nodes: Vec<_> = s.nodes().collect();
+        loop {
+            let vals = eval_unary_at_all(s, &v.table, &step, Var(0));
+            if nodes
+                .iter()
+                .all(|&u| s.unary(&v.table, relevant, u) == vals[u.index()])
+            {
+                return vals;
+            }
+            for &u in &nodes {
+                s.set_unary(&v.table, relevant, u, vals[u.index()]);
+            }
+        }
+    }
+
     #[test]
     fn chosen_objects_are_relevant() {
         let v = vocab();
         let chosen = v.chosen.unwrap();
-        let formula = relevant_formula(&v, chosen);
         let mut s = Structure::new(&v.table);
         let a = s.add_node(&v.table);
         let b = s.add_node(&v.table);
         s.set_unary(&v.table, chosen, a, Kleene::True);
-        let vals = eval_unary_at_all(&s, &v.table, &formula, Var(0));
+        let vals = relevance(&v, &mut s);
         assert_eq!(vals[a.index()], Kleene::True);
         assert_eq!(vals[b.index()], Kleene::False);
     }
@@ -122,7 +120,6 @@ mod tests {
     fn reaching_objects_are_transitively_relevant() {
         let v = vocab();
         let chosen = v.chosen.unwrap();
-        let formula = relevant_formula(&v, chosen);
         // holder --Statement.myResultSet--> mid --…--> chosen target
         let edge = v.ref_fields[&("Statement".to_owned(), "myResultSet".to_owned())];
         let mut s = Structure::new(&v.table);
@@ -133,7 +130,7 @@ mod tests {
         s.set_binary(&v.table, edge, holder, mid, Kleene::True);
         s.set_binary(&v.table, edge, mid, target, Kleene::True);
         s.set_unary(&v.table, chosen, target, Kleene::True);
-        let vals = eval_unary_at_all(&s, &v.table, &formula, Var(0));
+        let vals = relevance(&v, &mut s);
         assert_eq!(vals[holder.index()], Kleene::True, "reaches chosen at depth 2");
         assert_eq!(vals[mid.index()], Kleene::True);
         assert_eq!(vals[target.index()], Kleene::True);
@@ -144,14 +141,13 @@ mod tests {
     fn unknown_edges_give_unknown_relevance() {
         let v = vocab();
         let chosen = v.chosen.unwrap();
-        let formula = relevant_formula(&v, chosen);
         let edge = v.ref_fields[&("Statement".to_owned(), "myConnection".to_owned())];
         let mut s = Structure::new(&v.table);
         let a = s.add_node(&v.table);
         let b = s.add_node(&v.table);
         s.set_binary(&v.table, edge, a, b, Kleene::Unknown);
         s.set_unary(&v.table, chosen, b, Kleene::True);
-        let vals = eval_unary_at_all(&s, &v.table, &formula, Var(0));
+        let vals = relevance(&v, &mut s);
         assert_eq!(vals[a.index()], Kleene::Unknown);
     }
 }

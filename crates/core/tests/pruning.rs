@@ -1,7 +1,6 @@
 //! Soundness of the static pruning pre-pass.
 //!
-//! Pruning (`EngineConfig::preanalysis` / `Verifier::with_preanalysis`)
-//! must be *observation-equivalent*: for every suite benchmark and every
+//! Pruning (`EngineConfig::preanalysis`) must be *observation-equivalent*: for every suite benchmark and every
 //! Table 3 mode, the verdict, the reported-error set, and the completeness
 //! flag are byte-identical with pruning on and off. The only permitted
 //! differences are which subproblems actually ran (`AnalysisOutcome::Pruned`
@@ -51,8 +50,10 @@ fn run(bench: &Benchmark, mode: &Mode, preanalysis: bool) -> VerificationReport 
     let spec = bench.spec();
     Verifier::new(&program, &spec)
         .mode(mode.clone())
-        .config(budget())
-        .with_preanalysis(preanalysis)
+        .config(EngineConfig {
+            preanalysis,
+            ..budget()
+        })
         .run()
         .unwrap()
 }
@@ -160,9 +161,9 @@ fn baseline_safe_sites_are_pruned(
         .mode(mode.clone())
         .config(EngineConfig {
             max_visits: 1,
+            preanalysis: true,
             ..budget()
         })
-        .with_preanalysis(true)
         .run()
         .unwrap();
     let mut safe = 0;

@@ -71,11 +71,6 @@ impl AtomicStrategy {
     pub fn choice(&self, var: &str) -> Option<&ChoiceOp> {
         self.choices.iter().find(|c| c.var == var)
     }
-
-    /// Classes that have a choice operation.
-    pub fn chosen_classes(&self) -> Vec<&str> {
-        self.choices.iter().map(|c| c.class.as_str()).collect()
-    }
 }
 
 /// A (possibly incremental) separation strategy: a sequence of atomic
@@ -135,6 +130,5 @@ mod tests {
         };
         assert!(a.choice("c").is_some());
         assert!(a.choice("z").is_none());
-        assert_eq!(a.chosen_classes(), vec!["Connection"]);
     }
 }

@@ -69,11 +69,6 @@ impl InstrumentPlan {
         }
         InstrumentPlan { choices }
     }
-
-    /// Plans watching a given class's constructor.
-    pub fn choices_for_class(&self, class: &str) -> Vec<&ChoicePlan> {
-        self.choices.iter().filter(|c| c.op.class == class).collect()
-    }
 }
 
 #[cfg(test)]
@@ -103,16 +98,5 @@ strategy Single {
         assert_eq!(plan.choices[1].was_chosen_pred, None, "`all` needs no wasChosen");
         assert_eq!(plan.choices[1].resolved_equations, vec![(0, 0)]);
         assert_eq!(plan.choices[2].resolved_equations, vec![(0, 1)]);
-    }
-
-    #[test]
-    fn choices_for_class_filters() {
-        let s = parse_strategy(
-            "strategy S { choose some a : A(); choose some b : B(); }",
-        )
-        .unwrap();
-        let plan = InstrumentPlan::for_stage(&s.stages[0]);
-        assert_eq!(plan.choices_for_class("A").len(), 1);
-        assert_eq!(plan.choices_for_class("C").len(), 0);
     }
 }

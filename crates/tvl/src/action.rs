@@ -203,17 +203,6 @@ impl Action {
             ..Action::default()
         }
     }
-
-    /// Whether the action is a pure no-op (no focus, filter, check, or update).
-    pub fn is_identity(&self) -> bool {
-        self.focus.is_empty()
-            && self.assume.is_none()
-            && self.checks.is_empty()
-            && self.new_node.is_none()
-            && self.updates.is_empty()
-            && self.derived.is_empty()
-            && self.forget.is_none()
-    }
 }
 
 /// The outcome of applying an action to one structure.
@@ -657,19 +646,5 @@ mod tests {
         let post = &apply(&action, &s, &t, DEFAULT_FOCUS_LIMIT).results[0];
         assert_eq!(post.binary(&t, f, u, w), Kleene::True);
         assert_eq!(post.binary(&t, f, u, old), Kleene::False, "strong update");
-    }
-
-    #[test]
-    fn identity_action_detection() {
-        let a = Action::named("skip");
-        assert!(a.is_identity());
-        let (t, x, ..) = table();
-        let _ = t;
-        let mut b = Action::named("not-skip");
-        b.updates.push(PredUpdate::unary(x, Var(0), Formula::ff()));
-        assert!(!b.is_identity());
-        let mut c = Action::named("forget");
-        c.forget = Some(Arc::new(ForgetMask { c: x, preds: Vec::new() }));
-        assert!(!c.is_identity());
     }
 }

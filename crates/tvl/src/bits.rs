@@ -1,6 +1,6 @@
 //! Word-parallel Kleene bitplane primitives.
 //!
-//! A vector of [`Kleene`] values is stored as *two bitplanes*:
+//! A vector of [`Kleene`](crate::kleene::Kleene) values is stored as *two bitplanes*:
 //! a `true`-plane `t` and a `half`-plane `h`, one bit per element, packed
 //! into `u64` words. The encoding per lane is
 //!
@@ -14,7 +14,7 @@
 //! encoding a Kleene test becomes a constant number of boolean word
 //! operations applied to 64 lanes at once: for example `a ⊑ b` fails on
 //! exactly the lanes of `!(eq | hb)` ([`le_info_violations`]). The word identities
-//! are checked exhaustively against the scalar [`Kleene`] operations — for
+//! are checked exhaustively against the scalar [`Kleene`](crate::kleene::Kleene) operations — for
 //! all 3×3 input pairs in all 64 lanes — by the property tests in
 //! `tests/properties.rs` and the unit tests below.
 //!
@@ -22,8 +22,6 @@
 //! the last word past the logical length are *padding* and must always be
 //! zero (the stride/padding invariant). Producers that could set padding
 //! bits mask with [`tail_mask`] / [`word_mask`].
-
-use crate::kleene::Kleene;
 
 /// Number of lanes per storage word.
 pub const WORD_BITS: usize = 64;
@@ -62,31 +60,6 @@ pub fn word_mask(n: usize, w: usize) -> u64 {
 #[inline]
 pub fn lane(ix: usize) -> (usize, u32) {
     (ix / WORD_BITS, (ix % WORD_BITS) as u32)
-}
-
-/// Reads the Kleene value of one lane from a plane pair.
-#[inline]
-pub fn get_lane(t: &[u64], h: &[u64], ix: usize) -> Kleene {
-    let (w, b) = lane(ix);
-    Kleene::from_bits((t[w] >> b) & 1 != 0, (h[w] >> b) & 1 != 0)
-}
-
-/// Writes the Kleene value of one lane into a plane pair.
-#[inline]
-pub fn set_lane(t: &mut [u64], h: &mut [u64], ix: usize, v: Kleene) {
-    let (w, b) = lane(ix);
-    let bit = 1u64 << b;
-    let (tb, hb) = v.to_bits();
-    if tb {
-        t[w] |= bit;
-    } else {
-        t[w] &= !bit;
-    }
-    if hb {
-        h[w] |= bit;
-    } else {
-        h[w] &= !bit;
-    }
 }
 
 /// Lanes of `valid` where `a ⊑ b` does **not** hold (`b` is neither equal to
@@ -283,6 +256,7 @@ pub fn overlap_any(t1: &[u64], h1: &[u64], t2: &[u64], h2: &[u64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kleene::Kleene;
 
     /// Builds a single-word plane pair holding `v` in lane `b`.
     fn lane_planes(v: Kleene, b: u32) -> (u64, u64) {
@@ -335,18 +309,5 @@ mod tests {
         assert_eq!(seen, vec![1, 3, 191]);
         assert_eq!(first_set(&[0, 0]), None);
         assert!(!any_set(&[0, 0]));
-    }
-
-    #[test]
-    fn lane_roundtrip() {
-        let mut t = vec![0u64; 2];
-        let mut h = vec![0u64; 2];
-        for (ix, v) in [(0, Kleene::True), (63, Kleene::Unknown), (64, Kleene::True)] {
-            set_lane(&mut t, &mut h, ix, v);
-            assert_eq!(get_lane(&t, &h, ix), v);
-        }
-        set_lane(&mut t, &mut h, 0, Kleene::False);
-        assert_eq!(get_lane(&t, &h, 0), Kleene::False);
-        assert_eq!(get_lane(&t, &h, 63), Kleene::Unknown);
     }
 }

@@ -11,8 +11,6 @@
 //! universes that arise under heterogeneous abstraction — it is exponential in
 //! the universe size.
 
-use crate::bits;
-use crate::kleene::Kleene;
 use crate::pred::{Arity, PredTable};
 use crate::structure::{NodeId, Structure};
 
@@ -134,55 +132,11 @@ fn consistent(conc: &Structure, abst: &Structure, table: &PredTable, map: &[Node
     true
 }
 
-/// Checks that every predicate value of `a` is `⊑` the corresponding value of
-/// `b` under the *identity* mapping (requires equal universes). This is the
-/// degenerate embedding used to compare two views of the same universe.
-///
-/// Word-parallel: both structures share the same plane geometry, so the
-/// pointwise `⊑` test is [`bits::le_info_any`] over corresponding plane
-/// slabs — a wide-lane block of individuals (or pairs) per comparison,
-/// short-circuiting on the first block with any violating lane.
-pub fn le_pointwise(a: &Structure, b: &Structure, table: &PredTable) -> bool {
-    let n = a.node_count();
-    if n != b.node_count() {
-        return false;
-    }
-    let nullary_ok = table
-        .iter_arity(Arity::Nullary)
-        .all(|p| a.nullary(table, p).le_info(b.nullary(table, p)));
-    if !nullary_ok {
-        return false;
-    }
-    let stride = a.stride_words();
-    let plane_le = |ta: &[u64], ha: &[u64], tb: &[u64], hb: &[u64]| {
-        !bits::le_info_any(ta, ha, tb, hb, n, stride)
-    };
-    let unary_ok = table.iter_arity(Arity::Unary).all(|p| {
-        let slot = table.slot(p);
-        let (ta, ha) = a.unary_planes(slot);
-        let (tb, hb) = b.unary_planes(slot);
-        plane_le(ta, ha, tb, hb)
-    });
-    let binary_ok = table.iter_arity(Arity::Binary).all(|p| {
-        let slot = table.slot(p);
-        let (ta, ha) = a.binary_slot_planes(slot);
-        let (tb, hb) = b.binary_slot_planes(slot);
-        plane_le(ta, ha, tb, hb)
-    });
-    unary_ok && binary_ok
-}
-
-/// Convenience for tests: `True`/`False`/`Unknown` grid of a binary predicate.
-pub fn binary_grid(s: &Structure, table: &PredTable, p: crate::pred::PredId) -> Vec<Vec<Kleene>> {
-    s.nodes()
-        .map(|src| s.nodes().map(|dst| s.binary(table, p, src, dst)).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::canon::blur;
+    use crate::kleene::Kleene;
     use crate::pred::{PredFlags, PredId};
 
     fn table() -> (PredTable, PredId, PredId) {
@@ -260,16 +214,6 @@ mod tests {
         let small = chain(&t, x, f, 1);
         let big = chain(&t, x, f, 2);
         assert!(!embeds(&small, &big, &t), "no surjection from 1 onto 2 nodes");
-    }
-
-    #[test]
-    fn le_pointwise_basic() {
-        let (t, x, f) = table();
-        let s = chain(&t, x, f, 2);
-        let mut loosened = s.clone();
-        loosened.set_binary(&t, f, NodeId::from_index(0), NodeId::from_index(1), Kleene::Unknown);
-        assert!(le_pointwise(&s, &loosened, &t));
-        assert!(!le_pointwise(&loosened, &s, &t));
     }
 
     #[test]

@@ -162,15 +162,6 @@ impl Formula {
         }
     }
 
-    /// Conjunction of an iterator of formulas; empty conjunction is `1`.
-    pub fn and_all(fs: impl IntoIterator<Item = Formula>) -> Formula {
-        let mut it = fs.into_iter();
-        match it.next() {
-            None => Formula::tt(),
-            Some(first) => it.fold(first, Formula::and),
-        }
-    }
-
     /// Disjunction of an iterator of formulas; empty disjunction is `0`.
     pub fn or_all(fs: impl IntoIterator<Item = Formula>) -> Formula {
         let mut it = fs.into_iter();
@@ -415,11 +406,10 @@ mod tests {
 
     #[test]
     fn and_all_or_all_units() {
-        assert_eq!(Formula::and_all([]), Formula::tt());
         assert_eq!(Formula::or_all([]), Formula::ff());
         let (_t, x, _f) = preds();
         let a = Formula::unary(x, Var(0));
-        assert_eq!(Formula::and_all([a.clone()]), a);
+        assert_eq!(Formula::or_all([a.clone()]), a);
     }
 
     #[test]

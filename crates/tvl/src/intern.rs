@@ -420,7 +420,9 @@ mod tests {
     #[test]
     fn word_pool_iterates_in_insertion_order() {
         let mut pool = Pool::new();
-        let ids: Vec<PoolId> = (0..200u64).map(|i| pool_words(&mut pool, &[i, i * 31])).collect();
+        let ids: Vec<PoolId> = (0..200u64)
+            .map(|i| pool_words(&mut pool, &[i, i * 31]))
+            .collect();
         assert_eq!(pool.len(), 200);
         // Every id resolves to its own entry, and iteration visits every
         // entry exactly once, in insertion order.
@@ -445,11 +447,15 @@ mod tests {
         let want: Vec<PoolId> = seen.iter().map(|w| pool_words(&mut direct, w)).collect();
         // Merge as the transfer store does: intern `other`'s items in
         // order, mapping its ids through a `Vec`.
-        let map: Vec<PoolId> = other.iter().map(|(_, w)| pool_words(&mut base, w)).collect();
+        let map: Vec<PoolId> = other
+            .iter()
+            .map(|(_, w)| pool_words(&mut base, w))
+            .collect();
         let got: Vec<PoolId> = ids.iter().map(|&id| map[id.index()]).collect();
         assert_eq!(got, want);
         assert_eq!(base.len(), direct.len());
-        let order = |p: &Pool<Box<[u64]>>| p.iter().map(|(id, w)| (id, w.to_vec())).collect::<Vec<_>>();
+        let order =
+            |p: &Pool<Box<[u64]>>| p.iter().map(|(id, w)| (id, w.to_vec())).collect::<Vec<_>>();
         assert_eq!(order(&base), order(&direct));
     }
 

@@ -81,18 +81,6 @@ impl Kleene {
         self != Kleene::Unknown
     }
 
-    /// Returns `true` when the value is definitely `True`.
-    #[inline]
-    pub fn is_true(self) -> bool {
-        self == Kleene::True
-    }
-
-    /// Returns `true` when the value is definitely `False`.
-    #[inline]
-    pub fn is_false(self) -> bool {
-        self == Kleene::False
-    }
-
     /// Returns `true` when the value *may* be true (`True` or `Unknown`).
     #[inline]
     pub fn maybe_true(self) -> bool {
@@ -145,12 +133,6 @@ impl Kleene {
     #[inline]
     pub fn le_info(self, other: Kleene) -> bool {
         self == other || other == Kleene::Unknown
-    }
-
-    /// Truth-order comparison used for monotonicity checks: `False < Unknown < True`.
-    #[inline]
-    pub fn le_truth(self, other: Kleene) -> bool {
-        self <= other
     }
 }
 
@@ -279,8 +261,6 @@ mod tests {
     fn from_bool_roundtrip() {
         assert_eq!(Kleene::from(true), Kleene::True);
         assert_eq!(Kleene::from(false), Kleene::False);
-        assert!(Kleene::from_bool(true).is_true());
-        assert!(Kleene::from_bool(false).is_false());
     }
 
     #[test]

@@ -262,11 +262,6 @@ impl PhaseTimings {
             self.add(p, o.count, o.nanos);
         }
     }
-
-    /// Whether no phase was ever applied.
-    pub fn is_zero(&self) -> bool {
-        self.stats.iter().all(|s| s.count == 0 && s.nanos == 0)
-    }
 }
 
 /// Scalar counter values, indexable by [`Counter`].
@@ -528,8 +523,6 @@ mod tests {
         assert_eq!(a.get(Phase::Focus), PhaseStats { count: 5, nanos: 400 });
         assert_eq!(a.get(Phase::Canon), PhaseStats { count: 1, nanos: 50 });
         assert_eq!(a.get(Phase::Merge), PhaseStats::default());
-        assert!(!a.is_zero());
-        assert!(PhaseTimings::default().is_zero());
     }
 
     #[test]
