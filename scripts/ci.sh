@@ -126,6 +126,13 @@ rm -f "$table3_quick_json" "$trace_quick"
 # every other row, pinned byte for byte.
 cargo run -q -p hetsep-bench --bin ablation --release | diff -u scripts/ablation_quick.golden -
 
+# Figure golden: the `fig2`, `fig3` and `fig7` bins (paper Figs. 2/5, 3
+# and 7) print no timings, so their concatenated output is pinned byte for
+# byte.
+for fig in fig2 fig3 fig7; do
+    cargo run -q -p hetsep-bench --bin "$fig" --release
+done | diff -u scripts/figs_quick.golden -
+
 # Corpus scheduler smoke gate: a 50-job generated corpus run cold at 4 and
 # at 1 worker, then warm through the persisted cross-job cache. Every run
 # must reproduce the committed verdict summary (the summary line is
@@ -171,7 +178,7 @@ rm -f "$corpus_cache" "$corpus_cache.1" "$corpus_rows"
 # diagnostic (exit 2), not abort the process reserving 32 GiB. Layout:
 # store magic, 0 contexts, 0 keys, 1 structure: id 0, u32::MAX words.
 {
-    printf 'HSEPTC01'
+    printf 'HSEPTC02'
     printf '\000\000\000\000\000\000\000\000\001\000\000\000'
     printf '\000\000\000\000\377\377\377\377'
 } > "$corpus_cache"
