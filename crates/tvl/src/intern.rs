@@ -8,7 +8,7 @@
 //! never a wrong answer. Equal values therefore always receive the same
 //! id, so id equality is value equality.
 //!
-//! Every hash-consing site of the workspace is a pool: the engine's
+//! Every hash-consing site of hetsep is a pool: the engine's
 //! [`StructureInterner`] over canonical [`Structure`]s, the cross-run
 //! transfer store's contexts, keys and word-encoded structures, and the
 //! daemon workspace's artifact registries. Each picks its own fingerprint:
@@ -40,9 +40,10 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::structure::Structure;
 
 /// A multiply-rotate hasher (the FxHash step) for maps keyed by ids and by
-/// the workspace's own unkeyed content hashes: keys chosen to collide would
-/// already collide in the content hash, so SipHash's resistance to them
-/// buys nothing there.
+/// unkeyed content fingerprints. Keys chosen to collide, say from a daemon
+/// client's sources, would already collide in the fingerprint, and a
+/// [`Pool`] bucket survives that with full comparisons; SipHash's
+/// resistance to chosen keys buys nothing there.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 
