@@ -386,8 +386,9 @@ impl TransferStore {
 
     /// Deserializes a store written by [`TransferStore::to_bytes`].
     ///
-    /// Validates structurally: magic, id ranges, and that re-pooling the
-    /// structure words reproduces the recorded pool ids. A corrupt or
+    /// Validates structurally: magic, id ranges, no repeated context or
+    /// key, and that re-pooling the structure words reproduces the recorded
+    /// pool ids. A corrupt or
     /// foreign file yields an error, never a store that would replay wrong
     /// results (structure words are additionally invariant-checked at decode
     /// time by [`Structure::from_words`] on every probe).
@@ -403,7 +404,9 @@ impl TransferStore {
         let mut store = TransferStore::new();
         for _ in 0..r.count(4)? {
             let c = r.string()?;
-            store.contexts.find_or_insert(content_hash(0, &c), c);
+            if store.contexts.find_or_insert(content_hash(0, &c), c).1 {
+                return Err("duplicate context".into());
+            }
         }
         for _ in 0..r.count(8)? {
             let ctx = r.u32()?;
@@ -412,9 +415,10 @@ impl TransferStore {
             }
             let content = r.string()?;
             let fp = content_hash(ctx, &content);
-            store
-                .keys
-                .find_or_insert(fp, (PoolId::from_raw(ctx), content));
+            let key = (PoolId::from_raw(ctx), content);
+            if store.keys.find_or_insert(fp, key).1 {
+                return Err("duplicate key".into());
+            }
         }
         for _ in 0..r.count(8)? {
             let raw = r.u32()?;
@@ -1163,6 +1167,26 @@ mod tests {
         bytes[0] ^= 0xff;
         assert!(TransferStore::from_bytes(&bytes).is_err());
         assert!(TransferStore::from_bytes(MAGIC).is_err());
+
+        // A repeated context or key would pool to an earlier id and shift
+        // every later one, so a key would land in another context.
+        let file = |contexts: &[&str], keys: &[(u32, &str)]| {
+            let mut bytes = MAGIC.to_vec();
+            push_u32(&mut bytes, contexts.len() as u32);
+            for c in contexts {
+                push_str(&mut bytes, c);
+            }
+            push_u32(&mut bytes, keys.len() as u32);
+            for (ctx, content) in keys {
+                push_u32(&mut bytes, *ctx);
+                push_str(&mut bytes, content);
+            }
+            bytes.extend_from_slice(&[0; 8]);
+            TransferStore::from_bytes(&bytes).map(|store| store.to_bytes())
+        };
+        assert!(file(&["A", "B"], &[(1, "k"), (0, "k")]).is_ok());
+        assert_eq!(file(&["A", "A", "B"], &[(1, "k")]).unwrap_err(), "duplicate context");
+        assert_eq!(file(&["A"], &[(0, "k"), (0, "k")]).unwrap_err(), "duplicate key");
     }
 
     #[test]
