@@ -1,8 +1,9 @@
 //! Soundness of the static pruning pre-pass.
 //!
-//! Pruning (`EngineConfig::preanalysis`) must be *observation-equivalent*: for every suite benchmark and every
-//! Table 3 mode, the verdict, the reported-error set, and the completeness
-//! flag are byte-identical with pruning on and off. The only permitted
+//! Pruning (`EngineConfig::preanalysis`) must be *observation-equivalent*:
+//! for every suite benchmark and every Table 3 mode, the verdict, the
+//! reported-error set, and the completeness flag are byte-identical with
+//! pruning on and off. The only permitted
 //! differences are which subproblems actually ran (`AnalysisOutcome::Pruned`
 //! rows with zero stats) and, consequently, the effort totals.
 //!
